@@ -16,7 +16,6 @@ import argparse
 import os
 import sys
 import time as _time
-from datetime import datetime, timezone
 from pathlib import Path
 
 from .attacks import (
@@ -42,11 +41,10 @@ from .errors import ProvenanceError
 from .signer import (
     DEFAULT_VALIDATION_TIME,
     SCENARIOS,
-    SignerConfig,
     build_scenario_content,
     format_gps,
     make_fixture,
-    scenario_identity,
+    scenario_signer,
 )
 from .statusservice import run_status_service
 from .timestamp import archival_extend
@@ -56,6 +54,7 @@ from .validator import (
     exit_code_for,
     hardened_policy,
     parse_policy_text,
+    parse_time,
     render_differential,
     render_report,
     spec_policy,
@@ -69,21 +68,6 @@ EXIT_REJECTED = 2
 EXIT_UNVERIFIABLE = 3
 EXIT_MALFORMED = 4
 EXIT_DIVERGENT = 5
-
-
-def parse_time(text: str) -> int:
-    """Epoch seconds from an integer literal or ISO-8601 UTC stamp."""
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        stamp = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    except ValueError:
-        raise ValueError(f"cannot parse time {text!r}") from None
-    if stamp.tzinfo is None:
-        stamp = stamp.replace(tzinfo=timezone.utc)
-    return int(stamp.timestamp())
 
 
 def _workspace(args: argparse.Namespace) -> Workspace:
@@ -120,7 +104,7 @@ def _resolve_policy(args: argparse.Namespace, workspace: Workspace, which: str =
         crl_path = (path.parent / str(fields.pop("crl_file"))).resolve()
         crl = decode_revocation_list(crl_path.read_bytes())
     if "validation_time" in fields and not args.at:
-        at = int(fields.pop("validation_time"))
+        at = fields.pop("validation_time")
     else:
         fields.pop("validation_time", None)
     fields.setdefault("name", path.stem)
@@ -204,19 +188,9 @@ def cmd_attack(args: argparse.Namespace) -> int:
     elif args.name == "sign-with-revoked":
         scenario = SCENARIOS[scenario_name]
         content, assertions, generator = build_scenario_content(scenario, workspace.seed)
-        identity = scenario_identity(workspace, scenario)
-        config = SignerConfig(
-            generator_name=generator,
-            key=identity.key,
-            chain=identity.chain,
-            binding_mode=scenario.binding_mode,
-            exclude_labels=scenario.exclude_labels,
-            tsa=workspace.tsa(),
-            clock=workspace.clock,
-        )
         outcome = attack_sign_with_revoked(
-            content, assertions, config, workspace.signing,
-            REVOKE_AT, REVOKED_VALIDATION_TIME,
+            content, assertions, scenario_signer(workspace, scenario, generator),
+            workspace.signing, REVOKE_AT, REVOKED_VALIDATION_TIME,
         )
         workspace.save()
     elif args.name == "expiry-timewarp":

@@ -34,11 +34,10 @@ from .signer import (
     DEFAULT_VALIDATION_TIME,
     SCENARIOS,
     Fixture,
-    SignerConfig,
     build_scenario_content,
     format_gps,
     make_fixture,
-    scenario_identity,
+    scenario_signer,
 )
 from .timestamp import archival_extend
 from .trust import RevocationList, decode_revocation_list, encode_revocation_list
@@ -186,20 +185,10 @@ def build_corpus(workspace: Workspace) -> list[CorpusEntry]:
     for name in ATTACK_MATRIX["sign-with-revoked"]:
         scenario = SCENARIOS[name]
         content, assertions, generator = build_scenario_content(scenario, workspace.seed)
-        identity = scenario_identity(workspace, scenario)
-        config = SignerConfig(
-            generator_name=generator,
-            key=identity.key,
-            chain=identity.chain,
-            binding_mode=scenario.binding_mode,
-            exclude_labels=scenario.exclude_labels,
-            tsa=tsa,
-            clock=workspace.clock,
-        )
         outcome = attack_sign_with_revoked(
             content,
             assertions,
-            config,
+            scenario_signer(workspace, scenario, generator),
             workspace.signing,
             REVOKE_AT,
             REVOKED_VALIDATION_TIME,

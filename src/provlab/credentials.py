@@ -11,8 +11,10 @@ later) and the hard binding that ties the claim to the asset bytes.
 - ``BOUND``: the canonical claim bytes concatenated with the digest of the
   entire timestamp token, so replacing the token breaks the signature.
 
-Everything here encodes through :mod:`.encoding`, so equal structures have
-equal bytes and any bit flip in an encoded claim is signature-visible.
+Everything here encodes through :mod:`.records`, whose decoding is strict at
+the record level as well as the value level: equal structures have equal
+bytes, a manifest that decodes re-encodes to exactly the bytes it came
+from, and any bit flip in an encoded claim is signature-visible.
 """
 
 from __future__ import annotations
@@ -20,17 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .container import ByteRange, HardBinding
+from .container import HardBinding
 from .crypto import SigningKey, digest
-from .encoding import decode_value, encode_value
-from .errors import (
-    BindingArgumentMismatch,
-    DecodeError,
-    LabelNotFound,
-    RedactionNotRedactable,
-)
-from .timestamp import TimestampToken, token_from_wire, token_to_wire
-from .trust import Certificate, certificate_from_wire, certificate_to_wire
+from .errors import BindingArgumentMismatch, LabelNotFound, RedactionNotRedactable
+from .records import decode_record, encode_record
+from .timestamp import TimestampToken
+from .trust import Certificate
 
 REDACTION_LABEL = "prov.redaction"
 
@@ -120,192 +117,31 @@ class Manifest:
 
 
 # ---------------------------------------------------------------------------
-# wire shapes
-# ---------------------------------------------------------------------------
-
-def assertion_to_wire(assertion: Assertion) -> dict:
-    return {"label": assertion.label, "payload": dict(assertion.payload)}
-
-
-def assertion_from_wire(value: object) -> Assertion:
-    if not isinstance(value, dict) or set(value) != {"label", "payload"}:
-        raise DecodeError("assertion must be a {label, payload} map")
-    label, payload = value["label"], value["payload"]
-    if not isinstance(label, str) or not isinstance(payload, dict):
-        raise DecodeError("malformed assertion record")
-    try:
-        return Assertion(label, dict(payload))
-    except ValueError as exc:
-        raise DecodeError(str(exc)) from exc
-
-
-def hard_binding_to_wire(binding: HardBinding) -> dict:
-    return {
-        "algorithm": binding.algorithm,
-        "exclusions": [[rng.start, rng.length] for rng in binding.exclusions],
-        "digest": binding.digest,
-    }
-
-
-def hard_binding_from_wire(value: object) -> HardBinding:
-    if not isinstance(value, dict) or set(value) != {"algorithm", "exclusions", "digest"}:
-        raise DecodeError("hard binding must be an {algorithm, exclusions, digest} map")
-    if not isinstance(value["algorithm"], str) or not isinstance(value["digest"], bytes):
-        raise DecodeError("malformed hard binding record")
-    try:
-        exclusions = tuple(ByteRange(start, length) for start, length in value["exclusions"])
-    except (TypeError, ValueError) as exc:
-        raise DecodeError(f"bad exclusion range: {exc}") from exc
-    return HardBinding(value["algorithm"], exclusions, value["digest"])
-
-
-def claim_to_wire(claim: Claim) -> dict:
-    return {
-        "generator": claim.generator,
-        "created_at": claim.created_at,
-        "assertion_digests": [[label, d] for label, d in claim.assertion_digests],
-        "binding": hard_binding_to_wire(claim.binding),
-        "spec_version": claim.spec_version,
-    }
-
-
-def claim_from_wire(value: object) -> Claim:
-    expected = {"generator", "created_at", "assertion_digests", "binding", "spec_version"}
-    if not isinstance(value, dict) or set(value) != expected:
-        raise DecodeError("claim must be a five-field map")
-    if not isinstance(value["generator"], str) or not isinstance(value["spec_version"], str):
-        raise DecodeError("malformed claim record")
-    if not isinstance(value["created_at"], int) or isinstance(value["created_at"], bool):
-        raise DecodeError("claim created_at must be an integer")
-    try:
-        digests = tuple((label, d) for label, d in value["assertion_digests"])
-        for label, d in digests:
-            if not isinstance(label, str) or not isinstance(d, bytes):
-                raise DecodeError("malformed assertion digest entry")
-        return Claim(
-            generator=value["generator"],
-            created_at=value["created_at"],
-            assertion_digests=digests,
-            binding=hard_binding_from_wire(value["binding"]),
-            spec_version=value["spec_version"],
-        )
-    except (TypeError, ValueError) as exc:
-        raise DecodeError(f"bad claim record: {exc}") from exc
-
-
-def claim_signature_to_wire(signature: ClaimSignature) -> dict:
-    return {
-        "signer_chain": [certificate_to_wire(cert) for cert in signature.signer_chain],
-        "signature": signature.signature,
-        "timestamp": None
-        if signature.timestamp is None
-        else token_to_wire(signature.timestamp),
-        "binding_mode": signature.binding_mode.value,
-    }
-
-
-def claim_signature_from_wire(value: object) -> ClaimSignature:
-    expected = {"signer_chain", "signature", "timestamp", "binding_mode"}
-    if not isinstance(value, dict) or set(value) != expected:
-        raise DecodeError("claim signature must be a four-field map")
-    if not isinstance(value["signature"], bytes):
-        raise DecodeError("claim signature bytes missing")
-    try:
-        chain = tuple(certificate_from_wire(c) for c in value["signer_chain"])
-        timestamp = None if value["timestamp"] is None else token_from_wire(value["timestamp"])
-        return ClaimSignature(
-            signer_chain=chain,
-            signature=value["signature"],
-            timestamp=timestamp,
-            binding_mode=BindingMode(value["binding_mode"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise DecodeError(f"bad claim signature record: {exc}") from exc
-
-
-def manifest_to_wire(manifest: Manifest) -> dict:
-    return {
-        "claim": claim_to_wire(manifest.claim),
-        "assertions": [assertion_to_wire(a) for a in manifest.assertions],
-        "claim_signature": claim_signature_to_wire(manifest.claim_signature),
-        "redaction_signatures": [
-            claim_signature_to_wire(s) for s in manifest.redaction_signatures
-        ],
-        "archival_tokens": [token_to_wire(t) for t in manifest.archival_tokens],
-    }
-
-
-def manifest_from_wire(value: object) -> Manifest:
-    expected = {
-        "claim",
-        "assertions",
-        "claim_signature",
-        "redaction_signatures",
-        "archival_tokens",
-    }
-    if not isinstance(value, dict) or set(value) != expected:
-        raise DecodeError("manifest must be a five-field map")
-    try:
-        return Manifest(
-            claim=claim_from_wire(value["claim"]),
-            assertions=tuple(assertion_from_wire(a) for a in value["assertions"]),
-            claim_signature=claim_signature_from_wire(value["claim_signature"]),
-            redaction_signatures=tuple(
-                claim_signature_from_wire(s) for s in value["redaction_signatures"]
-            ),
-            archival_tokens=tuple(token_from_wire(t) for t in value["archival_tokens"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise DecodeError(f"bad manifest record: {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
 # canonical encoding entry points
 # ---------------------------------------------------------------------------
 
 def encode_assertion(assertion: Assertion) -> bytes:
-    return encode_value(assertion_to_wire(assertion))
+    return encode_record(assertion)
 
 
 def decode_assertion(data: bytes) -> Assertion:
-    return assertion_from_wire(decode_value(data))
+    return decode_record(Assertion, data)
 
 
 def encode_claim(claim: Claim) -> bytes:
-    return encode_value(claim_to_wire(claim))
+    return encode_record(claim)
 
 
 def decode_claim(data: bytes) -> Claim:
-    return claim_from_wire(decode_value(data))
-
-
-def encode_claim_signature(signature: ClaimSignature) -> bytes:
-    return encode_value(claim_signature_to_wire(signature))
-
-
-def decode_claim_signature(data: bytes) -> ClaimSignature:
-    return claim_signature_from_wire(decode_value(data))
+    return decode_record(Claim, data)
 
 
 def encode_manifest(manifest: Manifest) -> bytes:
-    return encode_value(manifest_to_wire(manifest))
+    return encode_record(manifest)
 
 
 def decode_manifest(data: bytes) -> Manifest:
-    return manifest_from_wire(decode_value(data))
-
-
-def canonical_encode(value: Assertion | Claim | ClaimSignature | Manifest) -> bytes:
-    """Canonical bytes for any credential structure."""
-    if isinstance(value, Assertion):
-        return encode_assertion(value)
-    if isinstance(value, Claim):
-        return encode_claim(value)
-    if isinstance(value, ClaimSignature):
-        return encode_claim_signature(value)
-    if isinstance(value, Manifest):
-        return encode_manifest(value)
-    raise TypeError(f"unsupported credential type: {type(value).__name__}")
+    return decode_record(Manifest, data)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,13 @@ The wire format follows CBOR-style rules with every freedom removed:
 - text is UTF-8.
 
 The decoder is strict: any deviation from the rules above (non-shortest
-heads, unsorted or duplicate keys, trailing bytes, unknown initial bytes)
-raises :class:`DecodeError` rather than being normalised away.  Strictness
-is what makes ``decode(encode(v)) == v`` and ``encode(decode(b)) == b`` both
-hold, so a re-encoded structure is byte-identical to what was signed.
+heads, unsorted or duplicate keys, trailing bytes, unknown initial bytes,
+nesting deeper than :data:`MAX_DEPTH`) raises :class:`DecodeError` rather
+than being normalised away.  Strictness is what makes
+``decode(encode(v)) == v`` and ``encode(decode(b)) == b`` both hold, so a
+re-encoded structure is byte-identical to what was signed.  This module
+covers values; :mod:`.records` carries the same guarantee to the record
+level by accepting exactly one value shape per record type.
 
 Supported values: ``None``, ``bool``, ``int`` (magnitude below 2**64),
 ``float``, ``str``, ``bytes``, ``list``/``tuple``, and ``dict`` with
@@ -41,6 +44,11 @@ _SIMPLE_NULL = 0xF6
 _FLOAT64 = 0xFB
 
 _UINT_MAX = 2**64 - 1
+
+# Deepest array/map nesting the decoder accepts.  Credential records nest
+# about six deep; the bound turns hostile nesting into a DecodeError long
+# before it could exhaust the interpreter's recursion limit.
+MAX_DEPTH = 32
 
 Value = None | bool | int | float | str | bytes | list | tuple | dict
 
@@ -136,7 +144,9 @@ class _Decoder:
             return arg
         raise DecodeError(f"unsupported head info {info}")
 
-    def decode(self) -> Value:
+    def decode(self, depth: int = 0) -> Value:
+        if depth > MAX_DEPTH:
+            raise DecodeError(f"nesting deeper than {MAX_DEPTH} levels")
         initial = self._take(1)[0]
         major, info = initial >> 5, initial & 0x1F
         if major == _MAJOR_UINT:
@@ -152,21 +162,21 @@ class _Decoder:
             except UnicodeDecodeError as exc:
                 raise DecodeError("invalid UTF-8 in text string") from exc
         if major == _MAJOR_ARRAY:
-            return [self.decode() for _ in range(self._read_arg(info))]
+            return [self.decode(depth + 1) for _ in range(self._read_arg(info))]
         if major == _MAJOR_MAP:
             count = self._read_arg(info)
             result: dict = {}
             prev_key_bytes: bytes | None = None
             for _ in range(count):
                 key_start = self.pos
-                key = self.decode()
+                key = self.decode(depth + 1)
                 key_bytes = self.data[key_start : self.pos]
                 if not isinstance(key, (str, int, bytes)) or isinstance(key, bool):
                     raise DecodeError("unsupported map key type")
                 if prev_key_bytes is not None and key_bytes <= prev_key_bytes:
                     raise DecodeError("map keys not sorted or not unique")
                 prev_key_bytes = key_bytes
-                result[key] = self.decode()
+                result[key] = self.decode(depth + 1)
             return result
         if major == 7:
             if initial == _SIMPLE_FALSE:

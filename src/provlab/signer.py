@@ -268,7 +268,6 @@ def build_scenario_content(
 @dataclass(frozen=True)
 class Fixture:
     scenario: Scenario
-    identity: Identity
     original: Asset
     signed: Asset
     original_path: Path
@@ -287,16 +286,10 @@ def scenario_identity(workspace: Workspace, scenario: Scenario) -> Identity:
     )
 
 
-def make_fixture(workspace: Workspace, scenario_name: str, seed: int | None = None) -> Fixture:
-    """Generate one scenario's fixture tree under ``fixtures/<name>/``."""
-    scenario = SCENARIOS.get(scenario_name)
-    if scenario is None:
-        raise UnknownScenario(f"no scenario named {scenario_name!r}")
-    seed = workspace.seed if seed is None else seed
-    asset, assertions, generator = build_scenario_content(scenario, seed)
+def scenario_signer(workspace: Workspace, scenario: Scenario, generator: str) -> SignerConfig:
+    """The configuration that signs ``scenario``'s content in ``workspace``."""
     identity = scenario_identity(workspace, scenario)
-    workspace.save()
-    config = SignerConfig(
+    return SignerConfig(
         generator_name=generator,
         key=identity.key,
         chain=identity.chain,
@@ -305,6 +298,17 @@ def make_fixture(workspace: Workspace, scenario_name: str, seed: int | None = No
         tsa=workspace.tsa(),
         clock=workspace.clock,
     )
+
+
+def make_fixture(workspace: Workspace, scenario_name: str, seed: int | None = None) -> Fixture:
+    """Generate one scenario's fixture tree under ``fixtures/<name>/``."""
+    scenario = SCENARIOS.get(scenario_name)
+    if scenario is None:
+        raise UnknownScenario(f"no scenario named {scenario_name!r}")
+    seed = workspace.seed if seed is None else seed
+    asset, assertions, generator = build_scenario_content(scenario, seed)
+    config = scenario_signer(workspace, scenario, generator)
+    workspace.save()
     signed = sign_asset(asset, assertions, config)
 
     fixture_dir = workspace.fixtures_dir / scenario.name
@@ -329,7 +333,6 @@ def make_fixture(workspace: Workspace, scenario_name: str, seed: int | None = No
 
     return Fixture(
         scenario=scenario,
-        identity=identity,
         original=asset,
         signed=signed,
         original_path=original_path,

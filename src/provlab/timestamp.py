@@ -19,17 +19,9 @@ from enum import Enum
 
 from .container import Asset, extract_manifest, replace_manifest
 from .crypto import DIGEST_SIZE, SigningKey, digest, verify
-from .encoding import encode_value
-from .errors import DecodeError, ExpiredTsaCert, UsageViolation
-from .trust import (
-    Certificate,
-    ChainStatus,
-    TrustList,
-    Usage,
-    certificate_from_wire,
-    certificate_to_wire,
-    verify_chain,
-)
+from .errors import ExpiredTsaCert, UsageViolation
+from .records import decode_record, encode_record
+from .trust import Certificate, ChainStatus, TrustList, Usage, verify_chain
 
 
 @dataclass(frozen=True)
@@ -40,40 +32,17 @@ class TimestampToken:
     tsa_signature: bytes
 
 
-def token_signed_payload(message_digest: bytes, gen_time: int) -> bytes:
-    return encode_value({"message_digest": message_digest, "gen_time": gen_time})
-
-
-def token_to_wire(token: TimestampToken) -> dict:
-    return {
-        "message_digest": token.message_digest,
-        "gen_time": token.gen_time,
-        "tsa_chain": [certificate_to_wire(cert) for cert in token.tsa_chain],
-        "tsa_signature": token.tsa_signature,
-    }
-
-
-def token_from_wire(value: object) -> TimestampToken:
-    if not isinstance(value, dict):
-        raise DecodeError("timestamp token must be a map")
-    try:
-        token = TimestampToken(
-            message_digest=value["message_digest"],
-            gen_time=value["gen_time"],
-            tsa_chain=tuple(certificate_from_wire(c) for c in value["tsa_chain"]),
-            tsa_signature=value["tsa_signature"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DecodeError(f"bad timestamp token record: {exc}") from exc
-    if not isinstance(token.message_digest, bytes) or not isinstance(token.tsa_signature, bytes):
-        raise DecodeError("token digest and signature must be byte strings")
-    if not isinstance(token.gen_time, int) or isinstance(token.gen_time, bool):
-        raise DecodeError("token gen_time must be an integer")
-    return token
+def token_signed_payload(token: TimestampToken) -> bytes:
+    """The bytes the TSA signs: the digest and the time, nothing else."""
+    return encode_record(token, omit=("tsa_chain", "tsa_signature"))
 
 
 def encode_token(token: TimestampToken) -> bytes:
-    return encode_value(token_to_wire(token))
+    return encode_record(token)
+
+
+def decode_token(data: bytes) -> TimestampToken:
+    return decode_record(TimestampToken, data)
 
 
 def issue_token(
@@ -98,8 +67,8 @@ def issue_token(
         raise UsageViolation("TSA key does not match the leaf certificate")
     if not leaf.in_window(clock):
         raise ExpiredTsaCert(f"TSA certificate outside validity window at {clock}")
-    signature = tsa_key.sign(token_signed_payload(message_digest, clock))
-    return TimestampToken(message_digest, clock, tuple(tsa_chain), signature)
+    unsigned = TimestampToken(message_digest, clock, tuple(tsa_chain), b"")
+    return replace(unsigned, tsa_signature=tsa_key.sign(token_signed_payload(unsigned)))
 
 
 class TokenStatus(str, Enum):
@@ -135,11 +104,7 @@ def verify_token(
     if not token.tsa_chain:
         return TokenVerdict(TokenStatus.UNTRUSTED_TSA, "empty TSA chain")
     leaf = token.tsa_chain[0]
-    if not verify(
-        leaf.public_key,
-        token_signed_payload(token.message_digest, token.gen_time),
-        token.tsa_signature,
-    ):
+    if not verify(leaf.public_key, token_signed_payload(token), token.tsa_signature):
         return TokenVerdict(TokenStatus.BAD_TOKEN_SIGNATURE, "TSA signature invalid")
     if expected_digest is not None and token.message_digest != expected_digest:
         return TokenVerdict(TokenStatus.DIGEST_MISMATCH, "token covers a different digest")

@@ -1,7 +1,8 @@
 """Certificate hierarchy, chain verification, and revocation channels.
 
 Certificates are small fixed-field records signed by their issuer over the
-canonical encoding of every field except the signature itself.  A chain is
+canonical encoding of every field except the signature itself; the wire
+shape of every record here comes from :mod:`.records`.  A chain is
 ordered leaf-first and verifies against a :class:`TrustList` of self-signed
 root anchors.
 
@@ -17,8 +18,9 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .crypto import SigningKey, verify
-from .encoding import decode_value, encode_value
-from .errors import DecodeError, UnknownSerial, UsageViolation, ValidityNotNested
+from .encoding import encode_value
+from .errors import UnknownSerial, UsageViolation, ValidityNotNested
+from .records import decode_record, encode_record
 
 
 class Usage(str, Enum):
@@ -51,65 +53,15 @@ class Certificate:
 
 def certificate_template_bytes(cert: Certificate) -> bytes:
     """Canonical bytes the issuer signs: every field but the signature."""
-    return encode_value(
-        {
-            "serial": cert.serial,
-            "subject": cert.subject,
-            "issuer": cert.issuer,
-            "public_key": cert.public_key,
-            "not_before": cert.not_before,
-            "not_after": cert.not_after,
-            "usage": cert.usage.value,
-        }
-    )
-
-
-def certificate_to_wire(cert: Certificate) -> dict:
-    return {
-        "serial": cert.serial,
-        "subject": cert.subject,
-        "issuer": cert.issuer,
-        "public_key": cert.public_key,
-        "not_before": cert.not_before,
-        "not_after": cert.not_after,
-        "usage": cert.usage.value,
-        "issuer_signature": cert.issuer_signature,
-    }
-
-
-def certificate_from_wire(value: object) -> Certificate:
-    if not isinstance(value, dict):
-        raise DecodeError("certificate must be a map")
-    try:
-        cert = Certificate(
-            serial=value["serial"],
-            subject=value["subject"],
-            issuer=value["issuer"],
-            public_key=value["public_key"],
-            not_before=value["not_before"],
-            not_after=value["not_after"],
-            usage=Usage(value["usage"]),
-            issuer_signature=value["issuer_signature"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DecodeError(f"bad certificate record: {exc}") from exc
-    if len(value) != 8:
-        raise DecodeError("unexpected fields in certificate record")
-    if not isinstance(cert.public_key, bytes) or not isinstance(cert.issuer_signature, bytes):
-        raise DecodeError("certificate key material must be byte strings")
-    if not all(isinstance(v, int) for v in (cert.serial, cert.not_before, cert.not_after)):
-        raise DecodeError("certificate numeric fields must be integers")
-    if not isinstance(cert.subject, str) or not isinstance(cert.issuer, str):
-        raise DecodeError("certificate names must be strings")
-    return cert
+    return encode_record(cert, omit=("issuer_signature",))
 
 
 def encode_certificate(cert: Certificate) -> bytes:
-    return encode_value(certificate_to_wire(cert))
+    return encode_record(cert)
 
 
 def decode_certificate(data: bytes) -> Certificate:
-    return certificate_from_wire(decode_value(data))
+    return decode_record(Certificate, data)
 
 
 def issue_certificate(
@@ -249,57 +201,22 @@ class RevocationList:
     signature: bytes
 
 
-def _crl_payload(issuer: str, this_update: int, entries: tuple[tuple[int, int], ...]) -> bytes:
-    return encode_value(
-        {
-            "issuer": issuer,
-            "this_update": this_update,
-            "entries": [[serial, at] for serial, at in entries],
-        }
-    )
+def _crl_payload(crl: RevocationList) -> bytes:
+    return encode_record(crl, omit=("signature",))
 
 
 def verify_crl(crl: RevocationList, issuer_cert: Certificate) -> bool:
     if issuer_cert.subject != crl.issuer:
         return False
-    return verify(
-        issuer_cert.public_key,
-        _crl_payload(crl.issuer, crl.this_update, crl.entries),
-        crl.signature,
-    )
-
-
-def revocation_list_to_wire(crl: RevocationList) -> dict:
-    return {
-        "issuer": crl.issuer,
-        "this_update": crl.this_update,
-        "entries": [[serial, at] for serial, at in crl.entries],
-        "signature": crl.signature,
-    }
-
-
-def revocation_list_from_wire(value: object) -> RevocationList:
-    if not isinstance(value, dict):
-        raise DecodeError("revocation list must be a map")
-    try:
-        entries = tuple((int(serial), int(at)) for serial, at in value["entries"])
-        crl = RevocationList(
-            issuer=value["issuer"],
-            this_update=value["this_update"],
-            entries=entries,
-            signature=value["signature"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DecodeError(f"bad revocation list record: {exc}") from exc
-    return crl
+    return verify(issuer_cert.public_key, _crl_payload(crl), crl.signature)
 
 
 def encode_revocation_list(crl: RevocationList) -> bytes:
-    return encode_value(revocation_list_to_wire(crl))
+    return encode_record(crl)
 
 
 def decode_revocation_list(data: bytes) -> RevocationList:
-    return revocation_list_from_wire(decode_value(data))
+    return decode_record(RevocationList, data)
 
 
 @dataclass(frozen=True)
@@ -371,9 +288,8 @@ class Authority:
         self.revoked[serial] = revoked_at
 
     def generate_crl(self) -> RevocationList:
-        entries = tuple(sorted(self.revoked.items()))
-        payload = _crl_payload(self.name, self.clock, entries)
-        return RevocationList(self.name, self.clock, entries, self.key.sign(payload))
+        unsigned = RevocationList(self.name, self.clock, tuple(sorted(self.revoked.items())), b"")
+        return replace(unsigned, signature=self.key.sign(_crl_payload(unsigned)))
 
     def status_for(self, serial: int) -> StatusResponse:
         if serial not in self.issued:

@@ -1049,6 +1049,21 @@ _POLICY_KEYS = {
 }
 
 
+def parse_time(text: str) -> int:
+    """Epoch seconds from an integer literal or ISO-8601 UTC stamp."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        stamp = datetime.fromisoformat(text.replace("Z", "+00:00"))
+    except ValueError:
+        raise ValueError(f"cannot parse time {text!r}") from None
+    if stamp.tzinfo is None:
+        stamp = stamp.replace(tzinfo=timezone.utc)
+    return int(stamp.timestamp())
+
+
 def parse_policy_text(text: str) -> dict[str, object]:
     """Parse ``key = value`` policy lines into raw fields.
 
@@ -1076,7 +1091,7 @@ def parse_policy_text(text: str) -> dict[str, object]:
                     f"bad value {value!r} for {key} on line {lineno}"
                 ) from None
         elif key == "validation_time":
-            fields[key] = int(value)
+            fields[key] = parse_time(value)
         elif key == "status_endpoint":
             host, _, port = value.rpartition(":")
             if not host:

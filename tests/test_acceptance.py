@@ -315,6 +315,7 @@ def test_criterion_7_fuzz_totality(workspace, corpus):
         assert exit_code_for(report) in allowed
         assert len(report.checks) == 11
         assert all(r.outcome in CheckOutcome for r in report.checks)
+        assert not any(r.detail.startswith("unexpected") for r in report.checks)
 
     total = 0
     with Budget(300.0):

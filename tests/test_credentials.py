@@ -30,6 +30,14 @@ from provlab.errors import (
     LabelNotFound,
     RedactionNotRedactable,
 )
+from provlab.timestamp import decode_token, encode_token
+from provlab.trust import (
+    RevocationList,
+    decode_certificate,
+    decode_revocation_list,
+    encode_certificate,
+    encode_revocation_list,
+)
 from provlab.workspace import T0, Workspace
 
 
@@ -124,19 +132,29 @@ def test_manifest_decode_rejects_wrong_shapes(junk):
         decode_manifest(junk)
 
 
-def test_single_bit_flip_never_roundtrips(manifest):
-    """Any bit flip either fails to decode or decodes to a different value."""
-    wire = encode_manifest(manifest)
-    step = max(1, len(wire) // 97)
-    for pos in range(0, len(wire), step):
-        mutated = bytearray(wire)
-        mutated[pos] ^= 0x01
-        mutated = bytes(mutated)
-        try:
-            decoded = decode_manifest(mutated)
-        except DecodeError:
-            continue
-        assert decoded != manifest
+def test_single_bit_flip_never_roundtrips(lab, manifest):
+    """Any bit flip either fails to decode or decodes to a different record,
+    and a mutant that decodes re-encodes to exactly its own bytes."""
+    crl = RevocationList("crl-issuer", T0, ((7, T0 + 1), (9, T0 + 2)), b"\x5a" * 64)
+    cases = (
+        (manifest, encode_manifest, decode_manifest),
+        (lab.device.chain[0], encode_certificate, decode_certificate),
+        (lab.tsa().issue(digest(b"bit flips")), encode_token, decode_token),
+        (crl, encode_revocation_list, decode_revocation_list),
+    )
+    for record, encode, decode in cases:
+        wire = encode(record)
+        step = max(1, len(wire) // 97)
+        for pos in range(0, len(wire), step):
+            mutated = bytearray(wire)
+            mutated[pos] ^= 0x01
+            mutated = bytes(mutated)
+            try:
+                decoded = decode(mutated)
+            except DecodeError:
+                continue
+            assert decoded != record
+            assert encode(decoded) == mutated
 
 
 def test_digest_assertion_is_over_encoding():

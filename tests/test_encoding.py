@@ -138,6 +138,7 @@ def test_unencodable_values_rejected(value):
         "62ff",  # truncated text
         "63c328fc",  # invalid utf-8 text (unpaired surrogate-ish)
         "c101",  # tag (major 6) unsupported
+        pytest.param("81" * 5000 + "00", id="nested-5000-deep"),
     ],
 )
 def test_noncanonical_wire_rejected(hexwire):

@@ -10,6 +10,7 @@ from provlab.timestamp import (
     TimestampAuthority,
     TokenStatus,
     archival_extend,
+    decode_token,
     encode_token,
     issue_token,
     verify_token,
@@ -84,11 +85,11 @@ def test_token_verifies_at_its_own_gen_time_not_now(lab):
 
 
 def test_wire_roundtrip(lab):
-    from provlab.timestamp import token_from_wire, token_to_wire
-
     token = lab.tsa().issue(digest(b"roundtrip"))
-    assert token_from_wire(token_to_wire(token)) == token
-    assert len(encode_token(token)) > 64
+    wire = encode_token(token)
+    assert decode_token(wire) == token
+    assert encode_token(decode_token(wire)) == wire
+    assert len(wire) > 64
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ import threading
 import pytest
 
 from provlab.crypto import derive_signing_key
+from provlab.encoding import decode_value, encode_value
 from provlab.errors import (
     BindFailure,
+    DecodeError,
     ServiceUnreachable,
     UnknownSerial,
     UsageViolation,
@@ -88,6 +90,13 @@ def test_certificate_wire_roundtrip(pki):
     _, root_cert, _, leaf_cert, _ = pki
     for cert in (root_cert, leaf_cert):
         assert decode_certificate(encode_certificate(cert)) == cert
+
+
+def test_certificate_decode_rejects_bool_serial(pki):
+    _, _, _, leaf_cert, _ = pki
+    record = decode_value(encode_certificate(leaf_cert))
+    with pytest.raises(DecodeError):
+        decode_certificate(encode_value({**record, "serial": True}))
 
 
 def test_chain_valid(pki):
@@ -179,6 +188,14 @@ def test_crl_roundtrip_and_verification(pki):
 
     forged = replace(crl, entries=((leaf_cert.serial + 1, T0 + 1000),))
     assert not verify_crl(forged, root_cert)
+
+
+def test_revocation_list_decode_rejects_extra_key(pki):
+    root_key, root_cert, *_ = pki
+    crl = Authority("root", root_key, root_cert, T0).generate_crl()
+    record = decode_value(encode_revocation_list(crl))
+    with pytest.raises(DecodeError):
+        decode_revocation_list(encode_value({**record, "extra": b"\x00"}))
 
 
 def test_revoking_unknown_serial_fails(pki):

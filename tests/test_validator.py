@@ -1,6 +1,8 @@
 """Validation: check order, verdict logic, policy knobs, rendering."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,7 @@ from provlab.container import (
     wire_span,
 )
 from provlab.credentials import RedactionMode, decode_manifest, encode_manifest, redact_assertion
+from provlab.encoding import decode_value, encode_value
 from provlab.container import replace_manifest
 from provlab.signer import DEFAULT_VALIDATION_TIME, SCENARIOS, make_fixture
 from provlab.statusservice import run_status_service
@@ -29,6 +32,7 @@ from provlab.validator import (
     exit_code_for,
     hardened_policy,
     parse_policy_text,
+    parse_time,
     render_differential,
     render_report,
     report_from_json,
@@ -104,11 +108,26 @@ def test_manifestless_asset_is_unverifiable_not_malformed(lab, fixtures):
 
 
 def test_garbage_manifest_payload_is_malformed(lab, fixtures):
-    mangled = replace_manifest(fixtures["honest"].signed, b"\xffnot a manifest")
-    report = validate(serialize_asset(mangled), spec_at(lab))
-    assert report.verdict == Verdict.UNVERIFIABLE
-    assert report.malformed
-    assert exit_code_for(report) == 4
+    for payload in (b"\xffnot a manifest", b"\x81" * 5000 + b"\x00"):
+        mangled = replace_manifest(fixtures["honest"].signed, payload)
+        report = validate(serialize_asset(mangled), spec_at(lab))
+        assert report.verdict == Verdict.UNVERIFIABLE
+        assert report.malformed
+        assert exit_code_for(report) == 4
+        assert report.check("manifest-decode").outcome == CheckOutcome.FAIL
+
+
+def test_unknown_token_field_is_malformed(lab, fixtures):
+    """An extra key in a bound token's map is refused, not dropped on decode."""
+    signed = fixtures["bound-timestamp"].signed
+    record = decode_value(extract_manifest(signed))
+    record["claim_signature"]["timestamp"]["padding"] = bytes(140)
+    mangled = serialize_asset(replace_manifest(signed, encode_value(record)))
+    for policy in (spec_at(lab), hardened_at(lab)):
+        report = validate(mangled, policy)
+        assert exit_code_for(report) == 4
+        assert report.check("manifest-decode").outcome == CheckOutcome.FAIL
+        assert not any(r.detail.startswith("unexpected") for r in report.checks)
 
 
 def test_covered_byte_flip_rejected(lab, fixtures):
@@ -365,6 +384,15 @@ def test_policy_text_parsing():
     assert fields["file_integrity"] == FileIntegrity.STRONG
     assert fields["validation_time"] == 1735776000
     assert fields["status_endpoint"] == ("127.0.0.1", 8443)
+
+
+def test_readme_policy_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = [b for b in re.findall(r"```text\n(.*?)```", readme, re.S) if "_rule" in b]
+    fields = parse_policy_text(block)
+    assert fields["name"] == "strict-archive"
+    assert fields["revocation_mode"] == RevocationMode.CRL_REQUIRED
+    assert fields["validation_time"] == parse_time("2025-07-01T00:00:00Z") == 1_751_328_000
 
 
 @pytest.mark.parametrize(
