@@ -18,34 +18,11 @@ import sys
 import time as _time
 from pathlib import Path
 
-from .attacks import (
-    ATTACK_MATRIX,
-    attack_exclusion_mutate,
-    attack_expiry_timewarp,
-    attack_sign_with_revoked,
-    attack_strip_manifest,
-    attack_timestamp_replace,
-)
+from .attacks import ATTACK_MATRIX
 from .container import parse_asset, serialize_asset
-from .corpus import (
-    BACKDATE_DELTA,
-    FAKE_GPS,
-    REVOKE_AT,
-    REVOKED_VALIDATION_TIME,
-    TIMEWARP_VALIDATION_TIME,
-    build_corpus,
-    tree_digest,
-    verify_corpus,
-)
+from .corpus import apply_attack, build_corpus, tree_digest, verify_corpus
 from .errors import ProvenanceError
-from .signer import (
-    DEFAULT_VALIDATION_TIME,
-    SCENARIOS,
-    build_scenario_content,
-    format_gps,
-    make_fixture,
-    scenario_signer,
-)
+from .signer import DEFAULT_VALIDATION_TIME, SCENARIOS, make_fixture
 from .statusservice import run_status_service
 from .timestamp import archival_extend
 from .trust import decode_revocation_list
@@ -53,6 +30,7 @@ from .validator import (
     ValidationPolicy,
     exit_code_for,
     hardened_policy,
+    parse_endpoint,
     parse_policy_text,
     parse_time,
     render_differential,
@@ -61,7 +39,7 @@ from .validator import (
     validate,
     validate_differential,
 )
-from .workspace import T0, Workspace
+from .workspace import Workspace
 
 EXIT_OK = 0
 EXIT_REJECTED = 2
@@ -70,11 +48,12 @@ EXIT_MALFORMED = 4
 EXIT_DIVERGENT = 5
 
 
-def _workspace(args: argparse.Namespace) -> Workspace:
+def _workspace(args: argparse.Namespace, seed: int | None = None) -> Workspace:
+    """Load the workspace, or initialise a new one from ``seed``."""
     root = args.workspace or os.environ.get("PROVLAB_WORKSPACE")
     if not root:
         raise ProvenanceError("no workspace: pass --workspace or set PROVLAB_WORKSPACE")
-    return Workspace.load(root)
+    return Workspace.load(root) if seed is None else Workspace.initialize(root, seed)
 
 
 def _resolve_policy(args: argparse.Namespace, workspace: Workspace, which: str = "policy") -> ValidationPolicy:
@@ -85,8 +64,7 @@ def _resolve_policy(args: argparse.Namespace, workspace: Workspace, which: str =
         crl = decode_revocation_list(Path(args.crl).read_bytes())
     endpoint = None
     if getattr(args, "status_endpoint", None):
-        host, _, port = args.status_endpoint.rpartition(":")
-        endpoint = (host, int(port))
+        endpoint = parse_endpoint(args.status_endpoint)
 
     if name == "spec":
         return spec_policy(workspace.trust, at)
@@ -119,10 +97,7 @@ def _resolve_policy(args: argparse.Namespace, workspace: Workspace, which: str =
 # ---------------------------------------------------------------------------
 
 def cmd_init(args: argparse.Namespace) -> int:
-    root = args.workspace or os.environ.get("PROVLAB_WORKSPACE")
-    if not root:
-        raise ProvenanceError("no workspace: pass --workspace or set PROVLAB_WORKSPACE")
-    workspace = Workspace.initialize(root, args.seed)
+    workspace = _workspace(args, args.seed)
     print(f"workspace initialised at {workspace.root} (seed {workspace.seed})")
     print(f"trust anchors: {', '.join(c.subject for c in workspace.trust.anchors)}")
     return EXIT_OK
@@ -179,27 +154,12 @@ def cmd_attack(args: argparse.Namespace) -> int:
             make_fixture(workspace, scenario_name)
         asset = parse_asset(asset_path.read_bytes())
 
-    if args.name == "timestamp-replace":
-        at = parse_time(args.time) if args.time else T0 - BACKDATE_DELTA
-        outcome = attack_timestamp_replace(asset, workspace.tsa(), at, workspace.trust)
-    elif args.name == "exclusion-mutate":
-        payload = (args.payload or format_gps(*FAKE_GPS)).encode("ascii")
-        outcome = attack_exclusion_mutate(asset, args.label, payload)
-    elif args.name == "sign-with-revoked":
-        scenario = SCENARIOS[scenario_name]
-        content, assertions, generator = build_scenario_content(scenario, workspace.seed)
-        outcome = attack_sign_with_revoked(
-            content, assertions, scenario_signer(workspace, scenario, generator),
-            workspace.signing, REVOKE_AT, REVOKED_VALIDATION_TIME,
-        )
-        workspace.save()
-    elif args.name == "expiry-timewarp":
-        at = parse_time(args.time) if args.time else TIMEWARP_VALIDATION_TIME
-        outcome = attack_expiry_timewarp(asset, at)
-    elif args.name == "strip-manifest":
-        outcome = attack_strip_manifest(asset)
-    else:
-        raise ProvenanceError(f"unknown attack {args.name!r}")
+    at = parse_time(args.time) if args.time else None
+    outcome = apply_attack(
+        workspace, args.name, scenario_name, asset,
+        time=at, label=args.label, payload=args.payload,
+    )
+    workspace.save()  # sign-with-revoked revokes the leaf it re-signs with
 
     out = Path(args.out) if args.out else (
         workspace.root / "attacks" / f"{scenario_name}--{outcome.name}.pvl"

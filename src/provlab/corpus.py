@@ -29,7 +29,7 @@ from .attacks import (
 )
 from .container import Asset, serialize_asset
 from .crypto import digest
-from .errors import WorkspaceError
+from .errors import ProvenanceError, WorkspaceError
 from .signer import (
     DEFAULT_VALIDATION_TIME,
     SCENARIOS,
@@ -146,18 +146,42 @@ def _entry(
     )
 
 
-def _attacked_entry(
-    workspace: Workspace, scenario_name: str, outcome: AttackOutcome
-) -> CorpusEntry:
-    return _entry(
-        workspace,
-        outcome.mutated,
-        scenario_name,
-        outcome.name,
-        outcome.expected,
-        outcome.notes,
-        outcome.validation_time,
-    )
+def apply_attack(
+    workspace: Workspace,
+    name: str,
+    scenario: str,
+    asset: Asset,
+    *,
+    time: int | None = None,
+    label: str = "meta.gps",
+    payload: str | None = None,
+) -> AttackOutcome:
+    """Apply attack ``name`` to ``asset``, a signing of ``scenario``.
+
+    Trip parameters default to the corpus's; ``time`` overrides the token
+    time (timestamp-replace) or the warp target (expiry-timewarp), and
+    ``label``/``payload`` the segment exclusion-mutate overwrites.
+    sign-with-revoked re-signs the scenario and ignores ``asset``.
+    """
+    if name == "timestamp-replace":
+        at = T0 - BACKDATE_DELTA if time is None else time
+        return attack_timestamp_replace(asset, workspace.tsa(), at, workspace.trust)
+    if name == "exclusion-mutate":
+        text = payload or format_gps(*FAKE_GPS)
+        return attack_exclusion_mutate(asset, label, text.encode("ascii"))
+    if name == "sign-with-revoked":
+        spec = SCENARIOS[scenario]
+        content, assertions, generator = build_scenario_content(spec, workspace.seed)
+        return attack_sign_with_revoked(
+            content, assertions, scenario_signer(workspace, spec, generator),
+            workspace.signing, REVOKE_AT, REVOKED_VALIDATION_TIME,
+        )
+    if name == "expiry-timewarp":
+        at = TIMEWARP_VALIDATION_TIME if time is None else time
+        return attack_expiry_timewarp(asset, at)
+    if name == "strip-manifest":
+        return attack_strip_manifest(asset)
+    raise ProvenanceError(f"unknown attack {name!r}")
 
 
 def build_corpus(workspace: Workspace) -> list[CorpusEntry]:
@@ -166,48 +190,26 @@ def build_corpus(workspace: Workspace) -> list[CorpusEntry]:
         name: make_fixture(workspace, name) for name in SCENARIOS
     }
     entries: list[CorpusEntry] = []
-    tsa = workspace.tsa()
 
     # --- attacked variants ------------------------------------------------
-    for name in ATTACK_MATRIX["timestamp-replace"]:
-        fixture = fixtures[name]
-        outcome = attack_timestamp_replace(
-            fixture.signed, tsa, T0 - BACKDATE_DELTA, workspace.trust
-        )
-        entries.append(_attacked_entry(workspace, name, outcome))
-
-    for name in ATTACK_MATRIX["exclusion-mutate"]:
-        fixture = fixtures[name]
-        payload = format_gps(*FAKE_GPS).encode("ascii")
-        outcome = attack_exclusion_mutate(fixture.signed, "meta.gps", payload)
-        entries.append(_attacked_entry(workspace, name, outcome))
-
-    for name in ATTACK_MATRIX["sign-with-revoked"]:
-        scenario = SCENARIOS[name]
-        content, assertions, generator = build_scenario_content(scenario, workspace.seed)
-        outcome = attack_sign_with_revoked(
-            content,
-            assertions,
-            scenario_signer(workspace, scenario, generator),
-            workspace.signing,
-            REVOKE_AT,
-            REVOKED_VALIDATION_TIME,
-        )
-        if serialize_asset(outcome.mutated) != serialize_asset(fixtures[name].signed):
-            raise WorkspaceError(
-                f"re-signing scenario {name!r} did not reproduce its fixture"
+    for attack, scenario_names in ATTACK_MATRIX.items():
+        for name in scenario_names:
+            asset = fixtures[name].signed
+            if attack == "expiry-timewarp":
+                asset = archival_extend(asset, workspace.tsa(), clock=ARCHIVAL_EXTEND_AT)
+            outcome = apply_attack(workspace, attack, name, asset)
+            if attack == "sign-with-revoked" and (
+                serialize_asset(outcome.mutated) != serialize_asset(asset)
+            ):
+                raise WorkspaceError(
+                    f"re-signing scenario {name!r} did not reproduce its fixture"
+                )
+            entries.append(
+                _entry(
+                    workspace, outcome.mutated, name, outcome.name, outcome.expected,
+                    outcome.notes, outcome.validation_time,
+                )
             )
-        entries.append(_attacked_entry(workspace, name, outcome))
-
-    for name in ATTACK_MATRIX["expiry-timewarp"]:
-        fixture = fixtures[name]
-        extended = archival_extend(fixture.signed, tsa, clock=ARCHIVAL_EXTEND_AT)
-        outcome = attack_expiry_timewarp(extended, TIMEWARP_VALIDATION_TIME)
-        entries.append(_attacked_entry(workspace, name, outcome))
-
-    for name in ATTACK_MATRIX["strip-manifest"]:
-        outcome = attack_strip_manifest(fixtures[name].signed)
-        entries.append(_attacked_entry(workspace, name, outcome))
 
     # --- honest entries (after attacks: revocation state is now final) ----
     for name, fixture in fixtures.items():

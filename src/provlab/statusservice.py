@@ -149,6 +149,9 @@ class _Handler(socketserver.BaseRequestHandler):
 class _Server(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
+    # socketserver's default backlog of 5 drops SYNs under a burst of
+    # clients; each drop costs a 1 s then 3 s retransmit on the client side
+    request_queue_size = 128
 
 
 class StatusService:

@@ -1,9 +1,11 @@
 """Policy-driven validation.
 
 ``validate`` accepts arbitrary bytes and always returns a report, never an
-exception.  Checks run in a fixed, total order (later checks are SKIPPED,
-not omitted, when their inputs are unavailable), so two reports are always
-comparable check-by-check:
+exception.  The checks are the rows of one ordered table, ``_CHECKS``, of
+``(name, gate, check)``: a gate returns a SKIPPED detail when its check
+cannot or need not run, a check returns ``(outcome, detail)``, and a check
+that raises becomes FAIL "unexpected failure: ...".  Every report lists all
+eleven checks in this order, so two reports compare check-by-check:
 
     parse, manifest-decode, spec-version, assertion-digests, hard-binding,
     exclusion-audit, chain, signature, revocation, timestamp,
@@ -60,20 +62,6 @@ from .trust import (
 )
 
 REPORT_SCHEMA = "prov-report/1"
-
-CHECK_NAMES = (
-    "parse",
-    "manifest-decode",
-    "spec-version",
-    "assertion-digests",
-    "hard-binding",
-    "exclusion-audit",
-    "chain",
-    "signature",
-    "revocation",
-    "timestamp",
-    "redaction-audit",
-)
 
 GOAL_NAMES = ("G1", "G2", "G3", "G4", "G5")
 
@@ -241,9 +229,10 @@ _UNVERIFIABLE_CHECKS = frozenset({"parse", "manifest-decode"})
 class _Run:
     """Mutable state threaded through one validation pass."""
 
-    def __init__(self, policy: ValidationPolicy):
+    def __init__(self, data: bytes, policy: ValidationPolicy):
+        self.data = data
         self.policy = policy
-        self.results: list[CheckResult] = []
+        self.results: dict[str, CheckResult] = {}
         self.asset: Asset | None = None
         self.manifest: Manifest | None = None
         self.manifest_segment: Segment | None = None
@@ -252,15 +241,6 @@ class _Run:
         self.chain_expired = False
         self.malformed = False
         self.displayed = DisplayedTime(None, TimeProvenance.ABSENT)
-
-    def record(self, name: str, outcome: CheckOutcome, detail: str = "") -> None:
-        self.results.append(CheckResult(name, outcome, detail))
-
-    def outcome(self, name: str) -> CheckOutcome:
-        for result in self.results:
-            if result.name == name:
-                return result.outcome
-        raise KeyError(name)
 
 
 def _effective_exclusions(
@@ -331,58 +311,67 @@ def _valid_redaction_record(
     return False
 
 
-def _check_parse(run: _Run, data: bytes) -> None:
+# -- gates: the SKIPPED detail, or None when the check runs --------------------
+
+def _needs_asset(run: _Run) -> str | None:
+    return "no parsed asset" if run.asset is None else None
+
+
+def _needs_manifest(run: _Run) -> str | None:
+    return "no manifest" if run.manifest is None else None
+
+
+def _exclusion_audit_gate(run: _Run) -> str | None:
+    if run.policy.file_integrity == FileIntegrity.WEAK:
+        return "weak integrity honours declared exclusions"
+    return _needs_manifest(run)
+
+
+def _revocation_gate(run: _Run) -> str | None:
+    if run.policy.revocation_mode == RevocationMode.NONE:
+        return "revocation not checked"
+    if run.manifest is None or not run.manifest.claim_signature.signer_chain:
+        return "no manifest"
+    return None
+
+
+# -- checks: each returns (outcome, detail) ------------------------------------
+
+_Result = tuple[CheckOutcome, str]
+
+
+def _check_parse(run: _Run) -> _Result:
     try:
-        run.asset = parse_asset(data)
+        run.asset = parse_asset(run.data)
     except ProvenanceError as exc:
-        run.malformed = True
-        run.record("parse", CheckOutcome.FAIL, str(exc))
-        return
-    run.record(
-        "parse", CheckOutcome.PASS, f"{len(run.asset.segments)} segments"
-    )
+        return CheckOutcome.FAIL, str(exc)
+    return CheckOutcome.PASS, f"{len(run.asset.segments)} segments"
 
 
-def _check_manifest_decode(run: _Run) -> None:
-    if run.asset is None:
-        run.record("manifest-decode", CheckOutcome.SKIPPED, "no parsed asset")
-        return
+def _check_manifest_decode(run: _Run) -> _Result:
     segment = run.asset.find_manifest()
     if segment is None:
-        run.record("manifest-decode", CheckOutcome.FAIL, "no manifest segment")
-        return
+        return CheckOutcome.FAIL, "no manifest segment"
     run.manifest_segment = segment
     try:
         run.manifest = decode_manifest(run.asset.payload(segment))
     except ProvenanceError as exc:
         run.malformed = True
-        run.record("manifest-decode", CheckOutcome.FAIL, f"undecodable manifest: {exc}")
-        return
-    run.record("manifest-decode", CheckOutcome.PASS)
+        return CheckOutcome.FAIL, f"undecodable manifest: {exc}"
+    return CheckOutcome.PASS, ""
 
 
-def _check_spec_version(run: _Run) -> None:
-    if run.manifest is None:
-        run.record("spec-version", CheckOutcome.SKIPPED, "no manifest")
-        return
+def _check_spec_version(run: _Run) -> _Result:
     required = run.policy.spec_version_required
     found = run.manifest.claim.spec_version
     if required is None:
-        run.record("spec-version", CheckOutcome.PASS, f"claim format {found} (not constrained)")
-    elif found == required:
-        run.record("spec-version", CheckOutcome.PASS, f"claim format {found}")
-    else:
-        run.record(
-            "spec-version",
-            CheckOutcome.FAIL,
-            f"claim format {found}, policy requires {required}",
-        )
+        return CheckOutcome.PASS, f"claim format {found} (not constrained)"
+    if found == required:
+        return CheckOutcome.PASS, f"claim format {found}"
+    return CheckOutcome.FAIL, f"claim format {found}, policy requires {required}"
 
 
-def _check_assertion_digests(run: _Run) -> None:
-    if run.manifest is None:
-        run.record("assertion-digests", CheckOutcome.SKIPPED, "no manifest")
-        return
+def _check_assertion_digests(run: _Run) -> _Result:
     manifest = run.manifest
     claim = manifest.claim
     problems: list[str] = []
@@ -400,63 +389,34 @@ def _check_assertion_digests(run: _Run) -> None:
     )
     run.tombstones = tombstones
     if problems:
-        run.record("assertion-digests", CheckOutcome.FAIL, "; ".join(problems))
-        return
+        return CheckOutcome.FAIL, "; ".join(problems)
     verified = sum(1 for a in manifest.assertions if a.label != REDACTION_LABEL)
     detail = f"{verified} assertions verified"
     if tombstones:
         detail += f", {len(tombstones)} REDACTED ({', '.join(tombstones)})"
-    run.record("assertion-digests", CheckOutcome.PASS, detail)
+    return CheckOutcome.PASS, detail
 
 
-def _check_hard_binding(run: _Run) -> None:
-    if run.manifest is None or run.asset is None or run.manifest_segment is None:
-        run.record("hard-binding", CheckOutcome.SKIPPED, "no manifest")
-        return
+def _check_hard_binding(run: _Run) -> _Result:
     binding = run.manifest.claim.binding
     if binding.algorithm != "sha-256":
-        run.record(
-            "hard-binding", CheckOutcome.FAIL, f"unsupported algorithm {binding.algorithm!r}"
-        )
-        return
+        return CheckOutcome.FAIL, f"unsupported algorithm {binding.algorithm!r}"
     effective = _effective_exclusions(binding.exclusions, run.manifest_segment)
     if effective is None:
-        run.record(
-            "hard-binding", CheckOutcome.FAIL, "manifest range not excluded by the claim"
-        )
-        return
+        return CheckOutcome.FAIL, "manifest range not excluded by the claim"
     run.effective_exclusions = effective
     try:
         recomputed = compute_hard_binding(run.asset, effective, binding.algorithm)
     except ProvenanceError as exc:
-        run.record("hard-binding", CheckOutcome.FAIL, f"exclusions unusable: {exc}")
-        return
+        return CheckOutcome.FAIL, f"exclusions unusable: {exc}"
     if recomputed.digest != binding.digest:
-        run.record(
-            "hard-binding",
-            CheckOutcome.FAIL,
-            "recomputed digest differs from the declared digest",
-        )
-        return
-    run.record(
-        "hard-binding",
-        CheckOutcome.PASS,
-        f"digest match over {len(effective)} exclusion(s)",
-    )
+        return CheckOutcome.FAIL, "recomputed digest differs from the declared digest"
+    return CheckOutcome.PASS, f"digest match over {len(effective)} exclusion(s)"
 
 
-def _check_exclusion_audit(run: _Run) -> None:
-    if run.policy.file_integrity == FileIntegrity.WEAK:
-        run.record(
-            "exclusion-audit", CheckOutcome.SKIPPED, "weak integrity honours declared exclusions"
-        )
-        return
-    if run.manifest is None or run.asset is None or run.manifest_segment is None:
-        run.record("exclusion-audit", CheckOutcome.SKIPPED, "no manifest")
-        return
+def _check_exclusion_audit(run: _Run) -> _Result:
     if run.effective_exclusions is None:
-        run.record("exclusion-audit", CheckOutcome.FAIL, "exclusions could not be resolved")
-        return
+        return CheckOutcome.FAIL, "exclusions could not be resolved"
     unaccounted: list[str] = []
     for rng in run.effective_exclusions:
         if run.manifest_segment.range.contains(rng):
@@ -471,14 +431,12 @@ def _check_exclusion_audit(run: _Run) -> None:
         label = segment.label if segment is not None else f"[{rng.start},{rng.length})"
         unaccounted.append(label)
     if unaccounted:
-        run.record(
-            "exclusion-audit",
+        return (
             CheckOutcome.FAIL,
             "non-manifest exclusions without countersigned redaction: "
             + ", ".join(unaccounted),
         )
-        return
-    run.record("exclusion-audit", CheckOutcome.PASS, "only the manifest range is excluded")
+    return CheckOutcome.PASS, "only the manifest range is excluded"
 
 
 def _archival_bridge(run: _Run) -> str | None:
@@ -524,200 +482,123 @@ def _archival_bridge(run: _Run) -> str | None:
     )
 
 
-def _check_chain(run: _Run) -> None:
-    if run.manifest is None:
-        run.record("chain", CheckOutcome.SKIPPED, "no manifest")
-        return
+def _check_chain(run: _Run) -> _Result:
     policy = run.policy
     chain = run.manifest.claim_signature.signer_chain
     verdict = verify_chain(chain, policy.trust, policy.validation_time)
     if verdict.valid:
-        run.record("chain", CheckOutcome.PASS, f"valid at {policy.validation_time}")
-        return
+        return CheckOutcome.PASS, f"valid at {policy.validation_time}"
     if verdict.status == ChainStatus.EXPIRED:
         if policy.expiry_rule == ExpiryRule.AT_TIMESTAMP_TIME_WITH_ARCHIVAL_CHAIN:
             bridged = _archival_bridge(run)
             if bridged is not None:
-                run.record("chain", CheckOutcome.PASS, bridged)
-                return
+                return CheckOutcome.PASS, bridged
         run.chain_expired = True
-        run.record("chain", CheckOutcome.FAIL, verdict.detail)
-        return
-    run.record("chain", CheckOutcome.FAIL, f"{verdict.status.value}: {verdict.detail}")
+        return CheckOutcome.FAIL, verdict.detail
+    return CheckOutcome.FAIL, f"{verdict.status.value}: {verdict.detail}"
 
 
-def _check_signature(run: _Run) -> None:
-    if run.manifest is None:
-        run.record("signature", CheckOutcome.SKIPPED, "no manifest")
-        return
+def _check_signature(run: _Run) -> _Result:
     claim_signature = run.manifest.claim_signature
     if not claim_signature.signer_chain:
-        run.record("signature", CheckOutcome.FAIL, "empty signer chain")
-        return
+        return CheckOutcome.FAIL, "empty signer chain"
     leaf = claim_signature.signer_chain[0]
     if leaf.usage != Usage.LEAF_SIGNING:
-        run.record(
-            "signature", CheckOutcome.FAIL, f"leaf usage {leaf.usage.value} cannot sign claims"
-        )
-        return
+        return CheckOutcome.FAIL, f"leaf usage {leaf.usage.value} cannot sign claims"
     if claim_signature.binding_mode == BindingMode.BOUND:
         token_digest = digest(encode_token(claim_signature.timestamp))
         payload = signed_payload(run.manifest.claim, BindingMode.BOUND, token_digest)
     else:
         payload = signed_payload(run.manifest.claim, BindingMode.UNBOUND)
     if verify(leaf.public_key, payload, claim_signature.signature):
-        run.record(
-            "signature", CheckOutcome.PASS, f"{claim_signature.binding_mode.value} payload"
-        )
-    else:
-        run.record("signature", CheckOutcome.FAIL, "claim signature does not verify")
+        return CheckOutcome.PASS, f"{claim_signature.binding_mode.value} payload"
+    return CheckOutcome.FAIL, "claim signature does not verify"
 
 
 def _responder_cert(chain: tuple[Certificate, ...]) -> Certificate:
     return chain[1] if len(chain) > 1 else chain[0]
 
 
-def _check_revocation(run: _Run) -> None:
+def _check_revocation(run: _Run) -> _Result:
     mode = run.policy.revocation_mode
-    if mode == RevocationMode.NONE:
-        run.record("revocation", CheckOutcome.SKIPPED, "revocation not checked")
-        return
-    if run.manifest is None or not run.manifest.claim_signature.signer_chain:
-        run.record("revocation", CheckOutcome.SKIPPED, "no manifest")
-        return
     chain = run.manifest.claim_signature.signer_chain
     leaf = chain[0]
     if mode == RevocationMode.CRL_REQUIRED:
         crl = run.policy.crl
         if crl is None:
-            run.record("revocation", CheckOutcome.FAIL, "no revocation list available")
-            return
+            return CheckOutcome.FAIL, "no revocation list available"
         issuer_cert = next(
             (c for c in chain[1:] if c.subject == crl.issuer),
             next((c for c in run.policy.trust.anchors if c.subject == crl.issuer), None),
         )
         if issuer_cert is None or not verify_crl(crl, issuer_cert):
-            run.record(
-                "revocation", CheckOutcome.FAIL, "revocation list signature does not verify"
-            )
-            return
+            return CheckOutcome.FAIL, "revocation list signature does not verify"
         entry = next((e for e in crl.entries if e[0] == leaf.serial), None)
         if entry is not None:
-            run.record(
-                "revocation",
-                CheckOutcome.FAIL,
-                f"serial {leaf.serial} revoked at {entry[1]}",
-            )
-            return
-        run.record(
-            "revocation",
+            return CheckOutcome.FAIL, f"serial {leaf.serial} revoked at {entry[1]}"
+        return (
             CheckOutcome.PASS,
             f"serial {leaf.serial} not in revocation list of {len(crl.entries)} entries",
         )
-        return
     # online status modes
     endpoint = run.policy.status_endpoint
     soft = mode == RevocationMode.STATUS_SERVICE_SOFT_FAIL
     if endpoint is None:
         if soft:
-            run.record(
-                "revocation", CheckOutcome.SKIPPED, "no status endpoint (soft fail)"
-            )
-        else:
-            run.record("revocation", CheckOutcome.FAIL, "no status endpoint (fail closed)")
-        return
+            return CheckOutcome.SKIPPED, "no status endpoint (soft fail)"
+        return CheckOutcome.FAIL, "no status endpoint (fail closed)"
     try:
         response = query_status(endpoint, leaf.serial, _responder_cert(chain))
     except ServiceUnreachable as exc:
         if soft:
-            run.record(
-                "revocation", CheckOutcome.SKIPPED, f"status service unreachable (soft fail): {exc}"
-            )
-        else:
-            run.record(
-                "revocation", CheckOutcome.FAIL, f"status service unreachable (fail closed): {exc}"
-            )
-        return
+            return CheckOutcome.SKIPPED, f"status service unreachable (soft fail): {exc}"
+        return CheckOutcome.FAIL, f"status service unreachable (fail closed): {exc}"
     if response.status == CertStatus.GOOD:
-        run.record("revocation", CheckOutcome.PASS, f"serial {leaf.serial} status GOOD")
-    elif response.status == CertStatus.REVOKED:
-        run.record(
-            "revocation",
-            CheckOutcome.FAIL,
-            f"serial {leaf.serial} REVOKED at {response.revoked_at}",
-        )
-    else:
-        run.record(
-            "revocation", CheckOutcome.FAIL, f"serial {leaf.serial} UNKNOWN to the responder"
-        )
+        return CheckOutcome.PASS, f"serial {leaf.serial} status GOOD"
+    if response.status == CertStatus.REVOKED:
+        return CheckOutcome.FAIL, f"serial {leaf.serial} REVOKED at {response.revoked_at}"
+    return CheckOutcome.FAIL, f"serial {leaf.serial} UNKNOWN to the responder"
 
 
-def _check_timestamp(run: _Run) -> None:
-    if run.manifest is None:
-        run.record("timestamp", CheckOutcome.SKIPPED, "no manifest")
-        return
+def _check_timestamp(run: _Run) -> _Result:
     policy = run.policy
     claim_signature = run.manifest.claim_signature
     token = claim_signature.timestamp
     if token is None:
         if policy.timestamp_rule == TimestampRule.REQUIRE_BOUND:
-            run.record("timestamp", CheckOutcome.FAIL, "no timestamp token")
-        else:
-            run.record("timestamp", CheckOutcome.SKIPPED, "no timestamp token")
-        return
+            return CheckOutcome.FAIL, "no timestamp token"
+        return CheckOutcome.SKIPPED, "no timestamp token"
     if claim_signature.binding_mode == BindingMode.UNBOUND:
         if policy.timestamp_rule == TimestampRule.REQUIRE_BOUND:
-            run.record(
-                "timestamp",
-                CheckOutcome.FAIL,
-                "token is not bound to the claim signature",
-            )
-            return
+            return CheckOutcome.FAIL, "token is not bound to the claim signature"
         verdict = verify_token(token, digest(claim_signature.signature), policy.trust)
-        if verdict.valid:
-            run.displayed = DisplayedTime(token.gen_time, TimeProvenance.UNBOUND_TOKEN)
-            run.record(
-                "timestamp", CheckOutcome.PASS, f"unbound token at {token.gen_time}"
-            )
-        else:
-            run.record(
-                "timestamp", CheckOutcome.FAIL, f"{verdict.status.value}: {verdict.detail}"
-            )
-        return
+        if not verdict.valid:
+            return CheckOutcome.FAIL, f"{verdict.status.value}: {verdict.detail}"
+        run.displayed = DisplayedTime(token.gen_time, TimeProvenance.UNBOUND_TOKEN)
+        return CheckOutcome.PASS, f"unbound token at {token.gen_time}"
     # bound: the token digest is pinned inside the signed payload, so the
     # token's own message digest refers to the discarded pass-1 signature
     verdict = verify_token(token, None, policy.trust)
     if not verdict.valid:
-        run.record(
-            "timestamp", CheckOutcome.FAIL, f"{verdict.status.value}: {verdict.detail}"
-        )
-        return
-    if run.outcome("signature") == CheckOutcome.PASS:
-        run.displayed = DisplayedTime(token.gen_time, TimeProvenance.SIGNED)
-        run.record("timestamp", CheckOutcome.PASS, f"bound token at {token.gen_time}")
-    else:
-        run.record(
-            "timestamp",
+        return CheckOutcome.FAIL, f"{verdict.status.value}: {verdict.detail}"
+    if run.results["signature"].outcome != CheckOutcome.PASS:
+        return (
             CheckOutcome.FAIL,
             "bound token cannot be trusted without a verifying claim signature",
         )
+    run.displayed = DisplayedTime(token.gen_time, TimeProvenance.SIGNED)
+    return CheckOutcome.PASS, f"bound token at {token.gen_time}"
 
 
-def _check_redaction_audit(run: _Run) -> None:
-    if run.manifest is None:
-        run.record("redaction-audit", CheckOutcome.SKIPPED, "no manifest")
-        return
+def _check_redaction_audit(run: _Run) -> _Result:
     tombstones = run.tombstones
     if not tombstones:
-        run.record("redaction-audit", CheckOutcome.PASS, "no redactions")
-        return
+        return CheckOutcome.PASS, "no redactions"
     if run.policy.file_integrity == FileIntegrity.WEAK:
-        run.record(
-            "redaction-audit",
+        return (
             CheckOutcome.PASS,
             f"{len(tombstones)} tombstone(s) accepted without countersignature",
         )
-        return
     missing = [
         label
         for label in tombstones
@@ -726,31 +607,30 @@ def _check_redaction_audit(run: _Run) -> None:
         )
     ]
     if missing:
-        run.record(
-            "redaction-audit",
+        return (
             CheckOutcome.FAIL,
             "tombstones without countersigned redaction records: " + ", ".join(missing),
         )
-        return
-    run.record(
-        "redaction-audit",
-        CheckOutcome.PASS,
-        f"{len(tombstones)} countersigned redaction(s)",
-    )
+    return CheckOutcome.PASS, f"{len(tombstones)} countersigned redaction(s)"
 
 
-_CHECK_FUNCTIONS = {
-    "manifest-decode": _check_manifest_decode,
-    "spec-version": _check_spec_version,
-    "assertion-digests": _check_assertion_digests,
-    "hard-binding": _check_hard_binding,
-    "exclusion-audit": _check_exclusion_audit,
-    "chain": _check_chain,
-    "signature": _check_signature,
-    "revocation": _check_revocation,
-    "timestamp": _check_timestamp,
-    "redaction-audit": _check_redaction_audit,
-}
+# The one ordered table of checks: (name, gate, check).  A report lists every
+# row in this order; a gate that returns a detail marks its check SKIPPED.
+_CHECKS = (
+    ("parse", None, _check_parse),
+    ("manifest-decode", _needs_asset, _check_manifest_decode),
+    ("spec-version", _needs_manifest, _check_spec_version),
+    ("assertion-digests", _needs_manifest, _check_assertion_digests),
+    ("hard-binding", _needs_manifest, _check_hard_binding),
+    ("exclusion-audit", _exclusion_audit_gate, _check_exclusion_audit),
+    ("chain", _needs_manifest, _check_chain),
+    ("signature", _needs_manifest, _check_signature),
+    ("revocation", _revocation_gate, _check_revocation),
+    ("timestamp", _needs_manifest, _check_timestamp),
+    ("redaction-audit", _needs_manifest, _check_redaction_audit),
+)
+
+CHECK_NAMES = tuple(name for name, _, _ in _CHECKS)
 
 
 def _collect_metadata(run: _Run) -> tuple[MetadataItem, ...]:
@@ -771,13 +651,12 @@ def _collect_metadata(run: _Run) -> tuple[MetadataItem, ...]:
     return tuple(items)
 
 
-def _derive_goals(run: _Run) -> dict[str, GoalStatus]:
-    def outcome(name: str) -> CheckOutcome:
-        return run.outcome(name)
-
+def _derive_goals(
+    outcome: dict[str, CheckOutcome], displayed: DisplayedTime, integrity: FileIntegrity
+) -> dict[str, GoalStatus]:
     goals: dict[str, GoalStatus] = {}
 
-    integrity_checks = (outcome("manifest-decode"), outcome("assertion-digests"), outcome("signature"))
+    integrity_checks = (outcome["manifest-decode"], outcome["assertion-digests"], outcome["signature"])
     if any(o == CheckOutcome.FAIL for o in integrity_checks):
         goals["G1"] = GoalStatus.VIOLATED
     elif all(o == CheckOutcome.PASS for o in integrity_checks):
@@ -785,28 +664,28 @@ def _derive_goals(run: _Run) -> dict[str, GoalStatus]:
     else:
         goals["G1"] = GoalStatus.NOT_EVALUATED
 
-    binding = outcome("hard-binding")
+    binding = outcome["hard-binding"]
     goals["G2"] = {
         CheckOutcome.PASS: GoalStatus.HELD,
         CheckOutcome.FAIL: GoalStatus.VIOLATED,
         CheckOutcome.SKIPPED: GoalStatus.NOT_EVALUATED,
     }[binding]
 
-    if run.displayed.provenance == TimeProvenance.SIGNED:
+    if displayed.provenance == TimeProvenance.SIGNED:
         goals["G3"] = GoalStatus.HELD
-    elif run.displayed.provenance == TimeProvenance.UNBOUND_TOKEN:
+    elif displayed.provenance == TimeProvenance.UNBOUND_TOKEN:
         goals["G3"] = GoalStatus.VIOLATED
-    elif outcome("timestamp") == CheckOutcome.FAIL:
+    elif outcome["timestamp"] == CheckOutcome.FAIL:
         goals["G3"] = GoalStatus.VIOLATED
     else:
         goals["G3"] = GoalStatus.NOT_EVALUATED
 
     goals["G4"] = GoalStatus.NOT_EVALUATED
 
-    if run.policy.file_integrity == FileIntegrity.WEAK:
+    if integrity == FileIntegrity.WEAK:
         goals["G5"] = GoalStatus.NOT_EVALUATED
     else:
-        audit = outcome("exclusion-audit")
+        audit = outcome["exclusion-audit"]
         if audit == CheckOutcome.PASS and binding == CheckOutcome.PASS:
             goals["G5"] = GoalStatus.HELD
         elif audit == CheckOutcome.FAIL or binding == CheckOutcome.FAIL:
@@ -819,19 +698,20 @@ def _derive_goals(run: _Run) -> dict[str, GoalStatus]:
 
 def validate(data: bytes, policy: ValidationPolicy) -> ValidationReport:
     """Validate raw asset bytes under ``policy``; total, never raises."""
-    run = _Run(policy)
-    try:
-        _check_parse(run, data)
-    except Exception as exc:  # the parse check is the fuzzing frontier
-        run.malformed = True
-        run.record("parse", CheckOutcome.FAIL, f"unexpected parse failure: {exc}")
-    for name in CHECK_NAMES[1:]:
-        try:
-            _CHECK_FUNCTIONS[name](run)
-        except Exception as exc:  # a check may never crash the report
-            run.record(name, CheckOutcome.FAIL, f"unexpected failure: {exc}")
+    run = _Run(data, policy)
+    for name, gate, check in _CHECKS:
+        skipped = gate(run) if gate is not None else None
+        if skipped is not None:
+            outcome, detail = CheckOutcome.SKIPPED, skipped
+        else:
+            try:
+                outcome, detail = check(run)
+            except Exception as exc:  # a check may never crash the report
+                outcome, detail = CheckOutcome.FAIL, f"unexpected failure: {exc}"
+        run.results[name] = CheckResult(name, outcome, detail)
 
-    failures = {r.name for r in run.results if r.outcome == CheckOutcome.FAIL}
+    outcomes = {name: result.outcome for name, result in run.results.items()}
+    failures = {name for name, outcome in outcomes.items() if outcome == CheckOutcome.FAIL}
     rejecting = failures - _UNVERIFIABLE_CHECKS - ({"chain"} if run.chain_expired else set())
     if rejecting:
         verdict = Verdict.REJECTED
@@ -847,15 +727,16 @@ def validate(data: bytes, policy: ValidationPolicy) -> ValidationReport:
         policy_name=policy.name,
         validation_time=policy.validation_time,
         verdict=verdict,
-        checks=tuple(run.results),
-        goals=_derive_goals(run),
+        checks=tuple(run.results.values()),
+        goals=_derive_goals(outcomes, run.displayed, policy.file_integrity),
         displayed_time=run.displayed,
         generator=claim.generator if claim else None,
         claimed_created_at=claim.created_at if claim else None,
         spec_version=claim.spec_version if claim else None,
         metadata=_collect_metadata(run),
         redacted_labels=run.tombstones,
-        malformed=run.malformed,
+        # an asset that does not parse is malformed, however the parse failed
+        malformed=run.malformed or run.asset is None,
     )
 
 
@@ -1064,6 +945,14 @@ def parse_time(text: str) -> int:
     return int(stamp.timestamp())
 
 
+def parse_endpoint(text: str) -> tuple[str, int]:
+    """``(host, port)`` from a ``host:port`` status-service address."""
+    host, _, port = text.rpartition(":")
+    if host and port.isascii() and port.isdigit() and int(port) < 65536:
+        return host, int(port)
+    raise ValueError(f"bad status endpoint {text!r}")
+
+
 def parse_policy_text(text: str) -> dict[str, object]:
     """Parse ``key = value`` policy lines into raw fields.
 
@@ -1093,10 +982,10 @@ def parse_policy_text(text: str) -> dict[str, object]:
         elif key == "validation_time":
             fields[key] = parse_time(value)
         elif key == "status_endpoint":
-            host, _, port = value.rpartition(":")
-            if not host:
-                raise ValueError(f"bad status endpoint {value!r} on line {lineno}")
-            fields[key] = (host, int(port))
+            try:
+                fields[key] = parse_endpoint(value)
+            except ValueError as exc:
+                raise ValueError(f"{exc} on line {lineno}") from None
         else:
             fields[key] = value
     return fields

@@ -77,6 +77,33 @@ def _self_signed_root(key: SigningKey, name: str, serial: int) -> Certificate:
     return issue_certificate(key, template)
 
 
+def _issue_leaf(
+    authority: Authority,
+    seed: int,
+    key_role: str,
+    subject: str,
+    serial: int,
+    not_before: int,
+    not_after: int,
+    usage: Usage,
+) -> Identity:
+    """Issue (or re-derive, idempotently) a seeded leaf under ``authority``."""
+    key = derive_signing_key(seed, key_role)
+    cert = authority.issue(
+        Certificate(
+            serial=serial,
+            subject=subject,
+            issuer=authority.name,
+            public_key=key.public_bytes,
+            not_before=not_before,
+            not_after=not_after,
+            usage=usage,
+            issuer_signature=b"",
+        )
+    )
+    return Identity(key, (cert, authority.cert))
+
+
 class Workspace:
     def __init__(
         self,
@@ -117,50 +144,18 @@ class Workspace:
         tsa_cert = _self_signed_root(tsa_key, TSA_ROOT_NAME, TSA_ROOT_SERIAL)
         tsa_authority = Authority(TSA_ROOT_NAME, tsa_key, tsa_cert, T0)
 
-        tsa_leaf_key = derive_signing_key(seed, "tsa-leaf")
-        tsa_leaf_cert = tsa_authority.issue(
-            Certificate(
-                serial=TSA_LEAF_SERIAL,
-                subject="provlab tsa",
-                issuer=TSA_ROOT_NAME,
-                public_key=tsa_leaf_key.public_bytes,
-                not_before=T0 - 15 * YEAR,
-                not_after=T0 + 15 * YEAR,
-                usage=Usage.LEAF_TSA,
-                issuer_signature=b"",
-            )
+        tsa_leaf = _issue_leaf(
+            tsa_authority, seed, "tsa-leaf", "provlab tsa", TSA_LEAF_SERIAL,
+            T0 - 15 * YEAR, T0 + 15 * YEAR, Usage.LEAF_TSA,
         )
-        tsa_leaf = Identity(tsa_leaf_key, (tsa_leaf_cert, tsa_cert))
-
-        device_key = derive_signing_key(seed, "device-leaf")
-        device_cert = signing.issue(
-            Certificate(
-                serial=DEVICE_SERIAL,
-                subject="device-1",
-                issuer=SIGNING_ROOT_NAME,
-                public_key=device_key.public_bytes,
-                not_before=T0 - DAY,
-                not_after=T0 + 2 * YEAR,
-                usage=Usage.LEAF_SIGNING,
-                issuer_signature=b"",
-            )
+        device = _issue_leaf(
+            signing, seed, "device-leaf", "device-1", DEVICE_SERIAL,
+            T0 - DAY, T0 + 2 * YEAR, Usage.LEAF_SIGNING,
         )
-        device = Identity(device_key, (device_cert, signing_cert))
-
-        redactor_key = derive_signing_key(seed, "redactor-leaf")
-        redactor_cert = signing.issue(
-            Certificate(
-                serial=REDACTOR_SERIAL,
-                subject="redactor-1",
-                issuer=SIGNING_ROOT_NAME,
-                public_key=redactor_key.public_bytes,
-                not_before=T0 - DAY,
-                not_after=T0 + 2 * YEAR,
-                usage=Usage.LEAF_SIGNING,
-                issuer_signature=b"",
-            )
+        redactor = _issue_leaf(
+            signing, seed, "redactor-leaf", "redactor-1", REDACTOR_SERIAL,
+            T0 - DAY, T0 + 2 * YEAR, Usage.LEAF_SIGNING,
         )
-        redactor = Identity(redactor_key, (redactor_cert, signing_cert))
 
         trust = TrustList((signing_cert, tsa_cert))
         workspace = cls(
@@ -259,20 +254,9 @@ class Workspace:
         usage: Usage = Usage.LEAF_SIGNING,
     ) -> Identity:
         """Issue (or re-derive, idempotently) a leaf under the signing CA."""
-        key = derive_signing_key(self.seed, key_role)
-        cert = self.signing.issue(
-            Certificate(
-                serial=serial,
-                subject=subject,
-                issuer=SIGNING_ROOT_NAME,
-                public_key=key.public_bytes,
-                not_before=not_before,
-                not_after=not_after,
-                usage=usage,
-                issuer_signature=b"",
-            )
+        return _issue_leaf(
+            self.signing, self.seed, key_role, subject, serial, not_before, not_after, usage
         )
-        return Identity(key, (cert, self.signing.cert))
 
     @property
     def fixtures_dir(self) -> Path:

@@ -89,6 +89,17 @@ def test_validate_garbage_exits_4(cliws, tmp_path, capsys):
     assert code == 4 and "cannot read" in err
 
 
+@pytest.mark.parametrize("endpoint", ["8080", ":8080", "localhost:", "localhost:http"])
+def test_bad_status_endpoint_exits_4(cliws, capsys, endpoint):
+    assert main(["--workspace", str(cliws), "sign", "--scenario", "honest"]) == 0
+    asset = str(cliws / "fixtures" / "honest" / "asset.pvl")
+    code, _, err = run(
+        ["--workspace", str(cliws), "validate", asset, "--status-endpoint", endpoint],
+        capsys,
+    )
+    assert code == 4 and "bad status endpoint" in err
+
+
 def test_structured_format_roundtrips(cliws, capsys):
     asset = str(cliws / "fixtures" / "unbound-timestamp" / "asset.pvl")
     code, out, _ = run(

@@ -14,6 +14,7 @@ from provlab.container import (
     splice_bytes,
     wire_span,
 )
+from provlab.corpus import entry_policies
 from provlab.credentials import RedactionMode, decode_manifest, encode_manifest, redact_assertion
 from provlab.encoding import decode_value, encode_value
 from provlab.container import replace_manifest
@@ -74,6 +75,27 @@ def test_every_check_always_reported(lab, fixtures):
     for data in (b(fixtures["honest"]), b"garbage", b""):
         report = validate(data, spec_at(lab))
         assert tuple(r.name for r in report.checks) == CHECK_NAMES
+
+
+def test_gates_pin_skipped_details(corpus, corpus_entry, entry_bytes):
+    # exclusion-audit and revocation test the policy before the manifest
+    def expected(parse, decode, policy_off):
+        rows = dict.fromkeys(CHECK_NAMES, ("SKIPPED", "no manifest"))
+        rows["parse"], rows["manifest-decode"] = parse, decode
+        if policy_off:
+            rows["exclusion-audit"] = ("SKIPPED", "weak integrity honours declared exclusions")
+            rows["revocation"] = ("SKIPPED", "revocation not checked")
+        return [(name, *row) for name, row in rows.items()]
+
+    entry = corpus_entry("honest", "strip-manifest")
+    stripped = (("PASS", "4 segments"), ("FAIL", "no manifest segment"))
+    garbage = (("FAIL", "bad magic"), ("SKIPPED", "no parsed asset"))
+    policies = entry_policies(corpus["workspace"], entry, corpus["crl"])
+    for data, (parse, decode) in ((entry_bytes(entry), stripped), (b"garbage", garbage)):
+        for preset, policy in policies.items():
+            report = validate(data, policy)
+            got = [(r.name, r.outcome.value, r.detail) for r in report.checks]
+            assert got == expected(parse, decode, preset == "spec"), preset
 
 
 def test_honest_fixture_accepted(lab, fixtures):
