@@ -13,14 +13,18 @@ the wall clock, so every invocation is reproducible.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import mmap
 import os
+import stat
 import sys
 import time as _time
 from pathlib import Path
+from typing import Iterator
 
 from .attacks import ATTACK_MATRIX
 from .container import parse_asset, serialize_asset
-from .corpus import apply_attack, build_corpus, tree_digest, verify_corpus
+from .corpus import apply_attack, attack_inputs, build_corpus, tree_digest, verify_corpus
 from .errors import ProvenanceError
 from .signer import DEFAULT_VALIDATION_TIME, SCENARIOS, make_fixture
 from .statusservice import run_status_service
@@ -92,6 +96,24 @@ def _resolve_policy(args: argparse.Namespace, workspace: Workspace, which: str =
     )
 
 
+@contextlib.contextmanager
+def _mapped(path: str) -> Iterator[bytes | mmap.mmap]:
+    """The file's bytes, mapped read-only for the ``with`` block.
+
+    Memory then scales with what is read out of the file (the manifest), not
+    with its size.  A file that cannot be mapped (empty, or not a regular
+    file, such as a pipe) is read instead.  The mapping closes on exit, so
+    nothing may keep an asset parsed from it.
+    """
+    with open(path, "rb") as handle:
+        info = os.fstat(handle.fileno())
+        if not stat.S_ISREG(info.st_mode) or info.st_size == 0:
+            yield handle.read()
+            return
+        with mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
+            yield mapped
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -116,11 +138,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
     workspace = _workspace(args)
     policy = _resolve_policy(args, workspace)
     try:
-        data = Path(args.asset).read_bytes()
+        with _mapped(args.asset) as data:
+            report = validate(data, policy)
     except OSError as exc:
         print(f"error: cannot read {args.asset}: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    report = validate(data, policy)
     sys.stdout.write(render_report(report, args.format))
     return exit_code_for(report)
 
@@ -130,35 +152,44 @@ def cmd_diff(args: argparse.Namespace) -> int:
     policy_a = _resolve_policy(args, workspace, "policy-a")
     policy_b = _resolve_policy(args, workspace, "policy-b")
     try:
-        data = Path(args.asset).read_bytes()
+        with _mapped(args.asset) as data:
+            diff = validate_differential(data, policy_a, policy_b)
     except OSError as exc:
         print(f"error: cannot read {args.asset}: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    diff = validate_differential(data, policy_a, policy_b)
     sys.stdout.write(render_differential(diff))
     return diff.exit_code
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
-    workspace = _workspace(args)
     scenario_name = args.scenario
     if scenario_name not in ATTACK_MATRIX.get(args.name, ()):
         raise ProvenanceError(
             f"attack {args.name!r} does not apply to scenario {scenario_name!r}"
         )
+    inputs = attack_inputs(args.name)
+    flags = {"--input": "asset", "--time": "time", "--label": "label", "--payload": "payload"}
+    for flag, used in flags.items():
+        if getattr(args, flag[2:]) is not None and used not in inputs:
+            raise ProvenanceError(f"attack {args.name!r} does not use {flag}")
+
+    workspace = _workspace(args)
+    asset = None
     if args.input:
         asset = parse_asset(Path(args.input).read_bytes())
-    else:
+    elif "asset" in inputs:
         asset_path = workspace.fixtures_dir / scenario_name / "asset.pvl"
         if not asset_path.is_file():
             make_fixture(workspace, scenario_name)
         asset = parse_asset(asset_path.read_bytes())
-
-    at = parse_time(args.time) if args.time else None
-    outcome = apply_attack(
-        workspace, args.name, scenario_name, asset,
-        time=at, label=args.label, payload=args.payload,
-    )
+    trip = {
+        name: getattr(args, name)
+        for name in ("time", "label", "payload")
+        if getattr(args, name) is not None
+    }
+    if "time" in trip:
+        trip["time"] = parse_time(trip["time"])
+    outcome = apply_attack(workspace, args.name, scenario_name, asset, **trip)
     workspace.save()  # sign-with-revoked revokes the leaf it re-signs with
 
     out = Path(args.out) if args.out else (
@@ -268,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="asset file (default: the scenario fixture)")
     p.add_argument("--out", help="output path for the mutated asset")
     p.add_argument("--time", help="attack-specific time (token time / warp target)")
-    p.add_argument("--label", default="meta.gps", help="segment label to mutate")
+    p.add_argument("--label", help="segment label exclusion-mutate overwrites (default: meta.gps)")
     p.add_argument("--payload", help="replacement text for exclusion-mutate")
     p.set_defaults(func=cmd_attack)
 

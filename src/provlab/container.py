@@ -10,11 +10,22 @@ Wire layout of an asset file::
         payload-len   4 bytes, big-endian
         payload       payload-len bytes
 
-An :class:`Asset` holds the *logical* content (the concatenation of segment
-payloads) plus the segment table indexing into it; the framing above is
-reproduced losslessly by :func:`serialize_asset`, so parse and serialize are
-exact inverses.  All byte ranges in this module (segment ranges, exclusion
-ranges, splices) address the logical content.
+An :class:`Asset` is backed by the buffers its payloads live in, not by a
+copy of them.  A parsed asset reads its payloads in place from the wire
+buffer it was parsed from (``bytes`` or a read-only ``mmap``); each segment
+keeps the wire offset of its payload.  A built or edited asset holds one
+buffer per new payload and shares the rest with the asset it came from.  So
+parsing, hashing, embedding and splicing copy no payload the caller already
+holds, and :func:`serialize_asset` writes the wire bytes with a single join.
+An asset parsed from a mapping must not outlive it, and the mapped file must
+not change while the asset is in use.
+
+Addressing is unchanged by the backing: every byte range in this module
+(segment ranges, exclusion ranges, splices) addresses the *logical* content,
+the concatenation of segment payloads, because exclusions are part of the
+signed format.  :attr:`Asset.data` materialises that content on first access;
+validation and signing never touch it.  Parse and serialize are exact
+inverses.
 
 A hard binding is a digest over every logical byte not covered by an
 exclusion range.  The manifest segment must always be excluded, since the
@@ -24,8 +35,11 @@ digest is stored inside it.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+import mmap
+from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cached_property
+from typing import Iterator
 
 from .errors import (
     DuplicateManifest,
@@ -42,6 +56,9 @@ MAGIC = b"PVL1"
 MANIFEST_LABEL = "manifest"
 
 _SEGMENT_HEAD_FIXED = 6  # kind + label-length + payload-length
+
+# what an asset's payloads are read from: immutable bytes or a read-only mapping
+Buffer = bytes | mmap.mmap
 
 
 class SegmentKind(IntEnum):
@@ -87,13 +104,38 @@ class HardBinding:
     digest: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Asset:
-    data: bytes
+    """Segments over backing buffers; equal assets have equal segments and
+    payloads, whatever buffers back them."""
+
     segments: tuple[Segment, ...]
+    # per segment: the buffer holding its payload, and the payload's offset in it
+    sources: tuple[tuple[Buffer, int], ...] = field(repr=False)
+
+    @property
+    def size(self) -> int:
+        """Length of the logical content."""
+        return self.segments[-1].range.end if self.segments else 0
+
+    @cached_property
+    def data(self) -> bytes:
+        """The logical content, joined on first access."""
+        return b"".join(self._views(0, self.size))
+
+    def _views(self, start: int, end: int) -> Iterator[memoryview]:
+        """Slices of the backing buffers holding logical bytes ``[start, end)``,
+        one per segment the range touches, in order.  A slice pins its buffer
+        (a mapping cannot close) until it is released, so do not keep it."""
+        for segment, (buffer, offset) in zip(self.segments, self.sources):
+            lo = max(start, segment.range.start)
+            hi = min(end, segment.range.end)
+            if lo < hi:
+                base = offset - segment.range.start
+                yield memoryview(buffer)[base + lo : base + hi]
 
     def payload(self, segment: Segment) -> bytes:
-        return self.data[segment.range.start : segment.range.end]
+        return b"".join(self._views(segment.range.start, segment.range.end))
 
     def find_manifest(self) -> Segment | None:
         for segment in self.segments:
@@ -106,6 +148,13 @@ class Asset:
             if segment.label == label:
                 return segment
         return None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Asset):
+            return NotImplemented
+        return self.segments == other.segments and all(
+            a == b for a, b in zip(self._views(0, self.size), other._views(0, other.size))
+        )
 
 
 def _check_label(label: str) -> bytes:
@@ -132,33 +181,51 @@ def _check_structure(segments: list[Segment]) -> None:
             raise MalformedContainer("trailer segment not last")
 
 
-def build_asset(parts: list[tuple[SegmentKind, str, bytes]]) -> Asset:
-    """Assemble an asset from ``(kind, label, payload)`` parts."""
+def _assemble(parts: list[tuple[SegmentKind, str, Buffer, int, int]]) -> Asset:
+    """An asset from ``(kind, label, buffer, offset, length)`` parts, laid
+    out back to back in logical order."""
     segments: list[Segment] = []
-    chunks: list[bytes] = []
-    offset = 0
-    for kind, label, payload in parts:
+    sources: list[tuple[Buffer, int]] = []
+    logical = 0
+    for kind, label, buffer, offset, length in parts:
         _check_label(label)
-        if not payload:
+        if not length:
             raise MalformedContainer("empty segment payload")
-        segments.append(Segment(SegmentKind(kind), ByteRange(offset, len(payload)), label))
-        chunks.append(payload)
-        offset += len(payload)
+        segments.append(Segment(SegmentKind(kind), ByteRange(logical, length), label))
+        sources.append((buffer, offset))
+        logical += length
     _check_structure(segments)
-    return Asset(b"".join(chunks), tuple(segments))
+    return Asset(tuple(segments), tuple(sources))
 
 
-def parse_asset(data: bytes) -> Asset:
-    """Parse container bytes; raises on any framing inconsistency."""
-    if not isinstance(data, (bytes, bytearray, memoryview)):
+def build_asset(parts: list[tuple[SegmentKind, str, bytes]]) -> Asset:
+    """Assemble an asset from ``(kind, label, payload)`` parts.
+
+    A ``bytes`` payload is kept as it is; any other buffer is copied once,
+    so that later changes to it do not reach the asset."""
+    return _assemble(
+        [(kind, label, bytes(payload), 0, len(payload)) for kind, label, payload in parts]
+    )
+
+
+def parse_asset(data: bytes | bytearray | memoryview | mmap.mmap) -> Asset:
+    """Parse container bytes; raises on any framing inconsistency.
+
+    ``bytes`` and a read-only ``mmap`` are read in place and back the asset;
+    a ``bytearray`` or ``memoryview``, which the caller may still change, is
+    copied first.
+    """
+    if isinstance(data, (bytearray, memoryview)):
+        data = bytes(data)
+    elif not isinstance(data, (bytes, mmap.mmap)):
         raise MalformedContainer("input must be bytes")
-    data = bytes(data)
-    if len(data) < len(MAGIC) or data[: len(MAGIC)] != MAGIC:
+    size = len(data)
+    if size < len(MAGIC) or data[: len(MAGIC)] != MAGIC:
         raise MalformedContainer("bad magic")
     pos = len(MAGIC)
-    parts: list[tuple[SegmentKind, str, bytes]] = []
-    while pos < len(data):
-        if pos + 2 > len(data):
+    parts: list[tuple[SegmentKind, str, Buffer, int, int]] = []
+    while pos < size:
+        if pos + 2 > size:
             raise MalformedContainer("truncated segment head")
         kind_byte = data[pos]
         label_len = data[pos + 1]
@@ -167,7 +234,7 @@ def parse_asset(data: bytes) -> Asset:
             kind = SegmentKind(kind_byte)
         except ValueError:
             raise MalformedContainer(f"unknown segment kind {kind_byte}") from None
-        if pos + label_len + 4 > len(data):
+        if pos + label_len + 4 > size:
             raise MalformedContainer("truncated segment head")
         raw_label = data[pos : pos + label_len]
         pos += label_len
@@ -177,25 +244,22 @@ def parse_asset(data: bytes) -> Asset:
         pos += 4
         if payload_len == 0:
             raise MalformedContainer("empty segment payload")
-        if pos + payload_len > len(data):
+        if pos + payload_len > size:
             raise MalformedContainer("segment payload overruns input")
-        parts.append((kind, raw_label.decode("ascii"), data[pos : pos + payload_len]))
+        parts.append((kind, raw_label.decode("ascii"), data, pos, payload_len))
         pos += payload_len
-    return build_asset(parts)
+    return _assemble(parts)
 
 
 def serialize_asset(asset: Asset) -> bytes:
     """Reproduce the wire bytes for ``asset``; inverse of :func:`parse_asset`."""
-    out = bytearray(MAGIC)
-    for segment in asset.segments:
+    chunks: list[bytes | memoryview] = [MAGIC]
+    for segment, payload in zip(asset.segments, asset._views(0, asset.size)):
         raw_label = _check_label(segment.label)
-        payload = asset.payload(segment)
-        out.append(int(segment.kind))
-        out.append(len(raw_label))
-        out += raw_label
-        out += len(payload).to_bytes(4, "big")
-        out += payload
-    return bytes(out)
+        chunks.append(bytes((segment.kind, len(raw_label))) + raw_label)
+        chunks.append(len(payload).to_bytes(4, "big"))
+        chunks.append(payload)
+    return b"".join(chunks)
 
 
 def wire_span(asset: Asset, segment: Segment) -> ByteRange:
@@ -218,9 +282,9 @@ def _checked_exclusions(
 ) -> tuple[ByteRange, ...]:
     ordered = tuple(sorted(exclusions))
     for rng in ordered:
-        if rng.end > len(asset.data):
+        if rng.end > asset.size:
             raise ExclusionOutOfBounds(
-                f"range [{rng.start}, {rng.length}) exceeds asset of {len(asset.data)} bytes"
+                f"range [{rng.start}, {rng.length}) exceeds asset of {asset.size} bytes"
             )
     for prev, nxt in zip(ordered, ordered[1:]):
         if prev.end > nxt.start:
@@ -249,7 +313,8 @@ def compute_hard_binding(
     """Digest every logical byte outside ``exclusions``, in offset order.
 
     If the asset carries a manifest segment, the exclusions must cover it
-    completely: the manifest cannot hash itself.
+    completely: the manifest cannot hash itself.  The kept bytes are hashed
+    in place in the buffers that back the asset.
     """
     if algorithm != "sha-256":
         raise ValueError(f"unsupported digest algorithm: {algorithm}")
@@ -258,13 +323,11 @@ def compute_hard_binding(
     if manifest is not None and not _covered(manifest.range, ordered):
         raise ManifestNotExcluded("manifest segment not fully covered by exclusions")
     hasher = hashlib.sha256()
-    pos = 0
-    for rng in ordered:
-        if rng.start > pos:
-            hasher.update(asset.data[pos : rng.start])
-        pos = max(pos, rng.end)
-    if pos < len(asset.data):
-        hasher.update(asset.data[pos:])
+    kept_starts = (0,) + tuple(rng.end for rng in ordered)
+    kept_ends = tuple(rng.start for rng in ordered) + (asset.size,)
+    for start, end in zip(kept_starts, kept_ends):
+        for view in asset._views(start, end):
+            hasher.update(view)
     return HardBinding(algorithm, ordered, hasher.digest())
 
 
@@ -299,12 +362,12 @@ def embed_manifest(asset: Asset, manifest_bytes: bytes) -> Asset:
         SegmentKind.MANIFEST, ByteRange(offset, len(manifest_bytes)), MANIFEST_LABEL
     )
     segments = (
-        list(asset.segments[:index])
-        + [manifest]
-        + [_shift(s, len(manifest_bytes)) for s in asset.segments[index:]]
+        asset.segments[:index]
+        + (manifest,)
+        + tuple(_shift(s, len(manifest_bytes)) for s in asset.segments[index:])
     )
-    data = asset.data[:offset] + manifest_bytes + asset.data[offset:]
-    return Asset(data, tuple(segments))
+    sources = asset.sources[:index] + ((bytes(manifest_bytes), 0),) + asset.sources[index:]
+    return Asset(segments, sources)
 
 
 def extract_manifest(asset: Asset) -> bytes:
@@ -319,13 +382,11 @@ def strip_manifest(asset: Asset) -> Asset:
     segment = asset.find_manifest()
     if segment is None:
         raise NoManifest("asset carries no manifest segment")
-    data = asset.data[: segment.range.start] + asset.data[segment.range.end :]
-    segments = [
-        s if s.range.start < segment.range.start else _shift(s, -segment.range.length)
-        for s in asset.segments
-        if s != segment
-    ]
-    return Asset(data, tuple(segments))
+    index = asset.segments.index(segment)
+    segments = asset.segments[:index] + tuple(
+        _shift(s, -segment.range.length) for s in asset.segments[index + 1 :]
+    )
+    return Asset(segments, asset.sources[:index] + asset.sources[index + 1 :])
 
 
 def replace_manifest(asset: Asset, manifest_bytes: bytes) -> Asset:
@@ -340,14 +401,24 @@ def replace_manifest(asset: Asset, manifest_bytes: bytes) -> Asset:
 # ---------------------------------------------------------------------------
 
 def splice_bytes(asset: Asset, target: ByteRange, replacement: bytes) -> Asset:
-    """Overwrite ``target`` with ``replacement`` of identical length."""
-    if target.end > len(asset.data):
+    """Overwrite ``target`` with ``replacement`` of identical length.
+
+    Only the segments ``target`` touches get new payload buffers."""
+    if target.end > asset.size:
         raise ExclusionOutOfBounds(
-            f"range [{target.start}, {target.length}) exceeds asset of {len(asset.data)} bytes"
+            f"range [{target.start}, {target.length}) exceeds asset of {asset.size} bytes"
         )
     if len(replacement) != target.length:
         raise LengthMismatch(
             f"replacement is {len(replacement)} bytes for a {target.length}-byte range"
         )
-    data = asset.data[: target.start] + replacement + asset.data[target.end :]
-    return Asset(data, asset.segments)
+    sources = list(asset.sources)
+    for index, segment in enumerate(asset.segments):
+        lo = max(target.start, segment.range.start)
+        hi = min(target.end, segment.range.end)
+        if lo < hi:
+            payload = bytearray(asset.payload(segment))
+            start = segment.range.start
+            payload[lo - start : hi - start] = replacement[lo - target.start : hi - target.start]
+            sources[index] = (bytes(payload), 0)
+    return Asset(asset.segments, tuple(sources))

@@ -14,6 +14,7 @@ the validator — ``verify_corpus`` exists precisely to compare the two.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -146,42 +147,81 @@ def _entry(
     )
 
 
+def _timestamp_replace(
+    workspace: Workspace, scenario: str, asset: Asset, *, time: int | None = None
+) -> AttackOutcome:
+    at = T0 - BACKDATE_DELTA if time is None else time
+    return attack_timestamp_replace(asset, workspace.tsa(), at, workspace.trust)
+
+
+def _exclusion_mutate(
+    workspace: Workspace,
+    scenario: str,
+    asset: Asset,
+    *,
+    label: str = "meta.gps",
+    payload: str | None = None,
+) -> AttackOutcome:
+    text = payload or format_gps(*FAKE_GPS)
+    return attack_exclusion_mutate(asset, label, text.encode("ascii"))
+
+
+def _sign_with_revoked(workspace: Workspace, scenario: str) -> AttackOutcome:
+    spec = SCENARIOS[scenario]
+    content, assertions, generator = build_scenario_content(spec, workspace.seed)
+    return attack_sign_with_revoked(
+        content, assertions, scenario_signer(workspace, spec, generator),
+        workspace.signing, REVOKE_AT, REVOKED_VALIDATION_TIME,
+    )
+
+
+def _expiry_timewarp(
+    workspace: Workspace, scenario: str, asset: Asset, *, time: int | None = None
+) -> AttackOutcome:
+    at = TIMEWARP_VALIDATION_TIME if time is None else time
+    return attack_expiry_timewarp(asset, at)
+
+
+def _strip_manifest(workspace: Workspace, scenario: str, asset: Asset) -> AttackOutcome:
+    return attack_strip_manifest(asset)
+
+
+# each attack with its trip parameters: the signature names what it uses
+_APPLY = {
+    "timestamp-replace": _timestamp_replace,
+    "exclusion-mutate": _exclusion_mutate,
+    "sign-with-revoked": _sign_with_revoked,
+    "expiry-timewarp": _expiry_timewarp,
+    "strip-manifest": _strip_manifest,
+}
+
+
+def attack_inputs(name: str) -> tuple[str, ...]:
+    """What attack ``name`` uses beyond the workspace and scenario: ``asset``
+    if it mutates one, then its trip parameters."""
+    if name not in _APPLY:
+        raise ProvenanceError(f"unknown attack {name!r}")
+    return tuple(inspect.signature(_APPLY[name]).parameters)[2:]
+
+
 def apply_attack(
     workspace: Workspace,
     name: str,
     scenario: str,
-    asset: Asset,
-    *,
-    time: int | None = None,
-    label: str = "meta.gps",
-    payload: str | None = None,
+    asset: Asset | None = None,
+    **trip: object,
 ) -> AttackOutcome:
     """Apply attack ``name`` to ``asset``, a signing of ``scenario``.
 
     Trip parameters default to the corpus's; ``time`` overrides the token
     time (timestamp-replace) or the warp target (expiry-timewarp), and
-    ``label``/``payload`` the segment exclusion-mutate overwrites.
-    sign-with-revoked re-signs the scenario and ignores ``asset``.
+    ``label``/``payload`` the segment exclusion-mutate overwrites; a trip
+    parameter the attack does not use (see :func:`attack_inputs`) raises
+    TypeError.  sign-with-revoked re-signs the scenario and ignores ``asset``.
     """
-    if name == "timestamp-replace":
-        at = T0 - BACKDATE_DELTA if time is None else time
-        return attack_timestamp_replace(asset, workspace.tsa(), at, workspace.trust)
-    if name == "exclusion-mutate":
-        text = payload or format_gps(*FAKE_GPS)
-        return attack_exclusion_mutate(asset, label, text.encode("ascii"))
-    if name == "sign-with-revoked":
-        spec = SCENARIOS[scenario]
-        content, assertions, generator = build_scenario_content(spec, workspace.seed)
-        return attack_sign_with_revoked(
-            content, assertions, scenario_signer(workspace, spec, generator),
-            workspace.signing, REVOKE_AT, REVOKED_VALIDATION_TIME,
-        )
-    if name == "expiry-timewarp":
-        at = TIMEWARP_VALIDATION_TIME if time is None else time
-        return attack_expiry_timewarp(asset, at)
-    if name == "strip-manifest":
-        return attack_strip_manifest(asset)
-    raise ProvenanceError(f"unknown attack {name!r}")
+    if "asset" in attack_inputs(name):
+        trip["asset"] = asset
+    return _APPLY[name](workspace, scenario, **trip)
 
 
 def build_corpus(workspace: Workspace) -> list[CorpusEntry]:

@@ -31,6 +31,7 @@ credentials a validator is looking at, and when.
 
 from __future__ import annotations
 
+import selectors
 import socket
 import socketserver
 import struct
@@ -152,6 +153,8 @@ class _Server(socketserver.ThreadingTCPServer):
     # socketserver's default backlog of 5 drops SYNs under a burst of
     # clients; each drop costs a 1 s then 3 s retransmit on the client side
     request_queue_size = 128
+    # handle_request() only accepts what the serve loop saw ready; never wait
+    timeout = 0
 
 
 class StatusService:
@@ -167,8 +170,21 @@ class StatusService:
             raise BindFailure(f"cannot bind {host}:{port}: {exc}") from exc
         self._server.status_service = self  # type: ignore[attr-defined]
         self.endpoint: tuple[str, int] = self._server.server_address[:2]
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # stop() closes the send end, and the EOF wakes the serve loop at
+        # once: serve_forever() would notice a shutdown only at its next poll
+        self._wake_recv, self._wake_send = socket.socketpair()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
+
+    def _serve(self) -> None:
+        with selectors.DefaultSelector() as selector:
+            selector.register(self._server, selectors.EVENT_READ)
+            selector.register(self._wake_recv, selectors.EVENT_READ)
+            while True:
+                ready = [key.fileobj for key, _ in selector.select()]
+                if self._wake_recv in ready:
+                    return
+                self._server.handle_request()
 
     def answer(self, serial: int) -> StatusResponse:
         with self._lock:
@@ -176,9 +192,10 @@ class StatusService:
             return self.authority.status_for(serial)
 
     def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
+        self._wake_send.close()
         self._thread.join(timeout=5)
+        self._server.server_close()
+        self._wake_recv.close()
 
     def __enter__(self) -> "StatusService":
         return self

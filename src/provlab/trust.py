@@ -109,11 +109,6 @@ class TrustList:
     def contains(self, cert: Certificate) -> bool:
         return cert in self.anchors
 
-    def with_anchor(self, cert: Certificate) -> "TrustList":
-        if self.contains(cert):
-            return self
-        return TrustList(self.anchors + (cert,))
-
 
 class ChainStatus(str, Enum):
     VALID = "VALID"

@@ -30,6 +30,7 @@ from enum import Enum
 
 from .container import (
     Asset,
+    Buffer,
     ByteRange,
     Segment,
     SegmentKind,
@@ -229,7 +230,7 @@ _UNVERIFIABLE_CHECKS = frozenset({"parse", "manifest-decode"})
 class _Run:
     """Mutable state threaded through one validation pass."""
 
-    def __init__(self, data: bytes, policy: ValidationPolicy):
+    def __init__(self, data: Buffer, policy: ValidationPolicy):
         self.data = data
         self.policy = policy
         self.results: dict[str, CheckResult] = {}
@@ -341,6 +342,7 @@ _Result = tuple[CheckOutcome, str]
 
 
 def _check_parse(run: _Run) -> _Result:
+    # the asset reads run.data in place; it lives no longer than the run
     try:
         run.asset = parse_asset(run.data)
     except ProvenanceError as exc:
@@ -696,8 +698,10 @@ def _derive_goals(
     return goals
 
 
-def validate(data: bytes, policy: ValidationPolicy) -> ValidationReport:
-    """Validate raw asset bytes under ``policy``; total, never raises."""
+def validate(data: Buffer, policy: ValidationPolicy) -> ValidationReport:
+    """Validate raw asset bytes, or a read-only mapping of them, under
+    ``policy``; total, never raises.  The report keeps no reference to
+    ``data``, so a mapping may close once this returns."""
     run = _Run(data, policy)
     for name, gate, check in _CHECKS:
         skipped = gate(run) if gate is not None else None
@@ -758,7 +762,7 @@ class DifferentialReport:
 
 
 def validate_differential(
-    data: bytes, policy_a: ValidationPolicy, policy_b: ValidationPolicy
+    data: Buffer, policy_a: ValidationPolicy, policy_b: ValidationPolicy
 ) -> DifferentialReport:
     """Run both policies over the same bytes and diff the outcomes."""
     report_a = validate(data, policy_a)

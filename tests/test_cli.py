@@ -255,3 +255,136 @@ def test_console_script_is_installed(cliws):
     )
     assert result.returncode == 0
     assert "signed:" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "attack, scenario, flags",
+    [
+        ("sign-with-revoked", "revocable", ["--input", "{asset}"]),
+        ("sign-with-revoked", "revocable", ["--time", "5"]),
+        ("strip-manifest", "honest", ["--label", "meta.note"]),
+        ("timestamp-replace", "unbound-timestamp", ["--payload", "x"]),
+        ("expiry-timewarp", "short-lived-cert", ["--label", "meta.gps"]),
+    ],
+)
+def test_attack_refuses_flags_it_does_not_use(cliws, tmp_path, capsys, attack, scenario, flags):
+    assert main(["--workspace", str(cliws), "sign", "--scenario", "honest"]) == 0
+    asset = str(cliws / "fixtures" / "honest" / "asset.pvl")
+    out = tmp_path / "out.pvl"
+    argv = ["--workspace", str(cliws), "attack", attack, "--scenario", scenario, "--out", str(out)]
+    code, _, err = run(argv + [f.format(asset=asset) for f in flags], capsys)
+    assert code == 4
+    assert err.count("\n") == 1 and f"does not use {flags[0]}" in err
+    assert not out.exists()
+
+
+def test_attack_accepts_the_flags_it_uses(cliws, tmp_path, capsys):
+    out = tmp_path / "gps.pvl"
+    code, out_text, _ = run(
+        [
+            "--workspace", str(cliws), "attack", "exclusion-mutate",
+            "--scenario", "gps-excluded", "--label", "meta.gps",
+            "--payload", "+01.000000,+002.000000", "--out", str(out),
+        ],
+        capsys,
+    )
+    assert code == 0 and out.is_file()
+    assert b"+01.000000,+002.000000" in out.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# validate and diff read the asset through a read-only mapping
+# ---------------------------------------------------------------------------
+
+def _parse_detail(out: str) -> str:
+    (check,) = [c for c in json.loads(out)["checks"] if c["name"] == "parse"]
+    assert check["outcome"] == "FAIL"
+    return check["detail"]
+
+
+def test_empty_and_truncated_files_are_malformed(cliws, tmp_path, capsys):
+    honest = (cliws / "fixtures" / "unbound-timestamp" / "asset.pvl").read_bytes()
+    cases = {
+        "empty.pvl": (b"", "bad magic"),
+        "truncated.pvl": (honest[: len(honest) - 3], "segment payload overruns input"),
+    }
+    for name, (content, detail) in cases.items():
+        path = tmp_path / name
+        path.write_bytes(content)
+        code, out, _ = run(
+            ["--workspace", str(cliws), "validate", str(path), "--format", "structured"],
+            capsys,
+        )
+        assert code == 4
+        assert _parse_detail(out) == detail
+        code, out, _ = run(["--workspace", str(cliws), "diff", str(path)], capsys)
+        assert code == 0 and "verdict agreement: yes" in out
+
+
+@pytest.fixture(scope="module")
+def large_asset(cliws, tmp_path_factory):
+    """An 8 MiB signed asset, and its manifest's length."""
+    import random
+
+    from provlab.container import SegmentKind, build_asset, extract_manifest, serialize_asset
+    from provlab.signer import SCENARIOS, build_scenario_content, scenario_signer, sign_asset
+    from provlab.workspace import Workspace
+
+    lab = Workspace.load(cliws)
+    scenario = SCENARIOS["honest"]
+    _, assertions, generator = build_scenario_content(scenario, 1)
+    image = random.Random(8).randbytes(8 * 2**20)
+    asset = build_asset(
+        [(SegmentKind.HEADER, "header", b"PVH0"), (SegmentKind.IMAGE_DATA, "image", image)]
+    )
+    signed = sign_asset(asset, assertions, scenario_signer(lab, scenario, generator))
+    path = tmp_path_factory.mktemp("large") / "large.pvl"
+    path.write_bytes(serialize_asset(signed))
+    return path, len(extract_manifest(signed))
+
+
+def test_validate_memory_scales_with_the_manifest(cliws, large_asset, capsys):
+    import tracemalloc
+
+    path, manifest_length = large_asset
+    argv = ["--workspace", str(cliws), "validate", str(path), "--format", "structured"]
+    assert main(argv) == 0  # warm imports and caches outside the traced call
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "ACCEPTED"
+    assert peak < 2**20 + manifest_length
+
+
+def test_mapping_is_released_after_validate_and_diff(cliws, large_asset, capsys, monkeypatch):
+    import mmap
+
+    maps = []
+
+    class RecordingMap(mmap.mmap):
+        def __new__(cls, *args, **kwargs):
+            maps.append(super().__new__(cls, *args, **kwargs))
+            return maps[-1]
+
+    monkeypatch.setattr(mmap, "mmap", RecordingMap)
+    path, _ = large_asset
+    original = path.read_bytes()
+    try:
+        assert main(["--workspace", str(cliws), "validate", str(path)]) == 0
+        assert main(["--workspace", str(cliws), "diff", str(path), "--policy-b", "spec"]) == 0
+        assert len(maps) == 2 and all(m.closed for m in maps)
+        # the file can be rewritten in place: one image byte changed
+        with open(path, "r+b") as handle:
+            handle.seek(len(original) // 2)
+            handle.write(bytes([original[len(original) // 2] ^ 0x01]))
+        assert main(["--workspace", str(cliws), "validate", str(path)]) == 2
+        assert len(maps) == 3 and maps[-1].closed
+    finally:
+        path.write_bytes(original)
+    capsys.readouterr()

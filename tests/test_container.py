@@ -1,6 +1,7 @@
 """Container format: round-trips, strict parsing, hard-binding digests."""
 
 import hashlib
+import mmap
 
 import pytest
 from hypothesis import given, settings
@@ -60,6 +61,40 @@ def test_logical_data_is_payload_concatenation():
     assert asset.data == b"HEAD" + b"+10.000000,+020.000000" + bytes(range(64)) + b"TRLR"
     for segment in asset.segments:
         assert asset.payload(segment) == asset.data[segment.range.start : segment.range.end]
+
+
+def test_parse_reads_every_buffer_type_alike(tmp_path):
+    wire = serialize_asset(build_asset(simple_parts()))
+    path = tmp_path / "asset.pvl"
+    path.write_bytes(wire)
+    reference = parse_asset(wire)
+    with open(path, "rb") as handle:
+        with mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
+            for data in (wire, bytearray(wire), memoryview(wire), mapped):
+                asset = parse_asset(data)
+                assert asset == reference
+                assert serialize_asset(asset) == wire
+                del asset  # the mapping cannot close while an asset reads it
+
+
+def test_parse_copies_a_buffer_the_caller_may_change():
+    wire = bytearray(serialize_asset(build_asset(simple_parts())))
+    asset = parse_asset(wire)
+    before = serialize_asset(asset)
+    wire[-1] ^= 0xFF
+    assert serialize_asset(asset) == before
+
+
+def test_container_operations_never_materialise_data():
+    bare = build_asset(simple_parts(manifest=None))
+    parsed = parse_asset(serialize_asset(embed_manifest(bare, b"M" * 9)))
+    gps = parsed.find_label("meta.gps")
+    compute_hard_binding(parsed, [parsed.find_manifest().range, gps.range])
+    spliced = splice_bytes(parsed, gps.range, b"-80.000000,-170.000000")
+    replaced = replace_manifest(spliced, b"LONGER-MANIFEST")
+    serialize_asset(strip_manifest(replaced))
+    for asset in (bare, parsed, spliced, replaced):
+        assert "data" not in vars(asset)
 
 
 def test_wire_span_points_at_payload_bytes():
@@ -149,6 +184,35 @@ def test_hard_binding_matches_oracle_random(data):
     for segment in asset.segments:
         if segment.kind != SegmentKind.MANIFEST and data.draw(st.booleans()):
             exclusions.append(segment.range)
+    binding = compute_hard_binding(asset, exclusions)
+    assert binding.digest == oracle_digest(asset.data, exclusions)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_parsed_hard_binding_matches_oracle_across_segments(data):
+    """Exclusions that start and end anywhere, straddling segment
+    boundaries, hash the same in place as the oracle over the content."""
+    payloads = data.draw(
+        st.lists(st.binary(min_size=1, max_size=40), min_size=2, max_size=6)
+    )
+    parts = [(SegmentKind.HEADER, "header", payloads[0])]
+    parts.append((SegmentKind.MANIFEST, "manifest", payloads[1]))
+    for index, payload in enumerate(payloads[2:]):
+        parts.append((SegmentKind.METADATA, f"m{index}", payload))
+    asset = parse_asset(serialize_asset(build_asset(parts)))
+    size = sum(len(p) for p in payloads)
+    cuts = sorted(data.draw(st.sets(st.integers(0, size), max_size=8)))
+    drawn = [(a, b) for a, b in zip(cuts[::2], cuts[1::2]) if a < b]
+    manifest = asset.find_manifest().range
+    # merge the manifest range into the drawn ranges, so it is covered
+    merged: list[list[int]] = []
+    for start, end in sorted(drawn + [(manifest.start, manifest.end)]):
+        if merged and start <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], end)
+        else:
+            merged.append([start, end])
+    exclusions = [ByteRange(start, end - start) for start, end in merged]
     binding = compute_hard_binding(asset, exclusions)
     assert binding.digest == oracle_digest(asset.data, exclusions)
 

@@ -309,3 +309,24 @@ def test_channel_agreement(service):
     online = query_status(svc.endpoint, leaf_cert.serial, root_cert)
     assert (leaf_cert.serial, online.revoked_at) in crl.entries
     assert online.status == CertStatus.REVOKED
+
+
+def test_stop_returns_promptly_and_logs_no_wakeup(pki):
+    import statistics
+    import time
+
+    root_key, root_cert, _, leaf_cert, _ = pki
+    authority = Authority("root", root_key, root_cert, T0)
+    authority.issued[leaf_cert.serial] = leaf_cert.subject
+    times = []
+    for _ in range(5):
+        svc = run_status_service(authority)
+        query_status(svc.endpoint, leaf_cert.serial, root_cert)
+        start = time.perf_counter()
+        svc.stop()
+        times.append(time.perf_counter() - start)
+        assert not svc._thread.is_alive()
+        assert svc.query_log == [leaf_cert.serial]
+        svc.stop()  # a second stop is a no-op
+    # serve_forever's 0.5 s shutdown poll made each stop take ~500 ms
+    assert statistics.median(times) <= 0.010
