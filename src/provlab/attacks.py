@@ -10,11 +10,18 @@ Two attacks change no bytes at all: ``sign-with-revoked`` changes authority
 state (the serial is revoked after signing) and ``expiry-timewarp`` changes
 only the validation time.  The other three are byte-minimal: they touch one
 token, one excluded segment, or one whole manifest segment.
+
+:data:`ATTACKS` is the one registry: a row per attack names the scenarios it
+applies to and the function that applies it inside a workspace with its
+trip parameters.  The corpus, the ``attack`` command and :data:`ATTACK_MATRIX`
+all read it, so a new attack is one row here.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from .container import (
     Asset,
@@ -30,42 +37,29 @@ from .errors import (
     LabelNotFound,
     LengthMismatch,
     NotExcluded,
+    ProvenanceError,
     UntrustedTsa,
 )
-from .signer import SignerConfig, sign_asset
-from .timestamp import TimestampAuthority
+from .signer import (
+    SCENARIOS, SignerConfig, build_scenario_content, format_gps, scenario_signer, sign_asset,
+)
+from .timestamp import TimestampAuthority, archival_extend
 from .trust import Authority, TrustList, verify_chain
 from .validator import Verdict
+from .workspace import DAY, T0, YEAR, Workspace
 
-ATTACK_NAMES = (
-    "timestamp-replace",
-    "exclusion-mutate",
-    "sign-with-revoked",
-    "expiry-timewarp",
-    "strip-manifest",
-)
-
-# which fixture scenarios each attack meaningfully applies to
-ATTACK_MATRIX: dict[str, tuple[str, ...]] = {
-    "timestamp-replace": ("honest", "gps-excluded", "revocable", "unbound-timestamp"),
-    "exclusion-mutate": ("gps-excluded",),
-    "sign-with-revoked": ("revocable",),
-    "expiry-timewarp": ("short-lived-cert",),
-    "strip-manifest": (
-        "honest",
-        "gps-excluded",
-        "revocable",
-        "short-lived-cert",
-        "unbound-timestamp",
-        "bound-timestamp",
-    ),
-}
+# trip parameters: the corpus's, and the ``attack`` command's defaults
+BACKDATE_DELTA = 10 * YEAR
+REVOKE_AT = T0 + 30 * DAY
+REVOKED_VALIDATION_TIME = T0 + 210 * DAY
+ARCHIVAL_EXTEND_AT = T0 + 15 * DAY
+TIMEWARP_VALIDATION_TIME = T0 + YEAR
+FAKE_GPS = (48.8584, 2.2945)  # nowhere near any seeded fixture coordinate
 
 
 @dataclass(frozen=True)
 class AttackOutcome:
     name: str
-    original: Asset
     mutated: Asset
     expected: dict[str, Verdict]  # policy preset name -> expected verdict
     notes: str
@@ -100,7 +94,6 @@ def attack_timestamp_replace(
     mutated = replace_manifest(asset, encode_manifest(mutated_manifest))
     return AttackOutcome(
         name="timestamp-replace",
-        original=asset,
         mutated=mutated,
         expected={"spec": Verdict.ACCEPTED, "hardened": Verdict.REJECTED},
         notes=(
@@ -133,7 +126,6 @@ def attack_exclusion_mutate(asset: Asset, label: str, new_payload: bytes) -> Att
     mutated = splice_bytes(asset, segment.range, bytes(new_payload))
     return AttackOutcome(
         name="exclusion-mutate",
-        original=asset,
         mutated=mutated,
         expected={"spec": Verdict.ACCEPTED, "hardened": Verdict.REJECTED},
         notes=(
@@ -161,7 +153,6 @@ def attack_sign_with_revoked(
     authority.revoke(config.chain[0].serial, revoke_at)
     return AttackOutcome(
         name="sign-with-revoked",
-        original=signed,
         mutated=signed,
         expected={"spec": Verdict.ACCEPTED, "hardened": Verdict.REJECTED},
         notes=(
@@ -194,7 +185,6 @@ def attack_expiry_timewarp(asset: Asset, validation_time: int) -> AttackOutcome:
         hardened = Verdict.REJECTED
     return AttackOutcome(
         name="expiry-timewarp",
-        original=asset,
         mutated=asset,
         expected={"spec": Verdict.UNVERIFIABLE, "hardened": hardened},
         notes=(
@@ -217,8 +207,116 @@ def attack_strip_manifest(asset: Asset) -> AttackOutcome:
     mutated = strip_manifest(asset)
     return AttackOutcome(
         name="strip-manifest",
-        original=asset,
         mutated=mutated,
         expected={"spec": Verdict.UNVERIFIABLE, "hardened": Verdict.UNVERIFIABLE},
         notes="manifest segment removed; remaining bytes untouched",
     )
+
+
+# ---------------------------------------------------------------------------
+# the registry
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Attack:
+    """One attack.  ``apply(workspace, scenario, ...)`` names what else it
+    uses: ``asset`` if it mutates a signing of the scenario (without it, it
+    re-signs the scenario), then its trip parameters, each defaulting to the
+    corpus's.  ``prepare`` readies the fixture before the corpus attacks it.
+    """
+
+    name: str
+    scenarios: tuple[str, ...]
+    apply: Callable[..., AttackOutcome]
+    prepare: Callable[[Workspace, Asset], Asset] | None = None
+
+
+def _timestamp_replace(
+    workspace: Workspace, scenario: str, asset: Asset, *, time: int | None = None
+) -> AttackOutcome:
+    at = T0 - BACKDATE_DELTA if time is None else time
+    return attack_timestamp_replace(asset, workspace.tsa(), at, workspace.trust)
+
+
+def _exclusion_mutate(
+    workspace: Workspace,
+    scenario: str,
+    asset: Asset,
+    *,
+    label: str = "meta.gps",
+    payload: str | None = None,
+) -> AttackOutcome:
+    text = payload or format_gps(*FAKE_GPS)
+    return attack_exclusion_mutate(asset, label, text.encode("ascii"))
+
+
+def _sign_with_revoked(workspace: Workspace, scenario: str) -> AttackOutcome:
+    spec = SCENARIOS[scenario]
+    content, assertions, generator = build_scenario_content(spec, workspace.seed)
+    return attack_sign_with_revoked(
+        content, assertions, scenario_signer(workspace, spec, generator),
+        workspace.signing, REVOKE_AT, REVOKED_VALIDATION_TIME,
+    )
+
+
+def _archive(workspace: Workspace, asset: Asset) -> Asset:
+    return archival_extend(asset, workspace.tsa(), clock=ARCHIVAL_EXTEND_AT)
+
+
+def _expiry_timewarp(
+    workspace: Workspace, scenario: str, asset: Asset, *, time: int | None = None
+) -> AttackOutcome:
+    at = TIMEWARP_VALIDATION_TIME if time is None else time
+    return attack_expiry_timewarp(asset, at)
+
+
+def _strip_manifest(workspace: Workspace, scenario: str, asset: Asset) -> AttackOutcome:
+    return attack_strip_manifest(asset)
+
+
+ATTACKS: dict[str, Attack] = {
+    attack.name: attack
+    for attack in (
+        Attack(
+            "timestamp-replace",
+            ("honest", "gps-excluded", "revocable", "unbound-timestamp"),
+            _timestamp_replace,
+        ),
+        Attack("exclusion-mutate", ("gps-excluded",), _exclusion_mutate),
+        Attack("sign-with-revoked", ("revocable",), _sign_with_revoked),
+        Attack("expiry-timewarp", ("short-lived-cert",), _expiry_timewarp, prepare=_archive),
+        Attack("strip-manifest", tuple(SCENARIOS), _strip_manifest),
+    )
+}
+
+# which fixture scenarios each attack meaningfully applies to
+ATTACK_MATRIX = {name: attack.scenarios for name, attack in ATTACKS.items()}
+
+
+def attack_inputs(name: str) -> tuple[str, ...]:
+    """What attack ``name`` uses beyond the workspace and scenario: ``asset``
+    if it mutates one, then its trip parameters."""
+    if name not in ATTACKS:
+        raise ProvenanceError(f"unknown attack {name!r}")
+    return tuple(inspect.signature(ATTACKS[name].apply).parameters)[2:]
+
+
+def apply_attack(
+    workspace: Workspace,
+    name: str,
+    scenario: str,
+    asset: Asset | None = None,
+    **trip: object,
+) -> AttackOutcome:
+    """Apply attack ``name`` to ``asset``, a signing of ``scenario``, without
+    the row's ``prepare`` step (that is the corpus's).
+
+    Trip parameters default to the corpus's; ``time`` overrides the token
+    time (timestamp-replace) or the warp target (expiry-timewarp), and
+    ``label``/``payload`` the segment exclusion-mutate overwrites; a trip
+    parameter the attack does not use (see :func:`attack_inputs`) raises
+    TypeError.  An attack that does not use ``asset`` ignores it.
+    """
+    if "asset" in attack_inputs(name):
+        trip["asset"] = asset
+    return ATTACKS[name].apply(workspace, scenario, **trip)

@@ -22,9 +22,9 @@ import time as _time
 from pathlib import Path
 from typing import Iterator
 
-from .attacks import ATTACK_MATRIX
+from .attacks import ATTACKS, apply_attack, attack_inputs
 from .container import parse_asset, serialize_asset
-from .corpus import apply_attack, attack_inputs, build_corpus, tree_digest, verify_corpus
+from .corpus import build_corpus, tree_digest, verify_corpus
 from .errors import ProvenanceError
 from .signer import DEFAULT_VALIDATION_TIME, SCENARIOS, make_fixture
 from .statusservice import run_status_service
@@ -163,7 +163,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 def cmd_attack(args: argparse.Namespace) -> int:
     scenario_name = args.scenario
-    if scenario_name not in ATTACK_MATRIX.get(args.name, ()):
+    if scenario_name not in ATTACKS[args.name].scenarios:
         raise ProvenanceError(
             f"attack {args.name!r} does not apply to scenario {scenario_name!r}"
         )
@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_diff)
 
     p = sub.add_parser("attack", help="apply an attack to a fixture asset")
-    p.add_argument("name", choices=sorted(ATTACK_MATRIX))
+    p.add_argument("name", choices=sorted(ATTACKS))
     p.add_argument("--scenario", required=True, choices=sorted(SCENARIOS))
     p.add_argument("--input", help="asset file (default: the scenario fixture)")
     p.add_argument("--out", help="output path for the mutated asset")

@@ -121,21 +121,28 @@ class Asset:
     @cached_property
     def data(self) -> bytes:
         """The logical content, joined on first access."""
-        return b"".join(self._views(0, self.size))
+        return b"".join(self._views((0, self.size)))
 
-    def _views(self, start: int, end: int) -> Iterator[memoryview]:
-        """Slices of the backing buffers holding logical bytes ``[start, end)``,
-        one per segment the range touches, in order.  A slice pins its buffer
-        (a mapping cannot close) until it is released, so do not keep it."""
+    def _views(self, *spans: tuple[int, int]) -> Iterator[memoryview]:
+        """Slices of the backing buffers holding the logical bytes of
+        ``spans``, sorted and disjoint ``(start, end)`` pairs: in order, one
+        per segment a span touches, from a single walk over the segments.
+        A slice pins its buffer (a mapping cannot close) until it is
+        released, so do not keep it."""
+        at = 0
         for segment, (buffer, offset) in zip(self.segments, self.sources):
-            lo = max(start, segment.range.start)
-            hi = min(end, segment.range.end)
-            if lo < hi:
-                base = offset - segment.range.start
-                yield memoryview(buffer)[base + lo : base + hi]
+            base = offset - segment.range.start
+            while at < len(spans) and spans[at][0] < segment.range.end:
+                start, end = spans[at]
+                lo, hi = max(start, segment.range.start), min(end, segment.range.end)
+                if lo < hi:
+                    yield memoryview(buffer)[base + lo : base + hi]
+                if end > segment.range.end:
+                    break  # the span goes on into the next segment
+                at += 1
 
     def payload(self, segment: Segment) -> bytes:
-        return b"".join(self._views(segment.range.start, segment.range.end))
+        return b"".join(self._views((segment.range.start, segment.range.end)))
 
     def find_manifest(self) -> Segment | None:
         for segment in self.segments:
@@ -153,7 +160,7 @@ class Asset:
         if not isinstance(other, Asset):
             return NotImplemented
         return self.segments == other.segments and all(
-            a == b for a, b in zip(self._views(0, self.size), other._views(0, other.size))
+            a == b for a, b in zip(self._views((0, self.size)), other._views((0, other.size)))
         )
 
 
@@ -254,7 +261,7 @@ def parse_asset(data: bytes | bytearray | memoryview | mmap.mmap) -> Asset:
 def serialize_asset(asset: Asset) -> bytes:
     """Reproduce the wire bytes for ``asset``; inverse of :func:`parse_asset`."""
     chunks: list[bytes | memoryview] = [MAGIC]
-    for segment, payload in zip(asset.segments, asset._views(0, asset.size)):
+    for segment, payload in zip(asset.segments, asset._views((0, asset.size))):
         raw_label = _check_label(segment.label)
         chunks.append(bytes((segment.kind, len(raw_label))) + raw_label)
         chunks.append(len(payload).to_bytes(4, "big"))
@@ -325,9 +332,8 @@ def compute_hard_binding(
     hasher = hashlib.sha256()
     kept_starts = (0,) + tuple(rng.end for rng in ordered)
     kept_ends = tuple(rng.start for rng in ordered) + (asset.size,)
-    for start, end in zip(kept_starts, kept_ends):
-        for view in asset._views(start, end):
-            hasher.update(view)
+    for view in asset._views(*zip(kept_starts, kept_ends)):
+        hasher.update(view)
     return HardBinding(algorithm, ordered, hasher.digest())
 
 

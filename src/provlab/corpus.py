@@ -7,40 +7,28 @@ recording each entry's expected verdict and exit code under both policy
 presets.  Everything derives from the workspace seed, so two runs with the
 same seed produce byte-identical trees.
 
-The expected verdicts in the index come from the attack toolkit's hand-written
-expectations (and a small table for the honest entries), never from running
-the validator — ``verify_corpus`` exists precisely to compare the two.
+The expected verdicts in the index come from the hand-written expectations of
+the attack registry and of the scenario table (for the honest entries), never
+from running the validator — ``verify_corpus`` exists precisely to compare
+the two.
 """
 
 from __future__ import annotations
 
-import inspect
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .attacks import (
-    ATTACK_MATRIX,
-    AttackOutcome,
-    attack_exclusion_mutate,
-    attack_expiry_timewarp,
-    attack_sign_with_revoked,
-    attack_strip_manifest,
-    attack_timestamp_replace,
+from .attacks import ATTACKS, apply_attack, attack_inputs
+# the corpus's trip parameters, importable from here too
+from .attacks import (  # noqa: F401
+    ARCHIVAL_EXTEND_AT, BACKDATE_DELTA, FAKE_GPS, REVOKE_AT, REVOKED_VALIDATION_TIME,
+    TIMEWARP_VALIDATION_TIME,
 )
 from .container import Asset, serialize_asset
 from .crypto import digest
-from .errors import ProvenanceError, WorkspaceError
-from .signer import (
-    DEFAULT_VALIDATION_TIME,
-    SCENARIOS,
-    Fixture,
-    build_scenario_content,
-    format_gps,
-    make_fixture,
-    scenario_signer,
-)
-from .timestamp import archival_extend
+from .errors import WorkspaceError
+from .signer import DEFAULT_VALIDATION_TIME, SCENARIOS, Fixture, make_fixture
 from .trust import RevocationList, decode_revocation_list, encode_revocation_list
 from .validator import (
     ValidationPolicy,
@@ -50,28 +38,10 @@ from .validator import (
     spec_policy,
     validate,
 )
-from .workspace import DAY, T0, YEAR, Workspace
+from .workspace import Workspace
 
 CORPUS_SCHEMA = "prov-corpus/1"
 CRL_FILENAME = "crl.bin"
-
-# trip parameters for the attacked corpus entries
-BACKDATE_DELTA = 10 * YEAR
-REVOKE_AT = T0 + 30 * DAY
-REVOKED_VALIDATION_TIME = T0 + 210 * DAY
-ARCHIVAL_EXTEND_AT = T0 + 15 * DAY
-TIMEWARP_VALIDATION_TIME = T0 + YEAR
-FAKE_GPS = (48.8584, 2.2945)  # nowhere near any seeded fixture coordinate
-
-# verdict each honest (unattacked) entry should earn at the default time
-_HONEST_EXPECTED = {
-    "honest": {"spec": Verdict.ACCEPTED, "hardened": Verdict.REJECTED},
-    "gps-excluded": {"spec": Verdict.ACCEPTED, "hardened": Verdict.REJECTED},
-    "revocable": {"spec": Verdict.ACCEPTED, "hardened": Verdict.REJECTED},
-    "short-lived-cert": {"spec": Verdict.ACCEPTED, "hardened": Verdict.ACCEPTED},
-    "unbound-timestamp": {"spec": Verdict.ACCEPTED, "hardened": Verdict.REJECTED},
-    "bound-timestamp": {"spec": Verdict.ACCEPTED, "hardened": Verdict.ACCEPTED},
-}
 
 _EXIT_BY_VERDICT = {
     Verdict.ACCEPTED: 0,
@@ -147,83 +117,6 @@ def _entry(
     )
 
 
-def _timestamp_replace(
-    workspace: Workspace, scenario: str, asset: Asset, *, time: int | None = None
-) -> AttackOutcome:
-    at = T0 - BACKDATE_DELTA if time is None else time
-    return attack_timestamp_replace(asset, workspace.tsa(), at, workspace.trust)
-
-
-def _exclusion_mutate(
-    workspace: Workspace,
-    scenario: str,
-    asset: Asset,
-    *,
-    label: str = "meta.gps",
-    payload: str | None = None,
-) -> AttackOutcome:
-    text = payload or format_gps(*FAKE_GPS)
-    return attack_exclusion_mutate(asset, label, text.encode("ascii"))
-
-
-def _sign_with_revoked(workspace: Workspace, scenario: str) -> AttackOutcome:
-    spec = SCENARIOS[scenario]
-    content, assertions, generator = build_scenario_content(spec, workspace.seed)
-    return attack_sign_with_revoked(
-        content, assertions, scenario_signer(workspace, spec, generator),
-        workspace.signing, REVOKE_AT, REVOKED_VALIDATION_TIME,
-    )
-
-
-def _expiry_timewarp(
-    workspace: Workspace, scenario: str, asset: Asset, *, time: int | None = None
-) -> AttackOutcome:
-    at = TIMEWARP_VALIDATION_TIME if time is None else time
-    return attack_expiry_timewarp(asset, at)
-
-
-def _strip_manifest(workspace: Workspace, scenario: str, asset: Asset) -> AttackOutcome:
-    return attack_strip_manifest(asset)
-
-
-# each attack with its trip parameters: the signature names what it uses
-_APPLY = {
-    "timestamp-replace": _timestamp_replace,
-    "exclusion-mutate": _exclusion_mutate,
-    "sign-with-revoked": _sign_with_revoked,
-    "expiry-timewarp": _expiry_timewarp,
-    "strip-manifest": _strip_manifest,
-}
-
-
-def attack_inputs(name: str) -> tuple[str, ...]:
-    """What attack ``name`` uses beyond the workspace and scenario: ``asset``
-    if it mutates one, then its trip parameters."""
-    if name not in _APPLY:
-        raise ProvenanceError(f"unknown attack {name!r}")
-    return tuple(inspect.signature(_APPLY[name]).parameters)[2:]
-
-
-def apply_attack(
-    workspace: Workspace,
-    name: str,
-    scenario: str,
-    asset: Asset | None = None,
-    **trip: object,
-) -> AttackOutcome:
-    """Apply attack ``name`` to ``asset``, a signing of ``scenario``.
-
-    Trip parameters default to the corpus's; ``time`` overrides the token
-    time (timestamp-replace) or the warp target (expiry-timewarp), and
-    ``label``/``payload`` the segment exclusion-mutate overwrites; a trip
-    parameter the attack does not use (see :func:`attack_inputs`) raises
-    TypeError.  sign-with-revoked re-signs the scenario and ignores ``asset``.
-    """
-    if "asset" in attack_inputs(name):
-        trip["asset"] = asset
-    return _APPLY[name](workspace, scenario, **trip)
-
-
 def build_corpus(workspace: Workspace) -> list[CorpusEntry]:
     """Generate the full corpus tree and return its entries."""
     fixtures: dict[str, Fixture] = {
@@ -232,13 +125,14 @@ def build_corpus(workspace: Workspace) -> list[CorpusEntry]:
     entries: list[CorpusEntry] = []
 
     # --- attacked variants ------------------------------------------------
-    for attack, scenario_names in ATTACK_MATRIX.items():
-        for name in scenario_names:
+    for attack in ATTACKS.values():
+        for name in attack.scenarios:
             asset = fixtures[name].signed
-            if attack == "expiry-timewarp":
-                asset = archival_extend(asset, workspace.tsa(), clock=ARCHIVAL_EXTEND_AT)
-            outcome = apply_attack(workspace, attack, name, asset)
-            if attack == "sign-with-revoked" and (
+            if attack.prepare is not None:
+                asset = attack.prepare(workspace, asset)
+            outcome = apply_attack(workspace, attack.name, name, asset)
+            # an attack that takes no asset re-signs the scenario itself
+            if "asset" not in attack_inputs(attack.name) and (
                 serialize_asset(outcome.mutated) != serialize_asset(asset)
             ):
                 raise WorkspaceError(
@@ -255,13 +149,8 @@ def build_corpus(workspace: Workspace) -> list[CorpusEntry]:
     for name, fixture in fixtures.items():
         entries.append(
             _entry(
-                workspace,
-                fixture.signed,
-                name,
-                None,
-                _HONEST_EXPECTED[name],
-                SCENARIOS[name].description,
-                None,
+                workspace, fixture.signed, name, None, fixture.scenario.expected,
+                fixture.scenario.description, None,
             )
         )
 

@@ -124,16 +124,8 @@ def encode_assertion(assertion: Assertion) -> bytes:
     return encode_record(assertion)
 
 
-def decode_assertion(data: bytes) -> Assertion:
-    return decode_record(Assertion, data)
-
-
 def encode_claim(claim: Claim) -> bytes:
     return encode_record(claim)
-
-
-def decode_claim(data: bytes) -> Claim:
-    return decode_record(Claim, data)
 
 
 def encode_manifest(manifest: Manifest) -> bytes:

@@ -60,6 +60,7 @@ from .errors import (
 )
 from .timestamp import TimestampAuthority, encode_token
 from .trust import Certificate, Usage
+from .validator import Verdict
 from .workspace import DAY, T0, YEAR, Identity, Workspace
 
 CLAIM_SPEC_VERSION = "1.0"
@@ -169,6 +170,8 @@ class Scenario:
     leaf_serial: int
     leaf_lifetime: int
     intended_policy: str
+    # verdict each preset should give the honest signing at the default time
+    expected: dict[str, Verdict]
     exclude_labels: tuple[str, ...] = ()
     description: str = ""
 
@@ -182,6 +185,7 @@ SCENARIOS: dict[str, Scenario] = {
             101,
             2 * YEAR,
             "spec",
+            expected={"spec": Verdict.ACCEPTED, "hardened": Verdict.REJECTED},
             description="baseline signed asset, unbound token, manifest-only exclusion",
         ),
         Scenario(
@@ -190,6 +194,7 @@ SCENARIOS: dict[str, Scenario] = {
             102,
             2 * YEAR,
             "spec",
+            expected={"spec": Verdict.ACCEPTED, "hardened": Verdict.REJECTED},
             exclude_labels=("meta.gps",),
             description="location metadata segment sits inside a declared exclusion",
         ),
@@ -199,6 +204,7 @@ SCENARIOS: dict[str, Scenario] = {
             103,
             2 * YEAR,
             "spec",
+            expected={"spec": Verdict.ACCEPTED, "hardened": Verdict.REJECTED},
             description="signed by a leaf whose serial the attack toolkit later revokes",
         ),
         Scenario(
@@ -207,6 +213,7 @@ SCENARIOS: dict[str, Scenario] = {
             104,
             30 * DAY,
             "hardened",
+            expected={"spec": Verdict.ACCEPTED, "hardened": Verdict.ACCEPTED},
             description="30-day signing certificate for expiry experiments",
         ),
         Scenario(
@@ -215,6 +222,7 @@ SCENARIOS: dict[str, Scenario] = {
             105,
             2 * YEAR,
             "spec",
+            expected={"spec": Verdict.ACCEPTED, "hardened": Verdict.REJECTED},
             description="token rides outside the signed payload and can be swapped",
         ),
         Scenario(
@@ -223,6 +231,7 @@ SCENARIOS: dict[str, Scenario] = {
             106,
             2 * YEAR,
             "hardened",
+            expected={"spec": Verdict.ACCEPTED, "hardened": Verdict.ACCEPTED},
             description="two-pass bound signature pinning the token",
         ),
     )

@@ -1,16 +1,20 @@
 """Attack toolkit: expected verdicts hold, mutations are minimal."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from provlab.attacks import (
     ATTACK_MATRIX,
+    ATTACKS,
     attack_exclusion_mutate,
     attack_expiry_timewarp,
     attack_strip_manifest,
     attack_timestamp_replace,
 )
 from provlab.container import extract_manifest, serialize_asset, wire_span
-from provlab.corpus import entry_policies
+from provlab.corpus import entry_policies, tree_digest
 from provlab.credentials import decode_manifest
 from provlab.errors import BoundModeError, LengthMismatch, NotExcluded, UntrustedTsa
 from provlab.signer import SCENARIOS, format_gps
@@ -32,6 +36,12 @@ def test_matrix_covers_every_attack_and_scenario():
     assert set(ATTACK_MATRIX["strip-manifest"]) == set(SCENARIOS)
 
 
+def test_readme_attack_table_lists_every_registry_row():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## The attack toolkit\n", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"^\| `([^`]+)` \|", section, re.M)) == set(ATTACKS)
+
+
 # ---------------------------------------------------------------------------
 # soundness: the validator's verdicts equal the attacks' stated expectations
 # for every corpus entry, attacked and honest, under both presets
@@ -48,6 +58,14 @@ def test_corpus_verdicts_match_expectations(corpus, entry_bytes):
             assert report.verdict.value == entry.expected[preset], (
                 f"{entry.path} under {preset}"
             )
+
+
+def test_seed_1_corpus_tree_digest_is_pinned(corpus):
+    """The seed-1 session corpus keeps its bytes; a change that alters corpus
+    bytes on purpose updates this digest."""
+    assert tree_digest(corpus["workspace"].corpus_dir) == (
+        "3a6d01f2b0fdf3b560f07554abcea88aee3f4960f91353dc750008d5b8b5c5de"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+from provlab.attacks import ATTACKS
 from provlab.cli import main, parse_time
 from provlab.validator import report_from_json
 from provlab.workspace import DAY, T0, YEAR
@@ -276,6 +277,28 @@ def test_attack_refuses_flags_it_does_not_use(cliws, tmp_path, capsys, attack, s
     assert code == 4
     assert err.count("\n") == 1 and f"does not use {flags[0]}" in err
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def attackws(tmp_path_factory):
+    root = tmp_path_factory.mktemp("attackws")
+    assert main(["--workspace", str(root), "init", "--seed", "1"]) == 0
+    return root
+
+
+@pytest.mark.parametrize(
+    "attack, scenario",
+    [(attack.name, scenario) for attack in ATTACKS.values() for scenario in attack.scenarios],
+)
+def test_every_registry_pair_runs_with_default_flags(attackws, capsys, attack, scenario):
+    code, out, _ = run(
+        ["--workspace", str(attackws), "attack", attack, "--scenario", scenario], capsys
+    )
+    assert code == 0
+    assert (attackws / "attacks" / f"{scenario}--{attack}.pvl").is_file()
+    for preset in ("spec", "hardened"):
+        lines = [line for line in out.splitlines() if line.startswith(f"expected under {preset}: ")]
+        assert len(lines) == 1, out
 
 
 def test_attack_accepts_the_flags_it_uses(cliws, tmp_path, capsys):

@@ -13,8 +13,6 @@ from provlab.credentials import (
     ClaimSignature,
     Manifest,
     RedactionMode,
-    decode_assertion,
-    decode_claim,
     decode_manifest,
     digest_assertion,
     encode_assertion,
@@ -30,6 +28,7 @@ from provlab.errors import (
     LabelNotFound,
     RedactionNotRedactable,
 )
+from provlab.records import decode_record
 from provlab.timestamp import decode_token, encode_token
 from provlab.trust import (
     RevocationList,
@@ -118,12 +117,12 @@ def test_manifest_roundtrip(manifest):
 
 def test_assertion_roundtrip():
     assertion = Assertion("std.mixed", {"i": -3, "f": 2.5, "s": "x", "b": b"\x00\xff"})
-    assert decode_assertion(encode_assertion(assertion)) == assertion
+    assert decode_record(Assertion, encode_assertion(assertion)) == assertion
 
 
 def test_claim_roundtrip(manifest):
     wire = encode_claim(manifest.claim)
-    assert decode_claim(wire) == manifest.claim
+    assert decode_record(Claim, wire) == manifest.claim
 
 
 @pytest.mark.parametrize("junk", [b"", b"\x00", b"\xa0", encode_assertion(Assertion("a", {"b": 1}))])
