@@ -46,10 +46,7 @@ from .validator import (
 from .workspace import Workspace
 
 EXIT_OK = 0
-EXIT_REJECTED = 2
-EXIT_UNVERIFIABLE = 3
 EXIT_MALFORMED = 4
-EXIT_DIVERGENT = 5
 
 
 def _workspace(args: argparse.Namespace, seed: int | None = None) -> Workspace:

@@ -16,7 +16,7 @@ the two.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .attacks import ATTACKS, apply_attack, attack_inputs
@@ -28,9 +28,11 @@ from .attacks import (  # noqa: F401
 from .container import Asset, serialize_asset
 from .crypto import digest
 from .errors import WorkspaceError
+from .records import record_from_value, record_value
 from .signer import DEFAULT_VALIDATION_TIME, SCENARIOS, Fixture, make_fixture
 from .trust import RevocationList, decode_revocation_list, encode_revocation_list
 from .validator import (
+    EXIT_BY_VERDICT,
     ValidationPolicy,
     Verdict,
     exit_code_for,
@@ -42,14 +44,6 @@ from .workspace import Workspace
 
 CORPUS_SCHEMA = "prov-corpus/1"
 CRL_FILENAME = "crl.bin"
-
-_EXIT_BY_VERDICT = {
-    Verdict.ACCEPTED: 0,
-    Verdict.ACCEPTED_WITH_REDACTION: 0,
-    Verdict.REJECTED: 2,
-    Verdict.UNVERIFIABLE: 3,
-}
-
 
 @dataclass(frozen=True)
 class CorpusEntry:
@@ -63,30 +57,12 @@ class CorpusEntry:
     notes: str
 
     def to_record(self) -> dict:
-        return {
-            "path": self.path,
-            "scenario": self.scenario,
-            "attack": self.attack or "none",
-            "intended_policy": self.intended_policy,
-            "validation_time": self.validation_time,
-            "expected": self.expected,
-            "expected_exit": self.expected_exit,
-            "notes": self.notes,
-        }
+        return {**record_value(self), "attack": self.attack or "none"}
 
     @classmethod
     def from_record(cls, record: dict) -> "CorpusEntry":
-        attack = record["attack"]
-        return cls(
-            path=record["path"],
-            scenario=record["scenario"],
-            attack=None if attack == "none" else attack,
-            intended_policy=record["intended_policy"],
-            validation_time=record["validation_time"],
-            expected=dict(record["expected"]),
-            expected_exit={k: int(v) for k, v in record["expected_exit"].items()},
-            notes=record["notes"],
-        )
+        entry = record_from_value(cls, record)
+        return replace(entry, attack=None) if entry.attack == "none" else entry
 
 
 def _entry(
@@ -112,7 +88,7 @@ def _entry(
         if validation_time is not None
         else DEFAULT_VALIDATION_TIME,
         expected={name: verdict.value for name, verdict in expected.items()},
-        expected_exit={name: _EXIT_BY_VERDICT[verdict] for name, verdict in expected.items()},
+        expected_exit={name: EXIT_BY_VERDICT[verdict] for name, verdict in expected.items()},
         notes=notes,
     )
 

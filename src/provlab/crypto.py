@@ -20,7 +20,6 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-DIGEST_ALGORITHM = "sha-256"
 DIGEST_SIZE = 32
 PUBLIC_KEY_SIZE = 32
 SIGNATURE_SIZE = 64

@@ -1,26 +1,32 @@
 """Record codec: frozen dataclasses to canonical values and back.
 
 Every record that is signed or stored (certificates, revocation lists,
-timestamp tokens, assertions, claims, claim signatures, manifests) gets its
-wire shape here, derived from its dataclass field annotations, so no other
-module knows how a record is laid out.  A record encodes as a map keyed by
+timestamp tokens, assertions, claims, claim signatures, manifests, status
+responses, structured validation reports, corpus index entries) gets its
+shape here, derived from its dataclass field annotations, so no other
+module knows how a record is laid out.  A record's value is a map keyed by
 its field names; :class:`~.container.ByteRange` is the one positional
-record and encodes as ``[start, length]``.
+record and is the array ``[start, length]``.
 
-Field types understood: ``str``, ``int`` (never ``bool``), ``bytes``,
-``X | None``, ``tuple[X, ...]``, fixed tuples such as ``tuple[str, bytes]``,
-nested records, enums (by ``.value``), and a free-form ``dict`` whose
-contents the record's own ``__post_init__`` validates.
+Field types understood: ``str``, ``int`` (never ``bool``), ``bool`` (never
+``0`` or ``1``), ``bytes``, ``X | None``, ``tuple[X, ...]``, fixed tuples
+such as ``tuple[str, bytes]``, nested records, enums (by ``.value``), maps
+``dict[str, V]`` with ``V`` one of those scalars or an enum, and any other
+``dict`` as a free-form map that the record's ``__post_init__`` validates.
 
+``record_value``/``record_from_value`` are the value-level pair;
+``encode_record``/``decode_record`` add the value codec of :mod:`.encoding`.
 Decoding is exact: a map carries precisely the record's field names, every
 value has its field's type, and the dataclass's own checks run.  On top of
-the strict value codec in :mod:`.encoding` this makes
-``encode_record(decode_record(cls, b)) == b`` for every ``b`` that decodes,
-so one record has one byte string.
+the strict value codec this makes ``encode_record(decode_record(cls, b)) ==
+b`` for every ``b`` that decodes, so one record has one byte string.  A
+record without ``bytes`` fields has a JSON form too, read back through
+``record_from_value`` with the same exact decoding.
 
 A signed payload is a record minus some fields, named by ``omit``: a
 certificate without its issuer signature, a revocation list without its
-signature, a timestamp token without its chain and signature.
+signature, a timestamp token without its chain and signature, a status
+response without the responder's signature.
 """
 
 from __future__ import annotations
@@ -37,19 +43,30 @@ from .encoding import Value, decode_value, encode_value
 from .errors import DecodeError
 
 _POSITIONAL = (ByteRange,)
+_SCALARS = (str, int, bool, bytes)
 
 # per field: name, encoder (None when the value encodes as itself), decoder
 _Plan = tuple[tuple[str, Callable[[Any], Value] | None, Callable[[Value], Any]], ...]
 
 
+def record_value(record: Any, omit: tuple[str, ...] = ()) -> dict:
+    """The map value of ``record``, leaving out the fields named in ``omit``."""
+    return _map_value(_plan(type(record)), record, omit)
+
+
+def record_from_value(cls: type, value: Value) -> Any:
+    """Decode ``value`` into a ``cls`` record, rejecting any other shape."""
+    return _record_decoder(cls)(value)
+
+
 def encode_record(record: Any, omit: tuple[str, ...] = ()) -> bytes:
     """Canonical bytes of ``record``, leaving out the fields named in ``omit``."""
-    return encode_value(_map_value(_plan(type(record)), record, omit))
+    return encode_value(record_value(record, omit))
 
 
 def decode_record(cls: type, data: bytes) -> Any:
     """Decode canonical bytes into a ``cls`` record, rejecting any other shape."""
-    return _record_decoder(cls)(decode_value(data))
+    return record_from_value(cls, decode_value(data))
 
 
 @functools.cache
@@ -101,7 +118,9 @@ def _record_decoder(cls: type) -> Callable[[Value], Any]:
 
 def _converters(hint: Any) -> tuple[Callable[[Any], Value] | None, Callable[[Value], Any]]:
     origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if hint in (str, int, bytes, dict) or origin is dict:
+    if origin is dict and args[0] is str and (args[1] in _SCALARS or _is_enum(args[1])):
+        return _text_keyed_map(*_converters(args[1]))
+    if hint in _SCALARS or hint is dict or origin is dict:
         return None, _scalar_decoder(origin or hint)
     if origin is types.UnionType and len(args) == 2 and type(None) in args:
         return _optional(*_converters(next(a for a in args if a is not type(None))))
@@ -109,7 +128,7 @@ def _converters(hint: Any) -> tuple[Callable[[Any], Value] | None, Callable[[Val
         return _sequence(*_converters(args[0]))
     if origin is tuple:
         return _fixed_tuple([_converters(arg) for arg in args])
-    if isinstance(hint, type) and issubclass(hint, Enum):
+    if _is_enum(hint):
         return (lambda member: member.value), _enum_decoder(hint)
     if dataclasses.is_dataclass(hint):
         plan = _plan(hint)
@@ -119,9 +138,13 @@ def _converters(hint: Any) -> tuple[Callable[[Any], Value] | None, Callable[[Val
     raise TypeError(f"no wire shape for field type {hint!r}")
 
 
+def _is_enum(hint: Any) -> bool:
+    return isinstance(hint, type) and issubclass(hint, Enum)
+
+
 def _scalar_decoder(kind: type) -> Callable[[Value], Any]:
-    # the value codec yields exact types, so ``type(...) is`` also keeps
-    # ``bool`` out of ``int`` fields
+    # the value codec and ``json`` yield exact types, so ``type(...) is``
+    # keeps ``bool`` out of ``int`` fields and ``0``/``1`` out of ``bool`` ones
     def decode(value: Value) -> Any:
         if type(value) is not kind:
             raise DecodeError(f"expected {kind.__name__}, got {type(value).__name__}")
@@ -148,6 +171,17 @@ def _sequence(encode, decode):
     if encode is None:
         return None, decode_sequence
     return (lambda items: [encode(item) for item in items]), decode_sequence
+
+
+def _text_keyed_map(encode, decode):
+    def decode_map(value: Value) -> dict:
+        if type(value) is not dict or any(type(key) is not str for key in value):
+            raise DecodeError("expected a map with text keys")
+        return {key: decode(item) for key, item in value.items()}
+
+    if encode is None:
+        return None, decode_map
+    return (lambda items: {key: encode(item) for key, item in items.items()}), decode_map
 
 
 def _fixed_tuple(converters):

@@ -12,9 +12,9 @@ Response payload::
     "PSTR"  u8 version  u8 status  u64 revoked_at  u64 produced_at
     u16 sig-length  signature
 
-Status codes: 0 GOOD, 1 REVOKED, 2 UNKNOWN; ``revoked_at`` is zero unless
-revoked.  The responder signs over the queried serial as well (see
-:func:`.trust.status_response_payload`) even though the frame omits it, so
+Status codes: 0 GOOD, 1 REVOKED, 2 UNKNOWN; ``revoked_at`` is zero and
+read as absent unless the status is REVOKED.  The responder signs over the queried serial as well (see
+:func:`.trust.verify_status_response`) even though the frame omits it, so
 responses cannot be replayed across serials.  A malformed request gets an
 error payload (``"PSTE"  u8 version  u8 code``) and the connection closes;
 the service itself stays up.
@@ -90,7 +90,7 @@ def decode_response(payload: bytes, serial: int) -> StatusResponse:
     return StatusResponse(
         serial=serial,
         status=status,
-        revoked_at=revoked_at or None,
+        revoked_at=revoked_at if status is CertStatus.REVOKED else None,
         produced_at=produced_at,
         responder_signature=payload[24:],
     )

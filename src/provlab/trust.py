@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .crypto import SigningKey, verify
-from .encoding import encode_value
 from .errors import UnknownSerial, UsageViolation, ValidityNotNested
 from .records import decode_record, encode_record
 
@@ -223,31 +222,15 @@ class StatusResponse:
     responder_signature: bytes
 
 
-def status_response_payload(
-    serial: int, status: CertStatus, revoked_at: int | None, produced_at: int
-) -> bytes:
-    """Signed bytes for a status response.
-
-    The serial is covered by the signature even though the wire frame omits
-    it, so a response for one serial cannot be replayed for another.
-    """
-    return encode_value(
-        {
-            "serial": serial,
-            "status": status.value,
-            "revoked_at": revoked_at or 0,
-            "produced_at": produced_at,
-        }
-    )
+def _status_payload(response: StatusResponse) -> bytes:
+    # the serial is signed even though the wire frame omits it, so a
+    # response for one serial cannot be replayed for another
+    return encode_record(response, omit=("responder_signature",))
 
 
 def verify_status_response(response: StatusResponse, responder_cert: Certificate) -> bool:
     return verify(
-        responder_cert.public_key,
-        status_response_payload(
-            response.serial, response.status, response.revoked_at, response.produced_at
-        ),
-        response.responder_signature,
+        responder_cert.public_key, _status_payload(response), response.responder_signature
     )
 
 
@@ -293,7 +276,5 @@ class Authority:
             status, revoked_at = CertStatus.REVOKED, self.revoked[serial]
         else:
             status, revoked_at = CertStatus.GOOD, None
-        signature = self.key.sign(
-            status_response_payload(serial, status, revoked_at, self.clock)
-        )
-        return StatusResponse(serial, status, revoked_at, self.clock, signature)
+        unsigned = StatusResponse(serial, status, revoked_at, self.clock, b"")
+        return replace(unsigned, responder_signature=self.key.sign(_status_payload(unsigned)))

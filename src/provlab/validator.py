@@ -49,6 +49,7 @@ from .credentials import (
 )
 from .crypto import digest, verify
 from .errors import ProvenanceError, ServiceUnreachable
+from .records import record_from_value, record_value
 from .statusservice import query_status
 from .timestamp import encode_token, verify_token
 from .trust import (
@@ -210,14 +211,20 @@ class ValidationReport:
         return self.verdict in (Verdict.ACCEPTED, Verdict.ACCEPTED_WITH_REDACTION)
 
 
+# the exit-code contract of ``validate`` and the corpus index
+EXIT_BY_VERDICT = {
+    Verdict.ACCEPTED: 0,
+    Verdict.ACCEPTED_WITH_REDACTION: 0,
+    Verdict.REJECTED: 2,
+    Verdict.UNVERIFIABLE: 3,
+}
+
+
 def exit_code_for(report: ValidationReport) -> int:
-    """CLI exit-code contract: 0 accepted, 2 rejected, 3 unverifiable,
-    4 malformed input."""
-    if report.accepted:
-        return 0
-    if report.verdict == Verdict.REJECTED:
-        return 2
-    return 4 if report.malformed else 3
+    """The verdict's exit code, except 4 for unverifiable malformed input."""
+    if report.malformed and report.verdict is Verdict.UNVERIFIABLE:
+        return 4
+    return EXIT_BY_VERDICT[report.verdict]
 
 
 # ---------------------------------------------------------------------------
@@ -855,59 +862,24 @@ def render_differential(diff: DifferentialReport) -> str:
 
 
 def report_to_json(report: ValidationReport) -> str:
-    payload = {
-        "schema": REPORT_SCHEMA,
-        "policy": report.policy_name,
-        "validation_time": report.validation_time,
-        "verdict": report.verdict.value,
-        "checks": [
-            {"name": r.name, "outcome": r.outcome.value, "detail": r.detail}
-            for r in report.checks
-        ],
-        "goals": {name: status.value for name, status in report.goals.items()},
-        "displayed_time": {
-            "epoch": report.displayed_time.epoch,
-            "provenance": report.displayed_time.provenance.value,
-        },
-        "generator": report.generator,
-        "claimed_created_at": report.claimed_created_at,
-        "spec_version": report.spec_version,
-        "metadata": [
-            {"label": m.label, "text": m.text, "protected": m.protected}
-            for m in report.metadata
-        ],
-        "redacted_labels": list(report.redacted_labels),
-        "malformed": report.malformed,
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    """The structured report: the report record plus ``schema``, with
+    ``policy_name`` under the key ``policy``."""
+    value = record_value(report)
+    value["policy"] = value.pop("policy_name")
+    value["schema"] = REPORT_SCHEMA
+    return json.dumps(value, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def report_from_json(text: str) -> ValidationReport:
-    payload = json.loads(text)
-    if payload.get("schema") != REPORT_SCHEMA:
-        raise ValueError(f"unknown report schema {payload.get('schema')!r}")
-    return ValidationReport(
-        policy_name=payload["policy"],
-        validation_time=payload["validation_time"],
-        verdict=Verdict(payload["verdict"]),
-        checks=tuple(
-            CheckResult(c["name"], CheckOutcome(c["outcome"]), c["detail"])
-            for c in payload["checks"]
-        ),
-        goals={name: GoalStatus(status) for name, status in payload["goals"].items()},
-        displayed_time=DisplayedTime(
-            payload["displayed_time"]["epoch"],
-            TimeProvenance(payload["displayed_time"]["provenance"]),
-        ),
-        generator=payload["generator"],
-        claimed_created_at=payload["claimed_created_at"],
-        spec_version=payload["spec_version"],
-        metadata=tuple(
-            MetadataItem(m["label"], m["text"], m["protected"]) for m in payload["metadata"]
-        ),
-        redacted_labels=tuple(payload["redacted_labels"]),
-        malformed=payload["malformed"],
-    )
+    """Inverse of :func:`report_to_json`; any other key set or value type
+    raises :class:`DecodeError`."""
+    value = json.loads(text)
+    schema = value.pop("schema", None) if type(value) is dict else None
+    if schema != REPORT_SCHEMA:
+        raise ValueError(f"unknown report schema {schema!r}")
+    if "policy" in value and "policy_name" not in value:  # else a key set error
+        value["policy_name"] = value.pop("policy")
+    return record_from_value(ValidationReport, value)
 
 
 # ---------------------------------------------------------------------------

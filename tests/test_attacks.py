@@ -1,5 +1,6 @@
 """Attack toolkit: expected verdicts hold, mutations are minimal."""
 
+import json
 import re
 from pathlib import Path
 
@@ -13,10 +14,12 @@ from provlab.attacks import (
     attack_strip_manifest,
     attack_timestamp_replace,
 )
-from provlab.container import extract_manifest, serialize_asset, wire_span
-from provlab.corpus import entry_policies, tree_digest
+from provlab.container import extract_manifest, parse_asset, serialize_asset, wire_span
+from provlab.corpus import CRL_FILENAME, entry_policies, load_corpus, tree_digest
 from provlab.credentials import decode_manifest
-from provlab.errors import BoundModeError, LengthMismatch, NotExcluded, UntrustedTsa
+from provlab.errors import (
+    BoundModeError, DecodeError, LengthMismatch, NotExcluded, UntrustedTsa,
+)
 from provlab.signer import SCENARIOS, format_gps
 from provlab.validator import Verdict, validate
 from provlab.workspace import T0, YEAR, Workspace
@@ -142,6 +145,20 @@ def test_stateless_attacks_change_no_bytes(corpus, corpus_entry, entry_bytes):
     # plain fixture by exactly that extension; its own attack added nothing
     warped = corpus_entry("short-lived-cert", "expiry-timewarp")
     assert warped.validation_time == T0 + YEAR
+    manifest = decode_manifest(extract_manifest(parse_asset(entry_bytes(warped))))
+    assert len(manifest.archival_tokens) == 1
+    assert warped.expected["hardened"] == Verdict.ACCEPTED.value
+
+
+def test_load_corpus_refuses_an_entry_with_an_extra_key(corpus, tmp_path):
+    source = corpus["workspace"].corpus_dir
+    index = json.loads((source / "index.json").read_text())
+    index["entries"][0]["extra"] = 1
+    (tmp_path / "corpus").mkdir()
+    (tmp_path / "corpus" / "index.json").write_text(json.dumps(index))
+    (tmp_path / "corpus" / CRL_FILENAME).write_bytes((source / CRL_FILENAME).read_bytes())
+    with pytest.raises(DecodeError):
+        load_corpus(tmp_path)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Certificates, chains, revocation, and the online status service."""
 
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -220,6 +221,19 @@ def test_status_response_signature(pki):
     unknown = authority.status_for(424242)
     assert unknown.status == CertStatus.UNKNOWN
     assert verify_status_response(unknown, root_cert)
+    # every field but the signature is signed, the serial included
+    for changed in (
+        replace(response, serial=424242),
+        replace(response, status=CertStatus.REVOKED),
+        replace(response, revoked_at=0),
+        replace(response, produced_at=T0 + 1),
+        replace(revoked, serial=424242),
+        replace(revoked, status=CertStatus.GOOD),
+        replace(revoked, revoked_at=T0 + 6),
+        replace(revoked, revoked_at=None),
+        replace(revoked, produced_at=T0 - 1),
+    ):
+        assert not verify_status_response(changed, root_cert), changed
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +258,11 @@ def test_query_roundtrip(service):
     response = query_status(svc.endpoint, leaf_cert.serial, root_cert)
     assert response.status == CertStatus.REVOKED
     assert response.revoked_at == T0 + 9
+    # the frame's zero means "not revoked" only for a response that is not
+    # REVOKED, so a revocation dated 0 still verifies
+    authority.revoke(leaf_cert.serial, 0)
+    response = query_status(svc.endpoint, leaf_cert.serial, root_cert)
+    assert (response.status, response.revoked_at) == (CertStatus.REVOKED, 0)
 
 
 def test_concurrent_queries(service):

@@ -1,5 +1,6 @@
 """Validation: check order, verdict logic, policy knobs, rendering."""
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -17,6 +18,7 @@ from provlab.container import (
 from provlab.corpus import entry_policies
 from provlab.credentials import RedactionMode, decode_manifest, encode_manifest, redact_assertion
 from provlab.encoding import decode_value, encode_value
+from provlab.errors import DecodeError
 from provlab.container import replace_manifest
 from provlab.signer import DEFAULT_VALIDATION_TIME, SCENARIOS, make_fixture
 from provlab.statusservice import run_status_service
@@ -249,6 +251,61 @@ def test_structured_report_roundtrip(lab, fixtures):
     assert parsed["schema"] == "prov-report/1"
     assert report_from_json(text) == report
     assert render_report(report, "structured") == text
+
+
+def test_structured_reports_of_the_seed_1_corpus_are_pinned(corpus, entry_bytes):
+    """Every structured and human report of the seed-1 corpus under both
+    presets keeps its bytes; a change that alters a report on purpose
+    updates this digest."""
+    h = hashlib.sha256()
+    for entry in corpus["entries"]:
+        data = entry_bytes(entry)
+        for policy in entry_policies(corpus["workspace"], entry, corpus["crl"]).values():
+            report = validate(data, policy)
+            h.update((report_to_json(report) + render_report(report)).encode())
+    assert h.hexdigest() == (
+        "ca0c17824ba47d61aa8877499a8beca1b6e80376c122c137393afeb65a61d64c"
+    )
+
+
+def _mangled_report(lab, fixtures, change):
+    report = validate(b(fixtures["gps-excluded"]), hardened_at(lab))
+    value = json.loads(report_to_json(report))
+    change(value)
+    return json.dumps(value)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda v: v.update(extra=1),
+        lambda v: v.pop("goals"),
+        lambda v: v.pop("policy"),
+        lambda v: v.update(policy_name=v["policy"]),
+        lambda v: v.update(malformed=0),
+        lambda v: v.update(validation_time=True),
+        lambda v: v.update(verdict="PROBABLY"),
+        lambda v: v["goals"].update(G1="MAYBE"),
+        lambda v: v["checks"][0].update(outcome="OK"),
+        lambda v: v["displayed_time"].pop("epoch"),
+    ],
+    ids=[
+        "extra-key", "missing-key", "missing-policy", "policy-name-key", "malformed-0",
+        "time-true", "unknown-verdict", "unknown-goal-status", "unknown-outcome",
+        "short-displayed-time",
+    ],
+)
+def test_structured_report_decoding_is_exact(lab, fixtures, change):
+    with pytest.raises(DecodeError):
+        report_from_json(_mangled_report(lab, fixtures, change))
+
+
+def test_structured_report_unknown_schema(lab, fixtures):
+    text = _mangled_report(lab, fixtures, lambda v: v.update(schema="prov-report/2"))
+    with pytest.raises(ValueError, match="unknown report schema 'prov-report/2'"):
+        report_from_json(text)
+    with pytest.raises(ValueError, match="unknown report schema None"):
+        report_from_json("[]")
 
 
 def test_metadata_protection_tags(lab, fixtures):
