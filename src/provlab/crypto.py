@@ -6,10 +6,19 @@ which keeps every fixture byte-stable across runs.
 
 Key material for fixtures is derived from an integer seed with a keyed MAC,
 so the same seed always yields the same keys without storing any randomness.
+
+Validation checks the same certificate, revocation-list and token signatures
+for every asset, so callers verify through :func:`verify_once`, a bounded
+memo of :func:`verify` results keyed on the exact ``(public key, message,
+signature)`` bytes.  Ed25519 verification is a pure function of those bytes
+(RFC 8032), so a hit returns the verdict a fresh verification would; any
+smaller key would let one signature vouch for a message it never covered.
+:func:`verify` stays the raw primitive.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 import struct
@@ -23,6 +32,11 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 DIGEST_SIZE = 32
 PUBLIC_KEY_SIZE = 32
 SIGNATURE_SIZE = 64
+
+# the memo holds at most MEMO_ENTRIES triples of at most MEMO_MESSAGE_BYTES
+# each, so hostile input can pin about 2 MiB; longer messages skip the memo
+MEMO_ENTRIES = 512
+MEMO_MESSAGE_BYTES = 4096
 
 _DERIVE_KEY = b"provlab/keys/v1"
 
@@ -62,6 +76,34 @@ def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     except (InvalidSignature, ValueError):
         return False
     return True
+
+
+@functools.lru_cache(maxsize=MEMO_ENTRIES)
+def _memo(public_key: bytes, message: bytes, signature: bytes) -> bool:
+    # ``verify`` is looked up at call time, so whatever rebinds
+    # ``crypto.verify`` (a tracer, a test counting calls) sees every miss
+    return verify(public_key, message, signature)
+
+
+def verify_once(public_key: bytes, message: bytes, signature: bytes) -> bool:
+    """:func:`verify`, remembering the verdict for the exact bytes given.
+
+    Arguments are copied to ``bytes``, so a buffer mutated after the call
+    cannot alter a stored key.  A message longer than ``MEMO_MESSAGE_BYTES``,
+    or a key or signature of the wrong size, is verified directly and never
+    stored.
+    """
+    if (
+        len(message) > MEMO_MESSAGE_BYTES
+        or len(public_key) != PUBLIC_KEY_SIZE
+        or len(signature) != SIGNATURE_SIZE
+    ):
+        return verify(public_key, message, signature)
+    return _memo(bytes(public_key), bytes(message), bytes(signature))
+
+
+verify_once.cache_clear = _memo.cache_clear
+verify_once.cache_info = _memo.cache_info
 
 
 def derive_signing_key(seed: int, role: str) -> SigningKey:

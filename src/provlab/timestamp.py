@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .container import Asset, extract_manifest, replace_manifest
-from .crypto import DIGEST_SIZE, SigningKey, digest, verify
+from .crypto import DIGEST_SIZE, SigningKey, digest, verify_once
 from .errors import ExpiredTsaCert, UsageViolation
 from .records import decode_record, encode_record
 from .trust import Certificate, ChainStatus, TrustList, Usage, verify_chain
@@ -104,7 +104,7 @@ def verify_token(
     if not token.tsa_chain:
         return TokenVerdict(TokenStatus.UNTRUSTED_TSA, "empty TSA chain")
     leaf = token.tsa_chain[0]
-    if not verify(leaf.public_key, token_signed_payload(token), token.tsa_signature):
+    if not verify_once(leaf.public_key, token_signed_payload(token), token.tsa_signature):
         return TokenVerdict(TokenStatus.BAD_TOKEN_SIGNATURE, "TSA signature invalid")
     if expected_digest is not None and token.message_digest != expected_digest:
         return TokenVerdict(TokenStatus.DIGEST_MISMATCH, "token covers a different digest")

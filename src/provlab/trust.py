@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .crypto import SigningKey, verify
+from .crypto import SigningKey, verify_once
 from .errors import UnknownSerial, UsageViolation, ValidityNotNested
 from .records import decode_record, encode_record
 
@@ -152,12 +152,14 @@ def verify_chain(
             return ChainVerdict(
                 ChainStatus.BAD_LINK_SIGNATURE, cert.serial, "issuer name mismatch"
             )
-        if not verify(issuer.public_key, certificate_template_bytes(cert), cert.issuer_signature):
+        if not verify_once(
+            issuer.public_key, certificate_template_bytes(cert), cert.issuer_signature
+        ):
             return ChainVerdict(
                 ChainStatus.BAD_LINK_SIGNATURE, cert.serial, "issuer signature invalid"
             )
     top = chain[-1]
-    if top.issuer != top.subject or not verify(
+    if top.issuer != top.subject or not verify_once(
         top.public_key, certificate_template_bytes(top), top.issuer_signature
     ):
         return ChainVerdict(
@@ -202,7 +204,7 @@ def _crl_payload(crl: RevocationList) -> bytes:
 def verify_crl(crl: RevocationList, issuer_cert: Certificate) -> bool:
     if issuer_cert.subject != crl.issuer:
         return False
-    return verify(issuer_cert.public_key, _crl_payload(crl), crl.signature)
+    return verify_once(issuer_cert.public_key, _crl_payload(crl), crl.signature)
 
 
 def encode_revocation_list(crl: RevocationList) -> bytes:
@@ -229,7 +231,7 @@ def _status_payload(response: StatusResponse) -> bytes:
 
 
 def verify_status_response(response: StatusResponse, responder_cert: Certificate) -> bool:
-    return verify(
+    return verify_once(
         responder_cert.public_key, _status_payload(response), response.responder_signature
     )
 

@@ -47,7 +47,7 @@ from .credentials import (
     encode_manifest,
     signed_payload,
 )
-from .crypto import digest, verify
+from .crypto import digest, verify_once
 from .errors import ProvenanceError, ServiceUnreachable
 from .records import record_from_value, record_value
 from .statusservice import query_status
@@ -200,6 +200,10 @@ class ValidationReport:
     redacted_labels: tuple[str, ...] = ()
     malformed: bool = False
 
+    def __post_init__(self) -> None:
+        if self.goals.keys() != set(GOAL_NAMES):
+            raise ValueError(f"goals must be exactly {', '.join(GOAL_NAMES)}")
+
     def check(self, name: str) -> CheckResult:
         for result in self.checks:
             if result.name == name:
@@ -309,7 +313,7 @@ def _valid_redaction_record(
             leaf = countersignature.signer_chain[0]
             if leaf.usage != Usage.LEAF_SIGNING:
                 continue
-            if not verify(leaf.public_key, record_bytes, countersignature.signature):
+            if not verify_once(leaf.public_key, record_bytes, countersignature.signature):
                 continue
             chain_verdict = verify_chain(
                 countersignature.signer_chain, policy.trust, policy.validation_time
@@ -519,7 +523,7 @@ def _check_signature(run: _Run) -> _Result:
         payload = signed_payload(run.manifest.claim, BindingMode.BOUND, token_digest)
     else:
         payload = signed_payload(run.manifest.claim, BindingMode.UNBOUND)
-    if verify(leaf.public_key, payload, claim_signature.signature):
+    if verify_once(leaf.public_key, payload, claim_signature.signature):
         return CheckOutcome.PASS, f"{claim_signature.binding_mode.value} payload"
     return CheckOutcome.FAIL, "claim signature does not verify"
 

@@ -288,11 +288,13 @@ def _mangled_report(lab, fixtures, change):
         lambda v: v["goals"].update(G1="MAYBE"),
         lambda v: v["checks"][0].update(outcome="OK"),
         lambda v: v["displayed_time"].pop("epoch"),
+        lambda v: v["goals"].pop("G5"),
+        lambda v: v["goals"].update(G9="HELD"),
     ],
     ids=[
         "extra-key", "missing-key", "missing-policy", "policy-name-key", "malformed-0",
         "time-true", "unknown-verdict", "unknown-goal-status", "unknown-outcome",
-        "short-displayed-time",
+        "short-displayed-time", "missing-goal", "extra-goal",
     ],
 )
 def test_structured_report_decoding_is_exact(lab, fixtures, change):
