@@ -4,11 +4,13 @@
     python3 tools/bench_snapshot.py BENCH_2.json
     python3 tools/bench_snapshot.py BENCH_1.json --checkout ../provlab-parent
 
-Each workload runs once per seed untraced (the end-to-end metrics) and once
-traced (the per-layer metrics), one run at a time, from the checkout given
-(by default the one holding this script).  The file records every run's last
-output line, the medians over seeds of each metric, the checkout's commit,
-a digest and the line count of its ``src/provlab`` files, and the Python,
+Each workload runs for ``SECONDS`` per seed in ``SEEDS``, once untraced (the
+end-to-end metrics) and once traced (the per-layer metrics), one run at a
+time, from the checkout given (by default the one holding this script).  The
+checkout must be a git commit with no uncommitted change to a tracked file,
+so the commit the file names is the code it measured.  The file records
+every run's last output line, the medians over seeds of each metric, the
+commit, the line count of its ``src/provlab`` files, and the Python,
 ``cryptography`` and machine it ran on.  A perf claim compares two such
 files.
 """
@@ -16,7 +18,6 @@ files.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import platform
@@ -27,12 +28,14 @@ from importlib import metadata
 from pathlib import Path
 
 WORKLOADS = ("corpus-mix", "large-asset", "online-status")
+SEEDS = (1, 2, 3)
+SECONDS = 10
 
 
-def run_perfbench(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
+def run_perfbench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     command = [
         sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
+        "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace),
     ]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
@@ -60,17 +63,11 @@ def commit_of(checkout: Path) -> str | None:
     return done.stdout.strip() if done.returncode == 0 else None
 
 
-def src_files(checkout: Path) -> list[Path]:
-    return sorted((checkout / "src" / "provlab").glob("*.py"))
-
-
-def src_digest(checkout: Path) -> str:
-    """SHA-256 over the package's file names and contents: names the code
-    measured even when it was not committed yet."""
-    h = hashlib.sha256()
-    for path in src_files(checkout):
-        h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
-    return h.hexdigest()
+def src_lines(checkout: Path) -> int:
+    return sum(
+        len(path.read_bytes().splitlines())
+        for path in (checkout / "src" / "provlab").glob("*.py")
+    )
 
 
 def cpu_model() -> str:
@@ -91,16 +88,17 @@ def main(argv=None) -> int:
         "--checkout", type=Path, default=Path(__file__).resolve().parent.parent,
         help="provlab checkout to measure (default: this one)",
     )
-    parser.add_argument("--seconds", type=int, default=10, help="perfbench --seconds per run")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     args = parser.parse_args(argv)
     checkout = args.checkout.resolve()
+    commit = commit_of(checkout)
+    if commit is None or commit.endswith("-dirty"):
+        parser.error(f"{checkout} is not a clean git checkout; commit the code to measure first")
 
     runs = []
     for workload in WORKLOADS:
-        for seed in args.seeds:
+        for seed in SEEDS:
             for trace in (0, 1):
-                result = run_perfbench(checkout, workload, seed, args.seconds, trace)
+                result = run_perfbench(checkout, workload, seed, trace)
                 runs.append({"workload": workload, "seed": seed, "trace": trace, "result": result})
                 print(
                     f"{workload} seed {seed} trace {trace}: correct={result['correct']} "
@@ -108,11 +106,10 @@ def main(argv=None) -> int:
                     file=sys.stderr,
                 )
     snapshot = {
-        "commit": commit_of(checkout),
-        "src_sha256": src_digest(checkout),
-        "src_lines": sum(len(path.read_bytes().splitlines()) for path in src_files(checkout)),
-        "seconds": args.seconds,
-        "seeds": args.seeds,
+        "commit": commit,
+        "src_lines": src_lines(checkout),
+        "seconds": SECONDS,
+        "seeds": list(SEEDS),
         "python": sys.version,
         "cryptography": metadata.version("cryptography"),
         "machine": {
