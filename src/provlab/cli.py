@@ -31,6 +31,7 @@ from .statusservice import run_status_service
 from .timestamp import archival_extend
 from .trust import decode_revocation_list
 from .validator import (
+    RevocationMode,
     ValidationPolicy,
     exit_code_for,
     hardened_policy,
@@ -57,40 +58,62 @@ def _workspace(args: argparse.Namespace, seed: int | None = None) -> Workspace:
     return Workspace.load(root) if seed is None else Workspace.initialize(root, seed)
 
 
-def _resolve_policy(args: argparse.Namespace, workspace: Workspace, which: str = "policy") -> ValidationPolicy:
+def _resolve_policy(
+    args: argparse.Namespace, workspace: Workspace, which: str = "policy"
+) -> tuple[ValidationPolicy, set[str]]:
+    """The named policy, and which of ``--crl`` and ``--status-endpoint`` it reads."""
     name = getattr(args, which.replace("-", "_"))
     at = parse_time(args.at) if args.at else DEFAULT_VALIDATION_TIME
     crl = None
-    if getattr(args, "crl", None):
+    if args.crl:
         crl = decode_revocation_list(Path(args.crl).read_bytes())
     endpoint = None
-    if getattr(args, "status_endpoint", None):
+    if args.status_endpoint:
         endpoint = parse_endpoint(args.status_endpoint)
 
     if name == "spec":
-        return spec_policy(workspace.trust, at)
+        return spec_policy(workspace.trust, at), set()
     if name == "hardened":
         # the workspace authority's live revocation state, unless overridden
         if crl is None:
             crl = workspace.signing.generate_crl()
-        return hardened_policy(workspace.trust, at, crl=crl, status_endpoint=endpoint)
+        return hardened_policy(workspace.trust, at, crl=crl), {"--crl"}
 
     path = Path(name)
     if not path.is_file():
         raise ProvenanceError(f"policy {name!r} is not a preset or a readable file")
     fields = parse_policy_text(path.read_text())
+    mode = fields.get("revocation_mode", RevocationMode.NONE)
+    reads = set()
     if "crl_file" in fields:
         crl_path = (path.parent / str(fields.pop("crl_file"))).resolve()
         crl = decode_revocation_list(crl_path.read_bytes())
+    elif mode == RevocationMode.CRL_REQUIRED:
+        reads.add("--crl")
+    if "status_endpoint" in fields:
+        endpoint = fields.pop("status_endpoint")  # type: ignore[assignment]
+    elif mode in (RevocationMode.STATUS_SERVICE_SOFT_FAIL, RevocationMode.STATUS_SERVICE_HARD_FAIL):
+        reads.add("--status-endpoint")
     if "validation_time" in fields and not args.at:
         at = fields.pop("validation_time")
     else:
         fields.pop("validation_time", None)
     fields.setdefault("name", path.stem)
-    return ValidationPolicy(
-        trust=workspace.trust, validation_time=at, crl=crl,
-        status_endpoint=fields.pop("status_endpoint", endpoint), **fields,  # type: ignore[arg-type]
+    policy = ValidationPolicy(
+        trust=workspace.trust, validation_time=at, crl=crl, status_endpoint=endpoint,
+        **fields,  # type: ignore[arg-type]
     )
+    return policy, reads
+
+
+def _refuse_unread_flags(args: argparse.Namespace, names: list[str], reads: set[str]) -> None:
+    """Refuse ``--crl`` or ``--status-endpoint`` when no named policy reads it."""
+    given = {"--crl": args.crl, "--status-endpoint": args.status_endpoint}
+    for flag, value in given.items():
+        if value and flag not in reads:
+            if len(names) == 1:
+                raise ProvenanceError(f"policy {names[0]!r} does not use {flag}")
+            raise ProvenanceError(f"neither policy {names[0]!r} nor {names[1]!r} uses {flag}")
 
 
 @contextlib.contextmanager
@@ -133,7 +156,8 @@ def cmd_sign(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     workspace = _workspace(args)
-    policy = _resolve_policy(args, workspace)
+    policy, reads = _resolve_policy(args, workspace)
+    _refuse_unread_flags(args, [args.policy], reads)
     try:
         with _mapped(args.asset) as data:
             report = validate(data, policy)
@@ -146,8 +170,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_diff(args: argparse.Namespace) -> int:
     workspace = _workspace(args)
-    policy_a = _resolve_policy(args, workspace, "policy-a")
-    policy_b = _resolve_policy(args, workspace, "policy-b")
+    policy_a, reads_a = _resolve_policy(args, workspace, "policy-a")
+    policy_b, reads_b = _resolve_policy(args, workspace, "policy-b")
+    _refuse_unread_flags(args, [args.policy_a, args.policy_b], reads_a | reads_b)
     try:
         with _mapped(args.asset) as data:
             diff = validate_differential(data, policy_a, policy_b)

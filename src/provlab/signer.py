@@ -4,19 +4,23 @@
 
 1. digest each assertion and compute the hard binding over the asset bytes,
    excluding the manifest-to-be plus any labelled segments;
-2. build the claim and sign it.  In ``UNBOUND`` mode the timestamp token is
+2. settle the manifest's length.  The claim records the manifest's own byte
+   range among its exclusions, so its encoding depends on that length.
+   Everything else in the manifest has a size known before signing
+   (signatures are 64 bytes, digests 32, and a token's time is the TSA's
+   clock), so one probe manifest with zeroed signatures and digests measures
+   the bytes outside the claim, and the length is iterated to a fixed point
+   on the claim's encoding alone.  The binding digest is unaffected (the
+   manifest region is excluded either way); integer heads only grow, so the
+   length settles within a few rounds;
+3. sign the settled claim once.  In ``UNBOUND`` mode the timestamp token is
    fetched over the signature digest and merely attached.  In ``BOUND`` mode
    the construction is two-pass: sign the claim, timestamp that pass-1
    signature, then re-sign ``claim || token-digest``.  The pass-1 signature
    is discarded; what lands in the manifest is the pass-2 signature, whose
    payload pins the whole token;
-3. embed the encoded manifest immediately after the header segment.
-
-The claim records the manifest's own byte range among its exclusions, and
-that length depends on the encoded claim itself, so construction iterates to
-a fixed point.  The digest is unaffected (the manifest region is excluded
-either way); only the recorded length wobbles, and it settles within a few
-rounds because integer heads grow monotonically.
+4. encode the manifest, check that it has the settled length, and embed it
+   immediately after the header segment.
 
 Fixture scenarios live here too: deterministic signed assets exercising each
 configuration the validator and attack toolkit care about.
@@ -48,9 +52,8 @@ from .credentials import (
     digest_assertion,
     encode_claim,
     encode_manifest,
-    signed_payload,
 )
-from .crypto import SigningKey, digest, derive_stream_seed
+from .crypto import DIGEST_SIZE, SIGNATURE_SIZE, SigningKey, digest, derive_stream_seed
 from .errors import (
     DuplicateManifest,
     ExpiredSignerCert,
@@ -58,7 +61,7 @@ from .errors import (
     UnknownScenario,
     UsageViolation,
 )
-from .timestamp import TimestampAuthority, encode_token
+from .timestamp import TimestampAuthority, TimestampToken, encode_token
 from .trust import Certificate, Usage
 from .validator import Verdict
 from .workspace import DAY, T0, YEAR, Identity, Workspace
@@ -83,19 +86,17 @@ class SignerConfig:
             raise ValueError("bound signing requires a timestamp authority")
 
 
-def _build_claim_signature(
-    claim: Claim, config: SignerConfig
-) -> ClaimSignature:
+def _build_claim_signature(claim_bytes: bytes, config: SignerConfig) -> ClaimSignature:
+    """Sign the encoded claim; the payloads are ``credentials.signed_payload``'s."""
     if config.binding_mode == BindingMode.UNBOUND:
-        signature = config.key.sign(signed_payload(claim, BindingMode.UNBOUND))
+        signature = config.key.sign(claim_bytes)
         token = None
         if config.tsa is not None:
             token = config.tsa.issue(digest(signature))
         return ClaimSignature(config.chain, signature, token, BindingMode.UNBOUND)
-    pass1 = config.key.sign(encode_claim(claim))
+    pass1 = config.key.sign(claim_bytes)
     token = config.tsa.issue(digest(pass1))  # type: ignore[union-attr]
-    token_digest = digest(encode_token(token))
-    signature = config.key.sign(signed_payload(claim, BindingMode.BOUND, token_digest))
+    signature = config.key.sign(claim_bytes + digest(encode_token(token)))
     return ClaimSignature(config.chain, signature, token, BindingMode.BOUND)
 
 
@@ -135,27 +136,49 @@ def sign_asset(
     assertion_digests = tuple((a.label, digest_assertion(a)) for a in ordered)
     manifest_start = manifest_insert_offset(asset)
 
-    manifest_bytes = b""
-    manifest_length = 1
-    for _ in range(10):
+    def claim_for(manifest_length: int) -> Claim:
         exclusions = [ByteRange(manifest_start, manifest_length)]
         for rng in label_ranges:
             start = rng.start + manifest_length if rng.start >= manifest_start else rng.start
             exclusions.append(ByteRange(start, rng.length))
-        claim = Claim(
+        return Claim(
             generator=config.generator_name,
             created_at=config.clock,
             assertion_digests=assertion_digests,
             binding=HardBinding("sha-256", tuple(sorted(exclusions)), binding_digest),
             spec_version=CLAIM_SPEC_VERSION,
         )
-        manifest = Manifest(claim, ordered, _build_claim_signature(claim, config))
-        manifest_bytes = encode_manifest(manifest)
-        if len(manifest_bytes) == manifest_length:
+
+    # Every manifest byte outside the claim has a size fixed before signing,
+    # so a probe with zeroed signatures and digests measures them.
+    probe_token = None
+    if config.tsa is not None:
+        probe_token = TimestampToken(
+            bytes(DIGEST_SIZE), config.tsa.clock, config.tsa.chain, bytes(SIGNATURE_SIZE)
+        )
+    probe_signature = ClaimSignature(
+        config.chain, bytes(SIGNATURE_SIZE), probe_token, config.binding_mode
+    )
+    probe_claim = claim_for(1)
+    rest = len(encode_manifest(Manifest(probe_claim, ordered, probe_signature))) - len(
+        encode_claim(probe_claim)
+    )
+
+    manifest_length = 1
+    for _ in range(10):
+        claim = claim_for(manifest_length)
+        claim_bytes = encode_claim(claim)
+        if rest + len(claim_bytes) == manifest_length:
             break
-        manifest_length = len(manifest_bytes)
+        manifest_length = rest + len(claim_bytes)
     else:
         raise RuntimeError("manifest size did not converge")
+    manifest = Manifest(claim, ordered, _build_claim_signature(claim_bytes, config))
+    manifest_bytes = encode_manifest(manifest)
+    if len(manifest_bytes) != manifest_length:
+        raise RuntimeError(
+            f"manifest is {len(manifest_bytes)} bytes, not the settled {manifest_length}"
+        )
     return embed_manifest(asset, manifest_bytes)
 
 

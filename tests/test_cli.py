@@ -9,8 +9,10 @@ import pytest
 
 from provlab.attacks import ATTACKS
 from provlab.cli import main, parse_time
+from provlab.statusservice import run_status_service
+from provlab.trust import encode_revocation_list
 from provlab.validator import report_from_json
-from provlab.workspace import DAY, T0, YEAR
+from provlab.workspace import DAY, T0, YEAR, Workspace
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +101,73 @@ def test_bad_status_endpoint_exits_4(cliws, capsys, endpoint):
         capsys,
     )
     assert code == 4 and "bad status endpoint" in err
+
+
+@pytest.fixture
+def crl_file(cliws, tmp_path):
+    path = tmp_path / "authority.crl"
+    path.write_bytes(encode_revocation_list(Workspace.load(cliws).signing.generate_crl()))
+    return path
+
+
+def test_validate_refuses_revocation_flags_its_policy_ignores(cliws, tmp_path, crl_file, capsys):
+    assert run(["--workspace", str(cliws), "sign", "--scenario", "unbound-timestamp"], capsys)[0] == 0
+    asset = str(cliws / "fixtures" / "unbound-timestamp" / "asset.pvl")
+    file_crl = tmp_path / "file-crl.policy"
+    file_crl.write_text(f"revocation_mode = CRL_REQUIRED\ncrl_file = {crl_file.name}\n")
+    for policy, flag, value in (
+        ("spec", "--crl", str(crl_file)),
+        ("spec", "--status-endpoint", "127.0.0.1:9"),
+        ("hardened", "--status-endpoint", "127.0.0.1:9"),
+        (str(file_crl), "--crl", str(crl_file)),
+    ):
+        code, out, err = run(
+            ["--workspace", str(cliws), "validate", asset, "--policy", policy, flag, value],
+            capsys,
+        )
+        assert (code, out) == (4, "")
+        assert f"error: policy {policy!r} does not use {flag}" in err
+
+    # hardened reads --crl in place of the authority's live list
+    code, out, _ = run(
+        ["--workspace", str(cliws), "validate", asset, "--policy", "hardened", "--crl", str(crl_file)],
+        capsys,
+    )
+    assert code == 2 and "not in revocation list" in out
+
+
+def test_status_service_policy_reads_status_endpoint(cliws, tmp_path, capsys):
+    assert run(["--workspace", str(cliws), "sign", "--scenario", "unbound-timestamp"], capsys)[0] == 0
+    asset = str(cliws / "fixtures" / "unbound-timestamp" / "asset.pvl")
+    policy = tmp_path / "online.policy"
+    policy.write_text("revocation_mode = STATUS_SERVICE_HARD_FAIL\n")
+    service = run_status_service(Workspace.load(cliws).signing, "127.0.0.1", 0)
+    try:
+        host, port = service.endpoint
+        code, out, _ = run(
+            [
+                "--workspace", str(cliws), "validate", asset,
+                "--policy", str(policy), "--status-endpoint", f"{host}:{port}",
+            ],
+            capsys,
+        )
+    finally:
+        service.stop()
+    assert code == 0 and "status GOOD" in out
+    assert len(service.query_log) == 1
+
+
+def test_diff_refuses_a_flag_neither_policy_reads(cliws, crl_file, capsys):
+    assert run(["--workspace", str(cliws), "sign", "--scenario", "unbound-timestamp"], capsys)[0] == 0
+    asset = str(cliws / "fixtures" / "unbound-timestamp" / "asset.pvl")
+    code, out, err = run(
+        ["--workspace", str(cliws), "diff", asset, "--status-endpoint", "127.0.0.1:9"], capsys
+    )
+    assert (code, out) == (4, "")
+    assert "error: neither policy 'spec' nor 'hardened' uses --status-endpoint" in err
+    # hardened, the default policy b, reads --crl
+    code, out, _ = run(["--workspace", str(cliws), "diff", asset, "--crl", str(crl_file)], capsys)
+    assert code == 5 and "verdict agreement: NO" in out
 
 
 def test_structured_format_roundtrips(cliws, capsys):

@@ -1,10 +1,14 @@
 """Signing: fixpoint embedding, binding correctness, scenario determinism."""
 
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
+from provlab import credentials, signer, timestamp
 from provlab.container import compute_hard_binding, extract_manifest, serialize_asset
 from provlab.credentials import BindingMode, decode_manifest, signed_payload, encode_claim
-from provlab.crypto import digest, verify
+from provlab.crypto import SigningKey, digest, verify
 from provlab.errors import DuplicateManifest, ExpiredSignerCert, LabelNotFound, UnknownScenario, UsageViolation
 from provlab.signer import (
     SCENARIOS,
@@ -12,10 +16,12 @@ from provlab.signer import (
     build_scenario_content,
     format_gps,
     make_fixture,
+    scenario_signer,
     sign_asset,
 )
 from provlab.timestamp import encode_token
-from provlab.workspace import T0, YEAR, Workspace
+from provlab.validator import Verdict, spec_policy, validate
+from provlab.workspace import DAY, T0, YEAR, Workspace
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +119,80 @@ def test_bound_signature_pins_the_token(lab, honest_content):
     # the token's own digest refers to the discarded pass-1 signature, so it
     # does not match the published signature's digest
     assert claim_signature.timestamp.message_digest != digest(claim_signature.signature)
+
+
+def test_each_signing_signs_the_claim_once(lab, monkeypatch):
+    """Two signatures unbound (claim, token), three bound (pass 1, token,
+    pass 2), one token and two manifest encodes (probe, result) per signing."""
+    configs = {}
+    for name, scenario in SCENARIOS.items():
+        asset, assertions, generator = build_scenario_content(scenario, seed=11)
+        configs[name] = (asset, assertions, scenario_signer(lab, scenario, generator))
+
+    signatures = []
+    counts = Counter()
+    raw_sign = SigningKey.sign
+
+    def sign(key, message):
+        signatures.append(raw_sign(key, message))
+        return signatures[-1]
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    encode = counted("encode_manifest", credentials.encode_manifest)
+    monkeypatch.setattr(SigningKey, "sign", sign)
+    monkeypatch.setattr(timestamp, "issue_token", counted("issue_token", timestamp.issue_token))
+    monkeypatch.setattr(credentials, "encode_manifest", encode)
+    monkeypatch.setattr(signer, "encode_manifest", encode)
+
+    for name, (asset, assertions, config) in configs.items():
+        signatures.clear()
+        counts.clear()
+        signed = sign_asset(asset, assertions, config)
+        expected = 3 if config.binding_mode == BindingMode.BOUND else 2
+        assert len(signatures) == expected, name
+        assert counts == {"issue_token": 1, "encode_manifest": 2}, name
+        claim_signature = decode_manifest(extract_manifest(signed)).claim_signature
+        assert claim_signature.signature in signatures, name
+        assert claim_signature.timestamp.tsa_signature in signatures, name
+
+
+def test_manifest_length_settles_across_integer_heads(lab):
+    """The claim records the manifest's range and the shifted ``meta.gps``
+    range, whose encodings grow with the manifest length.  Generator names
+    carry the manifest across 65,536 bytes (the length and the ``meta.gps``
+    start each gain two head bytes there), and the generator's own text head
+    across 256 characters."""
+    scenario = SCENARIOS["gps-excluded"]
+    asset, assertions, generator = build_scenario_content(scenario, seed=11)
+    config = scenario_signer(lab, scenario, generator)
+    policy = spec_policy(lab.trust, T0 + DAY)
+
+    def manifest_length(name_length):
+        named = replace(config, generator_name="g" * name_length)
+        return len(extract_manifest(sign_asset(asset, assertions, named)))
+
+    # from 256 characters on, each further character adds one manifest byte
+    # until the integer heads grow at 65,536
+    near = 65_520 - (manifest_length(256) - 256) - 8
+    ranges, gps_starts = [], []
+    for name_length in [*range(250, 262), *range(near, near + 32)]:
+        named = replace(config, generator_name="g" * name_length)
+        signed = sign_asset(asset, assertions, named)
+        assert serialize_asset(sign_asset(asset, assertions, named)) == serialize_asset(signed)
+        manifest_segment = signed.find_manifest()
+        gps_segment = signed.find_label("meta.gps")
+        claim = decode_manifest(extract_manifest(signed)).claim
+        assert claim.binding.exclusions == (manifest_segment.range, gps_segment.range)
+        assert validate(serialize_asset(signed), policy).verdict == Verdict.ACCEPTED
+        ranges.append(manifest_segment.range.length)
+        gps_starts.append(gps_segment.range.start)
+    assert {length >= 65_536 for length in ranges} == {False, True}
+    assert {start >= 65_536 for start in gps_starts} == {False, True}
 
 
 def test_bound_mode_adds_created_assertion(lab, honest_content):
