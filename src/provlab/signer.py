@@ -151,18 +151,17 @@ def sign_asset(
 
     # Every manifest byte outside the claim has a size fixed before signing,
     # so a probe with zeroed signatures and digests measures them.
-    probe_token = None
+    token = None
     if config.tsa is not None:
-        probe_token = TimestampToken(
+        token = TimestampToken(
             bytes(DIGEST_SIZE), config.tsa.clock, config.tsa.chain, bytes(SIGNATURE_SIZE)
         )
-    probe_signature = ClaimSignature(
-        config.chain, bytes(SIGNATURE_SIZE), probe_token, config.binding_mode
+    probe = Manifest(
+        claim_for(1),
+        ordered,
+        ClaimSignature(config.chain, bytes(SIGNATURE_SIZE), token, config.binding_mode),
     )
-    probe_claim = claim_for(1)
-    rest = len(encode_manifest(Manifest(probe_claim, ordered, probe_signature))) - len(
-        encode_claim(probe_claim)
-    )
+    rest = len(encode_manifest(probe)) - len(encode_claim(probe.claim))
 
     manifest_length = 1
     for _ in range(10):
