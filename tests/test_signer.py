@@ -172,13 +172,11 @@ def test_manifest_length_settles_across_integer_heads(lab):
     config = scenario_signer(lab, scenario, generator)
     policy = spec_policy(lab.trust, T0 + DAY)
 
-    def manifest_length(name_length):
-        named = replace(config, generator_name="g" * name_length)
-        return len(extract_manifest(sign_asset(asset, assertions, named)))
-
     # from 256 characters on, each further character adds one manifest byte
     # until the integer heads grow at 65,536
-    near = 65_520 - (manifest_length(256) - 256) - 8
+    named = replace(config, generator_name="g" * 256)
+    overhead = len(extract_manifest(sign_asset(asset, assertions, named))) - 256
+    near = 65_520 - overhead - 8
     ranges, gps_starts = [], []
     for name_length in [*range(250, 262), *range(near, near + 32)]:
         named = replace(config, generator_name="g" * name_length)
