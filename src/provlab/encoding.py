@@ -2,7 +2,8 @@
 
 Credentials are hashed and signed over their encoded form, so the encoding
 must be a bijection on the supported value space: one value, one byte string.
-The wire format follows CBOR-style rules with every freedom removed:
+The wire format follows CBOR-style rules with every freedom removed, the
+deterministic encoding of RFC 8949 §4.2:
 
 - definite lengths only;
 - integers use the shortest possible head;
@@ -18,6 +19,15 @@ than being normalised away.  Strictness is what makes
 re-encoded structure is byte-identical to what was signed.  This module
 covers values; :mod:`.records` carries the same guarantee to the record
 level by accepting exactly one value shape per record type.
+
+The decoder is one recursive function, ``_decode(data, pos, depth)``, that
+indexes the input directly, checks every bound itself and returns the value
+with the position after it.  The encoder, :func:`write_value`, appends the
+chunks of a value to one list; :func:`encode_value` joins that list once.
+:mod:`.records` writes whole records into the same kind of list through
+writers compiled per record class, using :func:`array_head` and
+:func:`map_head` for the heads it cannot precompute, and calls
+:func:`write_value` only for fields that have no fixed shape.
 
 Supported values: ``None``, ``bool``, ``int`` (magnitude below 2**64),
 ``float``, ``str``, ``bytes``, ``list``/``tuple``, and ``dict`` with
@@ -37,6 +47,8 @@ _MAJOR_BYTES = 2
 _MAJOR_TEXT = 3
 _MAJOR_ARRAY = 4
 _MAJOR_MAP = 5
+_MAJOR_TAG = 6
+_MAJOR_SIMPLE = 7
 
 _SIMPLE_FALSE = 0xF4
 _SIMPLE_TRUE = 0xF5
@@ -52,153 +64,196 @@ MAX_DEPTH = 32
 
 Value = None | bool | int | float | str | bytes | list | tuple | dict
 
+# every one-byte string, so a head with an argument below 24 is a lookup
+_BYTE = tuple(bytes([b]) for b in range(256))
+_NULL = _BYTE[_SIMPLE_NULL]
+_FALSE = _BYTE[_SIMPLE_FALSE]
+_TRUE = _BYTE[_SIMPLE_TRUE]
+_pack_float = struct.Struct(">d").pack
+_unpack_float = struct.Struct(">d").unpack_from
 
-def _encode_head(major: int, arg: int) -> bytes:
+# per long head info 24-27: argument size, its reader, and the smallest
+# argument it may carry (anything less has a shorter head)
+_LONG_HEADS = tuple(
+    (struct.calcsize(code), struct.Struct(code).unpack_from, shortest)
+    for code, shortest in ((">B", 24), (">H", 2**8), (">I", 2**16), (">Q", 2**32))
+)
+
+
+def _head(major: int, arg: int) -> bytes:
+    initial = major << 5
     if arg < 24:
-        return bytes([(major << 5) | arg])
+        return _BYTE[initial | arg]
     if arg < 2**8:
-        return bytes([(major << 5) | 24, arg])
+        return ((initial | 24) << 8 | arg).to_bytes(2, "big")
     if arg < 2**16:
-        return bytes([(major << 5) | 25]) + arg.to_bytes(2, "big")
+        return ((initial | 25) << 16 | arg).to_bytes(3, "big")
     if arg < 2**32:
-        return bytes([(major << 5) | 26]) + arg.to_bytes(4, "big")
-    return bytes([(major << 5) | 27]) + arg.to_bytes(8, "big")
+        return ((initial | 26) << 32 | arg).to_bytes(5, "big")
+    return ((initial | 27) << 64 | arg).to_bytes(9, "big")
+
+
+def array_head(count: int) -> bytes:
+    """The head of an array of ``count`` items."""
+    return _head(_MAJOR_ARRAY, count)
+
+
+def map_head(count: int) -> bytes:
+    """The head of a map of ``count`` pairs."""
+    return _head(_MAJOR_MAP, count)
 
 
 def encode_value(value: Value) -> bytes:
     """Encode ``value`` into its unique canonical byte string."""
-    if value is None:
-        return bytes([_SIMPLE_NULL])
-    if isinstance(value, bool):
-        return bytes([_SIMPLE_TRUE if value else _SIMPLE_FALSE])
-    if isinstance(value, int):
+    out: list[bytes] = []
+    write_value(value, out)
+    return b"".join(out)
+
+
+def write_value(value: Value, out: list[bytes]) -> None:
+    """Append the canonical encoding of ``value`` to ``out``, in chunks."""
+    # no value is an instance of two of these types except bool, an int,
+    # so only bool has to be tested before int
+    if isinstance(value, str):
+        raw = value.encode("utf-8")
+        out.append(_head(_MAJOR_TEXT, len(raw)))
+        out.append(raw)
+    elif isinstance(value, bytes):
+        out.append(_head(_MAJOR_BYTES, len(value)))
+        out.append(value)
+    elif isinstance(value, bool):
+        out.append(_TRUE if value else _FALSE)
+    elif isinstance(value, int):
         if value >= 0:
             if value > _UINT_MAX:
                 raise EncodeError(f"integer too large: {value}")
-            return _encode_head(_MAJOR_UINT, value)
-        arg = -1 - value
-        if arg > _UINT_MAX:
-            raise EncodeError(f"integer too small: {value}")
-        return _encode_head(_MAJOR_NEGINT, arg)
-    if isinstance(value, float):
+            out.append(_head(_MAJOR_UINT, value))
+        else:
+            arg = -1 - value
+            if arg > _UINT_MAX:
+                raise EncodeError(f"integer too small: {value}")
+            out.append(_head(_MAJOR_NEGINT, arg))
+    elif value is None:
+        out.append(_NULL)
+    elif isinstance(value, float):
         if math.isnan(value) or math.isinf(value):
             raise EncodeError("non-finite floats are not encodable")
-        return bytes([_FLOAT64]) + struct.pack(">d", value)
-    if isinstance(value, bytes):
-        return _encode_head(_MAJOR_BYTES, len(value)) + value
-    if isinstance(value, str):
-        raw = value.encode("utf-8")
-        return _encode_head(_MAJOR_TEXT, len(raw)) + raw
-    if isinstance(value, (list, tuple)):
-        body = b"".join(encode_value(item) for item in value)
-        return _encode_head(_MAJOR_ARRAY, len(value)) + body
-    if isinstance(value, dict):
-        encoded_pairs = []
-        for key, item in value.items():
-            if not isinstance(key, (str, int, bytes)) or isinstance(key, bool):
-                raise EncodeError(f"unsupported map key type: {type(key).__name__}")
-            encoded_pairs.append((encode_value(key), encode_value(item)))
-        encoded_pairs.sort(key=lambda pair: pair[0])
-        for (a, _), (b, _) in zip(encoded_pairs, encoded_pairs[1:]):
-            if a == b:
-                raise EncodeError("duplicate map key")
-        body = b"".join(k + v for k, v in encoded_pairs)
-        return _encode_head(_MAJOR_MAP, len(encoded_pairs)) + body
-    raise EncodeError(f"unsupported value type: {type(value).__name__}")
+        out.append(_BYTE[_FLOAT64])
+        out.append(_pack_float(value))
+    elif isinstance(value, (list, tuple)):
+        out.append(_head(_MAJOR_ARRAY, len(value)))
+        for item in value:
+            write_value(item, out)
+    elif isinstance(value, dict):
+        _write_map(value, out)
+    else:
+        raise EncodeError(f"unsupported value type: {type(value).__name__}")
 
 
-class _Decoder:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+def _write_map(value: dict, out: list[bytes]) -> None:
+    # each pair is encoded before any is placed, so the pairs can be put in
+    # the order of their encoded keys
+    pairs: list[tuple[bytes, list[bytes]]] = []
+    for key, item in value.items():
+        if not isinstance(key, (str, int, bytes)) or isinstance(key, bool):
+            raise EncodeError(f"unsupported map key type: {type(key).__name__}")
+        key_bytes = encode_value(key)
+        chunks: list[bytes] = []
+        write_value(item, chunks)
+        pairs.append((key_bytes, chunks))
+    pairs.sort(key=lambda pair: pair[0])
+    for (a, _), (b, _) in zip(pairs, pairs[1:]):
+        if a == b:
+            raise EncodeError("duplicate map key")
+    out.append(_head(_MAJOR_MAP, len(pairs)))
+    for key_bytes, chunks in pairs:
+        out.append(key_bytes)
+        out.extend(chunks)
 
-    def _take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise DecodeError("truncated input")
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
 
-    def _read_arg(self, info: int) -> int:
-        if info < 24:
-            return info
-        if info == 24:
-            arg = self._take(1)[0]
-            if arg < 24:
-                raise DecodeError("non-shortest integer head")
-            return arg
-        if info == 25:
-            arg = int.from_bytes(self._take(2), "big")
-            if arg < 2**8:
-                raise DecodeError("non-shortest integer head")
-            return arg
-        if info == 26:
-            arg = int.from_bytes(self._take(4), "big")
-            if arg < 2**16:
-                raise DecodeError("non-shortest integer head")
-            return arg
-        if info == 27:
-            arg = int.from_bytes(self._take(8), "big")
-            if arg < 2**32:
-                raise DecodeError("non-shortest integer head")
-            return arg
-        raise DecodeError(f"unsupported head info {info}")
-
-    def decode(self, depth: int = 0) -> Value:
-        if depth > MAX_DEPTH:
-            raise DecodeError(f"nesting deeper than {MAX_DEPTH} levels")
-        initial = self._take(1)[0]
-        major, info = initial >> 5, initial & 0x1F
-        if major == _MAJOR_UINT:
-            return self._read_arg(info)
-        if major == _MAJOR_NEGINT:
-            return -1 - self._read_arg(info)
-        if major == _MAJOR_BYTES:
-            return self._take(self._read_arg(info))
-        if major == _MAJOR_TEXT:
-            raw = self._take(self._read_arg(info))
-            try:
-                return raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise DecodeError("invalid UTF-8 in text string") from exc
-        if major == _MAJOR_ARRAY:
-            return [self.decode(depth + 1) for _ in range(self._read_arg(info))]
-        if major == _MAJOR_MAP:
-            count = self._read_arg(info)
-            result: dict = {}
-            prev_key_bytes: bytes | None = None
-            for _ in range(count):
-                key_start = self.pos
-                key = self.decode(depth + 1)
-                key_bytes = self.data[key_start : self.pos]
-                if not isinstance(key, (str, int, bytes)) or isinstance(key, bool):
-                    raise DecodeError("unsupported map key type")
-                if prev_key_bytes is not None and key_bytes <= prev_key_bytes:
-                    raise DecodeError("map keys not sorted or not unique")
-                prev_key_bytes = key_bytes
-                result[key] = self.decode(depth + 1)
-            return result
-        if major == 7:
-            if initial == _SIMPLE_FALSE:
-                return False
-            if initial == _SIMPLE_TRUE:
-                return True
-            if initial == _SIMPLE_NULL:
-                return None
-            if initial == _FLOAT64:
-                value = struct.unpack(">d", self._take(8))[0]
-                if math.isnan(value) or math.isinf(value):
-                    raise DecodeError("non-finite float")
-                return value
+def _decode(data: bytes, pos: int, depth: int) -> tuple[Value, int]:
+    """Decode the value at ``data[pos:]``; return it and the position after it."""
+    if depth > MAX_DEPTH:
+        raise DecodeError(f"nesting deeper than {MAX_DEPTH} levels")
+    try:
+        initial = data[pos]
+    except IndexError:
+        raise DecodeError("truncated input") from None
+    pos += 1
+    if initial < 24:  # an unsigned integer below 24, the head alone
+        return initial, pos
+    major = initial >> 5
+    # tags and simple values carry no argument to read
+    if major == _MAJOR_SIMPLE:
+        if initial == _SIMPLE_FALSE:
+            return False, pos
+        if initial == _SIMPLE_TRUE:
+            return True, pos
+        if initial == _SIMPLE_NULL:
+            return None, pos
+        if initial == _FLOAT64:
+            if pos + 8 > len(data):
+                raise DecodeError("truncated input")
+            value = _unpack_float(data, pos)[0]
+            if math.isnan(value) or math.isinf(value):
+                raise DecodeError("non-finite float")
+            return value, pos + 8
         raise DecodeError(f"unsupported initial byte 0x{initial:02x}")
+    if major == _MAJOR_TAG:
+        raise DecodeError(f"unsupported initial byte 0x{initial:02x}")
+    arg = initial & 0x1F
+    if arg >= 24:
+        if arg > 27:
+            raise DecodeError(f"unsupported head info {arg}")
+        size, unpack, shortest = _LONG_HEADS[arg - 24]
+        if pos + size > len(data):
+            raise DecodeError("truncated input")
+        arg = unpack(data, pos)[0]
+        if arg < shortest:
+            raise DecodeError("non-shortest integer head")
+        pos += size
+    if major == _MAJOR_TEXT or major == _MAJOR_BYTES:
+        end = pos + arg
+        if end > len(data):
+            raise DecodeError("truncated input")
+        if major == _MAJOR_BYTES:
+            return data[pos:end], end
+        try:
+            return data[pos:end].decode("utf-8"), end
+        except UnicodeDecodeError as exc:
+            raise DecodeError("invalid UTF-8 in text string") from exc
+    if major == _MAJOR_UINT:
+        return arg, pos
+    if major == _MAJOR_NEGINT:
+        return -1 - arg, pos
+    depth += 1
+    if major == _MAJOR_ARRAY:
+        items = []
+        for _ in range(arg):
+            item, pos = _decode(data, pos, depth)
+            items.append(item)
+        return items, pos
+    result: dict = {}
+    prev_key_bytes = b""
+    for index in range(arg):
+        key_start = pos
+        key, pos = _decode(data, pos, depth)
+        key_bytes = data[key_start:pos]
+        if type(key) is not str and type(key) is not int and type(key) is not bytes:
+            raise DecodeError("unsupported map key type")
+        if index and key_bytes <= prev_key_bytes:
+            raise DecodeError("map keys not sorted or not unique")
+        prev_key_bytes = key_bytes
+        result[key], pos = _decode(data, pos, depth)
+    return result, pos
 
 
 def decode_value(data: bytes) -> Value:
     """Decode a canonical byte string, rejecting any non-canonical form."""
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise DecodeError("input must be bytes")
-    decoder = _Decoder(bytes(data))
-    value = decoder.decode()
-    if decoder.pos != len(decoder.data):
+    data = bytes(data)
+    value, pos = _decode(data, 0, 0)
+    if pos != len(data):
         raise DecodeError("trailing bytes after value")
     return value

@@ -14,14 +14,25 @@ such as ``tuple[str, bytes]``, nested records, enums (by ``.value``), maps
 ``dict[str, V]`` with ``V`` one of those scalars or an enum, and any other
 ``dict`` as a free-form map that the record's ``__post_init__`` validates.
 
-``record_value``/``record_from_value`` are the value-level pair;
-``encode_record``/``decode_record`` add the value codec of :mod:`.encoding`.
-Decoding is exact: a map carries precisely the record's field names, every
-value has its field's type, and the dataclass's own checks run.  On top of
-the strict value codec this makes ``encode_record(decode_record(cls, b)) ==
-b`` for every ``b`` that decodes, so one record has one byte string.  A
-record without ``bytes`` fields has a JSON form too, read back through
-``record_from_value`` with the same exact decoding.
+``record_value``/``record_from_value`` are the value-level pair and the
+source of the JSON forms; ``decode_record`` is ``record_from_value`` over
+the value decoder of :mod:`.encoding`.  Decoding is exact: a map carries
+precisely the record's field names, every value has its field's type (an
+enum field's through a value-to-member table built once per enum), and the
+dataclass's own checks run.  On top of the strict value codec this makes
+``encode_record(decode_record(cls, b)) == b`` for every ``b`` that decodes,
+so one record has one byte string.  A record without ``bytes`` fields has a
+JSON form too, read back through ``record_from_value`` with the same exact
+decoding.
+
+``encode_record`` builds no intermediate value.  A writer compiled once per
+record class and ``omit`` holds the map head and each field name's encoded
+key, already in canonical order, and appends every field's chunks straight
+to one list: nested records, arrays of records, fixed tuples, optionals and
+enums included.  Only fields without a fixed shape (scalars and free-form
+maps) go through :func:`~.encoding.write_value`, which still sorts a
+free-form map's keys on each call.  The bytes are those of
+``encode_value(record_value(record, omit))``.
 
 A signed payload is a record minus some fields, named by ``omit``: a
 certificate without its issuer signature, a revocation list without its
@@ -39,14 +50,21 @@ from enum import Enum
 from typing import Any, Callable
 
 from .container import ByteRange
-from .encoding import Value, decode_value, encode_value
+from .encoding import Value, array_head, decode_value, encode_value, map_head, write_value
 from .errors import DecodeError
 
 _POSITIONAL = (ByteRange,)
 _SCALARS = (str, int, bool, bytes)
+_NULL = encode_value(None)
 
-# per field: name, encoder (None when the value encodes as itself), decoder
-_Plan = tuple[tuple[str, Callable[[Any], Value] | None, Callable[[Value], Any]], ...]
+Encoder = Callable[[Any], Value]
+Decoder = Callable[[Value], Any]
+# appends a field value's canonical chunks to the list it is given
+Writer = Callable[[Any, list], None]
+
+# per field: name, encoder (None when the value encodes as itself), decoder,
+# writer
+_Plan = tuple[tuple[str, Encoder | None, Decoder, Writer], ...]
 
 
 def record_value(record: Any, omit: tuple[str, ...] = ()) -> dict:
@@ -61,7 +79,9 @@ def record_from_value(cls: type, value: Value) -> Any:
 
 def encode_record(record: Any, omit: tuple[str, ...] = ()) -> bytes:
     """Canonical bytes of ``record``, leaving out the fields named in ``omit``."""
-    return encode_value(record_value(record, omit))
+    out: list[bytes] = []
+    _record_writer(type(record), omit)(record, out)
+    return b"".join(out)
 
 
 def decode_record(cls: type, data: bytes) -> Any:
@@ -80,7 +100,7 @@ def _plan(cls: type) -> _Plan:
 def _map_value(plan: _Plan, record: Any, omit: tuple[str, ...] = ()) -> dict:
     return {
         name: getattr(record, name) if encode is None else encode(getattr(record, name))
-        for name, encode, _ in plan
+        for name, encode, _, _ in plan
         if name not in omit
     }
 
@@ -88,14 +108,49 @@ def _map_value(plan: _Plan, record: Any, omit: tuple[str, ...] = ()) -> dict:
 def _array_value(plan: _Plan, record: Any) -> list:
     return [
         getattr(record, name) if encode is None else encode(getattr(record, name))
-        for name, encode, _ in plan
+        for name, encode, _, _ in plan
     ]
 
 
 @functools.cache
-def _record_decoder(cls: type) -> Callable[[Value], Any]:
+def _record_writer(cls: type, omit: tuple[str, ...] = ()) -> Writer:
+    # a record is a map, even a positional one, when it is the whole value
+    fields = sorted(
+        (
+            (encode_value(name), name, write)
+            for name, _, _, write in _plan(cls)
+            if name not in omit
+        ),
+        key=lambda field: field[0],
+    )
+    head = map_head(len(fields))
+
+    def write_record(record: Any, out: list) -> None:
+        out.append(head)
+        for key, name, write in fields:
+            out.append(key)
+            write(getattr(record, name), out)
+
+    return write_record
+
+
+@functools.cache
+def _positional_writer(cls: type) -> Writer:
+    fields = tuple((name, write) for name, _, _, write in _plan(cls))
+    head = array_head(len(fields))
+
+    def write_record(record: Any, out: list) -> None:
+        out.append(head)
+        for name, write in fields:
+            write(getattr(record, name), out)
+
+    return write_record
+
+
+@functools.cache
+def _record_decoder(cls: type) -> Decoder:
     plan = _plan(cls)
-    names = [name for name, _, _ in plan]
+    names = [name for name, _, _, _ in plan]
     name_set = set(names)
     positional = cls in _POSITIONAL
 
@@ -109,19 +164,19 @@ def _record_decoder(cls: type) -> Callable[[Value], Any]:
                 raise DecodeError(f"{cls.__name__} must be a map of {sorted(names)}")
             items = [value[name] for name in names]
         try:
-            return cls(*[dec(item) for (_, _, dec), item in zip(plan, items)])
+            return cls(*[dec(item) for (_, _, dec, _), item in zip(plan, items)])
         except ValueError as exc:
             raise DecodeError(f"bad {cls.__name__} record: {exc}") from exc
 
     return decode
 
 
-def _converters(hint: Any) -> tuple[Callable[[Any], Value] | None, Callable[[Value], Any]]:
+def _converters(hint: Any) -> tuple[Encoder | None, Decoder, Writer]:
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is dict and args[0] is str and (args[1] in _SCALARS or _is_enum(args[1])):
         return _text_keyed_map(*_converters(args[1]))
     if hint in _SCALARS or hint is dict or origin is dict:
-        return None, _scalar_decoder(origin or hint)
+        return None, _scalar_decoder(origin or hint), write_value
     if origin is types.UnionType and len(args) == 2 and type(None) in args:
         return _optional(*_converters(next(a for a in args if a is not type(None))))
     if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
@@ -129,12 +184,16 @@ def _converters(hint: Any) -> tuple[Callable[[Any], Value] | None, Callable[[Val
     if origin is tuple:
         return _fixed_tuple([_converters(arg) for arg in args])
     if _is_enum(hint):
-        return (lambda member: member.value), _enum_decoder(hint)
+        return _enum(hint)
     if dataclasses.is_dataclass(hint):
         plan = _plan(hint)
         if hint in _POSITIONAL:
-            return functools.partial(_array_value, plan), _record_decoder(hint)
-        return functools.partial(_map_value, plan), _record_decoder(hint)
+            return (
+                functools.partial(_array_value, plan),
+                _record_decoder(hint),
+                _positional_writer(hint),
+            )
+        return functools.partial(_map_value, plan), _record_decoder(hint), _record_writer(hint)
     raise TypeError(f"no wire shape for field type {hint!r}")
 
 
@@ -142,7 +201,7 @@ def _is_enum(hint: Any) -> bool:
     return isinstance(hint, type) and issubclass(hint, Enum)
 
 
-def _scalar_decoder(kind: type) -> Callable[[Value], Any]:
+def _scalar_decoder(kind: type) -> Decoder:
     # the value codec and ``json`` yield exact types, so ``type(...) is``
     # keeps ``bool`` out of ``int`` fields and ``0``/``1`` out of ``bool`` ones
     def decode(value: Value) -> Any:
@@ -153,60 +212,95 @@ def _scalar_decoder(kind: type) -> Callable[[Value], Any]:
     return decode
 
 
-def _optional(encode, decode):
+def _optional(encode, decode, write):
     def decode_optional(value: Value) -> Any:
         return None if value is None else decode(value)
 
     if encode is None:
-        return None, decode_optional
-    return (lambda value: None if value is None else encode(value)), decode_optional
+        return None, decode_optional, write_value
+
+    def encode_optional(value: Any) -> Value:
+        return None if value is None else encode(value)
+
+    def write_optional(value: Any, out: list) -> None:
+        if value is None:
+            out.append(_NULL)
+        else:
+            write(value, out)
+
+    return encode_optional, decode_optional, write_optional
 
 
-def _sequence(encode, decode):
+def _sequence(encode, decode, write):
     def decode_sequence(value: Value) -> tuple:
         if type(value) is not list:
             raise DecodeError(f"expected array, got {type(value).__name__}")
         return tuple([decode(item) for item in value])
 
     if encode is None:
-        return None, decode_sequence
-    return (lambda items: [encode(item) for item in items]), decode_sequence
+        return None, decode_sequence, write_value
+
+    def write_sequence(items: Any, out: list) -> None:
+        out.append(array_head(len(items)))
+        for item in items:
+            write(item, out)
+
+    return (lambda items: [encode(item) for item in items]), decode_sequence, write_sequence
 
 
-def _text_keyed_map(encode, decode):
+def _text_keyed_map(encode, decode, write):
     def decode_map(value: Value) -> dict:
         if type(value) is not dict or any(type(key) is not str for key in value):
             raise DecodeError("expected a map with text keys")
         return {key: decode(item) for key, item in value.items()}
 
     if encode is None:
-        return None, decode_map
-    return (lambda items: {key: encode(item) for key, item in items.items()}), decode_map
+        return None, decode_map, write_value
+
+    def encode_map(items: dict) -> dict:
+        return {key: encode(item) for key, item in items.items()}
+
+    # the keys are free-form, so the generic writer sorts them
+    return encode_map, decode_map, lambda items, out: write_value(encode_map(items), out)
 
 
 def _fixed_tuple(converters):
     def decode_tuple(value: Value) -> tuple:
         if type(value) is not list or len(value) != len(converters):
             raise DecodeError(f"expected a {len(converters)}-element array")
-        return tuple([dec(item) for (_, dec), item in zip(converters, value)])
+        return tuple([dec(item) for (_, dec, _), item in zip(converters, value)])
 
-    if all(enc is None for enc, _ in converters):
-        return None, decode_tuple
+    if all(enc is None for enc, _, _ in converters):
+        return None, decode_tuple, write_value
+
+    def write_tuple(items: Any, out: list) -> None:
+        pairs = list(zip(converters, items))
+        out.append(array_head(len(pairs)))
+        for (_, _, write), item in pairs:
+            write(item, out)
+
     return (
         lambda items: [
-            item if enc is None else enc(item) for (enc, _), item in zip(converters, items)
+            item if enc is None else enc(item) for (enc, _, _), item in zip(converters, items)
         ]
-    ), decode_tuple
+    ), decode_tuple, write_tuple
 
 
-def _enum_decoder(cls: type[Enum]) -> Callable[[Value], Enum]:
+def _enum(cls: type[Enum]) -> tuple[Encoder, Decoder, Writer]:
+    # ``_value_`` is what ``.value`` returns, without the descriptor's cost
+    members = {member.value: member for member in cls}
+    encoded = {value: encode_value(value) for value in members}
+
     def decode(value: Value) -> Enum:
         try:
-            member = cls(value)
-        except ValueError:
+            member = members[value]
+        except (KeyError, TypeError):  # TypeError: an unhashable value
             raise DecodeError(f"unknown {cls.__name__} value {value!r}") from None
-        if type(value) is not type(member.value):
+        if type(value) is not type(member._value_):
             raise DecodeError(f"{cls.__name__} value has the wrong type")
         return member
 
-    return decode
+    def write(member: Enum, out: list) -> None:
+        out.append(encoded[member._value_])
+
+    return (lambda member: member.value), decode, write

@@ -14,6 +14,8 @@ criterion.  Behaviour covered:
   9.  offline list and online status service agree on every serial
 """
 
+import hashlib
+import json
 import random
 import time
 from pathlib import Path
@@ -69,6 +71,11 @@ from provlab.validator import (
     validate_differential,
 )
 from provlab.workspace import DAY, T0, YEAR, Workspace
+
+# SHA-256 over criterion 7's 100 000 reports, each folded in as the JSON
+# array [verdict, exit code, [[check, outcome, detail], ...]]: it pins the
+# decoder's messages and the order of checks, not only that a verdict came
+CRITERION_7_REPORTS_DIGEST = "64d2597c837617974452c6b851f51004eb48c221526d81d805a283af38da2f41"
 
 
 class Budget:
@@ -310,12 +317,16 @@ def test_criterion_7_fuzz_totality(workspace, corpus):
         seeds.append((data, spec_policy(workspace.trust, entry.validation_time)))
     blob_policy = spec_policy(workspace.trust, T0 + DAY)
     allowed = {0, 2, 3, 4}
+    reports = hashlib.sha256()
 
     def check(report):
-        assert exit_code_for(report) in allowed
+        code = exit_code_for(report)
+        assert code in allowed
         assert len(report.checks) == 11
         assert all(r.outcome in CheckOutcome for r in report.checks)
         assert not any(r.detail.startswith("unexpected") for r in report.checks)
+        checks = [[r.name, r.outcome.value, r.detail] for r in report.checks]
+        reports.update(json.dumps([report.verdict.value, code, checks]).encode())
 
     total = 0
     with Budget(300.0):
@@ -338,6 +349,7 @@ def test_criterion_7_fuzz_totality(workspace, corpus):
             check(validate(bytes(mutated), policy))
             total += 1
     assert total == 100_000
+    assert reports.hexdigest() == CRITERION_7_REPORTS_DIGEST
 
 
 def test_criterion_8_seeded_rebuild_is_byte_identical(tmp_path):

@@ -111,36 +111,37 @@ def test_unencodable_values_rejected(value):
         encode_value(value)
 
 
-@pytest.mark.parametrize(
-    "hexwire",
-    [
-        "1800",  # 24-coded 0: must be immediate
-        "1817",  # 24-coded 23: must be immediate
-        "190001",  # 16-bit head for a value < 256
-        "1a00000100",  # 32-bit head for a value < 65536
-        "1b0000000000000001",  # 64-bit head for 1
-        "3800",  # -1 with a long head
-        "5f41004100ff",  # indefinite-length bytes
-        "7f6161ff",  # indefinite-length text
-        "9f01ff",  # indefinite-length array
-        "bf616101ff",  # indefinite-length map
-        "f7",  # undefined
-        "f97e00",  # float16
-        "fa47c35000",  # float32
-        "fb7ff8000000000000",  # NaN
-        "fb7ff0000000000000",  # +inf
-        "a26162016161 02".replace(" ", ""),  # map keys out of order
-        "a2616101616102",  # duplicate map keys
-        "616100",  # trailing byte
-        "",  # empty input
-        "18",  # truncated head
-        "44010203",  # truncated byte string
-        "62ff",  # truncated text
-        "63c328fc",  # invalid utf-8 text (unpaired surrogate-ish)
-        "c101",  # tag (major 6) unsupported
-        pytest.param("81" * 5000 + "00", id="nested-5000-deep"),
-    ],
-)
+# non-canonical or malformed wire; each must raise DecodeError
+NONCANONICAL_WIRE = [
+    "1800",  # 24-coded 0: must be immediate
+    "1817",  # 24-coded 23: must be immediate
+    "190001",  # 16-bit head for a value < 256
+    "1a00000100",  # 32-bit head for a value < 65536
+    "1b0000000000000001",  # 64-bit head for 1
+    "3800",  # -1 with a long head
+    "5f41004100ff",  # indefinite-length bytes
+    "7f6161ff",  # indefinite-length text
+    "9f01ff",  # indefinite-length array
+    "bf616101ff",  # indefinite-length map
+    "f7",  # undefined
+    "f97e00",  # float16
+    "fa47c35000",  # float32
+    "fb7ff8000000000000",  # NaN
+    "fb7ff0000000000000",  # +inf
+    "a26162016161 02".replace(" ", ""),  # map keys out of order
+    "a2616101616102",  # duplicate map keys
+    "616100",  # trailing byte
+    "",  # empty input
+    "18",  # truncated head
+    "44010203",  # truncated byte string
+    "62ff",  # truncated text
+    "63c328fc",  # invalid utf-8 text (unpaired surrogate-ish)
+    "c101",  # tag (major 6) unsupported
+    pytest.param("81" * 5000 + "00", id="nested-5000-deep"),
+]
+
+
+@pytest.mark.parametrize("hexwire", NONCANONICAL_WIRE)
 def test_noncanonical_wire_rejected(hexwire):
     with pytest.raises(DecodeError):
         decode_value(bytes.fromhex(hexwire))

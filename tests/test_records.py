@@ -1,0 +1,93 @@
+"""Compiled record writers against the value path they replace.
+
+``encode_value(record_value(record, omit))`` is how records were encoded
+before each class got a compiled writer; it stays the reference.  Every
+record class the seeded workspace and corpus produce is checked, with every
+``omit`` that a signed payload uses.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from provlab.container import extract_manifest, parse_asset
+from provlab.corpus import entry_policies
+from provlab.credentials import Claim, decode_manifest
+from provlab.encoding import encode_value
+from provlab.errors import EncodeError, NoManifest
+from provlab.records import decode_record, encode_record, record_value
+from provlab.validator import validate
+
+# the fields each signed payload leaves out
+SIGNED_PAYLOAD_OMITS = {
+    "Certificate": ("issuer_signature",),
+    "RevocationList": ("signature",),
+    "TimestampToken": ("tsa_chain", "tsa_signature"),
+    "StatusResponse": ("responder_signature",),
+}
+
+
+def _seeded_records(corpus) -> list:
+    workspace = corpus["workspace"]
+    records: list = [corpus["crl"], *workspace.trust.anchors]
+    for entry in corpus["entries"]:
+        data = (workspace.root / entry.path).read_bytes()
+        records.append(entry)
+        policies = entry_policies(workspace, entry, corpus["crl"])
+        records += [validate(data, policy) for policy in policies.values()]
+        try:
+            manifest = decode_manifest(extract_manifest(parse_asset(data)))
+        except NoManifest:
+            continue
+        records += [manifest, manifest.claim, *manifest.assertions, manifest.claim_signature]
+        for signature in (manifest.claim_signature, *manifest.redaction_signatures):
+            records += [signature, *signature.signer_chain]
+            if signature.timestamp is not None:
+                records += [signature.timestamp, *signature.timestamp.tsa_chain]
+        records += manifest.archival_tokens
+    revoked = next(iter(workspace.signing.revoked))
+    records += [
+        workspace.signing.status_for(serial)
+        for serial in (revoked, workspace.device.chain[0].serial, 999_999)
+    ]
+    return records
+
+
+@pytest.fixture(scope="module")
+def seeded_records(corpus):
+    return _seeded_records(corpus)
+
+
+def test_every_record_class_is_covered(seeded_records):
+    names = {type(record).__name__ for record in seeded_records}
+    assert names >= {
+        "Certificate", "RevocationList", "TimestampToken", "Assertion", "Claim",
+        "ClaimSignature", "Manifest", "StatusResponse", "ValidationReport", "CorpusEntry",
+    }
+    statuses = {r.status.name for r in seeded_records if type(r).__name__ == "StatusResponse"}
+    assert statuses == {"GOOD", "REVOKED", "UNKNOWN"}
+    assert any(r.binding.exclusions for r in seeded_records if type(r) is Claim)
+
+
+def test_compiled_writer_matches_value_path(seeded_records):
+    for record in seeded_records:
+        omits = [(), SIGNED_PAYLOAD_OMITS.get(type(record).__name__, ())]
+        for omit in omits:
+            assert encode_record(record, omit) == encode_value(record_value(record, omit)), (
+                type(record).__name__, omit,
+            )
+
+
+def test_compiled_writer_round_trips(seeded_records):
+    for record in seeded_records:
+        assert decode_record(type(record), encode_record(record)) == record
+
+
+def test_out_of_range_field_fails_as_before(seeded_records):
+    claim = next(r for r in seeded_records if type(r) is Claim)
+    too_late = replace(claim, created_at=2**64)
+    with pytest.raises(EncodeError) as reference:
+        encode_value(record_value(too_late))
+    with pytest.raises(EncodeError) as compiled:
+        encode_record(too_late)
+    assert str(compiled.value) == str(reference.value) == f"integer too large: {2**64}"
