@@ -113,7 +113,7 @@ def _array_value(plan: _Plan, record: Any) -> list:
 
 
 @functools.cache
-def _record_writer(cls: type, omit: tuple[str, ...] = ()) -> Writer:
+def _record_writer(cls: type, omit: tuple[str, ...]) -> Writer:
     # a record is a map, even a positional one, when it is the whole value
     fields = sorted(
         (
@@ -193,7 +193,7 @@ def _converters(hint: Any) -> tuple[Encoder | None, Decoder, Writer]:
                 _record_decoder(hint),
                 _positional_writer(hint),
             )
-        return functools.partial(_map_value, plan), _record_decoder(hint), _record_writer(hint)
+        return functools.partial(_map_value, plan), _record_decoder(hint), _record_writer(hint, ())
     raise TypeError(f"no wire shape for field type {hint!r}")
 
 
