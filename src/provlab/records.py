@@ -1,4 +1,4 @@
-"""Record codec: frozen dataclasses to canonical values and back.
+"""Record codec: frozen dataclasses to canonical bytes and back.
 
 Every record that is signed or stored (certificates, revocation lists,
 timestamp tokens, assertions, claims, claim signatures, manifests, status
@@ -14,25 +14,27 @@ such as ``tuple[str, bytes]``, nested records, enums (by ``.value``), maps
 ``dict[str, V]`` with ``V`` one of those scalars or an enum, and any other
 ``dict`` as a free-form map that the record's ``__post_init__`` validates.
 
-``record_value``/``record_from_value`` are the value-level pair and the
-source of the JSON forms; ``decode_record`` is ``record_from_value`` over
-the value decoder of :mod:`.encoding`.  Decoding is exact: a map carries
-precisely the record's field names, every value has its field's type (an
-enum field's through a value-to-member table built once per enum), and the
-dataclass's own checks run.  On top of the strict value codec this makes
-``encode_record(decode_record(cls, b)) == b`` for every ``b`` that decodes,
-so one record has one byte string.  A record without ``bytes`` fields has a
-JSON form too, read back through ``record_from_value`` with the same exact
-decoding.
-
 ``encode_record`` builds no intermediate value.  A writer compiled once per
 record class and ``omit`` holds the map head and each field name's encoded
 key, already in canonical order, and appends every field's chunks straight
 to one list: nested records, arrays of records, fixed tuples, optionals and
 enums included.  Only fields without a fixed shape (scalars and free-form
 maps) go through :func:`~.encoding.write_value`, which still sorts a
-free-form map's keys on each call.  The bytes are those of
-``encode_value(record_value(record, omit))``.
+free-form map's keys on each call.
+
+``decode_record`` is ``record_from_value`` over the value decoder of
+:mod:`.encoding`.  Decoding is exact: a map carries precisely the record's
+field names, every value has its field's type (an enum field's through a
+value-to-member table built once per enum), and the dataclass's own checks
+run.  On top of the strict value codec this makes
+``encode_record(decode_record(cls, b)) == b`` for every ``b`` that decodes,
+so one record has one byte string.
+
+The JSON forms (structured reports, corpus index entries) are read back
+from those bytes: ``record_value`` is ``decode_value(encode_record(...))``,
+so a record has no second encoder.  A record without ``bytes`` fields
+decodes from its JSON form through ``record_from_value`` with the same
+exact decoding.
 
 A signed payload is a record minus some fields, named by ``omit``: a
 certificate without its issuer signature, a revocation list without its
@@ -57,19 +59,18 @@ _POSITIONAL = (ByteRange,)
 _SCALARS = (str, int, bool, bytes)
 _NULL = encode_value(None)
 
-Encoder = Callable[[Any], Value]
 Decoder = Callable[[Value], Any]
 # appends a field value's canonical chunks to the list it is given
 Writer = Callable[[Any, list], None]
 
-# per field: name, encoder (None when the value encodes as itself), decoder,
-# writer
-_Plan = tuple[tuple[str, Encoder | None, Decoder, Writer], ...]
+# per field: name, decoder, writer (``write_value`` when the value encodes
+# as itself)
+_Plan = tuple[tuple[str, Decoder, Writer], ...]
 
 
 def record_value(record: Any, omit: tuple[str, ...] = ()) -> dict:
     """The map value of ``record``, leaving out the fields named in ``omit``."""
-    return _map_value(_plan(type(record)), record, omit)
+    return decode_value(encode_record(record, omit))
 
 
 def record_from_value(cls: type, value: Value) -> Any:
@@ -97,28 +98,13 @@ def _plan(cls: type) -> _Plan:
     )
 
 
-def _map_value(plan: _Plan, record: Any, omit: tuple[str, ...] = ()) -> dict:
-    return {
-        name: getattr(record, name) if encode is None else encode(getattr(record, name))
-        for name, encode, _, _ in plan
-        if name not in omit
-    }
-
-
-def _array_value(plan: _Plan, record: Any) -> list:
-    return [
-        getattr(record, name) if encode is None else encode(getattr(record, name))
-        for name, encode, _, _ in plan
-    ]
-
-
 @functools.cache
 def _record_writer(cls: type, omit: tuple[str, ...]) -> Writer:
     # a record is a map, even a positional one, when it is the whole value
     fields = sorted(
         (
             (encode_value(name), name, write)
-            for name, _, _, write in _plan(cls)
+            for name, _, write in _plan(cls)
             if name not in omit
         ),
         key=lambda field: field[0],
@@ -136,7 +122,7 @@ def _record_writer(cls: type, omit: tuple[str, ...]) -> Writer:
 
 @functools.cache
 def _positional_writer(cls: type) -> Writer:
-    fields = tuple((name, write) for name, _, _, write in _plan(cls))
+    fields = tuple((name, write) for name, _, write in _plan(cls))
     head = array_head(len(fields))
 
     def write_record(record: Any, out: list) -> None:
@@ -150,7 +136,7 @@ def _positional_writer(cls: type) -> Writer:
 @functools.cache
 def _record_decoder(cls: type) -> Decoder:
     plan = _plan(cls)
-    names = [name for name, _, _, _ in plan]
+    names = [name for name, _, _ in plan]
     name_set = set(names)
     positional = cls in _POSITIONAL
 
@@ -164,19 +150,19 @@ def _record_decoder(cls: type) -> Decoder:
                 raise DecodeError(f"{cls.__name__} must be a map of {sorted(names)}")
             items = [value[name] for name in names]
         try:
-            return cls(*[dec(item) for (_, _, dec, _), item in zip(plan, items)])
+            return cls(*[dec(item) for (_, dec, _), item in zip(plan, items)])
         except ValueError as exc:
             raise DecodeError(f"bad {cls.__name__} record: {exc}") from exc
 
     return decode
 
 
-def _converters(hint: Any) -> tuple[Encoder | None, Decoder, Writer]:
+def _converters(hint: Any) -> tuple[Decoder, Writer]:
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is dict and args[0] is str and (args[1] in _SCALARS or _is_enum(args[1])):
         return _text_keyed_map(*_converters(args[1]))
     if hint in _SCALARS or hint is dict or origin is dict:
-        return None, _scalar_decoder(origin or hint), write_value
+        return _scalar_decoder(origin or hint), write_value
     if origin is types.UnionType and len(args) == 2 and type(None) in args:
         return _optional(*_converters(next(a for a in args if a is not type(None))))
     if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
@@ -186,14 +172,9 @@ def _converters(hint: Any) -> tuple[Encoder | None, Decoder, Writer]:
     if _is_enum(hint):
         return _enum(hint)
     if dataclasses.is_dataclass(hint):
-        plan = _plan(hint)
         if hint in _POSITIONAL:
-            return (
-                functools.partial(_array_value, plan),
-                _record_decoder(hint),
-                _positional_writer(hint),
-            )
-        return functools.partial(_map_value, plan), _record_decoder(hint), _record_writer(hint, ())
+            return _record_decoder(hint), _positional_writer(hint)
+        return _record_decoder(hint), _record_writer(hint, ())
     raise TypeError(f"no wire shape for field type {hint!r}")
 
 
@@ -212,15 +193,12 @@ def _scalar_decoder(kind: type) -> Decoder:
     return decode
 
 
-def _optional(encode, decode, write):
+def _optional(decode, write):
     def decode_optional(value: Value) -> Any:
         return None if value is None else decode(value)
 
-    if encode is None:
-        return None, decode_optional, write_value
-
-    def encode_optional(value: Any) -> Value:
-        return None if value is None else encode(value)
+    if write is write_value:
+        return decode_optional, write_value
 
     def write_optional(value: Any, out: list) -> None:
         if value is None:
@@ -228,65 +206,61 @@ def _optional(encode, decode, write):
         else:
             write(value, out)
 
-    return encode_optional, decode_optional, write_optional
+    return decode_optional, write_optional
 
 
-def _sequence(encode, decode, write):
+def _sequence(decode, write):
     def decode_sequence(value: Value) -> tuple:
         if type(value) is not list:
             raise DecodeError(f"expected array, got {type(value).__name__}")
         return tuple([decode(item) for item in value])
 
-    if encode is None:
-        return None, decode_sequence, write_value
+    if write is write_value:
+        return decode_sequence, write_value
 
     def write_sequence(items: Any, out: list) -> None:
         out.append(array_head(len(items)))
         for item in items:
             write(item, out)
 
-    return (lambda items: [encode(item) for item in items]), decode_sequence, write_sequence
+    return decode_sequence, write_sequence
 
 
-def _text_keyed_map(encode, decode, write):
+def _text_keyed_map(decode, write):
     def decode_map(value: Value) -> dict:
         if type(value) is not dict or any(type(key) is not str for key in value):
             raise DecodeError("expected a map with text keys")
         return {key: decode(item) for key, item in value.items()}
 
-    if encode is None:
-        return None, decode_map, write_value
+    if write is write_value:
+        return decode_map, write_value
 
-    def encode_map(items: dict) -> dict:
-        return {key: encode(item) for key, item in items.items()}
+    # a map of enums; the keys are free-form, so the generic writer sorts them
+    def write_map(items: dict, out: list) -> None:
+        write_value({key: member.value for key, member in items.items()}, out)
 
-    # the keys are free-form, so the generic writer sorts them
-    return encode_map, decode_map, lambda items, out: write_value(encode_map(items), out)
+    return decode_map, write_map
 
 
 def _fixed_tuple(converters):
     def decode_tuple(value: Value) -> tuple:
         if type(value) is not list or len(value) != len(converters):
             raise DecodeError(f"expected a {len(converters)}-element array")
-        return tuple([dec(item) for (_, dec, _), item in zip(converters, value)])
+        return tuple([dec(item) for (dec, _), item in zip(converters, value)])
 
-    if all(enc is None for enc, _, _ in converters):
-        return None, decode_tuple, write_value
+    if all(write is write_value for _, write in converters):
+        return decode_tuple, write_value
 
     def write_tuple(items: Any, out: list) -> None:
         pairs = list(zip(converters, items))
         out.append(array_head(len(pairs)))
-        for (_, _, write), item in pairs:
+        for (_, write), item in pairs:
             write(item, out)
 
-    return (
-        lambda items: [
-            item if enc is None else enc(item) for (enc, _, _), item in zip(converters, items)
-        ]
-    ), decode_tuple, write_tuple
+    return decode_tuple, write_tuple
 
 
-def _enum(cls: type[Enum]) -> tuple[Encoder, Decoder, Writer]:
+def _enum(cls: type[Enum]) -> tuple[Decoder, Writer]:
     # ``_value_`` is what ``.value`` returns, without the descriptor's cost
     members = {member.value: member for member in cls}
     encoded = {value: encode_value(value) for value in members}
@@ -303,4 +277,4 @@ def _enum(cls: type[Enum]) -> tuple[Encoder, Decoder, Writer]:
     def write(member: Enum, out: list) -> None:
         out.append(encoded[member._value_])
 
-    return (lambda member: member.value), decode, write
+    return decode, write

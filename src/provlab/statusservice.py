@@ -13,11 +13,11 @@ Response payload::
     u16 sig-length  signature
 
 Status codes: 0 GOOD, 1 REVOKED, 2 UNKNOWN; ``revoked_at`` is zero and
-read as absent unless the status is REVOKED.  The responder signs over the queried serial as well (see
-:func:`.trust.verify_status_response`) even though the frame omits it, so
-responses cannot be replayed across serials.  A malformed request gets an
-error payload (``"PSTE"  u8 version  u8 code``) and the connection closes;
-the service itself stays up.
+read as absent unless the status is REVOKED.  The responder signs over the
+queried serial as well (see :func:`.trust.verify_status_response`) even
+though the frame omits it, so responses cannot be replayed across serials.
+A malformed request gets an error payload (``"PSTE"  u8 version  u8 code``)
+and the connection closes; the service itself stays up.
 
 The client never surfaces an unverifiable response: any transport problem,
 framing problem, or signature failure collapses to

@@ -139,29 +139,24 @@ class ValidationPolicy:
 
 def spec_policy(trust: TrustList, validation_time: int, **overrides) -> ValidationPolicy:
     """The permissive preset: what a faithful reading of the format demands
-    and nothing more.  Keyword overrides replace individual knobs."""
-    settings: dict = dict(
-        name="spec",
-        revocation_mode=RevocationMode.NONE,
-        timestamp_rule=TimestampRule.ACCEPT_UNBOUND,
-        file_integrity=FileIntegrity.WEAK,
-        expiry_rule=ExpiryRule.AT_VALIDATION_TIME,
-    )
-    settings.update(overrides)
+    and nothing more, which is every knob at its default.  Keyword overrides
+    replace individual knobs."""
+    settings = {"name": "spec", **overrides}
     return ValidationPolicy(trust=trust, validation_time=validation_time, **settings)
+
+
+_HARDENED_KNOBS = dict(
+    revocation_mode=RevocationMode.CRL_REQUIRED,
+    timestamp_rule=TimestampRule.REQUIRE_BOUND,
+    file_integrity=FileIntegrity.STRONG,
+    expiry_rule=ExpiryRule.AT_TIMESTAMP_TIME_WITH_ARCHIVAL_CHAIN,
+)
 
 
 def hardened_policy(trust: TrustList, validation_time: int, **overrides) -> ValidationPolicy:
     """The strict preset: every knob at its defensive setting.  Keyword
     overrides replace individual knobs."""
-    settings: dict = dict(
-        name="hardened",
-        revocation_mode=RevocationMode.CRL_REQUIRED,
-        timestamp_rule=TimestampRule.REQUIRE_BOUND,
-        file_integrity=FileIntegrity.STRONG,
-        expiry_rule=ExpiryRule.AT_TIMESTAMP_TIME_WITH_ARCHIVAL_CHAIN,
-    )
-    settings.update(overrides)
+    settings = {"name": "hardened", **_HARDENED_KNOBS, **overrides}
     return ValidationPolicy(trust=trust, validation_time=validation_time, **settings)
 
 
@@ -867,7 +862,9 @@ def render_differential(diff: DifferentialReport) -> str:
 
 def report_to_json(report: ValidationReport) -> str:
     """The structured report: the report record plus ``schema``, with
-    ``policy_name`` under the key ``policy``."""
+    ``policy_name`` under the key ``policy``.  The record is read back from
+    its canonical bytes, so a report built through the API with a time the
+    codec cannot hold (outside ``-2**64 … 2**64-1``) raises ``EncodeError``."""
     value = record_value(report)
     value["policy"] = value.pop("policy_name")
     value["schema"] = REPORT_SCHEMA
@@ -911,18 +908,21 @@ _POLICY_KEYS = {
 
 
 def parse_time(text: str) -> int:
-    """Epoch seconds from an integer literal or ISO-8601 UTC stamp."""
+    """Epoch seconds from an integer literal or ISO-8601 UTC stamp, within
+    the ``-2**64 … 2**64-1`` that a canonical record can hold."""
     try:
-        return int(text)
+        seconds = int(text)
     except ValueError:
-        pass
-    try:
-        stamp = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    except ValueError:
-        raise ValueError(f"cannot parse time {text!r}") from None
-    if stamp.tzinfo is None:
-        stamp = stamp.replace(tzinfo=timezone.utc)
-    return int(stamp.timestamp())
+        try:
+            stamp = datetime.fromisoformat(text.replace("Z", "+00:00"))
+        except ValueError:
+            raise ValueError(f"cannot parse time {text!r}") from None
+        if stamp.tzinfo is None:
+            stamp = stamp.replace(tzinfo=timezone.utc)
+        seconds = int(stamp.timestamp())
+    if not -(2**64) <= seconds < 2**64:
+        raise ValueError(f"time {text!r} out of range")
+    return seconds
 
 
 def parse_endpoint(text: str) -> tuple[str, int]:

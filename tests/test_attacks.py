@@ -15,7 +15,9 @@ from provlab.attacks import (
     attack_timestamp_replace,
 )
 from provlab.container import extract_manifest, parse_asset, serialize_asset, wire_span
-from provlab.corpus import CRL_FILENAME, entry_policies, load_corpus, tree_digest
+from provlab.corpus import (
+    CRL_FILENAME, build_corpus, entry_policies, load_corpus, tree_digest,
+)
 from provlab.credentials import decode_manifest
 from provlab.errors import (
     BoundModeError, DecodeError, LengthMismatch, NotExcluded, UntrustedTsa,
@@ -63,12 +65,20 @@ def test_corpus_verdicts_match_expectations(corpus, entry_bytes):
             )
 
 
-def test_seed_1_corpus_tree_digest_is_pinned(corpus):
-    """The seed-1 session corpus keeps its bytes; a change that alters corpus
-    bytes on purpose updates this digest."""
-    assert tree_digest(corpus["workspace"].corpus_dir) == (
-        "3a6d01f2b0fdf3b560f07554abcea88aee3f4960f91353dc750008d5b8b5c5de"
-    )
+CORPUS_TREE_DIGESTS = {
+    1: "3a6d01f2b0fdf3b560f07554abcea88aee3f4960f91353dc750008d5b8b5c5de",
+    2: "306a701d745dcc43a4a6b3259d62fb44ce60f352350fdb8ee66b4880628e4ac4",
+    3: "5788881a8456b1c79ba3510e6d8657d5d8a0860474e0f466453c7a2a33db791b",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CORPUS_TREE_DIGESTS))
+def test_corpus_tree_digest_is_pinned(tmp_path, seed):
+    """A fresh corpus from each seed keeps its bytes; a change that alters
+    corpus bytes on purpose updates these digests."""
+    workspace = Workspace.initialize(tmp_path / "ws", seed=seed)
+    build_corpus(workspace)
+    assert tree_digest(workspace.corpus_dir) == CORPUS_TREE_DIGESTS[seed]
 
 
 # ---------------------------------------------------------------------------

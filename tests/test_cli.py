@@ -35,6 +35,12 @@ def test_parse_time_forms():
     assert parse_time("2025-01-01") == T0
     with pytest.raises(ValueError):
         parse_time("next tuesday")
+    # the canonical codec holds -2**64 ... 2**64-1 and nothing outside it
+    assert parse_time(str(2**64 - 1)) == 2**64 - 1
+    assert parse_time(str(-(2**64))) == -(2**64)
+    for text in (str(2**64), str(-(2**64) - 1)):
+        with pytest.raises(ValueError, match="out of range"):
+            parse_time(text)
 
 
 def test_init_refuses_nonempty(cliws, capsys):
@@ -179,6 +185,20 @@ def test_structured_format_roundtrips(cliws, capsys):
     report = report_from_json(out)
     assert report.verdict.value == "ACCEPTED"
     assert json.loads(out)["schema"] == "prov-report/1"
+
+
+@pytest.mark.parametrize("fmt", ["human", "structured"])
+def test_validate_at_refuses_a_time_the_codec_cannot_hold(cliws, capsys, fmt):
+    assert run(["--workspace", str(cliws), "sign", "--scenario", "honest"], capsys)[0] == 0
+    asset = str(cliws / "fixtures" / "honest" / "asset.pvl")
+    argv = ["--workspace", str(cliws), "validate", asset]
+    code, out, _ = run(argv + ["--format", fmt, f"--at={2**64 - 1}"], capsys)
+    assert code == 3 and out  # expired long ago, but still a report
+    if fmt == "structured":
+        assert report_from_json(out).validation_time == 2**64 - 1
+    code, out, err = run(argv + ["--format", fmt, f"--at={2**64}"], capsys)
+    assert code == 4 and not out
+    assert f"error: time '{2**64}' out of range" in err
 
 
 def test_attack_then_diff_exits_5(cliws, tmp_path, capsys):

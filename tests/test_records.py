@@ -1,22 +1,26 @@
 """Compiled record writers against the value path they replace.
 
-``encode_value(record_value(record, omit))`` is how records were encoded
-before each class got a compiled writer; it stays the reference.  Every
-record class the seeded workspace and corpus produce is checked, with every
-``omit`` that a signed payload uses.
+``encode_value(record_value(record, omit))``, with ``record_value`` the
+value encoder kept in ``reference_records``, is how records were encoded
+before each class got a compiled writer; it stays the reference for the
+bytes, and for the JSON forms that are now read back from those bytes.
+Every record class the seeded workspace and corpus produce is checked, with
+every ``omit`` that a signed payload uses.
 """
 
+import json
 from dataclasses import replace
 
 import pytest
+from reference_records import record_value as reference_record_value
 
 from provlab.container import extract_manifest, parse_asset
-from provlab.corpus import entry_policies
+from provlab.corpus import CorpusEntry, entry_policies
 from provlab.credentials import Claim, decode_manifest
 from provlab.encoding import encode_value
 from provlab.errors import EncodeError, NoManifest
 from provlab.records import decode_record, encode_record, record_value
-from provlab.validator import validate
+from provlab.validator import ValidationReport, validate
 
 # the fields each signed payload leaves out
 SIGNED_PAYLOAD_OMITS = {
@@ -69,13 +73,25 @@ def test_every_record_class_is_covered(seeded_records):
     assert any(r.binding.exclusions for r in seeded_records if type(r) is Claim)
 
 
+def _omits(record) -> set[tuple[str, ...]]:
+    return {(), SIGNED_PAYLOAD_OMITS.get(type(record).__name__, ())}
+
+
 def test_compiled_writer_matches_value_path(seeded_records):
     for record in seeded_records:
-        omits = [(), SIGNED_PAYLOAD_OMITS.get(type(record).__name__, ())]
-        for omit in omits:
-            assert encode_record(record, omit) == encode_value(record_value(record, omit)), (
-                type(record).__name__, omit,
-            )
+        for omit in _omits(record):
+            reference = encode_value(reference_record_value(record, omit))
+            assert encode_record(record, omit) == reference, (type(record).__name__, omit)
+
+
+def test_json_forms_match_value_path(seeded_records):
+    """Reports and corpus index entries give the same JSON read back from
+    their bytes as the value encoder gave."""
+    records = [r for r in seeded_records if type(r) in (ValidationReport, CorpusEntry)]
+    assert len(records) == 3 * 19  # per corpus entry: a report per preset, an index entry
+    for record in records:
+        ours = json.dumps(record_value(record), sort_keys=True)
+        assert ours == json.dumps(reference_record_value(record), sort_keys=True)
 
 
 def test_compiled_writer_round_trips(seeded_records):
@@ -87,7 +103,10 @@ def test_out_of_range_field_fails_as_before(seeded_records):
     claim = next(r for r in seeded_records if type(r) is Claim)
     too_late = replace(claim, created_at=2**64)
     with pytest.raises(EncodeError) as reference:
-        encode_value(record_value(too_late))
+        encode_value(reference_record_value(too_late))
     with pytest.raises(EncodeError) as compiled:
         encode_record(too_late)
-    assert str(compiled.value) == str(reference.value) == f"integer too large: {2**64}"
+    with pytest.raises(EncodeError) as json_form:
+        record_value(too_late)
+    message = f"integer too large: {2**64}"
+    assert str(compiled.value) == str(reference.value) == str(json_form.value) == message

@@ -31,6 +31,7 @@ from provlab.validator import (
     RevocationMode,
     TimeProvenance,
     TimestampRule,
+    ValidationPolicy,
     Verdict,
     exit_code_for,
     hardened_policy,
@@ -322,6 +323,12 @@ def test_metadata_protection_tags(lab, fixtures):
 # ---------------------------------------------------------------------------
 # policy knobs
 # ---------------------------------------------------------------------------
+
+def test_spec_preset_is_the_policy_defaults(lab):
+    at = DEFAULT_VALIDATION_TIME
+    assert spec_policy(lab.trust, at) == ValidationPolicy("spec", lab.trust, at)
+    assert hardened_policy(lab.trust, at, name="strict").name == "strict"
+
 
 def test_spec_version_pinning(lab, fixtures):
     ok = spec_policy(lab.trust, DEFAULT_VALIDATION_TIME, spec_version_required="1.0")
