@@ -374,6 +374,33 @@ def test_revocation_modes_against_live_service(lab, fixtures):
     assert "unreachable" in report_hard.check("revocation").detail
 
 
+def test_status_channel_reports_are_pinned(lab, fixtures):
+    """Every structured and human report of both online-status modes, with
+    a live endpoint and with none, over every fixture with ``revocable``
+    revoked, keeps its bytes."""
+    lab.signing.revoke(SCENARIOS["revocable"].leaf_serial, T0 + 30 * DAY)
+    h = hashlib.sha256()
+    with run_status_service(lab.signing) as service:
+        for mode in (
+            RevocationMode.STATUS_SERVICE_SOFT_FAIL,
+            RevocationMode.STATUS_SERVICE_HARD_FAIL,
+        ):
+            for endpoint in (service.endpoint, None):
+                policy = spec_policy(
+                    lab.trust,
+                    DEFAULT_VALIDATION_TIME,
+                    name=mode.value.lower(),
+                    revocation_mode=mode,
+                    status_endpoint=endpoint,
+                )
+                for scenario in SCENARIOS:
+                    report = validate(b(fixtures[scenario]), policy)
+                    h.update((report_to_json(report) + render_report(report)).encode())
+    assert h.hexdigest() == (
+        "077955f7d794c29a673949dfd9f6686a04f53f088a91c25eb0183be7bed8824b"
+    )
+
+
 def test_crl_required_fails_closed_without_a_list(lab, fixtures):
     policy = spec_policy(lab.trust, DEFAULT_VALIDATION_TIME).__class__(
         name="crl-no-list",
