@@ -313,18 +313,14 @@ def _covered(target: ByteRange, ordered: tuple[ByteRange, ...]) -> bool:
 
 
 def compute_hard_binding(
-    asset: Asset,
-    exclusions: tuple[ByteRange, ...] | list[ByteRange],
-    algorithm: str = "sha-256",
+    asset: Asset, exclusions: tuple[ByteRange, ...] | list[ByteRange]
 ) -> HardBinding:
-    """Digest every logical byte outside ``exclusions``, in offset order.
+    """SHA-256 over every logical byte outside ``exclusions``, in offset order.
 
     If the asset carries a manifest segment, the exclusions must cover it
     completely: the manifest cannot hash itself.  The kept bytes are hashed
     in place in the buffers that back the asset.
     """
-    if algorithm != "sha-256":
-        raise ValueError(f"unsupported digest algorithm: {algorithm}")
     ordered = _checked_exclusions(asset, exclusions)
     manifest = asset.find_manifest()
     if manifest is not None and not _covered(manifest.range, ordered):
@@ -334,7 +330,7 @@ def compute_hard_binding(
     kept_ends = tuple(rng.start for rng in ordered) + (asset.size,)
     for view in asset._views(*zip(kept_starts, kept_ends)):
         hasher.update(view)
-    return HardBinding(algorithm, ordered, hasher.digest())
+    return HardBinding("sha-256", ordered, hasher.digest())
 
 
 # ---------------------------------------------------------------------------

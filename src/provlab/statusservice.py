@@ -19,6 +19,10 @@ though the frame omits it, so responses cannot be replayed across serials.
 A malformed request gets an error payload (``"PSTE"  u8 version  u8 code``)
 and the connection closes; the service itself stays up.
 
+The server is one accept loop on its own thread, watching the listening
+socket and a wake socket with a selector; each accepted connection is
+answered on its own daemon thread, so a slow client holds up no other.
+
 The client never surfaces an unverifiable response: any transport problem,
 framing problem, or signature failure collapses to
 :class:`~provlab.errors.ServiceUnreachable`, leaving the fail-open/ fail-closed
@@ -33,7 +37,6 @@ from __future__ import annotations
 
 import selectors
 import socket
-import socketserver
 import struct
 import threading
 
@@ -120,43 +123,6 @@ def _recv_frame(sock: socket.socket) -> bytes:
     return _recv_exact(sock, length)
 
 
-class _Handler(socketserver.BaseRequestHandler):
-    def handle(self) -> None:  # one request per connection
-        service: StatusService = self.server.status_service  # type: ignore[attr-defined]
-        try:
-            payload = _recv_frame(self.request)
-        except (ServiceUnreachable, OSError):
-            return
-        if (
-            len(payload) != _REQUEST_SIZE
-            or payload[:4] != REQUEST_MAGIC
-            or payload[4] != PROTOCOL_VERSION
-        ):
-            code = ERR_VERSION if payload[:4] == REQUEST_MAGIC else ERR_MALFORMED
-            error = ERROR_MAGIC + struct.pack(">BB", PROTOCOL_VERSION, code)
-            try:
-                self.request.sendall(_frame(error))
-            except OSError:
-                pass
-            return
-        serial = struct.unpack(">Q", payload[5:13])[0]
-        response = service.answer(serial)
-        try:
-            self.request.sendall(_frame(encode_response(response)))
-        except OSError:
-            pass
-
-
-class _Server(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-    # socketserver's default backlog of 5 drops SYNs under a burst of
-    # clients; each drop costs a 1 s then 3 s retransmit on the client side
-    request_queue_size = 128
-    # handle_request() only accepts what the serve loop saw ready; never wait
-    timeout = 0
-
-
 class StatusService:
     """A running status responder bound to a local TCP port."""
 
@@ -165,26 +131,51 @@ class StatusService:
         self._lock = threading.Lock()
         self.query_log: list[int] = []
         try:
-            self._server = _Server((host, port), _Handler)
+            # a burst of clients must fit the backlog: each dropped SYN costs
+            # the client a 1 s then 3 s retransmit
+            self._listener = socket.create_server((host, port), backlog=128)
         except OSError as exc:
             raise BindFailure(f"cannot bind {host}:{port}: {exc}") from exc
-        self._server.status_service = self  # type: ignore[attr-defined]
-        self.endpoint: tuple[str, int] = self._server.server_address[:2]
-        # stop() closes the send end, and the EOF wakes the serve loop at
-        # once: serve_forever() would notice a shutdown only at its next poll
+        self.endpoint: tuple[str, int] = self._listener.getsockname()[:2]
+        # stop() closes the send end, and the EOF wakes the accept loop at once
         self._wake_recv, self._wake_send = socket.socketpair()
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
 
     def _serve(self) -> None:
         with selectors.DefaultSelector() as selector:
-            selector.register(self._server, selectors.EVENT_READ)
+            selector.register(self._listener, selectors.EVENT_READ)
             selector.register(self._wake_recv, selectors.EVENT_READ)
             while True:
                 ready = [key.fileobj for key, _ in selector.select()]
                 if self._wake_recv in ready:
                     return
-                self._server.handle_request()
+                try:
+                    connection, _ = self._listener.accept()
+                except OSError:  # the client went away before the accept
+                    continue
+                threading.Thread(target=self._handle, args=(connection,), daemon=True).start()
+
+    def _handle(self, connection: socket.socket) -> None:
+        """Answer the one request frame on ``connection``, then close it."""
+        with connection:
+            try:
+                payload = _recv_frame(connection)
+            except (ServiceUnreachable, OSError):
+                return
+            if (
+                len(payload) != _REQUEST_SIZE
+                or payload[:4] != REQUEST_MAGIC
+                or payload[4] != PROTOCOL_VERSION
+            ):
+                code = ERR_VERSION if payload[:4] == REQUEST_MAGIC else ERR_MALFORMED
+                reply = ERROR_MAGIC + struct.pack(">BB", PROTOCOL_VERSION, code)
+            else:
+                reply = encode_response(self.answer(struct.unpack(">Q", payload[5:13])[0]))
+            try:
+                connection.sendall(_frame(reply))
+            except OSError:
+                pass
 
     def answer(self, serial: int) -> StatusResponse:
         with self._lock:
@@ -194,7 +185,7 @@ class StatusService:
     def stop(self) -> None:
         self._wake_send.close()
         self._thread.join(timeout=5)
-        self._server.server_close()
+        self._listener.close()
         self._wake_recv.close()
 
     def __enter__(self) -> "StatusService":

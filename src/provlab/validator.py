@@ -53,7 +53,6 @@ from .records import record_from_value, record_value
 from .statusservice import query_status
 from .timestamp import encode_token, verify_token
 from .trust import (
-    Certificate,
     CertStatus,
     ChainStatus,
     RevocationList,
@@ -414,7 +413,7 @@ def _check_hard_binding(run: _Run) -> _Result:
         return CheckOutcome.FAIL, "manifest range not excluded by the claim"
     run.effective_exclusions = effective
     try:
-        recomputed = compute_hard_binding(run.asset, effective, binding.algorithm)
+        recomputed = compute_hard_binding(run.asset, effective)
     except ProvenanceError as exc:
         return CheckOutcome.FAIL, f"exclusions unusable: {exc}"
     if recomputed.digest != binding.digest:
@@ -523,49 +522,42 @@ def _check_signature(run: _Run) -> _Result:
     return CheckOutcome.FAIL, "claim signature does not verify"
 
 
-def _responder_cert(chain: tuple[Certificate, ...]) -> Certificate:
-    return chain[1] if len(chain) > 1 else chain[0]
-
-
 def _check_revocation(run: _Run) -> _Result:
-    mode = run.policy.revocation_mode
+    policy = run.policy
     chain = run.manifest.claim_signature.signer_chain
-    leaf = chain[0]
-    if mode == RevocationMode.CRL_REQUIRED:
-        crl = run.policy.crl
+    serial = chain[0].serial
+    # each channel yields a verified (status, revoked_at) for the leaf and its
+    # own words for GOOD and REVOKED; one judgement below maps the status
+    if policy.revocation_mode == RevocationMode.CRL_REQUIRED:
+        crl = policy.crl
         if crl is None:
             return CheckOutcome.FAIL, "no revocation list available"
         issuer_cert = next(
-            (c for c in chain[1:] if c.subject == crl.issuer),
-            next((c for c in run.policy.trust.anchors if c.subject == crl.issuer), None),
+            (c for c in chain[1:] + policy.trust.anchors if c.subject == crl.issuer), None
         )
         if issuer_cert is None or not verify_crl(crl, issuer_cert):
             return CheckOutcome.FAIL, "revocation list signature does not verify"
-        entry = next((e for e in crl.entries if e[0] == leaf.serial), None)
-        if entry is not None:
-            return CheckOutcome.FAIL, f"serial {leaf.serial} revoked at {entry[1]}"
-        return (
-            CheckOutcome.PASS,
-            f"serial {leaf.serial} not in revocation list of {len(crl.entries)} entries",
-        )
-    # online status modes
-    endpoint = run.policy.status_endpoint
-    soft = mode == RevocationMode.STATUS_SERVICE_SOFT_FAIL
-    if endpoint is None:
-        if soft:
-            return CheckOutcome.SKIPPED, "no status endpoint (soft fail)"
-        return CheckOutcome.FAIL, "no status endpoint (fail closed)"
-    try:
-        response = query_status(endpoint, leaf.serial, _responder_cert(chain))
-    except ServiceUnreachable as exc:
-        if soft:
-            return CheckOutcome.SKIPPED, f"status service unreachable (soft fail): {exc}"
-        return CheckOutcome.FAIL, f"status service unreachable (fail closed): {exc}"
-    if response.status == CertStatus.GOOD:
-        return CheckOutcome.PASS, f"serial {leaf.serial} status GOOD"
-    if response.status == CertStatus.REVOKED:
-        return CheckOutcome.FAIL, f"serial {leaf.serial} REVOKED at {response.revoked_at}"
-    return CheckOutcome.FAIL, f"serial {leaf.serial} UNKNOWN to the responder"
+        # first match: a list that names a serial twice is read as it is ordered
+        revoked_at = next((at for listed, at in crl.entries if listed == serial), None)
+        status = CertStatus.GOOD if revoked_at is None else CertStatus.REVOKED
+        good, revoked = f"not in revocation list of {len(crl.entries)} entries", "revoked"
+    else:
+        soft = policy.revocation_mode == RevocationMode.STATUS_SERVICE_SOFT_FAIL
+        outage, stance = (CheckOutcome.SKIPPED, "soft fail") if soft else (CheckOutcome.FAIL, "fail closed")
+        if policy.status_endpoint is None:
+            return outage, f"no status endpoint ({stance})"
+        responder = chain[1] if len(chain) > 1 else chain[0]
+        try:
+            response = query_status(policy.status_endpoint, serial, responder)
+        except ServiceUnreachable as exc:
+            return outage, f"status service unreachable ({stance}): {exc}"
+        status, revoked_at = response.status, response.revoked_at
+        good, revoked = "status GOOD", "REVOKED"
+    if status == CertStatus.GOOD:
+        return CheckOutcome.PASS, f"serial {serial} {good}"
+    if status == CertStatus.REVOKED:
+        return CheckOutcome.FAIL, f"serial {serial} {revoked} at {revoked_at}"
+    return CheckOutcome.FAIL, f"serial {serial} UNKNOWN to the responder"
 
 
 def _check_timestamp(run: _Run) -> _Result:
@@ -659,48 +651,36 @@ def _collect_metadata(run: _Run) -> tuple[MetadataItem, ...]:
     return tuple(items)
 
 
+# The checks behind each goal, graded by one rule: any FAIL violates the
+# goal, all PASS holds it, anything else leaves it unevaluated.
+_GOAL_CHECKS = {
+    "G1": ("manifest-decode", "assertion-digests", "signature"),
+    "G2": ("hard-binding",),
+    "G5": ("exclusion-audit", "hard-binding"),
+}
+
+
 def _derive_goals(
     outcome: dict[str, CheckOutcome], displayed: DisplayedTime, integrity: FileIntegrity
 ) -> dict[str, GoalStatus]:
-    goals: dict[str, GoalStatus] = {}
-
-    integrity_checks = (outcome["manifest-decode"], outcome["assertion-digests"], outcome["signature"])
-    if any(o == CheckOutcome.FAIL for o in integrity_checks):
-        goals["G1"] = GoalStatus.VIOLATED
-    elif all(o == CheckOutcome.PASS for o in integrity_checks):
-        goals["G1"] = GoalStatus.HELD
-    else:
-        goals["G1"] = GoalStatus.NOT_EVALUATED
-
-    binding = outcome["hard-binding"]
-    goals["G2"] = {
-        CheckOutcome.PASS: GoalStatus.HELD,
-        CheckOutcome.FAIL: GoalStatus.VIOLATED,
-        CheckOutcome.SKIPPED: GoalStatus.NOT_EVALUATED,
-    }[binding]
-
+    goals = dict.fromkeys(GOAL_NAMES, GoalStatus.NOT_EVALUATED)
+    for goal, checks in _GOAL_CHECKS.items():
+        found = {outcome[name] for name in checks}
+        if CheckOutcome.FAIL in found:
+            goals[goal] = GoalStatus.VIOLATED
+        elif found == {CheckOutcome.PASS}:
+            goals[goal] = GoalStatus.HELD
     if displayed.provenance == TimeProvenance.SIGNED:
         goals["G3"] = GoalStatus.HELD
-    elif displayed.provenance == TimeProvenance.UNBOUND_TOKEN:
+    elif (
+        displayed.provenance == TimeProvenance.UNBOUND_TOKEN
+        or outcome["timestamp"] == CheckOutcome.FAIL
+    ):
         goals["G3"] = GoalStatus.VIOLATED
-    elif outcome["timestamp"] == CheckOutcome.FAIL:
-        goals["G3"] = GoalStatus.VIOLATED
-    else:
-        goals["G3"] = GoalStatus.NOT_EVALUATED
-
-    goals["G4"] = GoalStatus.NOT_EVALUATED
-
+    # G4 compares two reports, so one report never grades it; weak integrity
+    # honours declared exclusions and so never claims G5
     if integrity == FileIntegrity.WEAK:
         goals["G5"] = GoalStatus.NOT_EVALUATED
-    else:
-        audit = outcome["exclusion-audit"]
-        if audit == CheckOutcome.PASS and binding == CheckOutcome.PASS:
-            goals["G5"] = GoalStatus.HELD
-        elif audit == CheckOutcome.FAIL or binding == CheckOutcome.FAIL:
-            goals["G5"] = GoalStatus.VIOLATED
-        else:
-            goals["G5"] = GoalStatus.NOT_EVALUATED
-
     return goals
 
 
@@ -887,26 +867,6 @@ def report_from_json(text: str) -> ValidationReport:
 # policy files
 # ---------------------------------------------------------------------------
 
-_POLICY_ENUMS = {
-    "revocation_mode": RevocationMode,
-    "timestamp_rule": TimestampRule,
-    "file_integrity": FileIntegrity,
-    "expiry_rule": ExpiryRule,
-}
-
-_POLICY_KEYS = {
-    "name",
-    "spec_version_required",
-    "revocation_mode",
-    "timestamp_rule",
-    "file_integrity",
-    "expiry_rule",
-    "validation_time",
-    "status_endpoint",
-    "crl_file",
-}
-
-
 def parse_time(text: str) -> int:
     """Epoch seconds from an integer literal or ISO-8601 UTC stamp, within
     the ``-2**64 … 2**64-1`` that a canonical record can hold."""
@@ -933,11 +893,23 @@ def parse_endpoint(text: str) -> tuple[str, int]:
     raise ValueError(f"bad status endpoint {text!r}")
 
 
+# every policy-file key and the parser of its value; each knob's enum type is
+# read from the hardened preset, which sets every knob
+_POLICY_PARSERS = {
+    "name": str,
+    "spec_version_required": str,
+    "crl_file": str,
+    "validation_time": parse_time,
+    "status_endpoint": parse_endpoint,
+    **{knob: type(setting) for knob, setting in _HARDENED_KNOBS.items()},
+}
+
+
 def parse_policy_text(text: str) -> dict[str, object]:
     """Parse ``key = value`` policy lines into raw fields.
 
-    Blank lines and ``#`` comments are ignored.  Unknown keys and malformed
-    enum values raise ``ValueError``; turning the fields into a
+    Blank lines and ``#`` comments are ignored.  Unknown keys and bad values
+    raise ``ValueError`` naming the line; turning the fields into a
     :class:`ValidationPolicy` (attaching trust, times, and revocation
     sources) is the caller's job.
     """
@@ -950,22 +922,10 @@ def parse_policy_text(text: str) -> dict[str, object]:
             raise ValueError(f"policy line {lineno} is not 'key = value': {raw_line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _POLICY_KEYS:
+        if key not in _POLICY_PARSERS:
             raise ValueError(f"unknown policy key {key!r} on line {lineno}")
-        if key in _POLICY_ENUMS:
-            try:
-                fields[key] = _POLICY_ENUMS[key](value)
-            except ValueError:
-                raise ValueError(
-                    f"bad value {value!r} for {key} on line {lineno}"
-                ) from None
-        elif key == "validation_time":
-            fields[key] = parse_time(value)
-        elif key == "status_endpoint":
-            try:
-                fields[key] = parse_endpoint(value)
-            except ValueError as exc:
-                raise ValueError(f"{exc} on line {lineno}") from None
-        else:
-            fields[key] = value
+        try:
+            fields[key] = _POLICY_PARSERS[key](value)
+        except ValueError as exc:
+            raise ValueError(f"bad value {value!r} for {key} on line {lineno}: {exc}") from None
     return fields

@@ -1,6 +1,8 @@
 """Validation: check order, verdict logic, policy knobs, rendering."""
 
+import dataclasses
 import hashlib
+import itertools
 import json
 import re
 from pathlib import Path
@@ -24,8 +26,12 @@ from provlab.signer import DEFAULT_VALIDATION_TIME, SCENARIOS, make_fixture
 from provlab.statusservice import run_status_service
 from provlab.timestamp import archival_extend
 from provlab.validator import (
+    _POLICY_PARSERS,
+    _derive_goals,
     CHECK_NAMES,
+    GOAL_NAMES,
     CheckOutcome,
+    DisplayedTime,
     FileIntegrity,
     GoalStatus,
     RevocationMode,
@@ -320,6 +326,73 @@ def test_metadata_protection_tags(lab, fixtures):
     assert "meta.gps" in rendered and "excluded from integrity protection" in rendered
 
 
+def _reference_goals(outcome, displayed, integrity):
+    """The goal grading as it was written before the goal table: one branch
+    per goal."""
+    goals = {}
+
+    integrity_checks = (outcome["manifest-decode"], outcome["assertion-digests"], outcome["signature"])
+    if any(o == CheckOutcome.FAIL for o in integrity_checks):
+        goals["G1"] = GoalStatus.VIOLATED
+    elif all(o == CheckOutcome.PASS for o in integrity_checks):
+        goals["G1"] = GoalStatus.HELD
+    else:
+        goals["G1"] = GoalStatus.NOT_EVALUATED
+
+    binding = outcome["hard-binding"]
+    goals["G2"] = {
+        CheckOutcome.PASS: GoalStatus.HELD,
+        CheckOutcome.FAIL: GoalStatus.VIOLATED,
+        CheckOutcome.SKIPPED: GoalStatus.NOT_EVALUATED,
+    }[binding]
+
+    if displayed.provenance == TimeProvenance.SIGNED:
+        goals["G3"] = GoalStatus.HELD
+    elif displayed.provenance == TimeProvenance.UNBOUND_TOKEN:
+        goals["G3"] = GoalStatus.VIOLATED
+    elif outcome["timestamp"] == CheckOutcome.FAIL:
+        goals["G3"] = GoalStatus.VIOLATED
+    else:
+        goals["G3"] = GoalStatus.NOT_EVALUATED
+
+    goals["G4"] = GoalStatus.NOT_EVALUATED
+
+    if integrity == FileIntegrity.WEAK:
+        goals["G5"] = GoalStatus.NOT_EVALUATED
+    else:
+        audit = outcome["exclusion-audit"]
+        if audit == CheckOutcome.PASS and binding == CheckOutcome.PASS:
+            goals["G5"] = GoalStatus.HELD
+        elif audit == CheckOutcome.FAIL or binding == CheckOutcome.FAIL:
+            goals["G5"] = GoalStatus.VIOLATED
+        else:
+            goals["G5"] = GoalStatus.NOT_EVALUATED
+
+    return goals
+
+
+def test_goal_table_grades_as_the_reference_rule():
+    """Every outcome of the six checks the goals read, under every time
+    provenance and both integrity knobs: 3**6 * 3 * 2 cases."""
+    read = (
+        "manifest-decode", "assertion-digests", "signature",
+        "hard-binding", "exclusion-audit", "timestamp",
+    )
+    cases = 0
+    for outcomes in itertools.product(CheckOutcome, repeat=len(read)):
+        outcome = dict(zip(read, outcomes))
+        for provenance in TimeProvenance:
+            displayed = DisplayedTime(None, provenance)
+            for integrity in FileIntegrity:
+                got = _derive_goals(outcome, displayed, integrity)
+                assert got == _reference_goals(outcome, displayed, integrity), (
+                    outcome, provenance, integrity
+                )
+                assert tuple(got) == GOAL_NAMES
+                cases += 1
+    assert cases == 4374
+
+
 # ---------------------------------------------------------------------------
 # policy knobs
 # ---------------------------------------------------------------------------
@@ -510,13 +583,43 @@ def test_readme_policy_example_parses():
     assert fields["validation_time"] == parse_time("2025-07-01T00:00:00Z") == 1_751_328_000
 
 
+def test_policy_keys_are_the_policy_fields():
+    """Every field a policy file can set has a parser, so a new knob cannot
+    be left out; trust and the revocation list come from elsewhere, the
+    list by way of ``crl_file``."""
+    fields = {field.name for field in dataclasses.fields(ValidationPolicy)}
+    assert _POLICY_PARSERS.keys() == fields - {"trust", "crl"} | {"crl_file"}
+
+
 @pytest.mark.parametrize(
-    "line",
-    ["nonsense", "unknown_key = 1", "revocation_mode = SOMETIMES", "validation_time = never"],
+    "line, match",
+    [
+        pytest.param(line, match, id=line)
+        for line, match in [
+            ("nonsense", "policy line 2 is not 'key = value'"),
+            ("unknown_key = 1", "unknown policy key 'unknown_key' on line 2"),
+            (
+                "revocation_mode = SOMETIMES",
+                "bad value 'SOMETIMES' for revocation_mode on line 2: .* not a valid",
+            ),
+            (
+                "validation_time = never",
+                "bad value 'never' for validation_time on line 2: cannot parse time",
+            ),
+            (
+                f"validation_time = {2**64}",
+                f"bad value '{2**64}' for validation_time on line 2: time .* out of range",
+            ),
+            (
+                "status_endpoint = localhost:http",
+                "bad value 'localhost:http' for status_endpoint on line 2: bad status endpoint",
+            ),
+        ]
+    ],
 )
-def test_policy_text_rejects_bad_lines(line):
-    with pytest.raises(ValueError):
-        parse_policy_text(line)
+def test_policy_text_rejects_bad_lines(line, match):
+    with pytest.raises(ValueError, match=match):
+        parse_policy_text("name = probe\n" + line)
 
 
 # ---------------------------------------------------------------------------
