@@ -59,10 +59,6 @@ class SigningKey:
             raise ValueError("seed must be 32 bytes")
         return cls(Ed25519PrivateKey.from_private_bytes(seed))
 
-    @property
-    def private_bytes(self) -> bytes:
-        return self._private.private_bytes_raw()
-
     def sign(self, message: bytes) -> bytes:
         return self._private.sign(message)
 

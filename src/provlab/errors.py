@@ -129,4 +129,4 @@ class RootNotEmpty(ProvenanceError):
 
 
 class WorkspaceError(ProvenanceError):
-    """The workspace is missing or its state files are unreadable."""
+    """The workspace state file is missing, unreadable, or not one ``save`` writes."""

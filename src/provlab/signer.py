@@ -279,8 +279,9 @@ def build_scenario_content(
     generator = f"labcam-{scenario.name}"
     lat = round(rng.uniform(-80.0, 80.0), 6)
     lon = round(rng.uniform(-170.0, 170.0), 6)
+    gps = "meta.gps" in scenario.exclude_labels
     parts = [(SegmentKind.HEADER, "header", b"PVH0" + rng.randbytes(12))]
-    if "meta.gps" in scenario.exclude_labels or scenario.name == "gps-excluded":
+    if gps:
         parts.append((SegmentKind.METADATA, "meta.gps", format_gps(lat, lon).encode("ascii")))
     parts.append(
         (SegmentKind.METADATA, "meta.note", f"scenario={scenario.name}".encode("ascii"))
@@ -291,7 +292,7 @@ def build_scenario_content(
         Assertion("std.actions", {"action": "captured", "agent": generator}),
         Assertion(CREATED_LABEL, {"at": T0}),
     ]
-    if "meta.gps" in scenario.exclude_labels or scenario.name == "gps-excluded":
+    if gps:
         assertions.append(Assertion("std.gps", {"lat": lat, "lon": lon}))
     return build_asset(parts), assertions, generator
 

@@ -908,12 +908,13 @@ _POLICY_PARSERS = {
 def parse_policy_text(text: str) -> dict[str, object]:
     """Parse ``key = value`` policy lines into raw fields.
 
-    Blank lines and ``#`` comments are ignored.  Unknown keys and bad values
-    raise ``ValueError`` naming the line; turning the fields into a
-    :class:`ValidationPolicy` (attaching trust, times, and revocation
-    sources) is the caller's job.
+    Blank lines and ``#`` comments are ignored.  Unknown keys, repeated
+    keys and bad values raise ``ValueError`` naming the line; turning the
+    fields into a :class:`ValidationPolicy` (attaching trust, times, and
+    revocation sources) is the caller's job.
     """
     fields: dict[str, object] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
@@ -924,6 +925,9 @@ def parse_policy_text(text: str) -> dict[str, object]:
         key, value = key.strip(), value.strip()
         if key not in _POLICY_PARSERS:
             raise ValueError(f"unknown policy key {key!r} on line {lineno}")
+        first = first_line.setdefault(key, lineno)
+        if first != lineno:
+            raise ValueError(f"repeated policy key {key!r} on line {lineno} (first on line {first})")
         try:
             fields[key] = _POLICY_PARSERS[key](value)
         except ValueError as exc:

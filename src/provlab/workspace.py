@@ -1,16 +1,24 @@
-"""On-disk workspace: seeded key material, authorities, and trust anchors.
+"""On-disk workspace: a seed, the signing CA's registries, and what they derive.
 
-A workspace root holds everything the CLI needs between invocations:
+A workspace root holds:
 
-- ``authorities.json``  signing CA and TSA state (keys, issuance registry,
-  revocations) plus the device and redactor leaves
-- ``trust.json``        the trust-anchor list
-- ``fixtures/``         per-scenario fixture trees
-- ``corpus/``           the generated fixture-by-attack corpus
+- ``workspace.json``  one :class:`WorkspaceState` record: the seed and the
+  signing CA's issuance and revocation registries
+- ``fixtures/``       per-scenario fixture trees
+- ``corpus/``         the generated fixture-by-attack corpus
 
-Every key is derived from the workspace seed, every certificate window is an
-offset from the fixed epoch :data:`T0`, and no file ever records a wall-clock
-time, so two workspaces initialised with the same seed are byte-identical.
+No key or certificate is written.  Keys derive from the seed, certificate
+windows are offsets from the fixed epoch :data:`T0` and Ed25519 signatures
+are deterministic, so both roots, the TSA leaf, the device and redactor
+leaves and the trust list are rebuilt byte for byte on every load.  Only
+the registries are stored, for the serials the signing CA issues and
+revokes after ``init``.  No file records a wall-clock time, so two
+workspaces initialised with the same seed are byte-identical.
+
+Loading is strict: a ``workspace.json`` that :meth:`Workspace.save` would
+not write byte for byte (one workspace, one file), a registry that drops or
+renames a serial the seed derives, or a revocation of a serial never issued
+raises a :class:`~.errors.ProvenanceError`.
 """
 
 from __future__ import annotations
@@ -20,17 +28,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .crypto import SigningKey, derive_signing_key
-from .errors import RootNotEmpty, WorkspaceError
+from .errors import DecodeError, RootNotEmpty, WorkspaceError
+from .records import record_from_value, record_value
 from .timestamp import TimestampAuthority
-from .trust import (
-    Authority,
-    Certificate,
-    TrustList,
-    Usage,
-    decode_certificate,
-    encode_certificate,
-    issue_certificate,
-)
+from .trust import Authority, Certificate, TrustList, Usage, issue_certificate
 
 # Fixed model epoch: 2025-01-01T00:00:00Z.  All windows and clocks are
 # offsets from this value; wall-clock time never enters the model.
@@ -47,8 +48,7 @@ TSA_LEAF_SERIAL = 3
 DEVICE_SERIAL = 100
 REDACTOR_SERIAL = 107
 
-AUTHORITIES_FILE = "authorities.json"
-TRUST_FILE = "trust.json"
+STATE_FILE = "workspace.json"
 
 
 @dataclass(frozen=True)
@@ -63,18 +63,24 @@ class Identity:
         return self.chain[0]
 
 
-def _self_signed_root(key: SigningKey, name: str, serial: int) -> Certificate:
+@dataclass(frozen=True)
+class WorkspaceState:
+    """What a workspace stores; both registries are sorted by serial."""
+
+    seed: int
+    issued: tuple[tuple[int, str], ...]  # (serial, subject)
+    revoked: tuple[tuple[int, int], ...]  # (serial, revoked_at)
+
+
+def _root(seed: int, role: str, name: str, serial: int) -> Authority:
+    """The self-signed root authority ``seed`` derives for ``role``."""
+    key = derive_signing_key(seed, role)
     template = Certificate(
-        serial=serial,
-        subject=name,
-        issuer=name,
-        public_key=key.public_bytes,
-        not_before=T0 - 20 * YEAR,
-        not_after=T0 + 20 * YEAR,
-        usage=Usage.ROOT,
+        serial=serial, subject=name, issuer=name, public_key=key.public_bytes,
+        not_before=T0 - 20 * YEAR, not_after=T0 + 20 * YEAR, usage=Usage.ROOT,
         issuer_signature=b"",
     )
-    return issue_certificate(key, template)
+    return Authority(name, key, issue_certificate(key, template), T0)
 
 
 def _issue_leaf(
@@ -91,41 +97,35 @@ def _issue_leaf(
     key = derive_signing_key(seed, key_role)
     cert = authority.issue(
         Certificate(
-            serial=serial,
-            subject=subject,
-            issuer=authority.name,
-            public_key=key.public_bytes,
-            not_before=not_before,
-            not_after=not_after,
-            usage=usage,
-            issuer_signature=b"",
+            serial=serial, subject=subject, issuer=authority.name,
+            public_key=key.public_bytes, not_before=not_before, not_after=not_after,
+            usage=usage, issuer_signature=b"",
         )
     )
     return Identity(key, (cert, authority.cert))
 
 
 class Workspace:
-    def __init__(
-        self,
-        root: Path,
-        seed: int,
-        clock: int,
-        signing: Authority,
-        tsa_authority: Authority,
-        tsa_leaf: Identity,
-        device: Identity,
-        redactor: Identity,
-        trust: TrustList,
-    ):
+    """A workspace root and everything its seed derives."""
+
+    clock = T0
+
+    def __init__(self, root: Path | str, seed: int):
         self.root = Path(root)
         self.seed = seed
-        self.clock = clock
-        self.signing = signing
-        self.tsa_authority = tsa_authority
-        self.tsa_leaf = tsa_leaf
-        self.device = device
-        self.redactor = redactor
-        self.trust = trust
+        self.signing = _root(seed, "signing-ca", SIGNING_ROOT_NAME, SIGNING_ROOT_SERIAL)
+        tsa_root = _root(seed, "tsa-ca", TSA_ROOT_NAME, TSA_ROOT_SERIAL)
+        self.tsa_leaf = _issue_leaf(
+            tsa_root, seed, "tsa-leaf", "provlab tsa", TSA_LEAF_SERIAL,
+            T0 - 15 * YEAR, T0 + 15 * YEAR, Usage.LEAF_TSA,
+        )
+        self.device = self.issue_leaf(
+            "device-1", DEVICE_SERIAL, "device-leaf", T0 - DAY, T0 + 2 * YEAR
+        )
+        self.redactor = self.issue_leaf(
+            "redactor-1", REDACTOR_SERIAL, "redactor-leaf", T0 - DAY, T0 + 2 * YEAR
+        )
+        self.trust = TrustList((self.signing.cert, tsa_root.cert))
 
     # -- construction -------------------------------------------------------
 
@@ -135,109 +135,40 @@ class Workspace:
         if root.exists() and any(root.iterdir()):
             raise RootNotEmpty(f"workspace root {root} is not empty")
         root.mkdir(parents=True, exist_ok=True)
-
-        signing_key = derive_signing_key(seed, "signing-ca")
-        signing_cert = _self_signed_root(signing_key, SIGNING_ROOT_NAME, SIGNING_ROOT_SERIAL)
-        signing = Authority(SIGNING_ROOT_NAME, signing_key, signing_cert, T0)
-
-        tsa_key = derive_signing_key(seed, "tsa-ca")
-        tsa_cert = _self_signed_root(tsa_key, TSA_ROOT_NAME, TSA_ROOT_SERIAL)
-        tsa_authority = Authority(TSA_ROOT_NAME, tsa_key, tsa_cert, T0)
-
-        tsa_leaf = _issue_leaf(
-            tsa_authority, seed, "tsa-leaf", "provlab tsa", TSA_LEAF_SERIAL,
-            T0 - 15 * YEAR, T0 + 15 * YEAR, Usage.LEAF_TSA,
-        )
-        device = _issue_leaf(
-            signing, seed, "device-leaf", "device-1", DEVICE_SERIAL,
-            T0 - DAY, T0 + 2 * YEAR, Usage.LEAF_SIGNING,
-        )
-        redactor = _issue_leaf(
-            signing, seed, "redactor-leaf", "redactor-1", REDACTOR_SERIAL,
-            T0 - DAY, T0 + 2 * YEAR, Usage.LEAF_SIGNING,
-        )
-
-        trust = TrustList((signing_cert, tsa_cert))
-        workspace = cls(
-            root, seed, T0, signing, tsa_authority, tsa_leaf, device, redactor, trust
-        )
+        workspace = cls(root, seed)
         workspace.save()
         return workspace
 
     @classmethod
     def load(cls, root: Path | str) -> "Workspace":
-        root = Path(root)
+        path = Path(root) / STATE_FILE
         try:
-            state = json.loads((root / AUTHORITIES_FILE).read_text())
-            trust_state = json.loads((root / TRUST_FILE).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            text = path.read_text()
+            state = record_from_value(WorkspaceState, json.loads(text))
+        except (OSError, ValueError, DecodeError) as exc:
             raise WorkspaceError(f"cannot load workspace at {root}: {exc}") from exc
-        if state.get("schema") != "prov-workspace/1":
-            raise WorkspaceError("unrecognised workspace state schema")
-
-        def authority(record: dict, name: str) -> Authority:
-            key = SigningKey.from_seed_bytes(bytes.fromhex(record["key"]))
-            cert = decode_certificate(bytes.fromhex(record["cert"]))
-            auth = Authority(name, key, cert, state["clock"])
-            auth.issued = {int(s): subject for s, subject in record["issued"].items()}
-            auth.revoked = {int(s): at for s, at in record["revoked"].items()}
-            return auth
-
-        def identity(record: dict) -> Identity:
-            key = SigningKey.from_seed_bytes(bytes.fromhex(record["key"]))
-            chain = tuple(decode_certificate(bytes.fromhex(c)) for c in record["chain"])
-            return Identity(key, chain)
-
-        trust = TrustList(
-            tuple(decode_certificate(bytes.fromhex(c)) for c in trust_state["anchors"])
-        )
-        return cls(
-            root=root,
-            seed=state["seed"],
-            clock=state["clock"],
-            signing=authority(state["signing"], SIGNING_ROOT_NAME),
-            tsa_authority=authority(state["tsa"], TSA_ROOT_NAME),
-            tsa_leaf=identity(state["tsa_leaf"]),
-            device=identity(state["device"]),
-            redactor=identity(state["redactor"]),
-            trust=trust,
-        )
+        workspace = cls(root, state.seed)
+        issued = dict(state.issued)
+        for serial, subject in workspace.signing.issued.items():
+            if issued.get(serial) != subject:
+                raise WorkspaceError(f"{path} drops or renames serial {serial} ({subject!r})")
+        workspace.signing.issued = issued
+        for serial, revoked_at in state.revoked:
+            workspace.signing.revoke(serial, revoked_at)
+        if workspace._state_text() != text:
+            raise WorkspaceError(f"{path} is not the form save writes")
+        return workspace
 
     def save(self) -> None:
-        def authority_state(auth: Authority) -> dict:
-            return {
-                "key": auth.key.private_bytes.hex(),
-                "cert": encode_certificate(auth.cert).hex(),
-                "issued": {str(s): subject for s, subject in sorted(auth.issued.items())},
-                "revoked": {str(s): at for s, at in sorted(auth.revoked.items())},
-            }
+        (self.root / STATE_FILE).write_text(self._state_text())
 
-        def identity_state(identity: Identity) -> dict:
-            return {
-                "key": identity.key.private_bytes.hex(),
-                "chain": [encode_certificate(c).hex() for c in identity.chain],
-            }
-
-        state = {
-            "schema": "prov-workspace/1",
-            "seed": self.seed,
-            "clock": self.clock,
-            "signing": authority_state(self.signing),
-            "tsa": authority_state(self.tsa_authority),
-            "tsa_leaf": identity_state(self.tsa_leaf),
-            "device": identity_state(self.device),
-            "redactor": identity_state(self.redactor),
-        }
-        trust_state = {
-            "schema": "prov-trust/1",
-            "anchors": [encode_certificate(c).hex() for c in self.trust.anchors],
-        }
-        (self.root / AUTHORITIES_FILE).write_text(
-            json.dumps(state, sort_keys=True, indent=2) + "\n"
+    def _state_text(self) -> str:
+        state = WorkspaceState(
+            self.seed,
+            tuple(sorted(self.signing.issued.items())),
+            tuple(sorted(self.signing.revoked.items())),
         )
-        (self.root / TRUST_FILE).write_text(
-            json.dumps(trust_state, sort_keys=True, indent=2) + "\n"
-        )
+        return json.dumps(record_value(state), sort_keys=True, indent=2) + "\n"
 
     # -- derived handles ----------------------------------------------------
 

@@ -614,6 +614,7 @@ def test_policy_keys_are_the_policy_fields():
                 "status_endpoint = localhost:http",
                 "bad value 'localhost:http' for status_endpoint on line 2: bad status endpoint",
             ),
+            ("name = other", "repeated policy key 'name' on line 2 \\(first on line 1\\)"),
         ]
     ],
 )
