@@ -270,6 +270,7 @@ def cmd_serve_status(args: argparse.Namespace) -> int:
         pass
     finally:
         service.stop()
+    print(f"refused {service.refused} frames")
     print(f"served {len(service.query_log)} queries")
     return EXIT_OK
 

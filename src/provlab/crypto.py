@@ -103,9 +103,9 @@ verify_once.cache_info = _memo.cache_info
 
 
 def derive_signing_key(seed: int, role: str) -> SigningKey:
-    """Derive the signing key for ``role`` from an integer workspace seed."""
+    """Derive the signing key for ``role`` from a workspace seed in ``0 … 2**64-1``."""
     material = hmac.new(
-        _DERIVE_KEY, struct.pack(">Q", seed & (2**64 - 1)) + role.encode("utf-8"),
+        _DERIVE_KEY, struct.pack(">Q", seed) + role.encode("utf-8"),
         hashlib.sha256,
     ).digest()
     return SigningKey.from_seed_bytes(material)

@@ -19,9 +19,11 @@ though the frame omits it, so responses cannot be replayed across serials.
 A malformed request gets an error payload (``"PSTE"  u8 version  u8 code``)
 and the connection closes; the service itself stays up.
 
-The server is one accept loop on its own thread, watching the listening
-socket and a wake socket with a selector; each accepted connection is
-answered on its own daemon thread, so a slow client holds up no other.
+One thread runs one selector loop over the listener, a wake socket and
+every open non-blocking connection, so half a frame holds up no other
+client; a bad length or an early EOF closes a connection unanswered.  Each
+distinct status is signed once, as RFC 5019 responders pre-produce their
+responses (see :meth:`.trust.Authority.status_for`).
 
 The client never surfaces an unverifiable response: any transport problem,
 framing problem, or signature failure collapses to
@@ -35,6 +37,7 @@ credentials a validator is looking at, and when.
 
 from __future__ import annotations
 
+import contextlib
 import selectors
 import socket
 import struct
@@ -104,21 +107,18 @@ def _frame(payload: bytes) -> bytes:
 
 
 def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    chunks = []
-    remaining = count
-    while remaining:
-        chunk = sock.recv(remaining)
+    data = b""
+    while len(data) < count:
+        chunk = sock.recv(count - len(data))
         if not chunk:
             raise ServiceUnreachable("connection closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+        data += chunk
+    return data
 
 
 def _recv_frame(sock: socket.socket) -> bytes:
-    header = _recv_exact(sock, 2)
-    length = struct.unpack(">H", header)[0]
-    if length == 0 or length > _MAX_FRAME:
+    length = int.from_bytes(_recv_exact(sock, 2), "big")
+    if not 0 < length <= _MAX_FRAME:
         raise ServiceUnreachable(f"invalid frame length {length}")
     return _recv_exact(sock, length)
 
@@ -128,16 +128,17 @@ class StatusService:
 
     def __init__(self, authority: Authority, host: str = "127.0.0.1", port: int = 0):
         self.authority = authority
-        self._lock = threading.Lock()
         self.query_log: list[int] = []
+        self.refused = 0
         try:
             # a burst of clients must fit the backlog: each dropped SYN costs
             # the client a 1 s then 3 s retransmit
             self._listener = socket.create_server((host, port), backlog=128)
         except OSError as exc:
             raise BindFailure(f"cannot bind {host}:{port}: {exc}") from exc
+        self._listener.setblocking(False)
         self.endpoint: tuple[str, int] = self._listener.getsockname()[:2]
-        # stop() closes the send end, and the EOF wakes the accept loop at once
+        # stop() closes the send end, and the EOF wakes the loop at once
         self._wake_recv, self._wake_send = socket.socketpair()
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
@@ -146,41 +147,60 @@ class StatusService:
         with selectors.DefaultSelector() as selector:
             selector.register(self._listener, selectors.EVENT_READ)
             selector.register(self._wake_recv, selectors.EVENT_READ)
-            while True:
-                ready = [key.fileobj for key, _ in selector.select()]
-                if self._wake_recv in ready:
-                    return
-                try:
-                    connection, _ = self._listener.accept()
-                except OSError:  # the client went away before the accept
-                    continue
-                threading.Thread(target=self._handle, args=(connection,), daemon=True).start()
+            try:
+                while True:
+                    for key, _ in selector.select():
+                        if key.fileobj is self._wake_recv:
+                            return
+                        if key.fileobj is self._listener:
+                            try:
+                                connection, _ = self._listener.accept()
+                            except OSError:  # the client went away before the accept
+                                continue
+                            connection.setblocking(False)
+                            selector.register(connection, selectors.EVENT_READ, bytearray())
+                        elif self._receive(key.fileobj, key.data):
+                            selector.unregister(key.fileobj)
+                            key.fileobj.close()
+            finally:  # stop() closes the connections still mid-frame, unanswered
+                for key in list(selector.get_map().values()):
+                    if key.data is not None:
+                        self.refused += 1
+                        key.fileobj.close()
 
-    def _handle(self, connection: socket.socket) -> None:
-        """Answer the one request frame on ``connection``, then close it."""
-        with connection:
-            try:
-                payload = _recv_frame(connection)
-            except (ServiceUnreachable, OSError):
-                return
-            if (
-                len(payload) != _REQUEST_SIZE
-                or payload[:4] != REQUEST_MAGIC
-                or payload[4] != PROTOCOL_VERSION
-            ):
-                code = ERR_VERSION if payload[:4] == REQUEST_MAGIC else ERR_MALFORMED
-                reply = ERROR_MAGIC + struct.pack(">BB", PROTOCOL_VERSION, code)
-            else:
-                reply = encode_response(self.answer(struct.unpack(">Q", payload[5:13])[0]))
-            try:
-                connection.sendall(_frame(reply))
-            except OSError:
-                pass
+    def _receive(self, connection: socket.socket, buffer: bytearray) -> bool:
+        """Read into ``buffer``; True once ``connection`` is answered or refused."""
+        try:
+            chunk = connection.recv(2 + _MAX_FRAME - len(buffer))
+        except BlockingIOError:
+            return False
+        except OSError:
+            chunk = b""
+        buffer += chunk
+        length = int.from_bytes(buffer[:2], "big")
+        complete = len(buffer) >= 2 + length
+        if (len(buffer) >= 2 and not 0 < length <= _MAX_FRAME) or not (chunk or complete):
+            self.refused += 1  # a bad length or an EOF mid-frame: no reply
+            return True
+        if complete:
+            with contextlib.suppress(OSError):
+                connection.send(_frame(self._reply(bytes(buffer[2 : 2 + length]))))
+        return complete
+
+    def _reply(self, payload: bytes) -> bytes:
+        if (
+            len(payload) != _REQUEST_SIZE
+            or payload[:4] != REQUEST_MAGIC
+            or payload[4] != PROTOCOL_VERSION
+        ):
+            self.refused += 1
+            code = ERR_VERSION if payload[:4] == REQUEST_MAGIC else ERR_MALFORMED
+            return ERROR_MAGIC + struct.pack(">BB", PROTOCOL_VERSION, code)
+        return encode_response(self.answer(struct.unpack(">Q", payload[5:13])[0]))
 
     def answer(self, serial: int) -> StatusResponse:
-        with self._lock:
-            self.query_log.append(serial)
-            return self.authority.status_for(serial)
+        self.query_log.append(serial)
+        return self.authority.status_for(serial)
 
     def stop(self) -> None:
         self._wake_send.close()

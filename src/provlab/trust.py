@@ -251,6 +251,7 @@ class Authority:
         self.clock = clock
         self.issued: dict[int, str] = {cert.serial: cert.subject}
         self.revoked: dict[int, int] = {}
+        self._signed: dict[int, tuple[StatusResponse, StatusResponse]] = {}
 
     def issue(self, template: Certificate) -> Certificate:
         """Issue ``template``; idempotent for an identical re-issue."""
@@ -272,6 +273,9 @@ class Authority:
         return replace(unsigned, signature=self.key.sign(_crl_payload(unsigned)))
 
     def status_for(self, serial: int) -> StatusResponse:
+        """Sign each distinct status once (Ed25519 is deterministic) and serve
+        it as stored (RFC 5019) until a revocation or clock change alters it.
+        UNKNOWN is never stored, so the store stays within the registry."""
         if serial not in self.issued:
             status, revoked_at = CertStatus.UNKNOWN, None
         elif serial in self.revoked:
@@ -279,4 +283,10 @@ class Authority:
         else:
             status, revoked_at = CertStatus.GOOD, None
         unsigned = StatusResponse(serial, status, revoked_at, self.clock, b"")
-        return replace(unsigned, responder_signature=self.key.sign(_status_payload(unsigned)))
+        stored = self._signed.get(serial)
+        if stored is not None and stored[0] == unsigned:
+            return stored[1]
+        signed = replace(unsigned, responder_signature=self.key.sign(_status_payload(unsigned)))
+        if status is not CertStatus.UNKNOWN:
+            self._signed[serial] = (unsigned, signed)
+        return signed

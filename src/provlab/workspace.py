@@ -111,6 +111,8 @@ class Workspace:
     clock = T0
 
     def __init__(self, root: Path | str, seed: int):
+        if not 0 <= seed < 2**64:
+            raise WorkspaceError(f"workspace seed {seed} is outside 0 .. 2**64-1")
         self.root = Path(root)
         self.seed = seed
         self.signing = _root(seed, "signing-ca", SIGNING_ROOT_NAME, SIGNING_ROOT_SERIAL)
@@ -134,8 +136,8 @@ class Workspace:
         root = Path(root)
         if root.exists() and any(root.iterdir()):
             raise RootNotEmpty(f"workspace root {root} is not empty")
-        root.mkdir(parents=True, exist_ok=True)
         workspace = cls(root, seed)
+        root.mkdir(parents=True, exist_ok=True)
         workspace.save()
         return workspace
 

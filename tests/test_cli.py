@@ -500,3 +500,33 @@ def test_mapping_is_released_after_validate_and_diff(cliws, large_asset, capsys,
     finally:
         path.write_bytes(original)
     capsys.readouterr()
+
+
+def test_serve_status_prints_refused_then_served_last(cliws, capsys):
+    import socket
+    import time
+
+    from provlab.statusservice import query_status
+    from provlab.workspace import Workspace
+
+    held = {}
+    thread = threading.Thread(
+        target=lambda: held.setdefault(
+            "code", main(["--workspace", str(cliws), "serve-status", "--duration", "1.0"])
+        )
+    )
+    thread.start()
+    deadline = time.monotonic() + 5
+    out = ""
+    while time.monotonic() < deadline and "\n" not in out:
+        time.sleep(0.02)
+        out += capsys.readouterr().out
+    host, _, port = out.splitlines()[0].partition(":")
+    with socket.create_connection((host, int(port)), timeout=2) as sock:
+        sock.sendall(b"\x00\x04junk")
+        sock.recv(64)
+    query_status((host, int(port)), 101, Workspace.load(cliws).signing.cert)
+    thread.join(timeout=5)
+    out += capsys.readouterr().out
+    assert held["code"] == 0
+    assert out.splitlines()[-2:] == ["refused 1 frames", "served 1 queries"]

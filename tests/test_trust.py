@@ -17,6 +17,7 @@ from provlab.errors import (
 )
 from provlab.statusservice import (
     StatusService,
+    decode_response,
     encode_request,
     query_status,
     run_status_service,
@@ -36,6 +37,7 @@ from provlab.trust import (
     verify_chain,
     verify_crl,
     verify_status_response,
+    _status_payload,
 )
 
 T0 = 1_735_689_600
@@ -236,6 +238,63 @@ def test_status_response_signature(pki):
         assert not verify_status_response(changed, root_cert), changed
 
 
+@pytest.fixture()
+def counted(pki, monkeypatch):
+    """An authority for the pki leaf whose key counts its signatures."""
+    root_key, root_cert, _, leaf_cert, _ = pki
+    authority = Authority("root", root_key, root_cert, T0)
+    authority.issued[leaf_cert.serial] = leaf_cert.subject
+    signatures = []
+    sign = root_key.sign
+
+    def counting_sign(message):
+        signatures.append(message)
+        return sign(message)
+
+    monkeypatch.setattr(root_key, "sign", counting_sign)
+    return authority, signatures, sign, leaf_cert
+
+
+def test_status_is_signed_once_per_distinct_status(counted):
+    authority, signatures, _, leaf_cert = counted
+    responses = {authority.status_for(leaf_cert.serial) for _ in range(10)}
+    assert len(responses) == 1 and len(signatures) == 1
+    authority.revoke(leaf_cert.serial, T0 + 5)
+    for _ in range(10):
+        revoked = authority.status_for(leaf_cert.serial)
+    assert len(signatures) == 2
+    assert (revoked.status, revoked.revoked_at) == (CertStatus.REVOKED, T0 + 5)
+    # a re-revocation and a clock change each alter the payload once
+    authority.revoke(leaf_cert.serial, T0 + 6)
+    assert authority.status_for(leaf_cert.serial).revoked_at == T0 + 6
+    authority.clock = T0 + 1
+    assert authority.status_for(leaf_cert.serial).produced_at == T0 + 1
+    authority.status_for(leaf_cert.serial)
+    assert len(signatures) == 4
+
+
+def test_served_signature_equals_a_fresh_one(counted):
+    authority, _, sign, leaf_cert = counted
+    served = []
+    for serial in (leaf_cert.serial, leaf_cert.serial, 424242):
+        served.append(authority.status_for(serial))
+    authority.revoke(leaf_cert.serial, T0 + 3)
+    served += [authority.status_for(leaf_cert.serial) for _ in range(2)]
+    for response in served:
+        unsigned = replace(response, responder_signature=b"")
+        assert response.responder_signature == sign(_status_payload(unsigned))
+
+
+def test_unknown_serials_do_not_grow_the_store(counted):
+    authority, signatures, _, leaf_cert = counted
+    authority.status_for(leaf_cert.serial)
+    size = len(authority._signed)
+    for serial in range(10_000, 11_000):
+        assert authority.status_for(serial).status == CertStatus.UNKNOWN
+    assert len(authority._signed) == size == 1
+    assert len(signatures) == 1001
+
+
 # ---------------------------------------------------------------------------
 # status service over a real socket
 # ---------------------------------------------------------------------------
@@ -298,6 +357,69 @@ def test_malformed_frames_do_not_kill_service(service):
     # service still answers proper queries afterwards
     response = query_status(svc.endpoint, leaf_cert.serial, root_cert)
     assert response.status == CertStatus.GOOD
+    assert svc.refused == 4
+
+
+def _half_sent(svc, leaf_cert):
+    """A connection holding the first byte of a request frame, nothing more."""
+    import socket
+
+    sock = socket.create_connection(svc.endpoint, timeout=2)
+    sock.sendall(b"\x00")
+    return sock
+
+
+def test_half_sent_frame_holds_up_no_other_client(service):
+    svc, _, root_cert, leaf_cert = service
+    with _half_sent(svc, leaf_cert):
+        response = query_status(svc.endpoint, leaf_cert.serial, root_cert, timeout=1.0)
+        assert response.status == CertStatus.GOOD
+        assert svc.query_log == [leaf_cert.serial]
+
+
+def test_request_sent_one_byte_at_a_time(service):
+    import socket
+    import time
+
+    svc, _, root_cert, leaf_cert = service
+    frame = len(encode_request(leaf_cert.serial)).to_bytes(2, "big") + encode_request(
+        leaf_cert.serial
+    )
+    with socket.create_connection(svc.endpoint, timeout=2) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for index in range(len(frame)):
+            sock.sendall(frame[index : index + 1])
+            time.sleep(0.002)
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    response = decode_response(reply[2:], leaf_cert.serial)
+    assert int.from_bytes(reply[:2], "big") == len(reply) - 2
+    assert response.status == CertStatus.GOOD
+    assert verify_status_response(response, root_cert)
+    assert (svc.query_log, svc.refused) == ([leaf_cert.serial], 0)
+
+
+def test_stop_closes_a_half_sent_connection(service):
+    svc, _, root_cert, leaf_cert = service
+    with _half_sent(svc, leaf_cert) as sock:
+        # answered only after the loop has read the held byte, since the
+        # loop is one thread and the held connection was accepted first
+        query_status(svc.endpoint, leaf_cert.serial, root_cert)
+        svc.stop()
+        assert sock.recv(16) == b""
+    assert svc.refused == 1
+
+
+def test_server_runs_one_thread(pki):
+    root_key, root_cert, _, leaf_cert, _ = pki
+    authority = Authority("root", root_key, root_cert, T0)
+    authority.issued[leaf_cert.serial] = leaf_cert.subject
+    before = set(threading.enumerate())
+    with run_status_service(authority) as svc:
+        for _ in range(20):
+            query_status(svc.endpoint, leaf_cert.serial, root_cert)
+        assert set(threading.enumerate()) - before == {svc._thread}
 
 
 def test_forged_responder_is_unreachable(service):

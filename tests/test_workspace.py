@@ -109,3 +109,28 @@ def test_malformed_state_is_refused(case, corpus, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 4
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "past-64-bits"])
+def test_init_refuses_a_seed_outside_64_bits(seed, tmp_path, capsys):
+    root = tmp_path / "ws"
+    code = main(["--workspace", str(root), "init", "--seed", str(seed)])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err == f"error: workspace seed {seed} is outside 0 .. 2**64-1\n"
+    assert not root.exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "past-64-bits"])
+def test_load_refuses_a_seed_outside_64_bits(seed, tmp_path):
+    state = json.loads(Workspace(tmp_path, 1)._state_text())
+    (tmp_path / STATE_FILE).write_text(_text({**state, "seed": seed}))
+    with pytest.raises(WorkspaceError, match=f"seed {seed} is outside"):
+        Workspace.load(tmp_path)
+
+
+def test_the_largest_seed_does_not_alias_another():
+    anchors = {
+        seed: Workspace("unused", seed).trust.anchors for seed in (0, 1, 2**63, 2**64 - 1)
+    }
+    assert len(set(anchors.values())) == len(anchors)
