@@ -360,7 +360,7 @@ def test_malformed_frames_do_not_kill_service(service):
     assert svc.refused == 4
 
 
-def _half_sent(svc, leaf_cert):
+def _half_sent(svc):
     """A connection holding the first byte of a request frame, nothing more."""
     import socket
 
@@ -371,7 +371,7 @@ def _half_sent(svc, leaf_cert):
 
 def test_half_sent_frame_holds_up_no_other_client(service):
     svc, _, root_cert, leaf_cert = service
-    with _half_sent(svc, leaf_cert):
+    with _half_sent(svc):
         response = query_status(svc.endpoint, leaf_cert.serial, root_cert, timeout=1.0)
         assert response.status == CertStatus.GOOD
         assert svc.query_log == [leaf_cert.serial]
@@ -402,7 +402,7 @@ def test_request_sent_one_byte_at_a_time(service):
 
 def test_stop_closes_a_half_sent_connection(service):
     svc, _, root_cert, leaf_cert = service
-    with _half_sent(svc, leaf_cert) as sock:
+    with _half_sent(svc) as sock:
         # answered only after the loop has read the held byte, since the
         # loop is one thread and the held connection was accepted first
         query_status(svc.endpoint, leaf_cert.serial, root_cert)
