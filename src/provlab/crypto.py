@@ -112,10 +112,9 @@ def derive_signing_key(seed: int, role: str) -> SigningKey:
 
 
 def derive_stream_seed(seed: int, role: str) -> int:
-    """Derive a deterministic sub-seed for content generation."""
+    """Derive a content sub-seed for ``role`` from a seed in ``0 … 2**64-1``."""
     material = hmac.new(
-        _DERIVE_KEY + b"/stream",
-        struct.pack(">Q", seed & (2**64 - 1)) + role.encode("utf-8"),
+        _DERIVE_KEY + b"/stream", struct.pack(">Q", seed) + role.encode("utf-8"),
         hashlib.sha256,
     ).digest()
     return int.from_bytes(material[:8], "big")

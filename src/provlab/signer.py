@@ -58,6 +58,7 @@ from .errors import (
     DuplicateManifest,
     ExpiredSignerCert,
     LabelNotFound,
+    ProvenanceError,
     UnknownScenario,
     UsageViolation,
 )
@@ -77,25 +78,19 @@ class SignerConfig:
     key: SigningKey
     chain: tuple[Certificate, ...]
     binding_mode: BindingMode
+    tsa: TimestampAuthority
     exclude_labels: tuple[str, ...] = ()
-    tsa: TimestampAuthority | None = None
     clock: int = T0
-
-    def __post_init__(self) -> None:
-        if self.binding_mode == BindingMode.BOUND and self.tsa is None:
-            raise ValueError("bound signing requires a timestamp authority")
 
 
 def _build_claim_signature(claim_bytes: bytes, config: SignerConfig) -> ClaimSignature:
     """Sign the encoded claim; the payloads are ``credentials.signed_payload``'s."""
     if config.binding_mode == BindingMode.UNBOUND:
         signature = config.key.sign(claim_bytes)
-        token = None
-        if config.tsa is not None:
-            token = config.tsa.issue(digest(signature))
+        token = config.tsa.issue(digest(signature))
         return ClaimSignature(config.chain, signature, token, BindingMode.UNBOUND)
     pass1 = config.key.sign(claim_bytes)
-    token = config.tsa.issue(digest(pass1))  # type: ignore[union-attr]
+    token = config.tsa.issue(digest(pass1))
     signature = config.key.sign(claim_bytes + digest(encode_token(token)))
     return ClaimSignature(config.chain, signature, token, BindingMode.BOUND)
 
@@ -151,11 +146,9 @@ def sign_asset(
 
     # Every manifest byte outside the claim has a size fixed before signing,
     # so a probe with zeroed signatures and digests measures them.
-    token = None
-    if config.tsa is not None:
-        token = TimestampToken(
-            bytes(DIGEST_SIZE), config.tsa.clock, config.tsa.chain, bytes(SIGNATURE_SIZE)
-        )
+    token = TimestampToken(
+        bytes(DIGEST_SIZE), config.tsa.clock, config.tsa.chain, bytes(SIGNATURE_SIZE)
+    )
     probe = Manifest(
         claim_for(1),
         ordered,
@@ -338,6 +331,8 @@ def make_fixture(workspace: Workspace, scenario_name: str, seed: int | None = No
     if scenario is None:
         raise UnknownScenario(f"no scenario named {scenario_name!r}")
     seed = workspace.seed if seed is None else seed
+    if not 0 <= seed < 2**64:
+        raise ProvenanceError(f"content seed {seed} is outside 0 .. 2**64-1")
     asset, assertions, generator = build_scenario_content(scenario, seed)
     config = scenario_signer(workspace, scenario, generator)
     workspace.save()

@@ -1,34 +1,29 @@
 """Online certificate-status service: wire protocol, server, and client.
 
-Frames are length-prefixed (u16 big-endian) over a stream socket, one
-request per connection.
+The protocol is two records of the canonical codec, each in a frame with a
+u16 big-endian length prefix, over a stream socket, one request per
+connection:
 
-Request payload::
+- request payload: ``encode_value(serial)``, one integer in ``0 … 2**64-1``;
+- response payload: ``encode_record(response)``, the whole signed
+  :class:`~.trust.StatusResponse`, serial included.
 
-    "PSTA"  u8 version=1  u64 serial (big-endian)
-
-Response payload::
-
-    "PSTR"  u8 version  u8 status  u64 revoked_at  u64 produced_at
-    u16 sig-length  signature
-
-Status codes: 0 GOOD, 1 REVOKED, 2 UNKNOWN; ``revoked_at`` is zero and
-read as absent unless the status is REVOKED.  The responder signs over the
-queried serial as well (see :func:`.trust.verify_status_response`) even
-though the frame omits it, so responses cannot be replayed across serials.
-A malformed request gets an error payload (``"PSTE"  u8 version  u8 code``)
-and the connection closes; the service itself stays up.
+The responder signs the record minus its signature (see
+:func:`.trust.verify_status_response`), so a response names the serial it
+answers and cannot be replayed for another.  Any other request payload, a
+bad length or an early EOF closes the connection unanswered and counts it
+in ``refused``; the service itself stays up.
 
 One thread runs one selector loop over the listener, a wake socket and
 every open non-blocking connection, so half a frame holds up no other
-client; a bad length or an early EOF closes a connection unanswered.  Each
-distinct status is signed once, as RFC 5019 responders pre-produce their
-responses (see :meth:`.trust.Authority.status_for`).
+client.  Each distinct status is signed once, as RFC 5019 responders
+pre-produce their responses (see :meth:`.trust.Authority.status_for`).
 
 The client never surfaces an unverifiable response: any transport problem,
-framing problem, or signature failure collapses to
-:class:`~provlab.errors.ServiceUnreachable`, leaving the fail-open/ fail-closed
-decision to the validation policy.
+a payload that is not a :class:`~.trust.StatusResponse`, a response for
+another serial, or a signature failure collapses to
+:class:`~provlab.errors.ServiceUnreachable`, leaving the fail-open/
+fail-closed decision to the validation policy.
 
 The server keeps a query log of every serial asked about.  That log is the
 privacy cost of online status checking: the responder learns which
@@ -40,70 +35,42 @@ from __future__ import annotations
 import contextlib
 import selectors
 import socket
-import struct
 import threading
 
-from .crypto import SIGNATURE_SIZE
-from .errors import BindFailure, ServiceUnreachable
-from .trust import Authority, Certificate, CertStatus, StatusResponse, verify_status_response
+from .encoding import decode_value, encode_value
+from .errors import BindFailure, DecodeError, ServiceUnreachable
+from .records import decode_record, encode_record
+from .trust import Authority, Certificate, StatusResponse, verify_status_response
 
-REQUEST_MAGIC = b"PSTA"
-RESPONSE_MAGIC = b"PSTR"
-ERROR_MAGIC = b"PSTE"
-PROTOCOL_VERSION = 1
-
-ERR_MALFORMED = 1
-ERR_VERSION = 2
-
-_REQUEST_SIZE = 13
 _MAX_FRAME = 4096
 
 
 def encode_request(serial: int) -> bytes:
-    return REQUEST_MAGIC + struct.pack(">BQ", PROTOCOL_VERSION, serial)
+    return encode_value(serial)
 
 
-def encode_response(response: StatusResponse) -> bytes:
-    return (
-        RESPONSE_MAGIC
-        + struct.pack(
-            ">BBQQH",
-            PROTOCOL_VERSION,
-            response.status.value,
-            response.revoked_at or 0,
-            response.produced_at,
-            len(response.responder_signature),
-        )
-        + response.responder_signature
-    )
+def decode_request(payload: bytes) -> int | None:
+    """The serial a request payload asks about; None for any other payload."""
+    try:
+        serial = decode_value(payload)
+    except DecodeError:
+        return None
+    return serial if type(serial) is int and 0 <= serial < 2**64 else None
 
 
 def decode_response(payload: bytes, serial: int) -> StatusResponse:
-    """Parse a response payload for the serial we asked about."""
-    if len(payload) < 24 or payload[:4] != RESPONSE_MAGIC:
-        raise ServiceUnreachable("malformed status response frame")
-    version, status_code, revoked_at, produced_at, sig_len = struct.unpack(
-        ">BBQQH", payload[4:24]
-    )
-    if version != PROTOCOL_VERSION:
-        raise ServiceUnreachable(f"unsupported status protocol version {version}")
-    if len(payload) != 24 + sig_len or sig_len != SIGNATURE_SIZE:
-        raise ServiceUnreachable("bad status response signature length")
+    """Decode a response payload, which must answer ``serial``."""
     try:
-        status = CertStatus(status_code)
-    except ValueError:
-        raise ServiceUnreachable(f"unknown status code {status_code}") from None
-    return StatusResponse(
-        serial=serial,
-        status=status,
-        revoked_at=revoked_at if status is CertStatus.REVOKED else None,
-        produced_at=produced_at,
-        responder_signature=payload[24:],
-    )
+        response = decode_record(StatusResponse, payload)
+    except DecodeError as exc:
+        raise ServiceUnreachable(f"malformed status response: {exc}") from None
+    if response.serial != serial:
+        raise ServiceUnreachable(f"status response is for serial {response.serial}, not {serial}")
+    return response
 
 
 def _frame(payload: bytes) -> bytes:
-    return struct.pack(">H", len(payload)) + payload
+    return len(payload).to_bytes(2, "big") + payload
 
 
 def _recv_exact(sock: socket.socket, count: int) -> bytes:
@@ -183,20 +150,13 @@ class StatusService:
             self.refused += 1  # a bad length or an EOF mid-frame: no reply
             return True
         if complete:
-            with contextlib.suppress(OSError):
-                connection.send(_frame(self._reply(bytes(buffer[2 : 2 + length]))))
+            serial = decode_request(bytes(buffer[2 : 2 + length]))
+            if serial is None:
+                self.refused += 1  # not one serial: no reply
+            else:
+                with contextlib.suppress(OSError):
+                    connection.send(_frame(encode_record(self.answer(serial))))
         return complete
-
-    def _reply(self, payload: bytes) -> bytes:
-        if (
-            len(payload) != _REQUEST_SIZE
-            or payload[:4] != REQUEST_MAGIC
-            or payload[4] != PROTOCOL_VERSION
-        ):
-            self.refused += 1
-            code = ERR_VERSION if payload[:4] == REQUEST_MAGIC else ERR_MALFORMED
-            return ERROR_MAGIC + struct.pack(">BB", PROTOCOL_VERSION, code)
-        return encode_response(self.answer(struct.unpack(">Q", payload[5:13])[0]))
 
     def answer(self, serial: int) -> StatusResponse:
         self.query_log.append(serial)
@@ -231,7 +191,8 @@ def query_status(
     """Query one serial and verify the responder's signature.
 
     Raises :class:`ServiceUnreachable` for every failure mode: connection
-    errors, malformed frames, error frames, and signature mismatches alike.
+    errors, malformed frames, a refused request, a response for another
+    serial, and signature mismatches alike.
     """
     try:
         with socket.create_connection(endpoint, timeout=timeout) as sock:

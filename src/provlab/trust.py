@@ -225,8 +225,8 @@ class StatusResponse:
 
 
 def _status_payload(response: StatusResponse) -> bytes:
-    # the serial is signed even though the wire frame omits it, so a
-    # response for one serial cannot be replayed for another
+    # the serial is signed, so a response for one serial cannot be
+    # replayed for another
     return encode_record(response, omit=("responder_signature",))
 
 

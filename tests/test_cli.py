@@ -19,6 +19,9 @@ from provlab.workspace import DAY, T0, YEAR, Workspace
 def cliws(tmp_path_factory):
     root = tmp_path_factory.mktemp("cliws")
     assert main(["--workspace", str(root), "init", "--seed", "1"]) == 0
+    # the fixtures this module reads, so each test also runs alone
+    for scenario in ("honest", "unbound-timestamp"):
+        assert main(["--workspace", str(root), "sign", "--scenario", scenario]) == 0
     return root
 
 
@@ -59,6 +62,30 @@ def test_workspace_env_fallback(cliws, capsys, monkeypatch):
     monkeypatch.setenv("PROVLAB_WORKSPACE", str(cliws))
     code, out, _ = run(["sign", "--scenario", "honest"], capsys)
     assert code == 0 and "signed:" in out
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_sign_refuses_a_seed_outside_64_bits(tmp_path, capsys, seed):
+    root = tmp_path / "ws"
+    assert main(["--workspace", str(root), "init", "--seed", "1"]) == 0
+    state = (root / "workspace.json").read_bytes()
+    code, _, err = run(
+        ["--workspace", str(root), "sign", "--scenario", "honest", "--seed", str(seed)], capsys
+    )
+    assert code == 4 and f"seed {seed} is outside" in err
+    assert not (root / "fixtures" / "honest").exists()
+    assert (root / "workspace.json").read_bytes() == state
+
+
+def test_sign_seeds_at_both_ends_of_64_bits_differ(tmp_path, capsys):
+    root = tmp_path / "ws"
+    assert main(["--workspace", str(root), "init", "--seed", "1"]) == 0
+    signed = []
+    for seed in (0, 2**64 - 1):
+        argv = ["--workspace", str(root), "sign", "--scenario", "honest", "--seed", str(seed)]
+        assert run(argv, capsys)[0] == 0
+        signed.append((root / "fixtures" / "honest" / "asset.pvl").read_bytes())
+    assert signed[0] != signed[1]
 
 
 def test_sign_validate_exit_codes(cliws, capsys):

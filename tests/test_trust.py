@@ -15,8 +15,10 @@ from provlab.errors import (
     UsageViolation,
     ValidityNotNested,
 )
+from provlab.records import encode_record
 from provlab.statusservice import (
     StatusService,
+    _frame,
     decode_response,
     encode_request,
     query_status,
@@ -317,8 +319,7 @@ def test_query_roundtrip(service):
     response = query_status(svc.endpoint, leaf_cert.serial, root_cert)
     assert response.status == CertStatus.REVOKED
     assert response.revoked_at == T0 + 9
-    # the frame's zero means "not revoked" only for a response that is not
-    # REVOKED, so a revocation dated 0 still verifies
+    # a revocation dated 0 is told apart from "not revoked" (None)
     authority.revoke(leaf_cert.serial, 0)
     response = query_status(svc.endpoint, leaf_cert.serial, root_cert)
     assert (response.status, response.revoked_at) == (CertStatus.REVOKED, 0)
@@ -358,6 +359,60 @@ def test_malformed_frames_do_not_kill_service(service):
     response = query_status(svc.endpoint, leaf_cert.serial, root_cert)
     assert response.status == CertStatus.GOOD
     assert svc.refused == 4
+
+
+def _exchange(svc, payload):
+    """Send one framed request payload; return every byte the server sends back."""
+    import socket
+
+    with socket.create_connection(svc.endpoint, timeout=2) as sock:
+        sock.sendall(_frame(payload))
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    return reply
+
+
+def test_served_reply_is_the_status_record(service):
+    svc, authority, _, leaf_cert = service
+    for serial in (leaf_cert.serial, 2**64 - 1):
+        reply = _exchange(svc, encode_request(serial))
+        assert reply == _frame(encode_record(authority.status_for(serial)))
+    assert (svc.query_log, svc.refused) == ([leaf_cert.serial, 2**64 - 1], 0)
+
+
+def test_response_for_another_serial_is_unreachable(service):
+    svc, authority, root_cert, leaf_cert = service
+    other = authority.status_for(leaf_cert.serial + 1)
+    assert verify_status_response(other, root_cert)
+    with pytest.raises(ServiceUnreachable, match="serial"):
+        decode_response(encode_record(other), leaf_cert.serial)
+    with pytest.raises(ServiceUnreachable, match="malformed"):
+        decode_response(encode_record(other)[:-1], other.serial)
+    # a responder replaying a validly signed status for another serial
+    svc.answer = lambda serial: authority.status_for(serial + 1)
+    with pytest.raises(ServiceUnreachable, match="serial"):
+        query_status(svc.endpoint, leaf_cert.serial, root_cert)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        b"PSTA\x01" + (101).to_bytes(8, "big"),  # the retired fixed-layout request
+        encode_value(-1),
+        encode_value(True),
+        encode_value(101.0),
+        encode_value("101"),
+        encode_value(101) + b"\x00",
+    ],
+    ids=["psta-v1", "negative", "bool", "float", "text", "trailing-byte"],
+)
+def test_non_serial_requests_are_closed_unanswered(service, payload):
+    svc, _, root_cert, leaf_cert = service
+    assert _exchange(svc, payload) == b""
+    assert (svc.query_log, svc.refused) == ([], 1)
+    assert query_status(svc.endpoint, leaf_cert.serial, root_cert).status == CertStatus.GOOD
+    assert (svc.query_log, svc.refused) == ([leaf_cert.serial], 1)
 
 
 def _half_sent(svc):

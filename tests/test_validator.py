@@ -240,6 +240,31 @@ def test_displayed_time_provenance(lab, fixtures):
     assert stripped.displayed_time.provenance == TimeProvenance.ABSENT
 
 
+def test_token_less_manifest(corpus, corpus_entry, entry_bytes):
+    # signing always fetches a token, so only outside input carries none
+    entry = corpus_entry("honest")
+    asset = parse_asset(entry_bytes(entry))
+    manifest = decode_manifest(extract_manifest(asset))
+    token_less = dataclasses.replace(
+        manifest, claim_signature=dataclasses.replace(manifest.claim_signature, timestamp=None)
+    )
+    data = serialize_asset(replace_manifest(asset, encode_manifest(token_less)))
+    policies = entry_policies(corpus["workspace"], entry, corpus["crl"])
+
+    spec = validate(data, policies["spec"])
+    assert spec.verdict == Verdict.ACCEPTED
+    timestamp = spec.check("timestamp")
+    assert (timestamp.outcome, timestamp.detail) == (CheckOutcome.SKIPPED, "no timestamp token")
+    assert spec.goals["G3"] == GoalStatus.NOT_EVALUATED
+    assert spec.displayed_time.provenance == TimeProvenance.ABSENT
+
+    hardened = validate(data, policies["hardened"])
+    assert hardened.verdict == Verdict.REJECTED
+    timestamp = hardened.check("timestamp")
+    assert (timestamp.outcome, timestamp.detail) == (CheckOutcome.FAIL, "no timestamp token")
+    assert hardened.goals["G3"] == GoalStatus.VIOLATED
+
+
 def test_render_tags_time_provenance(lab, fixtures):
     unbound = render_report(validate(b(fixtures["unbound-timestamp"]), spec_at(lab)))
     assert "(unverified time)" in unbound
