@@ -8,8 +8,9 @@ the two independently.
 
 Two attacks change no bytes at all: ``sign-with-revoked`` changes authority
 state (the serial is revoked after signing) and ``expiry-timewarp`` changes
-only the validation time.  The other three are byte-minimal: they touch one
-token, one excluded segment, or one whole manifest segment.
+only the validation time.  Three are byte-minimal: they touch one token, one
+excluded segment, or one whole manifest segment.  ``token-transplant`` is the
+key holder's attack: it re-signs the claim around a token of its choosing.
 
 :data:`ATTACKS` is the one registry: a row per attack names the scenarios it
 applies to and the function that applies it inside a workspace with its
@@ -30,8 +31,8 @@ from .container import (
     splice_bytes,
     strip_manifest,
 )
-from .credentials import BindingMode, decode_manifest, encode_manifest
-from .crypto import digest
+from .credentials import BindingMode, decode_manifest, encode_manifest, signed_payload
+from .crypto import SigningKey, digest
 from .errors import (
     BoundModeError,
     LabelNotFound,
@@ -39,11 +40,13 @@ from .errors import (
     NotExcluded,
     ProvenanceError,
     UntrustedTsa,
+    UsageViolation,
 )
 from .signer import (
-    SCENARIOS, SignerConfig, build_scenario_content, format_gps, scenario_signer, sign_asset,
+    SCENARIOS, SignerConfig, build_scenario_content, format_gps, scenario_identity,
+    scenario_signer, sign_asset,
 )
-from .timestamp import TimestampAuthority, archival_extend
+from .timestamp import TimestampAuthority, archival_extend, encode_token
 from .trust import Authority, TrustList, verify_chain
 from .validator import Verdict
 from .workspace import DAY, T0, YEAR, Workspace
@@ -55,6 +58,7 @@ REVOKED_VALIDATION_TIME = T0 + 210 * DAY
 ARCHIVAL_EXTEND_AT = T0 + 15 * DAY
 TIMEWARP_VALIDATION_TIME = T0 + YEAR
 FAKE_GPS = (48.8584, 2.2945)  # nowhere near any seeded fixture coordinate
+TRANSPLANT_IMPRINT = digest(b"some other document")  # what the transplanted token stamps
 
 
 @dataclass(frozen=True)
@@ -196,6 +200,40 @@ def attack_expiry_timewarp(asset: Asset, validation_time: int) -> AttackOutcome:
     )
 
 
+def attack_token_transplant(
+    asset: Asset, key: SigningKey, tsa: TimestampAuthority, token_time: int
+) -> AttackOutcome:
+    """Re-sign the claim around a token minted over unrelated bytes.
+
+    The signing key's holder asks a trusted TSA to stamp some other
+    document at ``token_time`` and signs ``claim || token-digest`` around
+    that token.  The bound signature verifies, so only the token's own
+    imprint can show that its time was never stated for this claim.
+    """
+    manifest = decode_manifest(extract_manifest(asset))
+    chain = manifest.claim_signature.signer_chain
+    if key.public_bytes != chain[0].public_key:
+        raise UsageViolation("the key does not match the signing leaf; the signature would break")
+    token = tsa.issue(TRANSPLANT_IMPRINT, clock=token_time)
+    payload = signed_payload(manifest.claim, BindingMode.BOUND, digest(encode_token(token)))
+    claim_signature = replace(
+        manifest.claim_signature,
+        signature=key.sign(payload),
+        timestamp=token,
+        binding_mode=BindingMode.BOUND,
+    )
+    mutated_manifest = replace(manifest, claim_signature=claim_signature)
+    return AttackOutcome(
+        name="token-transplant",
+        mutated=replace_manifest(asset, encode_manifest(mutated_manifest)),
+        expected={"spec": Verdict.REJECTED, "hardened": Verdict.REJECTED},
+        notes=(
+            f"claim re-signed by its key holder around a token stamped at {token_time} "
+            "over an unrelated digest"
+        ),
+    )
+
+
 def attack_strip_manifest(asset: Asset) -> AttackOutcome:
     """Remove the manifest segment wholesale.
 
@@ -270,6 +308,14 @@ def _expiry_timewarp(
     return attack_expiry_timewarp(asset, at)
 
 
+def _token_transplant(
+    workspace: Workspace, scenario: str, asset: Asset, *, time: int | None = None
+) -> AttackOutcome:
+    at = T0 - BACKDATE_DELTA if time is None else time
+    key = scenario_identity(workspace, SCENARIOS[scenario]).key
+    return attack_token_transplant(asset, key, workspace.tsa(), at)
+
+
 def _strip_manifest(workspace: Workspace, scenario: str, asset: Asset) -> AttackOutcome:
     return attack_strip_manifest(asset)
 
@@ -286,6 +332,7 @@ ATTACKS: dict[str, Attack] = {
         Attack("sign-with-revoked", ("revocable",), _sign_with_revoked),
         Attack("expiry-timewarp", ("short-lived-cert",), _expiry_timewarp, prepare=_archive),
         Attack("strip-manifest", tuple(SCENARIOS), _strip_manifest),
+        Attack("token-transplant", ("bound-timestamp",), _token_transplant),
     )
 }
 
@@ -312,7 +359,8 @@ def apply_attack(
     the row's ``prepare`` step (that is the corpus's).
 
     Trip parameters default to the corpus's; ``time`` overrides the token
-    time (timestamp-replace) or the warp target (expiry-timewarp), and
+    time (timestamp-replace, token-transplant) or the warp target
+    (expiry-timewarp), and
     ``label``/``payload`` the segment exclusion-mutate overwrites; a trip
     parameter the attack does not use (see :func:`attack_inputs`) raises
     TypeError.  An attack that does not use ``asset`` ignores it.

@@ -34,6 +34,7 @@ def test_matrix_covers_every_attack_and_scenario():
         "sign-with-revoked",
         "expiry-timewarp",
         "strip-manifest",
+        "token-transplant",
     }
     for scenarios in ATTACK_MATRIX.values():
         for name in scenarios:
@@ -55,7 +56,7 @@ def test_readme_attack_table_lists_every_registry_row():
 def test_corpus_verdicts_match_expectations(corpus, entry_bytes):
     workspace = corpus["workspace"]
     crl = corpus["crl"]
-    assert len(corpus["entries"]) == 19  # 6 honest + 13 attacked
+    assert len(corpus["entries"]) == 20  # 6 honest + 14 attacked
     for entry in corpus["entries"]:
         data = entry_bytes(entry)
         for preset, policy in entry_policies(workspace, entry, crl).items():
@@ -66,9 +67,9 @@ def test_corpus_verdicts_match_expectations(corpus, entry_bytes):
 
 
 CORPUS_TREE_DIGESTS = {
-    1: "3a6d01f2b0fdf3b560f07554abcea88aee3f4960f91353dc750008d5b8b5c5de",
-    2: "306a701d745dcc43a4a6b3259d62fb44ce60f352350fdb8ee66b4880628e4ac4",
-    3: "5788881a8456b1c79ba3510e6d8657d5d8a0860474e0f466453c7a2a33db791b",
+    1: "5c77693cc7c3bb817424b72e1025a041894ca790b844383b61b0bc44c8eb4b02",
+    2: "dc4e8bb35c3eeff4d5b24c10ac47de6128379683c61be18224df246fe3f7d503",
+    3: "dc74b004ccbc1f4a5fdf40c4441c6aee4b7dc0b0ea241b0335e45a24a9b3b9a8",
 }
 
 

@@ -323,7 +323,7 @@ def test_corpus_command_checks_itself(tmp_path, capsys):
     assert main(["--workspace", str(root), "init", "--seed", "9"]) == 0
     code, out, _ = run(["--workspace", str(root), "corpus", "--check"], capsys)
     assert code == 0
-    assert "19 entries" in out
+    assert "20 entries" in out
     assert "all corpus entries match" in out
 
 
