@@ -31,7 +31,9 @@ from .container import (
     splice_bytes,
     strip_manifest,
 )
-from .credentials import BindingMode, decode_manifest, encode_manifest, signed_payload
+from .credentials import (
+    BindingMode, ClaimSignature, decode_manifest, encode_claim, encode_manifest, signed_payload,
+)
 from .crypto import SigningKey, digest
 from .errors import (
     BoundModeError,
@@ -46,7 +48,7 @@ from .signer import (
     SCENARIOS, SignerConfig, build_scenario_content, format_gps, scenario_identity,
     scenario_signer, sign_asset,
 )
-from .timestamp import TimestampAuthority, archival_extend, encode_token
+from .timestamp import TimestampAuthority, archival_extend
 from .trust import Authority, TrustList, verify_chain
 from .validator import Verdict
 from .workspace import DAY, T0, YEAR, Workspace
@@ -68,7 +70,6 @@ class AttackOutcome:
     expected: dict[str, Verdict]  # policy preset name -> expected verdict
     notes: str
     validation_time: int | None = None  # None: validate at the usual time
-    mutates_bytes: bool = True
 
 
 def attack_timestamp_replace(
@@ -164,7 +165,6 @@ def attack_sign_with_revoked(
             f"asset unchanged, validated at {validation_time}"
         ),
         validation_time=validation_time,
-        mutates_bytes=False,
     )
 
 
@@ -196,7 +196,6 @@ def attack_expiry_timewarp(asset: Asset, validation_time: int) -> AttackOutcome:
             f"at {leaf.not_after}; archival tokens present: {bridged}"
         ),
         validation_time=validation_time,
-        mutates_bytes=False,
     )
 
 
@@ -213,16 +212,11 @@ def attack_token_transplant(
     manifest = decode_manifest(extract_manifest(asset))
     chain = manifest.claim_signature.signer_chain
     if key.public_bytes != chain[0].public_key:
-        raise UsageViolation("the key does not match the signing leaf; the signature would break")
+        raise UsageViolation("key does not match the signing leaf; the signature would break")
     token = tsa.issue(TRANSPLANT_IMPRINT, clock=token_time)
-    payload = signed_payload(manifest.claim, BindingMode.BOUND, digest(encode_token(token)))
-    claim_signature = replace(
-        manifest.claim_signature,
-        signature=key.sign(payload),
-        timestamp=token,
-        binding_mode=BindingMode.BOUND,
-    )
-    mutated_manifest = replace(manifest, claim_signature=claim_signature)
+    unsigned = ClaimSignature(chain, b"", token, BindingMode.BOUND)
+    signature = key.sign(signed_payload(encode_claim(manifest.claim), unsigned))
+    mutated_manifest = replace(manifest, claim_signature=replace(unsigned, signature=signature))
     return AttackOutcome(
         name="token-transplant",
         mutated=replace_manifest(asset, encode_manifest(mutated_manifest)),
@@ -360,10 +354,10 @@ def apply_attack(
 
     Trip parameters default to the corpus's; ``time`` overrides the token
     time (timestamp-replace, token-transplant) or the warp target
-    (expiry-timewarp), and
-    ``label``/``payload`` the segment exclusion-mutate overwrites; a trip
-    parameter the attack does not use (see :func:`attack_inputs`) raises
-    TypeError.  An attack that does not use ``asset`` ignores it.
+    (expiry-timewarp), and ``label``/``payload`` the segment
+    exclusion-mutate overwrites; a trip parameter the attack does not use
+    (see :func:`attack_inputs`) raises TypeError.  An attack that does not
+    use ``asset`` ignores it.
     """
     if "asset" in attack_inputs(name):
         trip["asset"] = asset

@@ -8,8 +8,9 @@ later) and the hard binding that ties the claim to the asset bytes.
 
 - ``UNBOUND``: the canonical claim bytes only.  A timestamp token may ride
   along in the :class:`ClaimSignature`, but nothing signed references it.
-- ``BOUND``: the canonical claim bytes concatenated with the digest of the
-  entire timestamp token, so replacing the token breaks the signature.
+- ``BOUND``: the canonical claim bytes followed by the digest of the whole
+  token, which in turn imprints the claim, so replacing the token breaks
+  the signature.
 
 Everything here encodes through :mod:`.records`, whose decoding is strict at
 the record level as well as the value level: equal structures have equal
@@ -24,9 +25,9 @@ from enum import Enum
 
 from .container import HardBinding
 from .crypto import SigningKey, digest
-from .errors import BindingArgumentMismatch, LabelNotFound, RedactionNotRedactable
+from .errors import LabelNotFound, RedactionNotRedactable
 from .records import decode_record, encode_record
-from .timestamp import TimestampToken
+from .timestamp import TimestampToken, encode_token
 from .trust import Certificate
 
 REDACTION_LABEL = "prov.redaction"
@@ -140,19 +141,11 @@ def decode_manifest(data: bytes) -> Manifest:
 # signing payloads and digests
 # ---------------------------------------------------------------------------
 
-def signed_payload(
-    claim: Claim,
-    binding_mode: BindingMode,
-    timestamp_digest: bytes | None = None,
-) -> bytes:
-    """The exact bytes the claim signature covers."""
-    if binding_mode == BindingMode.UNBOUND:
-        if timestamp_digest is not None:
-            raise BindingArgumentMismatch("unbound payloads take no timestamp digest")
-        return encode_claim(claim)
-    if timestamp_digest is None:
-        raise BindingArgumentMismatch("bound payloads require the timestamp digest")
-    return encode_claim(claim) + timestamp_digest
+def signed_payload(claim_bytes: bytes, claim_signature: ClaimSignature) -> bytes:
+    """The exact bytes ``claim_signature`` covers; its ``signature`` is not read."""
+    if claim_signature.binding_mode == BindingMode.UNBOUND:
+        return claim_bytes
+    return claim_bytes + digest(encode_token(claim_signature.timestamp))
 
 
 def digest_assertion(assertion: Assertion) -> bytes:

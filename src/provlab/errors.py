@@ -56,10 +56,6 @@ class DecodeError(ProvenanceError):
     """Bytes are not a canonical encoding of a supported value."""
 
 
-class BindingArgumentMismatch(ProvenanceError):
-    """Timestamp digest supplied/omitted inconsistently with the binding mode."""
-
-
 class LabelNotFound(ProvenanceError):
     """No assertion or segment carries the requested label."""
 

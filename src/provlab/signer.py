@@ -13,12 +13,10 @@
    on the claim's encoding alone.  The binding digest is unaffected (the
    manifest region is excluded either way); integer heads only grow, so the
    length settles within a few rounds;
-3. sign the settled claim once.  In ``UNBOUND`` mode the timestamp token is
-   fetched over the signature digest and merely attached.  In ``BOUND`` mode
-   the construction is two-pass: sign the claim, timestamp that pass-1
-   signature, then re-sign ``claim || token-digest``.  The pass-1 signature
-   is discarded; what lands in the manifest is the pass-2 signature, whose
-   payload pins the whole token;
+3. sign the settled claim once (``credentials.signed_payload``).  An
+   ``UNBOUND`` token is fetched afterwards over the signature digest and
+   merely attached.  A ``BOUND`` token is fetched first over the claim digest
+   and the signature covers ``claim || token-digest``, pinning the token;
 4. encode the manifest, check that it has the settled length, and embed it
    immediately after the header segment.
 
@@ -29,7 +27,7 @@ configuration the validator and attack toolkit care about.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .container import (
@@ -52,6 +50,7 @@ from .credentials import (
     digest_assertion,
     encode_claim,
     encode_manifest,
+    signed_payload,
 )
 from .crypto import DIGEST_SIZE, SIGNATURE_SIZE, SigningKey, digest, derive_stream_seed
 from .errors import (
@@ -62,7 +61,7 @@ from .errors import (
     UnknownScenario,
     UsageViolation,
 )
-from .timestamp import TimestampAuthority, TimestampToken, encode_token
+from .timestamp import TimestampAuthority, TimestampToken
 from .trust import Certificate, Usage
 from .validator import Verdict
 from .workspace import DAY, T0, YEAR, Identity, Workspace
@@ -84,15 +83,14 @@ class SignerConfig:
 
 
 def _build_claim_signature(claim_bytes: bytes, config: SignerConfig) -> ClaimSignature:
-    """Sign the encoded claim; the payloads are ``credentials.signed_payload``'s."""
-    if config.binding_mode == BindingMode.UNBOUND:
-        signature = config.key.sign(claim_bytes)
+    """Sign the encoded claim once, as step 3 above describes."""
+    bound = config.binding_mode == BindingMode.BOUND
+    token = config.tsa.issue(digest(claim_bytes)) if bound else None
+    unsigned = ClaimSignature(config.chain, b"", token, config.binding_mode)
+    signature = config.key.sign(signed_payload(claim_bytes, unsigned))
+    if not bound:
         token = config.tsa.issue(digest(signature))
-        return ClaimSignature(config.chain, signature, token, BindingMode.UNBOUND)
-    pass1 = config.key.sign(claim_bytes)
-    token = config.tsa.issue(digest(pass1))
-    signature = config.key.sign(claim_bytes + digest(encode_token(token)))
-    return ClaimSignature(config.chain, signature, token, BindingMode.BOUND)
+    return replace(unsigned, signature=signature, timestamp=token)
 
 
 def sign_asset(
@@ -247,7 +245,7 @@ SCENARIOS: dict[str, Scenario] = {
             2 * YEAR,
             "hardened",
             expected={"spec": Verdict.ACCEPTED, "hardened": Verdict.ACCEPTED},
-            description="two-pass bound signature pinning the token",
+            description="bound signature pinning a token over the claim digest",
         ),
     )
 }

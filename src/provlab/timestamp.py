@@ -1,9 +1,9 @@
 """Timestamp tokens and archival extension.
 
 A token is a TSA's signature over ``(message_digest, gen_time)`` and nothing
-else.  Whether the token is itself covered by the claim signature is decided
-elsewhere (the signer's binding mode); the token format is identical either
-way, which is exactly what makes unbound tokens swappable.
+else.  The digest is its message imprint (RFC 3161): the claim's digest when
+the claim signature pins the token (bound), the signature's when it does not
+(unbound).  The format is the same either way, so unbound tokens swap freely.
 
 Archival extension appends a token over the digest of the entire current
 manifest payload to a trailer list inside the manifest segment.  Those
@@ -90,7 +90,7 @@ class TokenVerdict:
 
 def verify_token(
     token: TimestampToken,
-    expected_digest: bytes | None,
+    expected_digest: bytes,
     trust: TrustList,
 ) -> TokenVerdict:
     """Verify a token; the TSA chain is checked at ``token.gen_time``.
@@ -98,15 +98,13 @@ def verify_token(
     Tokens attest past moments, so there is no "current time" input here;
     whether an old token should still be *trusted* now is a policy question
     answered by the validator's archival-chain rule, not by this check.
-    ``expected_digest`` is optional because a bound token's digest refers to
-    a signature that is not embedded (see the signer's two-pass scheme).
     """
     if not token.tsa_chain:
         return TokenVerdict(TokenStatus.UNTRUSTED_TSA, "empty TSA chain")
     leaf = token.tsa_chain[0]
     if not verify_once(leaf.public_key, token_signed_payload(token), token.tsa_signature):
         return TokenVerdict(TokenStatus.BAD_TOKEN_SIGNATURE, "TSA signature invalid")
-    if expected_digest is not None and token.message_digest != expected_digest:
+    if token.message_digest != expected_digest:
         return TokenVerdict(TokenStatus.DIGEST_MISMATCH, "token covers a different digest")
     if leaf.usage != Usage.LEAF_TSA:
         return TokenVerdict(

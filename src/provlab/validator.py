@@ -44,6 +44,7 @@ from .credentials import (
     decode_manifest,
     digest_assertion,
     encode_assertion,
+    encode_claim,
     encode_manifest,
     signed_payload,
 )
@@ -51,7 +52,7 @@ from .crypto import digest, verify_once
 from .errors import ProvenanceError, ServiceUnreachable
 from .records import record_from_value, record_value
 from .statusservice import query_status
-from .timestamp import encode_token, verify_token
+from .timestamp import verify_token
 from .trust import (
     CertStatus,
     ChainStatus,
@@ -241,6 +242,7 @@ class _Run:
         self.results: dict[str, CheckResult] = {}
         self.asset: Asset | None = None
         self.manifest: Manifest | None = None
+        self.claim_bytes = b""  # the manifest's claim, encoded: what is signed and stamped
         self.manifest_segment: Segment | None = None
         self.effective_exclusions: tuple[ByteRange, ...] | None = None
         self.tombstones: tuple[str, ...] = ()
@@ -365,6 +367,7 @@ def _check_manifest_decode(run: _Run) -> _Result:
     except ProvenanceError as exc:
         run.malformed = True
         return CheckOutcome.FAIL, f"undecodable manifest: {exc}"
+    run.claim_bytes = encode_claim(run.manifest.claim)
     return CheckOutcome.PASS, ""
 
 
@@ -467,15 +470,15 @@ def _archival_bridge(run: _Run) -> str | None:
             return None
     # a token is anchored if its TSA chain is valid now, or the next token
     # is anchored and attests a moment at which this token's chain was valid
-    anchored = [False] * len(tokens)
+    anchored = False
     for i in range(len(tokens) - 1, -1, -1):
         if verify_chain(tokens[i].tsa_chain, policy.trust, policy.validation_time).valid:
-            anchored[i] = True
-        elif i + 1 < len(tokens) and anchored[i + 1]:
-            anchored[i] = verify_chain(
+            anchored = True
+        elif anchored:
+            anchored = verify_chain(
                 tokens[i].tsa_chain, policy.trust, tokens[i + 1].gen_time
             ).valid
-    if not anchored[0]:
+    if not anchored:
         return None
     first = tokens[0]
     chain_at_first = verify_chain(
@@ -512,11 +515,7 @@ def _check_signature(run: _Run) -> _Result:
     leaf = claim_signature.signer_chain[0]
     if leaf.usage != Usage.LEAF_SIGNING:
         return CheckOutcome.FAIL, f"leaf usage {leaf.usage.value} cannot sign claims"
-    if claim_signature.binding_mode == BindingMode.BOUND:
-        token_digest = digest(encode_token(claim_signature.timestamp))
-        payload = signed_payload(run.manifest.claim, BindingMode.BOUND, token_digest)
-    else:
-        payload = signed_payload(run.manifest.claim, BindingMode.UNBOUND)
+    payload = signed_payload(run.claim_bytes, claim_signature)
     if verify_once(leaf.public_key, payload, claim_signature.signature):
         return CheckOutcome.PASS, f"{claim_signature.binding_mode.value} payload"
     return CheckOutcome.FAIL, "claim signature does not verify"
@@ -568,26 +567,22 @@ def _check_timestamp(run: _Run) -> _Result:
         if policy.timestamp_rule == TimestampRule.REQUIRE_BOUND:
             return CheckOutcome.FAIL, "no timestamp token"
         return CheckOutcome.SKIPPED, "no timestamp token"
-    if claim_signature.binding_mode == BindingMode.UNBOUND:
-        if policy.timestamp_rule == TimestampRule.REQUIRE_BOUND:
-            return CheckOutcome.FAIL, "token is not bound to the claim signature"
-        verdict = verify_token(token, digest(claim_signature.signature), policy.trust)
-        if not verdict.valid:
-            return CheckOutcome.FAIL, f"{verdict.status.value}: {verdict.detail}"
-        run.displayed = DisplayedTime(token.gen_time, TimeProvenance.UNBOUND_TOKEN)
-        return CheckOutcome.PASS, f"unbound token at {token.gen_time}"
-    # bound: the token digest is pinned inside the signed payload, so the
-    # token's own message digest refers to the discarded pass-1 signature
-    verdict = verify_token(token, None, policy.trust)
+    bound = claim_signature.binding_mode == BindingMode.BOUND
+    if not bound and policy.timestamp_rule == TimestampRule.REQUIRE_BOUND:
+        return CheckOutcome.FAIL, "token is not bound to the claim signature"
+    # a bound token imprints the claim, an unbound one the signature
+    imprint = digest(run.claim_bytes if bound else claim_signature.signature)
+    verdict = verify_token(token, imprint, policy.trust)
     if not verdict.valid:
         return CheckOutcome.FAIL, f"{verdict.status.value}: {verdict.detail}"
-    if run.results["signature"].outcome != CheckOutcome.PASS:
+    if bound and run.results["signature"].outcome != CheckOutcome.PASS:
         return (
             CheckOutcome.FAIL,
             "bound token cannot be trusted without a verifying claim signature",
         )
-    run.displayed = DisplayedTime(token.gen_time, TimeProvenance.SIGNED)
-    return CheckOutcome.PASS, f"bound token at {token.gen_time}"
+    provenance = TimeProvenance.SIGNED if bound else TimeProvenance.UNBOUND_TOKEN
+    run.displayed = DisplayedTime(token.gen_time, provenance)
+    return CheckOutcome.PASS, f"{'bound' if bound else 'unbound'} token at {token.gen_time}"
 
 
 def _check_redaction_audit(run: _Run) -> _Result:

@@ -13,6 +13,7 @@ from provlab.attacks import (
     attack_expiry_timewarp,
     attack_strip_manifest,
     attack_timestamp_replace,
+    attack_token_transplant,
 )
 from provlab.container import extract_manifest, parse_asset, serialize_asset, wire_span
 from provlab.corpus import (
@@ -20,10 +21,12 @@ from provlab.corpus import (
 )
 from provlab.credentials import decode_manifest
 from provlab.errors import (
-    BoundModeError, DecodeError, LengthMismatch, NotExcluded, UntrustedTsa,
+    BoundModeError, DecodeError, LengthMismatch, NotExcluded, UntrustedTsa, UsageViolation,
 )
 from provlab.signer import SCENARIOS, format_gps
-from provlab.validator import Verdict, validate
+from provlab.validator import (
+    CheckOutcome, DisplayedTime, GoalStatus, TimeProvenance, Verdict, validate,
+)
 from provlab.workspace import T0, YEAR, Workspace
 
 
@@ -67,9 +70,9 @@ def test_corpus_verdicts_match_expectations(corpus, entry_bytes):
 
 
 CORPUS_TREE_DIGESTS = {
-    1: "5c77693cc7c3bb817424b72e1025a041894ca790b844383b61b0bc44c8eb4b02",
-    2: "dc4e8bb35c3eeff4d5b24c10ac47de6128379683c61be18224df246fe3f7d503",
-    3: "dc74b004ccbc1f4a5fdf40c4441c6aee4b7dc0b0ea241b0335e45a24a9b3b9a8",
+    1: "8da5b0a403de901d728cf43024ef5c3aad12802f0bbca0acf78d2fbae652bf95",
+    2: "85c02c6ec9999817dd113633e41d44bf134f6370ef9b729a4b174b2c36da09d1",
+    3: "cdf62a3c32ee4d489843996d8e97dd74e5f36dee7461dcd34c52b1fa9a9daaec",
 }
 
 
@@ -161,6 +164,36 @@ def test_stateless_attacks_change_no_bytes(corpus, corpus_entry, entry_bytes):
     assert warped.expected["hardened"] == Verdict.ACCEPTED.value
 
 
+def test_token_transplant_fails_at_the_token_imprint(corpus, corpus_entry, entry_bytes):
+    """The key holder's re-signed claim verifies, but its back-dated token
+    imprints other bytes: both presets refuse it at ``timestamp`` and show no
+    time, while the honest bound fixtures keep their signed time."""
+    workspace, crl = corpus["workspace"], corpus["crl"]
+    honest = corpus_entry("bound-timestamp")
+    attacked = corpus_entry("bound-timestamp", "token-transplant")
+    before = decode_manifest(extract_manifest(parse_asset(entry_bytes(honest))))
+    after = decode_manifest(extract_manifest(parse_asset(entry_bytes(attacked))))
+    assert after.claim == before.claim
+    assert after.claim_signature.timestamp.gen_time == T0 - 10 * YEAR
+    for preset, policy in entry_policies(workspace, attacked, crl).items():
+        report = validate(entry_bytes(attacked), policy)
+        assert report.verdict == Verdict.REJECTED, preset
+        assert report.check("signature").outcome == CheckOutcome.PASS, preset
+        timestamp = report.check("timestamp")
+        assert (timestamp.outcome, timestamp.detail) == (
+            CheckOutcome.FAIL, "DIGEST_MISMATCH: token covers a different digest"
+        ), preset
+        assert report.goals["G3"] == GoalStatus.VIOLATED, preset
+        assert report.displayed_time == DisplayedTime(None, TimeProvenance.ABSENT), preset
+    for name in ("bound-timestamp", "short-lived-cert"):
+        entry = corpus_entry(name)
+        for preset, policy in entry_policies(workspace, entry, crl).items():
+            report = validate(entry_bytes(entry), policy)
+            assert report.verdict == Verdict.ACCEPTED, (name, preset)
+            assert report.goals["G3"] == GoalStatus.HELD, (name, preset)
+            assert report.displayed_time.provenance == TimeProvenance.SIGNED, (name, preset)
+
+
 def test_load_corpus_refuses_an_entry_with_an_extra_key(corpus, tmp_path):
     source = corpus["workspace"].corpus_dir
     index = json.loads((source / "index.json").read_text())
@@ -189,6 +222,14 @@ def test_bound_signature_refuses_token_replacement(toolbox):
     with pytest.raises(BoundModeError):
         attack_timestamp_replace(
             fixtures["bound-timestamp"].signed, lab.tsa(), T0 - YEAR, lab.trust
+        )
+
+
+def test_token_transplant_needs_the_signing_key(toolbox):
+    lab, fixtures = toolbox
+    with pytest.raises(UsageViolation):
+        attack_token_transplant(
+            fixtures["bound-timestamp"].signed, lab.device.key, lab.tsa(), T0 - YEAR
         )
 
 
@@ -228,12 +269,13 @@ def test_timewarp_requires_actual_expiry(toolbox):
 
 def test_timewarp_without_bridge_expects_unverifiable(toolbox):
     lab, fixtures = toolbox
-    outcome = attack_expiry_timewarp(fixtures["short-lived-cert"].signed, T0 + YEAR)
+    asset = fixtures["short-lived-cert"].signed
+    outcome = attack_expiry_timewarp(asset, T0 + YEAR)
     assert outcome.expected == {
         "spec": Verdict.UNVERIFIABLE,
         "hardened": Verdict.UNVERIFIABLE,
     }
-    assert not outcome.mutates_bytes
+    assert outcome.mutated is asset
 
 
 def test_strip_twice_fails(toolbox):

@@ -417,6 +417,24 @@ def test_every_registry_pair_runs_with_default_flags(attackws, capsys, attack, s
         assert len(lines) == 1, out
 
 
+def test_token_transplant_at_a_chosen_time_is_rejected(attackws, tmp_path, capsys):
+    out = tmp_path / "transplant.pvl"
+    code, text, _ = run(
+        [
+            "--workspace", str(attackws), "attack", "token-transplant",
+            "--scenario", "bound-timestamp", "--time", "2019-07-12T00:00:00Z",
+            "--out", str(out),
+        ],
+        capsys,
+    )
+    assert code == 0 and "stamped at 1562889600" in text
+    code, text, _ = run(
+        ["--workspace", str(attackws), "validate", str(out), "--policy", "hardened"], capsys
+    )
+    assert code == 2
+    assert "DIGEST_MISMATCH: token covers a different digest" in text
+
+
 def test_attack_accepts_the_flags_it_uses(cliws, tmp_path, capsys):
     out = tmp_path / "gps.pvl"
     code, out_text, _ = run(

@@ -23,7 +23,6 @@ from provlab.credentials import (
 )
 from provlab.crypto import digest, verify
 from provlab.errors import (
-    BindingArgumentMismatch,
     DecodeError,
     LabelNotFound,
     RedactionNotRedactable,
@@ -63,9 +62,9 @@ def manifest(lab):
         Assertion("std.gps", {"lat": 1.5, "lon": -2.25}),
     )
     claim = sample_claim(assertions)
-    signature = lab.device.key.sign(signed_payload(claim, BindingMode.UNBOUND))
-    claim_signature = ClaimSignature(lab.device.chain, signature, None, BindingMode.UNBOUND)
-    return Manifest(claim, assertions, claim_signature)
+    unsigned = ClaimSignature(lab.device.chain, b"", None, BindingMode.UNBOUND)
+    signature = lab.device.key.sign(signed_payload(encode_claim(claim), unsigned))
+    return Manifest(claim, assertions, replace(unsigned, signature=signature))
 
 
 # ---------------------------------------------------------------------------
@@ -166,24 +165,25 @@ def test_digest_assertion_is_over_encoding():
 # signed payload discipline
 # ---------------------------------------------------------------------------
 
-def test_signed_payload_unbound_is_claim_encoding(manifest):
-    claim = manifest.claim
-    assert signed_payload(claim, BindingMode.UNBOUND) == encode_claim(claim)
+def test_signed_payload_unbound_is_claim_encoding(lab, manifest):
+    claim_bytes = encode_claim(manifest.claim)
+    token = lab.tsa().issue(digest(manifest.claim_signature.signature))
+    claim_signature = replace(manifest.claim_signature, timestamp=token)
+    # an unbound token rides along but is not in the payload
+    assert signed_payload(claim_bytes, claim_signature) == claim_bytes
+    assert signed_payload(claim_bytes, manifest.claim_signature) == claim_bytes
 
 
-def test_signed_payload_bound_appends_token_digest(manifest):
-    claim = manifest.claim
-    token_digest = digest(b"token bytes")
-    payload = signed_payload(claim, BindingMode.BOUND, token_digest)
-    assert payload == encode_claim(claim) + token_digest
-
-
-def test_signed_payload_argument_discipline(manifest):
-    claim = manifest.claim
-    with pytest.raises(BindingArgumentMismatch):
-        signed_payload(claim, BindingMode.UNBOUND, digest(b"x"))
-    with pytest.raises(BindingArgumentMismatch):
-        signed_payload(claim, BindingMode.BOUND)
+def test_signed_payload_bound_appends_token_digest(lab, manifest):
+    claim_bytes = encode_claim(manifest.claim)
+    token = lab.tsa().issue(digest(claim_bytes))
+    claim_signature = replace(
+        manifest.claim_signature, timestamp=token, binding_mode=BindingMode.BOUND
+    )
+    payload = signed_payload(claim_bytes, claim_signature)
+    assert payload == claim_bytes + digest(encode_token(token))
+    # the signature field is not part of what it signs
+    assert signed_payload(claim_bytes, replace(claim_signature, signature=b"x")) == payload
 
 
 # ---------------------------------------------------------------------------

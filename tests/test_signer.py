@@ -110,20 +110,29 @@ def test_bound_signature_pins_the_token(lab, honest_content):
     manifest = decode_manifest(extract_manifest(signed))
     claim_signature = manifest.claim_signature
     leaf = claim_signature.signer_chain[0]
-    token_digest = digest(encode_token(claim_signature.timestamp))
-    bound_payload = signed_payload(manifest.claim, BindingMode.BOUND, token_digest)
+    claim_bytes = encode_claim(manifest.claim)
+    bound_payload = claim_bytes + digest(encode_token(claim_signature.timestamp))
+    assert signed_payload(claim_bytes, claim_signature) == bound_payload
     assert verify(leaf.public_key, bound_payload, claim_signature.signature)
-    # the pass-2 signature is NOT valid over the bare claim: swapping the
-    # token out from under it cannot go unnoticed
-    assert not verify(leaf.public_key, encode_claim(manifest.claim), claim_signature.signature)
-    # the token's own digest refers to the discarded pass-1 signature, so it
-    # does not match the published signature's digest
-    assert claim_signature.timestamp.message_digest != digest(claim_signature.signature)
+    # the signature is NOT valid over the bare claim: swapping the token out
+    # from under it cannot go unnoticed
+    assert not verify(leaf.public_key, claim_bytes, claim_signature.signature)
+    # and the token imprints the claim itself, not the signature
+    assert claim_signature.timestamp.message_digest == digest(claim_bytes)
+
+
+def test_each_bound_fixture_token_imprints_its_claim(lab):
+    bound = [name for name, s in SCENARIOS.items() if s.binding_mode == BindingMode.BOUND]
+    assert bound
+    for name in bound:
+        manifest = decode_manifest(extract_manifest(make_fixture(lab, name).signed))
+        token = manifest.claim_signature.timestamp
+        assert token.message_digest == digest(encode_claim(manifest.claim)), name
 
 
 def test_each_signing_signs_the_claim_once(lab, monkeypatch):
-    """Two signatures unbound (claim, token), three bound (pass 1, token,
-    pass 2), one token and two manifest encodes (probe, result) per signing."""
+    """Two signatures (claim, token), bound or unbound, both embedded; one
+    token and two manifest encodes (probe, result) per signing."""
     configs = {}
     for name, scenario in SCENARIOS.items():
         asset, assertions, generator = build_scenario_content(scenario, seed=11)
@@ -153,12 +162,10 @@ def test_each_signing_signs_the_claim_once(lab, monkeypatch):
         signatures.clear()
         counts.clear()
         signed = sign_asset(asset, assertions, config)
-        expected = 3 if config.binding_mode == BindingMode.BOUND else 2
-        assert len(signatures) == expected, name
         assert counts == {"issue_token": 1, "encode_manifest": 2}, name
         claim_signature = decode_manifest(extract_manifest(signed)).claim_signature
-        assert claim_signature.signature in signatures, name
-        assert claim_signature.timestamp.tsa_signature in signatures, name
+        embedded = {claim_signature.signature, claim_signature.timestamp.tsa_signature}
+        assert len(signatures) == 2 and set(signatures) == embedded, name
 
 
 def test_manifest_length_settles_across_integer_heads(lab):

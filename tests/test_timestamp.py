@@ -40,8 +40,7 @@ def test_digest_mismatch_detected(lab):
     token = lab.tsa().issue(digest(b"a"))
     verdict = verify_token(token, digest(b"b"), lab.trust)
     assert verdict.status == TokenStatus.DIGEST_MISMATCH
-    # a None expectation skips the digest comparison (bound-mode usage)
-    assert verify_token(token, None, lab.trust).valid
+    assert verify_token(token, digest(b"a"), lab.trust).valid
 
 
 def test_every_field_is_covered_by_the_tsa_signature(lab):
@@ -52,9 +51,11 @@ def test_every_field_is_covered_by_the_tsa_signature(lab):
         == TokenStatus.BAD_TOKEN_SIGNATURE
     )
     flipped_digest = replace(token, message_digest=digest(b"other"))
-    # the digest comparison runs first only when an expectation is supplied;
-    # without one the signature check still catches the flip
-    assert not verify_token(flipped_digest, None, lab.trust).valid
+    # expecting the flipped digest, the signature check still catches the flip
+    assert (
+        verify_token(flipped_digest, digest(b"other"), lab.trust).status
+        == TokenStatus.BAD_TOKEN_SIGNATURE
+    )
 
 
 def test_untrusted_tsa_rejected(lab, tmp_path):

@@ -296,7 +296,7 @@ def test_structured_reports_of_the_seed_1_corpus_are_pinned(corpus, entry_bytes)
             report = validate(data, policy)
             h.update((report_to_json(report) + render_report(report)).encode())
     assert h.hexdigest() == (
-        "ca0c17824ba47d61aa8877499a8beca1b6e80376c122c137393afeb65a61d64c"
+        "309d2ce98ffa691caf78973b965e6f19a50ee15169255dc3dbb8c0955281f253"
     )
 
 
