@@ -35,15 +35,7 @@ from .credentials import (
     BindingMode, ClaimSignature, decode_manifest, encode_claim, encode_manifest, signed_payload,
 )
 from .crypto import SigningKey, digest
-from .errors import (
-    BoundModeError,
-    LabelNotFound,
-    LengthMismatch,
-    NotExcluded,
-    ProvenanceError,
-    UntrustedTsa,
-    UsageViolation,
-)
+from .errors import ProvenanceError
 from .signer import (
     SCENARIOS, SignerConfig, build_scenario_content, format_gps, scenario_identity,
     scenario_signer, sign_asset,
@@ -85,11 +77,11 @@ def attack_timestamp_replace(
     manifest = decode_manifest(extract_manifest(asset))
     claim_signature = manifest.claim_signature
     if claim_signature.binding_mode == BindingMode.BOUND:
-        raise BoundModeError(
+        raise ProvenanceError(
             "the claim signature pins its token; a replacement breaks the signature"
         )
     if not verify_chain(tsa.chain, trust, new_time).valid:
-        raise UntrustedTsa(
+        raise ProvenanceError(
             "replacement token would not chain to a trusted root at the chosen time"
         )
     token = tsa.issue(digest(claim_signature.signature), clock=new_time)
@@ -118,14 +110,14 @@ def attack_exclusion_mutate(asset: Asset, label: str, new_payload: bytes) -> Att
     manifest = decode_manifest(extract_manifest(asset))
     segment = asset.find_label(label)
     if segment is None:
-        raise LabelNotFound(f"no segment labelled {label!r}")
+        raise ProvenanceError(f"no segment labelled {label!r}")
     declared = manifest.claim.binding.exclusions
     if not any(rng.contains(segment.range) for rng in declared):
-        raise NotExcluded(
+        raise ProvenanceError(
             f"segment {label!r} is covered by the hard binding; a splice would be detected"
         )
     if len(new_payload) != segment.range.length:
-        raise LengthMismatch(
+        raise ProvenanceError(
             f"replacement is {len(new_payload)} bytes, segment holds {segment.range.length}"
         )
     mutated = splice_bytes(asset, segment.range, bytes(new_payload))
@@ -212,7 +204,7 @@ def attack_token_transplant(
     manifest = decode_manifest(extract_manifest(asset))
     chain = manifest.claim_signature.signer_chain
     if key.public_bytes != chain[0].public_key:
-        raise UsageViolation("key does not match the signing leaf; the signature would break")
+        raise ProvenanceError("key does not match the signing leaf; the signature would break")
     token = tsa.issue(TRANSPLANT_IMPRINT, clock=token_time)
     unsigned = ClaimSignature(chain, b"", token, BindingMode.BOUND)
     signature = key.sign(signed_payload(encode_claim(manifest.claim), unsigned))

@@ -350,10 +350,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ProvenanceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    except ValueError as exc:
+    except (ProvenanceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
 

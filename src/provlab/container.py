@@ -41,15 +41,7 @@ from enum import IntEnum
 from functools import cached_property
 from typing import Iterator
 
-from .errors import (
-    DuplicateManifest,
-    ExclusionOutOfBounds,
-    ExclusionsOverlap,
-    LengthMismatch,
-    MalformedContainer,
-    ManifestNotExcluded,
-    NoManifest,
-)
+from .errors import MalformedContainer, ProvenanceError
 
 MAGIC = b"PVL1"
 
@@ -177,7 +169,7 @@ def _check_label(label: str) -> bytes:
 def _check_structure(segments: list[Segment]) -> None:
     manifests = [s for s in segments if s.kind == SegmentKind.MANIFEST]
     if len(manifests) > 1:
-        raise DuplicateManifest("more than one manifest segment")
+        raise MalformedContainer("more than one manifest segment")
     labels = [s.label for s in segments if s.kind == SegmentKind.METADATA]
     if len(labels) != len(set(labels)):
         raise MalformedContainer("duplicate metadata label")
@@ -290,12 +282,12 @@ def _checked_exclusions(
     ordered = tuple(sorted(exclusions))
     for rng in ordered:
         if rng.end > asset.size:
-            raise ExclusionOutOfBounds(
+            raise ProvenanceError(
                 f"range [{rng.start}, {rng.length}) exceeds asset of {asset.size} bytes"
             )
     for prev, nxt in zip(ordered, ordered[1:]):
         if prev.end > nxt.start:
-            raise ExclusionsOverlap(f"ranges at {prev.start} and {nxt.start} overlap")
+            raise ProvenanceError(f"ranges at {prev.start} and {nxt.start} overlap")
     return ordered
 
 
@@ -324,7 +316,7 @@ def compute_hard_binding(
     ordered = _checked_exclusions(asset, exclusions)
     manifest = asset.find_manifest()
     if manifest is not None and not _covered(manifest.range, ordered):
-        raise ManifestNotExcluded("manifest segment not fully covered by exclusions")
+        raise ProvenanceError("manifest segment not fully covered by exclusions")
     hasher = hashlib.sha256()
     kept_starts = (0,) + tuple(rng.end for rng in ordered)
     kept_ends = tuple(rng.start for rng in ordered) + (asset.size,)
@@ -355,7 +347,7 @@ def _shift(segment: Segment, delta: int) -> Segment:
 def embed_manifest(asset: Asset, manifest_bytes: bytes) -> Asset:
     """Insert a manifest segment at the canonical position."""
     if asset.find_manifest() is not None:
-        raise DuplicateManifest("asset already carries a manifest")
+        raise ProvenanceError("asset already carries a manifest")
     if not manifest_bytes:
         raise ValueError("manifest bytes must be non-empty")
     offset = manifest_insert_offset(asset)
@@ -375,7 +367,7 @@ def embed_manifest(asset: Asset, manifest_bytes: bytes) -> Asset:
 def extract_manifest(asset: Asset) -> bytes:
     segment = asset.find_manifest()
     if segment is None:
-        raise NoManifest("asset carries no manifest segment")
+        raise ProvenanceError("asset carries no manifest segment")
     return asset.payload(segment)
 
 
@@ -383,7 +375,7 @@ def strip_manifest(asset: Asset) -> Asset:
     """Remove the manifest segment; inverse of :func:`embed_manifest`."""
     segment = asset.find_manifest()
     if segment is None:
-        raise NoManifest("asset carries no manifest segment")
+        raise ProvenanceError("asset carries no manifest segment")
     index = asset.segments.index(segment)
     segments = asset.segments[:index] + tuple(
         _shift(s, -segment.range.length) for s in asset.segments[index + 1 :]
@@ -394,7 +386,7 @@ def strip_manifest(asset: Asset) -> Asset:
 def replace_manifest(asset: Asset, manifest_bytes: bytes) -> Asset:
     """Swap the manifest payload in place, shifting later segments."""
     if asset.find_manifest() is None:
-        raise NoManifest("asset carries no manifest segment")
+        raise ProvenanceError("asset carries no manifest segment")
     return embed_manifest(strip_manifest(asset), manifest_bytes)
 
 
@@ -407,11 +399,11 @@ def splice_bytes(asset: Asset, target: ByteRange, replacement: bytes) -> Asset:
 
     Only the segments ``target`` touches get new payload buffers."""
     if target.end > asset.size:
-        raise ExclusionOutOfBounds(
+        raise ProvenanceError(
             f"range [{target.start}, {target.length}) exceeds asset of {asset.size} bytes"
         )
     if len(replacement) != target.length:
-        raise LengthMismatch(
+        raise ProvenanceError(
             f"replacement is {len(replacement)} bytes for a {target.length}-byte range"
         )
     sources = list(asset.sources)

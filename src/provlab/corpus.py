@@ -27,7 +27,7 @@ from .attacks import (  # noqa: F401
 )
 from .container import Asset, serialize_asset
 from .crypto import digest
-from .errors import WorkspaceError
+from .errors import ProvenanceError
 from .records import record_from_value, record_value
 from .signer import DEFAULT_VALIDATION_TIME, SCENARIOS, Fixture, make_fixture
 from .trust import RevocationList, decode_revocation_list, encode_revocation_list
@@ -111,7 +111,7 @@ def build_corpus(workspace: Workspace) -> list[CorpusEntry]:
             if "asset" not in attack_inputs(attack.name) and (
                 serialize_asset(outcome.mutated) != serialize_asset(asset)
             ):
-                raise WorkspaceError(
+                raise ProvenanceError(
                     f"re-signing scenario {name!r} did not reproduce its fixture"
                 )
             entries.append(
@@ -153,10 +153,10 @@ def load_corpus(workspace_root: Path | str) -> tuple[list[CorpusEntry], Revocati
     root = Path(workspace_root)
     index_path = root / "corpus" / "index.json"
     if not index_path.is_file():
-        raise WorkspaceError(f"no corpus index at {index_path}")
+        raise ProvenanceError(f"no corpus index at {index_path}")
     index = json.loads(index_path.read_text())
     if index.get("schema") != CORPUS_SCHEMA:
-        raise WorkspaceError(f"unknown corpus schema {index.get('schema')!r}")
+        raise ProvenanceError(f"unknown corpus schema {index.get('schema')!r}")
     entries = [CorpusEntry.from_record(r) for r in index["entries"]]
     crl = decode_revocation_list((root / index["crl"]).read_bytes())
     return entries, crl

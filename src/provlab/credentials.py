@@ -25,7 +25,7 @@ from enum import Enum
 
 from .container import HardBinding
 from .crypto import SigningKey, digest
-from .errors import LabelNotFound, RedactionNotRedactable
+from .errors import ProvenanceError
 from .records import decode_record, encode_record
 from .timestamp import TimestampToken, encode_token
 from .trust import Certificate
@@ -172,10 +172,10 @@ def redact_assertion(
     which is what a strict validator demands before accepting a tombstone.
     """
     if label == REDACTION_LABEL:
-        raise RedactionNotRedactable("redaction records may not be redacted")
+        raise ProvenanceError("redaction records may not be redacted")
     target = manifest.find_assertion(label)
     if target is None:
-        raise LabelNotFound(f"no assertion labelled {label!r}")
+        raise ProvenanceError(f"no assertion labelled {label!r}")
     remaining = tuple(a for a in manifest.assertions if a.label != label)
     if mode == RedactionMode.SPEC_DROP:
         return replace(manifest, assertions=remaining)

@@ -53,14 +53,7 @@ from .credentials import (
     signed_payload,
 )
 from .crypto import DIGEST_SIZE, SIGNATURE_SIZE, SigningKey, digest, derive_stream_seed
-from .errors import (
-    DuplicateManifest,
-    ExpiredSignerCert,
-    LabelNotFound,
-    ProvenanceError,
-    UnknownScenario,
-    UsageViolation,
-)
+from .errors import ProvenanceError
 from .timestamp import TimestampAuthority, TimestampToken
 from .trust import Certificate, Usage
 from .validator import Verdict
@@ -98,14 +91,14 @@ def sign_asset(
 ) -> Asset:
     """Sign ``asset`` and return it with the manifest embedded."""
     if asset.find_manifest() is not None:
-        raise DuplicateManifest("asset already carries a manifest")
+        raise ProvenanceError("asset already carries a manifest")
     leaf = config.chain[0]
     if leaf.usage != Usage.LEAF_SIGNING:
-        raise UsageViolation(f"signing leaf has usage {leaf.usage.value}")
+        raise ProvenanceError(f"signing leaf has usage {leaf.usage.value}")
     if leaf.public_key != config.key.public_bytes:
-        raise UsageViolation("signing key does not match the leaf certificate")
+        raise ProvenanceError("signing key does not match the leaf certificate")
     if not leaf.in_window(config.clock):
-        raise ExpiredSignerCert(f"signing certificate outside validity window at {config.clock}")
+        raise ProvenanceError(f"signing certificate outside validity window at {config.clock}")
 
     assertions = list(assertions)
     if config.binding_mode == BindingMode.BOUND and not any(
@@ -119,7 +112,7 @@ def sign_asset(
     for label in config.exclude_labels:
         segment = asset.find_label(label)
         if segment is None:
-            raise LabelNotFound(f"no segment labelled {label!r}")
+            raise ProvenanceError(f"no segment labelled {label!r}")
         label_ranges.append(segment.range)
 
     # The binding digest covers every byte outside the labelled exclusions;
@@ -327,7 +320,7 @@ def make_fixture(workspace: Workspace, scenario_name: str, seed: int | None = No
     """Generate one scenario's fixture tree under ``fixtures/<name>/``."""
     scenario = SCENARIOS.get(scenario_name)
     if scenario is None:
-        raise UnknownScenario(f"no scenario named {scenario_name!r}")
+        raise ProvenanceError(f"no scenario named {scenario_name!r}")
     seed = workspace.seed if seed is None else seed
     if not 0 <= seed < 2**64:
         raise ProvenanceError(f"content seed {seed} is outside 0 .. 2**64-1")

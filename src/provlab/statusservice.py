@@ -38,7 +38,7 @@ import socket
 import threading
 
 from .encoding import decode_value, encode_value
-from .errors import BindFailure, DecodeError, ServiceUnreachable
+from .errors import DecodeError, ProvenanceError, ServiceUnreachable
 from .records import decode_record, encode_record
 from .trust import Authority, Certificate, StatusResponse, verify_status_response
 
@@ -102,7 +102,7 @@ class StatusService:
             # the client a 1 s then 3 s retransmit
             self._listener = socket.create_server((host, port), backlog=128)
         except OSError as exc:
-            raise BindFailure(f"cannot bind {host}:{port}: {exc}") from exc
+            raise ProvenanceError(f"cannot bind {host}:{port}: {exc}") from exc
         self._listener.setblocking(False)
         self.endpoint: tuple[str, int] = self._listener.getsockname()[:2]
         # stop() closes the send end, and the EOF wakes the loop at once
@@ -178,7 +178,7 @@ class StatusService:
 def run_status_service(
     authority: Authority, host: str = "127.0.0.1", port: int = 0
 ) -> StatusService:
-    """Start a status responder; raises :class:`BindFailure` if binding fails."""
+    """Start a status responder; raises :class:`ProvenanceError` if binding fails."""
     return StatusService(authority, host, port)
 
 

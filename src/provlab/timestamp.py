@@ -19,7 +19,7 @@ from enum import Enum
 
 from .container import Asset, extract_manifest, replace_manifest
 from .crypto import DIGEST_SIZE, SigningKey, digest, verify_once
-from .errors import ExpiredTsaCert, UsageViolation
+from .errors import ProvenanceError
 from .records import decode_record, encode_record
 from .trust import Certificate, ChainStatus, TrustList, Usage, verify_chain
 
@@ -62,11 +62,11 @@ def issue_token(
         raise ValueError("empty TSA chain")
     leaf = tsa_chain[0]
     if leaf.usage != Usage.LEAF_TSA:
-        raise UsageViolation(f"TSA leaf has usage {leaf.usage.value}")
+        raise ProvenanceError(f"TSA leaf has usage {leaf.usage.value}")
     if leaf.public_key != tsa_key.public_bytes:
-        raise UsageViolation("TSA key does not match the leaf certificate")
+        raise ProvenanceError("TSA key does not match the leaf certificate")
     if not leaf.in_window(clock):
-        raise ExpiredTsaCert(f"TSA certificate outside validity window at {clock}")
+        raise ProvenanceError(f"TSA certificate outside validity window at {clock}")
     unsigned = TimestampToken(message_digest, clock, tuple(tsa_chain), b"")
     return replace(unsigned, tsa_signature=tsa_key.sign(token_signed_payload(unsigned)))
 

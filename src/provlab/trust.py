@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .crypto import SigningKey, verify_once
-from .errors import UnknownSerial, UsageViolation, ValidityNotNested
+from .errors import ProvenanceError
 from .records import decode_record, encode_record
 
 
@@ -76,21 +76,21 @@ def issue_certificate(
     """
     if issuer_cert is None:
         if template.usage != Usage.ROOT or template.issuer != template.subject:
-            raise UsageViolation("self-signed certificates must be roots")
+            raise ProvenanceError("self-signed certificates must be roots")
         if template.public_key != issuer_key.public_bytes:
-            raise UsageViolation("root must be signed by its own key")
+            raise ProvenanceError("root must be signed by its own key")
     else:
         if issuer_cert.usage not in (Usage.ROOT, Usage.INTERMEDIATE):
-            raise UsageViolation(f"{issuer_cert.usage.value} certificates cannot issue")
+            raise ProvenanceError(f"{issuer_cert.usage.value} certificates cannot issue")
         if template.issuer != issuer_cert.subject:
-            raise UsageViolation("template issuer does not name the issuing certificate")
+            raise ProvenanceError("template issuer does not name the issuing certificate")
         if issuer_cert.public_key != issuer_key.public_bytes:
-            raise UsageViolation("issuer key does not match the issuing certificate")
+            raise ProvenanceError("issuer key does not match the issuing certificate")
         if not (
             issuer_cert.not_before <= template.not_before
             and template.not_after <= issuer_cert.not_after
         ):
-            raise ValidityNotNested(
+            raise ProvenanceError(
                 "template validity window escapes the issuer's window"
             )
     signature = issuer_key.sign(certificate_template_bytes(template))
@@ -265,7 +265,7 @@ class Authority:
 
     def revoke(self, serial: int, revoked_at: int) -> None:
         if serial not in self.issued:
-            raise UnknownSerial(f"serial {serial} was never issued by {self.name!r}")
+            raise ProvenanceError(f"serial {serial} was never issued by {self.name!r}")
         self.revoked[serial] = revoked_at
 
     def generate_crl(self) -> RevocationList:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .crypto import SigningKey, derive_signing_key
-from .errors import DecodeError, RootNotEmpty, WorkspaceError
+from .errors import DecodeError, ProvenanceError
 from .records import record_from_value, record_value
 from .timestamp import TimestampAuthority
 from .trust import Authority, Certificate, TrustList, Usage, issue_certificate
@@ -112,7 +112,7 @@ class Workspace:
 
     def __init__(self, root: Path | str, seed: int):
         if not 0 <= seed < 2**64:
-            raise WorkspaceError(f"workspace seed {seed} is outside 0 .. 2**64-1")
+            raise ProvenanceError(f"workspace seed {seed} is outside 0 .. 2**64-1")
         self.root = Path(root)
         self.seed = seed
         self.signing = _root(seed, "signing-ca", SIGNING_ROOT_NAME, SIGNING_ROOT_SERIAL)
@@ -135,7 +135,7 @@ class Workspace:
     def initialize(cls, root: Path | str, seed: int) -> "Workspace":
         root = Path(root)
         if root.exists() and any(root.iterdir()):
-            raise RootNotEmpty(f"workspace root {root} is not empty")
+            raise ProvenanceError(f"workspace root {root} is not empty")
         workspace = cls(root, seed)
         root.mkdir(parents=True, exist_ok=True)
         workspace.save()
@@ -148,17 +148,17 @@ class Workspace:
             text = path.read_text()
             state = record_from_value(WorkspaceState, json.loads(text))
         except (OSError, ValueError, DecodeError) as exc:
-            raise WorkspaceError(f"cannot load workspace at {root}: {exc}") from exc
+            raise ProvenanceError(f"cannot load workspace at {root}: {exc}") from exc
         workspace = cls(root, state.seed)
         issued = dict(state.issued)
         for serial, subject in workspace.signing.issued.items():
             if issued.get(serial) != subject:
-                raise WorkspaceError(f"{path} drops or renames serial {serial} ({subject!r})")
+                raise ProvenanceError(f"{path} drops or renames serial {serial} ({subject!r})")
         workspace.signing.issued = issued
         for serial, revoked_at in state.revoked:
             workspace.signing.revoke(serial, revoked_at)
         if workspace._state_text() != text:
-            raise WorkspaceError(f"{path} is not the form save writes")
+            raise ProvenanceError(f"{path} is not the form save writes")
         return workspace
 
     def save(self) -> None:

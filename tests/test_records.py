@@ -18,7 +18,7 @@ from provlab.container import extract_manifest, parse_asset
 from provlab.corpus import CorpusEntry, entry_policies
 from provlab.credentials import Claim, decode_manifest
 from provlab.encoding import encode_value
-from provlab.errors import EncodeError, NoManifest
+from provlab.errors import EncodeError
 from provlab.records import decode_record, encode_record, record_value
 from provlab.validator import ValidationReport, validate
 
@@ -39,10 +39,10 @@ def _seeded_records(corpus) -> list:
         records.append(entry)
         policies = entry_policies(workspace, entry, corpus["crl"])
         records += [validate(data, policy) for policy in policies.values()]
-        try:
-            manifest = decode_manifest(extract_manifest(parse_asset(data)))
-        except NoManifest:
+        asset = parse_asset(data)
+        if asset.find_manifest() is None:
             continue
+        manifest = decode_manifest(extract_manifest(asset))
         records += [manifest, manifest.claim, *manifest.assertions, manifest.claim_signature]
         for signature in (manifest.claim_signature, *manifest.redaction_signatures):
             records += [signature, *signature.signer_chain]

@@ -9,7 +9,7 @@ from provlab import credentials, signer, timestamp
 from provlab.container import compute_hard_binding, extract_manifest, serialize_asset
 from provlab.credentials import BindingMode, decode_manifest, signed_payload, encode_claim
 from provlab.crypto import SigningKey, digest, verify
-from provlab.errors import DuplicateManifest, ExpiredSignerCert, LabelNotFound, UnknownScenario, UsageViolation
+from provlab.errors import ProvenanceError
 from provlab.signer import (
     SCENARIOS,
     SignerConfig,
@@ -212,13 +212,13 @@ def test_bound_mode_adds_created_assertion(lab, honest_content):
 def test_signing_guards(lab, honest_content):
     asset, assertions = honest_content
     signed = sign_asset(asset, assertions, unbound_config(lab))
-    with pytest.raises(DuplicateManifest):
+    with pytest.raises(ProvenanceError, match="already carries a manifest"):
         sign_asset(signed, assertions, unbound_config(lab))
-    with pytest.raises(ExpiredSignerCert):
+    with pytest.raises(ProvenanceError, match="signing certificate outside validity window"):
         sign_asset(asset, assertions, unbound_config(lab, clock=T0 + 5 * YEAR))
-    with pytest.raises(LabelNotFound):
+    with pytest.raises(ProvenanceError, match="no segment labelled 'meta.nope'"):
         sign_asset(asset, assertions, unbound_config(lab, exclude_labels=("meta.nope",)))
-    with pytest.raises(UsageViolation):
+    with pytest.raises(ProvenanceError, match="signing leaf has usage"):
         sign_asset(
             asset,
             assertions,
@@ -260,7 +260,7 @@ def test_make_fixture_writes_digest_manifest(lab):
 
 
 def test_unknown_scenario(lab):
-    with pytest.raises(UnknownScenario):
+    with pytest.raises(ProvenanceError, match="no scenario named 'no-such-scenario'"):
         make_fixture(lab, "no-such-scenario")
 
 

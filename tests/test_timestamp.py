@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from provlab.crypto import digest
-from provlab.errors import ExpiredTsaCert, UsageViolation
+from provlab.errors import ProvenanceError
 from provlab.timestamp import (
     TimestampAuthority,
     TokenStatus,
@@ -66,12 +66,12 @@ def test_untrusted_tsa_rejected(lab, tmp_path):
 
 
 def test_signing_leaf_cannot_timestamp(lab):
-    with pytest.raises(UsageViolation):
+    with pytest.raises(ProvenanceError, match="TSA leaf has usage"):
         issue_token(lab.device.key, lab.device.chain, digest(b"x"), T0)
 
 
 def test_token_outside_tsa_window_rejected_at_issue(lab):
-    with pytest.raises(ExpiredTsaCert):
+    with pytest.raises(ProvenanceError, match="TSA certificate outside validity window"):
         issue_token(lab.tsa_leaf.key, lab.tsa_leaf.chain, digest(b"x"), T0 + 16 * YEAR)
 
 

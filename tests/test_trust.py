@@ -7,14 +7,7 @@ import pytest
 
 from provlab.crypto import derive_signing_key
 from provlab.encoding import decode_value, encode_value
-from provlab.errors import (
-    BindFailure,
-    DecodeError,
-    ServiceUnreachable,
-    UnknownSerial,
-    UsageViolation,
-    ValidityNotNested,
-)
+from provlab.errors import DecodeError, ProvenanceError, ServiceUnreachable
 from provlab.records import encode_record
 from provlab.statusservice import (
     StatusService,
@@ -151,7 +144,7 @@ def test_chain_check_order_is_stable(pki):
 
 def test_leaf_cannot_issue(pki):
     _, _, leaf_key, leaf_cert, _ = pki
-    with pytest.raises(UsageViolation):
+    with pytest.raises(ProvenanceError, match="certificates cannot issue"):
         issue_certificate(
             leaf_key,
             Certificate(
@@ -170,7 +163,7 @@ def test_leaf_cannot_issue(pki):
 
 def test_validity_windows_must_nest(pki):
     root_key, root_cert, *_ = pki
-    with pytest.raises(ValidityNotNested):
+    with pytest.raises(ProvenanceError, match="validity window escapes the issuer's window"):
         make_leaf(root_key, root_cert, "outlives-root", serial=7, span=20)
 
 
@@ -206,7 +199,7 @@ def test_revocation_list_decode_rejects_extra_key(pki):
 def test_revoking_unknown_serial_fails(pki):
     root_key, root_cert, *_ = pki
     authority = Authority("root", root_key, root_cert, T0)
-    with pytest.raises(UnknownSerial):
+    with pytest.raises(ProvenanceError, match="serial 31337 was never issued"):
         authority.revoke(31337, T0)
 
 
@@ -493,7 +486,7 @@ def test_unreachable_endpoint(pki):
 def test_bind_failure(service):
     svc, authority, *_ = service
     host, port = svc.endpoint
-    with pytest.raises(BindFailure):
+    with pytest.raises(ProvenanceError, match="cannot bind"):
         run_status_service(authority, host=host, port=port)
 
 
