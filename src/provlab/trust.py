@@ -119,7 +119,6 @@ class ChainStatus(str, Enum):
 @dataclass(frozen=True)
 class ChainVerdict:
     status: ChainStatus
-    serial: int | None = None
     detail: str = ""
 
     @property
@@ -140,40 +139,29 @@ def verify_chain(
     """
     chain = tuple(chain)
     if not chain:
-        return ChainVerdict(ChainStatus.BAD_LINK_SIGNATURE, None, "empty chain")
+        return ChainVerdict(ChainStatus.BAD_LINK_SIGNATURE, "empty chain")
     for cert, issuer in zip(chain, chain[1:]):
         if issuer.usage not in (Usage.ROOT, Usage.INTERMEDIATE):
             return ChainVerdict(
-                ChainStatus.BAD_LINK_SIGNATURE,
-                cert.serial,
-                f"issuer usage {issuer.usage.value} cannot issue",
+                ChainStatus.BAD_LINK_SIGNATURE, f"issuer usage {issuer.usage.value} cannot issue"
             )
         if cert.issuer != issuer.subject:
-            return ChainVerdict(
-                ChainStatus.BAD_LINK_SIGNATURE, cert.serial, "issuer name mismatch"
-            )
+            return ChainVerdict(ChainStatus.BAD_LINK_SIGNATURE, "issuer name mismatch")
         if not verify_once(
             issuer.public_key, certificate_template_bytes(cert), cert.issuer_signature
         ):
-            return ChainVerdict(
-                ChainStatus.BAD_LINK_SIGNATURE, cert.serial, "issuer signature invalid"
-            )
+            return ChainVerdict(ChainStatus.BAD_LINK_SIGNATURE, "issuer signature invalid")
     top = chain[-1]
     if top.issuer != top.subject or not verify_once(
         top.public_key, certificate_template_bytes(top), top.issuer_signature
     ):
-        return ChainVerdict(
-            ChainStatus.BAD_LINK_SIGNATURE, top.serial, "top of chain is not self-signed"
-        )
+        return ChainVerdict(ChainStatus.BAD_LINK_SIGNATURE, "top of chain is not self-signed")
     if not trust.contains(top):
-        return ChainVerdict(
-            ChainStatus.UNTRUSTED_ROOT, top.serial, "root is not a trust anchor"
-        )
+        return ChainVerdict(ChainStatus.UNTRUSTED_ROOT, "root is not a trust anchor")
     for cert in chain:
         if not cert.in_window(at_time):
             return ChainVerdict(
                 ChainStatus.EXPIRED,
-                cert.serial,
                 f"certificate {cert.serial} outside validity window at {at_time}",
             )
     return ChainVerdict(ChainStatus.VALID)

@@ -65,8 +65,6 @@ from .trust import (
 
 REPORT_SCHEMA = "prov-report/1"
 
-GOAL_NAMES = ("G1", "G2", "G3", "G4", "G5")
-
 GOAL_TITLES = {
     "G1": "claim-tamper-evidence",
     "G2": "weak-file-integrity",
@@ -74,6 +72,8 @@ GOAL_TITLES = {
     "G4": "validator-consistency",
     "G5": "strong-file-integrity",
 }
+
+GOAL_NAMES = tuple(GOAL_TITLES)
 
 
 class RevocationMode(str, Enum):
@@ -204,10 +204,6 @@ class ValidationReport:
             if result.name == name:
                 return result
         raise KeyError(name)
-
-    @property
-    def accepted(self) -> bool:
-        return self.verdict in (Verdict.ACCEPTED, Verdict.ACCEPTED_WITH_REDACTION)
 
 
 # the exit-code contract of ``validate`` and the corpus index
