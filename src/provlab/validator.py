@@ -555,14 +555,17 @@ def _check_revocation(run: _Run) -> _Result:
     return CheckOutcome.FAIL, f"serial {serial} UNKNOWN to the responder"
 
 
+_NO_TOKEN = "no timestamp token"
+
+
 def _check_timestamp(run: _Run) -> _Result:
     policy = run.policy
     claim_signature = run.manifest.claim_signature
     token = claim_signature.timestamp
     if token is None:
         if policy.timestamp_rule == TimestampRule.REQUIRE_BOUND:
-            return CheckOutcome.FAIL, "no timestamp token"
-        return CheckOutcome.SKIPPED, "no timestamp token"
+            return CheckOutcome.FAIL, _NO_TOKEN
+        return CheckOutcome.SKIPPED, _NO_TOKEN
     bound = claim_signature.binding_mode == BindingMode.BOUND
     if not bound and policy.timestamp_rule == TimestampRule.REQUIRE_BOUND:
         return CheckOutcome.FAIL, "token is not bound to the claim signature"
@@ -771,12 +774,16 @@ def format_epoch(epoch: int) -> str:
     return stamp.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _render_time_line(displayed: DisplayedTime) -> str:
+def _render_time_line(report: ValidationReport) -> str:
+    displayed = report.displayed_time
     if displayed.provenance == TimeProvenance.SIGNED:
         return f"signed time: {format_epoch(displayed.epoch)} (signed time)"
     if displayed.provenance == TimeProvenance.UNBOUND_TOKEN:
         return f"signed time: {format_epoch(displayed.epoch)} (unverified time)"
-    return "signed time: none (no timestamp token)"
+    timestamp = report.check("timestamp")
+    if timestamp.outcome == CheckOutcome.FAIL and timestamp.detail != _NO_TOKEN:
+        return "signed time: none (timestamp token not trusted)"
+    return f"signed time: none ({_NO_TOKEN})"
 
 
 def render_report(report: ValidationReport, fmt: str = "human") -> str:
@@ -789,7 +796,7 @@ def render_report(report: ValidationReport, fmt: str = "human") -> str:
         f"policy: {report.policy_name}",
         f"validated at: {format_epoch(report.validation_time)}",
         f"verdict: {report.verdict.value}",
-        _render_time_line(report.displayed_time),
+        _render_time_line(report),
     ]
     if report.claimed_created_at is not None:
         lines.append(

@@ -240,15 +240,19 @@ def test_displayed_time_provenance(lab, fixtures):
     assert stripped.displayed_time.provenance == TimeProvenance.ABSENT
 
 
-def test_token_less_manifest(corpus, corpus_entry, entry_bytes):
+def _without_token(data: bytes) -> bytes:
     # signing always fetches a token, so only outside input carries none
-    entry = corpus_entry("honest")
-    asset = parse_asset(entry_bytes(entry))
+    asset = parse_asset(data)
     manifest = decode_manifest(extract_manifest(asset))
     token_less = dataclasses.replace(
         manifest, claim_signature=dataclasses.replace(manifest.claim_signature, timestamp=None)
     )
-    data = serialize_asset(replace_manifest(asset, encode_manifest(token_less)))
+    return serialize_asset(replace_manifest(asset, encode_manifest(token_less)))
+
+
+def test_token_less_manifest(corpus, corpus_entry, entry_bytes):
+    entry = corpus_entry("honest")
+    data = _without_token(entry_bytes(entry))
     policies = entry_policies(corpus["workspace"], entry, corpus["crl"])
 
     spec = validate(data, policies["spec"])
@@ -265,7 +269,7 @@ def test_token_less_manifest(corpus, corpus_entry, entry_bytes):
     assert hardened.goals["G3"] == GoalStatus.VIOLATED
 
 
-def test_render_tags_time_provenance(lab, fixtures):
+def test_render_tags_time_provenance(lab, fixtures, corpus, corpus_entry, entry_bytes):
     unbound = render_report(validate(b(fixtures["unbound-timestamp"]), spec_at(lab)))
     assert "(unverified time)" in unbound
     bound = render_report(validate(b(fixtures["bound-timestamp"]), spec_at(lab)))
@@ -274,6 +278,26 @@ def test_render_tags_time_provenance(lab, fixtures):
     for text in (unbound, bound):
         line = next(l for l in text.splitlines() if l.startswith("signed time:"))
         assert "(" in line and line.rstrip().endswith(")")
+
+    def time_lines(entry, data):
+        policies = entry_policies(corpus["workspace"], entry, corpus["crl"]).values()
+        reports = [validate(data, policy) for policy in policies]
+        lines = [
+            next(l for l in render_report(r).splitlines() if l.startswith("signed time:"))
+            for r in reports
+        ]
+        return [r.check("timestamp") for r in reports], lines
+
+    # a token that fails its check is not reported missing
+    transplant = corpus_entry("bound-timestamp", "token-transplant")
+    checks, lines = time_lines(transplant, entry_bytes(transplant))
+    assert [c.outcome for c in checks] == [CheckOutcome.FAIL, CheckOutcome.FAIL]
+    assert lines == ["signed time: none (timestamp token not trusted)"] * 2
+    # a manifest without a token keeps the wording, refused (hardened) or not
+    honest = corpus_entry("honest")
+    checks, lines = time_lines(honest, _without_token(entry_bytes(honest)))
+    assert [c.outcome for c in checks] == [CheckOutcome.SKIPPED, CheckOutcome.FAIL]
+    assert lines == ["signed time: none (no timestamp token)"] * 2
 
 
 def test_structured_report_roundtrip(lab, fixtures):
@@ -296,7 +320,7 @@ def test_structured_reports_of_the_seed_1_corpus_are_pinned(corpus, entry_bytes)
             report = validate(data, policy)
             h.update((report_to_json(report) + render_report(report)).encode())
     assert h.hexdigest() == (
-        "309d2ce98ffa691caf78973b965e6f19a50ee15169255dc3dbb8c0955281f253"
+        "a83b151bc52e3ee8a3dd260ea5bbc6f2f9063b77b4b414d5f2ea79ab197da25c"
     )
 
 
