@@ -9,7 +9,9 @@ hardened one.
 
 Module map:
 
+- ``errors``        the five error classes, one per distinction a caller makes
 - ``encoding``      deterministic canonical value codec
+- ``records``       the record codec: dataclass value shapes and canonical bytes
 - ``crypto``        hashing, signatures, seeded key derivation
 - ``container``     segmented asset container and hard bindings
 - ``credentials``   assertions, claims, manifests, redaction
