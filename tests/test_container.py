@@ -232,7 +232,7 @@ def test_hard_binding_rejects_bad_ranges():
     manifest_range = asset.find_manifest().range
     with pytest.raises(ProvenanceError, match="exceeds asset of"):
         compute_hard_binding(asset, [manifest_range, ByteRange(len(asset.data), 1)])
-    with pytest.raises(ProvenanceError, match="overlap"):
+    with pytest.raises(ProvenanceError, match="ranges at .* overlap"):
         compute_hard_binding(
             asset,
             [manifest_range, ByteRange(manifest_range.start + 1, manifest_range.length)],
