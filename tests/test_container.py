@@ -128,6 +128,9 @@ def test_two_manifests_rejected():
     parts = simple_parts() + [(SegmentKind.MANIFEST, "manifest", b"SECOND")]
     with pytest.raises(MalformedContainer, match="more than one manifest segment"):
         build_asset(parts)
+    wire = serialize_asset(build_asset(simple_parts()))
+    with pytest.raises(MalformedContainer, match="more than one manifest segment"):
+        parse_asset(_second_manifest(wire))
 
 
 def test_empty_payload_rejected():

@@ -124,7 +124,7 @@ def test_init_refuses_a_seed_outside_64_bits(seed, tmp_path, capsys):
 def test_load_refuses_a_seed_outside_64_bits(seed, tmp_path):
     state = json.loads(Workspace(tmp_path, 1)._state_text())
     (tmp_path / STATE_FILE).write_text(_text({**state, "seed": seed}))
-    with pytest.raises(match=f"seed {seed} is outside"):
+    with pytest.raises(ProvenanceError, match=f"seed {seed} is outside"):
         Workspace.load(tmp_path)
 
 
