@@ -775,6 +775,9 @@ def format_epoch(epoch: int) -> str:
 
 
 def _render_time_line(report: ValidationReport) -> str:
+    """No displayed time reads "no timestamp token" only when the manifest
+    has none; a token that is present but FAILed its check, untrusted or
+    only refused by policy, reads "timestamp token refused"."""
     displayed = report.displayed_time
     if displayed.provenance == TimeProvenance.SIGNED:
         return f"signed time: {format_epoch(displayed.epoch)} (signed time)"
@@ -782,7 +785,7 @@ def _render_time_line(report: ValidationReport) -> str:
         return f"signed time: {format_epoch(displayed.epoch)} (unverified time)"
     timestamp = report.check("timestamp")
     if timestamp.outcome == CheckOutcome.FAIL and timestamp.detail != _NO_TOKEN:
-        return "signed time: none (timestamp token not trusted)"
+        return "signed time: none (timestamp token refused)"
     return f"signed time: none ({_NO_TOKEN})"
 
 

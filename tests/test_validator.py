@@ -292,7 +292,7 @@ def test_render_tags_time_provenance(lab, fixtures, corpus, corpus_entry, entry_
     transplant = corpus_entry("bound-timestamp", "token-transplant")
     checks, lines = time_lines(transplant, entry_bytes(transplant))
     assert [c.outcome for c in checks] == [CheckOutcome.FAIL, CheckOutcome.FAIL]
-    assert lines == ["signed time: none (timestamp token not trusted)"] * 2
+    assert lines == ["signed time: none (timestamp token refused)"] * 2
     # a manifest without a token keeps the wording, refused (hardened) or not
     honest = corpus_entry("honest")
     checks, lines = time_lines(honest, _without_token(entry_bytes(honest)))
@@ -320,7 +320,7 @@ def test_structured_reports_of_the_seed_1_corpus_are_pinned(corpus, entry_bytes)
             report = validate(data, policy)
             h.update((report_to_json(report) + render_report(report)).encode())
     assert h.hexdigest() == (
-        "a83b151bc52e3ee8a3dd260ea5bbc6f2f9063b77b4b414d5f2ea79ab197da25c"
+        "20d267d54740eb2078d10bfc197bdf8254ac286f1894912e9e2dfbf4bfdab54c"
     )
 
 
