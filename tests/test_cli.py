@@ -203,6 +203,62 @@ def test_diff_refuses_a_flag_neither_policy_reads(cliws, crl_file, capsys):
     assert code == 5 and "verdict agreement: NO" in out
 
 
+_POLICY_FILES = {
+    "none.policy": "revocation_mode = NONE\n",
+    "crl.policy": "revocation_mode = CRL_REQUIRED\n",
+    "soft.policy": "revocation_mode = STATUS_SERVICE_SOFT_FAIL\n",
+    "hard.policy": "revocation_mode = STATUS_SERVICE_HARD_FAIL\n",
+    "own-crl.policy": "revocation_mode = CRL_REQUIRED\ncrl_file = authority.crl\n",
+    "own-endpoint.policy": "revocation_mode = STATUS_SERVICE_SOFT_FAIL\nstatus_endpoint = 127.0.0.1:9\n",
+}
+
+
+@pytest.mark.parametrize(
+    "policies, reads",
+    [
+        (["spec"], set()),
+        (["hardened"], {"--crl"}),
+        (["none.policy"], set()),
+        (["crl.policy"], {"--crl"}),
+        (["soft.policy"], {"--status-endpoint"}),
+        (["hard.policy"], {"--status-endpoint"}),
+        (["own-crl.policy"], set()),
+        (["own-endpoint.policy"], set()),
+        (["spec", "soft.policy"], {"--status-endpoint"}),
+    ],
+    ids=[
+        "spec", "hardened", "file-none", "file-crl", "file-soft", "file-hard",
+        "file-own-crl", "file-own-endpoint", "diff-spec-soft",
+    ],
+)
+def test_a_policy_reads_the_revocation_flags_its_mode_consults_and_it_leaves_unset(
+    cliws, tmp_path, crl_file, capsys, policies, reads
+):
+    # a policy reads --crl iff its mode is CRL_REQUIRED and it names no CRL,
+    # and --status-endpoint iff its mode is a status mode and it names no endpoint
+    assert run(["--workspace", str(cliws), "sign", "--scenario", "unbound-timestamp"], capsys)[0] == 0
+    asset = str(cliws / "fixtures" / "unbound-timestamp" / "asset.pvl")
+    names = []
+    for policy in policies:
+        if policy in _POLICY_FILES:
+            (tmp_path / policy).write_text(_POLICY_FILES[policy])
+            policy = str(tmp_path / policy)
+        names.append(policy)
+    if len(names) == 1:
+        argv = ["validate", asset, "--policy", names[0]]
+    else:
+        argv = ["diff", asset, "--policy-a", names[0], "--policy-b", names[1]]
+    for flag, value in (("--crl", str(crl_file)), ("--status-endpoint", "127.0.0.1:9")):
+        code, out, err = run(["--workspace", str(cliws), *argv, flag, value], capsys)
+        if flag in reads:
+            assert code in (0, 2, 3, 5) and out and err == ""
+        elif len(names) == 1:
+            assert (code, out, err) == (4, "", f"error: policy {names[0]!r} does not use {flag}\n")
+        else:
+            assert (code, out) == (4, "")
+            assert err == f"error: neither policy {names[0]!r} nor {names[1]!r} uses {flag}\n"
+
+
 def test_structured_format_roundtrips(cliws, capsys):
     asset = str(cliws / "fixtures" / "unbound-timestamp" / "asset.pvl")
     code, out, _ = run(
