@@ -19,6 +19,7 @@ import os
 import stat
 import sys
 import time as _time
+from dataclasses import replace
 from pathlib import Path
 from typing import Iterator
 
@@ -58,80 +59,84 @@ def _workspace(args: argparse.Namespace, seed: int | None = None) -> Workspace:
     return Workspace.load(root) if seed is None else Workspace.initialize(root, seed)
 
 
+_STATUS_MODES = (RevocationMode.STATUS_SERVICE_SOFT_FAIL, RevocationMode.STATUS_SERVICE_HARD_FAIL)
+
+
 def _resolve_policy(
-    args: argparse.Namespace, workspace: Workspace, which: str = "policy"
+    name: str, workspace: Workspace, at: int | None, given: dict[str, object]
 ) -> tuple[ValidationPolicy, set[str]]:
-    """The named policy, and which of ``--crl`` and ``--status-endpoint`` it reads."""
-    name = getattr(args, which.replace("-", "_"))
-    at = parse_time(args.at) if args.at else DEFAULT_VALIDATION_TIME
-    crl = None
-    if args.crl:
-        crl = decode_revocation_list(Path(args.crl).read_bytes())
-    endpoint = None
-    if args.status_endpoint:
-        endpoint = parse_endpoint(args.status_endpoint)
+    """The named policy, and which of ``--crl`` and ``--status-endpoint`` it reads.
 
-    if name == "spec":
-        return spec_policy(workspace.trust, at), set()
-    if name == "hardened":
-        # the workspace authority's live revocation state, unless overridden
-        if crl is None:
-            crl = workspace.signing.generate_crl()
-        return hardened_policy(workspace.trust, at, crl=crl), {"--crl"}
-
-    path = Path(name)
-    if not path.is_file():
-        raise ProvenanceError(f"policy {name!r} is not a preset or a readable file")
-    fields = parse_policy_text(path.read_text())
-    mode = fields.get("revocation_mode", RevocationMode.NONE)
-    reads = set()
-    if "crl_file" in fields:
-        crl_path = (path.parent / str(fields.pop("crl_file"))).resolve()
-        crl = decode_revocation_list(crl_path.read_bytes())
-    elif mode == RevocationMode.CRL_REQUIRED:
-        reads.add("--crl")
-    if "status_endpoint" in fields:
-        endpoint = fields.pop("status_endpoint")  # type: ignore[assignment]
-    elif mode in (RevocationMode.STATUS_SERVICE_SOFT_FAIL, RevocationMode.STATUS_SERVICE_HARD_FAIL):
-        reads.add("--status-endpoint")
-    if "validation_time" in fields and not args.at:
-        at = fields.pop("validation_time")
+    A policy reads ``--crl`` when its revocation mode is ``CRL_REQUIRED`` and
+    it holds no CRL of its own, and ``--status-endpoint`` when its mode is a
+    status mode and it names no endpoint; the flag's value in ``given`` then
+    fills the gap.  ``at``, if given, overrides a file's ``validation_time``.
+    """
+    if name in ("spec", "hardened"):
+        preset = spec_policy if name == "spec" else hardened_policy
+        policy = preset(workspace.trust, DEFAULT_VALIDATION_TIME if at is None else at)
     else:
-        fields.pop("validation_time", None)
-    fields.setdefault("name", path.stem)
-    policy = ValidationPolicy(
-        trust=workspace.trust, validation_time=at, crl=crl, status_endpoint=endpoint,
-        **fields,  # type: ignore[arg-type]
-    )
+        path = Path(name)
+        if not path.is_file():
+            raise ProvenanceError(f"policy {name!r} is not a preset or a readable file")
+        fields = {"name": path.stem, "validation_time": DEFAULT_VALIDATION_TIME}
+        fields.update(parse_policy_text(path.read_text()))
+        if "crl_file" in fields:
+            crl_path = (path.parent / str(fields.pop("crl_file"))).resolve()
+            fields["crl"] = decode_revocation_list(crl_path.read_bytes())
+        if at is not None:
+            fields["validation_time"] = at
+        policy = ValidationPolicy(trust=workspace.trust, **fields)  # type: ignore[arg-type]
+    reads = set()
+    if policy.revocation_mode == RevocationMode.CRL_REQUIRED and policy.crl is None:
+        reads.add("--crl")
+        crl = given["--crl"]
+        if crl is None and name == "hardened":
+            crl = workspace.signing.generate_crl()  # the authority's live revocation state
+        policy = replace(policy, crl=crl)
+    if policy.revocation_mode in _STATUS_MODES and policy.status_endpoint is None:
+        reads.add("--status-endpoint")
+        policy = replace(policy, status_endpoint=given["--status-endpoint"])
     return policy, reads
 
 
-def _refuse_unread_flags(args: argparse.Namespace, names: list[str], reads: set[str]) -> None:
-    """Refuse ``--crl`` or ``--status-endpoint`` when no named policy reads it."""
-    given = {"--crl": args.crl, "--status-endpoint": args.status_endpoint}
+def _refuse_unused(kind: str, names: tuple[str, ...], given: dict, reads: set[str]) -> None:
+    """Refuse each flag in ``given`` that has a value but that no named policy or attack reads."""
     for flag, value in given.items():
-        if value and flag not in reads:
+        if value is not None and flag not in reads:
             if len(names) == 1:
-                raise ProvenanceError(f"policy {names[0]!r} does not use {flag}")
-            raise ProvenanceError(f"neither policy {names[0]!r} nor {names[1]!r} uses {flag}")
+                raise ProvenanceError(f"{kind} {names[0]!r} does not use {flag}")
+            raise ProvenanceError(f"neither {kind} {names[0]!r} nor {names[1]!r} uses {flag}")
 
 
 @contextlib.contextmanager
-def _mapped(path: str) -> Iterator[bytes | mmap.mmap]:
-    """The file's bytes, mapped read-only for the ``with`` block.
+def _policies_and_asset(
+    args: argparse.Namespace, *names: str
+) -> Iterator[tuple[tuple[ValidationPolicy, ...], bytes | mmap.mmap]]:
+    """The named policies, and the asset's bytes mapped read-only for the ``with`` block.
 
-    Memory then scales with what is read out of the file (the manifest), not
-    with its size.  A file that cannot be mapped (empty, or not a regular
-    file, such as a pipe) is read instead.  The mapping closes on exit, so
-    nothing may keep an asset parsed from it.
+    Flag values are parsed before any policy is built, so a bad one is refused
+    under every policy.  Memory scales with the manifest read out of the file,
+    not with its size; an empty file or a pipe is read instead of mapped.  The
+    mapping closes on exit, so nothing may keep an asset parsed from it.
     """
-    with open(path, "rb") as handle:
-        info = os.fstat(handle.fileno())
-        if not stat.S_ISREG(info.st_mode) or info.st_size == 0:
-            yield handle.read()
-            return
-        with mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
-            yield mapped
+    workspace = _workspace(args)
+    at = parse_time(args.at) if args.at else None
+    crl = decode_revocation_list(Path(args.crl).read_bytes()) if args.crl else None
+    endpoint = parse_endpoint(args.status_endpoint) if args.status_endpoint else None
+    given = {"--crl": crl, "--status-endpoint": endpoint}
+    policies, reads = zip(*(_resolve_policy(name, workspace, at, given) for name in names))
+    _refuse_unused("policy", names, given, set().union(*reads))
+    try:
+        with open(args.asset, "rb") as handle:
+            info = os.fstat(handle.fileno())
+            if not stat.S_ISREG(info.st_mode) or info.st_size == 0:
+                yield policies, handle.read()
+                return
+            with mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
+                yield policies, mapped
+    except OSError as exc:
+        raise ProvenanceError(f"cannot read {args.asset}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -155,30 +160,15 @@ def cmd_sign(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    workspace = _workspace(args)
-    policy, reads = _resolve_policy(args, workspace)
-    _refuse_unread_flags(args, [args.policy], reads)
-    try:
-        with _mapped(args.asset) as data:
-            report = validate(data, policy)
-    except OSError as exc:
-        print(f"error: cannot read {args.asset}: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+    with _policies_and_asset(args, args.policy) as ((policy,), data):
+        report = validate(data, policy)
     sys.stdout.write(render_report(report, args.format))
     return exit_code_for(report)
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
-    workspace = _workspace(args)
-    policy_a, reads_a = _resolve_policy(args, workspace, "policy-a")
-    policy_b, reads_b = _resolve_policy(args, workspace, "policy-b")
-    _refuse_unread_flags(args, [args.policy_a, args.policy_b], reads_a | reads_b)
-    try:
-        with _mapped(args.asset) as data:
-            diff = validate_differential(data, policy_a, policy_b)
-    except OSError as exc:
-        print(f"error: cannot read {args.asset}: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+    with _policies_and_asset(args, args.policy_a, args.policy_b) as ((policy_a, policy_b), data):
+        diff = validate_differential(data, policy_a, policy_b)
     sys.stdout.write(render_differential(diff))
     return diff.exit_code
 
@@ -191,9 +181,9 @@ def cmd_attack(args: argparse.Namespace) -> int:
         )
     inputs = attack_inputs(args.name)
     flags = {"--input": "asset", "--time": "time", "--label": "label", "--payload": "payload"}
-    for flag, used in flags.items():
-        if getattr(args, flag[2:]) is not None and used not in inputs:
-            raise ProvenanceError(f"attack {args.name!r} does not use {flag}")
+    given = {flag: getattr(args, flag[2:]) for flag in flags}
+    reads = {flag for flag, used in flags.items() if used in inputs}
+    _refuse_unused("attack", (args.name,), given, reads)
 
     workspace = _workspace(args)
     asset = None
@@ -204,11 +194,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
         if not asset_path.is_file():
             make_fixture(workspace, scenario_name)
         asset = parse_asset(asset_path.read_bytes())
-    trip = {
-        name: getattr(args, name)
-        for name in ("time", "label", "payload")
-        if getattr(args, name) is not None
-    }
+    trip = {flags[flag]: value for flag, value in given.items() if value is not None}
+    trip.pop("asset", None)  # --input, read above
     if "time" in trip:
         trip["time"] = parse_time(trip["time"])
     outcome = apply_attack(workspace, args.name, scenario_name, asset, **trip)
@@ -298,22 +285,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_sign)
 
-    p = sub.add_parser("validate", help="validate an asset under a policy")
-    p.add_argument("asset")
+    # the asset, clock and revocation inputs that validate and diff share
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("asset")
+    inputs.add_argument("--at", help="validation time (epoch seconds or ISO-8601)")
+    inputs.add_argument("--crl", help="revocation list file")
+    inputs.add_argument("--status-endpoint", help="host:port of a status service")
+
+    p = sub.add_parser("validate", parents=[inputs], help="validate an asset under a policy")
     p.add_argument("--policy", default="spec", help="spec, hardened, or a policy file")
-    p.add_argument("--at", help="validation time (epoch seconds or ISO-8601)")
     p.add_argument("--format", choices=("human", "structured"), default="human")
-    p.add_argument("--crl", help="revocation list file")
-    p.add_argument("--status-endpoint", help="host:port of a status service")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("diff", help="validate under two policies and compare")
-    p.add_argument("asset")
+    p = sub.add_parser("diff", parents=[inputs], help="validate under two policies and compare")
     p.add_argument("--policy-a", default="spec", dest="policy_a")
     p.add_argument("--policy-b", default="hardened", dest="policy_b")
-    p.add_argument("--at", help="validation time (epoch seconds or ISO-8601)")
-    p.add_argument("--crl", help="revocation list file")
-    p.add_argument("--status-endpoint", help="host:port of a status service")
     p.set_defaults(func=cmd_diff)
 
     p = sub.add_parser("attack", help="apply an attack to a fixture asset")
@@ -350,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ProvenanceError, ValueError) as exc:
+    except (ProvenanceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
 

@@ -68,9 +68,9 @@ Writer = Callable[[Any, list], None]
 _Plan = tuple[tuple[str, Decoder, Writer], ...]
 
 
-def record_value(record: Any, omit: tuple[str, ...] = ()) -> dict:
-    """The map value of ``record``, leaving out the fields named in ``omit``."""
-    return decode_value(encode_record(record, omit))
+def record_value(record: Any) -> dict:
+    """The map value of ``record``."""
+    return decode_value(encode_record(record))
 
 
 def record_from_value(cls: type, value: Value) -> Any:

@@ -284,12 +284,10 @@ def build_scenario_content(
 @dataclass(frozen=True)
 class Fixture:
     scenario: Scenario
-    original: Asset
     signed: Asset
     original_path: Path
     asset_path: Path
     manifest_path: Path
-    validation_time: int = DEFAULT_VALIDATION_TIME
 
 
 def scenario_identity(workspace: Workspace, scenario: Scenario) -> Identity:
@@ -351,7 +349,6 @@ def make_fixture(workspace: Workspace, scenario_name: str, seed: int | None = No
 
     return Fixture(
         scenario=scenario,
-        original=asset,
         signed=signed,
         original_path=original_path,
         asset_path=asset_path,

@@ -184,11 +184,11 @@ class Workspace:
         key_role: str,
         not_before: int,
         not_after: int,
-        usage: Usage = Usage.LEAF_SIGNING,
     ) -> Identity:
-        """Issue (or re-derive, idempotently) a leaf under the signing CA."""
+        """Issue (or re-derive, idempotently) a signing leaf under the signing CA."""
         return _issue_leaf(
-            self.signing, self.seed, key_role, subject, serial, not_before, not_after, usage
+            self.signing, self.seed, key_role, subject, serial, not_before, not_after,
+            Usage.LEAF_SIGNING,
         )
 
     @property

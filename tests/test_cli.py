@@ -125,6 +125,40 @@ def test_validate_garbage_exits_4(cliws, tmp_path, capsys):
     assert code == 4 and "cannot read" in err
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["attack", "timestamp-replace", "--scenario", "honest", "--input", "{tmp}/missing.pvl"],
+         "{tmp}/missing.pvl"),
+        (["attack", "timestamp-replace", "--scenario", "honest", "--out", "{tmp}/file/x.pvl"],
+         "{tmp}/file"),
+        (["extend", "{tmp}/missing.pvl"], "{tmp}/missing.pvl"),
+        (["extend", "{tmp}/asset.pvl", "--out", "{tmp}/file/x.pvl"], "{tmp}/file"),
+        (["validate", "{tmp}/asset.pvl", "--policy", "hardened", "--crl", "{tmp}/missing.crl"],
+         "{tmp}/missing.crl"),
+        (["validate", "{tmp}/asset.pvl", "--policy", "hardened", "--crl", "{tmp}/dir"], "{tmp}/dir"),
+        (["validate", "{tmp}/asset.pvl", "--policy", "{tmp}/lost-crl.policy"], "{tmp}/missing.crl"),
+        (["--workspace", "{tmp}/file", "init"], "{tmp}/file"),
+    ],
+    ids=[
+        "attack-input", "attack-out", "extend-input", "extend-out",
+        "crl-missing", "crl-directory", "policy-crl-file", "workspace-file",
+    ],
+)
+def test_an_unreadable_or_unwritable_path_exits_4_naming_it(cliws, tmp_path, capsys, argv, named):
+    tmp = tmp_path.resolve()
+    (tmp / "file").write_text("a regular file\n")
+    (tmp / "dir").mkdir()
+    (tmp / "asset.pvl").write_bytes((cliws / "fixtures" / "honest" / "asset.pvl").read_bytes())
+    (tmp / "lost-crl.policy").write_text("revocation_mode = CRL_REQUIRED\ncrl_file = missing.crl\n")
+    workspace = [] if argv[0] == "--workspace" else ["--workspace", str(cliws)]
+    code, out, err = run(workspace + [arg.format(tmp=tmp) for arg in argv], capsys)
+    assert (code, out) == (4, "")
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and named.format(tmp=tmp) in line
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("endpoint", ["8080", ":8080", "localhost:", "localhost:http"])
 def test_bad_status_endpoint_exits_4(cliws, capsys, endpoint):
     assert main(["--workspace", str(cliws), "sign", "--scenario", "honest"]) == 0
