@@ -152,10 +152,13 @@ def cmd_init(args: argparse.Namespace) -> int:
 
 def cmd_sign(args: argparse.Namespace) -> int:
     workspace = _workspace(args)
-    fixture = make_fixture(workspace, args.scenario, args.seed)
-    print(f"scenario: {fixture.scenario.name} ({fixture.scenario.description})")
-    print(f"original: {fixture.original_path}")
-    print(f"signed:   {fixture.asset_path}")
+    signed = make_fixture(workspace, args.scenario, args.seed)
+    path = workspace.fixtures_dir / args.scenario / "asset.pvl"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(serialize_asset(signed))
+    workspace.save()  # the scenario's leaf is now issued
+    print(f"scenario: {args.scenario} ({SCENARIOS[args.scenario].description})")
+    print(f"signed:   {path}")
     return EXIT_OK
 
 
@@ -190,22 +193,24 @@ def cmd_attack(args: argparse.Namespace) -> int:
     if args.input:
         asset = parse_asset(Path(args.input).read_bytes())
     elif "asset" in inputs:
-        asset_path = workspace.fixtures_dir / scenario_name / "asset.pvl"
-        if not asset_path.is_file():
-            make_fixture(workspace, scenario_name)
-        asset = parse_asset(asset_path.read_bytes())
+        fixture = workspace.fixtures_dir / scenario_name / "asset.pvl"
+        if fixture.is_file():
+            asset = parse_asset(fixture.read_bytes())
+        else:
+            asset = make_fixture(workspace, scenario_name)
     trip = {flags[flag]: value for flag, value in given.items() if value is not None}
     trip.pop("asset", None)  # --input, read above
     if "time" in trip:
         trip["time"] = parse_time(trip["time"])
     outcome = apply_attack(workspace, args.name, scenario_name, asset, **trip)
-    workspace.save()  # sign-with-revoked revokes the leaf it re-signs with
 
     out = Path(args.out) if args.out else (
         workspace.root / "attacks" / f"{scenario_name}--{outcome.name}.pvl"
     )
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_bytes(serialize_asset(outcome.mutated))
+    # only once the asset is written: sign-with-revoked revokes the leaf it re-signs with
+    workspace.save()
     print(f"attack: {outcome.name}")
     print(f"notes: {outcome.notes}")
     print(f"mutated asset: {out}")
@@ -331,10 +336,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_empty(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Refuse an empty value for any flag or positional, so "" never reads as "not given"."""
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for action in parser._actions + commands.choices[args.command]._actions:
+        if getattr(args, action.dest, None) == "":
+            name = action.option_strings[0] if action.option_strings else action.dest
+            raise ProvenanceError(f"empty value for {name}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _refuse_empty(parser, args)
         return args.func(args)
     except (ProvenanceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

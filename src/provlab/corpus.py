@@ -5,7 +5,8 @@ entry (``<scenario>`` for the honest signing, ``<scenario>--<attack>`` for a
 mutated variant), a shared revocation list snapshot, and ``index.json``
 recording each entry's expected verdict and exit code under both policy
 presets.  Everything derives from the workspace seed, so two runs with the
-same seed produce byte-identical trees.
+same seed produce byte-identical trees.  Scenarios are signed in memory, so
+each signed asset is written once, under ``corpus/``.
 
 The expected verdicts in the index come from the hand-written expectations of
 the attack registry and of the scenario table (for the honest entries), never
@@ -29,7 +30,7 @@ from .container import Asset, serialize_asset
 from .crypto import digest
 from .errors import ProvenanceError
 from .records import record_from_value, record_value
-from .signer import DEFAULT_VALIDATION_TIME, SCENARIOS, Fixture, make_fixture
+from .signer import DEFAULT_VALIDATION_TIME, SCENARIOS, make_fixture
 from .trust import RevocationList, decode_revocation_list, encode_revocation_list
 from .validator import (
     EXIT_BY_VERDICT,
@@ -95,15 +96,13 @@ def _entry(
 
 def build_corpus(workspace: Workspace) -> list[CorpusEntry]:
     """Generate the full corpus tree and return its entries."""
-    fixtures: dict[str, Fixture] = {
-        name: make_fixture(workspace, name) for name in SCENARIOS
-    }
+    signed = {name: make_fixture(workspace, name) for name in SCENARIOS}
     entries: list[CorpusEntry] = []
 
     # --- attacked variants ------------------------------------------------
     for attack in ATTACKS.values():
         for name in attack.scenarios:
-            asset = fixtures[name].signed
+            asset = signed[name]
             if attack.prepare is not None:
                 asset = attack.prepare(workspace, asset)
             outcome = apply_attack(workspace, attack.name, name, asset)
@@ -122,15 +121,13 @@ def build_corpus(workspace: Workspace) -> list[CorpusEntry]:
             )
 
     # --- honest entries (after attacks: revocation state is now final) ----
-    for name, fixture in fixtures.items():
+    for name, asset in signed.items():
+        scenario = SCENARIOS[name]
         entries.append(
-            _entry(
-                workspace, fixture.signed, name, None, fixture.scenario.expected,
-                fixture.scenario.description, None,
-            )
+            _entry(workspace, asset, name, None, scenario.expected, scenario.description, None)
         )
 
-    # snapshot the revocation list that hardened validation will consult
+    # record the issued leaves, and snapshot the CRL that hardened validation will consult
     workspace.save()
     crl = workspace.signing.generate_crl()
     (workspace.corpus_dir / CRL_FILENAME).write_bytes(encode_revocation_list(crl))

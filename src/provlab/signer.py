@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 from .container import (
     Asset,
@@ -39,7 +38,6 @@ from .container import (
     compute_hard_binding,
     embed_manifest,
     manifest_insert_offset,
-    serialize_asset,
 )
 from .credentials import (
     Assertion,
@@ -281,15 +279,6 @@ def build_scenario_content(
     return build_asset(parts), assertions, generator
 
 
-@dataclass(frozen=True)
-class Fixture:
-    scenario: Scenario
-    signed: Asset
-    original_path: Path
-    asset_path: Path
-    manifest_path: Path
-
-
 def scenario_identity(workspace: Workspace, scenario: Scenario) -> Identity:
     return workspace.issue_leaf(
         subject=f"labcam-{scenario.name}",
@@ -314,8 +303,12 @@ def scenario_signer(workspace: Workspace, scenario: Scenario, generator: str) ->
     )
 
 
-def make_fixture(workspace: Workspace, scenario_name: str, seed: int | None = None) -> Fixture:
-    """Generate one scenario's fixture tree under ``fixtures/<name>/``."""
+def make_fixture(workspace: Workspace, scenario_name: str, seed: int | None = None) -> Asset:
+    """Sign one scenario's content in memory; nothing is written or saved.
+
+    Signing issues the scenario's leaf in ``workspace``, so a caller that
+    keeps the result saves the workspace.
+    """
     scenario = SCENARIOS.get(scenario_name)
     if scenario is None:
         raise ProvenanceError(f"no scenario named {scenario_name!r}")
@@ -323,34 +316,4 @@ def make_fixture(workspace: Workspace, scenario_name: str, seed: int | None = No
     if not 0 <= seed < 2**64:
         raise ProvenanceError(f"content seed {seed} is outside 0 .. 2**64-1")
     asset, assertions, generator = build_scenario_content(scenario, seed)
-    config = scenario_signer(workspace, scenario, generator)
-    workspace.save()
-    signed = sign_asset(asset, assertions, config)
-
-    fixture_dir = workspace.fixtures_dir / scenario.name
-    fixture_dir.mkdir(parents=True, exist_ok=True)
-    original_path = fixture_dir / "original.pvl"
-    asset_path = fixture_dir / "asset.pvl"
-    manifest_path = fixture_dir / "fixture.tsv"
-    original_bytes = serialize_asset(asset)
-    signed_bytes = serialize_asset(signed)
-    original_path.write_bytes(original_bytes)
-    asset_path.write_bytes(signed_bytes)
-
-    rows = [
-        f"# provlab fixture\tscenario={scenario.name}\tseed={seed}",
-    ]
-    for path, role, blob in (
-        (original_path, "original", original_bytes),
-        (asset_path, "signed-asset", signed_bytes),
-    ):
-        rows.append(f"{path.relative_to(workspace.root)}\t{role}\t{digest(blob).hex()}")
-    manifest_path.write_text("\n".join(rows) + "\n")
-
-    return Fixture(
-        scenario=scenario,
-        signed=signed,
-        original_path=original_path,
-        asset_path=asset_path,
-        manifest_path=manifest_path,
-    )
+    return sign_asset(asset, assertions, scenario_signer(workspace, scenario, generator))

@@ -20,7 +20,7 @@ from enum import Enum
 from .container import Asset, extract_manifest, replace_manifest
 from .crypto import DIGEST_SIZE, SigningKey, digest, verify_once
 from .errors import ProvenanceError
-from .records import decode_record, encode_record
+from .records import encode_record
 from .trust import Certificate, ChainStatus, TrustList, Usage, verify_chain
 
 
@@ -39,10 +39,6 @@ def token_signed_payload(token: TimestampToken) -> bytes:
 
 def encode_token(token: TimestampToken) -> bytes:
     return encode_record(token)
-
-
-def decode_token(data: bytes) -> TimestampToken:
-    return decode_record(TimestampToken, data)
 
 
 def issue_token(

@@ -55,14 +55,6 @@ def certificate_template_bytes(cert: Certificate) -> bytes:
     return encode_record(cert, omit=("issuer_signature",))
 
 
-def encode_certificate(cert: Certificate) -> bytes:
-    return encode_record(cert)
-
-
-def decode_certificate(data: bytes) -> Certificate:
-    return decode_record(Certificate, data)
-
-
 def issue_certificate(
     issuer_key: SigningKey,
     template: Certificate,

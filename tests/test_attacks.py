@@ -219,7 +219,7 @@ def test_bound_signature_refuses_token_replacement(toolbox):
     lab, fixtures = toolbox
     with pytest.raises(ProvenanceError, match="the claim signature pins its token"):
         attack_timestamp_replace(
-            fixtures["bound-timestamp"].signed, lab.tsa(), T0 - YEAR, lab.trust
+            fixtures["bound-timestamp"], lab.tsa(), T0 - YEAR, lab.trust
         )
 
 
@@ -227,7 +227,7 @@ def test_token_transplant_needs_the_signing_key(toolbox):
     lab, fixtures = toolbox
     with pytest.raises(ProvenanceError, match="key does not match the signing leaf"):
         attack_token_transplant(
-            fixtures["bound-timestamp"].signed, lab.device.key, lab.tsa(), T0 - YEAR
+            fixtures["bound-timestamp"], lab.device.key, lab.tsa(), T0 - YEAR
         )
 
 
@@ -236,12 +236,12 @@ def test_untrusted_tsa_refused(toolbox, tmp_path):
     rogue = Workspace.initialize(tmp_path / "rogue", seed=32)
     with pytest.raises(ProvenanceError, match="would not chain to a trusted root"):
         attack_timestamp_replace(
-            fixtures["unbound-timestamp"].signed, rogue.tsa(), T0 - YEAR, lab.trust
+            fixtures["unbound-timestamp"], rogue.tsa(), T0 - YEAR, lab.trust
         )
     # ... and a trusted TSA outside its own window is equally useless
     with pytest.raises(ProvenanceError, match="would not chain to a trusted root"):
         attack_timestamp_replace(
-            fixtures["unbound-timestamp"].signed, lab.tsa(), T0 - 16 * YEAR, lab.trust
+            fixtures["unbound-timestamp"], lab.tsa(), T0 - 16 * YEAR, lab.trust
         )
 
 
@@ -249,25 +249,25 @@ def test_covered_segment_refuses_splice(toolbox):
     lab, fixtures = toolbox
     with pytest.raises(ProvenanceError, match="segment 'meta.note' is covered by the hard binding"):
         attack_exclusion_mutate(
-            fixtures["honest"].signed, "meta.note", b"scenario=doctored"[:15]
+            fixtures["honest"], "meta.note", b"scenario=doctored"[:15]
         )
 
 
 def test_splice_length_must_match(toolbox):
     lab, fixtures = toolbox
     with pytest.raises(ProvenanceError, match="replacement is 5 bytes, segment holds"):
-        attack_exclusion_mutate(fixtures["gps-excluded"].signed, "meta.gps", b"short")
+        attack_exclusion_mutate(fixtures["gps-excluded"], "meta.gps", b"short")
 
 
 def test_timewarp_requires_actual_expiry(toolbox):
     lab, fixtures = toolbox
     with pytest.raises(ValueError):
-        attack_expiry_timewarp(fixtures["short-lived-cert"].signed, T0 + 7 * 86_400)
+        attack_expiry_timewarp(fixtures["short-lived-cert"], T0 + 7 * 86_400)
 
 
 def test_timewarp_without_bridge_expects_unverifiable(toolbox):
     lab, fixtures = toolbox
-    asset = fixtures["short-lived-cert"].signed
+    asset = fixtures["short-lived-cert"]
     outcome = attack_expiry_timewarp(asset, T0 + YEAR)
     assert outcome.expected == {
         "spec": Verdict.UNVERIFIABLE,
@@ -278,7 +278,7 @@ def test_timewarp_without_bridge_expects_unverifiable(toolbox):
 
 def test_strip_twice_fails(toolbox):
     lab, fixtures = toolbox
-    stripped = attack_strip_manifest(fixtures["honest"].signed).mutated
+    stripped = attack_strip_manifest(fixtures["honest"]).mutated
     with pytest.raises(ProvenanceError, match="carries no manifest segment"):
         attack_strip_manifest(stripped)
 

@@ -7,8 +7,11 @@ import threading
 
 import pytest
 
+from provlab import cli
 from provlab.attacks import ATTACKS
 from provlab.cli import main, parse_time
+from provlab.container import serialize_asset
+from provlab.signer import SCENARIOS, make_fixture
 from provlab.statusservice import run_status_service
 from provlab.trust import encode_revocation_list
 from provlab.validator import report_from_json
@@ -665,3 +668,113 @@ def test_serve_status_prints_refused_then_served_last(cliws, capsys):
     out += capsys.readouterr().out
     assert held["code"] == 0
     assert out.splitlines()[-2:] == ["refused 1 frames", "served 1 queries"]
+
+
+# ---------------------------------------------------------------------------
+# one signing path: sign writes the fixture, corpus writes each asset once
+# ---------------------------------------------------------------------------
+
+def _listing(path):
+    return sorted(p.name for p in path.iterdir())
+
+
+@pytest.fixture(scope="module")
+def corpusws(tmp_path_factory):
+    root = tmp_path_factory.mktemp("corpusws")
+    assert main(["--workspace", str(root), "init", "--seed", "1"]) == 0
+    assert main(["--workspace", str(root), "corpus"]) == 0
+    return root
+
+
+def test_init_and_corpus_leave_only_the_corpus_and_the_state(corpusws):
+    assert _listing(corpusws) == ["corpus", "workspace.json"]
+
+
+def test_sign_writes_only_the_signed_asset(tmp_path, capsys):
+    root = tmp_path / "ws"
+    assert run(["--workspace", str(root), "init", "--seed", "1"], capsys)[0] == 0
+    code, out, _ = run(["--workspace", str(root), "sign", "--scenario", "honest"], capsys)
+    assert code == 0
+    assert _listing(root) == ["fixtures", "workspace.json"]
+    assert _listing(root / "fixtures") == ["honest"]
+    assert _listing(root / "fixtures" / "honest") == ["asset.pvl"]
+    assert out.splitlines() == [
+        f"scenario: honest ({SCENARIOS['honest'].description})",
+        f"signed:   {root / 'fixtures' / 'honest' / 'asset.pvl'}",
+    ]
+
+
+def test_make_fixture_is_the_corpus_entry_and_the_signed_file(corpusws, tmp_path):
+    signws = tmp_path / "ws"
+    assert main(["--workspace", str(signws), "init", "--seed", "1"]) == 0
+    lab = Workspace.load(corpusws)
+    for name in SCENARIOS:
+        assert main(["--workspace", str(signws), "sign", "--scenario", name]) == 0
+        signed = serialize_asset(make_fixture(lab, name))
+        assert signed == (corpusws / "corpus" / name / "asset.pvl").read_bytes(), name
+        assert signed == (signws / "fixtures" / name / "asset.pvl").read_bytes(), name
+
+
+def test_attack_with_no_fixture_writes_none(tmp_path, capsys):
+    root = tmp_path / "ws"
+    assert main(["--workspace", str(root), "init", "--seed", "1"]) == 0
+    code, _, _ = run(
+        ["--workspace", str(root), "attack", "strip-manifest", "--scenario", "honest"], capsys
+    )
+    assert code == 0
+    assert _listing(root) == ["attacks", "workspace.json"]
+
+
+def test_a_failed_attack_write_leaves_the_workspace_untouched(tmp_path, capsys):
+    root = tmp_path / "ws"
+    assert main(["--workspace", str(root), "init", "--seed", "1"]) == 0
+    state = (root / "workspace.json").read_bytes()
+    (tmp_path / "file").write_text("a regular file\n")
+    code, _, err = run(
+        [
+            "--workspace", str(root), "attack", "sign-with-revoked", "--scenario", "revocable",
+            "--out", str(tmp_path / "file" / "x.pvl"),
+        ],
+        capsys,
+    )
+    assert code == 4 and err.startswith("error: ")
+    assert (root / "workspace.json").read_bytes() == state
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["validate", "{honest}", "--policy", "hardened", "--crl", ""], "--crl"),
+        (["validate", "{honest}", "--status-endpoint", ""], "--status-endpoint"),
+        (["validate", "{honest}", "--at", ""], "--at"),
+        (["attack", "timestamp-replace", "--scenario", "honest", "--input", ""], "--input"),
+        (["attack", "token-transplant", "--scenario", "bound-timestamp", "--time", ""], "--time"),
+        (["attack", "exclusion-mutate", "--scenario", "gps-excluded", "--label", ""], "--label"),
+        (["attack", "exclusion-mutate", "--scenario", "gps-excluded", "--payload", ""],
+         "--payload"),
+        (["extend", ""], "asset"),
+        (["--workspace", "", "validate", "{honest}"], "--workspace"),
+        (["serve-status", "--host", "", "--duration", "0"], "--host"),
+    ],
+    ids=[
+        "crl", "status-endpoint", "at", "input", "time", "label", "payload", "extend-asset",
+        "workspace", "host",
+    ],
+)
+def test_an_empty_value_is_refused(cliws, tmp_path, capsys, monkeypatch, argv, name):
+    def no_socket(*_):
+        raise AssertionError("serve-status opened a socket")
+
+    monkeypatch.setattr(cli, "run_status_service", no_socket)
+    state = (cliws / "workspace.json").read_bytes()
+    honest = str(cliws / "fixtures" / "honest" / "asset.pvl")
+    argv = [arg.format(honest=honest) for arg in argv]
+    out = tmp_path / "out.pvl"
+    if argv[0] == "attack":
+        argv += ["--out", str(out)]
+    workspace = [] if argv[0] == "--workspace" else ["--workspace", str(cliws)]
+    code, _, err = run(workspace + argv, capsys)
+    assert code == 4
+    assert err.splitlines() == [f"error: empty value for {name}"]
+    assert (cliws / "workspace.json").read_bytes() == state
+    assert not out.exists()

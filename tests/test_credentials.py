@@ -23,13 +23,12 @@ from provlab.credentials import (
 )
 from provlab.crypto import digest, verify
 from provlab.errors import DecodeError, ProvenanceError
-from provlab.records import decode_record
-from provlab.timestamp import decode_token, encode_token
+from provlab.records import decode_record, encode_record
+from provlab.timestamp import TimestampToken, encode_token
 from provlab.trust import (
+    Certificate,
     RevocationList,
-    decode_certificate,
     decode_revocation_list,
-    encode_certificate,
     encode_revocation_list,
 )
 from provlab.workspace import T0, Workspace
@@ -132,8 +131,12 @@ def test_single_bit_flip_never_roundtrips(lab, manifest):
     crl = RevocationList("crl-issuer", T0, ((7, T0 + 1), (9, T0 + 2)), b"\x5a" * 64)
     cases = (
         (manifest, encode_manifest, decode_manifest),
-        (lab.device.chain[0], encode_certificate, decode_certificate),
-        (lab.tsa().issue(digest(b"bit flips")), encode_token, decode_token),
+        (lab.device.chain[0], encode_record, lambda data: decode_record(Certificate, data)),
+        (
+            lab.tsa().issue(digest(b"bit flips")),
+            encode_token,
+            lambda data: decode_record(TimestampToken, data),
+        ),
         (crl, encode_revocation_list, decode_revocation_list),
     )
     for record, encode, decode in cases:

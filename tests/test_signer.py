@@ -125,7 +125,7 @@ def test_each_bound_fixture_token_imprints_its_claim(lab):
     bound = [name for name, s in SCENARIOS.items() if s.binding_mode == BindingMode.BOUND]
     assert bound
     for name in bound:
-        manifest = decode_manifest(extract_manifest(make_fixture(lab, name).signed))
+        manifest = decode_manifest(extract_manifest(make_fixture(lab, name)))
         token = manifest.claim_signature.timestamp
         assert token.message_digest == digest(encode_claim(manifest.claim)), name
 
@@ -247,16 +247,14 @@ def test_scenario_content_is_seed_deterministic():
     assert serialize_asset(a1) != serialize_asset(a3)
 
 
-def test_make_fixture_writes_digest_manifest(lab):
-    fixture = make_fixture(lab, "honest")
-    rows = fixture.manifest_path.read_text().splitlines()
-    assert rows[0].startswith("# provlab fixture\tscenario=honest")
-    recorded = {}
-    for row in rows[1:]:
-        relpath, role, hexdigest = row.split("\t")
-        recorded[role] = (relpath, hexdigest)
-    assert recorded["original"][1] == digest(fixture.original_path.read_bytes()).hex()
-    assert recorded["signed-asset"][1] == digest(fixture.asset_path.read_bytes()).hex()
+def test_make_fixture_signs_in_memory(tmp_path):
+    """Signing a scenario writes no file and leaves the saved state alone."""
+    lab = Workspace.initialize(tmp_path / "ws", seed=11)
+    state = (lab.root / "workspace.json").read_bytes()
+    for name in SCENARIOS:
+        make_fixture(lab, name)
+    assert [p.name for p in lab.root.iterdir()] == ["workspace.json"]
+    assert (lab.root / "workspace.json").read_bytes() == state
 
 
 def test_unknown_scenario(lab):
@@ -266,8 +264,6 @@ def test_unknown_scenario(lab):
 
 def test_every_scenario_signs(lab):
     for name in SCENARIOS:
-        fixture = make_fixture(lab, name)
-        assert fixture.asset_path.is_file()
-        manifest = decode_manifest(extract_manifest(fixture.signed))
+        manifest = decode_manifest(extract_manifest(make_fixture(lab, name)))
         assert manifest.claim.generator == f"labcam-{name}"
         assert manifest.claim_signature.binding_mode == SCENARIOS[name].binding_mode

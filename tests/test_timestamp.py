@@ -6,11 +6,12 @@ import pytest
 
 from provlab.crypto import digest
 from provlab.errors import ProvenanceError
+from provlab.records import decode_record
 from provlab.timestamp import (
     TimestampAuthority,
+    TimestampToken,
     TokenStatus,
     archival_extend,
-    decode_token,
     encode_token,
     issue_token,
     verify_token,
@@ -88,8 +89,8 @@ def test_token_verifies_at_its_own_gen_time_not_now(lab):
 def test_wire_roundtrip(lab):
     token = lab.tsa().issue(digest(b"roundtrip"))
     wire = encode_token(token)
-    assert decode_token(wire) == token
-    assert encode_token(decode_token(wire)) == wire
+    assert decode_record(TimestampToken, wire) == token
+    assert encode_token(decode_record(TimestampToken, wire)) == wire
     assert len(wire) > 64
 
 
@@ -102,12 +103,12 @@ def test_archival_extend_appends_linked_tokens(lab):
     from provlab.credentials import decode_manifest, encode_manifest
     from provlab.signer import make_fixture
 
-    fixture = make_fixture(lab, "bound-timestamp")
+    signed = make_fixture(lab, "bound-timestamp")
     tsa = lab.tsa()
-    once = archival_extend(fixture.signed, tsa, clock=T0 + 10 * DAY)
+    once = archival_extend(signed, tsa, clock=T0 + 10 * DAY)
     twice = archival_extend(once, tsa, clock=T0 + 400 * DAY)
 
-    manifest0 = decode_manifest(extract_manifest(fixture.signed))
+    manifest0 = decode_manifest(extract_manifest(signed))
     manifest1 = decode_manifest(extract_manifest(once))
     manifest2 = decode_manifest(extract_manifest(twice))
     assert len(manifest0.archival_tokens) == 0

@@ -8,7 +8,7 @@ import pytest
 from provlab.crypto import derive_signing_key
 from provlab.encoding import decode_value, encode_value
 from provlab.errors import DecodeError, ProvenanceError, ServiceUnreachable
-from provlab.records import encode_record
+from provlab.records import decode_record, encode_record
 from provlab.statusservice import (
     StatusService,
     _frame,
@@ -24,9 +24,7 @@ from provlab.trust import (
     ChainStatus,
     TrustList,
     Usage,
-    decode_certificate,
     decode_revocation_list,
-    encode_certificate,
     encode_revocation_list,
     issue_certificate,
     verify_chain,
@@ -87,14 +85,14 @@ def pki():
 def test_certificate_wire_roundtrip(pki):
     _, root_cert, _, leaf_cert, _ = pki
     for cert in (root_cert, leaf_cert):
-        assert decode_certificate(encode_certificate(cert)) == cert
+        assert decode_record(Certificate, encode_record(cert)) == cert
 
 
 def test_certificate_decode_rejects_bool_serial(pki):
     _, _, _, leaf_cert, _ = pki
-    record = decode_value(encode_certificate(leaf_cert))
+    record = decode_value(encode_record(leaf_cert))
     with pytest.raises(DecodeError):
-        decode_certificate(encode_value({**record, "serial": True}))
+        decode_record(Certificate, encode_value({**record, "serial": True}))
 
 
 def test_chain_valid(pki):
@@ -121,7 +119,7 @@ def test_chain_expired_leaf(pki):
 def test_chain_bad_link_signature(pki):
     root_key, root_cert, _, leaf_cert, trust = pki
     # re-parent the leaf under a different key but keep the old signature
-    forged = decode_certificate(encode_certificate(leaf_cert))
+    forged = decode_record(Certificate, encode_record(leaf_cert))
     impostor_key = derive_signing_key(999, "impostor")
     from dataclasses import replace
 

@@ -72,8 +72,8 @@ def hardened_at(lab, at=DEFAULT_VALIDATION_TIME):
     return hardened_policy(lab.trust, at, crl=lab.signing.generate_crl())
 
 
-def b(fixture):
-    return serialize_asset(fixture.signed)
+def b(asset):
+    return serialize_asset(asset)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +128,7 @@ def test_garbage_is_malformed_unverifiable(lab):
 def test_manifestless_asset_is_unverifiable_not_malformed(lab, fixtures):
     from provlab.container import strip_manifest
 
-    stripped = serialize_asset(strip_manifest(fixtures["honest"].signed))
+    stripped = serialize_asset(strip_manifest(fixtures["honest"]))
     report = validate(stripped, spec_at(lab))
     assert report.verdict == Verdict.UNVERIFIABLE
     assert not report.malformed
@@ -140,7 +140,7 @@ def test_manifestless_asset_is_unverifiable_not_malformed(lab, fixtures):
 
 def test_garbage_manifest_payload_is_malformed(lab, fixtures):
     for payload in (b"\xffnot a manifest", b"\x81" * 5000 + b"\x00"):
-        mangled = replace_manifest(fixtures["honest"].signed, payload)
+        mangled = replace_manifest(fixtures["honest"], payload)
         report = validate(serialize_asset(mangled), spec_at(lab))
         assert report.verdict == Verdict.UNVERIFIABLE
         assert report.malformed
@@ -150,7 +150,7 @@ def test_garbage_manifest_payload_is_malformed(lab, fixtures):
 
 def test_unknown_token_field_is_malformed(lab, fixtures):
     """An extra key in a bound token's map is refused, not dropped on decode."""
-    signed = fixtures["bound-timestamp"].signed
+    signed = fixtures["bound-timestamp"]
     record = decode_value(extract_manifest(signed))
     record["claim_signature"]["timestamp"]["padding"] = bytes(140)
     mangled = serialize_asset(replace_manifest(signed, encode_value(record)))
@@ -162,7 +162,7 @@ def test_unknown_token_field_is_malformed(lab, fixtures):
 
 
 def test_covered_byte_flip_rejected(lab, fixtures):
-    signed = fixtures["honest"].signed
+    signed = fixtures["honest"]
     image = signed.find_label("image")
     flipped = splice_bytes(
         signed,
@@ -178,7 +178,7 @@ def test_covered_byte_flip_rejected(lab, fixtures):
 
 def test_rejected_dominates_unverifiable(lab, fixtures):
     """Tampered AND expired: the louder verdict wins."""
-    signed = fixtures["honest"].signed
+    signed = fixtures["honest"]
     image = signed.find_label("image")
     flipped = splice_bytes(
         signed,
@@ -200,7 +200,7 @@ def test_expired_is_unverifiable_under_spec_policy(lab, fixtures):
 
 def test_archival_bridge_recovers_expired_chain(lab, fixtures):
     extended = archival_extend(
-        fixtures["short-lived-cert"].signed, lab.tsa(), clock=T0 + 15 * DAY
+        fixtures["short-lived-cert"], lab.tsa(), clock=T0 + 15 * DAY
     )
     data = serialize_asset(extended)
     hardened = validate(data, hardened_at(lab, T0 + YEAR))
@@ -214,7 +214,7 @@ def test_archival_bridge_recovers_expired_chain(lab, fixtures):
 def test_bridge_requires_signing_chain_valid_at_first_token(lab, fixtures):
     # token minted after the 30-day leaf already expired: bridge must fail
     extended = archival_extend(
-        fixtures["short-lived-cert"].signed, lab.tsa(), clock=T0 + 60 * DAY
+        fixtures["short-lived-cert"], lab.tsa(), clock=T0 + 60 * DAY
     )
     report = validate(serialize_asset(extended), hardened_at(lab, T0 + YEAR))
     assert report.check("chain").outcome == CheckOutcome.FAIL
@@ -235,7 +235,7 @@ def test_displayed_time_provenance(lab, fixtures):
     from provlab.container import strip_manifest
 
     stripped = validate(
-        serialize_asset(strip_manifest(fixtures["honest"].signed)), spec_at(lab)
+        serialize_asset(strip_manifest(fixtures["honest"])), spec_at(lab)
     )
     assert stripped.displayed_time.provenance == TimeProvenance.ABSENT
 
@@ -543,7 +543,7 @@ def test_strong_integrity_flags_unaudited_exclusions(lab, fixtures):
 
 
 def test_redaction_weak_vs_strong(lab, fixtures):
-    signed = fixtures["bound-timestamp"].signed
+    signed = fixtures["bound-timestamp"]
     manifest = decode_manifest(extract_manifest(signed))
 
     dropped = replace_manifest(

@@ -7,18 +7,19 @@ import pytest
 from provlab.cli import main
 from provlab.corpus import build_corpus
 from provlab.errors import ProvenanceError
-from provlab.trust import encode_certificate, encode_revocation_list
+from provlab.records import encode_record
+from provlab.trust import encode_revocation_list
 from provlab.workspace import STATE_FILE, T0, Workspace
 
 
 def _chain(identity):
-    return identity.key.public_bytes, [encode_certificate(cert) for cert in identity.chain]
+    return identity.key.public_bytes, [encode_record(cert) for cert in identity.chain]
 
 
 def _derived(workspace):
     """Everything a loaded workspace must give back, in comparable form."""
     return {
-        "anchors": [encode_certificate(cert) for cert in workspace.trust.anchors],
+        "anchors": [encode_record(cert) for cert in workspace.trust.anchors],
         "tsa_leaf": _chain(workspace.tsa_leaf),
         "device": _chain(workspace.device),
         "redactor": _chain(workspace.redactor),
