@@ -32,10 +32,11 @@ from .container import (
     strip_manifest,
 )
 from .credentials import (
-    BindingMode, ClaimSignature, decode_manifest, encode_claim, encode_manifest, signed_payload,
+    BindingMode, ClaimSignature, decode_manifest, encode_manifest, signed_payload,
 )
 from .crypto import SigningKey, digest
 from .errors import ProvenanceError
+from .records import encode_record
 from .signer import (
     SCENARIOS, SignerConfig, build_scenario_content, format_gps, scenario_identity,
     scenario_signer, sign_asset,
@@ -207,7 +208,7 @@ def attack_token_transplant(
         raise ProvenanceError("key does not match the signing leaf; the signature would break")
     token = tsa.issue(TRANSPLANT_IMPRINT, clock=token_time)
     unsigned = ClaimSignature(chain, b"", token, BindingMode.BOUND)
-    signature = key.sign(signed_payload(encode_claim(manifest.claim), unsigned))
+    signature = key.sign(signed_payload(encode_record(manifest.claim), unsigned))
     mutated_manifest = replace(manifest, claim_signature=replace(unsigned, signature=signature))
     return AttackOutcome(
         name="token-transplant",

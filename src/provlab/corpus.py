@@ -17,7 +17,7 @@ the two.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .attacks import ATTACKS, apply_attack, attack_inputs
@@ -50,32 +50,24 @@ CRL_FILENAME = "crl.bin"
 class CorpusEntry:
     path: str  # asset path relative to the workspace root
     scenario: str
-    attack: str | None
+    attack: str  # "none" for an honest entry
     intended_policy: str
     validation_time: int
     expected: dict[str, str]  # preset name -> verdict value
     expected_exit: dict[str, int]
     notes: str
 
-    def to_record(self) -> dict:
-        return {**record_value(self), "attack": self.attack or "none"}
-
-    @classmethod
-    def from_record(cls, record: dict) -> "CorpusEntry":
-        entry = record_from_value(cls, record)
-        return replace(entry, attack=None) if entry.attack == "none" else entry
-
 
 def _entry(
     workspace: Workspace,
     asset: Asset,
     scenario_name: str,
-    attack: str | None,
+    attack: str,
     expected: dict[str, Verdict],
     notes: str,
     validation_time: int | None,
 ) -> CorpusEntry:
-    dirname = scenario_name if attack is None else f"{scenario_name}--{attack}"
+    dirname = scenario_name if attack == "none" else f"{scenario_name}--{attack}"
     directory = workspace.corpus_dir / dirname
     directory.mkdir(parents=True, exist_ok=True)
     asset_path = directory / "asset.pvl"
@@ -124,7 +116,7 @@ def build_corpus(workspace: Workspace) -> list[CorpusEntry]:
     for name, asset in signed.items():
         scenario = SCENARIOS[name]
         entries.append(
-            _entry(workspace, asset, name, None, scenario.expected, scenario.description, None)
+            _entry(workspace, asset, name, "none", scenario.expected, scenario.description, None)
         )
 
     # record the issued leaves, and snapshot the CRL that hardened validation will consult
@@ -138,7 +130,7 @@ def build_corpus(workspace: Workspace) -> list[CorpusEntry]:
         "seed": workspace.seed,
         "default_validation_time": DEFAULT_VALIDATION_TIME,
         "crl": str((workspace.corpus_dir / CRL_FILENAME).relative_to(workspace.root)),
-        "entries": [entry.to_record() for entry in entries],
+        "entries": [record_value(entry) for entry in entries],
     }
     (workspace.corpus_dir / "index.json").write_text(
         json.dumps(index, sort_keys=True, indent=2) + "\n"
@@ -154,7 +146,7 @@ def load_corpus(workspace_root: Path | str) -> tuple[list[CorpusEntry], Revocati
     index = json.loads(index_path.read_text())
     if index.get("schema") != CORPUS_SCHEMA:
         raise ProvenanceError(f"unknown corpus schema {index.get('schema')!r}")
-    entries = [CorpusEntry.from_record(r) for r in index["entries"]]
+    entries = [record_from_value(CorpusEntry, r) for r in index["entries"]]
     crl = decode_revocation_list((root / index["crl"]).read_bytes())
     return entries, crl
 

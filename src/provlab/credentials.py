@@ -27,7 +27,7 @@ from .container import HardBinding
 from .crypto import SigningKey, digest
 from .errors import ProvenanceError
 from .records import decode_record, encode_record
-from .timestamp import TimestampToken, encode_token
+from .timestamp import TimestampToken
 from .trust import Certificate
 
 REDACTION_LABEL = "prov.redaction"
@@ -121,14 +121,6 @@ class Manifest:
 # canonical encoding entry points
 # ---------------------------------------------------------------------------
 
-def encode_assertion(assertion: Assertion) -> bytes:
-    return encode_record(assertion)
-
-
-def encode_claim(claim: Claim) -> bytes:
-    return encode_record(claim)
-
-
 def encode_manifest(manifest: Manifest) -> bytes:
     return encode_record(manifest)
 
@@ -145,11 +137,11 @@ def signed_payload(claim_bytes: bytes, claim_signature: ClaimSignature) -> bytes
     """The exact bytes ``claim_signature`` covers; its ``signature`` is not read."""
     if claim_signature.binding_mode == BindingMode.UNBOUND:
         return claim_bytes
-    return claim_bytes + digest(encode_token(claim_signature.timestamp))
+    return claim_bytes + digest(encode_record(claim_signature.timestamp))
 
 
 def digest_assertion(assertion: Assertion) -> bytes:
-    return digest(encode_assertion(assertion))
+    return digest(encode_record(assertion))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +183,7 @@ def redact_assertion(
     )
     countersignature = ClaimSignature(
         signer_chain=tuple(redactor_chain),
-        signature=redactor_key.sign(encode_assertion(record)),
+        signature=redactor_key.sign(encode_record(record)),
         timestamp=None,
         binding_mode=BindingMode.UNBOUND,
     )

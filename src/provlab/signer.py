@@ -46,12 +46,12 @@ from .credentials import (
     ClaimSignature,
     Manifest,
     digest_assertion,
-    encode_claim,
     encode_manifest,
     signed_payload,
 )
 from .crypto import DIGEST_SIZE, SIGNATURE_SIZE, SigningKey, digest, derive_stream_seed
 from .errors import ProvenanceError
+from .records import encode_record
 from .timestamp import TimestampAuthority, TimestampToken
 from .trust import Certificate, Usage
 from .validator import Verdict
@@ -143,12 +143,12 @@ def sign_asset(
         ordered,
         ClaimSignature(config.chain, bytes(SIGNATURE_SIZE), token, config.binding_mode),
     )
-    rest = len(encode_manifest(probe)) - len(encode_claim(probe.claim))
+    rest = len(encode_manifest(probe)) - len(encode_record(probe.claim))
 
     manifest_length = 1
     for _ in range(10):
         claim = claim_for(manifest_length)
-        claim_bytes = encode_claim(claim)
+        claim_bytes = encode_record(claim)
         if rest + len(claim_bytes) == manifest_length:
             break
         manifest_length = rest + len(claim_bytes)

@@ -45,10 +45,6 @@ from .trust import Authority, Certificate, StatusResponse, verify_status_respons
 _MAX_FRAME = 4096
 
 
-def encode_request(serial: int) -> bytes:
-    return encode_value(serial)
-
-
 def decode_request(payload: bytes) -> int | None:
     """The serial a request payload asks about; None for any other payload."""
     try:
@@ -196,7 +192,7 @@ def query_status(
     """
     try:
         with socket.create_connection(endpoint, timeout=timeout) as sock:
-            sock.sendall(_frame(encode_request(serial)))
+            sock.sendall(_frame(encode_value(serial)))
             payload = _recv_frame(sock)
     except OSError as exc:
         raise ServiceUnreachable(f"status service unreachable: {exc}") from exc

@@ -37,10 +37,6 @@ def token_signed_payload(token: TimestampToken) -> bytes:
     return encode_record(token, omit=("tsa_chain", "tsa_signature"))
 
 
-def encode_token(token: TimestampToken) -> bytes:
-    return encode_record(token)
-
-
 def issue_token(
     tsa_key: SigningKey,
     tsa_chain: tuple[Certificate, ...],

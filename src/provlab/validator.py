@@ -43,14 +43,12 @@ from .credentials import (
     Manifest,
     decode_manifest,
     digest_assertion,
-    encode_assertion,
-    encode_claim,
     encode_manifest,
     signed_payload,
 )
 from .crypto import digest, verify_once
 from .errors import ProvenanceError, ServiceUnreachable
-from .records import record_from_value, record_value
+from .records import encode_record, record_from_value, record_value
 from .statusservice import query_status
 from .timestamp import verify_token
 from .trust import (
@@ -182,7 +180,7 @@ class MetadataItem:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    policy_name: str
+    policy: str
     validation_time: int
     verdict: Verdict
     checks: tuple[CheckResult, ...]
@@ -298,7 +296,7 @@ def _valid_redaction_record(
             and assertion.payload.get("original_digest") != expected_digest
         ):
             continue
-        record_bytes = encode_assertion(assertion)
+        record_bytes = encode_record(assertion)
         for countersignature in manifest.redaction_signatures:
             if not countersignature.signer_chain:
                 continue
@@ -363,7 +361,7 @@ def _check_manifest_decode(run: _Run) -> _Result:
     except ProvenanceError as exc:
         run.malformed = True
         return CheckOutcome.FAIL, f"undecodable manifest: {exc}"
-    run.claim_bytes = encode_claim(run.manifest.claim)
+    run.claim_bytes = encode_record(run.manifest.claim)
     return CheckOutcome.PASS, ""
 
 
@@ -630,6 +628,8 @@ CHECK_NAMES = tuple(name for name, _, _ in _CHECKS)
 def _collect_metadata(run: _Run) -> tuple[MetadataItem, ...]:
     if run.asset is None:
         return ()
+    # a segment is protected only by a verified binding that covers it
+    bound = run.results["hard-binding"].outcome == CheckOutcome.PASS
     items = []
     exclusions = run.effective_exclusions or ()
     for segment in run.asset.segments:
@@ -640,7 +640,7 @@ def _collect_metadata(run: _Run) -> tuple[MetadataItem, ...]:
             text = payload.decode("utf-8")
         except UnicodeDecodeError:
             text = "0x" + payload[:32].hex()
-        protected = not any(_overlaps(segment.range, rng) for rng in exclusions)
+        protected = bound and not any(_overlaps(segment.range, rng) for rng in exclusions)
         items.append(MetadataItem(segment.label, text, protected))
     return tuple(items)
 
@@ -708,7 +708,7 @@ def validate(data: Buffer, policy: ValidationPolicy) -> ValidationReport:
 
     claim = run.manifest.claim if run.manifest is not None else None
     return ValidationReport(
-        policy_name=policy.name,
+        policy=policy.name,
         validation_time=policy.validation_time,
         verdict=verdict,
         checks=tuple(run.results.values()),
@@ -796,7 +796,7 @@ def render_report(report: ValidationReport, fmt: str = "human") -> str:
         raise ValueError(f"unknown report format {fmt!r}")
     lines = [
         "provenance report",
-        f"policy: {report.policy_name}",
+        f"policy: {report.policy}",
         f"validated at: {format_epoch(report.validation_time)}",
         f"verdict: {report.verdict.value}",
         _render_time_line(report),
@@ -818,8 +818,10 @@ def render_report(report: ValidationReport, fmt: str = "human") -> str:
         )
     if report.metadata:
         lines.append("metadata:")
+        bound = report.check("hard-binding").outcome == CheckOutcome.PASS
+        unprotected = "excluded from integrity protection" if bound else "integrity not verified"
         for item in report.metadata:
-            tag = "protected" if item.protected else "excluded from integrity protection"
+            tag = "protected" if item.protected else unprotected
             lines.append(f"  {item.label}: {item.text} ({tag})")
     if report.redacted_labels:
         lines.append("redactions: " + ", ".join(report.redacted_labels))
@@ -829,8 +831,8 @@ def render_report(report: ValidationReport, fmt: str = "human") -> str:
 def render_differential(diff: DifferentialReport) -> str:
     lines = [
         "differential validation",
-        f"policy a: {diff.report_a.policy_name} -> {diff.report_a.verdict.value}",
-        f"policy b: {diff.report_b.policy_name} -> {diff.report_b.verdict.value}",
+        f"policy a: {diff.report_a.policy} -> {diff.report_a.verdict.value}",
+        f"policy b: {diff.report_b.policy} -> {diff.report_b.verdict.value}",
         f"verdict agreement: {'yes' if diff.agree else 'NO'}",
         f"G4 {GOAL_TITLES['G4']}: {diff.consistency.value}",
     ]
@@ -842,13 +844,11 @@ def render_differential(diff: DifferentialReport) -> str:
 
 
 def report_to_json(report: ValidationReport) -> str:
-    """The structured report: the report record plus ``schema``, with
-    ``policy_name`` under the key ``policy``.  The record is read back from
-    its canonical bytes, so a report built through the API with a time the
-    codec cannot hold (outside ``-2**64 … 2**64-1``) raises ``EncodeError``."""
-    value = record_value(report)
-    value["policy"] = value.pop("policy_name")
-    value["schema"] = REPORT_SCHEMA
+    """The structured report: the report record's value plus ``schema``.
+    The value is read back from the record's canonical bytes, so a report
+    built through the API with a time the codec cannot hold (outside
+    ``-2**64 … 2**64-1``) raises ``EncodeError``."""
+    value = {**record_value(report), "schema": REPORT_SCHEMA}
     return json.dumps(value, sort_keys=True, separators=(",", ":")) + "\n"
 
 
@@ -859,8 +859,6 @@ def report_from_json(text: str) -> ValidationReport:
     schema = value.pop("schema", None) if type(value) is dict else None
     if schema != REPORT_SCHEMA:
         raise ValueError(f"unknown report schema {schema!r}")
-    if "policy" in value and "policy_name" not in value:  # else a key set error
-        value["policy_name"] = value.pop("policy")
     return record_from_value(ValidationReport, value)
 
 

@@ -28,7 +28,7 @@ def corpus(workspace):
 
 @pytest.fixture(scope="session")
 def corpus_entry(corpus):
-    def find(scenario: str, attack: str | None = None):
+    def find(scenario: str, attack: str = "none"):
         for entry in corpus["entries"]:
             if entry.scenario == scenario and entry.attack == attack:
                 return entry

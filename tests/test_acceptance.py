@@ -97,14 +97,14 @@ class Budget:
         return False
 
 
-def entry_for(corpus, scenario, attack=None):
+def entry_for(corpus, scenario, attack="none"):
     for entry in corpus["entries"]:
         if entry.scenario == scenario and entry.attack == attack:
             return entry
     raise AssertionError(f"corpus entry {scenario}/{attack} missing")
 
 
-def read_entry(corpus, scenario, attack=None):
+def read_entry(corpus, scenario, attack="none"):
     entry = entry_for(corpus, scenario, attack)
     data = (corpus["workspace"].root / entry.path).read_bytes()
     return entry, data
@@ -296,7 +296,7 @@ def test_criterion_5_single_splice_soundness_sweep(workspace, corpus):
 
 def test_criterion_6_honest_fixtures_all_accepted(workspace, corpus):
     """Zero false alarms: every unattacked fixture passes its intended policy."""
-    honest = [entry for entry in corpus["entries"] if entry.attack is None]
+    honest = [entry for entry in corpus["entries"] if entry.attack == "none"]
     assert len(honest) == 6
     with Budget(10.0):
         for entry in honest:

@@ -78,7 +78,7 @@ def test_manifest_mutations_decode_as_reference(corpus, entry_bytes):
     manifests = [
         extract_manifest(parse_asset(entry_bytes(entry)))
         for entry in corpus["entries"]
-        if entry.attack is None
+        if entry.attack == "none"
     ]
     assert len(manifests) == 6
     rng = random.Random(0xC0DEC)

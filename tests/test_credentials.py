@@ -15,8 +15,6 @@ from provlab.credentials import (
     RedactionMode,
     decode_manifest,
     digest_assertion,
-    encode_assertion,
-    encode_claim,
     encode_manifest,
     redact_assertion,
     signed_payload,
@@ -24,7 +22,7 @@ from provlab.credentials import (
 from provlab.crypto import digest, verify
 from provlab.errors import DecodeError, ProvenanceError
 from provlab.records import decode_record, encode_record
-from provlab.timestamp import TimestampToken, encode_token
+from provlab.timestamp import TimestampToken
 from provlab.trust import (
     Certificate,
     RevocationList,
@@ -58,7 +56,7 @@ def manifest(lab):
     )
     claim = sample_claim(assertions)
     unsigned = ClaimSignature(lab.device.chain, b"", None, BindingMode.UNBOUND)
-    signature = lab.device.key.sign(signed_payload(encode_claim(claim), unsigned))
+    signature = lab.device.key.sign(signed_payload(encode_record(claim), unsigned))
     return Manifest(claim, assertions, replace(unsigned, signature=signature))
 
 
@@ -111,15 +109,15 @@ def test_manifest_roundtrip(manifest):
 
 def test_assertion_roundtrip():
     assertion = Assertion("std.mixed", {"i": -3, "f": 2.5, "s": "x", "b": b"\x00\xff"})
-    assert decode_record(Assertion, encode_assertion(assertion)) == assertion
+    assert decode_record(Assertion, encode_record(assertion)) == assertion
 
 
 def test_claim_roundtrip(manifest):
-    wire = encode_claim(manifest.claim)
+    wire = encode_record(manifest.claim)
     assert decode_record(Claim, wire) == manifest.claim
 
 
-@pytest.mark.parametrize("junk", [b"", b"\x00", b"\xa0", encode_assertion(Assertion("a", {"b": 1}))])
+@pytest.mark.parametrize("junk", [b"", b"\x00", b"\xa0", encode_record(Assertion("a", {"b": 1}))])
 def test_manifest_decode_rejects_wrong_shapes(junk):
     with pytest.raises(DecodeError):
         decode_manifest(junk)
@@ -134,7 +132,7 @@ def test_single_bit_flip_never_roundtrips(lab, manifest):
         (lab.device.chain[0], encode_record, lambda data: decode_record(Certificate, data)),
         (
             lab.tsa().issue(digest(b"bit flips")),
-            encode_token,
+            encode_record,
             lambda data: decode_record(TimestampToken, data),
         ),
         (crl, encode_revocation_list, decode_revocation_list),
@@ -156,7 +154,7 @@ def test_single_bit_flip_never_roundtrips(lab, manifest):
 
 def test_digest_assertion_is_over_encoding():
     assertion = Assertion("std.x", {"v": 41})
-    assert digest_assertion(assertion) == digest(encode_assertion(assertion))
+    assert digest_assertion(assertion) == digest(encode_record(assertion))
     assert digest_assertion(Assertion("std.x", {"v": 42})) != digest_assertion(assertion)
 
 
@@ -165,7 +163,7 @@ def test_digest_assertion_is_over_encoding():
 # ---------------------------------------------------------------------------
 
 def test_signed_payload_unbound_is_claim_encoding(lab, manifest):
-    claim_bytes = encode_claim(manifest.claim)
+    claim_bytes = encode_record(manifest.claim)
     token = lab.tsa().issue(digest(manifest.claim_signature.signature))
     claim_signature = replace(manifest.claim_signature, timestamp=token)
     # an unbound token rides along but is not in the payload
@@ -174,13 +172,13 @@ def test_signed_payload_unbound_is_claim_encoding(lab, manifest):
 
 
 def test_signed_payload_bound_appends_token_digest(lab, manifest):
-    claim_bytes = encode_claim(manifest.claim)
+    claim_bytes = encode_record(manifest.claim)
     token = lab.tsa().issue(digest(claim_bytes))
     claim_signature = replace(
         manifest.claim_signature, timestamp=token, binding_mode=BindingMode.BOUND
     )
     payload = signed_payload(claim_bytes, claim_signature)
-    assert payload == claim_bytes + digest(encode_token(token))
+    assert payload == claim_bytes + digest(encode_record(token))
     # the signature field is not part of what it signs
     assert signed_payload(claim_bytes, replace(claim_signature, signature=b"x")) == payload
 
@@ -219,7 +217,7 @@ def test_countersigned_redaction(lab, manifest):
     countersignature = redacted.redaction_signatures[0]
     assert verify(
         lab.redactor.cert.public_key,
-        encode_assertion(record),
+        encode_record(record),
         countersignature.signature,
     )
     # round-trips with the extra fields intact

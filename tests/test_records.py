@@ -20,7 +20,7 @@ from provlab.credentials import Claim, decode_manifest
 from provlab.encoding import encode_value
 from provlab.errors import EncodeError
 from provlab.records import decode_record, encode_record, record_value
-from provlab.validator import ValidationReport, validate
+from provlab.validator import REPORT_SCHEMA, ValidationReport, report_to_json, validate
 
 # the fields each signed payload leaves out
 SIGNED_PAYLOAD_OMITS = {
@@ -92,6 +92,22 @@ def test_json_forms_match_value_path(seeded_records):
     for record in records:
         ours = json.dumps(record_value(record), sort_keys=True)
         assert ours == json.dumps(reference_record_value(record), sort_keys=True)
+
+
+def test_json_forms_are_record_values(corpus, seeded_records):
+    """A structured report is its record's value plus ``schema``, and each
+    ``index.json`` entry is its :class:`CorpusEntry`'s value, with
+    ``attack`` ``"none"`` for an honest entry."""
+    reports = [r for r in seeded_records if type(r) is ValidationReport]
+    assert len(reports) == 2 * len(corpus["entries"])
+    for report in reports:
+        value = json.loads(report_to_json(report))
+        assert value.pop("schema") == REPORT_SCHEMA
+        assert value == record_value(report)
+    index = json.loads((corpus["workspace"].corpus_dir / "index.json").read_text())
+    assert index["entries"] == [record_value(entry) for entry in corpus["entries"]]
+    honest = [entry for entry in corpus["entries"] if "--" not in entry.path]
+    assert len(honest) == 6 and {entry.attack for entry in honest} == {"none"}
 
 
 def test_compiled_writer_round_trips(seeded_records):

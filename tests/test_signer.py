@@ -7,9 +7,10 @@ import pytest
 
 from provlab import credentials, signer, timestamp
 from provlab.container import compute_hard_binding, extract_manifest, serialize_asset
-from provlab.credentials import BindingMode, decode_manifest, signed_payload, encode_claim
+from provlab.credentials import BindingMode, decode_manifest, signed_payload
 from provlab.crypto import SigningKey, digest, verify
 from provlab.errors import ProvenanceError
+from provlab.records import encode_record
 from provlab.signer import (
     SCENARIOS,
     SignerConfig,
@@ -19,7 +20,6 @@ from provlab.signer import (
     scenario_signer,
     sign_asset,
 )
-from provlab.timestamp import encode_token
 from provlab.validator import Verdict, spec_policy, validate
 from provlab.workspace import DAY, T0, YEAR, Workspace
 
@@ -98,7 +98,7 @@ def test_unbound_token_rides_outside_the_signed_payload(lab, honest_content):
     assert claim_signature.timestamp is not None
     # signature verifies over the bare claim encoding: the token is not in it
     leaf = claim_signature.signer_chain[0]
-    assert verify(leaf.public_key, encode_claim(manifest.claim), claim_signature.signature)
+    assert verify(leaf.public_key, encode_record(manifest.claim), claim_signature.signature)
     # and the token covers the signature digest, nothing else
     assert claim_signature.timestamp.message_digest == digest(claim_signature.signature)
 
@@ -110,8 +110,8 @@ def test_bound_signature_pins_the_token(lab, honest_content):
     manifest = decode_manifest(extract_manifest(signed))
     claim_signature = manifest.claim_signature
     leaf = claim_signature.signer_chain[0]
-    claim_bytes = encode_claim(manifest.claim)
-    bound_payload = claim_bytes + digest(encode_token(claim_signature.timestamp))
+    claim_bytes = encode_record(manifest.claim)
+    bound_payload = claim_bytes + digest(encode_record(claim_signature.timestamp))
     assert signed_payload(claim_bytes, claim_signature) == bound_payload
     assert verify(leaf.public_key, bound_payload, claim_signature.signature)
     # the signature is NOT valid over the bare claim: swapping the token out
@@ -127,7 +127,7 @@ def test_each_bound_fixture_token_imprints_its_claim(lab):
     for name in bound:
         manifest = decode_manifest(extract_manifest(make_fixture(lab, name)))
         token = manifest.claim_signature.timestamp
-        assert token.message_digest == digest(encode_claim(manifest.claim)), name
+        assert token.message_digest == digest(encode_record(manifest.claim)), name
 
 
 def test_each_signing_signs_the_claim_once(lab, monkeypatch):

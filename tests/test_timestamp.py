@@ -6,13 +6,12 @@ import pytest
 
 from provlab.crypto import digest
 from provlab.errors import ProvenanceError
-from provlab.records import decode_record
+from provlab.records import decode_record, encode_record
 from provlab.timestamp import (
     TimestampAuthority,
     TimestampToken,
     TokenStatus,
     archival_extend,
-    encode_token,
     issue_token,
     verify_token,
 )
@@ -88,9 +87,9 @@ def test_token_verifies_at_its_own_gen_time_not_now(lab):
 
 def test_wire_roundtrip(lab):
     token = lab.tsa().issue(digest(b"roundtrip"))
-    wire = encode_token(token)
+    wire = encode_record(token)
     assert decode_record(TimestampToken, wire) == token
-    assert encode_token(decode_record(TimestampToken, wire)) == wire
+    assert encode_record(decode_record(TimestampToken, wire)) == wire
     assert len(wire) > 64
 
 

@@ -13,7 +13,6 @@ from provlab.statusservice import (
     StatusService,
     _frame,
     decode_response,
-    encode_request,
     query_status,
     run_status_service,
 )
@@ -342,7 +341,7 @@ def test_malformed_frames_do_not_kill_service(service):
 
     svc, _, root_cert, leaf_cert = service
     host, port = svc.endpoint
-    for payload in (b"", b"junk", b"\x00" * 64, encode_request(leaf_cert.serial)[:-1]):
+    for payload in (b"", b"junk", b"\x00" * 64, encode_value(leaf_cert.serial)[:-1]):
         with socket.create_connection((host, port), timeout=2) as sock:
             sock.sendall(len(payload).to_bytes(2, "big") + payload)
             sock.recv(4096)  # error frame or close; either way the server lives
@@ -367,7 +366,7 @@ def _exchange(svc, payload):
 def test_served_reply_is_the_status_record(service):
     svc, authority, _, leaf_cert = service
     for serial in (leaf_cert.serial, 2**64 - 1):
-        reply = _exchange(svc, encode_request(serial))
+        reply = _exchange(svc, encode_value(serial))
         assert reply == _frame(encode_record(authority.status_for(serial)))
     assert (svc.query_log, svc.refused) == ([leaf_cert.serial, 2**64 - 1], 0)
 
@@ -428,7 +427,7 @@ def test_request_sent_one_byte_at_a_time(service):
     import time
 
     svc, _, root_cert, leaf_cert = service
-    frame = len(encode_request(leaf_cert.serial)).to_bytes(2, "big") + encode_request(
+    frame = len(encode_value(leaf_cert.serial)).to_bytes(2, "big") + encode_value(
         leaf_cert.serial
     )
     with socket.create_connection(svc.endpoint, timeout=2) as sock:

@@ -15,6 +15,7 @@ from provlab.container import (
     parse_asset,
     serialize_asset,
     splice_bytes,
+    strip_manifest,
     wire_span,
 )
 from provlab.corpus import entry_policies
@@ -320,7 +321,7 @@ def test_structured_reports_of_the_seed_1_corpus_are_pinned(corpus, entry_bytes)
             report = validate(data, policy)
             h.update((report_to_json(report) + render_report(report)).encode())
     assert h.hexdigest() == (
-        "20d267d54740eb2078d10bfc197bdf8254ac286f1894912e9e2dfbf4bfdab54c"
+        "425fb19832b4ccddab16446948eb6ebc94d7fa52a92e37393317ee1a4199145d"
     )
 
 
@@ -373,6 +374,28 @@ def test_metadata_protection_tags(lab, fixtures):
     assert tags["meta.note"] is True
     rendered = render_report(report)
     assert "meta.gps" in rendered and "excluded from integrity protection" in rendered
+
+
+def test_metadata_is_protected_only_by_a_verified_binding(corpus, corpus_entry, entry_bytes):
+    """No metadata is shown as protected when the hard binding is skipped
+    (no manifest) or fails (a covered byte spliced)."""
+    gps = corpus_entry("gps-excluded")
+    stripped = serialize_asset(strip_manifest(parse_asset(entry_bytes(gps))))
+    bound = corpus_entry("bound-timestamp")
+    asset = parse_asset(entry_bytes(bound))
+    note = asset.find_label("meta.note")
+    spliced = serialize_asset(splice_bytes(asset, ByteRange(note.range.start, 1), b"X"))
+    cases = (
+        (gps, stripped, "spec", Verdict.UNVERIFIABLE, CheckOutcome.SKIPPED),
+        (bound, spliced, "hardened", Verdict.REJECTED, CheckOutcome.FAIL),
+    )
+    for entry, data, preset, verdict, binding in cases:
+        policy = entry_policies(corpus["workspace"], entry, corpus["crl"])[preset]
+        report = validate(data, policy)
+        assert (report.verdict, report.check("hard-binding").outcome) == (verdict, binding)
+        assert report.metadata and not any(item.protected for item in report.metadata)
+        shown = render_report(report).split("metadata:\n")[1].splitlines()
+        assert all(line.endswith(" (integrity not verified)") for line in shown), shown
 
 
 def _reference_goals(outcome, displayed, integrity):
