@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .attacks import ATTACKS, apply_attack, attack_inputs
-from .container import parse_asset, serialize_asset
+from .container import parse_asset, write_asset
 from .corpus import build_corpus, tree_digest, verify_corpus
 from .errors import ProvenanceError
 from .signer import DEFAULT_VALIDATION_TIME, SCENARIOS, make_fixture
@@ -155,7 +155,7 @@ def cmd_sign(args: argparse.Namespace) -> int:
     signed = make_fixture(workspace, args.scenario, args.seed)
     path = workspace.fixtures_dir / args.scenario / "asset.pvl"
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(serialize_asset(signed))
+    write_asset(signed, path)
     workspace.save()  # the scenario's leaf is now issued
     print(f"scenario: {args.scenario} ({SCENARIOS[args.scenario].description})")
     print(f"signed:   {path}")
@@ -190,14 +190,11 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
     workspace = _workspace(args)
     asset = None
-    if args.input:
-        asset = parse_asset(Path(args.input).read_bytes())
+    fixture = workspace.fixtures_dir / scenario_name / "asset.pvl"
+    if args.input or ("asset" in inputs and fixture.is_file()):
+        asset = parse_asset(Path(args.input or fixture).read_bytes())
     elif "asset" in inputs:
-        fixture = workspace.fixtures_dir / scenario_name / "asset.pvl"
-        if fixture.is_file():
-            asset = parse_asset(fixture.read_bytes())
-        else:
-            asset = make_fixture(workspace, scenario_name)
+        asset = make_fixture(workspace, scenario_name)
     trip = {flags[flag]: value for flag, value in given.items() if value is not None}
     trip.pop("asset", None)  # --input, read above
     if "time" in trip:
@@ -208,7 +205,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
         workspace.root / "attacks" / f"{scenario_name}--{outcome.name}.pvl"
     )
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_bytes(serialize_asset(outcome.mutated))
+    write_asset(outcome.mutated, out)
     # only once the asset is written: sign-with-revoked revokes the leaf it re-signs with
     workspace.save()
     print(f"attack: {outcome.name}")
@@ -242,7 +239,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
     at = parse_time(args.at) if args.at else workspace.clock
     extended = archival_extend(asset, workspace.tsa(), clock=at)
     out = Path(args.out) if args.out else Path(args.asset)
-    out.write_bytes(serialize_asset(extended))
+    write_asset(extended, out)
     print(f"archival token appended at {at}; written to {out}")
     return EXIT_OK
 

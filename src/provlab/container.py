@@ -15,16 +15,17 @@ copy of them.  A parsed asset reads its payloads in place from the wire
 buffer it was parsed from (``bytes`` or a read-only ``mmap``); each segment
 keeps the wire offset of its payload.  A built or edited asset holds one
 buffer per new payload and shares the rest with the asset it came from.  So
-parsing, hashing, embedding and splicing copy no payload the caller already
-holds, and :func:`serialize_asset` writes the wire bytes with a single join.
-An asset parsed from a mapping must not outlive it, and the mapped file must
-not change while the asset is in use.
+parsing, hashing and embedding copy no payload the caller already holds, and
+a splice allocates one buffer per segment it touches.  :func:`serialize_asset`
+joins the wire chunks (segment heads and payload views) that
+:func:`write_asset` streams to a file.  An asset parsed from a mapping must
+not outlive it, and the mapped file must not change while the asset is in use.
 
 Addressing is unchanged by the backing: every byte range in this module
 (segment ranges, exclusion ranges, splices) addresses the *logical* content,
 the concatenation of segment payloads, because exclusions are part of the
-signed format.  :attr:`Asset.data` materialises that content on first access;
-validation and signing never touch it.  Parse and serialize are exact
+signed format.  :attr:`Asset.data` joins that content on each read and keeps
+nothing; validation and signing never read it.  Parse and serialize are exact
 inverses.
 
 A hard binding is a digest over every logical byte not covered by an
@@ -36,9 +37,9 @@ from __future__ import annotations
 
 import hashlib
 import mmap
+import os
 from dataclasses import dataclass, field
 from enum import IntEnum
-from functools import cached_property
 from typing import Iterator
 
 from .errors import MalformedContainer, ProvenanceError
@@ -110,9 +111,9 @@ class Asset:
         """Length of the logical content."""
         return self.segments[-1].range.end if self.segments else 0
 
-    @cached_property
+    @property
     def data(self) -> bytes:
-        """The logical content, joined on first access."""
+        """The logical content, joined afresh on each read."""
         return b"".join(self._views((0, self.size)))
 
     def _views(self, *spans: tuple[int, int]) -> Iterator[memoryview]:
@@ -250,15 +251,27 @@ def parse_asset(data: bytes | bytearray | memoryview | mmap.mmap) -> Asset:
     return _assemble(parts)
 
 
-def serialize_asset(asset: Asset) -> bytes:
-    """Reproduce the wire bytes for ``asset``; inverse of :func:`parse_asset`."""
+def _wire_chunks(asset: Asset) -> list[bytes | memoryview]:
+    """The magic, then each segment's head and a view of its payload; every
+    label is checked before a sink sees the first chunk."""
     chunks: list[bytes | memoryview] = [MAGIC]
     for segment, payload in zip(asset.segments, asset._views((0, asset.size))):
         raw_label = _check_label(segment.label)
-        chunks.append(bytes((segment.kind, len(raw_label))) + raw_label)
-        chunks.append(len(payload).to_bytes(4, "big"))
-        chunks.append(payload)
-    return b"".join(chunks)
+        head = bytes((segment.kind, len(raw_label))) + raw_label + len(payload).to_bytes(4, "big")
+        chunks += head, payload
+    return chunks
+
+
+def serialize_asset(asset: Asset) -> bytes:
+    """Reproduce the wire bytes for ``asset``; inverse of :func:`parse_asset`."""
+    return b"".join(_wire_chunks(asset))
+
+
+def write_asset(asset: Asset, path: str | os.PathLike[str]) -> None:
+    """Write the :func:`serialize_asset` bytes to ``path``, with no join."""
+    chunks = _wire_chunks(asset)  # a bad label raises before the file is truncated
+    with open(path, "wb") as handle:
+        handle.writelines(chunks)
 
 
 def wire_span(asset: Asset, segment: Segment) -> ByteRange:
@@ -385,8 +398,6 @@ def strip_manifest(asset: Asset) -> Asset:
 
 def replace_manifest(asset: Asset, manifest_bytes: bytes) -> Asset:
     """Swap the manifest payload in place, shifting later segments."""
-    if asset.find_manifest() is None:
-        raise ProvenanceError("asset carries no manifest segment")
     return embed_manifest(strip_manifest(asset), manifest_bytes)
 
 
@@ -397,7 +408,8 @@ def replace_manifest(asset: Asset, manifest_bytes: bytes) -> Asset:
 def splice_bytes(asset: Asset, target: ByteRange, replacement: bytes) -> Asset:
     """Overwrite ``target`` with ``replacement`` of identical length.
 
-    Only the segments ``target`` touches get new payload buffers."""
+    Only the segments ``target`` touches get new payload buffers, each one
+    join of the kept head, the replacement slice and the kept tail."""
     if target.end > asset.size:
         raise ProvenanceError(
             f"range [{target.start}, {target.length}) exceeds asset of {asset.size} bytes"
@@ -407,12 +419,16 @@ def splice_bytes(asset: Asset, target: ByteRange, replacement: bytes) -> Asset:
             f"replacement is {len(replacement)} bytes for a {target.length}-byte range"
         )
     sources = list(asset.sources)
-    for index, segment in enumerate(asset.segments):
+    for index, (segment, (buffer, offset)) in enumerate(zip(asset.segments, asset.sources)):
         lo = max(target.start, segment.range.start)
         hi = min(target.end, segment.range.end)
         if lo < hi:
-            payload = bytearray(asset.payload(segment))
-            start = segment.range.start
-            payload[lo - start : hi - start] = replacement[lo - target.start : hi - target.start]
-            sources[index] = (bytes(payload), 0)
+            base = offset - segment.range.start
+            with memoryview(buffer) as held:  # released at once: a view pins a mapping
+                payload = b"".join((
+                    held[offset : base + lo],
+                    memoryview(replacement)[lo - target.start : hi - target.start],
+                    held[base + hi : base + segment.range.end],
+                ))
+            sources[index] = (payload, 0)
     return Asset(asset.segments, tuple(sources))

@@ -26,7 +26,7 @@ from .attacks import (  # noqa: F401
     ARCHIVAL_EXTEND_AT, BACKDATE_DELTA, FAKE_GPS, REVOKE_AT, REVOKED_VALIDATION_TIME,
     TIMEWARP_VALIDATION_TIME,
 )
-from .container import Asset, serialize_asset
+from .container import Asset, write_asset
 from .crypto import digest
 from .errors import ProvenanceError
 from .records import record_from_value, record_value
@@ -71,7 +71,7 @@ def _entry(
     directory = workspace.corpus_dir / dirname
     directory.mkdir(parents=True, exist_ok=True)
     asset_path = directory / "asset.pvl"
-    asset_path.write_bytes(serialize_asset(asset))
+    write_asset(asset, asset_path)
     return CorpusEntry(
         path=str(asset_path.relative_to(workspace.root)),
         scenario=scenario_name,
@@ -99,9 +99,7 @@ def build_corpus(workspace: Workspace) -> list[CorpusEntry]:
                 asset = attack.prepare(workspace, asset)
             outcome = apply_attack(workspace, attack.name, name, asset)
             # an attack that takes no asset re-signs the scenario itself
-            if "asset" not in attack_inputs(attack.name) and (
-                serialize_asset(outcome.mutated) != serialize_asset(asset)
-            ):
+            if "asset" not in attack_inputs(attack.name) and outcome.mutated != asset:
                 raise ProvenanceError(
                     f"re-signing scenario {name!r} did not reproduce its fixture"
                 )

@@ -612,6 +612,34 @@ def test_validate_memory_scales_with_the_manifest(cliws, large_asset, capsys):
     assert peak < 2**20 + manifest_length
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["extend"], ["attack", "strip-manifest", "--scenario", "honest", "--input"]],
+    ids=["extend", "attack"],
+)
+def test_rewriting_a_large_asset_holds_no_second_copy(
+    cliws, large_asset, tmp_path, capsys, command
+):
+    import tracemalloc
+
+    path, manifest_length = large_asset
+    out = tmp_path / "out.pvl"
+    argv = ["--workspace", str(cliws), *command, str(path), "--out", str(out)]
+    assert main(argv) == 0  # warm imports and caches outside the traced call
+    first = out.read_bytes()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert out.read_bytes() == first
+    assert peak <= path.stat().st_size + 2**20 + manifest_length
+
+
 def test_mapping_is_released_after_validate_and_diff(cliws, large_asset, capsys, monkeypatch):
     import mmap
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import mmap
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from provlab.container import (
     MAGIC,
     Asset,
     ByteRange,
+    Segment,
     SegmentKind,
     build_asset,
     compute_hard_binding,
@@ -23,6 +25,7 @@ from provlab.container import (
     splice_bytes,
     strip_manifest,
     wire_span,
+    write_asset,
 )
 from provlab.errors import MalformedContainer, ProvenanceError
 
@@ -77,7 +80,11 @@ def test_parse_copies_a_buffer_the_caller_may_change():
     assert serialize_asset(asset) == before
 
 
-def test_container_operations_never_materialise_data():
+def test_container_operations_never_materialise_data(monkeypatch, tmp_path):
+    def refuse(asset):
+        raise AssertionError("Asset.data was read")
+
+    monkeypatch.setattr(Asset, "data", property(refuse))
     bare = build_asset(simple_parts(manifest=None))
     parsed = parse_asset(serialize_asset(embed_manifest(bare, b"M" * 9)))
     gps = parsed.find_label("meta.gps")
@@ -85,8 +92,90 @@ def test_container_operations_never_materialise_data():
     spliced = splice_bytes(parsed, gps.range, b"-80.000000,-170.000000")
     replaced = replace_manifest(spliced, b"LONGER-MANIFEST")
     serialize_asset(strip_manifest(replaced))
-    for asset in (bare, parsed, spliced, replaced):
-        assert "data" not in vars(asset)
+    write_asset(replaced, tmp_path / "asset.pvl")
+    assert extract_manifest(replaced) == b"LONGER-MANIFEST" and spliced != parsed
+    with pytest.raises(AssertionError, match="Asset.data was read"):
+        bare.data
+
+
+MIB = 2**20
+
+
+def large_parts(image: bytes):
+    return [
+        (SegmentKind.HEADER, "header", b"HEAD"),
+        (SegmentKind.IMAGE_DATA, "image", image),
+        (SegmentKind.TRAILER, "trailer", b"TRLR"),
+    ]
+
+
+def traced(call):
+    """``call()``'s result, and the bytes it allocated at its peak and still
+    held when it returned."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - base, held - base
+
+
+def test_reading_data_keeps_no_copy():
+    asset = build_asset(large_parts(bytes(16 * MIB)))
+    size, _, held = traced(lambda: len(asset.data))
+    assert size == 16 * MIB + 8
+    assert held < 64 * 1024
+
+
+def test_splice_allocates_the_touched_segment_once():
+    image = bytes(range(256)) * (16 * MIB // 256)
+    asset = build_asset(large_parts(image))
+    segment = asset.find_label("image")
+    at = segment.range.start + 8 * MIB
+    spliced, peak, _ = traced(lambda: splice_bytes(asset, ByteRange(at, 1), b"\xff"))
+    assert peak <= segment.range.length + MIB
+    assert spliced.payload(segment) == image[: 8 * MIB] + b"\xff" + image[8 * MIB + 1 :]
+    assert spliced.sources[0] is asset.sources[0] and spliced.sources[2] is asset.sources[2]
+
+
+def test_splice_releases_its_views_of_a_mapping(tmp_path):
+    wire = serialize_asset(build_asset(simple_parts()))
+    path = tmp_path / "asset.pvl"
+    path.write_bytes(wire)
+    across = ByteRange(2, 4)  # the end of the header and the start of the manifest
+    expected = splice_bytes(parse_asset(wire), across, b"XXXX")
+    with open(path, "rb") as handle:
+        with mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
+            spliced = splice_bytes(parse_asset(mapped), across, b"XXXX")
+            assert spliced == expected
+            mapped.close()  # raises BufferError while any view of the mapping is alive
+
+
+def test_write_asset_writes_the_serialized_bytes_of_every_corpus_entry(
+    corpus, entry_bytes, tmp_path
+):
+    path = tmp_path / "asset.pvl"
+    for entry in corpus["entries"]:
+        wire = entry_bytes(entry)
+        asset = parse_asset(wire)
+        write_asset(asset, path)
+        assert path.read_bytes() == serialize_asset(asset) == wire
+        rebuilt = build_asset([(s.kind, s.label, asset.payload(s)) for s in asset.segments])
+        write_asset(rebuilt, path)
+        assert path.read_bytes() == serialize_asset(rebuilt) == wire
+
+
+def test_write_asset_checks_every_label_before_it_truncates(tmp_path):
+    asset = build_asset(simple_parts())
+    last = asset.segments[-1]
+    bad = Asset(asset.segments[:-1] + (Segment(last.kind, last.range, "\u00e9"),), asset.sources)
+    path = tmp_path / "asset.pvl"
+    path.write_bytes(b"kept")
+    with pytest.raises(MalformedContainer, match="not ASCII"):
+        write_asset(bad, path)
+    assert path.read_bytes() == b"kept"
 
 
 def test_wire_span_points_at_payload_bytes():
