@@ -15,11 +15,10 @@ copy of them.  A parsed asset reads its payloads in place from the wire
 buffer it was parsed from (``bytes`` or a read-only ``mmap``); each segment
 keeps the wire offset of its payload.  A built or edited asset holds one
 buffer per new payload and shares the rest with the asset it came from.  So
-parsing, hashing and embedding copy no payload the caller already holds, and
-a splice allocates one buffer per segment it touches.  :func:`serialize_asset`
-joins the wire chunks (segment heads and payload views) that
-:func:`write_asset` streams to a file.  An asset parsed from a mapping must
-not outlive it, and the mapped file must not change while the asset is in use.
+parsing, hashing, embedding and splicing copy no payload the caller already
+holds.  :func:`serialize_asset` joins the chunks that :func:`write_asset` writes.
+An asset parsed from a mapping must not outlive it, and the mapped file must
+not change while the asset is in use.
 
 Addressing is unchanged by the backing: every byte range in this module
 (segment ranges, exclusion ranges, splices) addresses the *logical* content,
@@ -37,9 +36,9 @@ from __future__ import annotations
 
 import hashlib
 import mmap
-import os
 from dataclasses import dataclass, field
 from enum import IntEnum
+from pathlib import Path
 from typing import Iterator
 
 from .errors import MalformedContainer, ProvenanceError
@@ -252,8 +251,7 @@ def parse_asset(data: bytes | bytearray | memoryview | mmap.mmap) -> Asset:
 
 
 def _wire_chunks(asset: Asset) -> list[bytes | memoryview]:
-    """The magic, then each segment's head and a view of its payload; every
-    label is checked before a sink sees the first chunk."""
+    """The magic, then each segment's head and payload view; labels checked first."""
     chunks: list[bytes | memoryview] = [MAGIC]
     for segment, payload in zip(asset.segments, asset._views((0, asset.size))):
         raw_label = _check_label(segment.label)
@@ -267,11 +265,18 @@ def serialize_asset(asset: Asset) -> bytes:
     return b"".join(_wire_chunks(asset))
 
 
-def write_asset(asset: Asset, path: str | os.PathLike[str]) -> None:
-    """Write the :func:`serialize_asset` bytes to ``path``, with no join."""
-    chunks = _wire_chunks(asset)  # a bad label raises before the file is truncated
-    with open(path, "wb") as handle:
-        handle.writelines(chunks)
+def write_asset(asset: Asset, path: Path) -> None:
+    """Write the :func:`serialize_asset` bytes with no join, to a sibling file that
+    then replaces ``path``: a failed write leaves ``path`` as it was, and a
+    mapping of ``path`` that backs ``asset`` is never truncated under it."""
+    chunks = _wire_chunks(asset)  # a bad label raises before any file is opened
+    partial = path.with_name(f".{path.name}.partial")
+    try:
+        with open(partial, "wb") as handle:
+            handle.writelines(chunks)
+        partial.replace(path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def wire_span(asset: Asset, segment: Segment) -> ByteRange:
@@ -408,8 +413,7 @@ def replace_manifest(asset: Asset, manifest_bytes: bytes) -> Asset:
 def splice_bytes(asset: Asset, target: ByteRange, replacement: bytes) -> Asset:
     """Overwrite ``target`` with ``replacement`` of identical length.
 
-    Only the segments ``target`` touches get new payload buffers, each one
-    join of the kept head, the replacement slice and the kept tail."""
+    Only the segments ``target`` touches get new payload buffers."""
     if target.end > asset.size:
         raise ProvenanceError(
             f"range [{target.start}, {target.length}) exceeds asset of {asset.size} bytes"
@@ -419,16 +423,12 @@ def splice_bytes(asset: Asset, target: ByteRange, replacement: bytes) -> Asset:
             f"replacement is {len(replacement)} bytes for a {target.length}-byte range"
         )
     sources = list(asset.sources)
-    for index, (segment, (buffer, offset)) in enumerate(zip(asset.segments, asset.sources)):
+    for index, segment in enumerate(asset.segments):
         lo = max(target.start, segment.range.start)
         hi = min(target.end, segment.range.end)
         if lo < hi:
-            base = offset - segment.range.start
-            with memoryview(buffer) as held:  # released at once: a view pins a mapping
-                payload = b"".join((
-                    held[offset : base + lo],
-                    memoryview(replacement)[lo - target.start : hi - target.start],
-                    held[base + hi : base + segment.range.end],
-                ))
-            sources[index] = (payload, 0)
+            payload = bytearray(asset.payload(segment))
+            start = segment.range.start
+            payload[lo - start : hi - start] = replacement[lo - target.start : hi - target.start]
+            sources[index] = (bytes(payload), 0)
     return Asset(asset.segments, tuple(sources))

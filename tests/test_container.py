@@ -129,30 +129,6 @@ def test_reading_data_keeps_no_copy():
     assert held < 64 * 1024
 
 
-def test_splice_allocates_the_touched_segment_once():
-    image = bytes(range(256)) * (16 * MIB // 256)
-    asset = build_asset(large_parts(image))
-    segment = asset.find_label("image")
-    at = segment.range.start + 8 * MIB
-    spliced, peak, _ = traced(lambda: splice_bytes(asset, ByteRange(at, 1), b"\xff"))
-    assert peak <= segment.range.length + MIB
-    assert spliced.payload(segment) == image[: 8 * MIB] + b"\xff" + image[8 * MIB + 1 :]
-    assert spliced.sources[0] is asset.sources[0] and spliced.sources[2] is asset.sources[2]
-
-
-def test_splice_releases_its_views_of_a_mapping(tmp_path):
-    wire = serialize_asset(build_asset(simple_parts()))
-    path = tmp_path / "asset.pvl"
-    path.write_bytes(wire)
-    across = ByteRange(2, 4)  # the end of the header and the start of the manifest
-    expected = splice_bytes(parse_asset(wire), across, b"XXXX")
-    with open(path, "rb") as handle:
-        with mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
-            spliced = splice_bytes(parse_asset(mapped), across, b"XXXX")
-            assert spliced == expected
-            mapped.close()  # raises BufferError while any view of the mapping is alive
-
-
 def test_write_asset_writes_the_serialized_bytes_of_every_corpus_entry(
     corpus, entry_bytes, tmp_path
 ):
@@ -176,6 +152,33 @@ def test_write_asset_checks_every_label_before_it_truncates(tmp_path):
     with pytest.raises(MalformedContainer, match="not ASCII"):
         write_asset(bad, path)
     assert path.read_bytes() == b"kept"
+
+
+def test_write_asset_over_the_file_that_backs_the_asset(tmp_path):
+    wire = serialize_asset(build_asset(simple_parts()))
+    path = tmp_path / "asset.pvl"
+    path.write_bytes(wire)
+    with open(path, "rb") as handle:
+        with mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
+            spliced = splice_bytes(parse_asset(mapped), ByteRange(0, 1), b"X")
+            write_asset(spliced, path)  # the mapped file is replaced, not truncated
+            assert mapped[:] == wire
+            expected = serialize_asset(spliced)
+            del spliced
+    assert path.read_bytes() == expected != wire
+    assert [p.name for p in tmp_path.iterdir()] == ["asset.pvl"]
+
+
+def test_a_failed_write_leaves_the_file_as_it_was(tmp_path, monkeypatch):
+    import provlab.container as container
+
+    path = tmp_path / "asset.pvl"
+    path.write_bytes(b"kept")
+    monkeypatch.setattr(container, "_wire_chunks", lambda asset: [MAGIC, object()])
+    with pytest.raises(TypeError):
+        write_asset(build_asset(simple_parts()), path)
+    assert path.read_bytes() == b"kept"
+    assert [p.name for p in tmp_path.iterdir()] == ["asset.pvl"]
 
 
 def test_wire_span_points_at_payload_bytes():
