@@ -27,9 +27,15 @@ signed format.  :attr:`Asset.data` joins that content on each read and keeps
 nothing; validation and signing never read it.  Parse and serialize are exact
 inverses.
 
-A hard binding is a digest over every logical byte not covered by an
-exclusion range.  The manifest segment must always be excluded, since the
-digest is stored inside it.
+Three rules say how byte ranges behave; the signer and validator restate none:
+
+1. *Move*: inserting ``delta`` bytes at ``at`` moves a range that starts at or
+   after ``at`` and leaves one before it (:meth:`ByteRange.moved`).
+2. *Complement*: a hard binding is a digest over the kept spans, the logical
+   bytes outside its exclusions.  The manifest stores that digest, so it may
+   overlap no non-empty kept span.
+3. *Bounds*: every exclusion and splice target lies inside the asset, and no
+   two exclusions overlap (:func:`_checked_exclusions`).
 """
 
 from __future__ import annotations
@@ -78,6 +84,10 @@ class ByteRange:
 
     def contains(self, other: "ByteRange") -> bool:
         return self.start <= other.start and other.end <= self.end
+
+    def moved(self, at: int, delta: int) -> "ByteRange":
+        """This range moved by ``delta`` if it starts at or after ``at``."""
+        return ByteRange(self.start + delta, self.length) if self.start >= at else self
 
 
 @dataclass(frozen=True)
@@ -268,13 +278,16 @@ def serialize_asset(asset: Asset) -> bytes:
 def write_asset(asset: Asset, path: Path) -> None:
     """Write the :func:`serialize_asset` bytes with no join, to a sibling file that
     then replaces ``path``: a failed write leaves ``path`` as it was, and a
-    mapping of ``path`` that backs ``asset`` is never truncated under it."""
+    mapping of ``path`` that backs ``asset`` is never truncated under it.  An
+    ``OSError`` names ``path``, not the sibling file."""
     chunks = _wire_chunks(asset)  # a bad label raises before any file is opened
     partial = path.with_name(f".{path.name}.partial")
     try:
         with open(partial, "wb") as handle:
             handle.writelines(chunks)
         partial.replace(path)
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from exc
     finally:
         partial.unlink(missing_ok=True)
 
@@ -297,6 +310,7 @@ def wire_span(asset: Asset, segment: Segment) -> ByteRange:
 def _checked_exclusions(
     asset: Asset, exclusions: tuple[ByteRange, ...] | list[ByteRange]
 ) -> tuple[ByteRange, ...]:
+    """``exclusions`` sorted; each inside the asset, none overlapping another."""
     ordered = tuple(sorted(exclusions))
     for rng in ordered:
         if rng.end > asset.size:
@@ -309,36 +323,26 @@ def _checked_exclusions(
     return ordered
 
 
-def _covered(target: ByteRange, ordered: tuple[ByteRange, ...]) -> bool:
-    pos = target.start
-    for rng in ordered:
-        if rng.end <= pos:
-            continue
-        if rng.start > pos:
-            break
-        pos = rng.end
-        if pos >= target.end:
-            return True
-    return pos >= target.end
-
-
 def compute_hard_binding(
     asset: Asset, exclusions: tuple[ByteRange, ...] | list[ByteRange]
 ) -> HardBinding:
     """SHA-256 over every logical byte outside ``exclusions``, in offset order.
 
-    If the asset carries a manifest segment, the exclusions must cover it
-    completely: the manifest cannot hash itself.  The kept bytes are hashed
-    in place in the buffers that back the asset.
+    If the asset carries a manifest segment, no kept byte may fall inside it:
+    the manifest cannot hash itself.  The kept bytes are hashed in place in
+    the buffers that back the asset.
     """
     ordered = _checked_exclusions(asset, exclusions)
-    manifest = asset.find_manifest()
-    if manifest is not None and not _covered(manifest.range, ordered):
-        raise ProvenanceError("manifest segment not fully covered by exclusions")
-    hasher = hashlib.sha256()
     kept_starts = (0,) + tuple(rng.end for rng in ordered)
-    kept_ends = tuple(rng.start for rng in ordered) + (asset.size,)
-    for view in asset._views(*zip(kept_starts, kept_ends)):
+    kept = tuple(zip(kept_starts, tuple(rng.start for rng in ordered) + (asset.size,)))
+    manifest = asset.find_manifest()
+    if manifest is not None:
+        start, end = manifest.range.start, manifest.range.end
+        for lo, hi in kept:  # adjacent exclusions leave an empty kept span
+            if lo < hi and lo < end and start < hi:
+                raise ProvenanceError("manifest segment not fully covered by exclusions")
+    hasher = hashlib.sha256()
+    for view in asset._views(*kept):
         hasher.update(view)
     return HardBinding("sha-256", ordered, hasher.digest())
 
@@ -414,10 +418,7 @@ def splice_bytes(asset: Asset, target: ByteRange, replacement: bytes) -> Asset:
     """Overwrite ``target`` with ``replacement`` of identical length.
 
     Only the segments ``target`` touches get new payload buffers."""
-    if target.end > asset.size:
-        raise ProvenanceError(
-            f"range [{target.start}, {target.length}) exceeds asset of {asset.size} bytes"
-        )
+    _checked_exclusions(asset, [target])
     if len(replacement) != target.length:
         raise ProvenanceError(
             f"replacement is {len(replacement)} bytes for a {target.length}-byte range"

@@ -248,16 +248,9 @@ def _fixed_tuple(converters):
             raise DecodeError(f"expected a {len(converters)}-element array")
         return tuple([dec(item) for (dec, _), item in zip(converters, value)])
 
-    if all(write is write_value for _, write in converters):
-        return decode_tuple, write_value
-
-    def write_tuple(items: Any, out: list) -> None:
-        pairs = list(zip(converters, items))
-        out.append(array_head(len(pairs)))
-        for (_, write), item in pairs:
-            write(item, out)
-
-    return decode_tuple, write_tuple
+    if any(write is not write_value for _, write in converters):
+        raise TypeError("a fixed tuple field must hold scalars only")
+    return decode_tuple, write_value
 
 
 def _enum(cls: type[Enum]) -> tuple[Decoder, Writer]:

@@ -122,9 +122,7 @@ def sign_asset(
 
     def claim_for(manifest_length: int) -> Claim:
         exclusions = [ByteRange(manifest_start, manifest_length)]
-        for rng in label_ranges:
-            start = rng.start + manifest_length if rng.start >= manifest_start else rng.start
-            exclusions.append(ByteRange(start, rng.length))
+        exclusions += [rng.moved(manifest_start, manifest_length) for rng in label_ranges]
         return Claim(
             generator=config.generator_name,
             created_at=config.clock,

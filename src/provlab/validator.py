@@ -256,23 +256,14 @@ def _effective_exclusions(
     shifts by the same delta.  Returns None when no declared exclusion lines
     up with the manifest segment at all.
     """
-    anchor = None
-    for rng in declared:
-        if rng.start == manifest_segment.range.start:
-            anchor = rng
-            break
+    current = manifest_segment.range
+    anchor = next((rng for rng in declared if rng.start == current.start), None)
     if anchor is None:
         return None
-    delta = manifest_segment.range.length - anchor.length
-    adjusted = []
-    for rng in declared:
-        if rng == anchor:
-            adjusted.append(manifest_segment.range)
-        elif rng.start >= anchor.end:
-            adjusted.append(ByteRange(rng.start + delta, rng.length))
-        else:
-            adjusted.append(rng)
-    return tuple(sorted(adjusted))
+    delta = current.length - anchor.length
+    return tuple(
+        sorted(current if rng == anchor else rng.moved(anchor.end, delta) for rng in declared)
+    )
 
 
 def _overlaps(a: ByteRange, b: ByteRange) -> bool:

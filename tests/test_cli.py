@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, formats, policy files, sockets."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,14 +8,15 @@ import threading
 
 import pytest
 
-from provlab import cli
+from provlab import attacks, cli
 from provlab.attacks import ATTACKS
 from provlab.cli import main, parse_time
 from provlab.container import serialize_asset
+from provlab.corpus import verify_corpus
 from provlab.signer import SCENARIOS, make_fixture
 from provlab.statusservice import run_status_service
 from provlab.trust import encode_revocation_list
-from provlab.validator import report_from_json
+from provlab.validator import Verdict, report_from_json
 from provlab.workspace import DAY, T0, YEAR, Workspace
 
 
@@ -137,6 +139,7 @@ def test_validate_garbage_exits_4(cliws, tmp_path, capsys):
          "{tmp}/file"),
         (["extend", "{tmp}/missing.pvl"], "{tmp}/missing.pvl"),
         (["extend", "{tmp}/asset.pvl", "--out", "{tmp}/file/x.pvl"], "{tmp}/file"),
+        (["extend", "{tmp}/asset.pvl", "--out", "{tmp}/no-dir/x.pvl"], "{tmp}/no-dir/x.pvl'"),
         (["validate", "{tmp}/asset.pvl", "--policy", "hardened", "--crl", "{tmp}/missing.crl"],
          "{tmp}/missing.crl"),
         (["validate", "{tmp}/asset.pvl", "--policy", "hardened", "--crl", "{tmp}/dir"], "{tmp}/dir"),
@@ -144,7 +147,7 @@ def test_validate_garbage_exits_4(cliws, tmp_path, capsys):
         (["--workspace", "{tmp}/file", "init"], "{tmp}/file"),
     ],
     ids=[
-        "attack-input", "attack-out", "extend-input", "extend-out",
+        "attack-input", "attack-out", "extend-input", "extend-out", "extend-out-no-directory",
         "crl-missing", "crl-directory", "policy-crl-file", "workspace-file",
     ],
 )
@@ -381,6 +384,17 @@ def test_policy_file_flow(cliws, tmp_path, capsys):
     assert code == 4 and "not a preset" in err
 
 
+def test_at_overrides_a_policy_files_validation_time(cliws, tmp_path, capsys):
+    asset = str(cliws / "fixtures" / "honest" / "asset.pvl")
+    policy = tmp_path / "late.policy"
+    policy.write_text("validation_time = 2030-01-01T00:00:00Z\n")  # the leaf ran out in 2026
+    argv = ["--workspace", str(cliws), "validate", asset, "--policy", str(policy)]
+    code, out, _ = run(argv, capsys)
+    assert code == 3 and "validated at: 2030-01-01T00:00:00Z" in out
+    code, out, _ = run(argv + ["--at", "2025-02-01T00:00:00Z"], capsys)
+    assert code == 0 and "validated at: 2025-02-01T00:00:00Z" in out
+
+
 def test_extend_command_bridges_expiry(cliws, tmp_path, capsys):
     code, _, _ = run(
         ["--workspace", str(cliws), "sign", "--scenario", "short-lived-cert"], capsys
@@ -418,6 +432,36 @@ def test_corpus_command_checks_itself(tmp_path, capsys):
     assert code == 0
     assert "20 entries" in out
     assert "all corpus entries match" in out
+
+
+def test_corpus_check_reports_each_mismatch(tmp_path, capsys, monkeypatch):
+    honest_strip = attacks.attack_strip_manifest
+
+    def wrong_expectation(asset):
+        outcome = honest_strip(asset)
+        return dataclasses.replace(outcome, expected={**outcome.expected, "spec": Verdict.ACCEPTED})
+
+    monkeypatch.setattr(attacks, "attack_strip_manifest", wrong_expectation)
+    root = tmp_path / "corpusws"
+    assert main(["--workspace", str(root), "init", "--seed", "9"]) == 0
+    code, out, err = run(["--workspace", str(root), "corpus", "--check"], capsys)
+    assert code == 1 and "all corpus entries match" not in out
+    assert sorted(err.splitlines()) == sorted(
+        f"MISMATCH: corpus/{scenario}--strip-manifest/asset.pvl under spec: "
+        "expected ACCEPTED, got UNVERIFIABLE"
+        for scenario in SCENARIOS
+    )
+    # the verdict as expected, but not its exit code
+    index_path = root / "corpus" / "index.json"
+    index = json.loads(index_path.read_text())
+    honest = next(e for e in index["entries"] if e["path"] == "corpus/honest/asset.pvl")
+    assert honest["expected_exit"]["hardened"] == 2
+    honest["expected_exit"]["hardened"] = 3
+    index_path.write_text(json.dumps(index))
+    problems = verify_corpus(Workspace.load(root))
+    assert [problem for problem in problems if "strip-manifest" not in problem] == [
+        "corpus/honest/asset.pvl under hardened: expected exit 3, got 2"
+    ]
 
 
 def test_serve_status_command(cliws, capsys):

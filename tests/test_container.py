@@ -181,6 +181,21 @@ def test_a_failed_write_leaves_the_file_as_it_was(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["asset.pvl"]
 
 
+@pytest.mark.parametrize(
+    "target, error",
+    [("no-dir/asset.pvl", FileNotFoundError), ("dir", IsADirectoryError)],
+    ids=["missing-directory", "directory"],
+)
+def test_a_failed_write_names_the_target_not_the_partial_file(tmp_path, target, error):
+    (tmp_path / "dir").mkdir()
+    path = tmp_path / target
+    with pytest.raises(error) as raised:
+        write_asset(build_asset(simple_parts()), path)
+    assert (raised.value.filename, raised.value.filename2) == (str(path), None)
+    assert str(raised.value).endswith(f": '{path}'")
+    assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+
+
 def test_wire_span_points_at_payload_bytes():
     asset = build_asset(simple_parts())
     wire = serialize_asset(asset)
@@ -320,6 +335,22 @@ def test_hard_binding_requires_manifest_coverage():
     gps = asset.find_label("meta.gps")
     with pytest.raises(ProvenanceError, match="not fully covered by exclusions"):
         compute_hard_binding(asset, [gps.range])
+    # the 8-byte manifest cut in two: halves that meet inside it cover it as
+    # one exclusion does, and a one-byte gap between them leaves it uncovered
+    manifest = asset.find_manifest().range
+    whole = compute_hard_binding(asset, [manifest, gps.range]).digest
+    meeting = [ByteRange(manifest.start, 4), ByteRange(manifest.start + 4, 4), gps.range]
+    assert compute_hard_binding(asset, meeting).digest == whole
+    gapped = [ByteRange(manifest.start, 4), ByteRange(manifest.start + 5, 3), gps.range]
+    with pytest.raises(ProvenanceError, match="manifest segment not fully covered by exclusions"):
+        compute_hard_binding(asset, gapped)
+
+
+def test_a_range_moves_only_when_it_starts_at_or_after_the_edit():
+    rng = ByteRange(10, 5)
+    assert rng.moved(10, 7) == ByteRange(17, 5)
+    assert rng.moved(3, -3) == ByteRange(7, 5)
+    assert rng.moved(11, 7) is rng
 
 
 def test_hard_binding_rejects_bad_ranges():
@@ -398,6 +429,12 @@ def test_splice_requires_equal_length():
     gps = asset.find_label("meta.gps")
     with pytest.raises(ProvenanceError, match="bytes for a 22-byte range"):
         splice_bytes(asset, gps.range, b"short")
+
+
+def test_splice_refuses_a_target_past_the_end():
+    asset = build_asset(simple_parts())
+    with pytest.raises(ProvenanceError, match=rf"range \[{asset.size - 1}, 2\) exceeds asset of"):
+        splice_bytes(asset, ByteRange(asset.size - 1, 2), b"xx")
 
 
 @given(st.binary(max_size=400))

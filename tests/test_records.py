@@ -9,17 +9,18 @@ every ``omit`` that a signed payload uses.
 """
 
 import json
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 from reference_records import record_value as reference_record_value
 
-from provlab.container import extract_manifest, parse_asset
+from provlab.container import ByteRange, extract_manifest, parse_asset
 from provlab.corpus import CorpusEntry, entry_policies
 from provlab.credentials import Claim, decode_manifest
 from provlab.encoding import encode_value
 from provlab.errors import EncodeError
 from provlab.records import decode_record, encode_record, record_value
+from provlab.trust import CertStatus
 from provlab.validator import REPORT_SCHEMA, ValidationReport, report_to_json, validate
 
 # the fields each signed payload leaves out
@@ -126,3 +127,13 @@ def test_out_of_range_field_fails_as_before(seeded_records):
         record_value(too_late)
     message = f"integer too large: {2**64}"
     assert str(compiled.value) == str(reference.value) == str(json_form.value) == message
+
+
+@pytest.mark.parametrize("inner", [ByteRange, CertStatus], ids=["record", "enum"])
+def test_a_fixed_tuple_holds_scalars_only(inner):
+    @dataclass(frozen=True)
+    class Holder:
+        pair: tuple[int, inner]
+
+    with pytest.raises(TypeError, match="fixed tuple field must hold scalars only"):
+        encode_record(Holder((1, None)))

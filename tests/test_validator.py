@@ -21,14 +21,17 @@ from provlab.container import (
 from provlab.corpus import entry_policies
 from provlab.credentials import RedactionMode, decode_manifest, encode_manifest, redact_assertion
 from provlab.encoding import decode_value, encode_value
-from provlab.errors import DecodeError
-from provlab.container import replace_manifest
+from provlab.errors import DecodeError, ProvenanceError
+from provlab.container import compute_hard_binding, replace_manifest
+from provlab.crypto import derive_signing_key
 from provlab.signer import DEFAULT_VALIDATION_TIME, SCENARIOS, make_fixture
 from provlab.statusservice import run_status_service
-from provlab.timestamp import archival_extend
+from provlab.timestamp import TimestampAuthority, archival_extend
+from provlab.trust import Certificate, TrustList, Usage, issue_certificate
 from provlab.validator import (
     _POLICY_PARSERS,
     _derive_goals,
+    _effective_exclusions,
     CHECK_NAMES,
     GOAL_NAMES,
     CheckOutcome,
@@ -177,6 +180,25 @@ def test_covered_byte_flip_rejected(lab, fixtures):
     assert exit_code_for(report) == 2
 
 
+def test_exclusions_follow_the_archival_growth_of_the_manifest(lab, fixtures):
+    signed = fixtures["gps-excluded"]
+    declared = decode_manifest(extract_manifest(signed)).claim.binding.exclusions
+    anchor = signed.find_manifest().range
+    extended = archival_extend(signed, lab.tsa(), clock=T0 + DAY)
+    grown = extended.find_manifest()
+    delta = grown.range.length - anchor.length
+    gps = extended.find_label("meta.gps").range
+    assert delta > 0 and gps.start >= grown.range.end
+    effective = _effective_exclusions(declared, grown)
+    assert effective == (grown.range, gps)
+    assert ByteRange(gps.start - delta, gps.length) in declared
+    # an anchor declared twice maps to the grown manifest twice, which overlaps
+    doubled = _effective_exclusions(declared + (anchor,), grown)
+    assert doubled == (grown.range, grown.range, gps)
+    with pytest.raises(ProvenanceError, match="overlap"):
+        compute_hard_binding(extended, doubled)
+
+
 def test_rejected_dominates_unverifiable(lab, fixtures):
     """Tampered AND expired: the louder verdict wins."""
     signed = fixtures["honest"]
@@ -220,6 +242,57 @@ def test_bridge_requires_signing_chain_valid_at_first_token(lab, fixtures):
     report = validate(serialize_asset(extended), hardened_at(lab, T0 + YEAR))
     assert report.check("chain").outcome == CheckOutcome.FAIL
     assert report.verdict == Verdict.UNVERIFIABLE
+
+
+def _second_tsa(clock):
+    """A TSA under a root of its own; both certificates run to T0 + 20 years."""
+    name = "second tsa root"
+    root_key, leaf_key = (derive_signing_key(23, role) for role in ("tsa-root-2", "tsa-leaf-2"))
+
+    def cert(serial, subject, key, usage):
+        return Certificate(
+            serial=serial, subject=subject, issuer=name, public_key=key.public_bytes,
+            not_before=T0, not_after=T0 + 20 * YEAR, usage=usage, issuer_signature=b"",
+        )
+
+    root = issue_certificate(root_key, cert(1, name, root_key, Usage.ROOT))
+    leaf = issue_certificate(root_key, cert(2, "second tsa", leaf_key, Usage.LEAF_TSA), root)
+    return TimestampAuthority(leaf_key, (leaf, root), clock), root
+
+
+# what each case reaches in ``_archival_bridge``: the later token re-anchors the
+# first (``anchored = verify_chain(..., tokens[i + 1].gen_time)``); the later
+# token fails ``verify_token`` against its prefix digest; ``if not anchored``
+@pytest.mark.parametrize(
+    "second_token, second_root_trusted",
+    [(True, True), (True, False), (False, False)],
+    ids=["anchored-by-a-later-token", "later-token-does-not-verify", "no-token-anchored"],
+)
+def test_archival_bridge_at_t0_plus_16_years(lab, fixtures, second_token, second_root_trusted):
+    """The workspace TSA's leaf ran out at T0 + 15 years, the short-lived
+    signing leaf after 30 days.  Only a token from a TSA still valid now, which
+    attests a time when the first TSA was valid, bridges the signing chain."""
+    asset = archival_extend(fixtures["short-lived-cert"], lab.tsa(), clock=T0 + 15 * DAY)
+    tsa, second_root = _second_tsa(T0 + 14 * YEAR)
+    if second_token:
+        asset = archival_extend(asset, tsa)
+    anchors = lab.trust.anchors + ((second_root,) if second_root_trusted else ())
+    policy = hardened_policy(TrustList(anchors), T0 + 16 * YEAR, crl=lab.signing.generate_crl())
+    report = validate(b(asset), policy)
+    chain = report.check("chain")
+    if second_root_trusted:
+        # the first token's chain, expired now, is anchored by the later one;
+        # 1736985600 is T0 + 15 days
+        assert (report.verdict, chain.outcome) == (Verdict.ACCEPTED, CheckOutcome.PASS)
+        assert chain.detail == (
+            "expired chain bridged by 2 archival token(s); signing chain valid at 1736985600"
+        )
+    else:
+        # untrusted later root: its token fails against its prefix digest;
+        # a lone first token: its chain expired and nothing later anchors it;
+        # leaf 104 is short-lived-cert's, 2240265600 is T0 + 16 years
+        assert (report.verdict, chain.outcome) == (Verdict.UNVERIFIABLE, CheckOutcome.FAIL)
+        assert chain.detail == "certificate 104 outside validity window at 2240265600"
 
 
 def test_displayed_time_provenance(lab, fixtures):
@@ -558,6 +631,39 @@ def test_crl_required_fails_closed_without_a_list(lab, fixtures):
     assert report.check("revocation").outcome == CheckOutcome.FAIL
 
 
+def test_a_crl_with_a_zeroed_signature_rejects(corpus, corpus_entry, entry_bytes):
+    trust, crl = corpus["workspace"].trust, corpus["crl"]
+    entry = corpus_entry("bound-timestamp")
+    data = entry_bytes(entry)
+    honest = validate(data, hardened_policy(trust, entry.validation_time, crl=crl))
+    assert honest.verdict == Verdict.ACCEPTED
+    zeroed = dataclasses.replace(crl, signature=bytes(len(crl.signature)))
+    report = validate(data, hardened_policy(trust, entry.validation_time, crl=zeroed))
+    assert report.verdict == Verdict.REJECTED
+    revocation = report.check("revocation")
+    assert revocation.outcome == CheckOutcome.FAIL
+    assert revocation.detail == "revocation list signature does not verify"
+
+
+def test_a_responder_that_never_issued_the_serial_rejects(lab, fixtures, tmp_path):
+    # a fresh workspace of the same seed signs with the same root key, but
+    # its authority never issued the honest leaf, serial 101
+    fresh = Workspace(tmp_path, lab.seed)
+    assert 101 not in fresh.signing.issued
+    with run_status_service(fresh.signing) as service:
+        policy = spec_policy(
+            lab.trust,
+            DEFAULT_VALIDATION_TIME,
+            revocation_mode=RevocationMode.STATUS_SERVICE_HARD_FAIL,
+            status_endpoint=service.endpoint,
+        )
+        report = validate(b(fixtures["honest"]), policy)
+    assert report.verdict == Verdict.REJECTED
+    revocation = report.check("revocation")
+    assert revocation.outcome == CheckOutcome.FAIL
+    assert revocation.detail == "serial 101 UNKNOWN to the responder"
+
+
 def test_strong_integrity_flags_unaudited_exclusions(lab, fixtures):
     report = validate(b(fixtures["gps-excluded"]), hardened_at(lab))
     assert report.check("exclusion-audit").outcome == CheckOutcome.FAIL
@@ -597,6 +703,16 @@ def test_redaction_weak_vs_strong(lab, fixtures):
     assert hard_ok.verdict == Verdict.ACCEPTED_WITH_REDACTION
     assert hard_ok.check("redaction-audit").outcome == CheckOutcome.PASS
     assert exit_code_for(hard_ok) == 0
+
+
+def test_human_report_lists_the_redactions(lab, fixtures):
+    signed = fixtures["bound-timestamp"]
+    manifest = decode_manifest(extract_manifest(signed))
+    dropped = replace_manifest(
+        signed, encode_manifest(redact_assertion(manifest, "std.actions", RedactionMode.SPEC_DROP))
+    )
+    text = render_report(validate(serialize_asset(dropped), spec_at(lab)))
+    assert text.endswith("\nredactions: std.actions\n")
 
 
 # ---------------------------------------------------------------------------
