@@ -257,10 +257,9 @@ class Attack:
 
 
 def _timestamp_replace(
-    workspace: Workspace, scenario: str, asset: Asset, *, time: int | None = None
+    workspace: Workspace, scenario: str, asset: Asset, *, time: int = T0 - BACKDATE_DELTA
 ) -> AttackOutcome:
-    at = T0 - BACKDATE_DELTA if time is None else time
-    return attack_timestamp_replace(asset, workspace.tsa(), at, workspace.trust)
+    return attack_timestamp_replace(asset, workspace.tsa(), time, workspace.trust)
 
 
 def _exclusion_mutate(
@@ -269,10 +268,9 @@ def _exclusion_mutate(
     asset: Asset,
     *,
     label: str = "meta.gps",
-    payload: str | None = None,
+    payload: str = format_gps(*FAKE_GPS),
 ) -> AttackOutcome:
-    text = payload or format_gps(*FAKE_GPS)
-    return attack_exclusion_mutate(asset, label, text.encode("ascii"))
+    return attack_exclusion_mutate(asset, label, payload.encode("ascii"))
 
 
 def _sign_with_revoked(workspace: Workspace, scenario: str) -> AttackOutcome:
@@ -289,18 +287,16 @@ def _archive(workspace: Workspace, asset: Asset) -> Asset:
 
 
 def _expiry_timewarp(
-    workspace: Workspace, scenario: str, asset: Asset, *, time: int | None = None
+    workspace: Workspace, scenario: str, asset: Asset, *, time: int = TIMEWARP_VALIDATION_TIME
 ) -> AttackOutcome:
-    at = TIMEWARP_VALIDATION_TIME if time is None else time
-    return attack_expiry_timewarp(asset, at)
+    return attack_expiry_timewarp(asset, time)
 
 
 def _token_transplant(
-    workspace: Workspace, scenario: str, asset: Asset, *, time: int | None = None
+    workspace: Workspace, scenario: str, asset: Asset, *, time: int = T0 - BACKDATE_DELTA
 ) -> AttackOutcome:
-    at = T0 - BACKDATE_DELTA if time is None else time
     key = scenario_identity(workspace, SCENARIOS[scenario]).key
-    return attack_token_transplant(asset, key, workspace.tsa(), at)
+    return attack_token_transplant(asset, key, workspace.tsa(), time)
 
 
 def _strip_manifest(workspace: Workspace, scenario: str, asset: Asset) -> AttackOutcome:

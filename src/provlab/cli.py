@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import mmap
 import os
 import stat
@@ -245,16 +246,16 @@ def cmd_extend(args: argparse.Namespace) -> int:
 
 
 def cmd_serve_status(args: argparse.Namespace) -> int:
+    if args.duration is not None and not 0 <= args.duration < math.inf:
+        raise ProvenanceError(f"--duration must be finite and >= 0, not {args.duration}")
     workspace = _workspace(args)
     service = run_status_service(workspace.signing, args.host, args.port)
     host, port = service.endpoint
     print(f"{host}:{port}", flush=True)
-    try:
-        if args.duration is not None:
-            _time.sleep(args.duration)
-        else:
-            while True:
-                _time.sleep(3600)
+    try:  # sleep in slices: one sleep cannot span a long finite duration
+        deadline = _time.monotonic() + (math.inf if args.duration is None else args.duration)
+        while (left := deadline - _time.monotonic()) > 0:
+            _time.sleep(min(left, 3600))
     except KeyboardInterrupt:
         pass
     finally:

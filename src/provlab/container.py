@@ -27,14 +27,16 @@ signed format.  :attr:`Asset.data` joins that content on each read and keeps
 nothing; validation and signing never read it.  Parse and serialize are exact
 inverses.
 
-Three rules say how byte ranges behave; the signer and validator restate none:
+Four rules say how byte ranges behave; the signer and validator restate none:
 
 1. *Move*: inserting ``delta`` bytes at ``at`` moves a range that starts at or
    after ``at`` and leaves one before it (:meth:`ByteRange.moved`).
-2. *Complement*: a hard binding is a digest over the kept spans, the logical
+2. *Overlap*: two ranges overlap when each starts before the other ends
+   (:meth:`ByteRange.overlaps`).
+3. *Complement*: a hard binding is a digest over the kept spans, the logical
    bytes outside its exclusions.  The manifest stores that digest, so it may
    overlap no non-empty kept span.
-3. *Bounds*: every exclusion and splice target lies inside the asset, and no
+4. *Bounds*: every exclusion and splice target lies inside the asset, and no
    two exclusions overlap (:func:`_checked_exclusions`).
 """
 
@@ -52,8 +54,6 @@ from .errors import MalformedContainer, ProvenanceError
 MAGIC = b"PVL1"
 
 MANIFEST_LABEL = "manifest"
-
-_SEGMENT_HEAD_FIXED = 6  # kind + label-length + payload-length
 
 # what an asset's payloads are read from: immutable bytes or a read-only mapping
 Buffer = bytes | mmap.mmap
@@ -84,6 +84,9 @@ class ByteRange:
 
     def contains(self, other: "ByteRange") -> bool:
         return self.start <= other.start and other.end <= self.end
+
+    def overlaps(self, other: "ByteRange") -> bool:
+        return self.start < other.end and other.start < self.end
 
     def moved(self, at: int, delta: int) -> "ByteRange":
         """This range moved by ``delta`` if it starts at or after ``at``."""
@@ -260,13 +263,17 @@ def parse_asset(data: bytes | bytearray | memoryview | mmap.mmap) -> Asset:
     return _assemble(parts)
 
 
+def _head(segment: Segment) -> bytes:
+    """The segment's wire head: kind, label length, label, payload length."""
+    raw = _check_label(segment.label)
+    return bytes((segment.kind, len(raw))) + raw + segment.range.length.to_bytes(4, "big")
+
+
 def _wire_chunks(asset: Asset) -> list[bytes | memoryview]:
     """The magic, then each segment's head and payload view; labels checked first."""
     chunks: list[bytes | memoryview] = [MAGIC]
     for segment, payload in zip(asset.segments, asset._views((0, asset.size))):
-        raw_label = _check_label(segment.label)
-        head = bytes((segment.kind, len(raw_label))) + raw_label + len(payload).to_bytes(4, "big")
-        chunks += head, payload
+        chunks += _head(segment), payload
     return chunks
 
 
@@ -296,7 +303,7 @@ def wire_span(asset: Asset, segment: Segment) -> ByteRange:
     """The segment payload's position inside :func:`serialize_asset` output."""
     pos = len(MAGIC)
     for candidate in asset.segments:
-        head = _SEGMENT_HEAD_FIXED + len(candidate.label)
+        head = len(_head(candidate))
         if candidate == segment:
             return ByteRange(pos + head, candidate.range.length)
         pos += head + candidate.range.length
@@ -358,14 +365,6 @@ def manifest_insert_offset(asset: Asset) -> int:
     return 0
 
 
-def _shift(segment: Segment, delta: int) -> Segment:
-    return Segment(
-        segment.kind,
-        ByteRange(segment.range.start + delta, segment.range.length),
-        segment.label,
-    )
-
-
 def embed_manifest(asset: Asset, manifest_bytes: bytes) -> Asset:
     """Insert a manifest segment at the canonical position."""
     if asset.find_manifest() is not None:
@@ -380,7 +379,10 @@ def embed_manifest(asset: Asset, manifest_bytes: bytes) -> Asset:
     segments = (
         asset.segments[:index]
         + (manifest,)
-        + tuple(_shift(s, len(manifest_bytes)) for s in asset.segments[index:])
+        + tuple(
+            Segment(s.kind, s.range.moved(offset, len(manifest_bytes)), s.label)
+            for s in asset.segments[index:]
+        )
     )
     sources = asset.sources[:index] + ((bytes(manifest_bytes), 0),) + asset.sources[index:]
     return Asset(segments, sources)
@@ -400,7 +402,8 @@ def strip_manifest(asset: Asset) -> Asset:
         raise ProvenanceError("asset carries no manifest segment")
     index = asset.segments.index(segment)
     segments = asset.segments[:index] + tuple(
-        _shift(s, -segment.range.length) for s in asset.segments[index + 1 :]
+        Segment(s.kind, s.range.moved(segment.range.end, -segment.range.length), s.label)
+        for s in asset.segments[index + 1 :]
     )
     return Asset(segments, asset.sources[:index] + asset.sources[index + 1 :])
 

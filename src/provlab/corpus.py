@@ -29,9 +29,9 @@ from .attacks import (  # noqa: F401
 from .container import Asset, write_asset
 from .crypto import digest
 from .errors import ProvenanceError
-from .records import record_from_value, record_value
+from .records import encode_record, record_from_value, record_value
 from .signer import DEFAULT_VALIDATION_TIME, SCENARIOS, make_fixture
-from .trust import RevocationList, decode_revocation_list, encode_revocation_list
+from .trust import RevocationList, decode_revocation_list
 from .validator import (
     EXIT_BY_VERDICT,
     ValidationPolicy,
@@ -120,7 +120,7 @@ def build_corpus(workspace: Workspace) -> list[CorpusEntry]:
     # record the issued leaves, and snapshot the CRL that hardened validation will consult
     workspace.save()
     crl = workspace.signing.generate_crl()
-    (workspace.corpus_dir / CRL_FILENAME).write_bytes(encode_revocation_list(crl))
+    (workspace.corpus_dir / CRL_FILENAME).write_bytes(encode_record(crl))
 
     entries.sort(key=lambda e: e.path)
     index = {

@@ -53,12 +53,6 @@ class SigningKey:
         self._private = private
         self.public_bytes: bytes = private.public_key().public_bytes_raw()
 
-    @classmethod
-    def from_seed_bytes(cls, seed: bytes) -> "SigningKey":
-        if len(seed) != 32:
-            raise ValueError("seed must be 32 bytes")
-        return cls(Ed25519PrivateKey.from_private_bytes(seed))
-
     def sign(self, message: bytes) -> bytes:
         return self._private.sign(message)
 
@@ -102,19 +96,15 @@ verify_once.cache_clear = _memo.cache_clear
 verify_once.cache_info = _memo.cache_info
 
 
+def _derive(key: bytes, seed: int, role: str) -> bytes:
+    return hmac.new(key, struct.pack(">Q", seed) + role.encode("utf-8"), hashlib.sha256).digest()
+
+
 def derive_signing_key(seed: int, role: str) -> SigningKey:
     """Derive the signing key for ``role`` from a workspace seed in ``0 … 2**64-1``."""
-    material = hmac.new(
-        _DERIVE_KEY, struct.pack(">Q", seed) + role.encode("utf-8"),
-        hashlib.sha256,
-    ).digest()
-    return SigningKey.from_seed_bytes(material)
+    return SigningKey(Ed25519PrivateKey.from_private_bytes(_derive(_DERIVE_KEY, seed, role)))
 
 
 def derive_stream_seed(seed: int, role: str) -> int:
     """Derive a content sub-seed for ``role`` from a seed in ``0 … 2**64-1``."""
-    material = hmac.new(
-        _DERIVE_KEY + b"/stream", struct.pack(">Q", seed) + role.encode("utf-8"),
-        hashlib.sha256,
-    ).digest()
-    return int.from_bytes(material[:8], "big")
+    return int.from_bytes(_derive(_DERIVE_KEY + b"/stream", seed, role)[:8], "big")

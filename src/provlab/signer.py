@@ -282,7 +282,6 @@ def scenario_identity(workspace: Workspace, scenario: Scenario) -> Identity:
         subject=f"labcam-{scenario.name}",
         serial=scenario.leaf_serial,
         key_role=f"leaf/{scenario.name}",
-        not_before=T0 - DAY,
         not_after=T0 + scenario.leaf_lifetime,
     )
 

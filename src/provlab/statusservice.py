@@ -89,7 +89,7 @@ def _recv_frame(sock: socket.socket) -> bytes:
 class StatusService:
     """A running status responder bound to a local TCP port."""
 
-    def __init__(self, authority: Authority, host: str = "127.0.0.1", port: int = 0):
+    def __init__(self, authority: Authority, host: str, port: int):
         self.authority = authority
         self.query_log: list[int] = []
         self.refused = 0
@@ -97,7 +97,7 @@ class StatusService:
             # a burst of clients must fit the backlog: each dropped SYN costs
             # the client a 1 s then 3 s retransmit
             self._listener = socket.create_server((host, port), backlog=128)
-        except OSError as exc:
+        except (OSError, OverflowError) as exc:  # OverflowError: a port outside 0-65535
             raise ProvenanceError(f"cannot bind {host}:{port}: {exc}") from exc
         self._listener.setblocking(False)
         self.endpoint: tuple[str, int] = self._listener.getsockname()[:2]

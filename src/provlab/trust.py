@@ -97,9 +97,6 @@ def issue_certificate(
 class TrustList:
     anchors: tuple[Certificate, ...]
 
-    def contains(self, cert: Certificate) -> bool:
-        return cert in self.anchors
-
 
 class ChainStatus(str, Enum):
     VALID = "VALID"
@@ -148,7 +145,7 @@ def verify_chain(
         top.public_key, certificate_template_bytes(top), top.issuer_signature
     ):
         return ChainVerdict(ChainStatus.BAD_LINK_SIGNATURE, "top of chain is not self-signed")
-    if not trust.contains(top):
+    if top not in trust.anchors:
         return ChainVerdict(ChainStatus.UNTRUSTED_ROOT, "root is not a trust anchor")
     for cert in chain:
         if not cert.in_window(at_time):
@@ -187,10 +184,6 @@ def verify_crl(crl: RevocationList, issuer_cert: Certificate) -> bool:
     return verify_once(issuer_cert.public_key, _crl_payload(crl), crl.signature)
 
 
-def encode_revocation_list(crl: RevocationList) -> bytes:
-    return encode_record(crl)
-
-
 def decode_revocation_list(data: bytes) -> RevocationList:
     return decode_record(RevocationList, data)
 
@@ -224,8 +217,8 @@ class Authority:
     hold by construction.
     """
 
-    def __init__(self, name: str, key: SigningKey, cert: Certificate, clock: int):
-        self.name = name
+    def __init__(self, key: SigningKey, cert: Certificate, clock: int):
+        self.name = cert.subject
         self.key = key
         self.cert = cert
         self.clock = clock

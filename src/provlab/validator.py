@@ -266,10 +266,6 @@ def _effective_exclusions(
     )
 
 
-def _overlaps(a: ByteRange, b: ByteRange) -> bool:
-    return a.start < b.end and b.start < a.end
-
-
 def _valid_redaction_record(
     manifest: Manifest,
     target_label: str,
@@ -631,7 +627,7 @@ def _collect_metadata(run: _Run) -> tuple[MetadataItem, ...]:
             text = payload.decode("utf-8")
         except UnicodeDecodeError:
             text = "0x" + payload[:32].hex()
-        protected = bound and not any(_overlaps(segment.range, rng) for rng in exclusions)
+        protected = bound and not any(segment.range.overlaps(rng) for rng in exclusions)
         items.append(MetadataItem(segment.label, text, protected))
     return tuple(items)
 
@@ -729,6 +725,9 @@ class DifferentialReport:
 
     @property
     def exit_code(self) -> int:
+        """4 for malformed input (malformed under any policy), 0 if the verdicts agree, else 5."""
+        if self.report_a.malformed:
+            return 4
         return 0 if self.agree else 5
 
 

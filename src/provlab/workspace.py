@@ -58,10 +58,6 @@ class Identity:
     key: SigningKey
     chain: tuple[Certificate, ...]
 
-    @property
-    def cert(self) -> Certificate:
-        return self.chain[0]
-
 
 @dataclass(frozen=True)
 class WorkspaceState:
@@ -80,7 +76,7 @@ def _root(seed: int, role: str, name: str, serial: int) -> Authority:
         not_before=T0 - 20 * YEAR, not_after=T0 + 20 * YEAR, usage=Usage.ROOT,
         issuer_signature=b"",
     )
-    return Authority(name, key, issue_certificate(key, template), T0)
+    return Authority(key, issue_certificate(key, template), T0)
 
 
 def _issue_leaf(
@@ -121,11 +117,9 @@ class Workspace:
             tsa_root, seed, "tsa-leaf", "provlab tsa", TSA_LEAF_SERIAL,
             T0 - 15 * YEAR, T0 + 15 * YEAR, Usage.LEAF_TSA,
         )
-        self.device = self.issue_leaf(
-            "device-1", DEVICE_SERIAL, "device-leaf", T0 - DAY, T0 + 2 * YEAR
-        )
+        self.device = self.issue_leaf("device-1", DEVICE_SERIAL, "device-leaf", T0 + 2 * YEAR)
         self.redactor = self.issue_leaf(
-            "redactor-1", REDACTOR_SERIAL, "redactor-leaf", T0 - DAY, T0 + 2 * YEAR
+            "redactor-1", REDACTOR_SERIAL, "redactor-leaf", T0 + 2 * YEAR
         )
         self.trust = TrustList((self.signing.cert, tsa_root.cert))
 
@@ -177,17 +171,11 @@ class Workspace:
     def tsa(self) -> TimestampAuthority:
         return TimestampAuthority(self.tsa_leaf.key, self.tsa_leaf.chain, self.clock)
 
-    def issue_leaf(
-        self,
-        subject: str,
-        serial: int,
-        key_role: str,
-        not_before: int,
-        not_after: int,
-    ) -> Identity:
-        """Issue (or re-derive, idempotently) a signing leaf under the signing CA."""
+    def issue_leaf(self, subject: str, serial: int, key_role: str, not_after: int) -> Identity:
+        """Issue (or re-derive, idempotently) a signing leaf under the signing CA,
+        valid from a day before :data:`T0`."""
         return _issue_leaf(
-            self.signing, self.seed, key_role, subject, serial, not_before, not_after,
+            self.signing, self.seed, key_role, subject, serial, T0 - DAY, not_after,
             Usage.LEAF_SIGNING,
         )
 

@@ -382,7 +382,7 @@ def test_criterion_9_revocation_channels_agree():
                 issuer_signature=b"",
             ),
         )
-        authority = Authority(name, root_key, root_cert, clock=T0)
+        authority = Authority(root_key, root_cert, clock=T0)
         serials = list(range(100, 100 + rng.randint(2, 8)))
         for serial in serials:
             leaf_key = derive_signing_key(80_000 + case * 100 + serial, f"leaf{serial}")

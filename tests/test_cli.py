@@ -13,9 +13,9 @@ from provlab.attacks import ATTACKS
 from provlab.cli import main, parse_time
 from provlab.container import serialize_asset
 from provlab.corpus import verify_corpus
+from provlab.records import encode_record
 from provlab.signer import SCENARIOS, make_fixture
 from provlab.statusservice import run_status_service
-from provlab.trust import encode_revocation_list
 from provlab.validator import Verdict, report_from_json
 from provlab.workspace import DAY, T0, YEAR, Workspace
 
@@ -179,7 +179,7 @@ def test_bad_status_endpoint_exits_4(cliws, capsys, endpoint):
 @pytest.fixture
 def crl_file(cliws, tmp_path):
     path = tmp_path / "authority.crl"
-    path.write_bytes(encode_revocation_list(Workspace.load(cliws).signing.generate_crl()))
+    path.write_bytes(encode_record(Workspace.load(cliws).signing.generate_crl()))
     return path
 
 
@@ -612,7 +612,7 @@ def test_empty_and_truncated_files_are_malformed(cliws, tmp_path, capsys):
         assert code == 4
         assert _parse_detail(out) == detail
         code, out, _ = run(["--workspace", str(cliws), "diff", str(path)], capsys)
-        assert code == 0 and "verdict agreement: yes" in out
+        assert code == 4 and "verdict agreement: yes" in out
 
 
 @pytest.fixture(scope="module")
@@ -740,6 +740,38 @@ def test_serve_status_prints_refused_then_served_last(cliws, capsys):
     out += capsys.readouterr().out
     assert held["code"] == 0
     assert out.splitlines()[-2:] == ["refused 1 frames", "served 1 queries"]
+
+
+@pytest.mark.parametrize(
+    "flag, value, error",
+    [
+        ("--port", "-1", "error: cannot bind 127.0.0.1:-1: "),
+        ("--port", "70000", "error: cannot bind 127.0.0.1:70000: "),
+        ("--duration", "inf", "error: --duration must be finite and >= 0, not inf"),
+        ("--duration", "-1", "error: --duration must be finite and >= 0, not -1.0"),
+        ("--duration", "nan", "error: --duration must be finite and >= 0, not nan"),
+    ],
+    ids=["port-negative", "port-too-large", "duration-inf", "duration-negative", "duration-nan"],
+)
+def test_serve_status_refuses_a_bad_port_or_duration(cliws, capsys, flag, value, error):
+    argv = ["--workspace", str(cliws), "serve-status", "--duration", "0", flag, value]
+    code, out, err = run(argv, capsys)
+    assert code == 4 and out == ""
+    (line,) = err.splitlines()
+    assert line.startswith(error) and "Traceback" not in err
+
+
+def test_serve_status_sleeps_a_long_duration_in_slices(cliws, capsys, monkeypatch):
+    slept = []
+
+    def sleep(seconds):
+        slept.append(seconds)
+        raise KeyboardInterrupt  # stands in for Ctrl-C during the first slice
+
+    monkeypatch.setattr(cli._time, "sleep", sleep)
+    code, out, _ = run(["--workspace", str(cliws), "serve-status", "--duration", "1e300"], capsys)
+    assert code == 0 and slept == [3600]
+    assert out.splitlines()[-2:] == ["refused 0 frames", "served 0 queries"]
 
 
 # ---------------------------------------------------------------------------

@@ -353,6 +353,13 @@ def test_a_range_moves_only_when_it_starts_at_or_after_the_edit():
     assert rng.moved(11, 7) is rng
 
 
+def test_ranges_overlap_only_when_they_share_a_byte():
+    rng = ByteRange(10, 5)
+    assert rng.overlaps(ByteRange(14, 1)) and ByteRange(14, 1).overlaps(rng)
+    assert rng.overlaps(ByteRange(0, 30))
+    assert not rng.overlaps(ByteRange(15, 1)) and not ByteRange(5, 5).overlaps(rng)
+
+
 def test_hard_binding_rejects_bad_ranges():
     asset = build_asset(simple_parts())
     manifest_range = asset.find_manifest().range

@@ -27,7 +27,6 @@ from provlab.trust import (
     Certificate,
     RevocationList,
     decode_revocation_list,
-    encode_revocation_list,
 )
 from provlab.workspace import T0, Workspace
 
@@ -135,7 +134,7 @@ def test_single_bit_flip_never_roundtrips(lab, manifest):
             encode_record,
             lambda data: decode_record(TimestampToken, data),
         ),
-        (crl, encode_revocation_list, decode_revocation_list),
+        (crl, encode_record, decode_revocation_list),
     )
     for record, encode, decode in cases:
         wire = encode(record)
@@ -216,7 +215,7 @@ def test_countersigned_redaction(lab, manifest):
     assert len(redacted.redaction_signatures) == 1
     countersignature = redacted.redaction_signatures[0]
     assert verify(
-        lab.redactor.cert.public_key,
+        lab.redactor.chain[0].public_key,
         encode_record(record),
         countersignature.signature,
     )

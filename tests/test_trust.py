@@ -24,7 +24,6 @@ from provlab.trust import (
     TrustList,
     Usage,
     decode_revocation_list,
-    encode_revocation_list,
     issue_certificate,
     verify_chain,
     verify_crl,
@@ -170,13 +169,13 @@ def test_validity_windows_must_nest(pki):
 
 def test_crl_roundtrip_and_verification(pki):
     root_key, root_cert, _, leaf_cert, _ = pki
-    authority = Authority("root", root_key, root_cert, T0)
+    authority = Authority(root_key, root_cert, T0)
     authority.issued[leaf_cert.serial] = leaf_cert.subject
     authority.revoke(leaf_cert.serial, T0 + 1000)
     crl = authority.generate_crl()
     assert crl.entries == ((leaf_cert.serial, T0 + 1000),)
     assert verify_crl(crl, root_cert)
-    again = decode_revocation_list(encode_revocation_list(crl))
+    again = decode_revocation_list(encode_record(crl))
     assert again == crl
     # tampered entry breaks the signature
     from dataclasses import replace
@@ -187,22 +186,22 @@ def test_crl_roundtrip_and_verification(pki):
 
 def test_revocation_list_decode_rejects_extra_key(pki):
     root_key, root_cert, *_ = pki
-    crl = Authority("root", root_key, root_cert, T0).generate_crl()
-    record = decode_value(encode_revocation_list(crl))
+    crl = Authority(root_key, root_cert, T0).generate_crl()
+    record = decode_value(encode_record(crl))
     with pytest.raises(DecodeError):
         decode_revocation_list(encode_value({**record, "extra": b"\x00"}))
 
 
 def test_revoking_unknown_serial_fails(pki):
     root_key, root_cert, *_ = pki
-    authority = Authority("root", root_key, root_cert, T0)
+    authority = Authority(root_key, root_cert, T0)
     with pytest.raises(ProvenanceError, match="serial 31337 was never issued"):
         authority.revoke(31337, T0)
 
 
 def test_status_response_signature(pki):
     root_key, root_cert, _, leaf_cert, _ = pki
-    authority = Authority("root", root_key, root_cert, T0)
+    authority = Authority(root_key, root_cert, T0)
     authority.issued[leaf_cert.serial] = leaf_cert.subject
     response = authority.status_for(leaf_cert.serial)
     assert response.status == CertStatus.GOOD
@@ -234,7 +233,7 @@ def test_status_response_signature(pki):
 def counted(pki, monkeypatch):
     """An authority for the pki leaf whose key counts its signatures."""
     root_key, root_cert, _, leaf_cert, _ = pki
-    authority = Authority("root", root_key, root_cert, T0)
+    authority = Authority(root_key, root_cert, T0)
     authority.issued[leaf_cert.serial] = leaf_cert.subject
     signatures = []
     sign = root_key.sign
@@ -294,7 +293,7 @@ def test_unknown_serials_do_not_grow_the_store(counted):
 @pytest.fixture()
 def service(pki):
     root_key, root_cert, _, leaf_cert, _ = pki
-    authority = Authority("root", root_key, root_cert, T0)
+    authority = Authority(root_key, root_cert, T0)
     authority.issued[leaf_cert.serial] = leaf_cert.subject
     svc = run_status_service(authority)
     yield svc, authority, root_cert, leaf_cert
@@ -458,7 +457,7 @@ def test_stop_closes_a_half_sent_connection(service):
 
 def test_server_runs_one_thread(pki):
     root_key, root_cert, _, leaf_cert, _ = pki
-    authority = Authority("root", root_key, root_cert, T0)
+    authority = Authority(root_key, root_cert, T0)
     authority.issued[leaf_cert.serial] = leaf_cert.subject
     before = set(threading.enumerate())
     with run_status_service(authority) as svc:
@@ -502,7 +501,7 @@ def test_stop_returns_promptly_and_logs_no_wakeup(pki):
     import time
 
     root_key, root_cert, _, leaf_cert, _ = pki
-    authority = Authority("root", root_key, root_cert, T0)
+    authority = Authority(root_key, root_cert, T0)
     authority.issued[leaf_cert.serial] = leaf_cert.subject
     times = []
     for _ in range(5):

@@ -11,6 +11,7 @@ import pytest
 
 from provlab.container import (
     ByteRange,
+    SegmentKind,
     extract_manifest,
     parse_asset,
     serialize_asset,
@@ -734,6 +735,62 @@ def test_differential_agreement_and_divergence(lab, fixtures):
     assert any(name == "timestamp" for name, _, _ in diverge.check_diff)
     rendered = render_differential(diverge)
     assert "G4" in rendered and "VIOLATED" in rendered
+
+
+def test_differential_of_malformed_input_exits_4(lab):
+    diff = validate_differential(b"garbage", spec_at(lab), hardened_at(lab))
+    assert diff.agree and diff.exit_code == 4
+
+
+# ---------------------------------------------------------------------------
+# every-byte oracle over the entries hardened accepts
+# ---------------------------------------------------------------------------
+
+def _head_flips(asset):
+    """``(wire offset, mask)`` of the flips the segment framing lets through:
+    the 0x01 flip of every label byte, and of every kind byte that it swaps
+    between IMAGE_DATA and METADATA.  Offsets follow the wire layout (magic,
+    then per segment kind, label length, label, 4-byte payload length and
+    payload), walked from the parsed segments."""
+    flips, pos = set(), 4
+    for segment in asset.segments:
+        if segment.kind in (SegmentKind.IMAGE_DATA, SegmentKind.METADATA):
+            flips.add((pos, 0x01))
+        label = len(segment.label)
+        flips.update((pos + 2 + i, 0x01) for i in range(label))
+        pos += 2 + label + 4 + segment.range.length
+    return flips
+
+
+def test_every_byte_oracle_pins_the_accepted_flips(workspace, corpus, entry_bytes):
+    """Flip every wire byte of each entry hardened accepts, with 0x01 and 0x80.
+
+    The hard binding hashes payloads only, so today hardened still accepts
+    the flips :func:`_head_flips` names, all in segment heads.  Binding the
+    segment framing into the claim must empty that set, and this test then
+    asserts that no flip is accepted."""
+    accepted_verdicts = (Verdict.ACCEPTED, Verdict.ACCEPTED_WITH_REDACTION)
+    entries = [
+        entry
+        for entry in corpus["entries"]
+        if Verdict(entry.expected["hardened"]) in accepted_verdicts
+    ]
+    assert {(entry.scenario, entry.attack) for entry in entries} >= {
+        ("bound-timestamp", "none"),
+        ("short-lived-cert", "none"),
+        ("short-lived-cert", "expiry-timewarp"),
+    }
+    for entry in entries:
+        data = entry_bytes(entry)
+        policy = entry_policies(workspace, entry, corpus["crl"])["hardened"]
+        assert validate(data, policy).verdict in accepted_verdicts
+        accepted = set()
+        for pos, mask in itertools.product(range(len(data)), (0x01, 0x80)):
+            flipped = bytearray(data)
+            flipped[pos] ^= mask
+            if validate(bytes(flipped), policy).verdict in accepted_verdicts:
+                accepted.add((pos, mask))
+        assert accepted == _head_flips(parse_asset(data)), entry.path
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from provlab.cli import main
 from provlab.corpus import build_corpus
 from provlab.errors import ProvenanceError
 from provlab.records import encode_record
-from provlab.trust import encode_revocation_list
 from provlab.workspace import STATE_FILE, T0, Workspace
 
 
@@ -25,7 +24,7 @@ def _derived(workspace):
         "redactor": _chain(workspace.redactor),
         "issued": workspace.signing.issued,
         "revoked": workspace.signing.revoked,
-        "crl": encode_revocation_list(workspace.signing.generate_crl()),
+        "crl": encode_record(workspace.signing.generate_crl()),
     }
 
 
