@@ -13,6 +13,7 @@ from provlab.timestamp import (
     TokenStatus,
     archival_extend,
     issue_token,
+    token_signed_payload,
     verify_token,
 )
 from provlab.workspace import DAY, T0, YEAR, Workspace
@@ -68,6 +69,23 @@ def test_untrusted_tsa_rejected(lab, tmp_path):
 def test_signing_leaf_cannot_timestamp(lab):
     with pytest.raises(ProvenanceError, match="TSA leaf has usage"):
         issue_token(lab.device.key, lab.device.chain, digest(b"x"), T0)
+
+
+def test_a_token_without_a_tsa_chain_is_untrusted(lab):
+    token = replace(lab.tsa().issue(digest(b"x")), tsa_chain=())
+    verdict = verify_token(token, digest(b"x"), lab.trust)
+    assert (verdict.status, verdict.detail) == (TokenStatus.UNTRUSTED_TSA, "empty TSA chain")
+
+
+def test_a_token_signed_by_a_signing_leaf_is_untrusted(lab):
+    """``issue_token`` refuses a signing leaf, so the token is built by hand."""
+    unsigned = TimestampToken(digest(b"x"), T0, lab.device.chain, b"")
+    token = replace(unsigned, tsa_signature=lab.device.key.sign(token_signed_payload(unsigned)))
+    verdict = verify_token(token, digest(b"x"), lab.trust)
+    assert (verdict.status, verdict.detail) == (
+        TokenStatus.UNTRUSTED_TSA,
+        "leaf usage LEAF_SIGNING is not a TSA",
+    )
 
 
 def test_token_outside_tsa_window_rejected_at_issue(lab):

@@ -157,6 +157,16 @@ def test_leaf_cannot_issue(pki):
         )
 
 
+def test_a_tsa_leaf_cannot_issue_in_a_chain(pki):
+    root_key, root_cert, _, leaf_cert, trust = pki
+    _, tsa_cert = make_leaf(root_key, root_cert, name="tsa", serial=101, usage=Usage.LEAF_TSA)
+    verdict = verify_chain((leaf_cert, tsa_cert), trust, T0)
+    assert (verdict.status, verdict.detail) == (
+        ChainStatus.BAD_LINK_SIGNATURE,
+        "issuer usage LEAF_TSA cannot issue",
+    )
+
+
 def test_validity_windows_must_nest(pki):
     root_key, root_cert, *_ = pki
     with pytest.raises(ProvenanceError, match="validity window escapes the issuer's window"):

@@ -20,12 +20,29 @@ from provlab.container import (
     wire_span,
 )
 from provlab.corpus import entry_policies
-from provlab.credentials import RedactionMode, decode_manifest, encode_manifest, redact_assertion
+from provlab.credentials import (
+    REDACTION_LABEL,
+    Assertion,
+    BindingMode,
+    ClaimSignature,
+    RedactionMode,
+    decode_manifest,
+    encode_manifest,
+    redact_assertion,
+)
 from provlab.encoding import decode_value, encode_value
 from provlab.errors import DecodeError, ProvenanceError
 from provlab.container import compute_hard_binding, replace_manifest
 from provlab.crypto import derive_signing_key
-from provlab.signer import DEFAULT_VALIDATION_TIME, SCENARIOS, make_fixture
+from provlab.records import encode_record
+from provlab.signer import (
+    DEFAULT_VALIDATION_TIME,
+    SCENARIOS,
+    build_scenario_content,
+    make_fixture,
+    scenario_signer,
+    sign_asset,
+)
 from provlab.statusservice import run_status_service
 from provlab.timestamp import TimestampAuthority, archival_extend
 from provlab.trust import Certificate, TrustList, Usage, issue_certificate
@@ -714,6 +731,170 @@ def test_human_report_lists_the_redactions(lab, fixtures):
     )
     text = render_report(validate(serialize_asset(dropped), spec_at(lab)))
     assert text.endswith("\nredactions: std.actions\n")
+
+
+# ---------------------------------------------------------------------------
+# redaction records, built by hand: every branch of both audits
+# ---------------------------------------------------------------------------
+
+def _countersign(identity, signed_bytes):
+    signature = identity.key.sign(signed_bytes)
+    return ClaimSignature(identity.chain, signature, None, BindingMode.UNBOUND)
+
+
+def _with_records(signed, edit_claim=lambda claim: claim, drop=(), records=(), countersignatures=()):
+    """``signed`` with its claim edited, the assertions labelled in ``drop``
+    removed, and ``records`` and ``countersignatures`` appended."""
+    manifest = decode_manifest(extract_manifest(signed))
+    edited = dataclasses.replace(
+        manifest,
+        claim=edit_claim(manifest.claim),
+        assertions=tuple(a for a in manifest.assertions if a.label not in drop) + records,
+        redaction_signatures=countersignatures,
+    )
+    return serialize_asset(replace_manifest(signed, encode_manifest(edited)))
+
+
+def _actions_redaction(lab, fixtures, case):
+    """``bound-timestamp`` with ``std.actions`` dropped and one record for it,
+    countersigned by the redactor unless ``case`` names what is wrong."""
+    signed = fixtures["bound-timestamp"]
+    claim = decode_manifest(extract_manifest(signed)).claim
+    target = "std.created" if case == "another target" else "std.actions"
+    original = claim.digest_for("std.created" if case == "another digest" else "std.actions")
+    record = Assertion(
+        REDACTION_LABEL,
+        {"target": target, "original_digest": original, "redactor": lab.redactor.chain[0].subject},
+    )
+    signer = {
+        "TSA leaf": lab.tsa_leaf,
+        "untrusted root": Workspace(lab.root, lab.seed + 1).redactor,
+    }.get(case, lab.redactor)
+    countersignature = _countersign(
+        signer, b"other bytes" if case == "other bytes" else encode_record(record)
+    )
+    if case == "empty chain":
+        countersignature = dataclasses.replace(countersignature, signer_chain=())
+    return _with_records(
+        signed, drop=("std.actions",), records=(record,), countersignatures=(countersignature,)
+    )
+
+
+def test_redaction_audit_passes_a_record_the_redactor_countersigns(lab, fixtures):
+    report = validate(_actions_redaction(lab, fixtures, "valid"), hardened_at(lab))
+    audit = report.check("redaction-audit")
+    assert (audit.outcome, audit.detail) == (CheckOutcome.PASS, "1 countersigned redaction(s)")
+    assert report.verdict == Verdict.ACCEPTED_WITH_REDACTION
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["another target", "another digest", "empty chain", "TSA leaf", "other bytes", "untrusted root"],
+)
+def test_redaction_audit_refuses_a_record_no_countersignature_vouches_for(lab, fixtures, case):
+    report = validate(_actions_redaction(lab, fixtures, case), hardened_at(lab))
+    audit = report.check("redaction-audit")
+    assert audit.outcome == CheckOutcome.FAIL
+    assert audit.detail == "tombstones without countersigned redaction records: std.actions"
+
+
+@pytest.fixture(scope="module")
+def bound_gps(lab):
+    """``gps-excluded`` content signed in BOUND mode, so hardened trusts its time."""
+    scenario = SCENARIOS["gps-excluded"]
+    asset, assertions, generator = build_scenario_content(scenario, lab.seed)
+    config = scenario_signer(lab, scenario, generator)
+    return sign_asset(asset, assertions, dataclasses.replace(config, binding_mode=BindingMode.BOUND))
+
+
+@pytest.mark.parametrize(
+    "target, outcome, detail",
+    [
+        ("meta.gps", CheckOutcome.PASS, "only the manifest range is excluded"),
+        (
+            "meta.note",
+            CheckOutcome.FAIL,
+            "non-manifest exclusions without countersigned redaction: meta.gps",
+        ),
+    ],
+)
+def test_exclusion_audit_reads_the_countersigned_record_for_the_segment(
+    lab, bound_gps, target, outcome, detail
+):
+    """A countersigned record naming ``meta.gps`` accounts for its exclusion,
+    though the record binds neither the claim nor the GPS bytes: this PASS is
+    the countersigned-exclusion fail-open that ROADMAP item 10 closes."""
+    record = Assertion(REDACTION_LABEL, {"target": target, "redactor": lab.redactor.chain[0].subject})
+    data = _with_records(
+        bound_gps, records=(record,), countersignatures=(_countersign(lab.redactor, encode_record(record)),)
+    )
+    audit = validate(data, hardened_at(lab)).check("exclusion-audit")
+    assert (audit.outcome, audit.detail) == (outcome, detail)
+
+
+def test_exclusion_audit_names_a_range_that_matches_no_segment(lab, fixtures):
+    """A validly countersigned record without a ``target`` vouches for no
+    segment, so a bare range stays unaccounted for."""
+    signed = fixtures["bound-timestamp"]
+    image = signed.find_label("image").range
+
+    def exclude_inside_the_image(claim):
+        exclusions = tuple(sorted(claim.binding.exclusions + (ByteRange(image.start + 1, 4),)))
+        return dataclasses.replace(claim, binding=dataclasses.replace(claim.binding, exclusions=exclusions))
+
+    record = Assertion(REDACTION_LABEL, {"redactor": lab.redactor.chain[0].subject})
+    data = _with_records(
+        signed,
+        edit_claim=exclude_inside_the_image,
+        records=(record,),
+        countersignatures=(_countersign(lab.redactor, encode_record(record)),),
+    )
+    start = parse_asset(data).find_label("image").range.start + 1
+    audit = validate(data, hardened_at(lab)).check("exclusion-audit")
+    assert audit.outcome == CheckOutcome.FAIL
+    assert audit.detail == f"non-manifest exclusions without countersigned redaction: [{start},4)"
+
+
+# ---------------------------------------------------------------------------
+# signer chains the corpus never holds
+# ---------------------------------------------------------------------------
+
+def _with_signer_chain(fixtures, chain):
+    signed = fixtures["bound-timestamp"]
+    manifest = decode_manifest(extract_manifest(signed))
+    claim_signature = dataclasses.replace(manifest.claim_signature, signer_chain=chain)
+    edited = dataclasses.replace(manifest, claim_signature=claim_signature)
+    return serialize_asset(replace_manifest(signed, encode_manifest(edited)))
+
+
+def test_an_empty_signer_chain_cannot_sign(lab, fixtures):
+    signature = validate(_with_signer_chain(fixtures, ()), spec_at(lab)).check("signature")
+    assert (signature.outcome, signature.detail) == (CheckOutcome.FAIL, "empty signer chain")
+
+
+def test_a_root_alone_passes_the_chain_but_cannot_sign(lab, fixtures):
+    report = validate(_with_signer_chain(fixtures, (lab.signing.cert,)), spec_at(lab))
+    assert report.check("chain").outcome == CheckOutcome.PASS
+    signature = report.check("signature")
+    assert (signature.outcome, signature.detail) == (
+        CheckOutcome.FAIL,
+        "leaf usage ROOT cannot sign claims",
+    )
+
+
+def test_a_one_certificate_chain_asks_its_own_certificate_for_status(lab, fixtures):
+    """With no issuer in the chain, the status response must verify under
+    the chain's only certificate."""
+    with run_status_service(lab.signing) as service:
+        policy = spec_policy(
+            lab.trust,
+            DEFAULT_VALIDATION_TIME,
+            revocation_mode=RevocationMode.STATUS_SERVICE_HARD_FAIL,
+            status_endpoint=service.endpoint,
+        )
+        report = validate(_with_signer_chain(fixtures, (lab.signing.cert,)), policy)
+    revocation = report.check("revocation")
+    assert (revocation.outcome, revocation.detail) == (CheckOutcome.PASS, "serial 1 status GOOD")
 
 
 # ---------------------------------------------------------------------------
