@@ -875,9 +875,10 @@ def parse_time(text: str) -> int:
 
 
 def parse_endpoint(text: str) -> tuple[str, int]:
-    """``(host, port)`` from a ``host:port`` status-service address."""
+    """``(host, port)`` from a ``host:port`` status-service address; port 0
+    names no listening service, so the port is one of ``1 … 65535``."""
     host, _, port = text.rpartition(":")
-    if host and port.isascii() and port.isdigit() and int(port) < 65536:
+    if host and port.isascii() and port.isdigit() and 0 < int(port) < 65536:
         return host, int(port)
     raise ValueError(f"bad status endpoint {text!r}")
 

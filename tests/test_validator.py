@@ -63,6 +63,7 @@ from provlab.validator import (
     Verdict,
     exit_code_for,
     hardened_policy,
+    parse_endpoint,
     parse_policy_text,
     parse_time,
     render_differential,
@@ -998,6 +999,14 @@ def test_policy_text_parsing():
     assert fields["file_integrity"] == FileIntegrity.STRONG
     assert fields["validation_time"] == 1735776000
     assert fields["status_endpoint"] == ("127.0.0.1", 8443)
+
+
+def test_parse_endpoint_takes_ports_1_to_65535():
+    assert parse_endpoint("127.0.0.1:65535") == ("127.0.0.1", 65535)
+    assert parse_endpoint("127.0.0.1:1") == ("127.0.0.1", 1)
+    for text in ("127.0.0.1:65536", "127.0.0.1:0"):
+        with pytest.raises(ValueError, match="bad status endpoint"):
+            parse_endpoint(text)
 
 
 def test_readme_policy_example_parses():
