@@ -24,11 +24,11 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .container import HardBinding
-from .crypto import SigningKey, digest
+from .crypto import digest
 from .errors import ProvenanceError
 from .records import decode_record, encode_record
 from .timestamp import TimestampToken
-from .trust import Certificate
+from .trust import Certificate, Identity
 
 REDACTION_LABEL = "prov.redaction"
 
@@ -40,11 +40,6 @@ Scalar = str | int | float | bytes
 class BindingMode(str, Enum):
     UNBOUND = "UNBOUND"
     BOUND = "BOUND"
-
-
-class RedactionMode(str, Enum):
-    SPEC_DROP = "SPEC_DROP"
-    HARDENED_COUNTERSIGN = "HARDENED_COUNTERSIGN"
 
 
 def _check_label(label: str) -> None:
@@ -110,12 +105,6 @@ class Manifest:
     redaction_signatures: tuple[ClaimSignature, ...] = ()
     archival_tokens: tuple[TimestampToken, ...] = ()
 
-    def find_assertion(self, label: str) -> Assertion | None:
-        for assertion in self.assertions:
-            if assertion.label == label:
-                return assertion
-        return None
-
 
 # ---------------------------------------------------------------------------
 # canonical encoding entry points
@@ -149,41 +138,34 @@ def digest_assertion(assertion: Assertion) -> bytes:
 # ---------------------------------------------------------------------------
 
 def redact_assertion(
-    manifest: Manifest,
-    label: str,
-    mode: RedactionMode,
-    redactor_key: SigningKey | None = None,
-    redactor_chain: tuple[Certificate, ...] = (),
-    redactor_name: str = "",
+    manifest: Manifest, label: str, redactor: Identity | None = None
 ) -> Manifest:
     """Remove an assertion from the manifest, leaving its digest tombstone.
 
-    ``SPEC_DROP`` just drops the assertion.  ``HARDENED_COUNTERSIGN``
-    additionally appends a ``prov.redaction`` record naming the removed
-    assertion and a countersignature over that record by the redactor's key,
-    which is what a strict validator demands before accepting a tombstone.
+    With no ``redactor`` the assertion is just dropped, as the format allows.
+    With one, a ``prov.redaction`` record naming the removed assertion and the
+    redactor's countersignature over that record are appended, which is what a
+    strict validator demands before accepting a tombstone.
     """
     if label == REDACTION_LABEL:
         raise ProvenanceError("redaction records may not be redacted")
-    target = manifest.find_assertion(label)
+    target = next((a for a in manifest.assertions if a.label == label), None)
     if target is None:
         raise ProvenanceError(f"no assertion labelled {label!r}")
     remaining = tuple(a for a in manifest.assertions if a.label != label)
-    if mode == RedactionMode.SPEC_DROP:
+    if redactor is None:
         return replace(manifest, assertions=remaining)
-    if redactor_key is None or not redactor_chain:
-        raise ValueError("countersigned redaction requires the redactor's key and chain")
     record = Assertion(
         REDACTION_LABEL,
         {
             "target": label,
             "original_digest": digest_assertion(target),
-            "redactor": redactor_name or redactor_chain[0].subject,
+            "redactor": redactor.chain[0].subject,
         },
     )
     countersignature = ClaimSignature(
-        signer_chain=tuple(redactor_chain),
-        signature=redactor_key.sign(encode_record(record)),
+        signer_chain=redactor.chain,
+        signature=redactor.key.sign(encode_record(record)),
         timestamp=None,
         binding_mode=BindingMode.UNBOUND,
     )

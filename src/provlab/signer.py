@@ -53,9 +53,9 @@ from .crypto import DIGEST_SIZE, SIGNATURE_SIZE, SigningKey, digest, derive_stre
 from .errors import ProvenanceError
 from .records import encode_record
 from .timestamp import TimestampAuthority, TimestampToken
-from .trust import Certificate, Usage
+from .trust import Certificate, Identity, Usage
 from .validator import Verdict
-from .workspace import DAY, T0, YEAR, Identity, Workspace
+from .workspace import DAY, T0, YEAR, Workspace
 
 CLAIM_SPEC_VERSION = "1.0"
 

@@ -50,6 +50,14 @@ class Certificate:
         return self.not_before <= at_time <= self.not_after
 
 
+@dataclass(frozen=True)
+class Identity:
+    """A leaf key with its verification chain, leaf first."""
+
+    key: SigningKey
+    chain: tuple[Certificate, ...]
+
+
 def certificate_template_bytes(cert: Certificate) -> bytes:
     """Canonical bytes the issuer signs: every field but the signature."""
     return encode_record(cert, omit=("issuer_signature",))

@@ -39,6 +39,7 @@ from .container import (
 )
 from .credentials import (
     REDACTION_LABEL,
+    Assertion,
     BindingMode,
     Manifest,
     decode_manifest,
@@ -266,38 +267,23 @@ def _effective_exclusions(
     )
 
 
-def _valid_redaction_record(
-    manifest: Manifest,
-    target_label: str,
-    expected_digest: bytes | None,
-    policy: ValidationPolicy,
-) -> bool:
-    """A countersigned redaction record covering ``target_label``."""
-    for assertion in manifest.assertions:
-        if assertion.label != REDACTION_LABEL:
-            continue
-        if assertion.payload.get("target") != target_label:
-            continue
-        if (
-            expected_digest is not None
-            and assertion.payload.get("original_digest") != expected_digest
-        ):
-            continue
-        record_bytes = encode_record(assertion)
-        for countersignature in manifest.redaction_signatures:
-            if not countersignature.signer_chain:
-                continue
-            leaf = countersignature.signer_chain[0]
-            if leaf.usage != Usage.LEAF_SIGNING:
-                continue
-            if not verify_once(leaf.public_key, record_bytes, countersignature.signature):
-                continue
-            chain_verdict = verify_chain(
-                countersignature.signer_chain, policy.trust, policy.validation_time
-            )
-            if chain_verdict.valid:
-                return True
-    return False
+def _vouched_records(manifest: Manifest, policy: ValidationPolicy) -> list[Assertion]:
+    """The redaction records some countersignature vouches for: its leaf may
+    sign, its chain is valid at the validation time and it verifies over the
+    record.  Any such countersignature vouches for any record."""
+    trusted = [
+        (chain[0].public_key, countersignature.signature)
+        for countersignature in manifest.redaction_signatures
+        if (chain := countersignature.signer_chain)
+        and chain[0].usage == Usage.LEAF_SIGNING
+        and verify_chain(chain, policy.trust, policy.validation_time).valid
+    ]
+    return [
+        record
+        for record in manifest.assertions
+        if record.label == REDACTION_LABEL
+        and any(verify_once(key, encode_record(record), sig) for key, sig in trusted)
+    ]
 
 
 # -- gates: the SKIPPED detail, or None when the check runs --------------------
@@ -408,19 +394,17 @@ def _check_hard_binding(run: _Run) -> _Result:
 def _check_exclusion_audit(run: _Run) -> _Result:
     if run.effective_exclusions is None:
         return CheckOutcome.FAIL, "exclusions could not be resolved"
+    vouched = {r.payload.get("target") for r in _vouched_records(run.manifest, run.policy)}
     unaccounted: list[str] = []
     for rng in run.effective_exclusions:
         if run.manifest_segment.range.contains(rng):
             continue
-        segment = next(
-            (s for s in run.asset.segments if s.range == rng), None
-        )
-        if segment is not None and _valid_redaction_record(
-            run.manifest, segment.label, None, run.policy
-        ):
-            continue
-        label = segment.label if segment is not None else f"[{rng.start},{rng.length})"
-        unaccounted.append(label)
+        # only a segment's exact range can be vouched for, and only by its label
+        segment = next((s for s in run.asset.segments if s.range == rng), None)
+        if segment is None:
+            unaccounted.append(f"[{rng.start},{rng.length})")
+        elif segment.label not in vouched:
+            unaccounted.append(segment.label)
     if unaccounted:
         return (
             CheckOutcome.FAIL,
@@ -578,13 +562,12 @@ def _check_redaction_audit(run: _Run) -> _Result:
             CheckOutcome.PASS,
             f"{len(tombstones)} tombstone(s) accepted without countersignature",
         )
-    missing = [
-        label
-        for label in tombstones
-        if not _valid_redaction_record(
-            run.manifest, label, run.manifest.claim.digest_for(label), run.policy
-        )
-    ]
+    vouched = {
+        (record.payload.get("target"), record.payload.get("original_digest"))
+        for record in _vouched_records(run.manifest, run.policy)
+    }
+    claim = run.manifest.claim
+    missing = [label for label in tombstones if (label, claim.digest_for(label)) not in vouched]
     if missing:
         return (
             CheckOutcome.FAIL,

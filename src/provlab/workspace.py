@@ -27,11 +27,11 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .crypto import SigningKey, derive_signing_key
+from .crypto import derive_signing_key
 from .errors import DecodeError, ProvenanceError
 from .records import record_from_value, record_value
 from .timestamp import TimestampAuthority
-from .trust import Authority, Certificate, TrustList, Usage, issue_certificate
+from .trust import Authority, Certificate, Identity, TrustList, Usage, issue_certificate
 
 # Fixed model epoch: 2025-01-01T00:00:00Z.  All windows and clocks are
 # offsets from this value; wall-clock time never enters the model.
@@ -49,14 +49,6 @@ DEVICE_SERIAL = 100
 REDACTOR_SERIAL = 107
 
 STATE_FILE = "workspace.json"
-
-
-@dataclass(frozen=True)
-class Identity:
-    """A leaf key with its verification chain."""
-
-    key: SigningKey
-    chain: tuple[Certificate, ...]
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from provlab.credentials import (
     Claim,
     ClaimSignature,
     Manifest,
-    RedactionMode,
     decode_manifest,
     digest_assertion,
     encode_manifest,
@@ -187,7 +186,7 @@ def test_signed_payload_bound_appends_token_digest(lab, manifest):
 # ---------------------------------------------------------------------------
 
 def test_drop_mode_redaction(manifest):
-    redacted = redact_assertion(manifest, "std.gps", RedactionMode.SPEC_DROP)
+    redacted = redact_assertion(manifest, "std.gps")
     labels = [a.label for a in redacted.assertions]
     assert "std.gps" not in labels
     # claim (and its digest list) are untouched: the tombstone is implicit
@@ -197,21 +196,14 @@ def test_drop_mode_redaction(manifest):
 
 
 def test_countersigned_redaction(lab, manifest):
-    redacted = redact_assertion(
-        manifest,
-        "std.gps",
-        RedactionMode.HARDENED_COUNTERSIGN,
-        redactor_key=lab.redactor.key,
-        redactor_chain=lab.redactor.chain,
-        redactor_name="newsroom-redactor",
-    )
+    redacted = redact_assertion(manifest, "std.gps", lab.redactor)
     labels = [a.label for a in redacted.assertions]
     assert "std.gps" not in labels
     assert REDACTION_LABEL in labels
-    record = redacted.find_assertion(REDACTION_LABEL)
+    record = next(a for a in redacted.assertions if a.label == REDACTION_LABEL)
     assert record.payload["target"] == "std.gps"
     assert record.payload["original_digest"] == manifest.claim.digest_for("std.gps")
-    assert record.payload["redactor"] == "newsroom-redactor"
+    assert record.payload["redactor"] == lab.redactor.chain[0].subject
     assert len(redacted.redaction_signatures) == 1
     countersignature = redacted.redaction_signatures[0]
     assert verify(
@@ -224,18 +216,11 @@ def test_countersigned_redaction(lab, manifest):
 
 
 def test_redaction_record_not_redactable(lab, manifest):
-    redacted = redact_assertion(
-        manifest,
-        "std.gps",
-        RedactionMode.HARDENED_COUNTERSIGN,
-        redactor_key=lab.redactor.key,
-        redactor_chain=lab.redactor.chain,
-        redactor_name="r",
-    )
+    redacted = redact_assertion(manifest, "std.gps", lab.redactor)
     with pytest.raises(ProvenanceError, match="redaction records may not be redacted"):
-        redact_assertion(redacted, REDACTION_LABEL, RedactionMode.SPEC_DROP)
+        redact_assertion(redacted, REDACTION_LABEL)
 
 
 def test_redacting_missing_label_fails(manifest):
     with pytest.raises(ProvenanceError, match="no assertion labelled 'std.nope'"):
-        redact_assertion(manifest, "std.nope", RedactionMode.SPEC_DROP)
+        redact_assertion(manifest, "std.nope")

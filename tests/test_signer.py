@@ -204,7 +204,7 @@ def test_bound_mode_adds_created_assertion(lab, honest_content):
     asset, _ = honest_content
     signed = sign_asset(asset, [], unbound_config(lab, binding_mode=BindingMode.BOUND))
     manifest = decode_manifest(extract_manifest(signed))
-    created = manifest.find_assertion("std.created")
+    created = next((a for a in manifest.assertions if a.label == "std.created"), None)
     assert created is not None
     assert created.payload == {"at": T0}
 

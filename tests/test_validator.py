@@ -25,7 +25,6 @@ from provlab.credentials import (
     Assertion,
     BindingMode,
     ClaimSignature,
-    RedactionMode,
     decode_manifest,
     encode_manifest,
     redact_assertion,
@@ -695,7 +694,7 @@ def test_redaction_weak_vs_strong(lab, fixtures):
     manifest = decode_manifest(extract_manifest(signed))
 
     dropped = replace_manifest(
-        signed, encode_manifest(redact_assertion(manifest, "std.actions", RedactionMode.SPEC_DROP))
+        signed, encode_manifest(redact_assertion(manifest, "std.actions"))
     )
     spec_report = validate(serialize_asset(dropped), spec_at(lab))
     assert spec_report.verdict == Verdict.ACCEPTED_WITH_REDACTION
@@ -708,14 +707,7 @@ def test_redaction_weak_vs_strong(lab, fixtures):
     countersigned = replace_manifest(
         signed,
         encode_manifest(
-            redact_assertion(
-                manifest,
-                "std.actions",
-                RedactionMode.HARDENED_COUNTERSIGN,
-                redactor_key=lab.redactor.key,
-                redactor_chain=lab.redactor.chain,
-                redactor_name="newsroom",
-            )
+            redact_assertion(manifest, "std.actions", lab.redactor)
         ),
     )
     hard_ok = validate(serialize_asset(countersigned), hardened_at(lab))
@@ -728,7 +720,7 @@ def test_human_report_lists_the_redactions(lab, fixtures):
     signed = fixtures["bound-timestamp"]
     manifest = decode_manifest(extract_manifest(signed))
     dropped = replace_manifest(
-        signed, encode_manifest(redact_assertion(manifest, "std.actions", RedactionMode.SPEC_DROP))
+        signed, encode_manifest(redact_assertion(manifest, "std.actions"))
     )
     text = render_report(validate(serialize_asset(dropped), spec_at(lab)))
     assert text.endswith("\nredactions: std.actions\n")
