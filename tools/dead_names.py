@@ -1,0 +1,58 @@
+"""Fail when a name that ``src/provlab`` defines is used nowhere.
+
+Every top-level function, class and assigned name of a ``src/provlab``
+module, and every method of a top-level class, must appear in ``src/``,
+``tests/``, ``perfbench/`` or ``tools/`` somewhere besides its own
+definition.  A mention inside a string counts, because the benchmark tracer
+names the functions it hooks in strings.  Dunder names are called implicitly
+and are not checked.  Stdlib only; exits 1 and lists the dead names.
+
+    python3 tools/dead_names.py
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+import sys
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SEARCHED = ("src", "tests", "perfbench", "tools")
+
+
+def defined_names(tree: ast.Module):
+    """``(name, line)`` of each top-level definition and top-level class method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield member.name, member.lineno
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node.lineno
+
+
+def main() -> int:
+    words = Counter()
+    for directory in SEARCHED:
+        for path in (ROOT / directory).rglob("*.py"):
+            words.update(re.findall(r"\w+", path.read_text()))
+    dead = [
+        f"{path.relative_to(ROOT)}:{line}: {name} appears only in its definition"
+        for path in sorted((ROOT / "src" / "provlab").glob("*.py"))
+        for name, line in defined_names(ast.parse(path.read_text()))
+        if not name.startswith("__") and words[name] <= 1
+    ]
+    print("\n".join(dead) or "no dead names")
+    return 1 if dead else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
