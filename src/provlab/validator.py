@@ -27,6 +27,7 @@ import json
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from enum import Enum
+from functools import cached_property
 
 from .container import (
     Asset,
@@ -245,6 +246,26 @@ class _Run:
         self.malformed = False
         self.displayed = DisplayedTime(None, TimeProvenance.ABSENT)
 
+    @cached_property
+    def vouched_records(self) -> list[Assertion]:
+        """The redaction records some countersignature vouches for: its leaf
+        may sign, its chain is valid at the validation time and it verifies
+        over the record.  Any such countersignature vouches for any record.
+        Both redaction audits read this one set, so it is judged once."""
+        trusted = [
+            (chain[0].public_key, countersignature.signature)
+            for countersignature in self.manifest.redaction_signatures
+            if (chain := countersignature.signer_chain)
+            and chain[0].usage == Usage.LEAF_SIGNING
+            and verify_chain(chain, self.policy.trust, self.policy.validation_time).valid
+        ]
+        records = [r for r in self.manifest.assertions if r.label == REDACTION_LABEL]
+        return [
+            record
+            for record, record_bytes in zip(records, map(encode_record, records))
+            if any(verify_once(key, record_bytes, sig) for key, sig in trusted)
+        ]
+
 
 def _effective_exclusions(
     declared: tuple[ByteRange, ...], manifest_segment: Segment
@@ -265,25 +286,6 @@ def _effective_exclusions(
     return tuple(
         sorted(current if rng == anchor else rng.moved(anchor.end, delta) for rng in declared)
     )
-
-
-def _vouched_records(manifest: Manifest, policy: ValidationPolicy) -> list[Assertion]:
-    """The redaction records some countersignature vouches for: its leaf may
-    sign, its chain is valid at the validation time and it verifies over the
-    record.  Any such countersignature vouches for any record."""
-    trusted = [
-        (chain[0].public_key, countersignature.signature)
-        for countersignature in manifest.redaction_signatures
-        if (chain := countersignature.signer_chain)
-        and chain[0].usage == Usage.LEAF_SIGNING
-        and verify_chain(chain, policy.trust, policy.validation_time).valid
-    ]
-    return [
-        record
-        for record in manifest.assertions
-        if record.label == REDACTION_LABEL
-        and any(verify_once(key, encode_record(record), sig) for key, sig in trusted)
-    ]
 
 
 # -- gates: the SKIPPED detail, or None when the check runs --------------------
@@ -394,12 +396,11 @@ def _check_hard_binding(run: _Run) -> _Result:
 def _check_exclusion_audit(run: _Run) -> _Result:
     if run.effective_exclusions is None:
         return CheckOutcome.FAIL, "exclusions could not be resolved"
-    vouched = {r.payload.get("target") for r in _vouched_records(run.manifest, run.policy)}
+    vouched = {record.payload.get("target") for record in run.vouched_records}
     unaccounted: list[str] = []
     for rng in run.effective_exclusions:
         if run.manifest_segment.range.contains(rng):
             continue
-        # only a segment's exact range can be vouched for, and only by its label
         segment = next((s for s in run.asset.segments if s.range == rng), None)
         if segment is None:
             unaccounted.append(f"[{rng.start},{rng.length})")
@@ -564,7 +565,7 @@ def _check_redaction_audit(run: _Run) -> _Result:
         )
     vouched = {
         (record.payload.get("target"), record.payload.get("original_digest"))
-        for record in _vouched_records(run.manifest, run.policy)
+        for record in run.vouched_records
     }
     claim = run.manifest.claim
     missing = [label for label in tombstones if (label, claim.digest_for(label)) not in vouched]
