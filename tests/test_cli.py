@@ -165,7 +165,9 @@ def test_an_unreadable_or_unwritable_path_exits_4_naming_it(cliws, tmp_path, cap
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("endpoint", ["8080", ":8080", "localhost:", "localhost:http", "127.0.0.1:0"])
+@pytest.mark.parametrize(
+    "endpoint", ["8080", ":8080", "localhost:", "localhost:http", "127.0.0.1:0"]
+)
 def test_bad_status_endpoint_exits_4(cliws, capsys, endpoint):
     assert main(["--workspace", str(cliws), "sign", "--scenario", "honest"]) == 0
     asset = str(cliws / "fixtures" / "honest" / "asset.pvl")

@@ -735,7 +735,9 @@ def _countersign(identity, signed_bytes):
     return ClaimSignature(identity.chain, signature, None, BindingMode.UNBOUND)
 
 
-def _with_records(signed, edit_claim=lambda claim: claim, drop=(), records=(), countersignatures=()):
+def _with_records(
+    signed, edit_claim=lambda claim: claim, drop=(), records=(), countersignatures=()
+):
     """``signed`` with its claim edited, the assertions labelled in ``drop``
     removed, and ``records`` and ``countersignatures`` appended."""
     manifest = decode_manifest(extract_manifest(signed))
@@ -782,7 +784,14 @@ def test_redaction_audit_passes_a_record_the_redactor_countersigns(lab, fixtures
 
 @pytest.mark.parametrize(
     "case",
-    ["another target", "another digest", "empty chain", "TSA leaf", "other bytes", "untrusted root"],
+    [
+        "another target",
+        "another digest",
+        "empty chain",
+        "TSA leaf",
+        "other bytes",
+        "untrusted root",
+    ],
 )
 def test_redaction_audit_refuses_a_record_no_countersignature_vouches_for(lab, fixtures, case):
     report = validate(_actions_redaction(lab, fixtures, case), hardened_at(lab))
@@ -797,7 +806,8 @@ def bound_gps(lab):
     scenario = SCENARIOS["gps-excluded"]
     asset, assertions, generator = build_scenario_content(scenario, lab.seed)
     config = scenario_signer(lab, scenario, generator)
-    return sign_asset(asset, assertions, dataclasses.replace(config, binding_mode=BindingMode.BOUND))
+    bound = dataclasses.replace(config, binding_mode=BindingMode.BOUND)
+    return sign_asset(asset, assertions, bound)
 
 
 @pytest.mark.parametrize(
@@ -817,10 +827,11 @@ def test_exclusion_audit_reads_the_countersigned_record_for_the_segment(
     """A countersigned record naming ``meta.gps`` accounts for its exclusion,
     though the record binds neither the claim nor the GPS bytes: this PASS is
     the countersigned-exclusion fail-open that ROADMAP item 10 closes."""
-    record = Assertion(REDACTION_LABEL, {"target": target, "redactor": lab.redactor.chain[0].subject})
-    data = _with_records(
-        bound_gps, records=(record,), countersignatures=(_countersign(lab.redactor, encode_record(record)),)
+    record = Assertion(
+        REDACTION_LABEL, {"target": target, "redactor": lab.redactor.chain[0].subject}
     )
+    countersignature = _countersign(lab.redactor, encode_record(record))
+    data = _with_records(bound_gps, records=(record,), countersignatures=(countersignature,))
     audit = validate(data, hardened_at(lab)).check("exclusion-audit")
     assert (audit.outcome, audit.detail) == (outcome, detail)
 
@@ -833,7 +844,8 @@ def test_exclusion_audit_names_a_range_that_matches_no_segment(lab, fixtures):
 
     def exclude_inside_the_image(claim):
         exclusions = tuple(sorted(claim.binding.exclusions + (ByteRange(image.start + 1, 4),)))
-        return dataclasses.replace(claim, binding=dataclasses.replace(claim.binding, exclusions=exclusions))
+        binding = dataclasses.replace(claim.binding, exclusions=exclusions)
+        return dataclasses.replace(claim, binding=binding)
 
     record = Assertion(REDACTION_LABEL, {"redactor": lab.redactor.chain[0].subject})
     data = _with_records(
