@@ -32,7 +32,8 @@ from provlab.credentials import (
 from provlab.encoding import decode_value, encode_value
 from provlab.errors import DecodeError, ProvenanceError
 from provlab.container import compute_hard_binding, replace_manifest
-from provlab.crypto import derive_signing_key
+from provlab import crypto, validator
+from provlab.crypto import derive_signing_key, verify_once
 from provlab.records import encode_record
 from provlab.signer import (
     DEFAULT_VALIDATION_TIME,
@@ -858,6 +859,85 @@ def test_exclusion_audit_names_a_range_that_matches_no_segment(lab, fixtures):
     audit = validate(data, hardened_at(lab)).check("exclusion-audit")
     assert audit.outcome == CheckOutcome.FAIL
     assert audit.detail == f"non-manifest exclusions without countersigned redaction: [{start},4)"
+
+
+# ---------------------------------------------------------------------------
+# work growth: doubling a repeated manifest field at most doubles the work
+# ---------------------------------------------------------------------------
+
+def _countersignatures_layout(lab, fixtures, n):
+    """``bound-timestamp`` with ``std.actions`` dropped, n records for it and
+    n countersignatures under the redactor's chain over other bytes."""
+    signed = fixtures["bound-timestamp"]
+    original = decode_manifest(extract_manifest(signed)).claim.digest_for("std.actions")
+    records = tuple(
+        Assertion(
+            REDACTION_LABEL,
+            {"target": "std.actions", "original_digest": original, "redactor": f"r{i}"},
+        )
+        for i in range(n)
+    )
+    countersignatures = tuple(_countersign(lab.redactor, b"junk %d" % i) for i in range(n))
+    return _with_records(
+        signed, drop=("std.actions",), records=records, countersignatures=countersignatures
+    )
+
+
+def _archival_tokens_layout(lab, fixtures, n):
+    asset = fixtures["short-lived-cert"]
+    for _ in range(n):
+        asset = archival_extend(asset, lab.tsa(), clock=T0 + 15 * DAY)
+    return b(asset)
+
+
+def _assertions_layout(lab, fixtures, n):
+    """``bound-timestamp`` with n assertions its claim does not list."""
+    extra = tuple(Assertion(f"meta.extra{i}", {"i": i}) for i in range(n))
+    return _with_records(fixtures["bound-timestamp"], records=extra)
+
+
+# layout -> (builder, hardened validation time)
+_GROWTH_LAYOUTS = {
+    "countersignatures": (_countersignatures_layout, DEFAULT_VALIDATION_TIME),
+    "archival-tokens": (_archival_tokens_layout, T0 + YEAR),
+    "assertions": (_assertions_layout, DEFAULT_VALIDATION_TIME),
+}
+
+# the (layout, count) pairs known to grow faster than their input; the fix
+# for each removes its pin (ROADMAP items 10 and 14)
+_SUPERLINEAR = {("countersignatures", "verifies"), ("archival-tokens", "bytes hashed")}
+
+
+@pytest.mark.parametrize("layout", list(_GROWTH_LAYOUTS))
+def test_doubling_a_repeated_field_at_most_doubles_the_work(lab, fixtures, monkeypatch, layout):
+    """Counts Ed25519 verifies and the bytes ``validator`` hashes in one cold
+    validation at n = 10 and n = 20.  A count that more than doubles must be
+    pinned, and a pinned count must still more than double."""
+    build, at = _GROWTH_LAYOUTS[layout]
+    work = {"verifies": 0, "bytes hashed": 0}
+    raw_verify, raw_digest = crypto.verify, validator.digest
+
+    def verify(public_key, message, signature):
+        work["verifies"] += 1
+        return raw_verify(public_key, message, signature)
+
+    def digest(data):
+        work["bytes hashed"] += len(data)
+        return raw_digest(data)
+
+    monkeypatch.setattr(crypto, "verify", verify)
+    monkeypatch.setattr(validator, "digest", digest)
+    counts = []
+    for n in (10, 20):
+        data, policy = build(lab, fixtures, n), hardened_at(lab, at)
+        verify_once.cache_clear()
+        work.update(dict.fromkeys(work, 0))
+        validate(data, policy)
+        counts.append(dict(work))
+    verify_once.cache_clear()
+    at_n, at_2n = counts
+    superlinear = {(layout, count) for count in work if at_2n[count] > 2 * at_n[count]}
+    assert superlinear == {pin for pin in _SUPERLINEAR if pin[0] == layout}, counts
 
 
 # ---------------------------------------------------------------------------
