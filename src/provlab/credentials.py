@@ -143,9 +143,9 @@ def redact_assertion(
     """Remove an assertion from the manifest, leaving its digest tombstone.
 
     With no ``redactor`` the assertion is just dropped, as the format allows.
-    With one, a ``prov.redaction`` record naming the removed assertion and the
-    redactor's countersignature over that record are appended, which is what a
-    strict validator demands before accepting a tombstone.
+    With one, a ``prov.redaction`` record naming it and the redactor's
+    countersignature over that record are appended at the same position, the
+    pairing a strict validator demands before accepting a tombstone.
     """
     if label == REDACTION_LABEL:
         raise ProvenanceError("redaction records may not be redacted")

@@ -248,22 +248,22 @@ class _Run:
 
     @cached_property
     def vouched_records(self) -> list[Assertion]:
-        """The redaction records some countersignature vouches for: its leaf
-        may sign, its chain is valid at the validation time and it verifies
-        over the record.  Any such countersignature vouches for any record.
-        Both redaction audits read this one set, so it is judged once."""
-        trusted = [
-            (chain[0].public_key, countersignature.signature)
-            for countersignature in self.manifest.redaction_signatures
+        """The redaction records their countersignatures vouch for: the i-th
+        signature answers for the i-th ``prov.redaction`` record alone, when
+        its leaf may sign, its chain is valid at the validation time and it
+        verifies over that record.  A count mismatch vouches for no record.
+        Both audits read this one set, so each countersignature is judged once."""
+        records = [r for r in self.manifest.assertions if r.label == REDACTION_LABEL]
+        countersignatures = self.manifest.redaction_signatures
+        if len(records) != len(countersignatures):
+            return []
+        return [
+            record
+            for record, countersignature in zip(records, countersignatures)
             if (chain := countersignature.signer_chain)
             and chain[0].usage == Usage.LEAF_SIGNING
             and verify_chain(chain, self.policy.trust, self.policy.validation_time).valid
-        ]
-        records = [r for r in self.manifest.assertions if r.label == REDACTION_LABEL]
-        return [
-            record
-            for record, record_bytes in zip(records, map(encode_record, records))
-            if any(verify_once(key, record_bytes, sig) for key, sig in trusted)
+            and verify_once(chain[0].public_key, encode_record(record), countersignature.signature)
         ]
 
 
