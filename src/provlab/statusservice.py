@@ -93,11 +93,13 @@ class StatusService:
         self.authority = authority
         self.query_log: list[int] = []
         self.refused = 0
+        if not 0 <= port <= 65535:
+            raise ProvenanceError(f"cannot bind {host}:{port}: port must be 0-65535")
         try:
             # a burst of clients must fit the backlog: each dropped SYN costs
             # the client a 1 s then 3 s retransmit
             self._listener = socket.create_server((host, port), backlog=128)
-        except (OSError, OverflowError) as exc:  # OverflowError: a port outside 0-65535
+        except OSError as exc:
             raise ProvenanceError(f"cannot bind {host}:{port}: {exc}") from exc
         self._listener.setblocking(False)
         self.endpoint: tuple[str, int] = self._listener.getsockname()[:2]
