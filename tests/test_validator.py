@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -1038,6 +1039,17 @@ def test_differential_agreement_and_divergence(lab, fixtures):
     assert "G4" in rendered and "VIOLATED" in rendered
 
 
+def test_differential_rendering_lists_the_diverging_checks(lab, fixtures):
+    diff = validate_differential(b(fixtures["unbound-timestamp"]), spec_at(lab), hardened_at(lab))
+    lines = render_differential(diff).splitlines()
+    assert lines[5:] == [
+        "diverging checks:",
+        "  exclusion-audit    SKIPPED vs PASS",
+        "  revocation         SKIPPED vs PASS",
+        "  timestamp          PASS    vs FAIL",
+    ]
+
+
 def test_differential_of_malformed_input_exits_4(lab):
     diff = validate_differential(b"garbage", spec_at(lab), hardened_at(lab))
     assert diff.agree and diff.exit_code == 4
@@ -1118,6 +1130,19 @@ def test_policy_text_parsing():
     assert fields["file_integrity"] == FileIntegrity.STRONG
     assert fields["validation_time"] == 1735776000
     assert fields["status_endpoint"] == ("127.0.0.1", 8443)
+
+
+def test_parse_time_reads_a_stamp_without_offset_as_utc(monkeypatch):
+    """The local zone never shifts a stamp: one without an offset is UTC, and
+    an explicit offset is honoured.  1735689600 is 2025-01-01T00:00:00Z."""
+    monkeypatch.setenv("TZ", "IST-05:30")  # a POSIX zone 5.5 hours east of UTC
+    time.tzset()
+    try:
+        assert parse_time("2025-01-01T00:00:00") == 1735689600
+        assert parse_time("2025-01-01T02:00:00+02:00") == 1735689600
+    finally:
+        monkeypatch.undo()
+        time.tzset()
 
 
 def test_parse_endpoint_takes_ports_1_to_65535():
