@@ -4,7 +4,9 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import os
 import re
+import sys
 import time
 from pathlib import Path
 
@@ -13,6 +15,8 @@ import pytest
 from provlab.container import (
     ByteRange,
     SegmentKind,
+    build_asset,
+    embed_manifest,
     extract_manifest,
     parse_asset,
     serialize_asset,
@@ -27,6 +31,7 @@ from provlab.credentials import (
     BindingMode,
     ClaimSignature,
     decode_manifest,
+    digest_assertion,
     encode_manifest,
     redact_assertion,
 )
@@ -932,25 +937,78 @@ def _assertions_layout(lab, fixtures, n):
     return _with_records(fixtures["bound-timestamp"], records=extra)
 
 
-# layout -> (builder, hardened validation time)
+def _listed_assertions_layout(lab, fixtures, n):
+    """``bound-timestamp`` whose claim lists n more assertions, all present."""
+    extra = tuple(Assertion(f"meta.extra{i}", {"i": i}) for i in range(n))
+
+    def list_extra(claim):
+        listed = claim.assertion_digests + tuple((a.label, digest_assertion(a)) for a in extra)
+        return dataclasses.replace(claim, assertion_digests=listed)
+
+    return _with_records(fixtures["bound-timestamp"], edit_claim=list_extra, records=extra)
+
+
+def _with_metadata_segments(content, n):
+    """``content``, which carries no manifest, with n one-byte metadata
+    segments inserted before its trailer."""
+    parts = [(s.kind, s.label, content.payload(s)) for s in content.segments]
+    parts[-1:-1] = [(SegmentKind.METADATA, f"meta.m{i}", b"m") for i in range(n)]
+    return build_asset(parts)
+
+
+def _metadata_segments_layout(lab, fixtures, n):
+    """``bound-timestamp`` with n metadata segments added and its manifest
+    unchanged: the hard binding fails, and no key is used."""
+    signed = fixtures["bound-timestamp"]
+    content = _with_metadata_segments(strip_manifest(signed), n)
+    return b(embed_manifest(content, extract_manifest(signed)))
+
+
+def _excluded_segments_layout(lab, fixtures, n):
+    """``bound-timestamp`` content with n metadata segments, signed with all n
+    excluded: the hard binding passes, so metadata protection reads every
+    exclusion, and hardened refuses the exclusions at ``exclusion-audit``."""
+    scenario = SCENARIOS["bound-timestamp"]
+    asset, assertions, generator = build_scenario_content(scenario, lab.seed)
+    content = _with_metadata_segments(asset, n)
+    labels = tuple(f"meta.m{i}" for i in range(n))
+    config = dataclasses.replace(
+        scenario_signer(lab, scenario, generator), exclude_labels=labels
+    )
+    return b(sign_asset(content, assertions, config))
+
+
+# layout -> (builder, hardened validation time, n)
 _GROWTH_LAYOUTS = {
-    "countersignatures": (_countersignatures_layout, DEFAULT_VALIDATION_TIME),
-    "archival-tokens": (_archival_tokens_layout, T0 + YEAR),
-    "assertions": (_assertions_layout, DEFAULT_VALIDATION_TIME),
+    "countersignatures": (_countersignatures_layout, DEFAULT_VALIDATION_TIME, 10),
+    "archival-tokens": (_archival_tokens_layout, T0 + YEAR, 10),
+    "assertions": (_assertions_layout, DEFAULT_VALIDATION_TIME, 10),
+    "listed-assertions": (_listed_assertions_layout, DEFAULT_VALIDATION_TIME, 100),
+    "metadata-segments": (_metadata_segments_layout, DEFAULT_VALIDATION_TIME, 100),
+    "excluded-segments": (_excluded_segments_layout, DEFAULT_VALIDATION_TIME, 100),
 }
 
 # the (layout, count) pairs known to grow faster than their input; the fix
-# for each removes its pin (ROADMAP items 10 and 14)
-_SUPERLINEAR = {("archival-tokens", "bytes hashed")}
+# for each removes its pin (ROADMAP item 14)
+_SUPERLINEAR = {
+    ("archival-tokens", "bytes hashed"),
+    ("archival-tokens", "lines run"),
+    ("listed-assertions", "lines run"),
+    ("metadata-segments", "lines run"),
+    ("excluded-segments", "lines run"),
+}
+
+_PROVLAB = os.path.dirname(validator.__file__) + os.sep
 
 
 @pytest.mark.parametrize("layout", list(_GROWTH_LAYOUTS))
 def test_doubling_a_repeated_field_at_most_doubles_the_work(lab, fixtures, monkeypatch, layout):
-    """Counts Ed25519 verifies and the bytes ``validator`` hashes in one cold
-    validation at n = 10 and n = 20.  A count that more than doubles must be
-    pinned, and a pinned count must still more than double."""
-    build, at = _GROWTH_LAYOUTS[layout]
-    work = {"verifies": 0, "bytes hashed": 0}
+    """Counts Ed25519 verifies, the bytes ``validator`` hashes and the lines
+    run in ``provlab`` code in one cold validation at n and 2n.  A count that
+    more than doubles must be pinned, and a pinned count must still more than
+    double.  The line count sees Python work that the other two do not."""
+    build, at, n = _GROWTH_LAYOUTS[layout]
+    work = {"verifies": 0, "bytes hashed": 0, "lines run": 0}
     raw_verify, raw_digest = crypto.verify, validator.digest
 
     def verify(public_key, message, signature):
@@ -961,14 +1019,27 @@ def test_doubling_a_repeated_field_at_most_doubles_the_work(lab, fixtures, monke
         work["bytes hashed"] += len(data)
         return raw_digest(data)
 
+    def count_lines(frame, event, arg):
+        if event == "line":
+            work["lines run"] += 1
+        return count_lines
+
+    def trace_provlab(frame, event, arg):
+        return count_lines if frame.f_code.co_filename.startswith(_PROVLAB) else None
+
     monkeypatch.setattr(crypto, "verify", verify)
     monkeypatch.setattr(validator, "digest", digest)
     counts = []
-    for n in (10, 20):
-        data, policy = build(lab, fixtures, n), hardened_at(lab, at)
+    for size in (n, 2 * n):
+        data, policy = build(lab, fixtures, size), hardened_at(lab, at)
         verify_once.cache_clear()
         work.update(dict.fromkeys(work, 0))
-        validate(data, policy)
+        previous = sys.gettrace()
+        sys.settrace(trace_provlab)
+        try:
+            validate(data, policy)
+        finally:
+            sys.settrace(previous)
         counts.append(dict(work))
     verify_once.cache_clear()
     at_n, at_2n = counts
