@@ -11,14 +11,15 @@ Wire layout of an asset file::
         payload       payload-len bytes
 
 An :class:`Asset` is backed by the buffers its payloads live in, not by a
-copy of them.  A parsed asset reads its payloads in place from the wire
-buffer it was parsed from (``bytes`` or a read-only ``mmap``); each segment
-keeps the wire offset of its payload.  A built or edited asset holds one
-buffer per new payload and shares the rest with the asset it came from.  So
-parsing, hashing, embedding and splicing copy no payload the caller already
-holds.  :func:`serialize_asset` joins the chunks that :func:`write_asset` writes.
-An asset parsed from a mapping must not outlive it, and the mapped file must
-not change while the asset is in use.
+copy of them.  Each segment holds the buffer of its payload and the
+payload's offset in it, so reading one payload is one slice.  A parsed
+asset's segments share the wire buffer it was parsed from (``bytes`` or a
+read-only ``mmap``).  A built or edited asset holds one buffer per new
+payload and shares the rest with the asset it came from.  So parsing,
+hashing, embedding and splicing copy no payload the caller already holds.
+:func:`serialize_asset` joins the chunks that :func:`write_asset` writes.  An
+asset parsed from a mapping must not outlive it, and the mapped file must not
+change while the asset is in use.
 
 Addressing is unchanged by the backing: every byte range in this module
 (segment ranges, exclusion ranges, splices) addresses the *logical* content,
@@ -98,6 +99,13 @@ class Segment:
     kind: SegmentKind
     range: ByteRange
     label: str
+    # the payload is buffer[offset : offset + range.length]; equality ignores where it lives
+    buffer: Buffer = field(compare=False, repr=False)
+    offset: int = field(compare=False, repr=False)
+
+    def moved(self, at: int, delta: int) -> "Segment":
+        """This segment with its range moved (:meth:`ByteRange.moved`)."""
+        return Segment(self.kind, self.range.moved(at, delta), self.label, self.buffer, self.offset)
 
 
 @dataclass(frozen=True)
@@ -115,8 +123,6 @@ class Asset:
     payloads, whatever buffers back them."""
 
     segments: tuple[Segment, ...]
-    # per segment: the buffer holding its payload, and the payload's offset in it
-    sources: tuple[tuple[Buffer, int], ...] = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -135,19 +141,19 @@ class Asset:
         A slice pins its buffer (a mapping cannot close) until it is
         released, so do not keep it."""
         at = 0
-        for segment, (buffer, offset) in zip(self.segments, self.sources):
-            base = offset - segment.range.start
+        for segment in self.segments:
+            base = segment.offset - segment.range.start
             while at < len(spans) and spans[at][0] < segment.range.end:
                 start, end = spans[at]
                 lo, hi = max(start, segment.range.start), min(end, segment.range.end)
                 if lo < hi:
-                    yield memoryview(buffer)[base + lo : base + hi]
+                    yield memoryview(segment.buffer)[base + lo : base + hi]
                 if end > segment.range.end:
                     break  # the span goes on into the next segment
                 at += 1
 
     def payload(self, segment: Segment) -> bytes:
-        return b"".join(self._views((segment.range.start, segment.range.end)))
+        return segment.buffer[segment.offset : segment.offset + segment.range.length]
 
     def find_manifest(self) -> Segment | None:
         for segment in self.segments:
@@ -197,17 +203,17 @@ def _assemble(parts: list[tuple[SegmentKind, str, Buffer, int, int]]) -> Asset:
     """An asset from ``(kind, label, buffer, offset, length)`` parts, laid
     out back to back in logical order."""
     segments: list[Segment] = []
-    sources: list[tuple[Buffer, int]] = []
     logical = 0
     for kind, label, buffer, offset, length in parts:
         _check_label(label)
         if not length:
             raise MalformedContainer("empty segment payload")
-        segments.append(Segment(SegmentKind(kind), ByteRange(logical, length), label))
-        sources.append((buffer, offset))
+        segments.append(
+            Segment(SegmentKind(kind), ByteRange(logical, length), label, buffer, offset)
+        )
         logical += length
     _check_structure(segments)
-    return Asset(tuple(segments), tuple(sources))
+    return Asset(tuple(segments))
 
 
 def build_asset(parts: list[tuple[SegmentKind, str, bytes]]) -> Asset:
@@ -373,19 +379,10 @@ def embed_manifest(asset: Asset, manifest_bytes: bytes) -> Asset:
         raise ValueError("manifest bytes must be non-empty")
     offset = manifest_insert_offset(asset)
     index = 1 if offset else 0
-    manifest = Segment(
-        SegmentKind.MANIFEST, ByteRange(offset, len(manifest_bytes)), MANIFEST_LABEL
-    )
-    segments = (
-        asset.segments[:index]
-        + (manifest,)
-        + tuple(
-            Segment(s.kind, s.range.moved(offset, len(manifest_bytes)), s.label)
-            for s in asset.segments[index:]
-        )
-    )
-    sources = asset.sources[:index] + ((bytes(manifest_bytes), 0),) + asset.sources[index:]
-    return Asset(segments, sources)
+    rng = ByteRange(offset, len(manifest_bytes))
+    manifest = Segment(SegmentKind.MANIFEST, rng, MANIFEST_LABEL, bytes(manifest_bytes), 0)
+    moved = tuple(s.moved(offset, rng.length) for s in asset.segments[index:])
+    return Asset(asset.segments[:index] + (manifest,) + moved)
 
 
 def extract_manifest(asset: Asset) -> bytes:
@@ -401,11 +398,9 @@ def strip_manifest(asset: Asset) -> Asset:
     if segment is None:
         raise ProvenanceError("asset carries no manifest segment")
     index = asset.segments.index(segment)
-    segments = asset.segments[:index] + tuple(
-        Segment(s.kind, s.range.moved(segment.range.end, -segment.range.length), s.label)
-        for s in asset.segments[index + 1 :]
-    )
-    return Asset(segments, asset.sources[:index] + asset.sources[index + 1 :])
+    rng = segment.range
+    moved = tuple(s.moved(rng.end, -rng.length) for s in asset.segments[index + 1 :])
+    return Asset(asset.segments[:index] + moved)
 
 
 def replace_manifest(asset: Asset, manifest_bytes: bytes) -> Asset:
@@ -426,7 +421,7 @@ def splice_bytes(asset: Asset, target: ByteRange, replacement: bytes) -> Asset:
         raise ProvenanceError(
             f"replacement is {len(replacement)} bytes for a {target.length}-byte range"
         )
-    sources = list(asset.sources)
+    segments = list(asset.segments)
     for index, segment in enumerate(asset.segments):
         lo = max(target.start, segment.range.start)
         hi = min(target.end, segment.range.end)
@@ -434,5 +429,5 @@ def splice_bytes(asset: Asset, target: ByteRange, replacement: bytes) -> Asset:
             payload = bytearray(asset.payload(segment))
             start = segment.range.start
             payload[lo - start : hi - start] = replacement[lo - target.start : hi - target.start]
-            sources[index] = (bytes(payload), 0)
-    return Asset(asset.segments, tuple(sources))
+            segments[index] = Segment(segment.kind, segment.range, segment.label, bytes(payload), 0)
+    return Asset(tuple(segments))

@@ -146,7 +146,8 @@ def test_write_asset_writes_the_serialized_bytes_of_every_corpus_entry(
 def test_write_asset_checks_every_label_before_it_truncates(tmp_path):
     asset = build_asset(simple_parts())
     last = asset.segments[-1]
-    bad = Asset(asset.segments[:-1] + (Segment(last.kind, last.range, "\u00e9"),), asset.sources)
+    bad_label = Segment(last.kind, last.range, "\u00e9", last.buffer, last.offset)
+    bad = Asset(asset.segments[:-1] + (bad_label,))
     path = tmp_path / "asset.pvl"
     path.write_bytes(b"kept")
     with pytest.raises(MalformedContainer, match="not ASCII"):

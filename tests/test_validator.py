@@ -994,7 +994,6 @@ _SUPERLINEAR = {
     ("archival-tokens", "bytes hashed"),
     ("archival-tokens", "lines run"),
     ("listed-assertions", "lines run"),
-    ("metadata-segments", "lines run"),
     ("excluded-segments", "lines run"),
 }
 
