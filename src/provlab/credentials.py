@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 from .container import HardBinding
 from .crypto import digest
@@ -74,15 +75,15 @@ class Claim:
     spec_version: str
 
     def __post_init__(self) -> None:
-        labels = [label for label, _ in self.assertion_digests]
-        if len(labels) != len(set(labels)):
+        if len(self._digests) != len(self.assertion_digests):
             raise ValueError("duplicate assertion label in claim")
 
+    @cached_property
+    def _digests(self) -> dict[str, bytes]:
+        return dict(self.assertion_digests)
+
     def digest_for(self, label: str) -> bytes | None:
-        for candidate, value in self.assertion_digests:
-            if candidate == label:
-                return value
-        return None
+        return self._digests.get(label)
 
 
 @dataclass(frozen=True)

@@ -397,11 +397,12 @@ def _check_exclusion_audit(run: _Run) -> _Result:
     if run.effective_exclusions is None:
         return CheckOutcome.FAIL, "exclusions could not be resolved"
     vouched = {record.payload.get("target") for record in run.vouched_records}
+    by_range = {segment.range: segment for segment in run.asset.segments}
     unaccounted: list[str] = []
     for rng in run.effective_exclusions:
         if run.manifest_segment.range.contains(rng):
             continue
-        segment = next((s for s in run.asset.segments if s.range == rng), None)
+        segment = by_range.get(rng)
         if segment is None:
             unaccounted.append(f"[{rng.start},{rng.length})")
         elif segment.label not in vouched:
@@ -602,16 +603,23 @@ def _collect_metadata(run: _Run) -> tuple[MetadataItem, ...]:
     # a segment is protected only by a verified binding that covers it
     bound = run.results["hard-binding"].outcome == CheckOutcome.PASS
     items = []
+    # segments and exclusions both run by start, so one walk meets every
+    # exclusion that starts before a segment ends; it overlaps the segment
+    # when the furthest end among them passes the segment's start
     exclusions = run.effective_exclusions or ()
+    at = reach = 0
     for segment in run.asset.segments:
         if segment.kind != SegmentKind.METADATA:
             continue
+        while at < len(exclusions) and exclusions[at].start < segment.range.end:
+            reach = max(reach, exclusions[at].end)
+            at += 1
         payload = run.asset.payload(segment)
         try:
             text = payload.decode("utf-8")
         except UnicodeDecodeError:
             text = "0x" + payload[:32].hex()
-        protected = bound and not any(segment.range.overlaps(rng) for rng in exclusions)
+        protected = bound and reach <= segment.range.start
         items.append(MetadataItem(segment.label, text, protected))
     return tuple(items)
 

@@ -990,12 +990,7 @@ _GROWTH_LAYOUTS = {
 
 # the (layout, count) pairs known to grow faster than their input; the fix
 # for each removes its pin (ROADMAP item 14)
-_SUPERLINEAR = {
-    ("archival-tokens", "bytes hashed"),
-    ("archival-tokens", "lines run"),
-    ("listed-assertions", "lines run"),
-    ("excluded-segments", "lines run"),
-}
+_SUPERLINEAR = {("archival-tokens", "bytes hashed"), ("archival-tokens", "lines run")}
 
 _PROVLAB = os.path.dirname(validator.__file__) + os.sep
 
