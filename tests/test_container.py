@@ -232,6 +232,16 @@ def test_malformed_wire_rejected(mutate):
         parse_asset(mutate(wire))
 
 
+def test_a_segment_label_holds_at_most_255_bytes():
+    parts = simple_parts()
+    kind, _, payload = parts[2]
+    parts[2] = (kind, "m" * 255, payload)
+    assert parse_asset(serialize_asset(build_asset(parts))).segments[2].label == "m" * 255
+    parts[2] = (kind, "m" * 256, payload)
+    with pytest.raises(MalformedContainer, match="longer than 255 bytes"):
+        build_asset(parts)
+
+
 def test_two_manifests_rejected():
     parts = simple_parts() + [(SegmentKind.MANIFEST, "manifest", b"SECOND")]
     with pytest.raises(MalformedContainer, match="more than one manifest segment"):
@@ -361,6 +371,12 @@ def test_ranges_overlap_only_when_they_share_a_byte():
     assert not rng.overlaps(ByteRange(15, 1)) and not ByteRange(5, 5).overlaps(rng)
 
 
+def test_a_range_is_never_empty():
+    assert ByteRange(0, 1).end == 1
+    with pytest.raises(ValueError, match="invalid byte range"):
+        ByteRange(3, 0)
+
+
 def test_hard_binding_rejects_bad_ranges():
     asset = build_asset(simple_parts())
     manifest_range = asset.find_manifest().range
@@ -437,6 +453,15 @@ def test_splice_requires_equal_length():
     gps = asset.find_label("meta.gps")
     with pytest.raises(ProvenanceError, match="bytes for a 22-byte range"):
         splice_bytes(asset, gps.range, b"short")
+
+
+def test_splice_gives_a_new_buffer_only_to_the_segment_it_touches():
+    asset = parse_asset(serialize_asset(build_asset(simple_parts())))
+    gps = asset.find_label("meta.gps")
+    spliced = splice_bytes(asset, gps.range, b"-" * gps.range.length)
+    for before, after in zip(asset.segments, spliced.segments):
+        assert (after.buffer is before.buffer) == (before != gps), before.label
+    assert spliced.payload(spliced.find_label("meta.gps")) == b"-" * gps.range.length
 
 
 def test_splice_refuses_a_target_past_the_end():

@@ -73,6 +73,12 @@ def test_assertion_rules():
         Assertion("ok", {1: "non-string key"})
 
 
+def test_an_assertion_label_holds_at_most_64_characters():
+    assert Assertion("a" * 64, {}).label == "a" * 64
+    with pytest.raises(ValueError, match="invalid assertion label"):
+        Assertion("a" * 65, {})
+
+
 def test_claim_rejects_duplicate_labels():
     assertion = Assertion("std.x", {"v": 1})
     with pytest.raises(ValueError):

@@ -167,6 +167,47 @@ def test_a_tsa_leaf_cannot_issue_in_a_chain(pki):
     )
 
 
+def _edge_certificate(**fields):
+    key = derive_signing_key(999, "edge")
+    template = Certificate(
+        serial=1,
+        subject="edge",
+        issuer="edge",
+        public_key=key.public_bytes,
+        not_before=T0,
+        not_after=T0 + YEAR,
+        usage=Usage.ROOT,
+        issuer_signature=b"",
+    )
+    return replace(template, **fields)
+
+
+def test_a_serial_is_any_64_bit_unsigned_integer():
+    assert _edge_certificate(serial=0).serial == 0
+    assert _edge_certificate(serial=2**64 - 1).serial == 2**64 - 1
+    for serial in (-1, 2**64):
+        with pytest.raises(ValueError, match="serial must fit in 64 bits"):
+            _edge_certificate(serial=serial)
+
+
+def test_a_validity_window_may_be_a_single_second():
+    assert _edge_certificate(not_before=T0, not_after=T0).in_window(T0)
+    with pytest.raises(ValueError, match="validity window is inverted"):
+        _edge_certificate(not_before=T0 + 1, not_after=T0)
+
+
+def test_a_chain_is_valid_at_both_ends_of_the_leaf_window(pki):
+    _, root_cert, _, leaf_cert, trust = pki
+    start, end = leaf_cert.not_before, leaf_cert.not_after
+    for at, status in (
+        (start - 1, ChainStatus.EXPIRED),
+        (start, ChainStatus.VALID),
+        (end, ChainStatus.VALID),
+        (end + 1, ChainStatus.EXPIRED),
+    ):
+        assert verify_chain((leaf_cert, root_cert), trust, at).status == status, at
+
+
 def test_validity_windows_must_nest(pki):
     root_key, root_cert, *_ = pki
     with pytest.raises(ProvenanceError, match="validity window escapes the issuer's window"):
