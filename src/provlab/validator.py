@@ -604,22 +604,23 @@ def _collect_metadata(run: _Run) -> tuple[MetadataItem, ...]:
     bound = run.results["hard-binding"].outcome == CheckOutcome.PASS
     items = []
     # segments and exclusions both run by start, so one walk meets every
-    # exclusion that starts before a segment ends; it overlaps the segment
-    # when the furthest end among them passes the segment's start
+    # exclusion that starts before a segment ends; of those, the one that
+    # reaches furthest overlaps the segment if any of them does
     exclusions = run.effective_exclusions or ()
-    at = reach = 0
+    at, widest = 0, None
     for segment in run.asset.segments:
         if segment.kind != SegmentKind.METADATA:
             continue
         while at < len(exclusions) and exclusions[at].start < segment.range.end:
-            reach = max(reach, exclusions[at].end)
+            if widest is None or exclusions[at].end > widest.end:
+                widest = exclusions[at]
             at += 1
         payload = run.asset.payload(segment)
         try:
             text = payload.decode("utf-8")
         except UnicodeDecodeError:
             text = "0x" + payload[:32].hex()
-        protected = bound and reach <= segment.range.start
+        protected = bound and not (widest and segment.range.overlaps(widest))
         items.append(MetadataItem(segment.label, text, protected))
     return tuple(items)
 
