@@ -474,6 +474,26 @@ def test_metadata_protection_tags(lab, fixtures):
     assert "meta.gps" in rendered and "excluded from integrity protection" in rendered
 
 
+def test_metadata_protection_checks_every_exclusion(lab):
+    """With every other added metadata segment excluded, the tags equal the
+    overlap rule applied to each segment and each exclusion in turn."""
+    signed = _signed_with_metadata_segments(lab, 6, ("meta.m0", "meta.m2", "meta.m4"))
+    exclusions = decode_manifest(extract_manifest(signed)).claim.binding.exclusions
+    report = validate(b(signed), spec_at(lab))
+    assert report.check("hard-binding").outcome == CheckOutcome.PASS
+    expected = {
+        s.label: not any(s.range.overlaps(rng) for rng in exclusions)
+        for s in signed.segments
+        if s.kind == SegmentKind.METADATA
+    }
+    assert {item.label: item.protected for item in report.metadata} == expected
+    assert [label for label, shown in expected.items() if not shown] == [
+        "meta.m0",
+        "meta.m2",
+        "meta.m4",
+    ]
+
+
 def test_metadata_is_protected_only_by_a_verified_binding(corpus, corpus_entry, entry_bytes):
     """No metadata is shown as protected when the hard binding is skipped
     (no manifest) or fails (a covered byte spliced)."""
@@ -964,18 +984,22 @@ def _metadata_segments_layout(lab, fixtures, n):
     return b(embed_manifest(content, extract_manifest(signed)))
 
 
+def _signed_with_metadata_segments(lab, n, exclude):
+    """``bound-timestamp`` content with n metadata segments, signed with the
+    labels in ``exclude`` excluded."""
+    scenario = SCENARIOS["bound-timestamp"]
+    asset, assertions, generator = build_scenario_content(scenario, lab.seed)
+    config = dataclasses.replace(
+        scenario_signer(lab, scenario, generator), exclude_labels=tuple(exclude)
+    )
+    return sign_asset(_with_metadata_segments(asset, n), assertions, config)
+
+
 def _excluded_segments_layout(lab, fixtures, n):
     """``bound-timestamp`` content with n metadata segments, signed with all n
     excluded: the hard binding passes, so metadata protection reads every
     exclusion, and hardened refuses the exclusions at ``exclusion-audit``."""
-    scenario = SCENARIOS["bound-timestamp"]
-    asset, assertions, generator = build_scenario_content(scenario, lab.seed)
-    content = _with_metadata_segments(asset, n)
-    labels = tuple(f"meta.m{i}" for i in range(n))
-    config = dataclasses.replace(
-        scenario_signer(lab, scenario, generator), exclude_labels=labels
-    )
-    return b(sign_asset(content, assertions, config))
+    return b(_signed_with_metadata_segments(lab, n, (f"meta.m{i}" for i in range(n))))
 
 
 # layout -> (builder, hardened validation time, n)
