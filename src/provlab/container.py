@@ -153,6 +153,7 @@ class Asset:
                 at += 1
 
     def payload(self, segment: Segment) -> bytes:
+        """``segment``'s payload, one slice of the buffer that holds it."""
         return segment.buffer[segment.offset : segment.offset + segment.range.length]
 
     def find_manifest(self) -> Segment | None:
