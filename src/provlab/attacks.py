@@ -8,9 +8,11 @@ the two independently.
 
 Two attacks change no bytes at all: ``sign-with-revoked`` changes authority
 state (the serial is revoked after signing) and ``expiry-timewarp`` changes
-only the validation time.  Three are byte-minimal: they touch one token, one
-excluded segment, or one whole manifest segment.  ``token-transplant`` is the
-key holder's attack: it re-signs the claim around a token of its choosing.
+only the validation time.  Four are byte-minimal: they touch one token, one
+excluded segment, or one whole manifest segment, which
+``planted-redaction-record`` grows by one unsigned assertion.
+``token-transplant`` is the key holder's attack: it re-signs the claim around a
+token of its choosing.
 
 :data:`ATTACKS` is the one registry: a row per attack names the scenarios it
 applies to and the function that applies it inside a workspace with its
@@ -32,7 +34,7 @@ from .container import (
     strip_manifest,
 )
 from .credentials import (
-    BindingMode, ClaimSignature, decode_manifest, encode_manifest, signed_payload,
+    Assertion, BindingMode, ClaimSignature, decode_manifest, encode_manifest, signed_payload,
 )
 from .crypto import SigningKey, digest
 from .errors import ProvenanceError
@@ -238,6 +240,26 @@ def attack_strip_manifest(asset: Asset) -> AttackOutcome:
     )
 
 
+def attack_planted_redaction_record(asset: Asset) -> AttackOutcome:
+    """Append an assertion labelled ``prov.redaction`` that the claim does not list.
+
+    No key is needed: the planted assertion names a redaction and a
+    redactor, and nothing signs it.  A validator that leaves the label out
+    of the claim's digest check accepts it as part of the signed manifest.
+    """
+    manifest = decode_manifest(extract_manifest(asset))
+    planted = Assertion(
+        "prov.redaction", {"target": "std.actions", "redactor": "Trusted Newsroom Legal Desk"}
+    )
+    mutated_manifest = replace(manifest, assertions=manifest.assertions + (planted,))
+    return AttackOutcome(
+        name="planted-redaction-record",
+        mutated=replace_manifest(asset, encode_manifest(mutated_manifest)),
+        expected={"spec": Verdict.REJECTED, "hardened": Verdict.REJECTED},
+        notes="an unsigned 'prov.redaction' assertion appended that the claim does not list",
+    )
+
+
 # ---------------------------------------------------------------------------
 # the registry
 # ---------------------------------------------------------------------------
@@ -303,6 +325,12 @@ def _strip_manifest(workspace: Workspace, scenario: str, asset: Asset) -> Attack
     return attack_strip_manifest(asset)
 
 
+def _planted_redaction_record(
+    workspace: Workspace, scenario: str, asset: Asset
+) -> AttackOutcome:
+    return attack_planted_redaction_record(asset)
+
+
 ATTACKS: dict[str, Attack] = {
     attack.name: attack
     for attack in (
@@ -316,6 +344,7 @@ ATTACKS: dict[str, Attack] = {
         Attack("expiry-timewarp", ("short-lived-cert",), _expiry_timewarp, prepare=_archive),
         Attack("strip-manifest", tuple(SCENARIOS), _strip_manifest),
         Attack("token-transplant", ("bound-timestamp",), _token_transplant),
+        Attack("planted-redaction-record", ("bound-timestamp",), _planted_redaction_record),
     )
 }
 
