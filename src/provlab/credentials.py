@@ -12,6 +12,10 @@ later) and the hard binding that ties the claim to the asset bytes.
   token, which in turn imprints the claim, so replacing the token breaks
   the signature.
 
+A :class:`Redaction` is one countersigned record per redaction, and
+``redaction_payload`` defines what its signature covers: the record without
+its chain and signature.
+
 Everything here encodes through :mod:`.records`, whose decoding is strict at
 the record level as well as the value level: equal structures have equal
 bytes, a manifest that decodes re-encodes to exactly the bytes it came
@@ -30,8 +34,6 @@ from .errors import ProvenanceError
 from .records import decode_record, encode_record
 from .timestamp import TimestampToken
 from .trust import Certificate, Identity
-
-REDACTION_LABEL = "prov.redaction"
 
 _MAX_LABEL_LENGTH = 64
 
@@ -99,11 +101,23 @@ class ClaimSignature:
 
 
 @dataclass(frozen=True)
+class Redaction:
+    """A redactor's countersigned word that ``target`` was redacted: an
+    assertion, with the claim's digest for it, or an excluded segment, with
+    ``original_digest`` None.  The leaf of ``signer_chain`` names the redactor."""
+
+    target: str
+    original_digest: bytes | None
+    signer_chain: tuple[Certificate, ...]
+    signature: bytes
+
+
+@dataclass(frozen=True)
 class Manifest:
     claim: Claim
     assertions: tuple[Assertion, ...]
     claim_signature: ClaimSignature
-    redaction_signatures: tuple[ClaimSignature, ...] = ()
+    redaction_signatures: tuple[Redaction, ...] = ()
     archival_tokens: tuple[TimestampToken, ...] = ()
 
 
@@ -130,6 +144,11 @@ def signed_payload(claim_bytes: bytes, claim_signature: ClaimSignature) -> bytes
     return claim_bytes + digest(encode_record(claim_signature.timestamp))
 
 
+def redaction_payload(redaction: Redaction) -> bytes:
+    """The exact bytes ``redaction``'s countersignature covers."""
+    return encode_record(redaction, omit=("signer_chain", "signature"))
+
+
 def digest_assertion(assertion: Assertion) -> bytes:
     return digest(encode_record(assertion))
 
@@ -144,34 +163,18 @@ def redact_assertion(
     """Remove an assertion from the manifest, leaving its digest tombstone.
 
     With no ``redactor`` the assertion is just dropped, as the format allows.
-    With one, a ``prov.redaction`` record naming it and the redactor's
-    countersignature over that record are appended at the same position, the
-    pairing a strict validator demands before accepting a tombstone.
+    With one, the redactor's countersigned :class:`Redaction` of it is
+    appended, which a strict validator demands before accepting a tombstone.
     """
-    if label == REDACTION_LABEL:
-        raise ProvenanceError("redaction records may not be redacted")
-    target = next((a for a in manifest.assertions if a.label == label), None)
-    if target is None:
+    if not any(a.label == label for a in manifest.assertions):
         raise ProvenanceError(f"no assertion labelled {label!r}")
     remaining = tuple(a for a in manifest.assertions if a.label != label)
     if redactor is None:
         return replace(manifest, assertions=remaining)
-    record = Assertion(
-        REDACTION_LABEL,
-        {
-            "target": label,
-            "original_digest": digest_assertion(target),
-            "redactor": redactor.chain[0].subject,
-        },
-    )
-    countersignature = ClaimSignature(
-        signer_chain=redactor.chain,
-        signature=redactor.key.sign(encode_record(record)),
-        timestamp=None,
-        binding_mode=BindingMode.UNBOUND,
-    )
+    unsigned = Redaction(label, manifest.claim.digest_for(label), redactor.chain, b"")
+    redaction = replace(unsigned, signature=redactor.key.sign(redaction_payload(unsigned)))
     return replace(
         manifest,
-        assertions=remaining + (record,),
-        redaction_signatures=manifest.redaction_signatures + (countersignature,),
+        assertions=remaining,
+        redaction_signatures=manifest.redaction_signatures + (redaction,),
     )

@@ -1,10 +1,10 @@
 """Record codec: frozen dataclasses to canonical bytes and back.
 
 Every record that is signed or stored (certificates, revocation lists,
-timestamp tokens, assertions, claims, claim signatures, manifests, status
-responses, structured validation reports, corpus index entries) gets its
-shape here, derived from its dataclass field annotations, so no other
-module knows how a record is laid out.  A record's value is a map keyed by
+timestamp tokens, assertions, claims, claim signatures, redactions,
+manifests, status responses, structured validation reports, corpus index
+entries) gets its shape here, derived from its dataclass field annotations,
+so no other module knows how a record is laid out.  A record's value is a map keyed by
 its field names; :class:`~.container.ByteRange` is the one positional
 record and is the array ``[start, length]``.
 
@@ -38,8 +38,8 @@ exact decoding.
 
 A signed payload is a record minus some fields, named by ``omit``: a
 certificate without its issuer signature, a revocation list without its
-signature, a timestamp token without its chain and signature, a status
-response without the responder's signature.
+signature, a timestamp token or a redaction without its chain and
+signature, a status response without the responder's signature.
 """
 
 from __future__ import annotations

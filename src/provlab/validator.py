@@ -39,13 +39,13 @@ from .container import (
     parse_asset,
 )
 from .credentials import (
-    REDACTION_LABEL,
-    Assertion,
     BindingMode,
     Manifest,
+    Redaction,
     decode_manifest,
     digest_assertion,
     encode_manifest,
+    redaction_payload,
     signed_payload,
 )
 from .crypto import digest, verify_once
@@ -247,23 +247,18 @@ class _Run:
         self.displayed = DisplayedTime(None, TimeProvenance.ABSENT)
 
     @cached_property
-    def vouched_records(self) -> list[Assertion]:
-        """The redaction records their countersignatures vouch for: the i-th
-        signature answers for the i-th ``prov.redaction`` record alone, when
-        its leaf may sign, its chain is valid at the validation time and it
-        verifies over that record.  A count mismatch vouches for no record.
-        Both audits read this one set, so each countersignature is judged once."""
-        records = [r for r in self.manifest.assertions if r.label == REDACTION_LABEL]
-        countersignatures = self.manifest.redaction_signatures
-        if len(records) != len(countersignatures):
-            return []
+    def vouched_records(self) -> list[Redaction]:
+        """The redactions their own countersignatures vouch for: the leaf may
+        sign, the chain is valid at the validation time and the signature
+        verifies over :func:`redaction_payload`.  Both audits read this one
+        list, so each countersignature is judged once."""
         return [
-            record
-            for record, countersignature in zip(records, countersignatures)
-            if (chain := countersignature.signer_chain)
+            redaction
+            for redaction in self.manifest.redaction_signatures
+            if (chain := redaction.signer_chain)
             and chain[0].usage == Usage.LEAF_SIGNING
             and verify_chain(chain, self.policy.trust, self.policy.validation_time).valid
-            and verify_once(chain[0].public_key, encode_record(record), countersignature.signature)
+            and verify_once(chain[0].public_key, redaction_payload(redaction), redaction.signature)
         ]
 
 
@@ -355,8 +350,6 @@ def _check_assertion_digests(run: _Run) -> _Result:
     claim = manifest.claim
     problems: list[str] = []
     for assertion in manifest.assertions:
-        if assertion.label == REDACTION_LABEL:
-            continue
         expected = claim.digest_for(assertion.label)
         if expected is None:
             problems.append(f"assertion {assertion.label!r} not listed in the claim")
@@ -369,8 +362,7 @@ def _check_assertion_digests(run: _Run) -> _Result:
     run.tombstones = tombstones
     if problems:
         return CheckOutcome.FAIL, "; ".join(problems)
-    verified = sum(1 for a in manifest.assertions if a.label != REDACTION_LABEL)
-    detail = f"{verified} assertions verified"
+    detail = f"{len(manifest.assertions)} assertions verified"
     if tombstones:
         detail += f", {len(tombstones)} REDACTED ({', '.join(tombstones)})"
     return CheckOutcome.PASS, detail
@@ -396,7 +388,7 @@ def _check_hard_binding(run: _Run) -> _Result:
 def _check_exclusion_audit(run: _Run) -> _Result:
     if run.effective_exclusions is None:
         return CheckOutcome.FAIL, "exclusions could not be resolved"
-    vouched = {record.payload.get("target") for record in run.vouched_records}
+    vouched = {redaction.target for redaction in run.vouched_records}
     by_range = {segment.range: segment for segment in run.asset.segments}
     unaccounted: list[str] = []
     for rng in run.effective_exclusions:
@@ -557,23 +549,25 @@ def _check_timestamp(run: _Run) -> _Result:
 
 def _check_redaction_audit(run: _Run) -> _Result:
     tombstones = run.tombstones
+    if run.policy.file_integrity == FileIntegrity.STRONG:
+        vouched = {(r.target, r.original_digest) for r in run.vouched_records}
+        claim = run.manifest.claim
+        missing = [label for label in tombstones if (label, claim.digest_for(label)) not in vouched]
+        if missing:
+            return (
+                CheckOutcome.FAIL,
+                "tombstones without countersigned redaction records: " + ", ".join(missing),
+            )
+        # each redaction answers for itself, whether or not a tombstone needs it
+        unvouched = len(run.manifest.redaction_signatures) - len(run.vouched_records)
+        if unvouched:
+            return CheckOutcome.FAIL, f"{unvouched} redaction(s) without a valid countersignature"
     if not tombstones:
         return CheckOutcome.PASS, "no redactions"
     if run.policy.file_integrity == FileIntegrity.WEAK:
         return (
             CheckOutcome.PASS,
             f"{len(tombstones)} tombstone(s) accepted without countersignature",
-        )
-    vouched = {
-        (record.payload.get("target"), record.payload.get("original_digest"))
-        for record in run.vouched_records
-    }
-    claim = run.manifest.claim
-    missing = [label for label in tombstones if (label, claim.digest_for(label)) not in vouched]
-    if missing:
-        return (
-            CheckOutcome.FAIL,
-            "tombstones without countersigned redaction records: " + ", ".join(missing),
         )
     return CheckOutcome.PASS, f"{len(tombstones)} countersigned redaction(s)"
 

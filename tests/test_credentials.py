@@ -6,7 +6,6 @@ import pytest
 
 from provlab.container import HardBinding, ByteRange
 from provlab.credentials import (
-    REDACTION_LABEL,
     Assertion,
     BindingMode,
     Claim,
@@ -16,6 +15,7 @@ from provlab.credentials import (
     digest_assertion,
     encode_manifest,
     redact_assertion,
+    redaction_payload,
     signed_payload,
 )
 from provlab.crypto import digest, verify
@@ -203,28 +203,18 @@ def test_drop_mode_redaction(manifest):
 
 def test_countersigned_redaction(lab, manifest):
     redacted = redact_assertion(manifest, "std.gps", lab.redactor)
-    labels = [a.label for a in redacted.assertions]
-    assert "std.gps" not in labels
-    assert REDACTION_LABEL in labels
-    record = next(a for a in redacted.assertions if a.label == REDACTION_LABEL)
-    assert record.payload["target"] == "std.gps"
-    assert record.payload["original_digest"] == manifest.claim.digest_for("std.gps")
-    assert record.payload["redactor"] == lab.redactor.chain[0].subject
-    assert len(redacted.redaction_signatures) == 1
-    countersignature = redacted.redaction_signatures[0]
+    assert redacted.assertions == tuple(a for a in manifest.assertions if a.label != "std.gps")
+    (redaction,) = redacted.redaction_signatures
+    assert redaction.target == "std.gps"
+    assert redaction.original_digest == manifest.claim.digest_for("std.gps")
+    assert redaction.signer_chain == lab.redactor.chain
     assert verify(
         lab.redactor.chain[0].public_key,
-        encode_record(record),
-        countersignature.signature,
+        redaction_payload(redaction),
+        redaction.signature,
     )
     # round-trips with the extra fields intact
     assert decode_manifest(encode_manifest(redacted)) == redacted
-
-
-def test_redaction_record_not_redactable(lab, manifest):
-    redacted = redact_assertion(manifest, "std.gps", lab.redactor)
-    with pytest.raises(ProvenanceError, match="redaction records may not be redacted"):
-        redact_assertion(redacted, REDACTION_LABEL)
 
 
 def test_redacting_missing_label_fails(manifest):

@@ -45,10 +45,12 @@ def _seeded_records(corpus) -> list:
             continue
         manifest = decode_manifest(extract_manifest(asset))
         records += [manifest, manifest.claim, *manifest.assertions, manifest.claim_signature]
-        for signature in (manifest.claim_signature, *manifest.redaction_signatures):
-            records += [signature, *signature.signer_chain]
-            if signature.timestamp is not None:
-                records += [signature.timestamp, *signature.timestamp.tsa_chain]
+        signature = manifest.claim_signature
+        records += signature.signer_chain
+        if signature.timestamp is not None:
+            records += [signature.timestamp, *signature.timestamp.tsa_chain]
+        for redaction in manifest.redaction_signatures:
+            records += [redaction, *redaction.signer_chain]
         records += manifest.archival_tokens
     revoked = next(iter(workspace.signing.revoked))
     records += [

@@ -26,21 +26,20 @@ from provlab.container import (
 )
 from provlab.corpus import entry_policies
 from provlab.credentials import (
-    REDACTION_LABEL,
     Assertion,
     BindingMode,
-    ClaimSignature,
+    Redaction,
     decode_manifest,
     digest_assertion,
     encode_manifest,
     redact_assertion,
+    redaction_payload,
 )
 from provlab.encoding import decode_value, encode_value
 from provlab.errors import DecodeError, ProvenanceError
 from provlab.container import compute_hard_binding, replace_manifest
 from provlab import crypto, validator
 from provlab.crypto import derive_signing_key, verify_once
-from provlab.records import encode_record
 from provlab.signer import (
     DEFAULT_VALIDATION_TIME,
     SCENARIOS,
@@ -754,49 +753,45 @@ def test_human_report_lists_the_redactions(lab, fixtures):
 # redaction records, built by hand: every branch of both audits
 # ---------------------------------------------------------------------------
 
-def _countersign(identity, signed_bytes):
-    signature = identity.key.sign(signed_bytes)
-    return ClaimSignature(identity.chain, signature, None, BindingMode.UNBOUND)
+def _countersign(identity, target, original_digest, signed_bytes=None):
+    """A redaction of ``target`` under ``identity``'s chain, signed over
+    ``signed_bytes`` or, by default, over its own payload."""
+    unsigned = Redaction(target, original_digest, identity.chain, b"")
+    payload = redaction_payload(unsigned) if signed_bytes is None else signed_bytes
+    return dataclasses.replace(unsigned, signature=identity.key.sign(payload))
 
 
-def _with_records(
-    signed, edit_claim=lambda claim: claim, drop=(), records=(), countersignatures=()
-):
+def _with_records(signed, edit_claim=lambda claim: claim, drop=(), records=(), redactions=()):
     """``signed`` with its claim edited, the assertions labelled in ``drop``
-    removed, and ``records`` and ``countersignatures`` appended."""
+    removed, the assertions in ``records`` appended and ``redactions`` as its
+    redaction records."""
     manifest = decode_manifest(extract_manifest(signed))
     edited = dataclasses.replace(
         manifest,
         claim=edit_claim(manifest.claim),
         assertions=tuple(a for a in manifest.assertions if a.label not in drop) + records,
-        redaction_signatures=countersignatures,
+        redaction_signatures=redactions,
     )
     return serialize_asset(replace_manifest(signed, encode_manifest(edited)))
 
 
 def _actions_redaction(lab, fixtures, case):
-    """``bound-timestamp`` with ``std.actions`` dropped and one record for it,
-    countersigned by the redactor unless ``case`` names what is wrong."""
+    """``bound-timestamp`` with ``std.actions`` dropped and one redaction of
+    it, countersigned by the redactor unless ``case`` names what is wrong."""
     signed = fixtures["bound-timestamp"]
     claim = decode_manifest(extract_manifest(signed)).claim
     target = "std.created" if case == "another target" else "std.actions"
     original = claim.digest_for("std.created" if case == "another digest" else "std.actions")
-    record = Assertion(
-        REDACTION_LABEL,
-        {"target": target, "original_digest": original, "redactor": lab.redactor.chain[0].subject},
-    )
     signer = {
         "TSA leaf": lab.tsa_leaf,
         "untrusted root": Workspace(lab.root, lab.seed + 1).redactor,
     }.get(case, lab.redactor)
-    countersignature = _countersign(
-        signer, b"other bytes" if case == "other bytes" else encode_record(record)
+    redaction = _countersign(
+        signer, target, original, b"other bytes" if case == "other bytes" else None
     )
     if case == "empty chain":
-        countersignature = dataclasses.replace(countersignature, signer_chain=())
-    return _with_records(
-        signed, drop=("std.actions",), records=(record,), countersignatures=(countersignature,)
-    )
+        redaction = dataclasses.replace(redaction, signer_chain=())
+    return _with_records(signed, drop=("std.actions",), redactions=(redaction,))
 
 
 def test_redaction_audit_passes_a_record_the_redactor_countersigns(lab, fixtures):
@@ -824,39 +819,38 @@ def test_redaction_audit_refuses_a_record_no_countersignature_vouches_for(lab, f
     assert audit.detail == "tombstones without countersigned redaction records: std.actions"
 
 
-@pytest.mark.parametrize(
-    "layout", ["in order", "swapped", "extra record", "extra countersignature"]
-)
-def test_a_countersignature_answers_for_the_record_at_its_position(lab, fixtures, layout):
-    """The i-th countersignature vouches for the i-th ``prov.redaction``
-    record alone, and a count mismatch vouches for none, though every
-    record here has a valid countersignature somewhere."""
+@pytest.mark.parametrize("layout", ["in order", "swapped", "junk beside them"])
+def test_a_redaction_answers_for_itself(lab, fixtures, layout):
+    """Each redaction is vouched for by its own signature alone: two with
+    their signatures swapped vouch for neither tombstone, and one that no
+    valid signature vouches for fails beside two that are vouched for."""
     signed = fixtures["bound-timestamp"]
     manifest = decode_manifest(extract_manifest(signed))
     for label in ("std.actions", "std.created"):
         manifest = redact_assertion(manifest, label, lab.redactor)
-    records = tuple(a for a in manifest.assertions if a.label == REDACTION_LABEL)
-    countersignatures = manifest.redaction_signatures
+    redactions = manifest.redaction_signatures
     if layout == "swapped":
-        countersignatures = countersignatures[::-1]
-    elif layout == "extra record":
-        records += records[:1]
-    elif layout == "extra countersignature":
-        countersignatures += countersignatures[:1]
-    data = _with_records(
-        signed,
-        drop=("std.actions", "std.created"),
-        records=records,
-        countersignatures=countersignatures,
-    )
+        first, second = redactions
+        redactions = (
+            dataclasses.replace(first, signature=second.signature),
+            dataclasses.replace(second, signature=first.signature),
+        )
+    elif layout == "junk beside them":
+        original = manifest.claim.digest_for("std.actions")
+        redactions += (_countersign(lab.redactor, "std.actions", original, b"junk"),)
+    data = _with_records(signed, drop=("std.actions", "std.created"), redactions=redactions)
     audit = validate(data, hardened_at(lab)).check("redaction-audit")
-    if layout == "in order":
-        assert (audit.outcome, audit.detail) == (CheckOutcome.PASS, "2 countersigned redaction(s)")
-    else:
-        assert (audit.outcome, audit.detail) == (
+    assert (audit.outcome, audit.detail) == {
+        "in order": (CheckOutcome.PASS, "2 countersigned redaction(s)"),
+        "swapped": (
             CheckOutcome.FAIL,
             "tombstones without countersigned redaction records: std.actions, std.created",
-        )
+        ),
+        "junk beside them": (
+            CheckOutcome.FAIL,
+            "1 redaction(s) without a valid countersignature",
+        ),
+    }[layout]
 
 
 @pytest.fixture(scope="module")
@@ -883,21 +877,18 @@ def bound_gps(lab):
 def test_exclusion_audit_reads_the_countersigned_record_for_the_segment(
     lab, bound_gps, target, outcome, detail
 ):
-    """A countersigned record naming ``meta.gps`` accounts for its exclusion,
-    though the record binds neither the claim nor the GPS bytes: this PASS is
-    the countersigned-exclusion fail-open that ROADMAP item 10 closes."""
-    record = Assertion(
-        REDACTION_LABEL, {"target": target, "redactor": lab.redactor.chain[0].subject}
-    )
-    countersignature = _countersign(lab.redactor, encode_record(record))
-    data = _with_records(bound_gps, records=(record,), countersignatures=(countersignature,))
+    """A countersigned redaction naming ``meta.gps`` accounts for its
+    exclusion, though it binds neither the claim nor the GPS bytes: this PASS
+    is the countersigned-exclusion fail-open that ROADMAP item 10 closes."""
+    redaction = _countersign(lab.redactor, target, None)
+    data = _with_records(bound_gps, redactions=(redaction,))
     audit = validate(data, hardened_at(lab)).check("exclusion-audit")
     assert (audit.outcome, audit.detail) == (outcome, detail)
 
 
 def test_exclusion_audit_names_a_range_that_matches_no_segment(lab, fixtures):
-    """A validly countersigned record without a ``target`` vouches for no
-    segment, so a bare range stays unaccounted for."""
+    """A range that matches no segment stays unaccounted for, even beside a
+    vouched redaction of the segment that holds it."""
     signed = fixtures["bound-timestamp"]
     image = signed.find_label("image").range
 
@@ -906,12 +897,10 @@ def test_exclusion_audit_names_a_range_that_matches_no_segment(lab, fixtures):
         binding = dataclasses.replace(claim.binding, exclusions=exclusions)
         return dataclasses.replace(claim, binding=binding)
 
-    record = Assertion(REDACTION_LABEL, {"redactor": lab.redactor.chain[0].subject})
     data = _with_records(
         signed,
         edit_claim=exclude_inside_the_image,
-        records=(record,),
-        countersignatures=(_countersign(lab.redactor, encode_record(record)),),
+        redactions=(_countersign(lab.redactor, "image", None),),
     )
     start = parse_asset(data).find_label("image").range.start + 1
     audit = validate(data, hardened_at(lab)).check("exclusion-audit")
@@ -924,21 +913,14 @@ def test_exclusion_audit_names_a_range_that_matches_no_segment(lab, fixtures):
 # ---------------------------------------------------------------------------
 
 def _countersignatures_layout(lab, fixtures, n):
-    """``bound-timestamp`` with ``std.actions`` dropped, n records for it and
-    n countersignatures under the redactor's chain over other bytes."""
+    """``bound-timestamp`` with ``std.actions`` dropped and n redactions of
+    it under the redactor's chain, each signed over other bytes."""
     signed = fixtures["bound-timestamp"]
     original = decode_manifest(extract_manifest(signed)).claim.digest_for("std.actions")
-    records = tuple(
-        Assertion(
-            REDACTION_LABEL,
-            {"target": "std.actions", "original_digest": original, "redactor": f"r{i}"},
-        )
-        for i in range(n)
+    redactions = tuple(
+        _countersign(lab.redactor, "std.actions", original, b"junk %d" % i) for i in range(n)
     )
-    countersignatures = tuple(_countersign(lab.redactor, b"junk %d" % i) for i in range(n))
-    return _with_records(
-        signed, drop=("std.actions",), records=records, countersignatures=countersignatures
-    )
+    return _with_records(signed, drop=("std.actions",), redactions=redactions)
 
 
 def _archival_tokens_layout(lab, fixtures, n):
