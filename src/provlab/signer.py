@@ -106,12 +106,15 @@ def sign_asset(
     assertions.sort(key=lambda a: a.label)
     ordered = tuple(assertions)
 
+    # one walk: each label's first segment, as ``Asset.find_label`` finds it
+    first_ranges: dict[str, ByteRange] = {}
+    for segment in asset.segments:
+        first_ranges.setdefault(segment.label, segment.range)
     label_ranges = []
     for label in config.exclude_labels:
-        segment = asset.find_label(label)
-        if segment is None:
+        if label not in first_ranges:
             raise ProvenanceError(f"no segment labelled {label!r}")
-        label_ranges.append(segment.range)
+        label_ranges.append(first_ranges[label])
 
     # The binding digest covers every byte outside the labelled exclusions;
     # the embedded manifest occupies exactly its own exclusion, so the digest

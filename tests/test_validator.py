@@ -1,5 +1,6 @@
 """Validation: check order, verdict logic, policy knobs, rendering."""
 
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -998,6 +999,27 @@ _SUPERLINEAR = {("archival-tokens", "bytes hashed"), ("archival-tokens", "lines 
 _PROVLAB = os.path.dirname(validator.__file__) + os.sep
 
 
+@contextlib.contextmanager
+def _counting_provlab_lines(work):
+    """Add every line run in ``provlab`` code inside the block to
+    ``work["lines run"]``."""
+
+    def count_lines(frame, event, arg):
+        if event == "line":
+            work["lines run"] += 1
+        return count_lines
+
+    def trace_provlab(frame, event, arg):
+        return count_lines if frame.f_code.co_filename.startswith(_PROVLAB) else None
+
+    previous = sys.gettrace()
+    sys.settrace(trace_provlab)
+    try:
+        yield
+    finally:
+        sys.settrace(previous)
+
+
 @pytest.mark.parametrize("layout", list(_GROWTH_LAYOUTS))
 def test_doubling_a_repeated_field_at_most_doubles_the_work(lab, fixtures, monkeypatch, layout):
     """Counts Ed25519 verifies, the bytes ``validator`` hashes and the lines
@@ -1016,14 +1038,6 @@ def test_doubling_a_repeated_field_at_most_doubles_the_work(lab, fixtures, monke
         work["bytes hashed"] += len(data)
         return raw_digest(data)
 
-    def count_lines(frame, event, arg):
-        if event == "line":
-            work["lines run"] += 1
-        return count_lines
-
-    def trace_provlab(frame, event, arg):
-        return count_lines if frame.f_code.co_filename.startswith(_PROVLAB) else None
-
     monkeypatch.setattr(crypto, "verify", verify)
     monkeypatch.setattr(validator, "digest", digest)
     counts = []
@@ -1031,17 +1045,26 @@ def test_doubling_a_repeated_field_at_most_doubles_the_work(lab, fixtures, monke
         data, policy = build(lab, fixtures, size), hardened_at(lab, at)
         verify_once.cache_clear()
         work.update(dict.fromkeys(work, 0))
-        previous = sys.gettrace()
-        sys.settrace(trace_provlab)
-        try:
+        with _counting_provlab_lines(work):
             validate(data, policy)
-        finally:
-            sys.settrace(previous)
         counts.append(dict(work))
     verify_once.cache_clear()
     at_n, at_2n = counts
     superlinear = {(layout, count) for count in work if at_2n[count] > 2 * at_n[count]}
     assert superlinear == {pin for pin in _SUPERLINEAR if pin[0] == layout}, counts
+
+
+def test_doubling_the_excluded_labels_at_most_doubles_the_signing_work(lab):
+    """Counts the lines run in ``provlab`` code while signing n metadata
+    segments with all n labels excluded, at n and 2n: the signer finds each
+    label's segment without walking every segment once per label."""
+    lines = []
+    for n in (100, 200):
+        work = {"lines run": 0}
+        with _counting_provlab_lines(work):
+            _signed_with_metadata_segments(lab, n, (f"meta.m{i}" for i in range(n)))
+        lines.append(work["lines run"])
+    assert lines[1] <= 2 * lines[0], lines
 
 
 # ---------------------------------------------------------------------------
