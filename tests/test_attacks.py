@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,7 @@ def test_matrix_covers_every_attack_and_scenario():
         "expiry-timewarp",
         "strip-manifest",
         "token-transplant",
+        "planted-redaction-record",
     }
     for scenarios in ATTACK_MATRIX.values():
         for name in scenarios:
@@ -57,7 +59,7 @@ def test_readme_attack_table_lists_every_registry_row():
 def test_corpus_verdicts_match_expectations(corpus, entry_bytes):
     workspace = corpus["workspace"]
     crl = corpus["crl"]
-    assert len(corpus["entries"]) == 20  # 6 honest + 14 attacked
+    assert len(corpus["entries"]) == 21  # 6 honest + 15 attacked
     for entry in corpus["entries"]:
         data = entry_bytes(entry)
         for preset, policy in entry_policies(workspace, entry, crl).items():
@@ -68,9 +70,9 @@ def test_corpus_verdicts_match_expectations(corpus, entry_bytes):
 
 
 CORPUS_TREE_DIGESTS = {
-    1: "8da5b0a403de901d728cf43024ef5c3aad12802f0bbca0acf78d2fbae652bf95",
-    2: "85c02c6ec9999817dd113633e41d44bf134f6370ef9b729a4b174b2c36da09d1",
-    3: "cdf62a3c32ee4d489843996d8e97dd74e5f36dee7461dcd34c52b1fa9a9daaec",
+    1: "db005e12ede942c85502dfea1176e2955dfeec462020b07bc910d2297e514549",
+    2: "7f46fc5bf43b89a9153a2c9f23b142fff2eddaa7c811bd7f4da56a0c0f5c4545",
+    3: "52e084333ff96ea767b61eed863a13a7b93ee3dc6c00ac17186e64669a088be3",
 }
 
 
@@ -190,6 +192,36 @@ def test_token_transplant_fails_at_the_token_imprint(corpus, corpus_entry, entry
             assert report.verdict == Verdict.ACCEPTED, (name, preset)
             assert report.goals["G3"] == GoalStatus.HELD, (name, preset)
             assert report.displayed_time.provenance == TimeProvenance.SIGNED, (name, preset)
+
+
+def test_planted_redaction_record_fails_the_claim_digest_check(
+    corpus, corpus_entry, entry_bytes
+):
+    """An unsigned ``prov.redaction`` assertion, appended with no key, moves
+    no byte outside the manifest and nothing in it but the assertion list.
+    Its label earns it no exemption: both presets refuse it at
+    ``assertion-digests``, which violates G1."""
+    workspace, crl = corpus["workspace"], corpus["crl"]
+    original = parse_asset(entry_bytes(corpus_entry("bound-timestamp")))
+    attacked = corpus_entry("bound-timestamp", "planted-redaction-record")
+    mutated = parse_asset(entry_bytes(attacked))
+    assert [s.label for s in mutated.segments] == [s.label for s in original.segments]
+    for before, after in zip(original.segments, mutated.segments):
+        if before.kind.name != "MANIFEST":
+            assert mutated.payload(after) == original.payload(before)
+    before = decode_manifest(extract_manifest(original))
+    after = decode_manifest(extract_manifest(mutated))
+    assert replace(after, assertions=before.assertions) == before
+    assert after.assertions[:-1] == before.assertions
+    assert after.assertions[-1].label == "prov.redaction"
+    for preset, policy in entry_policies(workspace, attacked, crl).items():
+        report = validate(entry_bytes(attacked), policy)
+        assert report.verdict == Verdict.REJECTED, preset
+        digests = report.check("assertion-digests")
+        assert (digests.outcome, digests.detail) == (
+            CheckOutcome.FAIL, "assertion 'prov.redaction' not listed in the claim"
+        ), preset
+        assert report.goals["G1"] == GoalStatus.VIOLATED, preset
 
 
 def test_load_corpus_refuses_an_entry_with_an_extra_key(corpus, tmp_path):

@@ -16,7 +16,7 @@ from reference_records import record_value as reference_record_value
 
 from provlab.container import ByteRange, extract_manifest, parse_asset
 from provlab.corpus import CorpusEntry, entry_policies
-from provlab.credentials import Claim, decode_manifest
+from provlab.credentials import Claim, decode_manifest, redact_assertion
 from provlab.encoding import encode_value
 from provlab.errors import EncodeError
 from provlab.records import decode_record, encode_record, record_value
@@ -29,6 +29,7 @@ SIGNED_PAYLOAD_OMITS = {
     "RevocationList": ("signature",),
     "TimestampToken": ("tsa_chain", "tsa_signature"),
     "StatusResponse": ("responder_signature",),
+    "Redaction": ("signer_chain", "signature"),
 }
 
 
@@ -52,6 +53,9 @@ def _seeded_records(corpus) -> list:
         for redaction in manifest.redaction_signatures:
             records += [redaction, *redaction.signer_chain]
         records += manifest.archival_tokens
+    # no corpus entry holds a redaction, so the last seeded manifest gets one
+    redacted = redact_assertion(manifest, manifest.assertions[0].label, workspace.redactor)
+    records += [redacted, *redacted.redaction_signatures]
     revoked = next(iter(workspace.signing.revoked))
     records += [
         workspace.signing.status_for(serial)
@@ -69,7 +73,8 @@ def test_every_record_class_is_covered(seeded_records):
     names = {type(record).__name__ for record in seeded_records}
     assert names >= {
         "Certificate", "RevocationList", "TimestampToken", "Assertion", "Claim",
-        "ClaimSignature", "Manifest", "StatusResponse", "ValidationReport", "CorpusEntry",
+        "ClaimSignature", "Redaction", "Manifest", "StatusResponse", "ValidationReport",
+        "CorpusEntry",
     }
     statuses = {r.status.name for r in seeded_records if type(r).__name__ == "StatusResponse"}
     assert statuses == {"GOOD", "REVOKED", "UNKNOWN"}
@@ -91,7 +96,7 @@ def test_json_forms_match_value_path(seeded_records):
     """Reports and corpus index entries give the same JSON read back from
     their bytes as the value encoder gave."""
     records = [r for r in seeded_records if type(r) in (ValidationReport, CorpusEntry)]
-    assert len(records) == 3 * 20  # per corpus entry: a report per preset, an index entry
+    assert len(records) == 3 * 21  # per corpus entry: a report per preset, an index entry
     for record in records:
         ours = json.dumps(record_value(record), sort_keys=True)
         assert ours == json.dumps(reference_record_value(record), sort_keys=True)

@@ -419,7 +419,7 @@ def test_structured_reports_of_the_seed_1_corpus_are_pinned(corpus, entry_bytes)
             report = validate(data, policy)
             h.update((report_to_json(report) + render_report(report)).encode())
     assert h.hexdigest() == (
-        "425fb19832b4ccddab16446948eb6ebc94d7fa52a92e37393317ee1a4199145d"
+        "df9313a937b7925bbd0fb345f17d3bbdb59aaadae86fe47be4828889a9ea0172"
     )
 
 
