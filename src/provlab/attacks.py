@@ -11,8 +11,8 @@ state (the serial is revoked after signing) and ``expiry-timewarp`` changes
 only the validation time.  Four are byte-minimal: they touch one token, one
 excluded segment, or one whole manifest segment, which
 ``planted-redaction-record`` grows by one unsigned assertion.
-``token-transplant`` is the key holder's attack: it re-signs the claim around a
-token of its choosing.
+``token-transplant`` is the key holder's attack: it re-signs the claim
+around a token of its choosing.
 
 :data:`ATTACKS` is the one registry: a row per attack names the scenarios it
 applies to and the function that applies it inside a workspace with its

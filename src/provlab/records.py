@@ -4,9 +4,9 @@ Every record that is signed or stored (certificates, revocation lists,
 timestamp tokens, assertions, claims, claim signatures, redactions,
 manifests, status responses, structured validation reports, corpus index
 entries) gets its shape here, derived from its dataclass field annotations,
-so no other module knows how a record is laid out.  A record's value is a map keyed by
-its field names; :class:`~.container.ByteRange` is the one positional
-record and is the array ``[start, length]``.
+so no other module knows how a record is laid out.  A record's value is a
+map keyed by its field names; :class:`~.container.ByteRange` is the one
+positional record and is the array ``[start, length]``.
 
 Field types understood: ``str``, ``int`` (never ``bool``), ``bool`` (never
 ``0`` or ``1``), ``bytes``, ``X | None``, ``tuple[X, ...]``, fixed tuples
