@@ -6,7 +6,9 @@ from dataclasses import replace
 import pytest
 
 from provlab import credentials, signer, timestamp
-from provlab.container import compute_hard_binding, extract_manifest, serialize_asset
+from provlab.container import (
+    SegmentKind, build_asset, compute_hard_binding, extract_manifest, serialize_asset,
+)
 from provlab.credentials import BindingMode, decode_manifest, signed_payload
 from provlab.crypto import SigningKey, digest, verify
 from provlab.errors import ProvenanceError
@@ -207,6 +209,21 @@ def test_bound_mode_adds_created_assertion(lab, honest_content):
     created = next((a for a in manifest.assertions if a.label == "std.created"), None)
     assert created is not None
     assert created.payload == {"at": T0}
+
+
+def test_an_excluded_label_names_its_first_segment(lab, honest_content):
+    """Only metadata labels must be unique, so two image segments may share
+    a label; excluding it excludes the first of them, as
+    ``Asset.find_label`` reads a label."""
+    asset, assertions = honest_content
+    parts = [(s.kind, s.label, asset.payload(s)) for s in asset.segments]
+    image = next(i for i, (kind, _, _) in enumerate(parts) if kind == SegmentKind.IMAGE_DATA)
+    parts.insert(image + 1, (SegmentKind.IMAGE_DATA, "image", b"second"))
+    config = unbound_config(lab, exclude_labels=("image",))
+    signed = sign_asset(build_asset(parts), assertions, config)
+    first, second = [s.range for s in signed.segments if s.kind == SegmentKind.IMAGE_DATA]
+    exclusions = decode_manifest(extract_manifest(signed)).claim.binding.exclusions
+    assert first in exclusions and second not in exclusions
 
 
 def test_signing_guards(lab, honest_content):
