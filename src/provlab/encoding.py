@@ -20,14 +20,19 @@ re-encoded structure is byte-identical to what was signed.  This module
 covers values; :mod:`.records` carries the same guarantee to the record
 level by accepting exactly one value shape per record type.
 
-The decoder is one recursive function, ``_decode(data, pos, depth)``, that
-indexes the input directly, checks every bound itself and returns the value
-with the position after it.  The encoder, :func:`write_value`, appends the
-chunks of a value to one list; :func:`encode_value` joins that list once.
-:mod:`.records` writes whole records into the same kind of list through
-writers compiled per record class, using :func:`array_head` and
-:func:`map_head` for the heads it cannot precompute, and calls
-:func:`write_value` only for fields that have no fixed shape.
+The decoder is one recursive function, :func:`read_value`, that takes the
+input, a position in it and the nesting depth there, indexes the input
+directly, checks every bound itself and returns the value with the position
+after it; :func:`decode_value` runs it over a whole input.  The encoder,
+:func:`write_value`, appends the chunks of a value to one list;
+:func:`encode_value` joins that list once.  :mod:`.records` writes whole
+records into the same kind of list through writers compiled per record
+class, using :func:`array_head` and :func:`map_head` for the heads it cannot
+precompute, and calls :func:`write_value` only for fields that have no fixed
+shape.  Its readers mirror them: they match the heads and keys they know
+against the input, read the array heads they cannot know with
+:func:`read_array_head`, and call :func:`read_value` at the field's own
+depth for the rest.
 
 Supported values: ``None``, ``bool``, ``int`` (magnitude below 2**64),
 ``float``, ``str``, ``bytes``, ``list``/``tuple``, and ``dict`` with
@@ -171,8 +176,9 @@ def _write_map(value: dict, out: list[bytes]) -> None:
         out.extend(chunks)
 
 
-def _decode(data: bytes, pos: int, depth: int) -> tuple[Value, int]:
-    """Decode the value at ``data[pos:]``; return it and the position after it."""
+def read_value(data: bytes, pos: int, depth: int) -> tuple[Value, int]:
+    """Decode the value at ``data[pos:]``, nested ``depth`` levels deep in the
+    whole input; return it and the position after it."""
     if depth > MAX_DEPTH:
         raise DecodeError(f"nesting deeper than {MAX_DEPTH} levels")
     try:
@@ -203,15 +209,7 @@ def _decode(data: bytes, pos: int, depth: int) -> tuple[Value, int]:
         raise DecodeError(f"unsupported initial byte 0x{initial:02x}")
     arg = initial & 0x1F
     if arg >= 24:
-        if arg > 27:
-            raise DecodeError(f"unsupported head info {arg}")
-        size, unpack, shortest = _LONG_HEADS[arg - 24]
-        if pos + size > len(data):
-            raise DecodeError("truncated input")
-        arg = unpack(data, pos)[0]
-        if arg < shortest:
-            raise DecodeError("non-shortest integer head")
-        pos += size
+        arg, pos = _long_argument(data, pos, arg)
     if major == _MAJOR_TEXT or major == _MAJOR_BYTES:
         end = pos + arg
         if end > len(data):
@@ -230,22 +228,49 @@ def _decode(data: bytes, pos: int, depth: int) -> tuple[Value, int]:
     if major == _MAJOR_ARRAY:
         items = []
         for _ in range(arg):
-            item, pos = _decode(data, pos, depth)
+            item, pos = read_value(data, pos, depth)
             items.append(item)
         return items, pos
     result: dict = {}
     prev_key_bytes = b""
     for index in range(arg):
         key_start = pos
-        key, pos = _decode(data, pos, depth)
+        key, pos = read_value(data, pos, depth)
         key_bytes = data[key_start:pos]
         if type(key) is not str and type(key) is not int and type(key) is not bytes:
             raise DecodeError("unsupported map key type")
         if index and key_bytes <= prev_key_bytes:
             raise DecodeError("map keys not sorted or not unique")
         prev_key_bytes = key_bytes
-        result[key], pos = _decode(data, pos, depth)
+        result[key], pos = read_value(data, pos, depth)
     return result, pos
+
+
+def _long_argument(data: bytes, pos: int, info: int) -> tuple[int, int]:
+    """The argument of a head whose info is 24 or more, read from ``data[pos:]``,
+    and the position after it."""
+    if info > 27:
+        raise DecodeError(f"unsupported head info {info}")
+    size, unpack, shortest = _LONG_HEADS[info - 24]
+    if pos + size > len(data):
+        raise DecodeError("truncated input")
+    arg = unpack(data, pos)[0]
+    if arg < shortest:
+        raise DecodeError("non-shortest integer head")
+    return arg, pos + size
+
+
+def read_array_head(data: bytes, pos: int) -> tuple[int, int]:
+    """The item count of the array whose head is at ``data[pos:]``, and the
+    position after the head, under the rules :func:`read_value` applies."""
+    if pos >= len(data):
+        raise DecodeError("truncated input")
+    initial = data[pos]
+    if initial >> 5 != _MAJOR_ARRAY:
+        raise DecodeError(f"expected an array, got initial byte 0x{initial:02x}")
+    if initial & 0x1F < 24:
+        return initial & 0x1F, pos + 1
+    return _long_argument(data, pos + 1, initial & 0x1F)
 
 
 def decode_value(data: bytes) -> Value:
@@ -253,7 +278,7 @@ def decode_value(data: bytes) -> Value:
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise DecodeError("input must be bytes")
     data = bytes(data)
-    value, pos = _decode(data, 0, 0)
+    value, pos = read_value(data, 0, 0)
     if pos != len(data):
         raise DecodeError("trailing bytes after value")
     return value

@@ -22,13 +22,29 @@ enums included.  Only fields without a fixed shape (scalars and free-form
 maps) go through :func:`~.encoding.write_value`, which still sorts a
 free-form map's keys on each call.
 
-``decode_record`` is ``record_from_value`` over the value decoder of
-:mod:`.encoding`.  Decoding is exact: a map carries precisely the record's
-field names, every value has its field's type (an enum field's through a
-value-to-member table built once per enum), and the dataclass's own checks
-run.  On top of the strict value codec this makes
+``record_from_value`` decodes a value exactly: a map carries precisely the
+record's field names, every value has its field's type (an enum field's
+through a value-to-member table built once per enum), and the dataclass's
+own checks run.  On top of the strict value codec this makes
 ``encode_record(decode_record(cls, b)) == b`` for every ``b`` that decodes,
 so one record has one byte string.
+
+``decode_record`` reads bytes in one pass, with a reader compiled once per
+record class that mirrors its writer: it matches the map head and each
+field's encoded key, in canonical order, against the input, reads nested
+records, arrays of them and optionals in place, and hands only the other
+fields to :func:`~.encoding.read_value`, at the depth they have in the
+value, so ``MAX_DEPTH`` binds as it does for ``decode_value``.  The reader
+accepts exactly what ``record_from_value(cls, decode_value(b))`` accepts,
+and builds the same record.  When it fails, that two-stage path runs
+instead, and its error is the one raised, so every message stays as it was.
+
+Each map record the reader builds keeps the slice of the input it was read
+from, and ``encode_record`` without ``omit``, a nested write included,
+returns that slice instead of re-encoding.  By the bijection above the
+slice is the record's encoding, as long as the record is not changed:
+records are frozen, ``dataclasses.replace`` builds a record without a slice,
+and no code changes a decoded record's ``dict`` field in place.
 
 The JSON forms (structured reports, corpus index entries) are read back
 from those bytes: ``record_value`` is ``decode_value(encode_record(...))``,
@@ -52,20 +68,28 @@ from enum import Enum
 from typing import Any, Callable
 
 from .container import ByteRange
-from .encoding import Value, array_head, decode_value, encode_value, map_head, write_value
+from .encoding import (
+    Value, array_head, decode_value, encode_value, map_head, read_array_head, read_value,
+    write_value,
+)
 from .errors import DecodeError
 
 _POSITIONAL = (ByteRange,)
 _SCALARS = (str, int, bool, bytes)
 _NULL = encode_value(None)
+# the instance attribute that holds a decoded map record's wire bytes
+_WIRE = "_wire"
 
 Decoder = Callable[[Value], Any]
 # appends a field value's canonical chunks to the list it is given
 Writer = Callable[[Any, list], None]
+# reads a field value at ``data[pos:]``, ``depth`` levels deep; returns it
+# and the position after it
+Reader = Callable[[bytes, int, int], tuple[Any, int]]
 
 # per field: name, decoder, writer (``write_value`` when the value encodes
-# as itself)
-_Plan = tuple[tuple[str, Decoder, Writer], ...]
+# as itself), reader
+_Plan = tuple[tuple[str, Decoder, Writer, Reader], ...]
 
 
 def record_value(record: Any) -> dict:
@@ -80,6 +104,10 @@ def record_from_value(cls: type, value: Value) -> Any:
 
 def encode_record(record: Any, omit: tuple[str, ...] = ()) -> bytes:
     """Canonical bytes of ``record``, leaving out the fields named in ``omit``."""
+    if not omit:
+        wire = getattr(record, _WIRE, None)
+        if wire is not None:
+            return wire
     out: list[bytes] = []
     _record_writer(type(record), omit)(record, out)
     return b"".join(out)
@@ -87,6 +115,15 @@ def encode_record(record: Any, omit: tuple[str, ...] = ()) -> bytes:
 
 def decode_record(cls: type, data: bytes) -> Any:
     """Decode canonical bytes into a ``cls`` record, rejecting any other shape."""
+    if isinstance(data, bytes):  # so each stored slice is immutable bytes
+        try:
+            record, end = _record_reader(cls)(data, 0, 0)
+        except (DecodeError, ValueError):
+            pass
+        else:
+            if end == len(data):
+                return record
+    # the reader's errors are not worded; this path words every failure
     return record_from_value(cls, decode_value(data))
 
 
@@ -104,14 +141,20 @@ def _record_writer(cls: type, omit: tuple[str, ...]) -> Writer:
     fields = sorted(
         (
             (encode_value(name), name, write)
-            for name, _, write in _plan(cls)
+            for name, _, write, _ in _plan(cls)
             if name not in omit
         ),
         key=lambda field: field[0],
     )
     head = map_head(len(fields))
+    whole = not omit
 
     def write_record(record: Any, out: list) -> None:
+        if whole:
+            wire = getattr(record, _WIRE, None)
+            if wire is not None:
+                out.append(wire)
+                return
         out.append(head)
         for key, name, write in fields:
             out.append(key)
@@ -122,7 +165,7 @@ def _record_writer(cls: type, omit: tuple[str, ...]) -> Writer:
 
 @functools.cache
 def _positional_writer(cls: type) -> Writer:
-    fields = tuple((name, write) for name, _, write in _plan(cls))
+    fields = tuple((name, write) for name, _, write, _ in _plan(cls))
     head = array_head(len(fields))
 
     def write_record(record: Any, out: list) -> None:
@@ -136,7 +179,7 @@ def _positional_writer(cls: type) -> Writer:
 @functools.cache
 def _record_decoder(cls: type) -> Decoder:
     plan = _plan(cls)
-    names = [name for name, _, _ in plan]
+    names = [name for name, *_ in plan]
     name_set = set(names)
     positional = cls in _POSITIONAL
 
@@ -150,19 +193,53 @@ def _record_decoder(cls: type) -> Decoder:
                 raise DecodeError(f"{cls.__name__} must be a map of {sorted(names)}")
             items = [value[name] for name in names]
         try:
-            return cls(*[dec(item) for (_, dec, _), item in zip(plan, items)])
+            return cls(*[dec(item) for (_, dec, _, _), item in zip(plan, items)])
         except ValueError as exc:
             raise DecodeError(f"bad {cls.__name__} record: {exc}") from exc
 
     return decode
 
 
-def _converters(hint: Any) -> tuple[Decoder, Writer]:
+@functools.cache
+def _record_reader(cls: type) -> Reader:
+    """Read a ``cls`` record straight off the wire, as ``_record_decoder``
+    reads its value: the record's own heads and keys are matched, nested
+    records and sequences of them are read in place, and every other field
+    goes through :func:`~.encoding.read_value` at the depth it has in the
+    value.  The record keeps the slice it was read from."""
+    if cls in _POSITIONAL:  # an array of scalars, with no slice to keep
+        return _reading(_record_decoder(cls))
+    fields = sorted(
+        (encode_value(name), index, read) for index, (name, *_, read) in enumerate(_plan(cls))
+    )
+    head = map_head(len(fields))
+
+    def read_record(data: bytes, pos: int, depth: int) -> tuple[Any, int]:
+        start = pos
+        if not data.startswith(head, pos):
+            raise DecodeError(f"not a {cls.__name__} map")
+        pos += len(head)
+        depth += 1
+        values: list = [None] * len(fields)
+        for key, index, read in fields:
+            if not data.startswith(key, pos):
+                raise DecodeError(f"not a {cls.__name__} map")
+            values[index], pos = read(data, pos + len(key), depth)
+        record = cls(*values)
+        # frozen, so the slice stays its encoding; ``replace`` builds a record without one
+        object.__setattr__(record, _WIRE, data[start:pos])
+        return record, pos
+
+    return read_record
+
+
+def _converters(hint: Any) -> tuple[Decoder, Writer, Reader]:
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is dict and args[0] is str and (args[1] in _SCALARS or _is_enum(args[1])):
         return _text_keyed_map(*_converters(args[1]))
     if hint in _SCALARS or hint is dict or origin is dict:
-        return _scalar_decoder(origin or hint), write_value
+        decode = _scalar_decoder(origin or hint)
+        return decode, write_value, _reading(decode)
     if origin is types.UnionType and len(args) == 2 and type(None) in args:
         return _optional(*_converters(next(a for a in args if a is not type(None))))
     if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
@@ -173,13 +250,23 @@ def _converters(hint: Any) -> tuple[Decoder, Writer]:
         return _enum(hint)
     if dataclasses.is_dataclass(hint):
         if hint in _POSITIONAL:
-            return _record_decoder(hint), _positional_writer(hint)
-        return _record_decoder(hint), _record_writer(hint, ())
+            return _record_decoder(hint), _positional_writer(hint), _record_reader(hint)
+        return _record_decoder(hint), _record_writer(hint, ()), _record_reader(hint)
     raise TypeError(f"no wire shape for field type {hint!r}")
 
 
 def _is_enum(hint: Any) -> bool:
     return isinstance(hint, type) and issubclass(hint, Enum)
+
+
+def _reading(decode: Decoder) -> Reader:
+    """A reader that decodes one whole value and converts it with ``decode``."""
+
+    def read(data: bytes, pos: int, depth: int) -> tuple[Any, int]:
+        value, pos = read_value(data, pos, depth)
+        return decode(value), pos
+
+    return read
 
 
 def _scalar_decoder(kind: type) -> Decoder:
@@ -193,12 +280,12 @@ def _scalar_decoder(kind: type) -> Decoder:
     return decode
 
 
-def _optional(decode, write):
+def _optional(decode, write, read):
     def decode_optional(value: Value) -> Any:
         return None if value is None else decode(value)
 
     if write is write_value:
-        return decode_optional, write_value
+        return decode_optional, write_value, _reading(decode_optional)
 
     def write_optional(value: Any, out: list) -> None:
         if value is None:
@@ -206,54 +293,67 @@ def _optional(decode, write):
         else:
             write(value, out)
 
-    return decode_optional, write_optional
+    def read_optional(data: bytes, pos: int, depth: int) -> tuple[Any, int]:
+        if data.startswith(_NULL, pos):
+            return None, pos + 1
+        return read(data, pos, depth)
+
+    return decode_optional, write_optional, read_optional
 
 
-def _sequence(decode, write):
+def _sequence(decode, write, read):
     def decode_sequence(value: Value) -> tuple:
         if type(value) is not list:
             raise DecodeError(f"expected array, got {type(value).__name__}")
         return tuple([decode(item) for item in value])
 
     if write is write_value:
-        return decode_sequence, write_value
+        return decode_sequence, write_value, _reading(decode_sequence)
 
     def write_sequence(items: Any, out: list) -> None:
         out.append(array_head(len(items)))
         for item in items:
             write(item, out)
 
-    return decode_sequence, write_sequence
+    def read_sequence(data: bytes, pos: int, depth: int) -> tuple[tuple, int]:
+        count, pos = read_array_head(data, pos)
+        items = []
+        for _ in range(count):
+            item, pos = read(data, pos, depth + 1)
+            items.append(item)
+        return tuple(items), pos
+
+    return decode_sequence, write_sequence, read_sequence
 
 
-def _text_keyed_map(decode, write):
+def _text_keyed_map(decode, write, read):
     def decode_map(value: Value) -> dict:
         if type(value) is not dict or any(type(key) is not str for key in value):
             raise DecodeError("expected a map with text keys")
         return {key: decode(item) for key, item in value.items()}
 
     if write is write_value:
-        return decode_map, write_value
+        return decode_map, write_value, _reading(decode_map)
 
     # a map of enums; the keys are free-form, so the generic writer sorts them
     def write_map(items: dict, out: list) -> None:
         write_value({key: member.value for key, member in items.items()}, out)
 
-    return decode_map, write_map
+    return decode_map, write_map, _reading(decode_map)
 
 
 def _fixed_tuple(converters):
     def decode_tuple(value: Value) -> tuple:
         if type(value) is not list or len(value) != len(converters):
             raise DecodeError(f"expected a {len(converters)}-element array")
-        return tuple([dec(item) for (dec, _), item in zip(converters, value)])
+        return tuple([dec(item) for (dec, _, _), item in zip(converters, value)])
 
-    if any(write is not write_value for _, write in converters):
+    if any(write is not write_value for _, write, _ in converters):
         raise TypeError("a fixed tuple field must hold scalars only")
-    return decode_tuple, write_value
+    return decode_tuple, write_value, _reading(decode_tuple)
 
 
-def _enum(cls: type[Enum]) -> tuple[Decoder, Writer]:
+def _enum(cls: type[Enum]) -> tuple[Decoder, Writer, Reader]:
     # ``_value_`` is what ``.value`` returns, without the descriptor's cost
     members = {member.value: member for member in cls}
     encoded = {value: encode_value(value) for value in members}
@@ -270,4 +370,4 @@ def _enum(cls: type[Enum]) -> tuple[Decoder, Writer]:
     def write(member: Enum, out: list) -> None:
         out.append(encoded[member._value_])
 
-    return decode, write
+    return decode, write, _reading(decode)

@@ -16,8 +16,10 @@ in ``refused``; the service itself stays up.
 
 One thread runs one selector loop over the listener, a wake socket and
 every open non-blocking connection, so half a frame holds up no other
-client.  Each distinct status is signed once, as RFC 5019 responders
-pre-produce their responses (see :meth:`.trust.Authority.status_for`).
+client.  Each distinct status is signed and encoded once, as RFC 5019
+responders pre-produce their responses (see
+:meth:`.trust.Authority.status_for`): a stored response keeps its bytes, so
+``encode_record`` returns them on every query.
 
 The client never surfaces an unverifiable response: any transport problem,
 a payload that is not a :class:`~.trust.StatusResponse`, a response for

@@ -269,5 +269,8 @@ class Authority:
             return stored[1]
         signed = replace(unsigned, responder_signature=self.key.sign(_status_payload(unsigned)))
         if status is not CertStatus.UNKNOWN:
+            # read back from its bytes, the stored record keeps them, so
+            # serving it again encodes nothing
+            signed = decode_record(StatusResponse, encode_record(signed))
             self._signed[serial] = (unsigned, signed)
         return signed

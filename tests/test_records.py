@@ -8,20 +8,24 @@ Every record class the seeded workspace and corpus produce is checked, with
 every ``omit`` that a signed payload uses.
 """
 
+import dataclasses
 import json
 from dataclasses import dataclass, replace
 
 import pytest
 from reference_records import record_value as reference_record_value
 
+from provlab import records as record_codec
 from provlab.container import ByteRange, extract_manifest, parse_asset
 from provlab.corpus import CorpusEntry, entry_policies
-from provlab.credentials import Claim, decode_manifest, redact_assertion
+from provlab.credentials import Claim, Manifest, decode_manifest, redact_assertion
 from provlab.encoding import encode_value
 from provlab.errors import EncodeError
 from provlab.records import decode_record, encode_record, record_value
 from provlab.trust import CertStatus
-from provlab.validator import REPORT_SCHEMA, ValidationReport, report_to_json, validate
+from provlab.validator import (
+    REPORT_SCHEMA, ValidationReport, Verdict, report_to_json, validate,
+)
 
 # the fields each signed payload leaves out
 SIGNED_PAYLOAD_OMITS = {
@@ -56,6 +60,7 @@ def _seeded_records(corpus) -> list:
     # no corpus entry holds a redaction, so the last seeded manifest gets one
     redacted = redact_assertion(manifest, manifest.assertions[0].label, workspace.redactor)
     records += [redacted, *redacted.redaction_signatures]
+    records += decode_record(Manifest, encode_record(redacted)).redaction_signatures
     revoked = next(iter(workspace.signing.revoked))
     records += [
         workspace.signing.status_for(serial)
@@ -67,6 +72,21 @@ def _seeded_records(corpus) -> list:
 @pytest.fixture(scope="module")
 def seeded_records(corpus):
     return _seeded_records(corpus)
+
+
+def fresh_copy(value):
+    """``value`` rebuilt field for field, nested records included, so no
+    record in it keeps the bytes it was decoded from."""
+    if dataclasses.is_dataclass(value):
+        fields = dataclasses.fields(value)
+        return type(value)(*[fresh_copy(getattr(value, f.name)) for f in fields])
+    if type(value) is tuple:
+        return tuple(fresh_copy(item) for item in value)
+    return value
+
+
+def has_wire(record) -> bool:
+    return record_codec._WIRE in vars(record)
 
 
 def test_every_record_class_is_covered(seeded_records):
@@ -86,10 +106,13 @@ def _omits(record) -> set[tuple[str, ...]]:
 
 
 def test_compiled_writer_matches_value_path(seeded_records):
+    """Decoded records and field-for-field copies of them alike, so the
+    writers run for every class and not only the stored bytes are read."""
     for record in seeded_records:
         for omit in _omits(record):
             reference = encode_value(reference_record_value(record, omit))
             assert encode_record(record, omit) == reference, (type(record).__name__, omit)
+            assert encode_record(fresh_copy(record), omit) == reference
 
 
 def test_json_forms_match_value_path(seeded_records):
@@ -144,3 +167,52 @@ def test_a_fixed_tuple_holds_scalars_only(inner):
 
     with pytest.raises(TypeError, match="fixed tuple field must hold scalars only"):
         encode_record(Holder((1, None)))
+
+
+def test_decoded_records_encode_as_a_fresh_copy(seeded_records):
+    """A decoded record's stored bytes are what the compiled writers give
+    for the same fields."""
+    decoded = [record for record in seeded_records if has_wire(record)]
+    assert {type(record).__name__ for record in decoded} >= {
+        "Certificate", "RevocationList", "TimestampToken", "Assertion", "Claim",
+        "ClaimSignature", "Redaction", "Manifest", "StatusResponse",
+    }
+    for record in decoded:
+        copy = fresh_copy(record)
+        assert not has_wire(copy) and copy == record
+        assert encode_record(record) == encode_record(copy), type(record).__name__
+
+
+def test_a_replaced_record_encodes_its_new_fields(seeded_records):
+    manifest = next(r for r in seeded_records if type(r) is Manifest and has_wire(r))
+    claim = replace(manifest.claim, generator="re-stamped")
+    changed = replace(manifest, claim=claim, assertions=manifest.assertions[1:])
+    assert not has_wire(claim) and not has_wire(changed)
+    assert encode_record(claim) == encode_value(reference_record_value(claim))
+    wire = encode_record(changed)
+    assert wire == encode_value(reference_record_value(changed)) != encode_record(manifest)
+    again = decode_record(Manifest, wire)
+    assert again.claim.generator == "re-stamped" and again == changed
+
+
+def test_validation_writes_only_signed_payloads(corpus, corpus_entry, entry_bytes, monkeypatch):
+    """A hardened validation re-encodes no record it decoded: the claim, the
+    assertions and the bound token are hashed and verified as they were
+    read, and the compiled writers run only for payloads that leave fields
+    out."""
+    entry = corpus_entry("bound-timestamp")
+    data = entry_bytes(entry)
+    policy = entry_policies(corpus["workspace"], entry, corpus["crl"])["hardened"]
+    assert validate(data, policy).verdict is Verdict.ACCEPTED  # every writer compiled
+    writer = record_codec._record_writer
+    seen = []
+
+    def counting_writer(cls, omit):
+        seen.append((cls.__name__, omit))
+        return writer(cls, omit)
+
+    monkeypatch.setattr(record_codec, "_record_writer", counting_writer)
+    assert validate(data, policy).verdict is Verdict.ACCEPTED
+    assert ("Certificate", ("issuer_signature",)) in seen
+    assert ("TimestampToken", ("tsa_chain", "tsa_signature")) in seen
+    assert all(omit for _, omit in seen), seen

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from provlab import records
 from provlab.crypto import derive_signing_key
 from provlab.encoding import decode_value, encode_value
 from provlab.errors import DecodeError, ProvenanceError, ServiceUnreachable
@@ -21,6 +22,7 @@ from provlab.trust import (
     Certificate,
     CertStatus,
     ChainStatus,
+    StatusResponse,
     TrustList,
     Usage,
     decode_revocation_list,
@@ -334,6 +336,28 @@ def test_unknown_serials_do_not_grow_the_store(counted):
         assert authority.status_for(serial).status == CertStatus.UNKNOWN
     assert len(authority._signed) == size == 1
     assert len(signatures) == 1001
+
+
+def test_a_stored_status_is_encoded_once(counted, monkeypatch):
+    """A stored status is served as the bytes it was read back from, so a
+    query runs no record writer; an UNKNOWN status, signed afresh on each
+    query, is written each time."""
+    authority, _, _, leaf_cert = counted
+    stored = authority.status_for(leaf_cert.serial)
+    wire = encode_record(stored)
+    assert wire == encode_record(replace(stored)) and decode_record(StatusResponse, wire) == stored
+    writer = records._record_writer
+    omits = []
+
+    def counting_writer(cls, omit):
+        omits.append(omit)
+        return writer(cls, omit)
+
+    monkeypatch.setattr(records, "_record_writer", counting_writer)
+    assert [encode_record(authority.status_for(leaf_cert.serial)) for _ in range(3)] == [wire] * 3
+    assert omits == []
+    encode_record(authority.status_for(424242))
+    assert omits == [("responder_signature",), ()]
 
 
 # ---------------------------------------------------------------------------
