@@ -201,17 +201,12 @@ def _check_structure(segments: list[Segment]) -> None:
 
 
 def _assemble(parts: list[tuple[SegmentKind, str, Buffer, int, int]]) -> Asset:
-    """An asset from ``(kind, label, buffer, offset, length)`` parts, laid
-    out back to back in logical order."""
+    """An asset from checked ``(kind, label, buffer, offset, length)`` parts,
+    laid out back to back in logical order."""
     segments: list[Segment] = []
     logical = 0
     for kind, label, buffer, offset, length in parts:
-        _check_label(label)
-        if not length:
-            raise MalformedContainer("empty segment payload")
-        segments.append(
-            Segment(SegmentKind(kind), ByteRange(logical, length), label, buffer, offset)
-        )
+        segments.append(Segment(kind, ByteRange(logical, length), label, buffer, offset))
         logical += length
     _check_structure(segments)
     return Asset(tuple(segments))
@@ -222,9 +217,13 @@ def build_asset(parts: list[tuple[SegmentKind, str, bytes]]) -> Asset:
 
     A ``bytes`` payload is kept as it is; any other buffer is copied once,
     so that later changes to it do not reach the asset."""
-    return _assemble(
-        [(kind, label, bytes(payload), 0, len(payload)) for kind, label, payload in parts]
-    )
+    checked = []
+    for kind, label, payload in parts:
+        _check_label(label)
+        if not len(payload):
+            raise MalformedContainer("empty segment payload")
+        checked.append((SegmentKind(kind), label, bytes(payload), 0, len(payload)))
+    return _assemble(checked)
 
 
 def parse_asset(data: bytes | bytearray | memoryview | mmap.mmap) -> Asset:

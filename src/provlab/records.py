@@ -6,7 +6,7 @@ manifests, status responses, structured validation reports, corpus index
 entries) gets its shape here, derived from its dataclass field annotations,
 so no other module knows how a record is laid out.  A record's value is a
 map keyed by its field names; :class:`~.container.ByteRange` is the one
-positional record and is the array ``[start, length]``.
+positional record and is the array ``[start, length]``, nested or whole.
 
 Field types understood: ``str``, ``int`` (never ``bool``), ``bool`` (never
 ``0`` or ``1``), ``bytes``, ``X | None``, ``tuple[X, ...]``, fixed tuples
@@ -44,7 +44,22 @@ from, and ``encode_record`` without ``omit``, a nested write included,
 returns that slice instead of re-encoding.  By the bijection above the
 slice is the record's encoding, as long as the record is not changed:
 records are frozen, ``dataclasses.replace`` builds a record without a slice,
-and no code changes a decoded record's ``dict`` field in place.
+and no code changes a decoded record's ``dict`` field in place.  Under the
+same invariant such a record also keeps each encoding ``encode_record``
+gives it with ``omit``, so a signed payload is written once per record.
+
+A flat record (a map record whose fields are all scalars, enums or optional
+scalars: a certificate, a status response) holds nothing that can change,
+so one instance can stand for every read of the same bytes.  The reader of
+a flat class keeps a table of the records it read, keyed by the first
+``_KEY_BYTES`` input bytes at the read position, and returns a stored record
+only when the input there starts with that record's whole slice: a canonical
+record is prefix-free, so those bytes read as exactly that record.  Any other
+input is read in full and its record stored.  Like the signature memo of
+:mod:`.crypto`, a table holds at most ``_SHARED_ENTRIES`` records of at most
+``_SHARED_BYTES`` each, dropping the oldest first under one lock (the status
+service's thread reads records too), so a certificate seen in many manifests
+is decoded, and its signed template written, once.
 
 The JSON forms (structured reports, corpus index entries) are read back
 from those bytes: ``record_value`` is ``decode_value(encode_record(...))``,
@@ -62,6 +77,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import threading
 import types
 import typing
 from enum import Enum
@@ -69,8 +85,8 @@ from typing import Any, Callable
 
 from .container import ByteRange
 from .encoding import (
-    Value, array_head, decode_value, encode_value, map_head, read_array_head, read_value,
-    write_value,
+    MAX_DEPTH, Value, array_head, decode_value, encode_value, map_head, read_array_head,
+    read_value, write_value,
 )
 from .errors import DecodeError
 
@@ -79,6 +95,14 @@ _SCALARS = (str, int, bool, bytes)
 _NULL = encode_value(None)
 # the instance attribute that holds a decoded map record's wire bytes
 _WIRE = "_wire"
+
+# per flat record class, the records read so far by their first _KEY_BYTES
+# input bytes: at most _SHARED_ENTRIES of at most _SHARED_BYTES each
+_KEY_BYTES = 64
+_SHARED_ENTRIES = 512
+_SHARED_BYTES = 4096
+_shared_records: dict[type, dict[bytes, Any]] = {}
+_shared_lock = threading.Lock()
 
 Decoder = Callable[[Value], Any]
 # appends a field value's canonical chunks to the list it is given
@@ -92,8 +116,8 @@ Reader = Callable[[bytes, int, int], tuple[Any, int]]
 _Plan = tuple[tuple[str, Decoder, Writer, Reader], ...]
 
 
-def record_value(record: Any) -> dict:
-    """The map value of ``record``."""
+def record_value(record: Any) -> Value:
+    """The value of ``record``."""
     return decode_value(encode_record(record))
 
 
@@ -103,14 +127,33 @@ def record_from_value(cls: type, value: Value) -> Any:
 
 
 def encode_record(record: Any, omit: tuple[str, ...] = ()) -> bytes:
-    """Canonical bytes of ``record``, leaving out the fields named in ``omit``."""
+    """Canonical bytes of ``record``, leaving out the fields named in ``omit``.
+
+    A record read from the wire returns the slice it was read from, and
+    keeps each payload with ``omit`` the first time it is written."""
+    wire = getattr(record, _WIRE, None)
+    if wire is None:
+        return _written(record, omit)
     if not omit:
-        wire = getattr(record, _WIRE, None)
-        if wire is not None:
-            return wire
+        return wire
+    name = _payload_attribute(omit)
+    payload = getattr(record, name, None)
+    if payload is None:
+        payload = _written(record, omit)
+        object.__setattr__(record, name, payload)
+    return payload
+
+
+def _written(record: Any, omit: tuple[str, ...]) -> bytes:
     out: list[bytes] = []
     _record_writer(type(record), omit)(record, out)
     return b"".join(out)
+
+
+@functools.cache
+def _payload_attribute(omit: tuple[str, ...]) -> str:
+    """The instance attribute that holds a decoded record's payload without ``omit``."""
+    return f"{_WIRE}-{'-'.join(omit)}"
 
 
 def decode_record(cls: type, data: bytes) -> Any:
@@ -137,7 +180,10 @@ def _plan(cls: type) -> _Plan:
 
 @functools.cache
 def _record_writer(cls: type, omit: tuple[str, ...]) -> Writer:
-    # a record is a map, even a positional one, when it is the whole value
+    if cls in _POSITIONAL:
+        if omit:
+            raise TypeError(f"{cls.__name__} is positional and leaves out no field")
+        return _positional_writer(cls)
     fields = sorted(
         (
             (encode_value(name), name, write)
@@ -206,7 +252,8 @@ def _record_reader(cls: type) -> Reader:
     reads its value: the record's own heads and keys are matched, nested
     records and sequences of them are read in place, and every other field
     goes through :func:`~.encoding.read_value` at the depth it has in the
-    value.  The record keeps the slice it was read from."""
+    value.  The record keeps the slice it was read from, and a flat
+    record is shared with earlier reads of the same bytes."""
     if cls in _POSITIONAL:  # an array of scalars, with no slice to keep
         return _reading(_record_decoder(cls))
     fields = sorted(
@@ -230,7 +277,45 @@ def _record_reader(cls: type) -> Reader:
         object.__setattr__(record, _WIRE, data[start:pos])
         return record, pos
 
-    return read_record
+    return _sharing(cls, read_record) if _is_flat(cls) else read_record
+
+
+def _is_flat(cls: type) -> bool:
+    """Whether every field of ``cls`` is a scalar, an enum or an optional one."""
+    hints = typing.get_type_hints(cls)
+    for field in dataclasses.fields(cls):
+        hint = hints[field.name]
+        if typing.get_origin(hint) is types.UnionType:  # ``X | None``, the one union read
+            hint = next(arg for arg in typing.get_args(hint) if arg is not type(None))
+        if hint not in _SCALARS and not _is_enum(hint):
+            return False
+    return True
+
+
+def _sharing(cls: type, read: Reader) -> Reader:
+    """``read`` for a flat record class, returning a record it stored for the
+    same bytes instead of reading them again (see the module docstring)."""
+    table: dict[bytes, Any] = {}
+    _shared_records[cls] = table
+
+    def read_shared(data: bytes, pos: int, depth: int) -> tuple[Any, int]:
+        key = data[pos : pos + _KEY_BYTES]
+        stored = table.get(key)
+        # a full read would fail past MAX_DEPTH, so a stored record is not served there
+        if stored is not None and depth < MAX_DEPTH:
+            wire = getattr(stored, _WIRE)
+            if data.startswith(wire, pos):
+                return stored, pos + len(wire)
+        record, end = read(data, pos, depth)
+        if end - pos <= _SHARED_BYTES:
+            with _shared_lock:
+                table.pop(key, None)
+                if len(table) >= _SHARED_ENTRIES:
+                    del table[next(iter(table))]
+                table[key] = record
+        return record, end
+
+    return read_shared
 
 
 def _converters(hint: Any) -> tuple[Decoder, Writer, Reader]:
@@ -249,8 +334,6 @@ def _converters(hint: Any) -> tuple[Decoder, Writer, Reader]:
     if _is_enum(hint):
         return _enum(hint)
     if dataclasses.is_dataclass(hint):
-        if hint in _POSITIONAL:
-            return _record_decoder(hint), _positional_writer(hint), _record_reader(hint)
         return _record_decoder(hint), _record_writer(hint, ()), _record_reader(hint)
     raise TypeError(f"no wire shape for field type {hint!r}")
 

@@ -3,7 +3,9 @@
 The value-encoder leg of ``provlab.records`` from before the JSON forms were
 read back from the canonical bytes: ``record_value`` and the encoder half of
 each field converter, with every encoder line verbatim (the decoder and
-writer halves are dropped, and the imports are absolute).
+writer halves are dropped, and the imports are absolute), except that a
+whole :class:`ByteRange` is now its positional array, the shape it always
+had nested, where it used to be a map.
 ``test_records`` holds the current codec to it: ``encode_record`` must give
 the bytes of ``encode_value(record_value(...))``, and the current
 ``record_value`` the same JSON as this one.
@@ -30,8 +32,11 @@ Encoder = Callable[[Any], Value]
 _Plan = tuple[tuple[str, Encoder | None], ...]
 
 
-def record_value(record: Any, omit: tuple[str, ...] = ()) -> dict:
-    """The map value of ``record``, leaving out the fields named in ``omit``."""
+def record_value(record: Any, omit: tuple[str, ...] = ()) -> Value:
+    """The value of ``record``, leaving out the fields named in ``omit``; a
+    positional record is its array, whole or nested."""
+    if type(record) in _POSITIONAL:
+        return _array_value(_plan(type(record)), record)
     return _map_value(_plan(type(record)), record, omit)
 
 

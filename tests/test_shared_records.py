@@ -1,0 +1,178 @@
+"""Flat records read from the wire are shared, exactly and within bounds.
+
+A certificate or status response read again from the same bytes is the
+record read before (``is``-identical); any other bytes are read in full,
+so a near miss decodes to its own record and fails as it would unshared.
+The tables hold at most ``_SHARED_ENTRIES`` records of at most
+``_SHARED_BYTES`` each, stay consistent under concurrent reads, and no
+verdict or report depends on what they hold.
+"""
+
+import sys
+import threading
+
+import pytest
+
+from provlab import records
+from provlab.container import extract_manifest, parse_asset
+from provlab.corpus import build_corpus, entry_policies, verify_corpus
+from provlab.credentials import decode_manifest
+from provlab.encoding import MAX_DEPTH, decode_value
+from provlab.errors import DecodeError
+from provlab.records import decode_record, encode_record, record_from_value
+from provlab.trust import (
+    Certificate, ChainStatus, ChainVerdict, StatusResponse, Usage, verify_chain,
+)
+from provlab.validator import report_to_json, validate
+from provlab.workspace import Workspace
+
+FLOOD = 600
+
+
+def flood_certificates(count: int, issuer: str = "flood") -> list[bytes]:
+    """The wire bytes of ``count`` certificates that differ in their first 64 bytes."""
+    return [
+        encode_record(Certificate(
+            serial, f"subject {serial}", issuer, bytes(32), 0, 1, Usage.LEAF_SIGNING, bytes(64),
+        ))
+        for serial in range(count)
+    ]
+
+
+def clear_tables() -> None:
+    for table in records._shared_records.values():
+        table.clear()
+
+
+def assert_tables_bounded() -> None:
+    for table in records._shared_records.values():
+        assert len(table) <= records._SHARED_ENTRIES
+        assert all(len(record._wire) <= records._SHARED_BYTES for record in table.values())
+
+
+@pytest.fixture()
+def signed_manifest(corpus, corpus_entry, entry_bytes):
+    data = entry_bytes(corpus_entry("bound-timestamp"))
+    return extract_manifest(parse_asset(data))
+
+
+def certificates(manifest) -> list[Certificate]:
+    signature = manifest.claim_signature
+    return [*signature.signer_chain, *signature.timestamp.tsa_chain]
+
+
+def test_a_repeated_manifest_shares_its_certificates(signed_manifest):
+    first, second = decode_manifest(signed_manifest), decode_manifest(signed_manifest)
+    assert first is not second
+    pairs = list(zip(certificates(first), certificates(second)))
+    assert len(pairs) == 4 and all(a is b for a, b in pairs)
+
+
+def test_a_served_status_is_the_stored_one(corpus):
+    authority = corpus["workspace"].signing
+    stored = authority.status_for(next(iter(authority.revoked)))
+    assert decode_record(StatusResponse, encode_record(stored)) is stored
+
+
+def test_a_near_miss_reads_as_its_own_certificate(corpus, signed_manifest):
+    chain = decode_manifest(signed_manifest).claim_signature.signer_chain
+    leaf = chain[0]
+    wire = encode_record(leaf)
+    flipped = wire[:-1] + bytes([wire[-1] ^ 1])  # the issuer signature's last byte
+    assert flipped[: records._KEY_BYTES] == wire[: records._KEY_BYTES]
+    forged = decode_record(Certificate, flipped)
+    assert forged is not leaf and forged == record_from_value(Certificate, decode_value(flipped))
+    assert forged.issuer_signature != leaf.issuer_signature
+    assert verify_chain((forged, *chain[1:]), corpus["workspace"].trust, leaf.not_before) == (
+        ChainVerdict(ChainStatus.BAD_LINK_SIGNATURE, "issuer signature invalid")
+    )
+    assert decode_record(Certificate, wire) == leaf
+
+
+def test_a_cut_certificate_fails_as_unshared(signed_manifest):
+    leaf = decode_manifest(signed_manifest).claim_signature.signer_chain[0]
+    with pytest.raises(DecodeError) as cut:
+        decode_record(Certificate, encode_record(leaf)[:64])
+    assert str(cut.value) == "truncated input"
+
+
+def test_the_tables_are_bounded():
+    large = Certificate(1, "x" * 5000, "large", bytes(32), 0, 1, Usage.LEAF_SIGNING, bytes(64))
+    assert len(encode_record(large)) > records._SHARED_BYTES
+    decoded = decode_record(Certificate, encode_record(large))
+    assert decoded == large and decoded not in records._shared_records[Certificate].values()
+    for wire in flood_certificates(FLOOD):
+        decode_record(Certificate, wire)
+    assert len(records._shared_records[Certificate]) == records._SHARED_ENTRIES
+    assert_tables_bounded()
+
+
+def test_no_record_is_shared_past_the_nesting_bound(signed_manifest):
+    leaf = decode_manifest(signed_manifest).claim_signature.signer_chain[0]
+    wire = encode_record(leaf)
+    read = records._record_reader(Certificate)
+    assert read(wire, 0, MAX_DEPTH - 1) == (leaf, len(wire))
+    assert read(wire, 0, MAX_DEPTH - 1)[0] is read(wire, 0, 0)[0]
+    with pytest.raises(DecodeError, match=f"nesting deeper than {MAX_DEPTH} levels"):
+        read(wire, 0, MAX_DEPTH)
+
+
+def test_concurrent_reads_past_the_bound():
+    """The status service's thread reads records too, so threads (more of
+    them than cores, switching often) fill and evict one table at once."""
+    clear_tables()
+    start = threading.Barrier(4)
+    failures = []
+
+    def read_all(issuer: str) -> None:
+        wires = flood_certificates(FLOOD, issuer)
+        start.wait()
+        try:
+            for wire in wires:
+                assert encode_record(decode_record(Certificate, wire)) == wire
+        except Exception as exc:  # a failure in a thread fails the test here
+            failures.append(exc)
+
+    threads = [threading.Thread(target=read_all, args=(f"issuer {i}",)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    table = records._shared_records[Certificate]
+    # a lost update would overfill the table or file a record under another's key
+    assert len(table) == records._SHARED_ENTRIES
+    assert all(key == record._wire[: records._KEY_BYTES] for key, record in table.items())
+    assert_tables_bounded()
+
+
+def test_validation_does_not_depend_on_process_history(corpus, tmp_path_factory):
+    """Every seed-1 entry under both presets gives the same report with the
+    tables cleared, warm, and full of other workspaces' certificates."""
+    workspace = corpus["workspace"]
+
+    def reports() -> list[str]:
+        out = []
+        for entry in corpus["entries"]:
+            data = (workspace.root / entry.path).read_bytes()
+            for policy in entry_policies(workspace, entry, corpus["crl"]).values():
+                out.append(report_to_json(validate(data, policy)))
+        return out
+
+    clear_tables()
+    cold = reports()
+    assert len(cold) == 2 * 21
+    assert reports() == cold
+    for seed in (2, 3):
+        other = Workspace.initialize(tmp_path_factory.mktemp(f"ws{seed}"), seed=seed)
+        build_corpus(other)
+        assert verify_corpus(other) == []
+    for wire in flood_certificates(FLOOD):
+        decode_record(Certificate, wire)
+    assert reports() == cold
