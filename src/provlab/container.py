@@ -220,9 +220,10 @@ def build_asset(parts: list[tuple[SegmentKind, str, bytes]]) -> Asset:
     checked = []
     for kind, label, payload in parts:
         _check_label(label)
-        if not len(payload):
+        payload = bytes(payload)  # its length in bytes, whatever the buffer's item size
+        if not payload:
             raise MalformedContainer("empty segment payload")
-        checked.append((SegmentKind(kind), label, bytes(payload), 0, len(payload)))
+        checked.append((SegmentKind(kind), label, payload, 0, len(payload)))
     return _assemble(checked)
 
 

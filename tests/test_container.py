@@ -1,5 +1,6 @@
 """Container format: round-trips, strict parsing, hard-binding digests."""
 
+import array
 import hashlib
 import mmap
 import tracemalloc
@@ -70,6 +71,13 @@ def test_parse_reads_every_buffer_type_alike(tmp_path):
                 assert asset == reference
                 assert serialize_asset(asset) == wire
                 del asset  # the mapping cannot close while an asset reads it
+
+
+def test_build_keeps_every_byte_of_a_wide_buffer():
+    """A payload buffer whose items are wider than a byte is kept whole."""
+    wide = memoryview(array.array("I", [1, 2, 3]))
+    asset = build_asset([(SegmentKind.IMAGE_DATA, "image", wide)])
+    assert asset.size == 12 and asset.payload(asset.segments[0]) == wide.tobytes()
 
 
 def test_parse_copies_a_buffer_the_caller_may_change():
