@@ -285,7 +285,7 @@ def _is_flat(cls: type) -> bool:
     hints = typing.get_type_hints(cls)
     for field in dataclasses.fields(cls):
         hint = hints[field.name]
-        if typing.get_origin(hint) is types.UnionType:  # ``X | None``, the one union read
+        if typing.get_origin(hint) is types.UnionType:  # ``X | None``, the one union allowed
             hint = next(arg for arg in typing.get_args(hint) if arg is not type(None))
         if hint not in _SCALARS and not _is_enum(hint):
             return False
