@@ -48,18 +48,29 @@ and no code changes a decoded record's ``dict`` field in place.  Under the
 same invariant such a record also keeps each encoding ``encode_record``
 gives it with ``omit``, so a signed payload is written once per record.
 
-A flat record (a map record whose fields are all scalars, enums or optional
-scalars: a certificate, a status response) holds nothing that can change,
-so one instance can stand for every read of the same bytes.  The reader of
-a flat class keeps a table of the records it read, keyed by the first
-``_KEY_BYTES`` input bytes at the read position, and returns a stored record
-only when the input there starts with that record's whole slice: a canonical
-record is prefix-free, so those bytes read as exactly that record.  Any other
-input is read in full and its record stored.  Like the signature memo of
-:mod:`.crypto`, a table holds at most ``_SHARED_ENTRIES`` records of at most
-``_SHARED_BYTES`` each, dropping the oldest first under one lock (the status
-service's thread reads records too), so a certificate seen in many manifests
-is decoded, and its signed template written, once.
+Records are shared by two rules, so that bytes read before are not read
+again.  A flat record (a map record whose fields are all scalars, enums or
+optional scalars: a certificate, a status response) is shared wherever it is
+read, nested or whole: the reader of a flat class keeps a table of the
+records it read, keyed by the first ``_KEY_BYTES`` input bytes at the read
+position, and returns a stored record only when the input there starts with
+that record's whole slice.  A canonical record is prefix-free, so those
+bytes read as exactly that record; any other input is read in full and its
+record stored.  Any other record (a manifest, a revocation list) is shared
+only when it is the whole input: ``decode_record`` keeps a table per class
+keyed by the exact input bytes it read to the end, and serves a stored
+record for an equal input.  Only exact ``bytes`` inputs are served or
+stored, never a ``bytearray``, ``memoryview`` or ``bytes`` subclass.  A
+table stores records of at most ``_SHARED_BYTES`` wire bytes, whose wire
+bytes total at most ``_TABLE_BYTES``, and drops the oldest first under one
+lock (the status service's thread reads records too).  So a certificate
+seen in many manifests is decoded, and its signed template written, once,
+and a manifest validated again is not read again.
+
+Sharing is sound because equal inputs read to equal records and no code
+changes a decoded record: records are frozen, and no code changes a decoded
+record's ``dict`` field in place, so every caller of a shared record sees
+what a fresh read would have built.
 
 The JSON forms (structured reports, corpus index entries) are read back
 from those bytes: ``record_value`` is ``decode_value(encode_record(...))``,
@@ -96,12 +107,12 @@ _NULL = encode_value(None)
 # the instance attribute that holds a decoded map record's wire bytes
 _WIRE = "_wire"
 
-# per flat record class, the records read so far by their first _KEY_BYTES
-# input bytes: at most _SHARED_ENTRIES of at most _SHARED_BYTES each
+# per record class, the records read so far (see the module docstring):
+# each of at most _SHARED_BYTES wire bytes, at most _TABLE_BYTES in all
 _KEY_BYTES = 64
-_SHARED_ENTRIES = 512
 _SHARED_BYTES = 4096
-_shared_records: dict[type, dict[bytes, Any]] = {}
+_TABLE_BYTES = 128 * 1024
+_shared_records: dict[type, _Table] = {}
 _shared_lock = threading.Lock()
 
 Decoder = Callable[[Value], Any]
@@ -159,12 +170,20 @@ def _payload_attribute(omit: tuple[str, ...]) -> str:
 def decode_record(cls: type, data: bytes) -> Any:
     """Decode canonical bytes into a ``cls`` record, rejecting any other shape."""
     if isinstance(data, bytes):  # so each stored slice is immutable bytes
+        # a subclass could hash or compare unlike its bytes, so it is not shared
+        table = _whole_inputs(cls) if type(data) is bytes and len(data) <= _SHARED_BYTES else None
+        if table is not None:
+            record = table.get(data)
+            if record is not None:
+                return record
         try:
             record, end = _record_reader(cls)(data, 0, 0)
         except (DecodeError, ValueError):
             pass
         else:
             if end == len(data):
+                if table is not None:
+                    table.store(data, record)
                 return record
     # the reader's errors are not worded; this path words every failure
     return record_from_value(cls, decode_value(data))
@@ -292,11 +311,44 @@ def _is_flat(cls: type) -> bool:
     return True
 
 
+class _Table(dict):
+    """Shared records by key, oldest first; ``held`` counts their wire bytes."""
+
+    held = 0
+
+    def store(self, key: bytes, record: Any) -> None:
+        size = len(getattr(record, _WIRE))
+        with _shared_lock:
+            self._drop(key)
+            while self and self.held + size > _TABLE_BYTES:
+                self._drop(next(iter(self)))
+            self[key] = record
+            self.held += size
+
+    def _drop(self, key: bytes) -> None:
+        record = self.pop(key, None)
+        if record is not None:
+            self.held -= len(getattr(record, _WIRE))
+
+    def clear(self) -> None:
+        with _shared_lock:
+            super().clear()
+            self.held = 0
+
+
+@functools.cache
+def _whole_inputs(cls: type) -> _Table | None:
+    """The table of ``cls`` records by the whole input each was read from,
+    or ``None`` for a flat class: its reader shares a certificate or status
+    response wherever it is read, and a positional ``ByteRange`` keeps no
+    slice to share."""
+    return None if _is_flat(cls) else _shared_records.setdefault(cls, _Table())
+
+
 def _sharing(cls: type, read: Reader) -> Reader:
     """``read`` for a flat record class, returning a record it stored for the
     same bytes instead of reading them again (see the module docstring)."""
-    table: dict[bytes, Any] = {}
-    _shared_records[cls] = table
+    table = _shared_records.setdefault(cls, _Table())
 
     def read_shared(data: bytes, pos: int, depth: int) -> tuple[Any, int]:
         key = data[pos : pos + _KEY_BYTES]
@@ -308,11 +360,7 @@ def _sharing(cls: type, read: Reader) -> Reader:
                 return stored, pos + len(wire)
         record, end = read(data, pos, depth)
         if end - pos <= _SHARED_BYTES:
-            with _shared_lock:
-                table.pop(key, None)
-                if len(table) >= _SHARED_ENTRIES:
-                    del table[next(iter(table))]
-                table[key] = record
+            table.store(key, record)
         return record, end
 
     return read_shared

@@ -3,9 +3,10 @@
 ``decode_record`` first reads a record straight off the wire with the
 reader compiled for its class, and falls back to
 ``record_from_value(cls, decode_value(data))`` only to word a failure.
-Here the reader runs alone, without that fallback, and must accept exactly
-the inputs the two-stage path accepts, build equal records, and store in
-each record it builds the bytes the compiled writers give for it.
+Here the reader runs alone, without that fallback or any shared record,
+and must accept exactly the inputs the two-stage path accepts, build equal
+records, and store in each record it builds the bytes the compiled writers
+give for it.
 """
 
 import dataclasses
@@ -14,14 +15,17 @@ from dataclasses import replace
 
 import pytest
 
+import reference_codec
 from provlab import records
 from provlab.container import extract_manifest, parse_asset
 from provlab.credentials import Assertion, Manifest
 from provlab.encoding import MAX_DEPTH, decode_value, encode_value
 from provlab.errors import DecodeError
 from provlab.records import decode_record, encode_record, record_from_value
-from test_codec_differential import MUTATIONS
+from test_codec_differential import decoded, typed
 from test_records import has_wire
+
+MUTATIONS = 20_000
 
 
 def read_alone(cls, data: bytes):
@@ -48,10 +52,9 @@ def nested_records(value):
             yield from nested_records(item)
 
 
-def assert_reads_as_two_stage(cls, data: bytes) -> str:
-    two_stage = outcome(lambda c, d: record_from_value(c, decode_value(d)), cls, data)
+def assert_reads_as(cls, data: bytes, expected: tuple) -> str:
     kind, record = outcome(read_alone, cls, data)
-    assert (kind, record) == two_stage, data.hex()
+    assert (kind, record) == expected, data.hex()
     if kind == "record":
         # a shallow copy is written from its fields, its nested records from
         # their own stored bytes, each checked in turn
@@ -59,6 +62,11 @@ def assert_reads_as_two_stage(cls, data: bytes) -> str:
             if has_wire(inner):
                 assert encode_record(inner) == encode_record(replace(inner)), data.hex()
     return kind
+
+
+def assert_reads_as_two_stage(cls, data: bytes) -> str:
+    two_stage = outcome(lambda c, d: record_from_value(c, decode_value(d)), cls, data)
+    return assert_reads_as(cls, data, two_stage)
 
 
 @pytest.fixture(scope="module")
@@ -72,10 +80,13 @@ def manifests(corpus, entry_bytes):
     return found
 
 
-def test_manifest_mutations_read_as_two_stage(manifests):
-    """The seeded byte mutations of ``test_codec_differential``, decoded as
-    manifests: the same draws from the same seed."""
+def test_manifest_mutations_decode_and_read_as_reference(manifests):
+    """Seeded byte mutations of the corpus manifests, each decoded three
+    ways: the value codec gives the reference codec's value or message, and
+    the reader accepts exactly what the two-stage decode of that value
+    accepts, building an equal manifest."""
     rng = random.Random(0xC0DEC)
+    outcomes = set()
     kinds = []
     for _ in range(MUTATIONS):
         mutated = bytearray(manifests[rng.randrange(len(manifests))])
@@ -86,7 +97,20 @@ def test_manifest_mutations_read_as_two_stage(manifests):
             mutated = mutated[: rng.randrange(len(mutated) + 1)]
         elif draw < 0.30:
             mutated += rng.randbytes(rng.randrange(1, 16))
-        kinds.append(assert_reads_as_two_stage(Manifest, bytes(mutated)))
+        data = bytes(mutated)
+        try:
+            value = decode_value(data)
+        except DecodeError as exc:
+            kind, detail = "DecodeError", str(exc)
+            two_stage = ("rejected", None)
+        else:
+            kind, detail = "value", typed(value)
+            two_stage = outcome(record_from_value, Manifest, value)
+        assert (kind, detail) == decoded(reference_codec.decode_value, data), data.hex()
+        outcomes.add(detail if kind == "DecodeError" else kind)
+        kinds.append(assert_reads_as(Manifest, data, two_stage))
+    # the inputs reach values and many kinds of failure, not one
+    assert "value" in outcomes and len(outcomes) >= 8
     assert kinds.count("record") > 1000 and kinds.count("rejected") > 1000
 
 

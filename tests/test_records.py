@@ -206,11 +206,10 @@ def test_a_replaced_record_encodes_its_new_fields(seeded_records):
 
 
 def test_validation_writes_only_signed_payloads(corpus, corpus_entry, entry_bytes, monkeypatch):
-    """A second hardened validation re-encodes no record it decoded, and
-    reads no certificate in full: the certificates are the ones the first
-    read, each holding its signed template, and the policy's CRL holds its
-    payload, so the compiled writers run only for the token payload of the
-    freshly read manifest."""
+    """A second hardened validation of the same bytes writes nothing and
+    reads no certificate in full: its manifest is the one the first read,
+    whose token and certificates hold their signed payloads, and the
+    policy's CRL holds its payload, so no compiled writer runs."""
     entry = corpus_entry("bound-timestamp")
     data = entry_bytes(entry)
     policy = entry_policies(corpus["workspace"], entry, corpus["crl"])["hardened"]
@@ -229,5 +228,5 @@ def test_validation_writes_only_signed_payloads(corpus, corpus_entry, entry_byte
     monkeypatch.setattr(record_codec, "_record_writer", counting_writer)
     monkeypatch.setattr(Certificate, "__post_init__", counting_check)
     assert validate(data, policy).verdict is Verdict.ACCEPTED
-    assert seen == [("TimestampToken", ("tsa_chain", "tsa_signature"))]
+    assert seen == []
     assert certificates_built == []

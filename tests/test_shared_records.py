@@ -1,24 +1,28 @@
-"""Flat records read from the wire are shared, exactly and within bounds.
+"""Records read from the wire are shared, exactly and within bounds.
 
 A certificate or status response read again from the same bytes is the
-record read before (``is``-identical); any other bytes are read in full,
-so a near miss decodes to its own record and fails as it would unshared.
-The tables hold at most ``_SHARED_ENTRIES`` records of at most
-``_SHARED_BYTES`` each, stay consistent under concurrent reads, and no
-verdict or report depends on what they hold.
+record read before (``is``-identical), wherever it is read; a manifest or
+any other record read again as the same whole input is the record read
+before.  Any other bytes are read in full, so a near miss decodes to its own
+record and fails as it would unshared.  The tables store records of at most
+``_SHARED_BYTES`` wire bytes, at most ``_TABLE_BYTES`` of them per table,
+stay consistent under concurrent reads, and no verdict or report depends on
+what they hold.
 """
 
 import sys
 import threading
+from dataclasses import replace
 
 import pytest
 
 from provlab import records
 from provlab.container import extract_manifest, parse_asset
 from provlab.corpus import build_corpus, entry_policies, verify_corpus
-from provlab.credentials import decode_manifest
+from provlab.credentials import Manifest, decode_manifest
 from provlab.encoding import MAX_DEPTH, decode_value
 from provlab.errors import DecodeError
+from provlab.timestamp import archival_extend
 from provlab.records import decode_record, encode_record, record_from_value
 from provlab.trust import (
     Certificate, ChainStatus, ChainVerdict, StatusResponse, Usage, verify_chain,
@@ -39,6 +43,15 @@ def flood_certificates(count: int, issuer: str = "flood") -> list[bytes]:
     ]
 
 
+def flood_manifests(manifest: bytes, count: int) -> list[bytes]:
+    """The wire bytes of ``count`` manifests that differ in their generator."""
+    decoded = decode_manifest(manifest)
+    return [
+        encode_record(replace(decoded, claim=replace(decoded.claim, generator=f"flood {n}")))
+        for n in range(count)
+    ]
+
+
 def clear_tables() -> None:
     for table in records._shared_records.values():
         table.clear()
@@ -46,14 +59,24 @@ def clear_tables() -> None:
 
 def assert_tables_bounded() -> None:
     for table in records._shared_records.values():
-        assert len(table) <= records._SHARED_ENTRIES
-        assert all(len(record._wire) <= records._SHARED_BYTES for record in table.values())
+        sizes = [len(record._wire) for record in table.values()]
+        assert table.held == sum(sizes) <= records._TABLE_BYTES
+        assert all(size <= records._SHARED_BYTES for size in sizes)
+
+
+def assert_table_full(cls: type) -> None:
+    table = records._shared_records[cls]
+    assert table.held > records._TABLE_BYTES - records._SHARED_BYTES
 
 
 @pytest.fixture()
-def signed_manifest(corpus, corpus_entry, entry_bytes):
-    data = entry_bytes(corpus_entry("bound-timestamp"))
-    return extract_manifest(parse_asset(data))
+def signed_asset(corpus, corpus_entry, entry_bytes):
+    return parse_asset(entry_bytes(corpus_entry("bound-timestamp")))
+
+
+@pytest.fixture()
+def signed_manifest(signed_asset):
+    return extract_manifest(signed_asset)
 
 
 def certificates(manifest) -> list[Certificate]:
@@ -61,10 +84,18 @@ def certificates(manifest) -> list[Certificate]:
     return [*signature.signer_chain, *signature.timestamp.tsa_chain]
 
 
-def test_a_repeated_manifest_shares_its_certificates(signed_manifest):
+def test_a_repeated_manifest_shares_its_certificates(corpus, signed_asset, signed_manifest):
     first, second = decode_manifest(signed_manifest), decode_manifest(signed_manifest)
-    assert first is not second
-    pairs = list(zip(certificates(first), certificates(second)))
+    assert first is second
+    # two manifests that differ after the claim are each read in full, but
+    # not their certificates
+    tsa = corpus["workspace"].tsa()
+    one, other = (
+        decode_manifest(extract_manifest(archival_extend(signed_asset, tsa, clock=tsa.clock + n)))
+        for n in (1, 2)
+    )
+    assert one != other and one.claim == other.claim
+    pairs = list(zip(certificates(one), certificates(other)))
     assert len(pairs) == 4 and all(a is b for a, b in pairs)
 
 
@@ -96,14 +127,60 @@ def test_a_cut_certificate_fails_as_unshared(signed_manifest):
     assert str(cut.value) == "truncated input"
 
 
-def test_the_tables_are_bounded():
+def test_a_changed_byte_reads_as_its_own_manifest(signed_manifest):
+    stored = decode_manifest(signed_manifest)
+    at = signed_manifest.index(stored.claim_signature.signature) + 63
+    changed = bytearray(signed_manifest)
+    changed[at] ^= 1
+    changed = bytes(changed)
+    forged = decode_record(Manifest, changed)
+    assert forged is not stored and forged == record_from_value(Manifest, decode_value(changed))
+    assert forged.claim_signature.signature != stored.claim_signature.signature
+    assert decode_record(Manifest, changed) is forged
+    assert decode_record(Manifest, signed_manifest) is stored
+
+
+def test_a_trailing_byte_fails_as_unshared(signed_manifest):
+    decode_manifest(signed_manifest)
+    longer = signed_manifest + b"\x00"
+    with pytest.raises(DecodeError) as shared:
+        decode_record(Manifest, longer)
+    with pytest.raises(DecodeError) as unshared:
+        record_from_value(Manifest, decode_value(longer))
+    assert str(shared.value) == str(unshared.value) == "trailing bytes after value"
+
+
+class TaggedBytes(bytes):
+    """A ``bytes`` subclass, which a table must neither serve nor store."""
+
+
+@pytest.mark.parametrize("kind", [bytearray, memoryview, TaggedBytes])
+def test_only_exact_bytes_are_shared(signed_manifest, kind):
+    clear_tables()
+    table = records._whole_inputs(Manifest)
+    fresh = decode_record(Manifest, kind(signed_manifest))
+    assert len(table) == 0
+    stored = decode_manifest(signed_manifest)
+    assert list(table.values()) == [stored] and stored == fresh
+    again = decode_record(Manifest, kind(signed_manifest))
+    assert again is not stored and again == stored
+    assert list(table.values()) == [stored]
+
+
+def test_the_tables_are_bounded(signed_manifest):
     large = Certificate(1, "x" * 5000, "large", bytes(32), 0, 1, Usage.LEAF_SIGNING, bytes(64))
     assert len(encode_record(large)) > records._SHARED_BYTES
     decoded = decode_record(Certificate, encode_record(large))
     assert decoded == large and decoded not in records._shared_records[Certificate].values()
     for wire in flood_certificates(FLOOD):
         decode_record(Certificate, wire)
-    assert len(records._shared_records[Certificate]) == records._SHARED_ENTRIES
+    assert_table_full(Certificate)
+    manifests = flood_manifests(signed_manifest, FLOOD)
+    for wire in manifests:
+        decode_manifest(wire)
+    table = records._shared_records[Manifest]
+    assert_table_full(Manifest)
+    assert len(table) < FLOOD and list(table)[-1] == manifests[-1]
     assert_tables_bounded()
 
 
@@ -146,15 +223,16 @@ def test_concurrent_reads_past_the_bound():
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
     table = records._shared_records[Certificate]
-    # a lost update would overfill the table or file a record under another's key
-    assert len(table) == records._SHARED_ENTRIES
+    # a lost update would miscount or overfill the table, or file a record
+    # under another's key
+    assert_table_full(Certificate)
     assert all(key == record._wire[: records._KEY_BYTES] for key, record in table.items())
     assert_tables_bounded()
 
 
-def test_validation_does_not_depend_on_process_history(corpus, tmp_path_factory):
+def test_validation_does_not_depend_on_process_history(corpus, signed_manifest, tmp_path_factory):
     """Every seed-1 entry under both presets gives the same report with the
-    tables cleared, warm, and full of other workspaces' certificates."""
+    tables cleared, warm, and full of other workspaces' records."""
     workspace = corpus["workspace"]
 
     def reports() -> list[str]:
@@ -175,4 +253,6 @@ def test_validation_does_not_depend_on_process_history(corpus, tmp_path_factory)
         assert verify_corpus(other) == []
     for wire in flood_certificates(FLOOD):
         decode_record(Certificate, wire)
+    for wire in flood_manifests(signed_manifest, FLOOD):
+        decode_manifest(wire)
     assert reports() == cold
