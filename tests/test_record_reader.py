@@ -3,10 +3,10 @@
 ``decode_record`` first reads a record straight off the wire with the
 reader compiled for its class, and falls back to
 ``record_from_value(cls, decode_value(data))`` only to word a failure.
-Here the reader runs alone, without that fallback or any shared record,
-and must accept exactly the inputs the two-stage path accepts, build equal
-records, and store in each record it builds the bytes the compiled writers
-give for it.
+Here the reader runs alone, without that fallback or the table of whole
+inputs, and must accept exactly the inputs the two-stage path accepts,
+build equal records, and store in each record it builds the bytes the
+compiled writers give for it.
 """
 
 import dataclasses
