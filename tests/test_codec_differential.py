@@ -8,15 +8,19 @@ an ``EncodeError`` with the same message.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_codec
+from provlab.container import extract_manifest, parse_asset
 from provlab.encoding import decode_value, encode_value
 from provlab.errors import DecodeError, EncodeError
 from test_encoding import NONCANONICAL_WIRE, VECTORS, keys, values
+
+MUTATIONS = 20_000
 
 # heads the vector tables do not reach: reserved infos, tags, simple values
 # other than false/true/null/float64, and map keys of every rejected type
@@ -68,6 +72,30 @@ def _hex(item) -> str:
 )
 def test_vectors_decode_as_reference(hexwire):
     assert_same_decoding(bytes.fromhex(hexwire))
+
+
+def test_manifest_mutations_decode_as_reference(corpus, entry_bytes):
+    manifests = [
+        extract_manifest(parse_asset(entry_bytes(entry)))
+        for entry in corpus["entries"]
+        if entry.attack == "none"
+    ]
+    assert len(manifests) == 6
+    rng = random.Random(0xC0DEC)
+    outcomes = set()
+    for _ in range(MUTATIONS):
+        mutated = bytearray(manifests[rng.randrange(len(manifests))])
+        for _ in range(rng.randint(1, 3)):
+            mutated[rng.randrange(len(mutated))] = rng.randrange(256)
+        draw = rng.random()
+        if draw < 0.25:
+            mutated = mutated[: rng.randrange(len(mutated) + 1)]
+        elif draw < 0.30:
+            mutated += rng.randbytes(rng.randrange(1, 16))
+        kind, detail = assert_same_decoding(bytes(mutated))
+        outcomes.add(detail if kind == "DecodeError" else kind)
+    # the inputs reach values and many kinds of failure, not one
+    assert "value" in outcomes and len(outcomes) >= 8
 
 
 wild_scalars = st.one_of(
