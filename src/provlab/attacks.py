@@ -240,26 +240,6 @@ def attack_strip_manifest(asset: Asset) -> AttackOutcome:
     )
 
 
-def attack_planted_redaction_record(asset: Asset) -> AttackOutcome:
-    """Append an assertion labelled ``prov.redaction`` that the claim does not list.
-
-    No key is needed: the planted assertion names a redaction and a
-    redactor, and nothing signs it.  A validator that leaves the label out
-    of the claim's digest check accepts it as part of the signed manifest.
-    """
-    manifest = decode_manifest(extract_manifest(asset))
-    planted = Assertion(
-        "prov.redaction", {"target": "std.actions", "redactor": "Trusted Newsroom Legal Desk"}
-    )
-    mutated_manifest = replace(manifest, assertions=manifest.assertions + (planted,))
-    return AttackOutcome(
-        name="planted-redaction-record",
-        mutated=replace_manifest(asset, encode_manifest(mutated_manifest)),
-        expected={"spec": Verdict.REJECTED, "hardened": Verdict.REJECTED},
-        notes="an unsigned 'prov.redaction' assertion appended that the claim does not list",
-    )
-
-
 # ---------------------------------------------------------------------------
 # the registry
 # ---------------------------------------------------------------------------
@@ -328,7 +308,23 @@ def _strip_manifest(workspace: Workspace, scenario: str, asset: Asset) -> Attack
 def _planted_redaction_record(
     workspace: Workspace, scenario: str, asset: Asset
 ) -> AttackOutcome:
-    return attack_planted_redaction_record(asset)
+    """Append an assertion labelled ``prov.redaction`` that the claim does not list.
+
+    No key is needed: the planted assertion names a redaction and a
+    redactor, and nothing signs it.  A validator that leaves the label out
+    of the claim's digest check accepts it as part of the signed manifest.
+    """
+    manifest = decode_manifest(extract_manifest(asset))
+    planted = Assertion(
+        "prov.redaction", {"target": "std.actions", "redactor": "Trusted Newsroom Legal Desk"}
+    )
+    mutated_manifest = replace(manifest, assertions=manifest.assertions + (planted,))
+    return AttackOutcome(
+        name="planted-redaction-record",
+        mutated=replace_manifest(asset, encode_manifest(mutated_manifest)),
+        expected={"spec": Verdict.REJECTED, "hardened": Verdict.REJECTED},
+        notes="an unsigned 'prov.redaction' assertion appended that the claim does not list",
+    )
 
 
 ATTACKS: dict[str, Attack] = {

@@ -41,47 +41,39 @@ instead, and its error is the one raised, so every message stays as it was.
 
 Each map record the reader builds keeps the slice of the input it was read
 from, and ``encode_record`` without ``omit``, a nested write included,
-returns that slice instead of re-encoding.  By the bijection above the
-slice is the record's encoding, as long as the record is not changed:
-records are frozen, ``dataclasses.replace`` builds a record without a slice,
-and no code changes a decoded record's ``dict`` field in place.  Under the
-same invariant such a record also keeps each encoding ``encode_record``
-gives it with ``omit``, so a signed payload is written once per record.
+returns that slice instead of re-encoding; with ``omit`` it keeps each
+payload it writes, so a signed payload is written once per record.
 
-Records are shared by two rules, so that bytes read before are not read
-again.  A flat record (a map record whose fields are all scalars, enums or
-optional scalars: a certificate, a status response) is shared wherever it is
-read, nested or whole: the reader of a flat class keeps a table of the
-records it read, keyed by the first ``_KEY_BYTES`` input bytes at the read
-position, and returns a stored record only when the input there starts with
-that record's whole slice.  A canonical record is prefix-free, so those
-bytes read as exactly that record; any other input is read in full and its
-record stored.  Any other record (a manifest, a revocation list) is shared
-only when it is the whole input: ``decode_record`` keeps a table per class
-keyed by the exact input bytes it read to the end, and serves a stored
-record for an equal input.  Only exact ``bytes`` inputs are served or
-stored, never a ``bytearray``, ``memoryview`` or ``bytes`` subclass.  A
-table stores records of at most ``_SHARED_BYTES`` wire bytes, whose wire
-bytes total at most ``_TABLE_BYTES``, and drops the oldest first under one
-lock (the status service's thread reads records too).  So a certificate
-seen in many manifests is decoded, and its signed template written, once,
-and a manifest validated again is not read again.
+The reader shares what it reads: each map record class keeps a table of
+``(record, depth)`` keyed by the first ``_KEY_BYTES`` input bytes at the
+read position, and serves a stored record only where the input starts with
+its slice and the current depth is at most the one it was read at.  A canonical record is
+prefix-free, so those bytes read as exactly that record, and depth limits a
+read only through ``MAX_DEPTH``, so bytes that read cleanly at one depth
+read cleanly at any shallower one.  Any other input, a deeper read
+included, is read in full and its record stored under that key.  Only exact
+``bytes`` reach the reader: a ``bytearray``, ``memoryview`` or ``bytes``
+subclass takes the two-stage path, and is never served or stored.  A table
+stores records of at most ``_SHARED_BYTES`` wire bytes, at most
+``_TABLE_BYTES`` of them, and drops the oldest first under one lock (the
+status service's thread reads records too).  So a certificate seen in many
+manifests is decoded, and its template written, once, a manifest validated
+again is not read again, and a re-stamped variant of a known manifest reads
+only what it changed.
 
-Sharing is sound because equal inputs read to equal records and no code
-changes a decoded record: records are frozen, and no code changes a decoded
-record's ``dict`` field in place, so every caller of a shared record sees
-what a fresh read would have built.
+By the bijection above a slice is its record's encoding, and a shared
+record is what a fresh read would build, as long as no record changes:
+records are frozen, ``dataclasses.replace`` builds a record without a
+slice, and no code changes a decoded record's ``dict`` field in place.
 
 The JSON forms (structured reports, corpus index entries) are read back
-from those bytes: ``record_value`` is ``decode_value(encode_record(...))``,
-so a record has no second encoder.  A record without ``bytes`` fields
-decodes from its JSON form through ``record_from_value`` with the same
-exact decoding.
+from those bytes (``record_value`` is ``decode_value(encode_record(...))``),
+so a record has no second encoder, and a record without ``bytes`` fields
+decodes from its JSON form through ``record_from_value``.
 
-A signed payload is a record minus some fields, named by ``omit``: a
-certificate without its issuer signature, a revocation list without its
-signature, a timestamp token or a redaction without its chain and
-signature, a status response without the responder's signature.
+A signed payload is a record minus the fields named by ``omit``: a
+certificate without its issuer signature, a timestamp token or a redaction
+without its chain and signature, and so on.
 """
 
 from __future__ import annotations
@@ -96,7 +88,7 @@ from typing import Any, Callable
 
 from .container import ByteRange
 from .encoding import (
-    MAX_DEPTH, Value, array_head, decode_value, encode_value, map_head, read_array_head,
+    Value, array_head, decode_value, encode_value, map_head, read_array_head,
     read_value, write_value,
 )
 from .errors import DecodeError
@@ -108,7 +100,8 @@ _NULL = encode_value(None)
 _WIRE = "_wire"
 
 # per record class, the records read so far (see the module docstring):
-# each of at most _SHARED_BYTES wire bytes, at most _TABLE_BYTES in all
+# each of at most _SHARED_BYTES wire bytes, at most _TABLE_BYTES in all (own
+# slices only: the ten tables a validation fills hold about 6 MiB of heap when full)
 _KEY_BYTES = 64
 _SHARED_BYTES = 4096
 _TABLE_BYTES = 128 * 1024
@@ -169,21 +162,13 @@ def _payload_attribute(omit: tuple[str, ...]) -> str:
 
 def decode_record(cls: type, data: bytes) -> Any:
     """Decode canonical bytes into a ``cls`` record, rejecting any other shape."""
-    if isinstance(data, bytes):  # so each stored slice is immutable bytes
-        # a subclass could hash or compare unlike its bytes, so it is not shared
-        table = _whole_inputs(cls) if type(data) is bytes and len(data) <= _SHARED_BYTES else None
-        if table is not None:
-            record = table.get(data)
-            if record is not None:
-                return record
+    if type(data) is bytes:  # immutable, and no subclass that compares unlike its bytes
         try:
             record, end = _record_reader(cls)(data, 0, 0)
         except (DecodeError, ValueError):
             pass
         else:
             if end == len(data):
-                if table is not None:
-                    table.store(data, record)
                 return record
     # the reader's errors are not worded; this path words every failure
     return record_from_value(cls, decode_value(data))
@@ -271,8 +256,8 @@ def _record_reader(cls: type) -> Reader:
     reads its value: the record's own heads and keys are matched, nested
     records and sequences of them are read in place, and every other field
     goes through :func:`~.encoding.read_value` at the depth it has in the
-    value.  The record keeps the slice it was read from, and a flat
-    record is shared with earlier reads of the same bytes."""
+    value.  The record keeps the slice it was read from, and is shared
+    with earlier reads of the same bytes."""
     if cls in _POSITIONAL:  # an array of scalars, with no slice to keep
         return _reading(_record_decoder(cls))
     fields = sorted(
@@ -296,39 +281,27 @@ def _record_reader(cls: type) -> Reader:
         object.__setattr__(record, _WIRE, data[start:pos])
         return record, pos
 
-    return _sharing(cls, read_record) if _is_flat(cls) else read_record
-
-
-def _is_flat(cls: type) -> bool:
-    """Whether every field of ``cls`` is a scalar, an enum or an optional one."""
-    hints = typing.get_type_hints(cls)
-    for field in dataclasses.fields(cls):
-        hint = hints[field.name]
-        if typing.get_origin(hint) is types.UnionType:  # ``X | None``, the one union allowed
-            hint = next(arg for arg in typing.get_args(hint) if arg is not type(None))
-        if hint not in _SCALARS and not _is_enum(hint):
-            return False
-    return True
+    return _sharing(cls, read_record)
 
 
 class _Table(dict):
-    """Shared records by key, oldest first; ``held`` counts their wire bytes."""
+    """Shared ``(record, depth)`` pairs by key, oldest first; ``held`` counts their wire bytes."""
 
     held = 0
 
-    def store(self, key: bytes, record: Any) -> None:
+    def store(self, key: bytes, record: Any, depth: int) -> None:
         size = len(getattr(record, _WIRE))
         with _shared_lock:
             self._drop(key)
             while self and self.held + size > _TABLE_BYTES:
                 self._drop(next(iter(self)))
-            self[key] = record
+            self[key] = record, depth
             self.held += size
 
     def _drop(self, key: bytes) -> None:
-        record = self.pop(key, None)
-        if record is not None:
-            self.held -= len(getattr(record, _WIRE))
+        stored = self.pop(key, None)
+        if stored is not None:
+            self.held -= len(getattr(stored[0], _WIRE))
 
     def clear(self) -> None:
         with _shared_lock:
@@ -336,31 +309,20 @@ class _Table(dict):
             self.held = 0
 
 
-@functools.cache
-def _whole_inputs(cls: type) -> _Table | None:
-    """The table of ``cls`` records by the whole input each was read from,
-    or ``None`` for a flat class: its reader shares a certificate or status
-    response wherever it is read, and a positional ``ByteRange`` keeps no
-    slice to share."""
-    return None if _is_flat(cls) else _shared_records.setdefault(cls, _Table())
-
-
 def _sharing(cls: type, read: Reader) -> Reader:
-    """``read`` for a flat record class, returning a record it stored for the
+    """``read`` for a map record class, returning a record it stored for the
     same bytes instead of reading them again (see the module docstring)."""
     table = _shared_records.setdefault(cls, _Table())
 
     def read_shared(data: bytes, pos: int, depth: int) -> tuple[Any, int]:
         key = data[pos : pos + _KEY_BYTES]
-        stored = table.get(key)
-        # a full read would fail past MAX_DEPTH, so a stored record is not served there
-        if stored is not None and depth < MAX_DEPTH:
-            wire = getattr(stored, _WIRE)
-            if data.startswith(wire, pos):
-                return stored, pos + len(wire)
+        record, deepest = table.get(key, (None, -1))
+        # what read cleanly at the stored depth reads cleanly at any shallower one
+        if depth <= deepest and data.startswith(wire := getattr(record, _WIRE), pos):
+            return record, pos + len(wire)
         record, end = read(data, pos, depth)
         if end - pos <= _SHARED_BYTES:
-            table.store(key, record)
+            table.store(key, record, depth)
         return record, end
 
     return read_shared

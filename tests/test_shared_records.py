@@ -1,10 +1,9 @@
 """Records read from the wire are shared, exactly and within bounds.
 
-A certificate or status response read again from the same bytes is the
-record read before (``is``-identical), wherever it is read; a manifest or
-any other record read again as the same whole input is the record read
-before.  Any other bytes are read in full, so a near miss decodes to its own
-record and fails as it would unshared.  The tables store records of at most
+A map record read again from the same bytes, nested or whole, at no
+greater depth than before, is the record read before (``is``-identical).
+Any other bytes are read in full, so a near miss decodes to its own record
+and fails as it would unshared.  The tables store records of at most
 ``_SHARED_BYTES`` wire bytes, at most ``_TABLE_BYTES`` of them per table,
 stay consistent under concurrent reads, and no verdict or report depends on
 what they hold.
@@ -19,7 +18,7 @@ import pytest
 from provlab import records
 from provlab.container import extract_manifest, parse_asset
 from provlab.corpus import build_corpus, entry_policies, verify_corpus
-from provlab.credentials import Manifest, decode_manifest
+from provlab.credentials import Claim, Manifest, decode_manifest
 from provlab.encoding import MAX_DEPTH, decode_value
 from provlab.errors import DecodeError
 from provlab.timestamp import archival_extend
@@ -44,10 +43,14 @@ def flood_certificates(count: int, issuer: str = "flood") -> list[bytes]:
 
 
 def flood_manifests(manifest: bytes, count: int) -> list[bytes]:
-    """The wire bytes of ``count`` manifests that differ in their generator."""
+    """The wire bytes of ``count`` manifests that differ in their first 64
+    bytes, which hold the claim's binding digest."""
     decoded = decode_manifest(manifest)
+    binding = decoded.claim.binding
     return [
-        encode_record(replace(decoded, claim=replace(decoded.claim, generator=f"flood {n}")))
+        encode_record(replace(decoded, claim=replace(
+            decoded.claim, binding=replace(binding, digest=n.to_bytes(32, "big")),
+        )))
         for n in range(count)
     ]
 
@@ -57,9 +60,14 @@ def clear_tables() -> None:
         table.clear()
 
 
+def stored(cls: type) -> list:
+    """The records in the ``cls`` table, oldest first."""
+    return [record for record, _ in records._shared_records[cls].values()]
+
+
 def assert_tables_bounded() -> None:
     for table in records._shared_records.values():
-        sizes = [len(record._wire) for record in table.values()]
+        sizes = [len(record._wire) for record, _ in table.values()]
         assert table.held == sum(sizes) <= records._TABLE_BYTES
         assert all(size <= records._SHARED_BYTES for size in sizes)
 
@@ -87,14 +95,18 @@ def certificates(manifest) -> list[Certificate]:
 def test_a_repeated_manifest_shares_its_certificates(corpus, signed_asset, signed_manifest):
     first, second = decode_manifest(signed_manifest), decode_manifest(signed_manifest)
     assert first is second
-    # two manifests that differ after the claim are each read in full, but
-    # not their certificates
+    # two archival-extended variants are each read in full, but not what
+    # they keep of the original: the claim, its signature, the assertions
+    # and the certificates
     tsa = corpus["workspace"].tsa()
     one, other = (
         decode_manifest(extract_manifest(archival_extend(signed_asset, tsa, clock=tsa.clock + n)))
         for n in (1, 2)
     )
-    assert one != other and one.claim == other.claim
+    assert one != other
+    assert one.claim is other.claim and one.claim_signature is other.claim_signature
+    assert len(one.assertions) > 0
+    assert all(a is b for a, b in zip(one.assertions, other.assertions, strict=True))
     pairs = list(zip(certificates(one), certificates(other)))
     assert len(pairs) == 4 and all(a is b for a, b in pairs)
 
@@ -137,8 +149,10 @@ def test_a_changed_byte_reads_as_its_own_manifest(signed_manifest):
     forged = decode_record(Manifest, changed)
     assert forged is not stored and forged == record_from_value(Manifest, decode_value(changed))
     assert forged.claim_signature.signature != stored.claim_signature.signature
+    assert forged.claim is stored.claim
     assert decode_record(Manifest, changed) is forged
-    assert decode_record(Manifest, signed_manifest) is stored
+    # the two take turns in one slot, since their first 64 bytes agree
+    assert decode_record(Manifest, signed_manifest) == stored
 
 
 def test_a_trailing_byte_fails_as_unshared(signed_manifest):
@@ -160,43 +174,57 @@ class TaggedBytes(bytes):
 @pytest.mark.parametrize("kind", [bytearray, memoryview, TaggedBytes])
 def test_only_exact_bytes_are_shared(signed_manifest, kind):
     clear_tables()
-    table = records._whole_inputs(Manifest)
     fresh = decode_record(Manifest, kind(signed_manifest))
-    assert len(table) == 0
-    stored = decode_manifest(signed_manifest)
-    assert list(table.values()) == [stored] and stored == fresh
+    assert stored(Manifest) == []
+    manifest = decode_manifest(signed_manifest)
+    assert stored(Manifest) == [manifest] and manifest == fresh
     again = decode_record(Manifest, kind(signed_manifest))
-    assert again is not stored and again == stored
-    assert list(table.values()) == [stored]
+    assert again is not manifest and again == manifest
+    assert stored(Manifest) == [manifest]
 
 
 def test_the_tables_are_bounded(signed_manifest):
     large = Certificate(1, "x" * 5000, "large", bytes(32), 0, 1, Usage.LEAF_SIGNING, bytes(64))
     assert len(encode_record(large)) > records._SHARED_BYTES
     decoded = decode_record(Certificate, encode_record(large))
-    assert decoded == large and decoded not in records._shared_records[Certificate].values()
+    assert decoded == large and decoded not in stored(Certificate)
     for wire in flood_certificates(FLOOD):
         decode_record(Certificate, wire)
     assert_table_full(Certificate)
     decoded = decode_manifest(signed_manifest)
     wide = encode_record(replace(decoded, claim=replace(decoded.claim, generator="x" * 5000)))
     assert len(wide) > records._SHARED_BYTES
-    table = records._shared_records[Manifest]
-    assert decode_manifest(wide) not in table.values()
+    assert decode_manifest(wide) not in stored(Manifest)
     manifests = flood_manifests(signed_manifest, FLOOD)
     for wire in manifests:
         decode_manifest(wire)
     assert_table_full(Manifest)
-    assert len(table) < FLOOD and list(table)[-1] == manifests[-1]
+    table = records._shared_records[Manifest]
+    assert len(table) < FLOOD and list(table)[-1] == manifests[-1][: records._KEY_BYTES]
     assert_tables_bounded()
 
 
 def test_no_record_is_shared_past_the_nesting_bound(signed_manifest):
-    leaf = decode_manifest(signed_manifest).claim_signature.signer_chain[0]
+    manifest = decode_manifest(signed_manifest)
+    leaf = manifest.claim_signature.signer_chain[0]
     wire = encode_record(leaf)
     read = records._record_reader(Certificate)
     assert read(wire, 0, MAX_DEPTH - 1) == (leaf, len(wire))
     assert read(wire, 0, MAX_DEPTH - 1)[0] is read(wire, 0, 0)[0]
+    with pytest.raises(DecodeError, match=f"nesting deeper than {MAX_DEPTH} levels"):
+        read(wire, 0, MAX_DEPTH)
+    # a claim nests, so it is served at the depth it was stored at and
+    # shallower, and read in full deeper
+    wire = encode_record(manifest.claim)
+    read = records._record_reader(Claim)
+    clear_tables()
+    claim = read(wire, 0, 1)[0]
+    assert claim == manifest.claim and claim is not manifest.claim
+    assert read(wire, 0, 1) == (claim, len(wire)) and read(wire, 0, 1)[0] is claim
+    assert read(wire, 0, 0)[0] is claim
+    deeper = read(wire, 0, 2)[0]
+    assert deeper == claim and deeper is not claim
+    assert read(wire, 0, 1)[0] is deeper
     with pytest.raises(DecodeError, match=f"nesting deeper than {MAX_DEPTH} levels"):
         read(wire, 0, MAX_DEPTH)
 
@@ -233,7 +261,7 @@ def test_concurrent_reads_past_the_bound():
     # a lost update would miscount or overfill the table, or file a record
     # under another's key
     assert_table_full(Certificate)
-    assert all(key == record._wire[: records._KEY_BYTES] for key, record in table.items())
+    assert all(key == record._wire[: records._KEY_BYTES] for key, (record, _) in table.items())
     assert_tables_bounded()
 
 

@@ -1,11 +1,14 @@
-"""Fail when a name that ``src/provlab`` defines is used nowhere.
+"""Fail when a name that ``src/provlab`` defines or imports is used nowhere.
 
 Every top-level function, class and assigned name of a ``src/provlab``
 module, and every method of a top-level class, must appear in ``src/``,
 ``tests/``, ``perfbench/`` or ``tools/`` somewhere besides its own
 definition.  A mention inside a string counts, because the benchmark tracer
 names the functions it hooks in strings.  Dunder names are called implicitly
-and are not checked.  Stdlib only; exits 1 and lists the dead names.
+and are not checked.  Every name a ``src/provlab`` module imports must be
+read in that module, unless the import's first line is marked
+``# noqa: F401`` (a re-export).  The modules are parsed with the stdlib
+``ast``; exits 1 and lists the dead names.
 
     python3 tools/dead_names.py
 """
@@ -39,17 +42,42 @@ def defined_names(tree: ast.Module):
                         yield name.id, node.lineno
 
 
+def unused_imports(tree: ast.Module, lines: list[str]):
+    """``(name, line)`` of each name the module imports and never reads."""
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__" or "# noqa: F401" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            name = (alias.asname or alias.name).split(".")[0]  # ``import a.b`` binds ``a``
+            if name not in read:
+                yield name, node.lineno
+
+
 def main() -> int:
     words = Counter()
     for directory in SEARCHED:
         for path in (ROOT / directory).rglob("*.py"):
             words.update(re.findall(r"\w+", path.read_text()))
-    dead = [
-        f"{path.relative_to(ROOT)}:{line}: {name} appears only in its definition"
-        for path in sorted((ROOT / "src" / "provlab").glob("*.py"))
-        for name, line in defined_names(ast.parse(path.read_text()))
-        if not name.startswith("__") and words[name] <= 1
-    ]
+    dead = []
+    for path in sorted((ROOT / "src" / "provlab").glob("*.py")):
+        source = path.read_text()
+        tree = ast.parse(source)
+        where = path.relative_to(ROOT)
+        dead += [
+            f"{where}:{line}: {name} appears only in its definition"
+            for name, line in defined_names(tree)
+            if not name.startswith("__") and words[name] <= 1
+        ]
+        dead += [
+            f"{where}:{line}: {name} is imported and never read"
+            for name, line in unused_imports(tree, source.splitlines())
+        ]
     print("\n".join(dead) or "no dead names")
     return 1 if dead else 0
 
