@@ -36,7 +36,7 @@ from .container import (
 from .credentials import (
     Assertion, BindingMode, ClaimSignature, decode_manifest, encode_manifest, signed_payload,
 )
-from .crypto import SigningKey, digest
+from .crypto import digest
 from .errors import ProvenanceError
 from .records import encode_record
 from .signer import (
@@ -194,35 +194,6 @@ def attack_expiry_timewarp(asset: Asset, validation_time: int) -> AttackOutcome:
     )
 
 
-def attack_token_transplant(
-    asset: Asset, key: SigningKey, tsa: TimestampAuthority, token_time: int
-) -> AttackOutcome:
-    """Re-sign the claim around a token minted over unrelated bytes.
-
-    The signing key's holder asks a trusted TSA to stamp some other
-    document at ``token_time`` and signs ``claim || token-digest`` around
-    that token.  The bound signature verifies, so only the token's own
-    imprint can show that its time was never stated for this claim.
-    """
-    manifest = decode_manifest(extract_manifest(asset))
-    chain = manifest.claim_signature.signer_chain
-    if key.public_bytes != chain[0].public_key:
-        raise ProvenanceError("key does not match the signing leaf; the signature would break")
-    token = tsa.issue(TRANSPLANT_IMPRINT, clock=token_time)
-    unsigned = ClaimSignature(chain, b"", token, BindingMode.BOUND)
-    signature = key.sign(signed_payload(encode_record(manifest.claim), unsigned))
-    mutated_manifest = replace(manifest, claim_signature=replace(unsigned, signature=signature))
-    return AttackOutcome(
-        name="token-transplant",
-        mutated=replace_manifest(asset, encode_manifest(mutated_manifest)),
-        expected={"spec": Verdict.REJECTED, "hardened": Verdict.REJECTED},
-        notes=(
-            f"claim re-signed by its key holder around a token stamped at {token_time} "
-            "over an unrelated digest"
-        ),
-    )
-
-
 def attack_strip_manifest(asset: Asset) -> AttackOutcome:
     """Remove the manifest segment wholesale.
 
@@ -297,8 +268,31 @@ def _expiry_timewarp(
 def _token_transplant(
     workspace: Workspace, scenario: str, asset: Asset, *, time: int = T0 - BACKDATE_DELTA
 ) -> AttackOutcome:
+    """Re-sign the claim around a token minted over unrelated bytes.
+
+    The signing key's holder asks a trusted TSA to stamp some other
+    document at ``time`` and signs ``claim || token-digest`` around that
+    token.  The bound signature verifies, so only the token's own imprint
+    can show that its time was never stated for this claim.
+    """
     key = scenario_identity(workspace, SCENARIOS[scenario]).key
-    return attack_token_transplant(asset, key, workspace.tsa(), time)
+    manifest = decode_manifest(extract_manifest(asset))
+    chain = manifest.claim_signature.signer_chain
+    if key.public_bytes != chain[0].public_key:
+        raise ProvenanceError("key does not match the signing leaf; the signature would break")
+    token = workspace.tsa().issue(TRANSPLANT_IMPRINT, clock=time)
+    unsigned = ClaimSignature(chain, b"", token, BindingMode.BOUND)
+    signature = key.sign(signed_payload(encode_record(manifest.claim), unsigned))
+    mutated_manifest = replace(manifest, claim_signature=replace(unsigned, signature=signature))
+    return AttackOutcome(
+        name="token-transplant",
+        mutated=replace_manifest(asset, encode_manifest(mutated_manifest)),
+        expected={"spec": Verdict.REJECTED, "hardened": Verdict.REJECTED},
+        notes=(
+            f"claim re-signed by its key holder around a token stamped at {time} "
+            "over an unrelated digest"
+        ),
+    )
 
 
 def _strip_manifest(workspace: Workspace, scenario: str, asset: Asset) -> AttackOutcome:

@@ -411,43 +411,31 @@ def _check_exclusion_audit(run: _Run) -> _Result:
 def _archival_bridge(run: _Run) -> str | None:
     """Try to bridge an expired signing chain with archival tokens.
 
-    Token i must cover the digest of the manifest as it stood before token i
-    was appended.  A token's gen_time is trusted if its own TSA chain is
-    valid now, or a later trusted token attests it while that chain was
-    valid.  The signing chain must be valid at the first token's gen_time.
-    Returns a detail string on success, None on failure.
+    One walk, newest token first.  Token i must cover the digest of the
+    manifest as it stood before token i was appended.  It is anchored if its
+    TSA chain is valid now, or if token i + 1 is anchored and token i's chain
+    was valid at token i + 1's gen_time.  The oldest token must be anchored,
+    and the signing chain valid at its gen_time.  Returns a detail string on
+    success, None on failure.
     """
     manifest = run.manifest
-    policy = run.policy
+    trust, validation_time = run.policy.trust, run.policy.validation_time
     tokens = manifest.archival_tokens
-    if not tokens:
-        return None
-    for index, token in enumerate(tokens):
-        prefix = replace(manifest, archival_tokens=tokens[:index])
-        expected = digest(encode_manifest(prefix))
-        if not verify_token(token, expected, policy.trust).valid:
-            return None
-    # a token is anchored if its TSA chain is valid now, or the next token
-    # is anchored and attests a moment at which this token's chain was valid
     anchored = False
-    for i in range(len(tokens) - 1, -1, -1):
-        if verify_chain(tokens[i].tsa_chain, policy.trust, policy.validation_time).valid:
-            anchored = True
-        elif anchored:
-            anchored = verify_chain(
-                tokens[i].tsa_chain, policy.trust, tokens[i + 1].gen_time
-            ).valid
-    if not anchored:
-        return None
-    first = tokens[0]
-    chain_at_first = verify_chain(
-        manifest.claim_signature.signer_chain, policy.trust, first.gen_time
-    )
-    if not chain_at_first.valid:
+    for index in reversed(range(len(tokens))):
+        token = tokens[index]
+        prefix = replace(manifest, archival_tokens=tokens[:index])
+        if not verify_token(token, digest(encode_manifest(prefix)), trust).valid:
+            return None
+        anchored = verify_chain(token.tsa_chain, trust, validation_time).valid or (
+            anchored and verify_chain(token.tsa_chain, trust, tokens[index + 1].gen_time).valid
+        )
+    signing_chain = manifest.claim_signature.signer_chain
+    if not anchored or not verify_chain(signing_chain, trust, tokens[0].gen_time).valid:
         return None
     return (
         f"expired chain bridged by {len(tokens)} archival token(s); "
-        f"signing chain valid at {first.gen_time}"
+        f"signing chain valid at {tokens[0].gen_time}"
     )
 
 

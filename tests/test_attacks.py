@@ -10,11 +10,11 @@ import pytest
 from provlab.attacks import (
     ATTACK_MATRIX,
     ATTACKS,
+    apply_attack,
     attack_exclusion_mutate,
     attack_expiry_timewarp,
     attack_strip_manifest,
     attack_timestamp_replace,
-    attack_token_transplant,
 )
 from provlab.container import extract_manifest, parse_asset, serialize_asset, wire_span
 from provlab.corpus import (
@@ -24,7 +24,8 @@ from provlab.credentials import decode_manifest
 from provlab.errors import DecodeError, ProvenanceError
 from provlab.signer import SCENARIOS, format_gps
 from provlab.validator import (
-    CheckOutcome, DisplayedTime, GoalStatus, TimeProvenance, Verdict, validate,
+    CheckOutcome, DisplayedTime, GoalStatus, TimeProvenance, Verdict, hardened_policy,
+    spec_policy, validate,
 )
 from provlab.workspace import T0, YEAR, Workspace
 
@@ -258,9 +259,7 @@ def test_bound_signature_refuses_token_replacement(toolbox):
 def test_token_transplant_needs_the_signing_key(toolbox):
     lab, fixtures = toolbox
     with pytest.raises(ProvenanceError, match="key does not match the signing leaf"):
-        attack_token_transplant(
-            fixtures["bound-timestamp"], lab.device.key, lab.tsa(), T0 - YEAR
-        )
+        apply_attack(lab, "token-transplant", "bound-timestamp", fixtures["short-lived-cert"])
 
 
 def test_untrusted_tsa_refused(toolbox, tmp_path):
@@ -306,6 +305,24 @@ def test_timewarp_without_bridge_expects_unverifiable(toolbox):
         "hardened": Verdict.UNVERIFIABLE,
     }
     assert outcome.mutated is asset
+
+
+@pytest.mark.parametrize("scenario", ["honest", "unbound-timestamp", "gps-excluded"])
+def test_timewarp_on_an_unbound_token_expects_rejection(toolbox, scenario):
+    """Hardened refuses an unbound token outright, so expiry is not the
+    deciding failure; the validator agrees with the hand-written verdicts."""
+    lab, fixtures = toolbox
+    at = T0 + 3 * YEAR
+    outcome = attack_expiry_timewarp(fixtures[scenario], at)
+    assert outcome.expected == {"spec": Verdict.UNVERIFIABLE, "hardened": Verdict.REJECTED}
+    assert (outcome.mutated, outcome.validation_time) == (fixtures[scenario], at)
+    policies = {
+        "spec": spec_policy(lab.trust, at),
+        "hardened": hardened_policy(lab.trust, at, crl=lab.signing.generate_crl()),
+    }
+    for preset, policy in policies.items():
+        report = validate(serialize_asset(outcome.mutated), policy)
+        assert report.verdict == outcome.expected[preset], preset
 
 
 def test_strip_twice_fails(toolbox):

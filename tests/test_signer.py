@@ -243,6 +243,13 @@ def test_signing_guards(lab, honest_content):
         )
 
 
+def test_signing_refuses_a_key_that_is_not_the_leafs(lab, honest_content):
+    asset, assertions = honest_content
+    with pytest.raises(ProvenanceError) as refused:
+        sign_asset(asset, assertions, unbound_config(lab, key=lab.tsa_leaf.key))
+    assert str(refused.value) == "signing key does not match the leaf certificate"
+
+
 # ---------------------------------------------------------------------------
 # fixtures
 # ---------------------------------------------------------------------------

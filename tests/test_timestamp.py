@@ -88,6 +88,29 @@ def test_a_token_signed_by_a_signing_leaf_is_untrusted(lab):
     )
 
 
+@pytest.mark.parametrize(
+    "error, message",
+    [
+        (ValueError, "message digest must be 32 bytes"),
+        (ValueError, "empty TSA chain"),
+        (ProvenanceError, "TSA key does not match the leaf certificate"),
+    ],
+    ids=["short-digest", "empty-chain", "foreign-key"],
+)
+def test_issue_token_refusals(lab, error, message):
+    key, chain, message_digest = lab.tsa_leaf.key, lab.tsa_leaf.chain, digest(b"x")
+    arguments = {
+        "message digest must be 32 bytes": (key, chain, message_digest[:31], T0),
+        "empty TSA chain": (key, (), message_digest, T0),
+        "TSA key does not match the leaf certificate": (
+            lab.device.key, chain, message_digest, T0,
+        ),
+    }[message]
+    with pytest.raises(error) as refused:
+        issue_token(*arguments)
+    assert str(refused.value) == message
+
+
 def test_token_outside_tsa_window_rejected_at_issue(lab):
     with pytest.raises(ProvenanceError, match="TSA certificate outside validity window"):
         issue_token(lab.tsa_leaf.key, lab.tsa_leaf.chain, digest(b"x"), T0 + 16 * YEAR)

@@ -209,6 +209,32 @@ def test_a_chain_is_valid_at_both_ends_of_the_leaf_window(pki):
         assert verify_chain((leaf_cert, root_cert), trust, at).status == status, at
 
 
+@pytest.mark.parametrize(
+    "message",
+    [
+        "self-signed certificates must be roots",
+        "root must be signed by its own key",
+        "template issuer does not name the issuing certificate",
+        "issuer key does not match the issuing certificate",
+    ],
+    ids=["leaf-without-issuer", "root-under-another-key", "issuer-not-named", "issuer-key"],
+)
+def test_issue_certificate_refusals(pki, message):
+    root_key, root_cert, leaf_key, leaf_cert, _ = pki
+    template = replace(leaf_cert, serial=9, issuer_signature=b"")
+    arguments = {
+        "self-signed certificates must be roots": (leaf_key, template),
+        "root must be signed by its own key": (leaf_key, replace(root_cert, issuer_signature=b"")),
+        "template issuer does not name the issuing certificate": (
+            root_key, replace(template, issuer="elsewhere"), root_cert,
+        ),
+        "issuer key does not match the issuing certificate": (leaf_key, template, root_cert),
+    }[message]
+    with pytest.raises(ProvenanceError) as refused:
+        issue_certificate(*arguments)
+    assert str(refused.value) == message
+
+
 def test_validity_windows_must_nest(pki):
     root_key, root_cert, *_ = pki
     with pytest.raises(ProvenanceError, match="validity window escapes the issuer's window"):
@@ -538,6 +564,43 @@ def test_server_runs_one_thread(pki):
         for _ in range(20):
             query_status(svc.endpoint, leaf_cert.serial, root_cert)
         assert set(threading.enumerate()) - before == {svc._thread}
+
+
+def _listener_replying(reply):
+    """A listener that reads one request frame, sends ``reply`` and closes."""
+    import socket
+
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(5)
+
+    def serve():
+        with listener, listener.accept()[0] as connection:
+            connection.settimeout(5)
+            request = b""
+            while len(request) < 2 + int.from_bytes(request[:2], "big"):
+                chunk = connection.recv(64)
+                if not chunk:
+                    break
+                request += chunk
+            connection.sendall(reply)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return listener.getsockname()[:2], thread
+
+
+@pytest.mark.parametrize(
+    "reply, message",
+    [(b"\x00\x00", "invalid frame length 0"), (b"\x00", "connection closed mid-frame")],
+    ids=["zero-length-frame", "closed-after-one-byte"],
+)
+def test_a_broken_reply_frame_is_unreachable(pki, reply, message):
+    _, root_cert, _, leaf_cert, _ = pki
+    endpoint, thread = _listener_replying(reply)
+    with pytest.raises(ServiceUnreachable) as refused:
+        query_status(endpoint, leaf_cert.serial, root_cert, timeout=5.0)
+    thread.join(timeout=5)
+    assert (type(refused.value), str(refused.value)) == (ServiceUnreachable, message)
 
 
 def test_forged_responder_is_unreachable(service):

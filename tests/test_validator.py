@@ -285,9 +285,9 @@ def _second_tsa(clock):
     return TimestampAuthority(leaf_key, (leaf, root), clock), root
 
 
-# what each case reaches in ``_archival_bridge``: the later token re-anchors the
-# first (``anchored = verify_chain(..., tokens[i + 1].gen_time)``); the later
-# token fails ``verify_token`` against its prefix digest; ``if not anchored``
+# what each case reaches in ``_archival_bridge``: the later token anchors the
+# first (``anchored and verify_chain(..., tokens[index + 1].gen_time)``); the
+# later token fails ``verify_token`` against its prefix digest; ``if not anchored``
 @pytest.mark.parametrize(
     "second_token, second_root_trusted",
     [(True, True), (True, False), (False, False)],
@@ -318,6 +318,46 @@ def test_archival_bridge_at_t0_plus_16_years(lab, fixtures, second_token, second
         # leaf 104 is short-lived-cert's, 2240265600 is T0 + 16 years
         assert (report.verdict, chain.outcome) == (Verdict.UNVERIFIABLE, CheckOutcome.FAIL)
         assert chain.detail == "certificate 104 outside validity window at 2240265600"
+
+
+def test_an_older_token_anchored_by_its_own_tsa_after_a_newer_one_that_is_not(lab, fixtures):
+    """The newer token's TSA ran out at T0 + 15 years, so at T0 + 16 years it
+    anchors nothing; the older token's own TSA is still valid and anchors it
+    anew, so the walk must let ``anchored`` turn true again."""
+    second, second_root = _second_tsa(T0 + 15 * DAY)
+    asset = archival_extend(fixtures["short-lived-cert"], second)
+    asset = archival_extend(asset, lab.tsa(), clock=T0 + YEAR)
+    policy = hardened_policy(
+        TrustList(lab.trust.anchors + (second_root,)), T0 + 16 * YEAR,
+        crl=lab.signing.generate_crl(),
+    )
+    report = validate(b(asset), policy)
+    chain = report.check("chain")
+    assert (report.verdict, chain.outcome) == (Verdict.ACCEPTED, CheckOutcome.PASS)
+    # 1736985600 is T0 + 15 days
+    assert chain.detail == (
+        "expired chain bridged by 2 archival token(s); signing chain valid at 1736985600"
+    )
+
+
+def test_archival_token_order_matters(lab, fixtures):
+    """Each token imprints the manifest before it, so the same two tokens in
+    the other order bridge nothing."""
+    asset = archival_extend(fixtures["short-lived-cert"], lab.tsa(), clock=T0 + 15 * DAY)
+    asset = archival_extend(asset, lab.tsa(), clock=T0 + 20 * DAY)
+    report = validate(b(asset), hardened_at(lab, T0 + YEAR))
+    assert (report.verdict, report.check("chain").outcome) == (
+        Verdict.ACCEPTED, CheckOutcome.PASS
+    )
+    manifest = decode_manifest(extract_manifest(asset))
+    swapped = dataclasses.replace(manifest, archival_tokens=manifest.archival_tokens[::-1])
+    report = validate(
+        b(replace_manifest(asset, encode_manifest(swapped))), hardened_at(lab, T0 + YEAR)
+    )
+    chain = report.check("chain")
+    assert (report.verdict, chain.outcome) == (Verdict.UNVERIFIABLE, CheckOutcome.FAIL)
+    # leaf 104 is short-lived-cert's, 1767225600 is T0 + 1 year
+    assert chain.detail == "certificate 104 outside validity window at 1767225600"
 
 
 def test_displayed_time_provenance(lab, fixtures):
