@@ -1,8 +1,8 @@
 """Online certificate-status service: wire protocol, server, and client.
 
 The protocol is two records of the canonical codec, each in a frame with a
-u16 big-endian length prefix, over a stream socket, one request per
-connection:
+u16 big-endian length prefix, over a stream socket that carries any number
+of request/response exchanges:
 
 - request payload: ``encode_value(serial)``, one integer in ``0 … 2**64-1``;
 - response payload: ``encode_record(response)``, the whole signed
@@ -10,22 +10,33 @@ connection:
 
 The responder signs the record minus its signature (see
 :func:`.trust.verify_status_response`), so a response names the serial it
-answers and cannot be replayed for another.  Any other request payload, a
-bad length or an early EOF closes the connection unanswered and counts it
-in ``refused``; the service itself stays up.
+answers and cannot be replayed for another.  The server answers every whole
+frame a connection sends, in order.  Any other request payload, a bad
+length or an EOF mid-frame counts in ``refused`` and closes the connection
+at once, with any reply not yet sent; an EOF between frames is a clean
+close.  The service itself stays up.
 
 One thread runs one selector loop over the listener, a wake socket and
-every open non-blocking connection, so half a frame holds up no other
-client.  Each distinct status is signed and encoded once, as RFC 5019
+every open non-blocking connection, so half a frame or a slow reader holds
+up no other client: a connection's replies wait in its own buffer until the
+socket takes them whole, and it is not read from again before they have
+gone.  Each distinct status is signed and encoded once, as RFC 5019
 responders pre-produce their responses (see
 :meth:`.trust.Authority.status_for`): a stored response keeps its bytes, so
 ``encode_record`` returns them on every query.
 
-The client never surfaces an unverifiable response: any transport problem,
-a payload that is not a :class:`~.trust.StatusResponse`, a response for
-another serial, or a signature failure collapses to
+The client keeps at most one idle connection, to the endpoint it queried
+last, and keeps a connection only after a whole, decoded, signature-checked
+exchange over it.  A kept connection that fails before any reply byte arrives
+(its service stopped, or the port was bound again) is closed and the query is
+tried once more on a fresh connection.  One ``timeout`` bounds the whole
+query, connect, send and receive together.  The client never surfaces an
+unverifiable response: any transport problem, a payload that is not a
+:class:`~.trust.StatusResponse`, a response for another serial, or a
+signature failure closes the connection and collapses to
 :class:`~provlab.errors.ServiceUnreachable`, leaving the fail-open/
-fail-closed decision to the validation policy.
+fail-closed decision to the validation policy.  Every query is sent and
+answered; no answer is kept.
 
 The server keeps a query log of every serial asked about.  That log is the
 privacy cost of online status checking: the responder learns which
@@ -34,10 +45,10 @@ credentials a validator is looking at, and when.
 
 from __future__ import annotations
 
-import contextlib
 import selectors
 import socket
 import threading
+import time
 
 from .encoding import decode_value, encode_value
 from .errors import DecodeError, ProvenanceError, ServiceUnreachable
@@ -69,23 +80,6 @@ def decode_response(payload: bytes, serial: int) -> StatusResponse:
 
 def _frame(payload: bytes) -> bytes:
     return len(payload).to_bytes(2, "big") + payload
-
-
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    data = b""
-    while len(data) < count:
-        chunk = sock.recv(count - len(data))
-        if not chunk:
-            raise ServiceUnreachable("connection closed mid-frame")
-        data += chunk
-    return data
-
-
-def _recv_frame(sock: socket.socket) -> bytes:
-    length = int.from_bytes(_recv_exact(sock, 2), "big")
-    if not 0 < length <= _MAX_FRAME:
-        raise ServiceUnreachable(f"invalid frame length {length}")
-    return _recv_exact(sock, length)
 
 
 class StatusService:
@@ -125,38 +119,58 @@ class StatusService:
                             except OSError:  # the client went away before the accept
                                 continue
                             connection.setblocking(False)
-                            selector.register(connection, selectors.EVENT_READ, bytearray())
-                        elif self._receive(key.fileobj, key.data):
+                            # bytes not yet answered, replies not yet sent
+                            buffers = (bytearray(), bytearray())
+                            selector.register(connection, selectors.EVENT_READ, buffers)
+                        elif not self._receive(key.fileobj, *key.data):
                             selector.unregister(key.fileobj)
                             key.fileobj.close()
-            finally:  # stop() closes the connections still mid-frame, unanswered
+                        else:  # wait to write while replies are pending, else to read
+                            events = selectors.EVENT_WRITE if key.data[1] else selectors.EVENT_READ
+                            if events != key.events:
+                                selector.modify(key.fileobj, events, key.data)
+            finally:  # stop() closes every connection; one holding half a frame is refused
                 for key in list(selector.get_map().values()):
                     if key.data is not None:
-                        self.refused += 1
+                        self.refused += bool(key.data[0])
                         key.fileobj.close()
 
-    def _receive(self, connection: socket.socket, buffer: bytearray) -> bool:
-        """Read into ``buffer``; True once ``connection`` is answered or refused."""
+    def _receive(self, connection: socket.socket, inbound: bytearray, outbound: bytearray) -> bool:
+        """Answer every whole frame read, then send what the socket takes;
+        False once ``connection`` is to be closed."""
+        if not outbound:
+            try:
+                chunk = connection.recv(2 + _MAX_FRAME - len(inbound))
+            except BlockingIOError:
+                return True
+            except OSError:
+                chunk = b""
+            if not chunk:  # EOF: a clean close between frames, refused mid-frame
+                self.refused += bool(inbound)
+                return False
+            inbound += chunk
+            while len(inbound) >= 2:
+                end = 2 + int.from_bytes(inbound[:2], "big")
+                if not 2 < end <= 2 + _MAX_FRAME:
+                    self.refused += 1  # a bad length: no reply
+                    return False
+                if len(inbound) < end:
+                    break
+                serial = decode_request(bytes(inbound[2:end]))
+                if serial is None:
+                    self.refused += 1  # not one serial: no reply
+                    return False
+                outbound += _frame(encode_record(self.answer(serial)))
+                del inbound[:end]
+            if not outbound:
+                return True
         try:
-            chunk = connection.recv(2 + _MAX_FRAME - len(buffer))
+            del outbound[: connection.send(outbound)]
         except BlockingIOError:
-            return False
+            pass
         except OSError:
-            chunk = b""
-        buffer += chunk
-        length = int.from_bytes(buffer[:2], "big")
-        complete = len(buffer) >= 2 + length
-        if (len(buffer) >= 2 and not 0 < length <= _MAX_FRAME) or not (chunk or complete):
-            self.refused += 1  # a bad length or an EOF mid-frame: no reply
-            return True
-        if complete:
-            serial = decode_request(bytes(buffer[2 : 2 + length]))
-            if serial is None:
-                self.refused += 1  # not one serial: no reply
-            else:
-                with contextlib.suppress(OSError):
-                    connection.send(_frame(encode_record(self.answer(serial))))
-        return complete
+            return False
+        return True
 
     def answer(self, serial: int) -> StatusResponse:
         self.query_log.append(serial)
@@ -182,25 +196,106 @@ def run_status_service(
     return StatusService(authority, host, port)
 
 
+_idle_lock = threading.Lock()
+# the connection kept between queries, with its endpoint: at most one
+_idle: tuple[tuple[str, int], socket.socket] | None = None
+
+
+def _take_idle(endpoint: tuple[str, int]) -> socket.socket | None:
+    """The kept connection if it goes to ``endpoint``; one to elsewhere is closed."""
+    global _idle
+    with _idle_lock:
+        idle, _idle = _idle, None
+    if idle is None:
+        return None
+    if idle[0] == endpoint:
+        return idle[1]
+    idle[1].close()
+    return None
+
+
+def _keep_idle(endpoint: tuple[str, int], sock: socket.socket) -> None:
+    """Keep ``sock`` for the next query, closing the connection it replaces."""
+    global _idle
+    with _idle_lock:
+        idle, _idle = _idle, (endpoint, sock)
+    if idle is not None:
+        idle[1].close()
+
+
+def _time_left(deadline: float) -> float:
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError("timed out")
+    return left
+
+
+def _recv_exact(sock: socket.socket, count: int, deadline: float) -> bytes:
+    data = b""
+    while len(data) < count:
+        sock.settimeout(_time_left(deadline))
+        chunk = sock.recv(count - len(data))
+        if not chunk:
+            raise ServiceUnreachable("connection closed mid-frame")
+        data += chunk
+    return data
+
+
+def _exchange(sock: socket.socket, request: bytes, deadline: float, reused: bool) -> bytes | None:
+    """Send ``request`` and read the payload of the reply frame, before ``deadline``.
+
+    None if ``reused`` and the connection fails before any reply byte
+    arrives: the kept connection outlived its service.
+    """
+    try:
+        sock.settimeout(_time_left(deadline))
+        sock.sendall(request)
+        sock.settimeout(_time_left(deadline))
+        head = sock.recv(2)
+        if not head:
+            raise ServiceUnreachable("connection closed mid-frame")
+    except (OSError, ServiceUnreachable):
+        if reused:
+            return None
+        raise
+    length = int.from_bytes(head + _recv_exact(sock, 2 - len(head), deadline), "big")
+    if not 0 < length <= _MAX_FRAME:
+        raise ServiceUnreachable(f"invalid frame length {length}")
+    return _recv_exact(sock, length, deadline)
+
+
 def query_status(
     endpoint: tuple[str, int],
     serial: int,
     responder_cert: Certificate,
     timeout: float = 5.0,
 ) -> StatusResponse:
-    """Query one serial and verify the responder's signature.
+    """Query one serial and verify the responder's signature, all within ``timeout``.
 
     Raises :class:`ServiceUnreachable` for every failure mode: connection
     errors, malformed frames, a refused request, a response for another
     serial, and signature mismatches alike.
     """
+    deadline = time.monotonic() + timeout
+    request = _frame(encode_value(serial))
+    sock = _take_idle(endpoint)
     try:
-        with socket.create_connection(endpoint, timeout=timeout) as sock:
-            sock.sendall(_frame(encode_value(serial)))
-            payload = _recv_frame(sock)
-    except OSError as exc:
-        raise ServiceUnreachable(f"status service unreachable: {exc}") from exc
-    response = decode_response(payload, serial)
-    if not verify_status_response(response, responder_cert):
-        raise ServiceUnreachable("status response signature does not verify")
+        try:
+            payload = None if sock is None else _exchange(sock, request, deadline, reused=True)
+            if payload is None:  # nothing kept, or the kept connection went stale
+                if sock is not None:
+                    sock.close()
+                sock = socket.create_connection(endpoint, timeout=_time_left(deadline))
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                payload = _exchange(sock, request, deadline, reused=False)
+        except OSError as exc:
+            raise ServiceUnreachable(f"status service unreachable: {exc}") from exc
+        response = decode_response(payload, serial)
+        if not verify_status_response(response, responder_cert):
+            raise ServiceUnreachable("status response signature does not verify")
+    except BaseException:
+        if sock is not None:
+            sock.close()
+        raise
+    _keep_idle(endpoint, sock)
     return response

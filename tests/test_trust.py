@@ -456,6 +456,7 @@ def _exchange(svc, payload):
 
     with socket.create_connection(svc.endpoint, timeout=2) as sock:
         sock.sendall(_frame(payload))
+        sock.shutdown(socket.SHUT_WR)  # a connection carries many frames; EOF ends it
         reply = b""
         while chunk := sock.recv(4096):
             reply += chunk
@@ -534,6 +535,7 @@ def test_request_sent_one_byte_at_a_time(service):
         for index in range(len(frame)):
             sock.sendall(frame[index : index + 1])
             time.sleep(0.002)
+        sock.shutdown(socket.SHUT_WR)
         reply = b""
         while chunk := sock.recv(4096):
             reply += chunk
@@ -601,6 +603,197 @@ def test_a_broken_reply_frame_is_unreachable(pki, reply, message):
         query_status(endpoint, leaf_cert.serial, root_cert, timeout=5.0)
     thread.join(timeout=5)
     assert (type(refused.value), str(refused.value)) == (ServiceUnreachable, message)
+
+
+def _read_frame(sock):
+    """One whole frame off ``sock``, read a byte at a time; b"" at EOF."""
+    data = b""
+    while len(data) < 2 or len(data) < 2 + int.from_bytes(data[:2], "big"):
+        chunk = sock.recv(1)
+        if not chunk:
+            return b""
+        data += chunk
+    return data
+
+
+def test_queries_share_one_connection(pki):
+    """A listener that counts its connections answers five queries over one."""
+    import socket
+
+    root_key, root_cert, _, leaf_cert, _ = pki
+    authority = Authority(root_key, root_cert, T0)
+    authority.issued[leaf_cert.serial] = leaf_cert.subject
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(5)
+    accepted, answered = [], []
+
+    def serve():
+        with listener:
+            while len(answered) < 5:
+                with listener.accept()[0] as connection:
+                    accepted.append(connection.getpeername())
+                    connection.settimeout(5)
+                    while len(answered) < 5 and (frame := _read_frame(connection)):
+                        answered.append(decode_value(frame[2:]))
+                        connection.sendall(_frame(encode_record(authority.status_for(answered[-1]))))
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    for _ in range(5):
+        response = query_status(listener.getsockname()[:2], leaf_cert.serial, root_cert)
+        assert response.status == CertStatus.GOOD
+    thread.join(timeout=5)
+    assert (len(accepted), answered) == (1, [leaf_cert.serial] * 5)
+
+
+def _pipelined(svc, serials):
+    """Send one request frame per serial in one send; return every byte sent back."""
+    import socket
+
+    with socket.create_connection(svc.endpoint, timeout=5) as sock:
+        sock.sendall(b"".join(_frame(encode_value(serial)) for serial in serials))
+        sock.shutdown(socket.SHUT_WR)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    return reply
+
+
+def test_pipelined_frames_are_answered_in_order(service):
+    svc, authority, _, leaf_cert = service
+    serials = [leaf_cert.serial, 2**64 - 1]
+    reply = _pipelined(svc, serials)
+    assert reply == b"".join(_frame(encode_record(authority.status_for(s))) for s in serials)
+    assert (svc.query_log, svc.refused) == (serials, 0)
+
+
+@pytest.mark.parametrize("sent_per_call", [None, 7], ids=["whole-sends", "seven-byte-sends"])
+def test_every_reply_frame_goes_out_whole(service, monkeypatch, sent_per_call):
+    """200 pipelined requests get 200 whole replies in order, also when each
+    send takes only a few bytes, as it does for a client slow to read."""
+    import socket
+
+    svc, authority, _, _ = service
+    if sent_per_call:
+        send = socket.socket.send
+        monkeypatch.setattr(
+            socket.socket, "send", lambda sock, data, *flags: send(sock, data[:sent_per_call], *flags)
+        )
+    serials = list(range(1000, 1200))
+    reply = _pipelined(svc, serials)
+    assert reply == b"".join(_frame(encode_record(authority.status_for(s))) for s in serials)
+    assert (svc.query_log, svc.refused) == (serials, 0)
+
+
+def test_a_new_service_on_the_same_port_answers_the_next_query(pki):
+    root_key, root_cert, _, leaf_cert, _ = pki
+    authority = Authority(root_key, root_cert, T0)
+    authority.issued[leaf_cert.serial] = leaf_cert.subject
+    with run_status_service(authority) as first:
+        query_status(first.endpoint, leaf_cert.serial, root_cert)
+    # the kept connection went with the first service: one retry reaches the second
+    with run_status_service(authority, *first.endpoint) as second:
+        assert query_status(second.endpoint, leaf_cert.serial, root_cert).status == CertStatus.GOOD
+        assert (second.query_log, second.refused) == ([leaf_cert.serial], 0)
+    assert (first.query_log, first.refused) == ([leaf_cert.serial], 0)
+    # with no service left, the retry fails too
+    with pytest.raises(ServiceUnreachable, match="unreachable"):
+        query_status(second.endpoint, leaf_cert.serial, root_cert)
+
+
+def test_a_bad_reply_closes_the_kept_connection(service, monkeypatch):
+    import socket
+
+    svc, authority, root_cert, leaf_cert = service
+    _, other_root = make_root("other-root", serial=2)
+    connects = []
+    connect = socket.create_connection
+    monkeypatch.setattr(
+        socket, "create_connection", lambda endpoint, **kw: connects.append(endpoint) or connect(endpoint, **kw)
+    )
+    assert query_status(svc.endpoint, leaf_cert.serial, root_cert).serial == leaf_cert.serial
+    svc.answer = lambda serial: authority.status_for(serial + 1)
+    with pytest.raises(ServiceUnreachable, match="serial"):
+        query_status(svc.endpoint, leaf_cert.serial, root_cert)
+    del svc.answer
+    assert query_status(svc.endpoint, leaf_cert.serial, root_cert).serial == leaf_cert.serial
+    with pytest.raises(ServiceUnreachable, match="signature"):
+        query_status(svc.endpoint, leaf_cert.serial, other_root)
+    assert query_status(svc.endpoint, leaf_cert.serial, root_cert).serial == leaf_cert.serial
+    assert connects == [svc.endpoint] * 3
+
+
+def test_threads_never_share_a_kept_connection(service):
+    """Eight threads each query their own serial 25 times, switching often:
+    a connection handed to two threads at once would cross their replies."""
+    import sys
+
+    svc, _, root_cert, _ = service
+    results, errors = [], []
+
+    def worker(serial):
+        try:
+            for _ in range(25):
+                results.append(query_status(svc.endpoint, serial, root_cert).serial == serial)
+        except Exception as exc:  # noqa: BLE001 - collecting for assertion
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(5000 + n,)) for n in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert (errors, results) == ([], [True] * 200)
+    assert len(svc.query_log) == 200
+
+
+def test_stop_refuses_no_idle_connection(service):
+    import socket
+
+    svc, _, root_cert, leaf_cert = service
+    query_status(svc.endpoint, leaf_cert.serial, root_cert)
+    with socket.create_connection(svc.endpoint, timeout=2) as sock:
+        sock.sendall(_frame(encode_value(leaf_cert.serial)))
+        assert _read_frame(sock)
+        svc.stop()
+        assert sock.recv(16) == b""
+    assert (svc.query_log, svc.refused) == ([leaf_cert.serial] * 2, 0)
+
+
+def test_timeout_bounds_the_whole_exchange(pki):
+    """A reply trickled a byte at a time cannot hold a query past its timeout."""
+    import socket
+    import time
+
+    _, root_cert, _, leaf_cert, _ = pki
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(5)
+    done = threading.Event()
+
+    def serve():
+        with listener, listener.accept()[0] as connection:
+            connection.sendall((64).to_bytes(2, "big"))
+            while not done.wait(0.3):
+                try:
+                    connection.sendall(b"\x00")
+                except OSError:
+                    break
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    start = time.monotonic()
+    with pytest.raises(ServiceUnreachable, match="timed out"):
+        query_status(listener.getsockname()[:2], leaf_cert.serial, root_cert, timeout=0.5)
+    elapsed = time.monotonic() - start
+    done.set()
+    thread.join(timeout=5)
+    assert elapsed < 0.5 + 0.25
 
 
 def test_forged_responder_is_unreachable(service):
