@@ -264,24 +264,30 @@ def _record_reader(cls: type) -> Reader:
         (encode_value(name), index, read) for index, (name, *_, read) in enumerate(_plan(cls))
     )
     head = map_head(len(fields))
+    table = _shared_records.setdefault(cls, _Table())
 
     def read_record(data: bytes, pos: int, depth: int) -> tuple[Any, int]:
-        start = pos
+        key = data[pos : pos + _KEY_BYTES]
+        record, deepest = table.get(key, (None, -1))
+        # what read cleanly at the stored depth reads cleanly at any shallower one
+        if depth <= deepest and data.startswith(wire := getattr(record, _WIRE), pos):
+            return record, pos + len(wire)
         if not data.startswith(head, pos):
             raise DecodeError(f"not a {cls.__name__} map")
-        pos += len(head)
-        depth += 1
+        end = pos + len(head)
         values: list = [None] * len(fields)
-        for key, index, read in fields:
-            if not data.startswith(key, pos):
+        for field_key, index, read in fields:
+            if not data.startswith(field_key, end):
                 raise DecodeError(f"not a {cls.__name__} map")
-            values[index], pos = read(data, pos + len(key), depth)
+            values[index], end = read(data, end + len(field_key), depth + 1)
         record = cls(*values)
         # frozen, so the slice stays its encoding; ``replace`` builds a record without one
-        object.__setattr__(record, _WIRE, data[start:pos])
-        return record, pos
+        object.__setattr__(record, _WIRE, data[pos:end])
+        if end - pos <= _SHARED_BYTES:
+            table.store(key, record, depth)
+        return record, end
 
-    return _sharing(cls, read_record)
+    return read_record
 
 
 class _Table(dict):
@@ -307,25 +313,6 @@ class _Table(dict):
         with _shared_lock:
             super().clear()
             self.held = 0
-
-
-def _sharing(cls: type, read: Reader) -> Reader:
-    """``read`` for a map record class, returning a record it stored for the
-    same bytes instead of reading them again (see the module docstring)."""
-    table = _shared_records.setdefault(cls, _Table())
-
-    def read_shared(data: bytes, pos: int, depth: int) -> tuple[Any, int]:
-        key = data[pos : pos + _KEY_BYTES]
-        record, deepest = table.get(key, (None, -1))
-        # what read cleanly at the stored depth reads cleanly at any shallower one
-        if depth <= deepest and data.startswith(wire := getattr(record, _WIRE), pos):
-            return record, pos + len(wire)
-        record, end = read(data, pos, depth)
-        if end - pos <= _SHARED_BYTES:
-            table.store(key, record, depth)
-        return record, end
-
-    return read_shared
 
 
 def _converters(hint: Any) -> tuple[Decoder, Writer, Reader]:

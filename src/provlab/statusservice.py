@@ -45,6 +45,7 @@ credentials a validator is looking at, and when.
 
 from __future__ import annotations
 
+import contextlib
 import selectors
 import socket
 import threading
@@ -201,26 +202,14 @@ _idle_lock = threading.Lock()
 _idle: tuple[tuple[str, int], socket.socket] | None = None
 
 
-def _take_idle(endpoint: tuple[str, int]) -> socket.socket | None:
-    """The kept connection if it goes to ``endpoint``; one to elsewhere is closed."""
+def _swap_idle(
+    kept: tuple[tuple[str, int], socket.socket] | None,
+) -> tuple[tuple[str, int], socket.socket] | None:
+    """Put ``kept`` in the idle slot and return what the slot held."""
     global _idle
     with _idle_lock:
-        idle, _idle = _idle, None
-    if idle is None:
-        return None
-    if idle[0] == endpoint:
-        return idle[1]
-    idle[1].close()
-    return None
-
-
-def _keep_idle(endpoint: tuple[str, int], sock: socket.socket) -> None:
-    """Keep ``sock`` for the next query, closing the connection it replaces."""
-    global _idle
-    with _idle_lock:
-        idle, _idle = _idle, (endpoint, sock)
-    if idle is not None:
-        idle[1].close()
+        held, _idle = _idle, kept
+    return held
 
 
 def _time_left(deadline: float) -> float:
@@ -241,27 +230,15 @@ def _recv_exact(sock: socket.socket, count: int, deadline: float) -> bytes:
     return data
 
 
-def _exchange(sock: socket.socket, request: bytes, deadline: float, reused: bool) -> bytes | None:
-    """Send ``request`` and read the payload of the reply frame, before ``deadline``.
-
-    None if ``reused`` and the connection fails before any reply byte
-    arrives: the kept connection outlived its service.
-    """
-    try:
-        sock.settimeout(_time_left(deadline))
-        sock.sendall(request)
-        sock.settimeout(_time_left(deadline))
-        head = sock.recv(2)
-        if not head:
-            raise ServiceUnreachable("connection closed mid-frame")
-    except (OSError, ServiceUnreachable):
-        if reused:
-            return None
-        raise
-    length = int.from_bytes(head + _recv_exact(sock, 2 - len(head), deadline), "big")
-    if not 0 < length <= _MAX_FRAME:
-        raise ServiceUnreachable(f"invalid frame length {length}")
-    return _recv_exact(sock, length, deadline)
+def _reply_head(sock: socket.socket, request: bytes, deadline: float) -> bytes:
+    """Send ``request`` and read the first one or two bytes of the reply frame."""
+    sock.settimeout(_time_left(deadline))
+    sock.sendall(request)
+    sock.settimeout(_time_left(deadline))
+    head = sock.recv(2)
+    if not head:
+        raise ServiceUnreachable("connection closed mid-frame")
+    return head
 
 
 def query_status(
@@ -278,16 +255,24 @@ def query_status(
     """
     deadline = time.monotonic() + timeout
     request = _frame(encode_value(serial))
-    sock = _take_idle(endpoint)
+    held = _swap_idle(None)
+    sock = held and held[1]
     try:
         try:
-            payload = None if sock is None else _exchange(sock, request, deadline, reused=True)
-            if payload is None:  # nothing kept, or the kept connection went stale
+            head = b""
+            if held and held[0] == endpoint:  # a kept connection may have outlived its service
+                with contextlib.suppress(OSError, ServiceUnreachable):
+                    head = _reply_head(sock, request, deadline)
+            if not head:  # nothing kept for ``endpoint``, or it failed before any reply byte
                 if sock is not None:
                     sock.close()
                 sock = socket.create_connection(endpoint, timeout=_time_left(deadline))
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                payload = _exchange(sock, request, deadline, reused=False)
+                head = _reply_head(sock, request, deadline)
+            length = int.from_bytes(head + _recv_exact(sock, 2 - len(head), deadline), "big")
+            if not 0 < length <= _MAX_FRAME:
+                raise ServiceUnreachable(f"invalid frame length {length}")
+            payload = _recv_exact(sock, length, deadline)
         except OSError as exc:
             raise ServiceUnreachable(f"status service unreachable: {exc}") from exc
         response = decode_response(payload, serial)
@@ -297,5 +282,7 @@ def query_status(
         if sock is not None:
             sock.close()
         raise
-    _keep_idle(endpoint, sock)
+    held = _swap_idle((endpoint, sock))
+    if held is not None:
+        held[1].close()
     return response

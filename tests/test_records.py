@@ -20,9 +20,9 @@ from provlab.container import ByteRange, extract_manifest, parse_asset
 from provlab.corpus import CorpusEntry, entry_policies
 from provlab.credentials import Claim, Manifest, decode_manifest, redact_assertion
 from provlab.encoding import encode_value
-from provlab.errors import EncodeError
+from provlab.errors import DecodeError, EncodeError
 from provlab.records import decode_record, encode_record, record_value
-from provlab.trust import CertStatus, Certificate
+from provlab.trust import CertStatus, Certificate, StatusResponse
 from provlab.validator import (
     REPORT_SCHEMA, ValidationReport, Verdict, report_to_json, validate,
 )
@@ -230,3 +230,22 @@ def test_validation_writes_only_signed_payloads(corpus, corpus_entry, entry_byte
     assert validate(data, policy).verdict is Verdict.ACCEPTED
     assert seen == []
     assert certificates_built == []
+
+
+@pytest.mark.parametrize("status", [False, True], ids=["false", "true"])
+def test_an_enum_field_refuses_a_bool(status):
+    """``False`` and ``True`` hash as 0 and 1, the values of GOOD and REVOKED;
+    read as those, a second byte string would decode to each response."""
+    response = StatusResponse(7, CertStatus.REVOKED, 3, 4, b"")
+    data = encode_value({**record_value(response), "status": status})
+    with pytest.raises(DecodeError) as refused:
+        decode_record(StatusResponse, data)
+    assert str(refused.value) == "CertStatus value has the wrong type"
+
+
+def test_a_text_keyed_map_field_refuses_other_keys(corpus_entry):
+    entry = corpus_entry("bound-timestamp")
+    data = encode_value({**record_value(entry), "expected": {1: "ACCEPTED"}})
+    with pytest.raises(DecodeError) as refused:
+        decode_record(CorpusEntry, data)
+    assert str(refused.value) == "expected a map with text keys"

@@ -262,6 +262,14 @@ def test_crl_roundtrip_and_verification(pki):
     assert not verify_crl(forged, root_cert)
 
 
+def test_crl_from_another_issuer_fails(pki):
+    root_key, root_cert, _, leaf_cert, _ = pki
+    crl = Authority(root_key, root_cert, T0).generate_crl()
+    assert verify_crl(crl, root_cert)
+    # the leaf is not the CRL's issuer, whatever its key
+    assert not verify_crl(crl, replace(leaf_cert, public_key=root_cert.public_key))
+
+
 def test_revocation_list_decode_rejects_extra_key(pki):
     root_key, root_cert, *_ = pki
     crl = Authority(root_key, root_cert, T0).generate_crl()
@@ -603,6 +611,79 @@ def test_a_broken_reply_frame_is_unreachable(pki, reply, message):
         query_status(endpoint, leaf_cert.serial, root_cert, timeout=5.0)
     thread.join(timeout=5)
     assert (type(refused.value), str(refused.value)) == (ServiceUnreachable, message)
+
+
+def _listener_answering(*connections):
+    """A listener that accepts one connection per argument, a list of replies:
+    it reads one request frame per reply and sends that reply, then closes
+    the connection."""
+    import socket
+
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(5)
+
+    def serve():
+        with listener:
+            for replies in connections:
+                with listener.accept()[0] as connection:
+                    connection.settimeout(5)
+                    for reply in replies:
+                        assert _read_frame(connection)
+                        connection.sendall(reply)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return listener.getsockname()[:2], thread
+
+
+def _counting_connects(monkeypatch):
+    import socket
+
+    connects = []
+    connect = socket.create_connection
+    monkeypatch.setattr(
+        socket, "create_connection", lambda endpoint, **kw: connects.append(endpoint) or connect(endpoint, **kw)
+    )
+    return connects
+
+
+def _good_answer(pki):
+    """The reply frame a status service sends for the leaf of ``pki``."""
+    root_key, root_cert, _, leaf_cert, _ = pki
+    authority = Authority(root_key, root_cert, T0)
+    authority.issued[leaf_cert.serial] = leaf_cert.subject
+    return _frame(encode_record(authority.status_for(leaf_cert.serial)))
+
+
+def test_a_fresh_connection_closed_before_a_reply_is_not_retried(pki, monkeypatch):
+    """Only a kept connection is tried again; a fresh one that closes before
+    any reply byte fails the query and is not kept."""
+    from provlab import statusservice
+
+    _, root_cert, _, leaf_cert, _ = pki
+    answer = _good_answer(pki)
+    endpoint, thread = _listener_answering([b""], [answer])
+    connects = _counting_connects(monkeypatch)
+    with pytest.raises(ServiceUnreachable) as refused:
+        query_status(endpoint, leaf_cert.serial, root_cert)
+    assert (type(refused.value), str(refused.value)) == (ServiceUnreachable, "connection closed mid-frame")
+    assert (connects, statusservice._idle) == ([endpoint], None)
+    assert query_status(endpoint, leaf_cert.serial, root_cert).status == CertStatus.GOOD
+    thread.join(timeout=5)
+    assert connects == [endpoint] * 2
+
+
+def test_a_kept_connection_broken_after_a_reply_byte_is_not_retried(pki, monkeypatch):
+    _, root_cert, _, leaf_cert, _ = pki
+    answer = _good_answer(pki)
+    endpoint, thread = _listener_answering([answer, answer[:1]])
+    connects = _counting_connects(monkeypatch)
+    assert query_status(endpoint, leaf_cert.serial, root_cert).status == CertStatus.GOOD
+    with pytest.raises(ServiceUnreachable) as refused:
+        query_status(endpoint, leaf_cert.serial, root_cert)
+    thread.join(timeout=5)
+    assert (type(refused.value), str(refused.value)) == (ServiceUnreachable, "connection closed mid-frame")
+    assert connects == [endpoint]
 
 
 def _read_frame(sock):
