@@ -39,10 +39,14 @@ accepts exactly what ``record_from_value(cls, decode_value(b))`` accepts,
 and builds the same record.  When it fails, that two-stage path runs
 instead, and its error is the one raised, so every message stays as it was.
 
-Each map record the reader builds keeps the slice of the input it was read
-from, and ``encode_record`` without ``omit``, a nested write included,
-returns that slice instead of re-encoding; with ``omit`` it keeps each
-payload it writes, so a signed payload is written once per record.
+Each map record keeps its bytes, decoded and built alike: the reader stores
+the slice of the input it read, and a whole write (no ``omit``) of a record
+holding none joins the chunks it appended into one ``bytes``, appends that
+in their place and stores it.  ``encode_record`` without ``omit``, a nested
+write included, returns the stored bytes instead of re-encoding, so a
+certificate in every signing's chain, or an assertion digested and then
+embedded, is written once.  A write with ``omit`` stores no whole bytes; on
+a record that holds them it keeps the payload, written once per record.
 
 The reader shares what it reads: each map record class keeps a table of
 ``(record, depth)`` keyed by the first ``_KEY_BYTES`` input bytes at the
@@ -63,8 +67,8 @@ only what it changed.
 
 By the bijection above a slice is its record's encoding, and a shared
 record is what a fresh read would build, as long as no record changes:
-records are frozen, ``dataclasses.replace`` builds a record without a
-slice, and no code changes a decoded record's ``dict`` field in place.
+records are frozen, ``dataclasses.replace`` builds a record without bytes,
+and no code changes a record's ``dict`` field in place, decoded or built.
 
 The JSON forms (structured reports, corpus index entries) are read back
 from those bytes (``record_value`` is ``decode_value(encode_record(...))``),
@@ -96,7 +100,7 @@ from .errors import DecodeError
 _POSITIONAL = (ByteRange,)
 _SCALARS = (str, int, bool, bytes)
 _NULL = encode_value(None)
-# the instance attribute that holds a decoded map record's wire bytes
+# the instance attribute that holds a map record's bytes, read or written whole
 _WIRE = "_wire"
 
 # per record class, the records read so far (see the module docstring):
@@ -133,8 +137,8 @@ def record_from_value(cls: type, value: Value) -> Any:
 def encode_record(record: Any, omit: tuple[str, ...] = ()) -> bytes:
     """Canonical bytes of ``record``, leaving out the fields named in ``omit``.
 
-    A record read from the wire returns the slice it was read from, and
-    keeps each payload with ``omit`` the first time it is written."""
+    A record returns the bytes it holds, read or first written whole, and
+    then keeps each payload with ``omit`` the first time it is written."""
     wire = getattr(record, _WIRE, None)
     if wire is None:
         return _written(record, omit)
@@ -156,7 +160,7 @@ def _written(record: Any, omit: tuple[str, ...]) -> bytes:
 
 @functools.cache
 def _payload_attribute(omit: tuple[str, ...]) -> str:
-    """The instance attribute that holds a decoded record's payload without ``omit``."""
+    """The instance attribute that holds a record's payload without ``omit``."""
     return f"{_WIRE}-{'-'.join(omit)}"
 
 
@@ -205,10 +209,14 @@ def _record_writer(cls: type, omit: tuple[str, ...]) -> Writer:
             if wire is not None:
                 out.append(wire)
                 return
+            start = len(out)
         out.append(head)
         for key, name, write in fields:
             out.append(key)
             write(getattr(record, name), out)
+        if whole:  # a built record keeps its bytes as a decoded one does
+            out[start:] = [wire := b"".join(out[start:])]
+            object.__setattr__(record, _WIRE, wire)
 
     return write_record
 

@@ -146,13 +146,13 @@ def sign_asset(
     )
     rest = len(encode_manifest(probe)) - len(encode_record(probe.claim))
 
-    manifest_length = 1
+    claim, manifest_length = probe.claim, 1
     for _ in range(10):
-        claim = claim_for(manifest_length)
         claim_bytes = encode_record(claim)
         if rest + len(claim_bytes) == manifest_length:
             break
         manifest_length = rest + len(claim_bytes)
+        claim = claim_for(manifest_length)
     else:
         raise RuntimeError("manifest size did not converge")
     manifest = Manifest(claim, ordered, _build_claim_signature(claim_bytes, config))

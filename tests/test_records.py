@@ -10,18 +10,22 @@ every ``omit`` that a signed payload uses.
 
 import dataclasses
 import json
+import sys
 from dataclasses import dataclass, replace
 
 import pytest
 from reference_records import record_value as reference_record_value
 
+from provlab import encoding
 from provlab import records as record_codec
-from provlab.container import ByteRange, extract_manifest, parse_asset
+from provlab.container import ByteRange, extract_manifest, parse_asset, serialize_asset
 from provlab.corpus import CorpusEntry, entry_policies
 from provlab.credentials import Claim, Manifest, decode_manifest, redact_assertion
 from provlab.encoding import encode_value
 from provlab.errors import DecodeError, EncodeError
 from provlab.records import decode_record, encode_record, record_value
+from provlab.signer import SCENARIOS, build_scenario_content, scenario_signer, sign_asset
+from provlab.timestamp import TimestampAuthority
 from provlab.trust import CertStatus, Certificate, StatusResponse
 from provlab.validator import (
     REPORT_SCHEMA, ValidationReport, Verdict, report_to_json, validate,
@@ -191,6 +195,89 @@ def test_decoded_records_encode_as_a_fresh_copy(seeded_records):
         copy = fresh_copy(record)
         assert not has_wire(copy) and copy == record
         assert encode_record(record) == encode_record(copy), type(record).__name__
+
+
+def built_children(record):
+    """The map records nested in ``record``'s fields, at any depth."""
+    for field in dataclasses.fields(record):
+        items = getattr(record, field.name)
+        for item in items if type(items) is tuple else (items,):
+            if dataclasses.is_dataclass(item) and type(item) is not ByteRange:
+                yield item
+                yield from built_children(item)
+
+
+def test_a_built_record_keeps_its_first_write(seeded_records):
+    """The write-once rule holds for built records as for decoded ones: a
+    whole write leaves the record holding the bytes it gave, each built
+    record nested in it holding its own, while a write with ``omit``
+    stores no whole slice and ``replace`` builds a record without one."""
+    by_class = {}
+    for record in seeded_records:
+        if type(record) is not ByteRange:
+            by_class.setdefault(type(record), record)
+    assert len(by_class) == 11
+    children = 0
+    for cls, record in by_class.items():
+        omit = SIGNED_PAYLOAD_OMITS.get(cls.__name__)
+        if omit:
+            copy = fresh_copy(record)
+            encode_record(copy, omit)
+            assert not has_wire(copy), cls.__name__
+        copy = fresh_copy(record)
+        assert not has_wire(copy)
+        wire = encode_record(copy)
+        assert wire == encode_value(reference_record_value(copy)), cls.__name__
+        assert vars(copy)[record_codec._WIRE] == wire
+        for child in built_children(copy):
+            assert vars(child)[record_codec._WIRE] == encode_value(reference_record_value(child))
+            children += 1
+        assert not has_wire(replace(copy))
+    assert children > 10
+
+
+def write_value_calls(action):
+    """``action()`` and the number of :func:`~.encoding.write_value` calls it made."""
+    code = encoding.write_value.__code__
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        result = action()
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+def test_a_second_signing_writes_no_certificate(corpus, corpus_entry, entry_bytes):
+    """Signing the same content twice with one configuration gives the
+    corpus bytes both times.  The first signing leaves every certificate in
+    both chains holding its bytes, so the second writes only what is new to
+    it: the claim, the claim signature, the tokens and the manifest."""
+    scenario = SCENARIOS["bound-timestamp"]
+    workspace = corpus["workspace"]
+    asset, assertions, generator = build_scenario_content(scenario, workspace.seed)
+    config = scenario_signer(workspace, scenario, generator)
+    tsa = config.tsa
+    config = replace(
+        config,
+        chain=fresh_copy(config.chain),
+        tsa=TimestampAuthority(tsa.key, fresh_copy(tsa.chain), tsa.clock),
+    )
+    certificates = config.chain + config.tsa.chain
+    assert not any(has_wire(cert) for cert in certificates)
+    first, first_calls = write_value_calls(lambda: sign_asset(asset, assertions, config))
+    assert all(has_wire(cert) for cert in certificates)
+    second, second_calls = write_value_calls(lambda: sign_asset(asset, assertions, config))
+    expected = entry_bytes(corpus_entry("bound-timestamp"))
+    assert serialize_asset(first) == serialize_asset(second) == expected
+    # the first signing writes both chains' certificates, the second none
+    assert (first_calls, second_calls) == (90, 52)
 
 
 def test_a_replaced_record_encodes_its_new_fields(seeded_records):
