@@ -246,11 +246,12 @@ def write_value_calls(action):
         if event == "call" and frame.f_code is code:
             calls += 1
 
+    previous = sys.getprofile()
     sys.setprofile(count)
     try:
         result = action()
     finally:
-        sys.setprofile(None)
+        sys.setprofile(previous)
     return result, calls
 
 
