@@ -270,17 +270,14 @@ def parse_asset(data: bytes | bytearray | memoryview | mmap.mmap) -> Asset:
     return _assemble(parts)
 
 
-def _head(segment: Segment) -> bytes:
-    """The segment's wire head: kind, label length, label, payload length."""
-    raw = _check_label(segment.label)
-    return bytes((segment.kind, len(raw))) + raw + segment.range.length.to_bytes(4, "big")
-
-
 def _wire_chunks(asset: Asset) -> list[bytes | memoryview]:
-    """The magic, then each segment's head and payload view; labels checked first."""
+    """The magic, then each segment's head (kind, label length, label, payload
+    length) and payload view; labels checked first."""
     chunks: list[bytes | memoryview] = [MAGIC]
     for segment, payload in zip(asset.segments, asset._views((0, asset.size))):
-        chunks += _head(segment), payload
+        raw = _check_label(segment.label)
+        head = bytes((segment.kind, len(raw))) + raw + segment.range.length.to_bytes(4, "big")
+        chunks += head, payload
     return chunks
 
 
@@ -304,17 +301,6 @@ def write_asset(asset: Asset, path: Path) -> None:
         raise type(exc)(exc.errno, exc.strerror, str(path)) from exc
     finally:
         partial.unlink(missing_ok=True)
-
-
-def wire_span(asset: Asset, segment: Segment) -> ByteRange:
-    """The segment payload's position inside :func:`serialize_asset` output."""
-    pos = len(MAGIC)
-    for candidate in asset.segments:
-        head = len(_head(candidate))
-        if candidate == segment:
-            return ByteRange(pos + head, candidate.range.length)
-        pos += head + candidate.range.length
-    raise ValueError("segment does not belong to this asset")
 
 
 # ---------------------------------------------------------------------------

@@ -59,11 +59,11 @@ included, is read in full and its record stored under that key.  Only exact
 ``bytes`` reach the reader: a ``bytearray``, ``memoryview`` or ``bytes``
 subclass takes the two-stage path, and is never served or stored.  A table
 stores records of at most ``_SHARED_BYTES`` wire bytes, at most
-``_TABLE_BYTES`` of them, and drops the oldest first under one lock (the
-status service's thread reads records too).  So a certificate seen in many
-manifests is decoded, and its template written, once, a manifest validated
-again is not read again, and a re-stamped variant of a known manifest reads
-only what it changed.
+``_TABLE_BYTES`` of them, and drops the oldest first under one lock
+(``validate`` may run on several threads at once).  So a certificate seen
+in many manifests is decoded, and its template written, once, a manifest
+validated again is not read again, and a re-stamped variant of a known
+manifest reads only what it changed.
 
 By the bijection above a slice is its record's encoding, and a shared
 record is what a fresh read would build, as long as no record changes:

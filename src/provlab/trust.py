@@ -232,7 +232,7 @@ class Authority:
         self.clock = clock
         self.issued: dict[int, str] = {cert.serial: cert.subject}
         self.revoked: dict[int, int] = {}
-        self._signed: dict[int, tuple[StatusResponse, StatusResponse]] = {}
+        self._signed: dict[int, StatusResponse] = {}
 
     def issue(self, template: Certificate) -> Certificate:
         """Issue ``template``; idempotent for an identical re-issue."""
@@ -255,22 +255,21 @@ class Authority:
 
     def status_for(self, serial: int) -> StatusResponse:
         """Sign each distinct status once (Ed25519 is deterministic) and serve
-        it as stored (RFC 5019) until a revocation or clock change alters it.
-        UNKNOWN is never stored, so the store stays within the registry."""
+        that record, which keeps its first write's bytes (RFC 5019), until a
+        revocation or clock change alters it.  UNKNOWN is never stored, so
+        the store stays within the registry."""
         if serial not in self.issued:
             status, revoked_at = CertStatus.UNKNOWN, None
         elif serial in self.revoked:
             status, revoked_at = CertStatus.REVOKED, self.revoked[serial]
         else:
             status, revoked_at = CertStatus.GOOD, None
-        unsigned = StatusResponse(serial, status, revoked_at, self.clock, b"")
         stored = self._signed.get(serial)
-        if stored is not None and stored[0] == unsigned:
-            return stored[1]
+        live = (status, revoked_at, self.clock)
+        if stored is not None and (stored.status, stored.revoked_at, stored.produced_at) == live:
+            return stored
+        unsigned = StatusResponse(serial, *live, b"")
         signed = replace(unsigned, responder_signature=self.key.sign(_status_payload(unsigned)))
         if status is not CertStatus.UNKNOWN:
-            # read back from its bytes, the stored record keeps them, so
-            # serving it again encodes nothing
-            signed = decode_record(StatusResponse, encode_record(signed))
-            self._signed[serial] = (unsigned, signed)
+            self._signed[serial] = signed
         return signed

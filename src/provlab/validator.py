@@ -576,9 +576,6 @@ _CHECKS = (
     ("redaction-audit", _needs_manifest, _check_redaction_audit),
 )
 
-CHECK_NAMES = tuple(name for name, _, _ in _CHECKS)
-
-
 def _collect_metadata(run: _Run) -> tuple[MetadataItem, ...]:
     if run.asset is None:
         return ()

@@ -16,7 +16,7 @@ from provlab.attacks import (
     attack_strip_manifest,
     attack_timestamp_replace,
 )
-from provlab.container import extract_manifest, parse_asset, serialize_asset, wire_span
+from provlab.container import ByteRange, extract_manifest, parse_asset, serialize_asset
 from provlab.corpus import (
     CRL_FILENAME, build_corpus, entry_policies, load_corpus, tree_digest,
 )
@@ -127,8 +127,8 @@ def test_exclusion_mutate_touches_only_the_gps_span(corpus, corpus_entry, entry_
 
     original = parse_asset(entry_bytes(corpus_entry("gps-excluded")))
     mutated = parse_asset(entry_bytes(corpus_entry("gps-excluded", "exclusion-mutate")))
-    gps = original.find_label("meta.gps")
-    assert _wire_diff_confined_to(original, mutated, [wire_span(original, gps)])
+    gps = original.find_label("meta.gps")  # parsed, so its offset is its payload's wire position
+    assert _wire_diff_confined_to(original, mutated, [ByteRange(gps.offset, gps.range.length)])
     assert serialize_asset(original) != serialize_asset(mutated)
     assert len(serialize_asset(original)) == len(serialize_asset(mutated))
     # the binding digest recorded in both claims is bit-identical

@@ -25,7 +25,6 @@ from provlab.container import (
     serialize_asset,
     splice_bytes,
     strip_manifest,
-    wire_span,
     write_asset,
 )
 from provlab.errors import MalformedContainer, ProvenanceError
@@ -205,12 +204,14 @@ def test_a_failed_write_names_the_target_not_the_partial_file(tmp_path, target, 
     assert [p.name for p in tmp_path.iterdir()] == ["dir"]
 
 
-def test_wire_span_points_at_payload_bytes():
-    asset = build_asset(simple_parts())
-    wire = serialize_asset(asset)
-    for segment in asset.segments:
-        span = wire_span(asset, segment)
-        assert wire[span.start : span.end] == asset.payload(segment)
+def test_a_parsed_segment_offset_is_its_payload_wire_position():
+    parts = simple_parts()
+    wire = serialize_asset(build_asset(parts))
+    segments = parse_asset(wire).segments
+    assert len(segments) == len(parts)
+    for segment, (_, _, payload) in zip(segments, parts):
+        assert segment.buffer is wire
+        assert wire[segment.offset : segment.offset + segment.range.length] == payload
 
 
 def _second_manifest(wire: bytes) -> bytes:
@@ -218,9 +219,9 @@ def _second_manifest(wire: bytes) -> bytes:
     # length, payload), repeated right after it
     asset = parse_asset(wire)
     segment = asset.find_manifest()
-    span = wire_span(asset, segment)
-    head = span.start - 4 - len(segment.label) - 2
-    return wire[: span.end] + wire[head : span.end] + wire[span.end :]
+    head = segment.offset - 4 - len(segment.label) - 2
+    end = segment.offset + segment.range.length
+    return wire[:end] + wire[head:end] + wire[end:]
 
 
 @pytest.mark.parametrize(

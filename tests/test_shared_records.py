@@ -24,7 +24,7 @@ from provlab.errors import DecodeError
 from provlab.timestamp import archival_extend
 from provlab.records import decode_record, encode_record, record_from_value
 from provlab.trust import (
-    Certificate, ChainStatus, ChainVerdict, StatusResponse, Usage, verify_chain,
+    Authority, Certificate, CertStatus, ChainStatus, ChainVerdict, Usage, verify_chain,
 )
 from provlab.validator import report_to_json, validate
 from provlab.workspace import Workspace
@@ -111,10 +111,29 @@ def test_a_repeated_manifest_shares_its_certificates(corpus, signed_asset, signe
     assert len(pairs) == 4 and all(a is b for a, b in pairs)
 
 
-def test_a_served_status_is_the_stored_one(corpus):
-    authority = corpus["workspace"].signing
-    stored = authority.status_for(next(iter(authority.revoked)))
-    assert decode_record(StatusResponse, encode_record(stored)) is stored
+def test_the_responder_serves_the_status_it_signed(corpus):
+    """``status_for``, which the status service's thread calls, reads no
+    record: every table stays as it was.  It serves the record it signed
+    while the status holds, and that record keeps its first write."""
+    signing = corpus["workspace"].signing
+    # a clock no other test uses, so every status here is signed afresh
+    authority = Authority(signing.key, signing.cert, signing.clock + 4321)
+    authority.issued.update(signing.issued)
+    authority.revoked.update(signing.revoked)
+    good = next(serial for serial in authority.issued if serial not in authority.revoked)
+
+    def tables() -> dict:
+        return {cls: (dict(table), table.held) for cls, table in records._shared_records.items()}
+
+    before = tables()
+    served = [authority.status_for(serial) for serial in (next(iter(authority.revoked)), good)]
+    assert [response.status for response in served] == [CertStatus.REVOKED, CertStatus.GOOD]
+    for response in served:
+        assert authority.status_for(response.serial) is response
+        wire = encode_record(response)
+        assert encode_record(response) is wire
+        assert authority.status_for(response.serial) is response
+    assert tables() == before
 
 
 def test_a_near_miss_reads_as_its_own_certificate(corpus, signed_manifest):
@@ -230,7 +249,7 @@ def test_no_record_is_shared_past_the_nesting_bound(signed_manifest):
 
 
 def test_concurrent_reads_past_the_bound():
-    """The status service's thread reads records too, so threads (more of
+    """``validate`` may run on several threads at once, so threads (more of
     them than cores, switching often) fill and evict one table at once."""
     clear_tables()
     start = threading.Barrier(4)

@@ -1,14 +1,17 @@
-"""Fail when a name that ``src/provlab`` defines or imports is used nowhere.
+"""Fail when a name that ``src/provlab`` defines or imports is used nowhere,
+or only by tests.
 
 Every top-level function, class and assigned name of a ``src/provlab``
 module, and every method of a top-level class, must appear in ``src/``,
-``tests/``, ``perfbench/`` or ``tools/`` somewhere besides its own
-definition.  A mention inside a string counts, because the benchmark tracer
-names the functions it hooks in strings.  Dunder names are called implicitly
-and are not checked.  Every name a ``src/provlab`` module imports must be
-read in that module, unless the import's first line is marked
-``# noqa: F401`` (a re-export).  The modules are parsed with the stdlib
-``ast``; exits 1 and lists the dead names.
+``perfbench/`` or ``tools/`` somewhere besides its own definition; a name
+that only ``tests/`` reaches is reported too, unless ``RESERVED`` lists it
+with the ROADMAP item that will give it a src user.  A mention inside a
+string counts, because the benchmark tracer names the functions it hooks in
+strings.  Dunder names are called implicitly and are not checked.  Every
+name a ``src/provlab`` module imports must be read in that module, unless
+the import's first line is marked ``# noqa: F401`` (a re-export).  The
+modules are parsed with the stdlib ``ast``; exits 1 and lists the dead
+names, and any ``RESERVED`` name that is no longer reached only by tests.
 
     python3 tools/dead_names.py
 """
@@ -23,6 +26,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEARCHED = ("src", "tests", "perfbench", "tools")
+# src names that only tests reach for now, each with the ROADMAP item that gives it a src user
+RESERVED = {"redact_assertion": "item 3", "report_from_json": "item 23"}
 
 
 def defined_names(tree: ast.Module):
@@ -60,20 +65,31 @@ def unused_imports(tree: ast.Module, lines: list[str]):
 
 
 def main() -> int:
-    words = Counter()
+    words, untested = Counter(), Counter()  # every mention; mentions outside tests/
     for directory in SEARCHED:
         for path in (ROOT / directory).rglob("*.py"):
-            words.update(re.findall(r"\w+", path.read_text()))
-    dead = []
+            if path == Path(__file__).resolve():  # its own RESERVED table is not a use
+                continue
+            found = re.findall(r"\w+", path.read_text())
+            words.update(found)
+            if directory != "tests":
+                untested.update(found)
+    dead = [
+        f"tools/dead_names.py: RESERVED name {name} ({item}) is not reached only by tests"
+        for name, item in RESERVED.items()
+        if untested[name] != 1 or words[name] == untested[name]
+    ]
     for path in sorted((ROOT / "src" / "provlab").glob("*.py")):
         source = path.read_text()
         tree = ast.parse(source)
         where = path.relative_to(ROOT)
-        dead += [
-            f"{where}:{line}: {name} appears only in its definition"
-            for name, line in defined_names(tree)
-            if not name.startswith("__") and words[name] <= 1
-        ]
+        for name, line in defined_names(tree):
+            if name.startswith("__"):
+                continue
+            if words[name] <= 1:
+                dead.append(f"{where}:{line}: {name} appears only in its definition")
+            elif untested[name] <= 1 and name not in RESERVED:
+                dead.append(f"{where}:{line}: {name} is reached only by tests")
         dead += [
             f"{where}:{line}: {name} is imported and never read"
             for name, line in unused_imports(tree, source.splitlines())
