@@ -12,9 +12,9 @@ later) and the hard binding that ties the claim to the asset bytes.
   token, which in turn imprints the claim, so replacing the token breaks
   the signature.
 
-A :class:`Redaction` is one countersigned record per redaction, and
-``redaction_payload`` defines what its signature covers: the record without
-its chain and signature.
+A :class:`Redaction` is one countersigned record per redaction; its
+signature covers the record without its chain and signature (its
+``UNSIGNED`` fields, see :func:`~.records.signed_bytes`).
 
 Everything here encodes through :mod:`.records`, whose decoding is strict at
 the record level as well as the value level: equal structures have equal
@@ -31,7 +31,7 @@ from functools import cached_property
 from .container import HardBinding
 from .crypto import digest
 from .errors import ProvenanceError
-from .records import decode_record, encode_record
+from .records import decode_record, encode_record, signed_bytes
 from .timestamp import TimestampToken
 from .trust import Certificate, Identity
 
@@ -106,6 +106,8 @@ class Redaction:
     assertion, with the claim's digest for it, or an excluded segment, with
     ``original_digest`` None.  The leaf of ``signer_chain`` names the redactor."""
 
+    UNSIGNED = ("signer_chain", "signature")
+
     target: str
     original_digest: bytes | None
     signer_chain: tuple[Certificate, ...]
@@ -138,15 +140,13 @@ def decode_manifest(data: bytes) -> Manifest:
 # ---------------------------------------------------------------------------
 
 def signed_payload(claim_bytes: bytes, claim_signature: ClaimSignature) -> bytes:
-    """The exact bytes ``claim_signature`` covers; its ``signature`` is not read."""
+    """The exact bytes ``claim_signature`` covers; its ``signature`` is not read.
+
+    The one signature whose bytes are not a record minus its ``UNSIGNED``
+    fields: they are the claim bytes, followed by the bound token's digest."""
     if claim_signature.binding_mode == BindingMode.UNBOUND:
         return claim_bytes
     return claim_bytes + digest(encode_record(claim_signature.timestamp))
-
-
-def redaction_payload(redaction: Redaction) -> bytes:
-    """The exact bytes ``redaction``'s countersignature covers."""
-    return encode_record(redaction, omit=("signer_chain", "signature"))
 
 
 def digest_assertion(assertion: Assertion) -> bytes:
@@ -172,7 +172,7 @@ def redact_assertion(
     if redactor is None:
         return replace(manifest, assertions=remaining)
     unsigned = Redaction(label, manifest.claim.digest_for(label), redactor.chain, b"")
-    redaction = replace(unsigned, signature=redactor.key.sign(redaction_payload(unsigned)))
+    redaction = replace(unsigned, signature=redactor.key.sign(signed_bytes(unsigned)))
     return replace(
         manifest,
         assertions=remaining,

@@ -15,12 +15,13 @@ such as ``tuple[str, bytes]``, nested records, enums (by ``.value``), maps
 ``dict`` as a free-form map that the record's ``__post_init__`` validates.
 
 ``encode_record`` builds no intermediate value.  A writer compiled once per
-record class and ``omit`` holds the map head and each field name's encoded
-key, already in canonical order, and appends every field's chunks straight
-to one list: nested records, arrays of records, fixed tuples, optionals and
-enums included.  Only fields without a fixed shape (scalars and free-form
-maps) go through :func:`~.encoding.write_value`, which still sorts a
-free-form map's keys on each call.
+record class (and once more for its signed bytes) holds the map head and
+each field name's encoded key, already in canonical order, and appends
+every field's chunks straight to one list: nested records, arrays of
+records, fixed tuples, optionals and enums included.  Only fields without a
+fixed shape (scalars and free-form maps) go through
+:func:`~.encoding.write_value`, which still sorts a free-form map's keys on
+each call.
 
 ``record_from_value`` decodes a value exactly: a map carries precisely the
 record's field names, every value has its field's type (an enum field's
@@ -40,13 +41,11 @@ and builds the same record.  When it fails, that two-stage path runs
 instead, and its error is the one raised, so every message stays as it was.
 
 Each map record keeps its bytes, decoded and built alike: the reader stores
-the slice of the input it read, and a whole write (no ``omit``) of a record
-holding none joins the chunks it appended into one ``bytes``, appends that
-in their place and stores it.  ``encode_record`` without ``omit``, a nested
-write included, returns the stored bytes instead of re-encoding, so a
-certificate in every signing's chain, or an assertion digested and then
-embedded, is written once.  A write with ``omit`` stores no whole bytes; on
-a record that holds them it keeps the payload, written once per record.
+the slice of the input it read, and a whole write of a record holding none
+joins the chunks it appended into one ``bytes``, appends that in their place
+and stores it.  ``encode_record``, a nested write included, returns the
+stored bytes instead of re-encoding, so a certificate in every signing's
+chain, or an assertion digested and then embedded, is written once.
 
 The reader shares what it reads: each map record class keeps a table of
 ``(record, depth)`` keyed by the first ``_KEY_BYTES`` input bytes at the
@@ -75,9 +74,13 @@ from those bytes (``record_value`` is ``decode_value(encode_record(...))``),
 so a record has no second encoder, and a record without ``bytes`` fields
 decodes from its JSON form through ``record_from_value``.
 
-A signed payload is a record minus the fields named by ``omit``: a
-certificate without its issuer signature, a timestamp token or a redaction
-without its chain and signature, and so on.
+Each signed record class names the fields its signature leaves out in a
+class constant ``UNSIGNED`` (a plain attribute, not a field, so no byte
+moves): a certificate its issuer signature, a revocation list its
+signature, a status response its responder signature, a timestamp token or
+a redaction its chain and signature.  ``signed_bytes`` writes a record
+without those fields.  It stores no whole bytes; on a record that holds
+them it keeps its signed bytes, under one attribute, written once.
 """
 
 from __future__ import annotations
@@ -100,8 +103,10 @@ from .errors import DecodeError
 _POSITIONAL = (ByteRange,)
 _SCALARS = (str, int, bool, bytes)
 _NULL = encode_value(None)
-# the instance attribute that holds a map record's bytes, read or written whole
+# the instance attributes that hold a map record's bytes, read or written
+# whole, and its signed bytes (see ``signed_bytes``)
 _WIRE = "_wire"
+_SIGNED = "_signed"
 
 # per record class, the records read so far (see the module docstring):
 # each of at most _SHARED_BYTES wire bytes, at most _TABLE_BYTES in all (own
@@ -134,34 +139,28 @@ def record_from_value(cls: type, value: Value) -> Any:
     return _record_decoder(cls)(value)
 
 
-def encode_record(record: Any, omit: tuple[str, ...] = ()) -> bytes:
-    """Canonical bytes of ``record``, leaving out the fields named in ``omit``.
-
-    A record returns the bytes it holds, read or first written whole, and
-    then keeps each payload with ``omit`` the first time it is written."""
+def encode_record(record: Any) -> bytes:
+    """Canonical bytes of ``record``: the bytes it holds, read or first written whole."""
     wire = getattr(record, _WIRE, None)
-    if wire is None:
-        return _written(record, omit)
-    if not omit:
-        return wire
-    name = _payload_attribute(omit)
-    payload = getattr(record, name, None)
-    if payload is None:
-        payload = _written(record, omit)
-        object.__setattr__(record, name, payload)
-    return payload
+    return _written(record, ()) if wire is None else wire
+
+
+def signed_bytes(record: Any) -> bytes:
+    """The bytes ``record``'s signature covers: the record without the fields
+    its class names in ``UNSIGNED``.  A record that holds its bytes keeps
+    these too, written once."""
+    signed = getattr(record, _SIGNED, None)
+    if signed is None:
+        signed = _written(record, type(record).UNSIGNED)
+        if hasattr(record, _WIRE):
+            object.__setattr__(record, _SIGNED, signed)
+    return signed
 
 
 def _written(record: Any, omit: tuple[str, ...]) -> bytes:
     out: list[bytes] = []
     _record_writer(type(record), omit)(record, out)
     return b"".join(out)
-
-
-@functools.cache
-def _payload_attribute(omit: tuple[str, ...]) -> str:
-    """The instance attribute that holds a record's payload without ``omit``."""
-    return f"{_WIRE}-{'-'.join(omit)}"
 
 
 def decode_record(cls: type, data: bytes) -> Any:
@@ -189,9 +188,15 @@ def _plan(cls: type) -> _Plan:
 @functools.cache
 def _record_writer(cls: type, omit: tuple[str, ...]) -> Writer:
     if cls in _POSITIONAL:
-        if omit:
-            raise TypeError(f"{cls.__name__} is positional and leaves out no field")
-        return _positional_writer(cls)
+        positional = tuple((name, write) for name, _, write, _ in _plan(cls))
+        array = array_head(len(positional))
+
+        def write_array(record: Any, out: list) -> None:
+            out.append(array)
+            for name, write in positional:
+                write(getattr(record, name), out)
+
+        return write_array
     fields = sorted(
         (
             (encode_value(name), name, write)
@@ -217,19 +222,6 @@ def _record_writer(cls: type, omit: tuple[str, ...]) -> Writer:
         if whole:  # a built record keeps its bytes as a decoded one does
             out[start:] = [wire := b"".join(out[start:])]
             object.__setattr__(record, _WIRE, wire)
-
-    return write_record
-
-
-@functools.cache
-def _positional_writer(cls: type) -> Writer:
-    fields = tuple((name, write) for name, _, write, _ in _plan(cls))
-    head = array_head(len(fields))
-
-    def write_record(record: Any, out: list) -> None:
-        out.append(head)
-        for name, write in fields:
-            write(getattr(record, name), out)
 
     return write_record
 

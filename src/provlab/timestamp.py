@@ -20,21 +20,19 @@ from enum import Enum
 from .container import Asset, extract_manifest, replace_manifest
 from .crypto import DIGEST_SIZE, SigningKey, digest, verify_once
 from .errors import ProvenanceError
-from .records import encode_record
+from .records import signed_bytes
 from .trust import Certificate, ChainStatus, TrustList, Usage, verify_chain
 
 
 @dataclass(frozen=True)
 class TimestampToken:
+    # the TSA signs the digest and the time, nothing else
+    UNSIGNED = ("tsa_chain", "tsa_signature")
+
     message_digest: bytes
     gen_time: int
     tsa_chain: tuple[Certificate, ...]
     tsa_signature: bytes
-
-
-def token_signed_payload(token: TimestampToken) -> bytes:
-    """The bytes the TSA signs: the digest and the time, nothing else."""
-    return encode_record(token, omit=("tsa_chain", "tsa_signature"))
 
 
 def issue_token(
@@ -60,7 +58,7 @@ def issue_token(
     if not leaf.in_window(clock):
         raise ProvenanceError(f"TSA certificate outside validity window at {clock}")
     unsigned = TimestampToken(message_digest, clock, tuple(tsa_chain), b"")
-    return replace(unsigned, tsa_signature=tsa_key.sign(token_signed_payload(unsigned)))
+    return replace(unsigned, tsa_signature=tsa_key.sign(signed_bytes(unsigned)))
 
 
 class TokenStatus(str, Enum):
@@ -94,7 +92,7 @@ def verify_token(
     if not token.tsa_chain:
         return TokenVerdict(TokenStatus.UNTRUSTED_TSA, "empty TSA chain")
     leaf = token.tsa_chain[0]
-    if not verify_once(leaf.public_key, token_signed_payload(token), token.tsa_signature):
+    if not verify_once(leaf.public_key, signed_bytes(token), token.tsa_signature):
         return TokenVerdict(TokenStatus.BAD_TOKEN_SIGNATURE, "TSA signature invalid")
     if token.message_digest != expected_digest:
         return TokenVerdict(TokenStatus.DIGEST_MISMATCH, "token covers a different digest")

@@ -19,7 +19,7 @@ from enum import Enum
 
 from .crypto import SigningKey, verify_once
 from .errors import ProvenanceError
-from .records import decode_record, encode_record
+from .records import decode_record, signed_bytes
 
 
 class Usage(str, Enum):
@@ -31,6 +31,8 @@ class Usage(str, Enum):
 
 @dataclass(frozen=True)
 class Certificate:
+    UNSIGNED = ("issuer_signature",)
+
     serial: int
     subject: str
     issuer: str
@@ -60,7 +62,7 @@ class Identity:
 
 def certificate_template_bytes(cert: Certificate) -> bytes:
     """Canonical bytes the issuer signs: every field but the signature."""
-    return encode_record(cert, omit=("issuer_signature",))
+    return signed_bytes(cert)
 
 
 def issue_certificate(
@@ -176,20 +178,18 @@ class CertStatus(Enum):
 
 @dataclass(frozen=True)
 class RevocationList:
+    UNSIGNED = ("signature",)
+
     issuer: str
     this_update: int
     entries: tuple[tuple[int, int], ...]  # (serial, revoked_at), sorted by serial
     signature: bytes
 
 
-def _crl_payload(crl: RevocationList) -> bytes:
-    return encode_record(crl, omit=("signature",))
-
-
 def verify_crl(crl: RevocationList, issuer_cert: Certificate) -> bool:
     if issuer_cert.subject != crl.issuer:
         return False
-    return verify_once(issuer_cert.public_key, _crl_payload(crl), crl.signature)
+    return verify_once(issuer_cert.public_key, signed_bytes(crl), crl.signature)
 
 
 def decode_revocation_list(data: bytes) -> RevocationList:
@@ -198,6 +198,10 @@ def decode_revocation_list(data: bytes) -> RevocationList:
 
 @dataclass(frozen=True)
 class StatusResponse:
+    # the serial is signed, so a response for one serial cannot be
+    # replayed for another
+    UNSIGNED = ("responder_signature",)
+
     serial: int
     status: CertStatus
     revoked_at: int | None
@@ -205,15 +209,9 @@ class StatusResponse:
     responder_signature: bytes
 
 
-def _status_payload(response: StatusResponse) -> bytes:
-    # the serial is signed, so a response for one serial cannot be
-    # replayed for another
-    return encode_record(response, omit=("responder_signature",))
-
-
 def verify_status_response(response: StatusResponse, responder_cert: Certificate) -> bool:
     return verify_once(
-        responder_cert.public_key, _status_payload(response), response.responder_signature
+        responder_cert.public_key, signed_bytes(response), response.responder_signature
     )
 
 
@@ -251,7 +249,7 @@ class Authority:
 
     def generate_crl(self) -> RevocationList:
         unsigned = RevocationList(self.name, self.clock, tuple(sorted(self.revoked.items())), b"")
-        return replace(unsigned, signature=self.key.sign(_crl_payload(unsigned)))
+        return replace(unsigned, signature=self.key.sign(signed_bytes(unsigned)))
 
     def status_for(self, serial: int) -> StatusResponse:
         """Sign each distinct status once (Ed25519 is deterministic) and serve
@@ -269,7 +267,7 @@ class Authority:
         if stored is not None and (stored.status, stored.revoked_at, stored.produced_at) == live:
             return stored
         unsigned = StatusResponse(serial, *live, b"")
-        signed = replace(unsigned, responder_signature=self.key.sign(_status_payload(unsigned)))
+        signed = replace(unsigned, responder_signature=self.key.sign(signed_bytes(unsigned)))
         if status is not CertStatus.UNKNOWN:
             self._signed[serial] = signed
         return signed

@@ -45,12 +45,11 @@ from .credentials import (
     decode_manifest,
     digest_assertion,
     encode_manifest,
-    redaction_payload,
     signed_payload,
 )
 from .crypto import digest, verify_once
 from .errors import ProvenanceError, ServiceUnreachable
-from .records import encode_record, record_from_value, record_value
+from .records import encode_record, record_from_value, record_value, signed_bytes
 from .statusservice import query_status
 from .timestamp import verify_token
 from .trust import (
@@ -250,7 +249,7 @@ class _Run:
     def vouched_records(self) -> list[Redaction]:
         """The redactions their own countersignatures vouch for: the leaf may
         sign, the chain is valid at the validation time and the signature
-        verifies over :func:`redaction_payload`.  Both audits read this one
+        verifies over its :func:`~.records.signed_bytes`.  Both audits read this one
         list, so each countersignature is judged once."""
         return [
             redaction
@@ -258,7 +257,7 @@ class _Run:
             if (chain := redaction.signer_chain)
             and chain[0].usage == Usage.LEAF_SIGNING
             and verify_chain(chain, self.policy.trust, self.policy.validation_time).valid
-            and verify_once(chain[0].public_key, redaction_payload(redaction), redaction.signature)
+            and verify_once(chain[0].public_key, signed_bytes(redaction), redaction.signature)
         ]
 
 

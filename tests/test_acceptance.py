@@ -14,10 +14,13 @@ criterion.  Behaviour covered:
   9.  offline list and online status service agree on every serial
 """
 
+import dataclasses
 import hashlib
+import itertools
 import json
 import random
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -41,6 +44,7 @@ from provlab.corpus import (
     REVOKED_VALIDATION_TIME,
     build_corpus,
     entry_policies,
+    load_corpus,
     tree_digest,
 )
 from provlab.credentials import decode_manifest
@@ -61,6 +65,7 @@ from provlab.validator import (
     GoalStatus,
     RevocationMode,
     TimeProvenance,
+    ValidationPolicy,
     Verdict,
     exit_code_for,
     format_epoch,
@@ -308,14 +313,35 @@ def test_criterion_6_honest_fixtures_all_accepted(workspace, corpus):
             )
 
 
-def test_criterion_7_fuzz_totality(workspace, corpus):
-    """100 000 arbitrary or mutated inputs always yield a verdict, never a crash."""
+def criterion_7_inputs(workspace, corpus):
+    """Criterion 7's inputs, each with its spec policy: 72 000 arbitrary
+    blobs, then 28 000 corpus entries with a few bytes changed."""
     rng = random.Random(0xF022)
     seeds = []
     for entry in corpus["entries"]:
         data = (corpus["workspace"].root / entry.path).read_bytes()
         seeds.append((data, spec_policy(workspace.trust, entry.validation_time)))
     blob_policy = spec_policy(workspace.trust, T0 + DAY)
+    for _ in range(72_000):
+        blob = rng.randbytes(rng.randrange(0, 400))
+        if rng.random() < 0.5:
+            blob = b"PVL1" + blob
+        yield blob, blob_policy
+    for _ in range(28_000):
+        data, policy = seeds[rng.randrange(len(seeds))]
+        mutated = bytearray(data)
+        for _ in range(rng.randint(1, 4)):
+            mutated[rng.randrange(len(mutated))] = rng.randrange(256)
+        draw = rng.random()
+        if draw < 0.10:
+            mutated = mutated[: rng.randrange(len(mutated) + 1)]
+        elif draw < 0.15:
+            mutated += rng.randbytes(rng.randrange(1, 64))
+        yield bytes(mutated), policy
+
+
+def test_criterion_7_fuzz_totality(workspace, corpus):
+    """100 000 arbitrary or mutated inputs always yield a verdict, never a crash."""
     allowed = {0, 2, 3, 4}
     reports = hashlib.sha256()
 
@@ -330,26 +356,88 @@ def test_criterion_7_fuzz_totality(workspace, corpus):
 
     total = 0
     with Budget(300.0):
-        for _ in range(72_000):
-            blob = rng.randbytes(rng.randrange(0, 400))
-            if rng.random() < 0.5:
-                blob = b"PVL1" + blob
-            check(validate(blob, blob_policy))
-            total += 1
-        for _ in range(28_000):
-            data, policy = seeds[rng.randrange(len(seeds))]
-            mutated = bytearray(data)
-            for _ in range(rng.randint(1, 4)):
-                mutated[rng.randrange(len(mutated))] = rng.randrange(256)
-            draw = rng.random()
-            if draw < 0.10:
-                mutated = mutated[: rng.randrange(len(mutated) + 1)]
-            elif draw < 0.15:
-                mutated += rng.randbytes(rng.randrange(1, 64))
-            check(validate(bytes(mutated), policy))
+        for data, policy in criterion_7_inputs(workspace, corpus):
+            check(validate(data, policy))
             total += 1
     assert total == 100_000
     assert reports.hexdigest() == CRITERION_7_REPORTS_DIGEST
+
+
+# the knobs whose stricter setting may accept what the looser one refuses:
+# the archival expiry rule accepts an expired signing chain that a valid
+# archival chain bridges, which judging expiry at validation time refuses
+LATTICE_TRADES = ("expiry_rule",)
+VERDICT_RANK = {
+    Verdict.REJECTED: 0,
+    Verdict.UNVERIFIABLE: 1,
+    Verdict.ACCEPTED: 2,
+    Verdict.ACCEPTED_WITH_REDACTION: 2,
+}
+
+
+def test_a_stricter_knob_never_accepts_more(corpus, tmp_path_factory):
+    """Each offline knob on which the presets differ, turned alone from its
+    spec to its hardened setting, never raises the verdict (except along
+    the knobs in ``LATTICE_TRADES``), never shows a SIGNED time the looser
+    setting does not, and never marks more metadata protected.  Inputs:
+    every corpus entry for seeds 1-3, then a fixed slice of criterion 7's
+    (its first 300 blobs and its first 250 changed entries)."""
+    inputs = []
+    for seed in (1, 2, 3):
+        workspace, entries = corpus["workspace"], corpus["entries"]
+        if seed != 1:
+            workspace = Workspace.initialize(tmp_path_factory.mktemp(f"lattice{seed}"), seed=seed)
+            entries = build_corpus(workspace)
+        _, crl = load_corpus(workspace.root)
+        for entry in entries:
+            data = (workspace.root / entry.path).read_bytes()
+            policy = spec_policy(workspace.trust, entry.validation_time, crl=crl)
+            inputs.append((f"{seed}:{entry.path}", data, policy))
+    fuzzed = criterion_7_inputs(corpus["workspace"], corpus)
+    for index, (data, policy) in enumerate(
+        itertools.chain(itertools.islice(fuzzed, 300), itertools.islice(fuzzed, 71_700, 71_950))
+    ):
+        inputs.append((f"criterion-7:{index}", data, replace(policy, crl=corpus["crl"])))
+    assert len(inputs) == 3 * 21 + 550
+    spec = inputs[0][2]
+    hardened = hardened_policy(spec.trust, spec.validation_time, crl=spec.crl)
+    knobs = [
+        field.name for field in dataclasses.fields(ValidationPolicy)
+        if field.name != "name" and getattr(spec, field.name) != getattr(hardened, field.name)
+    ]
+    assert knobs == ["revocation_mode", "timestamp_rule", "file_integrity", "expiry_rule"]
+    rises, views = set(), set()
+    with Budget(2.0):
+        for label, data, base in inputs:
+            reports = {}
+            for strict in itertools.product((False, True), repeat=len(knobs)):
+                settings = {
+                    knob: getattr(hardened if on else spec, knob) for knob, on in zip(knobs, strict)
+                }
+                reports[strict] = validate(data, replace(base, **settings))
+            for strict, loose in reports.items():
+                for at, knob in enumerate(knobs):
+                    if strict[at]:
+                        continue
+                    stricter = reports[strict[:at] + (True,) + strict[at + 1 :]]
+                    if VERDICT_RANK[stricter.verdict] > VERDICT_RANK[loose.verdict]:
+                        rises.add((knob, label))
+                    shown = stricter.displayed_time
+                    if shown.provenance is TimeProvenance.SIGNED and shown != loose.displayed_time:
+                        views.add(("signed time", knob, label))
+                    if protected_labels(stricter) - protected_labels(loose):
+                        views.add(("protected metadata", knob, label))
+    assert {knob for knob, _ in rises} <= set(LATTICE_TRADES)
+    # the one trade today: the expiry-timewarp entry of each seed
+    assert rises == {
+        ("expiry_rule", f"{seed}:corpus/short-lived-cert--expiry-timewarp/asset.pvl")
+        for seed in (1, 2, 3)
+    }
+    assert views == set()
+
+
+def protected_labels(report):
+    return {item.label for item in report.metadata if item.protected}
 
 
 def test_criterion_8_seeded_rebuild_is_byte_identical(tmp_path):

@@ -11,6 +11,7 @@ from provlab.attacks import (
     ATTACK_MATRIX,
     ATTACKS,
     apply_attack,
+    attack_inputs,
     attack_exclusion_mutate,
     attack_expiry_timewarp,
     attack_strip_manifest,
@@ -236,6 +237,20 @@ def test_load_corpus_refuses_an_entry_with_an_extra_key(corpus, tmp_path):
         load_corpus(tmp_path)
 
 
+def test_load_corpus_refuses_a_missing_index_and_an_unknown_schema(corpus, tmp_path):
+    index_path = tmp_path / "corpus" / "index.json"
+    with pytest.raises(ProvenanceError) as missing:
+        load_corpus(tmp_path)
+    assert str(missing.value) == f"no corpus index at {index_path}"
+    index = json.loads((corpus["workspace"].corpus_dir / "index.json").read_text())
+    index["schema"] = "provlab-corpus/0"
+    index_path.parent.mkdir()
+    index_path.write_text(json.dumps(index))
+    with pytest.raises(ProvenanceError) as unknown:
+        load_corpus(tmp_path)
+    assert str(unknown.value) == "unknown corpus schema 'provlab-corpus/0'"
+
+
 # ---------------------------------------------------------------------------
 # inapplicability is an error, not a silent no-op
 # ---------------------------------------------------------------------------
@@ -254,6 +269,21 @@ def test_bound_signature_refuses_token_replacement(toolbox):
         attack_timestamp_replace(
             fixtures["bound-timestamp"], lab.tsa(), T0 - YEAR, lab.trust
         )
+
+
+def test_an_unknown_attack_is_refused():
+    with pytest.raises(ProvenanceError) as refused:
+        attack_inputs("nope")
+    assert str(refused.value) == "unknown attack 'nope'"
+
+
+def test_exclusion_mutate_needs_the_label(toolbox):
+    lab, fixtures = toolbox
+    with pytest.raises(ProvenanceError) as refused:
+        apply_attack(
+            lab, "exclusion-mutate", "gps-excluded", fixtures["gps-excluded"], label="meta.nope"
+        )
+    assert str(refused.value) == "no segment labelled 'meta.nope'"
 
 
 def test_token_transplant_needs_the_signing_key(toolbox):

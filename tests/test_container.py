@@ -265,6 +265,20 @@ def test_empty_payload_rejected():
         build_asset([(SegmentKind.HEADER, "header", b"")])
 
 
+def test_a_zero_length_payload_on_the_wire_is_refused():
+    wire = MAGIC + bytes((SegmentKind.HEADER, 6)) + b"header" + bytes(4)
+    with pytest.raises(MalformedContainer) as refused:
+        parse_asset(wire)
+    assert str(refused.value) == "empty segment payload"
+
+
+def test_parse_refuses_text():
+    wire = serialize_asset(build_asset(simple_parts()))
+    with pytest.raises(MalformedContainer) as refused:
+        parse_asset(wire.decode("latin-1"))
+    assert str(refused.value) == "input must be bytes"
+
+
 def test_duplicate_metadata_labels_rejected():
     parts = [
         (SegmentKind.HEADER, "header", b"HEAD"),
@@ -435,6 +449,12 @@ def test_embed_extract_strip_roundtrip():
         embed_manifest(embedded, b"AGAIN")
     with pytest.raises(ProvenanceError, match="carries no manifest segment"):
         strip_manifest(bare)
+    with pytest.raises(ProvenanceError) as missing:
+        extract_manifest(bare)
+    assert str(missing.value) == "asset carries no manifest segment"
+    with pytest.raises(ValueError) as empty:
+        embed_manifest(bare, b"")
+    assert str(empty.value) == "manifest bytes must be non-empty"
 
 
 def test_manifest_inserted_after_header():

@@ -15,12 +15,11 @@ from provlab.credentials import (
     digest_assertion,
     encode_manifest,
     redact_assertion,
-    redaction_payload,
     signed_payload,
 )
 from provlab.crypto import digest, verify
 from provlab.errors import DecodeError, ProvenanceError
-from provlab.records import decode_record, encode_record
+from provlab.records import decode_record, encode_record, signed_bytes
 from provlab.timestamp import TimestampToken
 from provlab.trust import (
     Certificate,
@@ -210,7 +209,7 @@ def test_countersigned_redaction(lab, manifest):
     assert redaction.signer_chain == lab.redactor.chain
     assert verify(
         lab.redactor.chain[0].public_key,
-        redaction_payload(redaction),
+        signed_bytes(redaction),
         redaction.signature,
     )
     # round-trips with the extra fields intact

@@ -147,6 +147,12 @@ def test_noncanonical_wire_rejected(hexwire):
         decode_value(bytes.fromhex(hexwire))
 
 
+def test_decode_refuses_text():
+    with pytest.raises(DecodeError) as refused:
+        decode_value(encode_value("text").hex())
+    assert str(refused.value) == "input must be bytes"
+
+
 # ---------------------------------------------------------------------------
 # properties
 # ---------------------------------------------------------------------------

@@ -4,13 +4,14 @@
 value encoder kept in ``reference_records``, is how records were encoded
 before each class got a compiled writer; it stays the reference for the
 bytes, and for the JSON forms that are now read back from those bytes.
-Every record class the seeded workspace and corpus produce is checked, with
-every ``omit`` that a signed payload uses.
+Every record class the seeded workspace and corpus produce is checked,
+whole and, for a signed class, as its ``signed_bytes``.
 """
 
 import dataclasses
 import json
 import sys
+import typing
 from dataclasses import dataclass, replace
 
 import pytest
@@ -23,10 +24,10 @@ from provlab.corpus import CorpusEntry, entry_policies
 from provlab.credentials import Claim, Manifest, decode_manifest, redact_assertion
 from provlab.encoding import encode_value
 from provlab.errors import DecodeError, EncodeError
-from provlab.records import decode_record, encode_record, record_value
+from provlab.records import decode_record, encode_record, record_value, signed_bytes
 from provlab.signer import SCENARIOS, build_scenario_content, scenario_signer, sign_asset
 from provlab.timestamp import TimestampAuthority
-from provlab.trust import CertStatus, Certificate, StatusResponse
+from provlab.trust import CertStatus, Certificate, RevocationList, StatusResponse
 from provlab.validator import (
     REPORT_SCHEMA, ValidationReport, Verdict, report_to_json, validate,
 )
@@ -106,18 +107,49 @@ def test_every_record_class_is_covered(seeded_records):
     assert any(r.binding.exclusions for r in seeded_records if type(r) is Claim)
 
 
-def _omits(record) -> set[tuple[str, ...]]:
-    return {(), SIGNED_PAYLOAD_OMITS.get(type(record).__name__, ())}
-
-
 def test_compiled_writer_matches_value_path(seeded_records):
     """Decoded records and field-for-field copies of them alike, so the
     writers run for every class and not only the stored bytes are read."""
     for record in seeded_records:
-        for omit in _omits(record):
-            reference = encode_value(reference_record_value(record, omit))
-            assert encode_record(record, omit) == reference, (type(record).__name__, omit)
-            assert encode_record(fresh_copy(record), omit) == reference
+        name = type(record).__name__
+        reference = encode_value(reference_record_value(record))
+        assert encode_record(record) == reference, name
+        assert encode_record(fresh_copy(record)) == reference
+        if name in SIGNED_PAYLOAD_OMITS:
+            reference = encode_value(reference_record_value(record, SIGNED_PAYLOAD_OMITS[name]))
+            assert signed_bytes(record) == reference, name
+            assert signed_bytes(fresh_copy(record)) == reference
+
+
+def _record_classes(*roots) -> list[type]:
+    """Every record class reachable through the field types of ``roots``."""
+    found: dict[type, None] = {}
+
+    def visit(hint):
+        for arg in typing.get_args(hint):
+            visit(arg)
+        if dataclasses.is_dataclass(hint) and hint not in found:
+            found[hint] = None
+            for field_hint in typing.get_type_hints(hint).values():
+                visit(field_hint)
+
+    for root in roots:
+        visit(root)
+    return list(found)
+
+
+def test_each_signed_record_declares_what_its_signature_leaves_out():
+    """``UNSIGNED`` is the one statement of what a signature covers: each
+    signed class declares it as a plain class constant naming its own
+    fields, exactly as ``SIGNED_PAYLOAD_OMITS`` says, and no other record
+    class declares one."""
+    roots = (Manifest, StatusResponse, RevocationList, ValidationReport, CorpusEntry)
+    classes = _record_classes(*roots)
+    assert {cls.__name__ for cls in classes} >= set(SIGNED_PAYLOAD_OMITS) | {"Claim", "ByteRange"}
+    for cls in classes:
+        assert getattr(cls, "UNSIGNED", None) == SIGNED_PAYLOAD_OMITS.get(cls.__name__), cls
+        fields = {field.name for field in dataclasses.fields(cls)}
+        assert "UNSIGNED" not in fields and set(getattr(cls, "UNSIGNED", ())) < fields
 
 
 def test_json_forms_match_value_path(seeded_records):
@@ -156,8 +188,6 @@ def test_a_whole_byte_range_is_its_array():
     wire = encode_record(ByteRange(3, 4))
     assert wire == encode_value([3, 4]) and record_value(ByteRange(3, 4)) == [3, 4]
     assert decode_record(ByteRange, wire) == ByteRange(3, 4)
-    with pytest.raises(TypeError, match="ByteRange is positional"):
-        encode_record(ByteRange(3, 4), omit=("length",))
 
 
 def test_out_of_range_field_fails_as_before(seeded_records):
@@ -210,8 +240,8 @@ def built_children(record):
 def test_a_built_record_keeps_its_first_write(seeded_records):
     """The write-once rule holds for built records as for decoded ones: a
     whole write leaves the record holding the bytes it gave, each built
-    record nested in it holding its own, while a write with ``omit``
-    stores no whole slice and ``replace`` builds a record without one."""
+    record nested in it holding its own, while ``signed_bytes`` stores no
+    whole slice and ``replace`` builds a record without one."""
     by_class = {}
     for record in seeded_records:
         if type(record) is not ByteRange:
@@ -219,10 +249,9 @@ def test_a_built_record_keeps_its_first_write(seeded_records):
     assert len(by_class) == 11
     children = 0
     for cls, record in by_class.items():
-        omit = SIGNED_PAYLOAD_OMITS.get(cls.__name__)
-        if omit:
+        if cls.__name__ in SIGNED_PAYLOAD_OMITS:
             copy = fresh_copy(record)
-            encode_record(copy, omit)
+            signed_bytes(copy)
             assert not has_wire(copy), cls.__name__
         copy = fresh_copy(record)
         assert not has_wire(copy)

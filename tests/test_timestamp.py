@@ -6,14 +6,13 @@ import pytest
 
 from provlab.crypto import digest
 from provlab.errors import ProvenanceError
-from provlab.records import decode_record, encode_record
+from provlab.records import decode_record, encode_record, signed_bytes
 from provlab.timestamp import (
     TimestampAuthority,
     TimestampToken,
     TokenStatus,
     archival_extend,
     issue_token,
-    token_signed_payload,
     verify_token,
 )
 from provlab.workspace import DAY, T0, YEAR, Workspace
@@ -80,7 +79,7 @@ def test_a_token_without_a_tsa_chain_is_untrusted(lab):
 def test_a_token_signed_by_a_signing_leaf_is_untrusted(lab):
     """``issue_token`` refuses a signing leaf, so the token is built by hand."""
     unsigned = TimestampToken(digest(b"x"), T0, lab.device.chain, b"")
-    token = replace(unsigned, tsa_signature=lab.device.key.sign(token_signed_payload(unsigned)))
+    token = replace(unsigned, tsa_signature=lab.device.key.sign(signed_bytes(unsigned)))
     verdict = verify_token(token, digest(b"x"), lab.trust)
     assert (verdict.status, verdict.detail) == (
         TokenStatus.UNTRUSTED_TSA,

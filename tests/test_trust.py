@@ -9,7 +9,7 @@ from provlab import records
 from provlab.crypto import derive_signing_key
 from provlab.encoding import decode_value, encode_value
 from provlab.errors import DecodeError, ProvenanceError, ServiceUnreachable
-from provlab.records import decode_record, encode_record
+from provlab.records import decode_record, encode_record, signed_bytes
 from provlab.statusservice import (
     StatusService,
     _frame,
@@ -30,7 +30,6 @@ from provlab.trust import (
     verify_chain,
     verify_crl,
     verify_status_response,
-    _status_payload,
 )
 
 T0 = 1_735_689_600
@@ -285,6 +284,16 @@ def test_revoking_unknown_serial_fails(pki):
         authority.revoke(31337, T0)
 
 
+def test_a_serial_is_issued_to_one_subject(pki):
+    root_key, root_cert, _, leaf_cert, _ = pki
+    authority = Authority(root_key, root_cert, T0)
+    template = replace(leaf_cert, issuer_signature=b"")
+    assert authority.issue(template) == authority.issue(template) == leaf_cert
+    with pytest.raises(ValueError) as refused:
+        authority.issue(replace(template, subject="another"))
+    assert str(refused.value) == "serial 100 already issued to 'leaf'"
+
+
 def test_status_response_signature(pki):
     root_key, root_cert, _, leaf_cert, _ = pki
     authority = Authority(root_key, root_cert, T0)
@@ -359,7 +368,7 @@ def test_served_signature_equals_a_fresh_one(counted):
     served += [authority.status_for(leaf_cert.serial) for _ in range(2)]
     for response in served:
         unsigned = replace(response, responder_signature=b"")
-        assert response.responder_signature == sign(_status_payload(unsigned))
+        assert response.responder_signature == sign(signed_bytes(unsigned))
 
 
 def test_unknown_serials_do_not_grow_the_store(counted):

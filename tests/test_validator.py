@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from provlab.container import (
+    MAGIC,
     ByteRange,
     SegmentKind,
     build_asset,
@@ -33,10 +34,10 @@ from provlab.credentials import (
     digest_assertion,
     encode_manifest,
     redact_assertion,
-    redaction_payload,
 )
 from provlab.encoding import decode_value, encode_value
 from provlab.errors import DecodeError, ProvenanceError
+from provlab.records import signed_bytes
 from provlab.container import compute_hard_binding, replace_manifest
 from provlab import crypto, validator
 from provlab.crypto import derive_signing_key, verify_once
@@ -149,6 +150,23 @@ def test_honest_fixture_accepted(lab, fixtures):
     assert report.claimed_created_at == T0
     assert report.goals["G1"] == GoalStatus.HELD
     assert report.goals["G2"] == GoalStatus.HELD
+
+
+def test_a_zero_length_segment_fails_the_parse_check(lab):
+    """A segment head that declares no payload is refused by the parse
+    check by name, not by the catch-all."""
+    wire = MAGIC + bytes((SegmentKind.HEADER, 6)) + b"header" + bytes(4)
+    report = validate(wire, hardened_at(lab))
+    assert report.verdict == Verdict.UNVERIFIABLE and report.malformed
+    parse = report.check("parse")
+    assert (parse.outcome, parse.detail) == (CheckOutcome.FAIL, "empty segment payload")
+
+
+def test_an_unknown_report_format_is_refused(lab, fixtures):
+    report = validate(b(fixtures["honest"]), spec_at(lab))
+    with pytest.raises(ValueError) as refused:
+        render_report(report, "xml")
+    assert str(refused.value) == "unknown report format 'xml'"
 
 
 def test_garbage_is_malformed_unverifiable(lab):
@@ -799,11 +817,11 @@ def test_human_report_lists_the_redactions(lab, fixtures):
 # redaction records, built by hand: every branch of both audits
 # ---------------------------------------------------------------------------
 
-def _countersign(identity, target, original_digest, signed_bytes=None):
+def _countersign(identity, target, original_digest, over=None):
     """A redaction of ``target`` under ``identity``'s chain, signed over
-    ``signed_bytes`` or, by default, over its own payload."""
+    ``over`` or, by default, over its own signed bytes."""
     unsigned = Redaction(target, original_digest, identity.chain, b"")
-    payload = redaction_payload(unsigned) if signed_bytes is None else signed_bytes
+    payload = signed_bytes(unsigned) if over is None else over
     return dataclasses.replace(unsigned, signature=identity.key.sign(payload))
 
 
