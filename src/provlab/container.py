@@ -19,7 +19,10 @@ payload and shares the rest with the asset it came from.  So parsing,
 hashing, embedding and splicing copy no payload the caller already holds.
 :func:`serialize_asset` joins the chunks that :func:`write_asset` writes.  An
 asset parsed from a mapping must not outlive it, and the mapped file must not
-change while the asset is in use.
+change while the asset is in use.  Parsing is one pass: the walk that reads
+each head checks its framing, then builds the segment and applies the
+structure rules.  A range it builds starts where the last one ended, at 0 or
+more, over a payload checked non-empty, so it skips ``ByteRange``'s check.
 
 Addressing is unchanged by the backing: every byte range in this module
 (segment ranges, exclusion ranges, splices) addresses the *logical* content,
@@ -48,7 +51,7 @@ import mmap
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import MalformedContainer, ProvenanceError
 
@@ -105,7 +108,31 @@ class Segment:
 
     def moved(self, at: int, delta: int) -> "Segment":
         """This segment with its range moved (:meth:`ByteRange.moved`)."""
-        return Segment(self.kind, self.range.moved(at, delta), self.label, self.buffer, self.offset)
+        start, length = self.range.start, self.range.length
+        if start < at:
+            return self
+        if start + delta < 0:
+            raise ValueError(f"invalid byte range [{start + delta}, {length})")
+        return _segment(self.kind, self.label, self.buffer, self.offset, start + delta, length)
+
+
+def _segment(kind, label: str, buffer: Buffer, offset: int, start: int, length: int) -> Segment:
+    """The segment over ``buffer[offset : offset + length]`` at logical ``start``
+    and its range, built for a caller that has checked ``start >= 0`` and
+    ``length > 0``: each field stored as the frozen constructors store it."""
+    rng = object.__new__(ByteRange)
+    fields = rng.__dict__
+    fields["start"], fields["length"] = start, length
+    segment = object.__new__(Segment)
+    fields = segment.__dict__
+    fields["kind"], fields["range"], fields["label"] = kind, rng, label
+    fields["buffer"], fields["offset"] = buffer, offset
+    return segment
+
+
+def _payload_view(segment: Segment) -> memoryview:
+    """``segment``'s payload in place; the view pins its buffer, so do not keep it."""
+    return memoryview(segment.buffer)[segment.offset : segment.offset + segment.range.length]
 
 
 @dataclass(frozen=True)
@@ -132,25 +159,7 @@ class Asset:
     @property
     def data(self) -> bytes:
         """The logical content, joined afresh on each read."""
-        return b"".join(self._views((0, self.size)))
-
-    def _views(self, *spans: tuple[int, int]) -> Iterator[memoryview]:
-        """Slices of the backing buffers holding the logical bytes of
-        ``spans``, sorted and disjoint ``(start, end)`` pairs: in order, one
-        per segment a span touches, from a single walk over the segments.
-        A slice pins its buffer (a mapping cannot close) until it is
-        released, so do not keep it."""
-        at = 0
-        for segment in self.segments:
-            base = segment.offset - segment.range.start
-            while at < len(spans) and spans[at][0] < segment.range.end:
-                start, end = spans[at]
-                lo, hi = max(start, segment.range.start), min(end, segment.range.end)
-                if lo < hi:
-                    yield memoryview(segment.buffer)[base + lo : base + hi]
-                if end > segment.range.end:
-                    break  # the span goes on into the next segment
-                at += 1
+        return b"".join([_payload_view(segment) for segment in self.segments])
 
     def payload(self, segment: Segment) -> bytes:
         """``segment``'s payload, one slice of the buffer that holds it."""
@@ -158,7 +167,7 @@ class Asset:
 
     def find_manifest(self) -> Segment | None:
         for segment in self.segments:
-            if segment.kind == SegmentKind.MANIFEST:
+            if segment.kind is SegmentKind.MANIFEST:
                 return segment
         return None
 
@@ -172,7 +181,7 @@ class Asset:
         if not isinstance(other, Asset):
             return NotImplemented
         return self.segments == other.segments and all(
-            a == b for a, b in zip(self._views((0, self.size)), other._views((0, other.size)))
+            _payload_view(a) == _payload_view(b) for a, b in zip(self.segments, other.segments)
         )
 
 
@@ -186,29 +195,33 @@ def _check_label(label: str) -> bytes:
     return raw
 
 
-def _check_structure(segments: list[Segment]) -> None:
-    manifests = [s for s in segments if s.kind == SegmentKind.MANIFEST]
-    if len(manifests) > 1:
-        raise MalformedContainer("more than one manifest segment")
-    labels = [s.label for s in segments if s.kind == SegmentKind.METADATA]
-    if len(labels) != len(set(labels)):
-        raise MalformedContainer("duplicate metadata label")
-    for index, segment in enumerate(segments):
-        if segment.kind == SegmentKind.HEADER and index != 0:
-            raise MalformedContainer("header segment not first")
-        if segment.kind == SegmentKind.TRAILER and index != len(segments) - 1:
-            raise MalformedContainer("trailer segment not last")
+_KINDS = {kind.value: kind for kind in SegmentKind}  # a kind by its wire byte
 
 
-def _assemble(parts: list[tuple[SegmentKind, str, Buffer, int, int]]) -> Asset:
-    """An asset from checked ``(kind, label, buffer, offset, length)`` parts,
-    laid out back to back in logical order."""
+def _lay_out(heads: Iterable[tuple[SegmentKind, str, Buffer, int, int]]) -> Asset:
+    """An asset from framed ``(kind, label, buffer, offset, length)`` heads laid out back to
+    back.  The same walk applies the structure rules; the first one broken raises at its end."""
+    manifest, metadata = SegmentKind.MANIFEST, SegmentKind.METADATA
+    header, trailer = SegmentKind.HEADER, SegmentKind.TRAILER
     segments: list[Segment] = []
-    logical = 0
-    for kind, label, buffer, offset, length in parts:
-        segments.append(Segment(kind, ByteRange(logical, length), label, buffer, offset))
+    labels: list[str] = []  # of the metadata segments
+    manifests = logical = 0
+    misplaced = None  # the first misplaced header or trailer, in segment order
+    for kind, label, buffer, offset, length in heads:
+        manifests += kind is manifest
+        if kind is metadata:
+            labels.append(label)
+        if misplaced is None and segments:
+            misplaced = "trailer segment not last" if segments[-1].kind is trailer else (
+                "header segment not first" if kind is header else None)
+        segments.append(_segment(kind, label, buffer, offset, logical, length))
         logical += length
-    _check_structure(segments)
+    if manifests > 1:
+        raise MalformedContainer("more than one manifest segment")
+    if len(set(labels)) != len(labels):
+        raise MalformedContainer("duplicate metadata label")
+    if misplaced is not None:
+        raise MalformedContainer(misplaced)
     return Asset(tuple(segments))
 
 
@@ -224,7 +237,33 @@ def build_asset(parts: list[tuple[SegmentKind, str, bytes]]) -> Asset:
         if not payload:
             raise MalformedContainer("empty segment payload")
         checked.append((SegmentKind(kind), label, payload, 0, len(payload)))
-    return _assemble(checked)
+    return _lay_out(checked)
+
+
+def _wire_heads(data: Buffer) -> Iterator[tuple[SegmentKind, str, Buffer, int, int]]:
+    """Each segment head of ``data`` after the magic, checked as it is read:
+    a known kind, an ASCII label, a non-empty payload inside the input."""
+    size, pos = len(data), len(MAGIC)
+    while pos < size:
+        if pos + 2 > size:
+            raise MalformedContainer("truncated segment head")
+        kind = _KINDS.get(data[pos])
+        if kind is None:
+            raise MalformedContainer(f"unknown segment kind {data[pos]}")
+        label_end = pos + 2 + data[pos + 1]
+        if label_end + 4 > size:
+            raise MalformedContainer("truncated segment head")
+        raw_label = data[pos + 2 : label_end]
+        if not raw_label.isascii():
+            raise MalformedContainer("segment label is not ASCII")
+        pos = label_end + 4
+        length = int.from_bytes(data[label_end:pos], "big")
+        if length == 0:
+            raise MalformedContainer("empty segment payload")
+        if pos + length > size:
+            raise MalformedContainer("segment payload overruns input")
+        yield kind, raw_label.decode("ascii"), data, pos, length
+        pos += length
 
 
 def parse_asset(data: bytes | bytearray | memoryview | mmap.mmap) -> Asset:
@@ -238,46 +277,19 @@ def parse_asset(data: bytes | bytearray | memoryview | mmap.mmap) -> Asset:
         data = bytes(data)
     elif not isinstance(data, (bytes, mmap.mmap)):
         raise MalformedContainer("input must be bytes")
-    size = len(data)
-    if size < len(MAGIC) or data[: len(MAGIC)] != MAGIC:
+    if len(data) < len(MAGIC) or data[: len(MAGIC)] != MAGIC:
         raise MalformedContainer("bad magic")
-    pos = len(MAGIC)
-    parts: list[tuple[SegmentKind, str, Buffer, int, int]] = []
-    while pos < size:
-        if pos + 2 > size:
-            raise MalformedContainer("truncated segment head")
-        kind_byte = data[pos]
-        label_len = data[pos + 1]
-        pos += 2
-        try:
-            kind = SegmentKind(kind_byte)
-        except ValueError:
-            raise MalformedContainer(f"unknown segment kind {kind_byte}") from None
-        if pos + label_len + 4 > size:
-            raise MalformedContainer("truncated segment head")
-        raw_label = data[pos : pos + label_len]
-        pos += label_len
-        if not raw_label.isascii():
-            raise MalformedContainer("segment label is not ASCII")
-        payload_len = int.from_bytes(data[pos : pos + 4], "big")
-        pos += 4
-        if payload_len == 0:
-            raise MalformedContainer("empty segment payload")
-        if pos + payload_len > size:
-            raise MalformedContainer("segment payload overruns input")
-        parts.append((kind, raw_label.decode("ascii"), data, pos, payload_len))
-        pos += payload_len
-    return _assemble(parts)
+    return _lay_out(_wire_heads(data))
 
 
 def _wire_chunks(asset: Asset) -> list[bytes | memoryview]:
     """The magic, then each segment's head (kind, label length, label, payload
     length) and payload view; labels checked first."""
     chunks: list[bytes | memoryview] = [MAGIC]
-    for segment, payload in zip(asset.segments, asset._views((0, asset.size))):
+    for segment in asset.segments:
         raw = _check_label(segment.label)
         head = bytes((segment.kind, len(raw))) + raw + segment.range.length.to_bytes(4, "big")
-        chunks += head, payload
+        chunks += head, _payload_view(segment)
     return chunks
 
 
@@ -328,22 +340,32 @@ def compute_hard_binding(
 ) -> HardBinding:
     """SHA-256 over every logical byte outside ``exclusions``, in offset order.
 
-    If the asset carries a manifest segment, no kept byte may fall inside it:
-    the manifest cannot hash itself.  The kept bytes are hashed in place in
-    the buffers that back the asset.
+    No kept byte may fall inside a manifest segment: the manifest cannot hash
+    itself.  The kept spans are hashed straight from the segment table: a span
+    of ``bytes`` up to 4 KiB from a slice, which costs less than a view, and
+    any other span in place, so a large one is never copied.
     """
     ordered = _checked_exclusions(asset, exclusions)
-    kept_starts = (0,) + tuple(rng.end for rng in ordered)
-    kept = tuple(zip(kept_starts, tuple(rng.start for rng in ordered) + (asset.size,)))
-    manifest = asset.find_manifest()
-    if manifest is not None:
-        start, end = manifest.range.start, manifest.range.end
-        for lo, hi in kept:  # adjacent exclusions leave an empty kept span
-            if lo < hi and lo < end and start < hi:
-                raise ProvenanceError("manifest segment not fully covered by exclusions")
+    edges = [0]  # kept span i is [edges[2i], edges[2i + 1]); some are empty
+    for rng in ordered:
+        edges += rng.start, rng.start + rng.length
+    edges.append(asset.size)
     hasher = hashlib.sha256()
-    for view in asset._views(*kept):
-        hasher.update(view)
+    at, manifest = 0, SegmentKind.MANIFEST
+    for segment in asset.segments:
+        start, end = segment.range.start, segment.range.end
+        buffer, base = segment.buffer, segment.offset - start
+        while at < len(edges) and edges[at] < end:  # each kept span this segment holds
+            hi = edges[at + 1]
+            lo, stop = base + max(edges[at], start), base + min(hi, end)
+            if lo < stop:
+                if segment.kind is manifest:
+                    raise ProvenanceError("manifest segment not fully covered by exclusions")
+                small = type(buffer) is bytes and stop - lo <= 4096
+                hasher.update(buffer[lo:stop] if small else memoryview(buffer)[lo:stop])
+            if hi > end:
+                break  # the span goes on into the next segment
+            at += 2
     return HardBinding("sha-256", ordered, hasher.digest())
 
 
@@ -366,9 +388,9 @@ def embed_manifest(asset: Asset, manifest_bytes: bytes) -> Asset:
         raise ValueError("manifest bytes must be non-empty")
     offset = manifest_insert_offset(asset)
     index = 1 if offset else 0
-    rng = ByteRange(offset, len(manifest_bytes))
-    manifest = Segment(SegmentKind.MANIFEST, rng, MANIFEST_LABEL, bytes(manifest_bytes), 0)
-    moved = tuple(s.moved(offset, rng.length) for s in asset.segments[index:])
+    payload = bytes(manifest_bytes)
+    manifest = _segment(SegmentKind.MANIFEST, MANIFEST_LABEL, payload, 0, offset, len(payload))
+    moved = tuple(s.moved(offset, len(payload)) for s in asset.segments[index:])
     return Asset(asset.segments[:index] + (manifest,) + moved)
 
 

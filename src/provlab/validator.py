@@ -4,8 +4,9 @@
 exception.  The checks are the rows of one ordered table, ``_CHECKS``, of
 ``(name, gate, check)``: a gate returns a SKIPPED detail when its check
 cannot or need not run, a check returns ``(outcome, detail)``, and a check
-that raises becomes FAIL "unexpected failure: ...".  Every report lists all
-eleven checks in this order, so two reports compare check-by-check:
+that raises becomes FAIL "unexpected failure: ...".  The walk over the table
+records each result, outcome and failure as its check runs.  Every report lists
+all eleven checks in this order, so two reports compare check-by-check:
 
     parse, manifest-decode, spec-version, assertion-digests, hard-binding,
     exclusion-audit, chain, signature, revocation, timestamp,
@@ -234,7 +235,7 @@ class _Run:
     def __init__(self, data: Buffer, policy: ValidationPolicy):
         self.data = data
         self.policy = policy
-        self.results: dict[str, CheckResult] = {}
+        self.outcomes: dict[str, CheckOutcome] = {}  # each check's, as it is recorded
         self.asset: Asset | None = None
         self.manifest: Manifest | None = None
         self.claim_bytes = b""  # the manifest's claim, encoded: what is signed and stamped
@@ -524,7 +525,7 @@ def _check_timestamp(run: _Run) -> _Result:
     verdict = verify_token(token, imprint, policy.trust)
     if not verdict.valid:
         return CheckOutcome.FAIL, f"{verdict.status.value}: {verdict.detail}"
-    if bound and run.results["signature"].outcome != CheckOutcome.PASS:
+    if bound and run.outcomes["signature"] != CheckOutcome.PASS:
         return (
             CheckOutcome.FAIL,
             "bound token cannot be trusted without a verifying claim signature",
@@ -579,7 +580,7 @@ def _collect_metadata(run: _Run) -> tuple[MetadataItem, ...]:
     if run.asset is None:
         return ()
     # a segment is protected only by a verified binding that covers it
-    bound = run.results["hard-binding"].outcome == CheckOutcome.PASS
+    bound = run.outcomes["hard-binding"] == CheckOutcome.PASS
     items = []
     # segments and exclusions both run by start, so one walk meets every
     # exclusion that starts before a segment ends; of those, the one that
@@ -641,19 +642,26 @@ def validate(data: Buffer, policy: ValidationPolicy) -> ValidationReport:
     ``policy``; total, never raises.  The report keeps no reference to
     ``data``, so a mapping may close once this returns."""
     run = _Run(data, policy)
+    results, failures = [], set()
+    fail, skipped = CheckOutcome.FAIL, CheckOutcome.SKIPPED
     for name, gate, check in _CHECKS:
-        skipped = gate(run) if gate is not None else None
-        if skipped is not None:
-            outcome, detail = CheckOutcome.SKIPPED, skipped
+        detail = gate(run) if gate is not None else None
+        if detail is not None:
+            outcome = skipped
         else:
             try:
                 outcome, detail = check(run)
             except Exception as exc:  # a check may never crash the report
-                outcome, detail = CheckOutcome.FAIL, f"unexpected failure: {exc}"
-        run.results[name] = CheckResult(name, outcome, detail)
+                outcome, detail = fail, f"unexpected failure: {exc}"
+            if outcome is fail:
+                failures.add(name)
+        # stored as the frozen constructor stores them, without its three setattr calls
+        result = object.__new__(CheckResult)
+        fields = result.__dict__
+        fields["name"], fields["outcome"], fields["detail"] = name, outcome, detail
+        results.append(result)
+        run.outcomes[name] = outcome
 
-    outcomes = {name: result.outcome for name, result in run.results.items()}
-    failures = {name for name, outcome in outcomes.items() if outcome == CheckOutcome.FAIL}
     rejecting = failures - _UNVERIFIABLE_CHECKS - ({"chain"} if run.chain_expired else set())
     if rejecting:
         verdict = Verdict.REJECTED
@@ -669,8 +677,8 @@ def validate(data: Buffer, policy: ValidationPolicy) -> ValidationReport:
         policy=policy.name,
         validation_time=policy.validation_time,
         verdict=verdict,
-        checks=tuple(run.results.values()),
-        goals=_derive_goals(outcomes, run.displayed, policy.file_integrity),
+        checks=tuple(results),
+        goals=_derive_goals(run.outcomes, run.displayed, policy.file_integrity),
         displayed_time=run.displayed,
         generator=claim.generator if claim else None,
         claimed_created_at=claim.created_at if claim else None,

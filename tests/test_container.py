@@ -1,8 +1,11 @@
 """Container format: round-trips, strict parsing, hard-binding digests."""
 
 import array
+import copy
+import dataclasses
 import hashlib
 import mmap
+import pickle
 import tracemalloc
 
 import pytest
@@ -77,6 +80,13 @@ def test_build_keeps_every_byte_of_a_wide_buffer():
     wide = memoryview(array.array("I", [1, 2, 3]))
     asset = build_asset([(SegmentKind.IMAGE_DATA, "image", wide)])
     assert asset.size == 12 and asset.payload(asset.segments[0]) == wide.tobytes()
+
+
+def test_embed_keeps_every_byte_of_a_wide_manifest_buffer():
+    wide = memoryview(array.array("I", [1, 2]))
+    embedded = embed_manifest(build_asset(simple_parts(manifest=None)), wide)
+    assert embedded.find_manifest().range.length == 8
+    assert extract_manifest(embedded) == wide.tobytes()
 
 
 def test_parse_copies_a_buffer_the_caller_may_change():
@@ -287,6 +297,243 @@ def test_duplicate_metadata_labels_rejected():
     ]
     with pytest.raises(MalformedContainer):
         build_asset(parts)
+
+
+# ---------------------------------------------------------------------------
+# parsing: a reference reader of the documented wire layout
+# ---------------------------------------------------------------------------
+
+# the kind bytes the structure rules name
+HEADER, METADATA, MANIFEST, TRAILER = 1, 3, 4, 5
+
+
+def reference_parse(wire: bytes):
+    """The wire layout read plainly: each segment as ``(kind, label, (start,
+    length), offset, payload)``, or the message of the first fault.  Framing
+    faults come first, in wire order; then one manifest, no duplicate metadata
+    label, and the first misplaced header or trailer in segment order."""
+    if wire[:4] != b"PVL1":
+        return "bad magic"
+    segments, pos, logical = [], 4, 0
+    while pos < len(wire):
+        if pos + 2 > len(wire):
+            return "truncated segment head"
+        kind, label_length = wire[pos], wire[pos + 1]
+        if kind not in (1, 2, 3, 4, 5):
+            return f"unknown segment kind {kind}"
+        label = wire[pos + 2 : pos + 2 + label_length]
+        length_bytes = wire[pos + 2 + label_length : pos + 6 + label_length]
+        if len(label) < label_length or len(length_bytes) < 4:
+            return "truncated segment head"
+        if any(byte > 0x7F for byte in label):
+            return "segment label is not ASCII"
+        length = int.from_bytes(length_bytes, "big")
+        offset = pos + 6 + label_length
+        if length == 0:
+            return "empty segment payload"
+        if offset + length > len(wire):
+            return "segment payload overruns input"
+        payload = wire[offset : offset + length]
+        segments.append((kind, label.decode("ascii"), (logical, length), offset, payload))
+        pos, logical = offset + length, logical + length
+    kinds = [kind for kind, *_ in segments]
+    labels = [label for kind, label, *_ in segments if kind == METADATA]
+    if kinds.count(MANIFEST) > 1:
+        return "more than one manifest segment"
+    if len(set(labels)) != len(labels):
+        return "duplicate metadata label"
+    for index, kind in enumerate(kinds):
+        if kind == HEADER and index != 0:
+            return "header segment not first"
+        if kind == TRAILER and index != len(kinds) - 1:
+            return "trailer segment not last"
+    return segments
+
+
+def parse_disagreements(wires) -> list[str]:
+    """Each wire on which ``parse_asset`` and the reference disagree."""
+    found = []
+    for wire in wires:
+        expected = reference_parse(wire)
+        try:
+            asset = parse_asset(wire)
+        except MalformedContainer as exc:
+            got = str(exc)
+        else:
+            got = [
+                (s.kind, s.label, (s.range.start, s.range.length), s.offset, asset.payload(s))
+                for s in asset.segments
+            ]
+        if got != expected:
+            found.append(f"{wire[:24].hex()}...: got {got!r:.120}, expected {expected!r:.120}")
+    return found
+
+
+def head_spans(wire: bytes) -> list[tuple[int, int]]:
+    """``(start, end)`` of each segment head of a well-formed wire."""
+    return [
+        (offset - 6 - len(label), offset) for _, label, _, offset, _ in reference_parse(wire)
+    ]
+
+
+def wire_of(*segments: tuple[int, bytes, bytes]) -> bytes:
+    """A wire with a head and payload per ``(kind, label, payload)``."""
+    out = bytearray(MAGIC)
+    for kind, label, payload in segments:
+        out += bytes((kind, len(label))) + label + len(payload).to_bytes(4, "big") + payload
+    return bytes(out)
+
+
+@pytest.fixture(scope="module")
+def corpus_wires(tmp_path_factory):
+    """Every seed 1-3 corpus wire."""
+    from provlab.corpus import build_corpus
+    from provlab.workspace import Workspace
+
+    wires = []
+    for seed in (1, 2, 3):
+        workspace = Workspace.initialize(tmp_path_factory.mktemp(f"seed{seed}"), seed=seed)
+        wires += [(workspace.root / e.path).read_bytes() for e in build_corpus(workspace)]
+    return wires
+
+
+def test_parse_agrees_with_the_reference_on_every_framing_byte_flip(corpus_wires):
+    mutated = []
+    for wire in corpus_wires:
+        framing = [*range(len(MAGIC))]
+        for start, end in head_spans(wire):
+            framing += range(start, end)
+        for pos in framing:
+            for bit in (0x01, 0x80):
+                mutated.append(wire[:pos] + bytes((wire[pos] ^ bit,)) + wire[pos + 1 :])
+    assert len(corpus_wires) == 63 and len(mutated) > 8_000
+    assert parse_disagreements(corpus_wires + mutated) == []
+
+
+def test_parse_agrees_with_the_reference_on_every_truncated_head(corpus_wires):
+    cut = [
+        wire[:pos]
+        for wire in corpus_wires
+        for start, end in head_spans(wire)
+        for pos in range(start, end + 1)
+    ]
+    assert parse_disagreements(cut) == []
+
+
+HEAD, META, BODY, MANI, TAIL = (
+    (HEADER, b"header", b"HEAD"),
+    (METADATA, b"note", b"one"),
+    (2, b"image", b"pixels"),
+    (MANIFEST, b"manifest", b"M"),
+    (TRAILER, b"trailer", b"TRLR"),
+)
+
+
+@pytest.mark.parametrize(
+    "wire, message",
+    [
+        # structure faults in precedence order
+        (wire_of(HEAD, MANI, META, MANI, META), "more than one manifest segment"),
+        (wire_of(META, HEAD, META, BODY), "duplicate metadata label"),
+        (wire_of(BODY, HEAD, TAIL, BODY), "header segment not first"),
+        (wire_of(TAIL, BODY, HEAD), "trailer segment not last"),
+        (wire_of(META, TAIL, HEAD), "trailer segment not last"),
+        (wire_of(HEAD, TAIL, TAIL), "trailer segment not last"),
+        (wire_of(TAIL, HEAD, MANI, MANI), "more than one manifest segment"),
+        # a framing fault anywhere comes before every structure fault
+        (wire_of(MANI, MANI, META, META)[:-1], "segment payload overruns input"),
+        (wire_of(TAIL, HEAD) + b"\x00\x00", "unknown segment kind 0"),
+        (wire_of(META, META) + bytes((HEADER,)), "truncated segment head"),
+        (wire_of(MANI, MANI, (HEADER, b"h", b"")), "empty segment payload"),
+        # framing faults in wire order
+        (wire_of((METADATA, b"\xe9", b"x"), (9, b"", b"y")), "segment label is not ASCII"),
+        (wire_of((9, b"\xe9", b"x"), (METADATA, b"\xe9", b"y")), "unknown segment kind 9"),
+        (wire_of((HEADER, b"h", b""), (7, b"", b"x")), "empty segment payload"),
+    ],
+)
+def test_a_wire_that_breaks_several_rules_raises_the_first(wire, message):
+    assert reference_parse(wire) == message
+    with pytest.raises(MalformedContainer) as refused:
+        parse_asset(wire)
+    assert str(refused.value) == message
+    assert parse_disagreements([wire]) == []
+
+
+@pytest.mark.parametrize(
+    "parts, message",
+    [
+        ([HEAD, MANI, META, MANI, META], "more than one manifest segment"),
+        ([META, HEAD, META, BODY], "duplicate metadata label"),
+        ([BODY, HEAD, TAIL, BODY], "header segment not first"),
+        ([TAIL, BODY, HEAD], "trailer segment not last"),
+        ([META, TAIL, HEAD], "trailer segment not last"),
+    ],
+)
+def test_build_applies_the_structure_rules_in_the_same_order(parts, message):
+    with pytest.raises(MalformedContainer) as refused:
+        build_asset([(kind, label.decode(), payload) for kind, label, payload in parts])
+    assert str(refused.value) == message
+
+
+def _constructed(segment: Segment) -> Segment:
+    """``segment`` rebuilt through the public constructors."""
+    rng = ByteRange(segment.range.start, segment.range.length)
+    return Segment(segment.kind, rng, segment.label, segment.buffer, segment.offset)
+
+
+def test_a_parsed_moved_or_embedded_segment_is_a_constructed_one():
+    wire = serialize_asset(build_asset(simple_parts()))
+    parsed = parse_asset(wire).segments
+    embedded = embed_manifest(build_asset(simple_parts(manifest=None)), b"M" * 9).segments
+    moved = tuple(segment.moved(0, 3) for segment in parsed)
+    stripped = strip_manifest(parse_asset(wire)).segments
+    for segment in parsed + embedded + moved + stripped:
+        twin = _constructed(segment)
+        for made, built in ((segment, twin), (segment.range, twin.range)):
+            assert made == built and not made != built
+            assert hash(made) == hash(built) and repr(made) == repr(built)
+            assert vars(made) == vars(built) and copy.copy(made) == built
+            assert pickle.loads(pickle.dumps(made)) == built
+        assert segment.range <= twin.range and not segment.range < twin.range
+        assert dataclasses.replace(segment, label="x") == dataclasses.replace(twin, label="x")
+        for made, name in ((segment, "label"), (segment, "range"), (segment.range, "start")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(made, name, 0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(made, name)
+
+
+def test_a_segment_moves_as_its_range_moves():
+    segment = build_asset(simple_parts()).segments[2]
+    assert segment.moved(segment.range.start + 1, 5) == segment
+    assert segment.moved(0, 5).range == segment.range.moved(0, 5)
+    assert segment.moved(0, -segment.range.start).range.start == 0
+    with pytest.raises(ValueError) as refused:
+        segment.moved(0, -segment.range.start - 1)
+    assert str(refused.value) == f"invalid byte range [-1, {segment.range.length})"
+
+
+def test_long_and_mapped_spans_hash_as_short_ones_do(tmp_path):
+    image = bytes(range(256)) * 40  # longer than a span that is hashed from a slice
+    parts = [
+        (SegmentKind.HEADER, "header", b"HEAD"),
+        (SegmentKind.MANIFEST, "manifest", b"MANIFEST"),
+        (SegmentKind.IMAGE_DATA, "image", image),
+        (SegmentKind.TRAILER, "trailer", b"TRLR"),
+    ]
+    wire = serialize_asset(build_asset(parts))
+    path = tmp_path / "asset.pvl"
+    path.write_bytes(wire)
+    with open(path, "rb") as handle:
+        with mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
+            for source in (wire, mapped):
+                asset = parse_asset(source)
+                manifest = asset.find_manifest().range
+                for cut in (ByteRange(manifest.end + 10, 3000), ByteRange(manifest.end, 9000)):
+                    exclusions = [manifest, cut]
+                    digest = compute_hard_binding(asset, exclusions).digest
+                    assert digest == oracle_digest(asset.data, exclusions)
+                del asset  # the mapping cannot close while an asset reads it
 
 
 # ---------------------------------------------------------------------------

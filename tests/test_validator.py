@@ -58,6 +58,7 @@ from provlab.validator import (
     _effective_exclusions,
     GOAL_NAMES,
     CheckOutcome,
+    CheckResult,
     DisplayedTime,
     FileIntegrity,
     GoalStatus,
@@ -119,6 +120,18 @@ def test_every_check_always_reported(lab, fixtures):
     for data in (b(fixtures["honest"]), b"garbage", b""):
         report = validate(data, spec_at(lab))
         assert tuple(r.name for r in report.checks) == REPORTED_CHECKS
+
+
+def test_each_reported_check_is_a_constructed_result(lab, fixtures):
+    """The walk stores each result's fields itself; they behave as the
+    constructor's do, for a PASS, a FAIL and a SKIPPED result alike."""
+    for data in (b(fixtures["honest"]), b"garbage"):
+        for result in validate(data, spec_at(lab)).checks:
+            twin = CheckResult(result.name, result.outcome, result.detail)
+            assert result == twin and hash(result) == hash(twin) and repr(result) == repr(twin)
+            assert vars(result) == vars(twin) and dataclasses.replace(result) == twin
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                result.detail = ""
 
 
 def test_gates_pin_skipped_details(corpus, corpus_entry, entry_bytes):
