@@ -34,7 +34,7 @@ from .container import (
     strip_manifest,
 )
 from .credentials import (
-    Assertion, BindingMode, ClaimSignature, decode_manifest, encode_manifest, signed_payload,
+    Assertion, BindingMode, ClaimSignature, claim_payload, decode_manifest, encode_manifest,
 )
 from .crypto import digest
 from .errors import ProvenanceError
@@ -281,9 +281,9 @@ def _token_transplant(
     if key.public_bytes != chain[0].public_key:
         raise ProvenanceError("key does not match the signing leaf; the signature would break")
     token = workspace.tsa().issue(TRANSPLANT_IMPRINT, clock=time)
-    unsigned = ClaimSignature(chain, b"", token, BindingMode.BOUND)
-    signature = key.sign(signed_payload(encode_record(manifest.claim), unsigned))
-    mutated_manifest = replace(manifest, claim_signature=replace(unsigned, signature=signature))
+    signature = key.sign(claim_payload(encode_record(manifest.claim), BindingMode.BOUND, token))
+    claim_signature = ClaimSignature(chain, signature, token, BindingMode.BOUND)
+    mutated_manifest = replace(manifest, claim_signature=claim_signature)
     return AttackOutcome(
         name="token-transplant",
         mutated=replace_manifest(asset, encode_manifest(mutated_manifest)),

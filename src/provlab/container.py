@@ -381,17 +381,25 @@ def manifest_insert_offset(asset: Asset) -> int:
 
 
 def embed_manifest(asset: Asset, manifest_bytes: bytes) -> Asset:
-    """Insert a manifest segment at the canonical position."""
-    if asset.find_manifest() is not None:
-        raise ProvenanceError("asset already carries a manifest")
-    if not manifest_bytes:
-        raise ValueError("manifest bytes must be non-empty")
+    """Insert a manifest segment at the canonical position.  One walk over
+    the later segments moves each and refuses a manifest already there."""
     offset = manifest_insert_offset(asset)
-    index = 1 if offset else 0
-    payload = bytes(manifest_bytes)
-    manifest = _segment(SegmentKind.MANIFEST, MANIFEST_LABEL, payload, 0, offset, len(payload))
-    moved = tuple(s.moved(offset, len(payload)) for s in asset.segments[index:])
-    return Asset(asset.segments[:index] + (manifest,) + moved)
+    index = 1 if offset else 0  # a leading header is never a manifest
+    # the walk's refusal comes before the empty one
+    payload = bytes(manifest_bytes) if manifest_bytes else b""
+    size = len(payload)
+    manifest = _segment(SegmentKind.MANIFEST, MANIFEST_LABEL, payload, 0, offset, size)
+    segments = [*asset.segments[:index], manifest]
+    for segment in asset.segments[index:]:
+        if segment.kind is SegmentKind.MANIFEST:
+            raise ProvenanceError("asset already carries a manifest")
+        start, length = segment.range.start + size, segment.range.length
+        segments.append(
+            _segment(segment.kind, segment.label, segment.buffer, segment.offset, start, length)
+        )
+    if not size:
+        raise ValueError("manifest bytes must be non-empty")
+    return Asset(tuple(segments))
 
 
 def extract_manifest(asset: Asset) -> bytes:

@@ -4,7 +4,7 @@ The claim is the signed heart of a manifest.  It lists assertion digests
 (not the assertions themselves, so individual assertions can be redacted
 later) and the hard binding that ties the claim to the asset bytes.
 
-``signed_payload`` defines exactly what the claim signature covers:
+``claim_payload`` defines exactly what the claim signature covers:
 
 - ``UNBOUND``: the canonical claim bytes only.  A timestamp token may ride
   along in the :class:`ClaimSignature`, but nothing signed references it.
@@ -140,13 +140,21 @@ def decode_manifest(data: bytes) -> Manifest:
 # ---------------------------------------------------------------------------
 
 def signed_payload(claim_bytes: bytes, claim_signature: ClaimSignature) -> bytes:
-    """The exact bytes ``claim_signature`` covers; its ``signature`` is not read.
+    """The exact bytes ``claim_signature`` covers; its ``signature`` is not read."""
+    return claim_payload(claim_bytes, claim_signature.binding_mode, claim_signature.timestamp)
+
+
+def claim_payload(
+    claim_bytes: bytes, binding_mode: BindingMode, token: TimestampToken | None
+) -> bytes:
+    """The bytes a claim signature in ``binding_mode`` carrying ``token``
+    covers, so a signer knows them before it builds the signature record.
 
     The one signature whose bytes are not a record minus its ``UNSIGNED``
     fields: they are the claim bytes, followed by the bound token's digest."""
-    if claim_signature.binding_mode == BindingMode.UNBOUND:
+    if binding_mode == BindingMode.UNBOUND:
         return claim_bytes
-    return claim_bytes + digest(encode_record(claim_signature.timestamp))
+    return claim_bytes + digest(encode_record(token))
 
 
 def digest_assertion(assertion: Assertion) -> bytes:

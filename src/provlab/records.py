@@ -81,6 +81,8 @@ signature, a status response its responder signature, a timestamp token or
 a redaction its chain and signature.  ``signed_bytes`` writes a record
 without those fields.  It stores no whole bytes; on a record that holds
 them it keeps its signed bytes, under one attribute, written once.
+``signed_bytes_for`` writes the same bytes from the signed fields' values,
+so a signer builds the signed record once, with its signature.
 """
 
 from __future__ import annotations
@@ -142,7 +144,7 @@ def record_from_value(cls: type, value: Value) -> Any:
 def encode_record(record: Any) -> bytes:
     """Canonical bytes of ``record``: the bytes it holds, read or first written whole."""
     wire = getattr(record, _WIRE, None)
-    return _written(record, ()) if wire is None else wire
+    return _written(type(record), record, ()) if wire is None else wire
 
 
 def signed_bytes(record: Any) -> bytes:
@@ -151,15 +153,21 @@ def signed_bytes(record: Any) -> bytes:
     these too, written once."""
     signed = getattr(record, _SIGNED, None)
     if signed is None:
-        signed = _written(record, type(record).UNSIGNED)
+        signed = _written(type(record), record, type(record).UNSIGNED)
         if hasattr(record, _WIRE):
             object.__setattr__(record, _SIGNED, signed)
     return signed
 
 
-def _written(record: Any, omit: tuple[str, ...]) -> bytes:
+def signed_bytes_for(cls: type, **fields: Any) -> bytes:
+    """``signed_bytes`` of the ``cls`` record that holds ``fields``, before it
+    is built: ``fields`` name each field its class does not list in ``UNSIGNED``."""
+    return _written(cls, types.SimpleNamespace(**fields), cls.UNSIGNED)
+
+
+def _written(cls: type, record: Any, omit: tuple[str, ...]) -> bytes:
     out: list[bytes] = []
-    _record_writer(type(record), omit)(record, out)
+    _record_writer(cls, omit)(record, out)
     return b"".join(out)
 
 

@@ -4,16 +4,19 @@
 
 1. digest each assertion and compute the hard binding over the asset bytes,
    excluding the manifest-to-be plus any labelled segments;
-2. settle the manifest's length.  The claim records the manifest's own byte
-   range among its exclusions, so its encoding depends on that length.
-   Everything else in the manifest has a size known before signing
-   (signatures are 64 bytes, digests 32, and a token's time is the TSA's
-   clock), so one probe manifest with zeroed signatures and digests measures
-   the bytes outside the claim, and the length is iterated to a fixed point
-   on the claim's encoding alone.  The binding digest is unaffected (the
-   manifest region is excluded either way); integer heads only grow, so the
-   length settles within a few rounds;
-3. sign the settled claim once (``credentials.signed_payload``).  An
+2. settle the manifest's length.  The claim's binding records the
+   manifest's own byte range among its exclusions, so the binding's encoding
+   depends on that length.  Everything else in the manifest has a size known
+   before signing (signatures are 64 bytes, digests 32, and a token's time is
+   the TSA's clock), so one probe manifest with zeroed signatures and
+   digests measures the bytes outside the binding, and the length is
+   iterated to a fixed point on the binding's encoding alone (a nested
+   record writes the same bytes wherever it sits).  Each round builds and
+   writes one binding; the claim is built once, around the settled binding,
+   so a signing builds two claims: the probe's and the signed one.  The
+   binding digest is unaffected (the manifest region is excluded either
+   way); integer heads only grow, so the length settles within a few rounds;
+3. sign the settled claim once (``credentials.claim_payload``).  An
    ``UNBOUND`` token is fetched afterwards over the signature digest and
    merely attached.  A ``BOUND`` token is fetched first over the claim digest
    and the signature covers ``claim || token-digest``, pinning the token;
@@ -27,7 +30,7 @@ configuration the validator and attack toolkit care about.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .container import (
     Asset,
@@ -45,9 +48,9 @@ from .credentials import (
     Claim,
     ClaimSignature,
     Manifest,
+    claim_payload,
     digest_assertion,
     encode_manifest,
-    signed_payload,
 )
 from .crypto import DIGEST_SIZE, SIGNATURE_SIZE, SigningKey, digest, derive_stream_seed
 from .errors import ProvenanceError
@@ -75,13 +78,13 @@ class SignerConfig:
 
 def _build_claim_signature(claim_bytes: bytes, config: SignerConfig) -> ClaimSignature:
     """Sign the encoded claim once, as step 3 above describes."""
-    bound = config.binding_mode == BindingMode.BOUND
+    mode = config.binding_mode
+    bound = mode == BindingMode.BOUND
     token = config.tsa.issue(digest(claim_bytes)) if bound else None
-    unsigned = ClaimSignature(config.chain, b"", token, config.binding_mode)
-    signature = config.key.sign(signed_payload(claim_bytes, unsigned))
+    signature = config.key.sign(claim_payload(claim_bytes, mode, token))
     if not bound:
         token = config.tsa.issue(digest(signature))
-    return replace(unsigned, signature=signature, timestamp=token)
+    return ClaimSignature(config.chain, signature, token, mode)
 
 
 def sign_asset(
@@ -123,39 +126,44 @@ def sign_asset(
     assertion_digests = tuple((a.label, digest_assertion(a)) for a in ordered)
     manifest_start = manifest_insert_offset(asset)
 
-    def claim_for(manifest_length: int) -> Claim:
+    def binding_for(manifest_length: int) -> HardBinding:
         exclusions = [ByteRange(manifest_start, manifest_length)]
         exclusions += [rng.moved(manifest_start, manifest_length) for rng in label_ranges]
+        return HardBinding("sha-256", tuple(sorted(exclusions)), binding_digest)
+
+    def claim_around(binding: HardBinding) -> Claim:
         return Claim(
             generator=config.generator_name,
             created_at=config.clock,
             assertion_digests=assertion_digests,
-            binding=HardBinding("sha-256", tuple(sorted(exclusions)), binding_digest),
+            binding=binding,
             spec_version=CLAIM_SPEC_VERSION,
         )
 
-    # Every manifest byte outside the claim has a size fixed before signing,
-    # so a probe with zeroed signatures and digests measures them.
+    # Every manifest byte outside the binding has a size fixed before
+    # signing, so a probe with zeroed signatures and digests measures them.
     token = TimestampToken(
         bytes(DIGEST_SIZE), config.tsa.clock, config.tsa.chain, bytes(SIGNATURE_SIZE)
     )
+    binding = binding_for(1)
     probe = Manifest(
-        claim_for(1),
+        claim_around(binding),
         ordered,
         ClaimSignature(config.chain, bytes(SIGNATURE_SIZE), token, config.binding_mode),
     )
-    rest = len(encode_manifest(probe)) - len(encode_record(probe.claim))
+    rest = len(encode_manifest(probe)) - len(encode_record(binding))
 
-    claim, manifest_length = probe.claim, 1
+    manifest_length = 1
     for _ in range(10):
-        claim_bytes = encode_record(claim)
-        if rest + len(claim_bytes) == manifest_length:
+        settled = rest + len(encode_record(binding))
+        if settled == manifest_length:
             break
-        manifest_length = rest + len(claim_bytes)
-        claim = claim_for(manifest_length)
+        manifest_length = settled
+        binding = binding_for(manifest_length)
     else:
         raise RuntimeError("manifest size did not converge")
-    manifest = Manifest(claim, ordered, _build_claim_signature(claim_bytes, config))
+    claim = claim_around(binding)
+    manifest = Manifest(claim, ordered, _build_claim_signature(encode_record(claim), config))
     manifest_bytes = encode_manifest(manifest)
     if len(manifest_bytes) != manifest_length:
         raise RuntimeError(

@@ -20,7 +20,7 @@ from enum import Enum
 from .container import Asset, extract_manifest, replace_manifest
 from .crypto import DIGEST_SIZE, SigningKey, digest, verify_once
 from .errors import ProvenanceError
-from .records import signed_bytes
+from .records import signed_bytes, signed_bytes_for
 from .trust import Certificate, ChainStatus, TrustList, Usage, verify_chain
 
 
@@ -57,8 +57,8 @@ def issue_token(
         raise ProvenanceError("TSA key does not match the leaf certificate")
     if not leaf.in_window(clock):
         raise ProvenanceError(f"TSA certificate outside validity window at {clock}")
-    unsigned = TimestampToken(message_digest, clock, tuple(tsa_chain), b"")
-    return replace(unsigned, tsa_signature=tsa_key.sign(signed_bytes(unsigned)))
+    payload = signed_bytes_for(TimestampToken, message_digest=message_digest, gen_time=clock)
+    return TimestampToken(message_digest, clock, tuple(tsa_chain), tsa_key.sign(payload))
 
 
 class TokenStatus(str, Enum):

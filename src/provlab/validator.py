@@ -389,13 +389,17 @@ def _check_exclusion_audit(run: _Run) -> _Result:
     if run.effective_exclusions is None:
         return CheckOutcome.FAIL, "exclusions could not be resolved"
     vouched = {redaction.target for redaction in run.vouched_records}
-    by_range = {segment.range: segment for segment in run.asset.segments}
+    # segments and exclusions both run by start, so one walk finds the
+    # segment, if any, that starts where each exclusion starts
+    segments, at = run.asset.segments, 0
     unaccounted: list[str] = []
     for rng in run.effective_exclusions:
         if run.manifest_segment.range.contains(rng):
             continue
-        segment = by_range.get(rng)
-        if segment is None:
+        while at < len(segments) and segments[at].range.start < rng.start:
+            at += 1
+        segment = segments[at] if at < len(segments) else None
+        if segment is None or segment.range != rng:
             unaccounted.append(f"[{rng.start},{rng.length})")
         elif segment.label not in vouched:
             unaccounted.append(segment.label)

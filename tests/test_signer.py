@@ -134,7 +134,8 @@ def test_each_bound_fixture_token_imprints_its_claim(lab):
 
 def test_each_signing_signs_the_claim_once(lab, monkeypatch):
     """Two signatures (claim, token), bound or unbound, both embedded; one
-    token and two manifest encodes (probe, result) per signing."""
+    token, two manifest encodes (probe, result) and two claims (probe,
+    signed) per signing."""
     configs = {}
     for name, scenario in SCENARIOS.items():
         asset, assertions, generator = build_scenario_content(scenario, seed=11)
@@ -154,7 +155,15 @@ def test_each_signing_signs_the_claim_once(lab, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    claims = []
+    raw_post_init = credentials.Claim.__post_init__
+
+    def post_init(claim):
+        claims.append(claim)
+        raw_post_init(claim)
+
     encode = counted("encode_manifest", credentials.encode_manifest)
+    monkeypatch.setattr(credentials.Claim, "__post_init__", post_init)
     monkeypatch.setattr(SigningKey, "sign", sign)
     monkeypatch.setattr(timestamp, "issue_token", counted("issue_token", timestamp.issue_token))
     monkeypatch.setattr(credentials, "encode_manifest", encode)
@@ -163,8 +172,10 @@ def test_each_signing_signs_the_claim_once(lab, monkeypatch):
     for name, (asset, assertions, config) in configs.items():
         signatures.clear()
         counts.clear()
+        claims.clear()
         signed = sign_asset(asset, assertions, config)
         assert counts == {"issue_token": 1, "encode_manifest": 2}, name
+        assert len(claims) == 2, name
         claim_signature = decode_manifest(extract_manifest(signed)).claim_signature
         embedded = {claim_signature.signature, claim_signature.timestamp.tsa_signature}
         assert len(signatures) == 2 and set(signatures) == embedded, name
