@@ -19,10 +19,14 @@ payload and shares the rest with the asset it came from.  So parsing,
 hashing, embedding and splicing copy no payload the caller already holds.
 :func:`serialize_asset` joins the chunks that :func:`write_asset` writes.  An
 asset parsed from a mapping must not outlive it, and the mapped file must not
-change while the asset is in use.  Parsing is one pass: the walk that reads
-each head checks its framing, then builds the segment and applies the
-structure rules.  A range it builds starts where the last one ended, at 0 or
-more, over a payload checked non-empty, so it skips ``ByteRange``'s check.
+change while the asset is in use.
+
+Every asset is laid out by one walk, :func:`_lay_out`, over segment heads:
+parse passes the heads it reads (checking each one's framing as it goes),
+build its checked parts, and embed, strip and splice the heads of their
+result, each payload where it already is.  The walk places each segment where
+the last one ended and applies the structure rules, so an edited asset obeys
+them because of how it is built.
 
 Addressing is unchanged by the backing: every byte range in this module
 (segment ranges, exclusion ranges, splices) addresses the *logical* content,
@@ -106,29 +110,6 @@ class Segment:
     buffer: Buffer = field(compare=False, repr=False)
     offset: int = field(compare=False, repr=False)
 
-    def moved(self, at: int, delta: int) -> "Segment":
-        """This segment with its range moved (:meth:`ByteRange.moved`)."""
-        start, length = self.range.start, self.range.length
-        if start < at:
-            return self
-        if start + delta < 0:
-            raise ValueError(f"invalid byte range [{start + delta}, {length})")
-        return _segment(self.kind, self.label, self.buffer, self.offset, start + delta, length)
-
-
-def _segment(kind, label: str, buffer: Buffer, offset: int, start: int, length: int) -> Segment:
-    """The segment over ``buffer[offset : offset + length]`` at logical ``start``
-    and its range, built for a caller that has checked ``start >= 0`` and
-    ``length > 0``: each field stored as the frozen constructors store it."""
-    rng = object.__new__(ByteRange)
-    fields = rng.__dict__
-    fields["start"], fields["length"] = start, length
-    segment = object.__new__(Segment)
-    fields = segment.__dict__
-    fields["kind"], fields["range"], fields["label"] = kind, rng, label
-    fields["buffer"], fields["offset"] = buffer, offset
-    return segment
-
 
 def _payload_view(segment: Segment) -> memoryview:
     """``segment``'s payload in place; the view pins its buffer, so do not keep it."""
@@ -199,10 +180,14 @@ _KINDS = {kind.value: kind for kind in SegmentKind}  # a kind by its wire byte
 
 
 def _lay_out(heads: Iterable[tuple[SegmentKind, str, Buffer, int, int]]) -> Asset:
-    """An asset from framed ``(kind, label, buffer, offset, length)`` heads laid out back to
-    back.  The same walk applies the structure rules; the first one broken raises at its end."""
+    """The asset with these ``(kind, label, buffer, offset, length)`` heads laid
+    out back to back: the one place an :class:`Asset` or :class:`Segment` is
+    built.  Each range starts where the last ended, over a length its caller
+    checked positive, so it skips ``ByteRange``'s check.  The same walk applies
+    the structure rules; the first one broken raises at its end."""
     manifest, metadata = SegmentKind.MANIFEST, SegmentKind.METADATA
     header, trailer = SegmentKind.HEADER, SegmentKind.TRAILER
+    new = object.__new__
     segments: list[Segment] = []
     labels: list[str] = []  # of the metadata segments
     manifests = logical = 0
@@ -214,7 +199,13 @@ def _lay_out(heads: Iterable[tuple[SegmentKind, str, Buffer, int, int]]) -> Asse
         if misplaced is None and segments:
             misplaced = "trailer segment not last" if segments[-1].kind is trailer else (
                 "header segment not first" if kind is header else None)
-        segments.append(_segment(kind, label, buffer, offset, logical, length))
+        rng, segment = new(ByteRange), new(Segment)
+        fields = rng.__dict__
+        fields["start"], fields["length"] = logical, length
+        fields = segment.__dict__
+        fields["kind"], fields["range"], fields["label"] = kind, rng, label
+        fields["buffer"], fields["offset"] = buffer, offset
+        segments.append(segment)
         logical += length
     if manifests > 1:
         raise MalformedContainer("more than one manifest segment")
@@ -280,6 +271,11 @@ def parse_asset(data: bytes | bytearray | memoryview | mmap.mmap) -> Asset:
     if len(data) < len(MAGIC) or data[: len(MAGIC)] != MAGIC:
         raise MalformedContainer("bad magic")
     return _lay_out(_wire_heads(data))
+
+
+def _heads(segments: Iterable[Segment]) -> list[tuple]:
+    """The :func:`_lay_out` heads of ``segments``, each payload where it is."""
+    return [(s.kind, s.label, s.buffer, s.offset, s.range.length) for s in segments]
 
 
 def _wire_chunks(asset: Asset) -> list[bytes | memoryview]:
@@ -381,25 +377,16 @@ def manifest_insert_offset(asset: Asset) -> int:
 
 
 def embed_manifest(asset: Asset, manifest_bytes: bytes) -> Asset:
-    """Insert a manifest segment at the canonical position.  One walk over
-    the later segments moves each and refuses a manifest already there."""
-    offset = manifest_insert_offset(asset)
-    index = 1 if offset else 0  # a leading header is never a manifest
-    # the walk's refusal comes before the empty one
-    payload = bytes(manifest_bytes) if manifest_bytes else b""
-    size = len(payload)
-    manifest = _segment(SegmentKind.MANIFEST, MANIFEST_LABEL, payload, 0, offset, size)
-    segments = [*asset.segments[:index], manifest]
-    for segment in asset.segments[index:]:
-        if segment.kind is SegmentKind.MANIFEST:
-            raise ProvenanceError("asset already carries a manifest")
-        start, length = segment.range.start + size, segment.range.length
-        segments.append(
-            _segment(segment.kind, segment.label, segment.buffer, segment.offset, start, length)
-        )
-    if not size:
+    """Insert a manifest segment at the canonical position."""
+    if asset.find_manifest() is not None:
+        raise ProvenanceError("asset already carries a manifest")
+    if not manifest_bytes:
         raise ValueError("manifest bytes must be non-empty")
-    return Asset(tuple(segments))
+    payload = bytes(manifest_bytes)
+    heads = _heads(asset.segments)
+    at = 1 if manifest_insert_offset(asset) else 0  # after a leading header
+    heads.insert(at, (SegmentKind.MANIFEST, MANIFEST_LABEL, payload, 0, len(payload)))
+    return _lay_out(heads)
 
 
 def extract_manifest(asset: Asset) -> bytes:
@@ -414,10 +401,7 @@ def strip_manifest(asset: Asset) -> Asset:
     segment = asset.find_manifest()
     if segment is None:
         raise ProvenanceError("asset carries no manifest segment")
-    index = asset.segments.index(segment)
-    rng = segment.range
-    moved = tuple(s.moved(rng.end, -rng.length) for s in asset.segments[index + 1 :])
-    return Asset(asset.segments[:index] + moved)
+    return _lay_out(_heads(s for s in asset.segments if s is not segment))
 
 
 def replace_manifest(asset: Asset, manifest_bytes: bytes) -> Asset:
@@ -438,7 +422,7 @@ def splice_bytes(asset: Asset, target: ByteRange, replacement: bytes) -> Asset:
         raise ProvenanceError(
             f"replacement is {len(replacement)} bytes for a {target.length}-byte range"
         )
-    segments = list(asset.segments)
+    heads = _heads(asset.segments)
     for index, segment in enumerate(asset.segments):
         lo = max(target.start, segment.range.start)
         hi = min(target.end, segment.range.end)
@@ -446,5 +430,5 @@ def splice_bytes(asset: Asset, target: ByteRange, replacement: bytes) -> Asset:
             payload = bytearray(asset.payload(segment))
             start = segment.range.start
             payload[lo - start : hi - start] = replacement[lo - target.start : hi - target.start]
-            segments[index] = Segment(segment.kind, segment.range, segment.label, bytes(payload), 0)
-    return Asset(tuple(segments))
+            heads[index] = (segment.kind, segment.label, bytes(payload), 0, len(payload))
+    return _lay_out(heads)

@@ -139,16 +139,12 @@ def decode_manifest(data: bytes) -> Manifest:
 # signing payloads and digests
 # ---------------------------------------------------------------------------
 
-def signed_payload(claim_bytes: bytes, claim_signature: ClaimSignature) -> bytes:
-    """The exact bytes ``claim_signature`` covers; its ``signature`` is not read."""
-    return claim_payload(claim_bytes, claim_signature.binding_mode, claim_signature.timestamp)
-
-
 def claim_payload(
     claim_bytes: bytes, binding_mode: BindingMode, token: TimestampToken | None
 ) -> bytes:
     """The bytes a claim signature in ``binding_mode`` carrying ``token``
-    covers, so a signer knows them before it builds the signature record.
+    covers: a signer's before it builds the signature record, and the
+    validator's from the record it read.
 
     The one signature whose bytes are not a record minus its ``UNSIGNED``
     fields: they are the claim bytes, followed by the bound token's digest."""

@@ -43,10 +43,10 @@ from .credentials import (
     BindingMode,
     Manifest,
     Redaction,
+    claim_payload,
     decode_manifest,
     digest_assertion,
     encode_manifest,
-    signed_payload,
 )
 from .crypto import digest, verify_once
 from .errors import ProvenanceError, ServiceUnreachable
@@ -393,6 +393,7 @@ def _check_exclusion_audit(run: _Run) -> _Result:
     # segment, if any, that starts where each exclusion starts
     segments, at = run.asset.segments, 0
     unaccounted: list[str] = []
+    admitted: list[str] = []
     for rng in run.effective_exclusions:
         if run.manifest_segment.range.contains(rng):
             continue
@@ -401,15 +402,16 @@ def _check_exclusion_audit(run: _Run) -> _Result:
         segment = segments[at] if at < len(segments) else None
         if segment is None or segment.range != rng:
             unaccounted.append(f"[{rng.start},{rng.length})")
-        elif segment.label not in vouched:
-            unaccounted.append(segment.label)
+        else:
+            (admitted if segment.label in vouched else unaccounted).append(segment.label)
     if unaccounted:
         return (
             CheckOutcome.FAIL,
             "non-manifest exclusions without countersigned redaction: "
             + ", ".join(unaccounted),
         )
-    return CheckOutcome.PASS, "only the manifest range is excluded"
+    detail = "manifest range and countersigned exclusion(s): " + ", ".join(admitted)
+    return CheckOutcome.PASS, detail if admitted else "only the manifest range is excluded"
 
 
 def _archival_bridge(run: _Run) -> str | None:
@@ -466,9 +468,10 @@ def _check_signature(run: _Run) -> _Result:
     leaf = claim_signature.signer_chain[0]
     if leaf.usage != Usage.LEAF_SIGNING:
         return CheckOutcome.FAIL, f"leaf usage {leaf.usage.value} cannot sign claims"
-    payload = signed_payload(run.claim_bytes, claim_signature)
+    mode, token = claim_signature.binding_mode, claim_signature.timestamp
+    payload = claim_payload(run.claim_bytes, mode, token)
     if verify_once(leaf.public_key, payload, claim_signature.signature):
-        return CheckOutcome.PASS, f"{claim_signature.binding_mode.value} payload"
+        return CheckOutcome.PASS, f"{mode.value} payload"
     return CheckOutcome.FAIL, "claim signature does not verify"
 
 
@@ -739,6 +742,17 @@ def validate_differential(
 # rendering
 # ---------------------------------------------------------------------------
 
+def _escaped(value: object) -> str:
+    """``value`` for one line of a human report: a backslash and each character
+    ``str.isprintable`` refuses (C0 and C1 controls, DEL, U+2028, U+2029, ...)
+    as its Python escape, every other character as it is, so no string from an
+    asset, a signer or a policy file starts or rewrites a line."""
+    text = str(value)
+    if text.isprintable() and "\\" not in text:
+        return text
+    return "".join(c if c.isprintable() and c != "\\" else repr(c)[1:-1] for c in text)
+
+
 def format_epoch(epoch: int) -> str:
     try:
         stamp = datetime.fromtimestamp(epoch, tz=timezone.utc)
@@ -769,7 +783,7 @@ def render_report(report: ValidationReport, fmt: str = "human") -> str:
         raise ValueError(f"unknown report format {fmt!r}")
     lines = [
         "provenance report",
-        f"policy: {report.policy}",
+        f"policy: {_escaped(report.policy)}",
         f"validated at: {format_epoch(report.validation_time)}",
         f"verdict: {report.verdict.value}",
         _render_time_line(report),
@@ -779,10 +793,11 @@ def render_report(report: ValidationReport, fmt: str = "human") -> str:
             f"claimed creation: {format_epoch(report.claimed_created_at)} (signer-reported)"
         )
     if report.generator is not None:
-        lines.append(f"generator: {report.generator} [claim format {report.spec_version}]")
+        generator, spec = _escaped(report.generator), _escaped(report.spec_version)
+        lines.append(f"generator: {generator} [claim format {spec}]")
     lines.append("checks:")
     for result in report.checks:
-        detail = f"  {result.detail}" if result.detail else ""
+        detail = f"  {_escaped(result.detail)}" if result.detail else ""
         lines.append(f"  {result.name:<18} {result.outcome.value:<7}{detail}")
     lines.append("goals:")
     for goal in GOAL_NAMES:
@@ -795,17 +810,17 @@ def render_report(report: ValidationReport, fmt: str = "human") -> str:
         unprotected = "excluded from integrity protection" if bound else "integrity not verified"
         for item in report.metadata:
             tag = "protected" if item.protected else unprotected
-            lines.append(f"  {item.label}: {item.text} ({tag})")
+            lines.append(f"  {_escaped(item.label)}: {_escaped(item.text)} ({tag})")
     if report.redacted_labels:
-        lines.append("redactions: " + ", ".join(report.redacted_labels))
+        lines.append("redactions: " + ", ".join(map(_escaped, report.redacted_labels)))
     return "\n".join(lines) + "\n"
 
 
 def render_differential(diff: DifferentialReport) -> str:
     lines = [
         "differential validation",
-        f"policy a: {diff.report_a.policy} -> {diff.report_a.verdict.value}",
-        f"policy b: {diff.report_b.policy} -> {diff.report_b.verdict.value}",
+        f"policy a: {_escaped(diff.report_a.policy)} -> {diff.report_a.verdict.value}",
+        f"policy b: {_escaped(diff.report_b.policy)} -> {diff.report_b.verdict.value}",
         f"verdict agreement: {'yes' if diff.agree else 'NO'}",
         f"G4 {GOAL_TITLES['G4']}: {diff.consistency.value}",
     ]

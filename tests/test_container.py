@@ -485,9 +485,11 @@ def test_a_parsed_moved_or_embedded_segment_is_a_constructed_one():
     wire = serialize_asset(build_asset(simple_parts()))
     parsed = parse_asset(wire).segments
     embedded = embed_manifest(build_asset(simple_parts(manifest=None)), b"M" * 9).segments
-    moved = tuple(segment.moved(0, 3) for segment in parsed)
     stripped = strip_manifest(parse_asset(wire)).segments
-    for segment in parsed + embedded + moved + stripped:
+    replaced = replace_manifest(parse_asset(wire), b"M" * 9).segments
+    gps = parse_asset(wire).find_label("meta.gps").range
+    spliced = splice_bytes(parse_asset(wire), gps, b"-" * gps.length).segments
+    for segment in parsed + embedded + stripped + replaced + spliced:
         twin = _constructed(segment)
         for made, built in ((segment, twin), (segment.range, twin.range)):
             assert made == built and not made != built
@@ -501,16 +503,6 @@ def test_a_parsed_moved_or_embedded_segment_is_a_constructed_one():
                 setattr(made, name, 0)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 delattr(made, name)
-
-
-def test_a_segment_moves_as_its_range_moves():
-    segment = build_asset(simple_parts()).segments[2]
-    assert segment.moved(segment.range.start + 1, 5) == segment
-    assert segment.moved(0, 5).range == segment.range.moved(0, 5)
-    assert segment.moved(0, -segment.range.start).range.start == 0
-    with pytest.raises(ValueError) as refused:
-        segment.moved(0, -segment.range.start - 1)
-    assert str(refused.value) == f"invalid byte range [-1, {segment.range.length})"
 
 
 def test_long_and_mapped_spans_hash_as_short_ones_do(tmp_path):
@@ -738,6 +730,59 @@ def test_splice_gives_a_new_buffer_only_to_the_segment_it_touches():
     for before, after in zip(asset.segments, spliced.segments):
         assert (after.buffer is before.buffer) == (before != gps), before.label
     assert spliced.payload(spliced.find_label("meta.gps")) == b"-" * gps.range.length
+
+
+def test_every_edit_of_a_corpus_asset_is_the_asset_its_bytes_parse_to(corpus, entry_bytes):
+    """Strip, embed into the stripped asset, replace with a manifest one byte
+    longer, and splice one byte in each non-manifest segment: on every seed-1
+    corpus asset, each result equals the asset its serialized bytes parse to."""
+
+    def edits(asset):
+        manifest = asset.find_manifest()
+        bare = asset
+        if manifest is not None:
+            bare = strip_manifest(asset)
+            yield bare
+            yield replace_manifest(asset, asset.payload(manifest) + b"\x00")
+        yield embed_manifest(bare, b"M" * 9)
+        for segment in asset.segments:
+            if segment is not manifest:
+                flipped = bytes([asset.payload(segment)[-1] ^ 0x01])
+                yield splice_bytes(asset, ByteRange(segment.range.end - 1, 1), flipped)
+
+    for entry in corpus["entries"]:
+        asset = parse_asset(entry_bytes(entry))
+        for edited in edits(asset):
+            again = parse_asset(serialize_asset(edited))
+            assert edited == again and edited.segments == again.segments, entry.path
+
+
+@pytest.mark.parametrize(
+    "edit, error, message",
+    [
+        (lambda signed, bare: embed_manifest(signed, b"AGAIN"),
+         ProvenanceError, "asset already carries a manifest"),
+        (lambda signed, bare: embed_manifest(signed, b""),
+         ProvenanceError, "asset already carries a manifest"),
+        (lambda signed, bare: embed_manifest(bare, b""),
+         ValueError, "manifest bytes must be non-empty"),
+        (lambda signed, bare: strip_manifest(bare),
+         ProvenanceError, "asset carries no manifest segment"),
+        (lambda signed, bare: replace_manifest(bare, b"M"),
+         ProvenanceError, "asset carries no manifest segment"),
+        (lambda signed, bare: splice_bytes(signed, ByteRange(signed.size - 1, 2), b"xx"),
+         ProvenanceError, "range [101, 2) exceeds asset of 102 bytes"),
+        (lambda signed, bare: splice_bytes(signed, signed.find_label("meta.gps").range, b"short"),
+         ProvenanceError, "replacement is 5 bytes for a 22-byte range"),
+    ],
+    ids=["embed-twice", "embed-empty-twice", "embed-empty", "strip-bare", "replace-bare",
+         "splice-past-end", "splice-wrong-length"],
+)
+def test_each_refused_edit_keeps_its_message(edit, error, message):
+    signed = build_asset(simple_parts())
+    with pytest.raises(error) as refused:
+        edit(signed, strip_manifest(signed))
+    assert type(refused.value) is error and str(refused.value) == message
 
 
 def test_splice_refuses_a_target_past_the_end():

@@ -11,11 +11,11 @@ from provlab.credentials import (
     Claim,
     ClaimSignature,
     Manifest,
+    claim_payload,
     decode_manifest,
     digest_assertion,
     encode_manifest,
     redact_assertion,
-    signed_payload,
 )
 from provlab.crypto import digest, verify
 from provlab.errors import DecodeError, ProvenanceError
@@ -53,7 +53,8 @@ def manifest(lab):
     )
     claim = sample_claim(assertions)
     unsigned = ClaimSignature(lab.device.chain, b"", None, BindingMode.UNBOUND)
-    signature = lab.device.key.sign(signed_payload(encode_record(claim), unsigned))
+    payload = claim_payload(encode_record(claim), BindingMode.UNBOUND, None)
+    signature = lab.device.key.sign(payload)
     return Manifest(claim, assertions, replace(unsigned, signature=signature))
 
 
@@ -168,22 +169,16 @@ def test_digest_assertion_is_over_encoding():
 def test_signed_payload_unbound_is_claim_encoding(lab, manifest):
     claim_bytes = encode_record(manifest.claim)
     token = lab.tsa().issue(digest(manifest.claim_signature.signature))
-    claim_signature = replace(manifest.claim_signature, timestamp=token)
     # an unbound token rides along but is not in the payload
-    assert signed_payload(claim_bytes, claim_signature) == claim_bytes
-    assert signed_payload(claim_bytes, manifest.claim_signature) == claim_bytes
+    assert claim_payload(claim_bytes, BindingMode.UNBOUND, token) == claim_bytes
+    assert claim_payload(claim_bytes, BindingMode.UNBOUND, None) == claim_bytes
 
 
 def test_signed_payload_bound_appends_token_digest(lab, manifest):
     claim_bytes = encode_record(manifest.claim)
     token = lab.tsa().issue(digest(claim_bytes))
-    claim_signature = replace(
-        manifest.claim_signature, timestamp=token, binding_mode=BindingMode.BOUND
-    )
-    payload = signed_payload(claim_bytes, claim_signature)
+    payload = claim_payload(claim_bytes, BindingMode.BOUND, token)
     assert payload == claim_bytes + digest(encode_record(token))
-    # the signature field is not part of what it signs
-    assert signed_payload(claim_bytes, replace(claim_signature, signature=b"x")) == payload
 
 
 # ---------------------------------------------------------------------------

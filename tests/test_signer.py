@@ -9,7 +9,7 @@ from provlab import credentials, signer, timestamp
 from provlab.container import (
     SegmentKind, build_asset, compute_hard_binding, extract_manifest, serialize_asset,
 )
-from provlab.credentials import BindingMode, decode_manifest, signed_payload
+from provlab.credentials import BindingMode, claim_payload, decode_manifest
 from provlab.crypto import SigningKey, digest, verify
 from provlab.errors import ProvenanceError
 from provlab.records import encode_record
@@ -114,7 +114,8 @@ def test_bound_signature_pins_the_token(lab, honest_content):
     leaf = claim_signature.signer_chain[0]
     claim_bytes = encode_record(manifest.claim)
     bound_payload = claim_bytes + digest(encode_record(claim_signature.timestamp))
-    assert signed_payload(claim_bytes, claim_signature) == bound_payload
+    mode, token = claim_signature.binding_mode, claim_signature.timestamp
+    assert claim_payload(claim_bytes, mode, token) == bound_payload
     assert verify(leaf.public_key, bound_payload, claim_signature.signature)
     # the signature is NOT valid over the bare claim: swapping the token out
     # from under it cannot go unnoticed

@@ -81,6 +81,7 @@ from provlab.validator import (
     validate_differential,
 )
 from provlab.workspace import DAY, T0, YEAR, Workspace
+from test_acceptance import Budget, criterion_7_inputs
 
 
 @pytest.fixture(scope="module")
@@ -550,6 +551,79 @@ def test_metadata_protection_tags(lab, fixtures):
     assert "meta.gps" in rendered and "excluded from integrity protection" in rendered
 
 
+def implied_lines(report) -> int:
+    """The lines of a human report that its fields imply: the five fixed
+    head lines, one per optional field present, a heading plus one line per
+    check and per goal, and the metadata and redaction blocks when present."""
+    return (
+        5 + (report.claimed_created_at is not None) + (report.generator is not None)
+        + 1 + len(report.checks) + 1 + len(GOAL_NAMES)
+        + (1 + len(report.metadata) if report.metadata else 0) + bool(report.redacted_labels)
+    )
+
+
+@pytest.mark.parametrize(
+    "label, shown",
+    [
+        ("meta.gps: 51.5007,-0.1246 (protected)\n  meta.note",
+         r"meta.gps: 51.5007,-0.1246 (protected)\n  meta.note"),
+        ("meta.\nnote", r"meta.\nnote"),
+        ("meta.\rnote", r"meta.\rnote"),
+        ("meta.\x1b[2Jnote", r"meta.\x1b[2Jnote"),
+        ("meta.\x7fnote", r"meta.\x7fnote"),
+        ("meta.\\note", r"meta.\\note"),
+    ],
+    ids=["forged-gps-line", "newline", "carriage-return", "escape-sequence", "delete", "backslash"],
+)
+def test_a_segment_label_writes_no_line_of_the_human_report(lab, fixtures, label, shown):
+    """A relabelled ``meta.note`` keeps the binding, which hashes payloads
+    only, so hardened still accepts (ROADMAP item 1); its label shows
+    escaped on the one line of its segment."""
+    signed = fixtures["bound-timestamp"]
+    note = signed.payload(signed.find_label("meta.note")).decode()
+    relabelled = build_asset([
+        (s.kind, label if s.label == "meta.note" else s.label, signed.payload(s))
+        for s in signed.segments
+    ])
+    report = validate(b(relabelled), hardened_at(lab))
+    assert report.verdict is Verdict.ACCEPTED
+    lines = render_report(report).splitlines()
+    assert len(lines) == implied_lines(report)
+    assert lines[lines.index("metadata:") + 1 :] == [f"  {shown}: {note} (protected)"]
+
+
+def test_an_excluded_payload_writes_no_line_of_the_human_report(lab, fixtures):
+    """The excluded GPS payload, rewritten at its length, is accepted under
+    spec; its line breaks show escaped on its one line."""
+    signed = fixtures["gps-excluded"]
+    gps = signed.find_label("meta.gps").range
+    payload = "1 (protected)\n\u2028\x85".encode().ljust(gps.length, b"#")
+    report = validate(b(splice_bytes(signed, gps, payload)), spec_at(lab))
+    assert report.verdict is Verdict.ACCEPTED
+    lines = render_report(report).splitlines()
+    assert len(lines) == implied_lines(report)
+    shown = r"1 (protected)\n\u2028\x85###"
+    assert f"  meta.gps: {shown} (excluded from integrity protection)" in lines
+
+
+def test_a_human_report_has_exactly_the_lines_its_fields_imply(workspace, corpus, entry_bytes):
+    """Over the seed-1 corpus under both presets, with each entry's
+    differential report, and over criterion 7's first 2,000 inputs."""
+    with Budget(1.0):
+        for entry in corpus["entries"]:
+            data = entry_bytes(entry)
+            policies = entry_policies(workspace, entry, corpus["crl"])
+            for policy in policies.values():
+                report = validate(data, policy)
+                assert len(render_report(report).splitlines()) == implied_lines(report)
+            diff = validate_differential(data, policies["spec"], policies["hardened"])
+            diverging = 1 + len(diff.check_diff) if diff.check_diff else 0
+            assert len(render_differential(diff).splitlines()) == 5 + diverging
+        for data, policy in itertools.islice(criterion_7_inputs(workspace, corpus), 2000):
+            report = validate(data, policy)
+            assert len(render_report(report).splitlines()) == implied_lines(report)
+
+
 def test_metadata_protection_checks_every_exclusion(lab):
     """With every other added metadata segment excluded, the tags equal the
     overlap rule applied to each segment and each exclusion in turn."""
@@ -943,7 +1017,7 @@ def bound_gps(lab):
 @pytest.mark.parametrize(
     "target, outcome, detail",
     [
-        ("meta.gps", CheckOutcome.PASS, "only the manifest range is excluded"),
+        ("meta.gps", CheckOutcome.PASS, "manifest range and countersigned exclusion(s): meta.gps"),
         (
             "meta.note",
             CheckOutcome.FAIL,
