@@ -17,9 +17,13 @@ asset's segments share the wire buffer it was parsed from (``bytes`` or a
 read-only ``mmap``).  A built or edited asset holds one buffer per new
 payload and shares the rest with the asset it came from.  So parsing,
 hashing, embedding and splicing copy no payload the caller already holds.
-:func:`serialize_asset` joins the chunks that :func:`write_asset` writes.  An
-asset parsed from a mapping must not outlive it, and the mapped file must not
-change while the asset is in use.
+An asset laid out from one whole wire in ``bytes`` (a ``bytes`` input to
+:func:`parse_asset`, or the buffer :func:`reserve_manifest` writes for a
+large signing) keeps it as :attr:`Asset.wire`, and :func:`serialize_asset`
+returns that wire as it is and :func:`write_asset` writes it in one call.
+Any other asset is serialized by joining the chunks that :func:`write_asset`
+writes.  An asset parsed from a mapping must not outlive it, and the mapped
+file must not change while the asset is in use.
 
 Every asset is laid out by one walk, :func:`_lay_out`, over segment heads:
 parse passes the heads it reads (checking each one's framing as it goes),
@@ -51,11 +55,12 @@ Four rules say how byte ranges behave; the signer and validator restate none:
 from __future__ import annotations
 
 import hashlib
+import io
 import mmap
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import MalformedContainer, ProvenanceError
 
@@ -128,9 +133,11 @@ class HardBinding:
 @dataclass(frozen=True, eq=False)
 class Asset:
     """Segments over backing buffers; equal assets have equal segments and
-    payloads, whatever buffers back them."""
+    payloads, whatever buffers back them.  ``wire`` is the whole wire the
+    asset was laid out from, when one ``bytes`` holds it."""
 
     segments: tuple[Segment, ...]
+    wire: bytes | None = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
@@ -179,7 +186,9 @@ def _check_label(label: str) -> bytes:
 _KINDS = {kind.value: kind for kind in SegmentKind}  # a kind by its wire byte
 
 
-def _lay_out(heads: Iterable[tuple[SegmentKind, str, Buffer, int, int]]) -> Asset:
+def _lay_out(
+    heads: Iterable[tuple[SegmentKind, str, Buffer, int, int]], wire: bytes | None = None
+) -> Asset:
     """The asset with these ``(kind, label, buffer, offset, length)`` heads laid
     out back to back: the one place an :class:`Asset` or :class:`Segment` is
     built.  Each range starts where the last ended, over a length its caller
@@ -213,7 +222,7 @@ def _lay_out(heads: Iterable[tuple[SegmentKind, str, Buffer, int, int]]) -> Asse
         raise MalformedContainer("duplicate metadata label")
     if misplaced is not None:
         raise MalformedContainer(misplaced)
-    return Asset(tuple(segments))
+    return Asset(tuple(segments), wire)
 
 
 def build_asset(parts: list[tuple[SegmentKind, str, bytes]]) -> Asset:
@@ -270,7 +279,7 @@ def parse_asset(data: bytes | bytearray | memoryview | mmap.mmap) -> Asset:
         raise MalformedContainer("input must be bytes")
     if len(data) < len(MAGIC) or data[: len(MAGIC)] != MAGIC:
         raise MalformedContainer("bad magic")
-    return _lay_out(_wire_heads(data))
+    return _lay_out(_wire_heads(data), data if type(data) is bytes else None)
 
 
 def _heads(segments: Iterable[Segment]) -> list[tuple]:
@@ -279,8 +288,11 @@ def _heads(segments: Iterable[Segment]) -> list[tuple]:
 
 
 def _wire_chunks(asset: Asset) -> list[bytes | memoryview]:
-    """The magic, then each segment's head (kind, label length, label, payload
-    length) and payload view; labels checked first."""
+    """The asset's kept wire, or else the magic, then each segment's head
+    (kind, label length, label, payload length) and payload view; labels
+    checked first."""
+    if asset.wire is not None:
+        return [asset.wire]
     chunks: list[bytes | memoryview] = [MAGIC]
     for segment in asset.segments:
         raw = _check_label(segment.label)
@@ -290,8 +302,9 @@ def _wire_chunks(asset: Asset) -> list[bytes | memoryview]:
 
 
 def serialize_asset(asset: Asset) -> bytes:
-    """Reproduce the wire bytes for ``asset``; inverse of :func:`parse_asset`."""
-    return b"".join(_wire_chunks(asset))
+    """The wire bytes for ``asset``: its kept wire, else a join of its
+    chunks; inverse of :func:`parse_asset`."""
+    return asset.wire if asset.wire is not None else b"".join(_wire_chunks(asset))
 
 
 def write_asset(asset: Asset, path: Path) -> None:
@@ -387,6 +400,32 @@ def embed_manifest(asset: Asset, manifest_bytes: bytes) -> Asset:
     at = 1 if manifest_insert_offset(asset) else 0  # after a leading header
     heads.insert(at, (SegmentKind.MANIFEST, MANIFEST_LABEL, payload, 0, len(payload)))
     return _lay_out(heads)
+
+
+def reserve_manifest(asset: Asset, length: int) -> Callable[[bytes], Asset]:
+    """Write the wire of ``asset`` with a zeroed ``length``-byte manifest
+    embedded into one buffer of the wire's size, copying each payload once;
+    return the function that writes the manifest into that slot and returns
+    the signed asset, backed by the wire.  Nothing here changes ``asset``,
+    so another thread may hash it meanwhile."""
+    placeholder = embed_manifest(asset, bytes(length))
+    chunks = _wire_chunks(placeholder)
+    at = next(i for i, s in enumerate(placeholder.segments) if s.kind is SegmentKind.MANIFEST)
+    slot = sum(map(len, chunks[: 2 + 2 * at]))  # before the manifest's payload view
+    buffer = io.BytesIO()
+    buffer.seek(sum(map(len, chunks)) - 1)
+    buffer.write(b"\0")  # one allocation of the final size, which getvalue hands out
+    buffer.seek(0)
+    buffer.writelines(chunks)
+
+    def fill(manifest_bytes: bytes) -> Asset:
+        if len(manifest_bytes) != length:
+            raise ValueError(f"manifest is {len(manifest_bytes)} bytes, not {length}")
+        buffer.seek(slot)
+        buffer.write(manifest_bytes)
+        return parse_asset(buffer.getvalue())
+
+    return fill
 
 
 def extract_manifest(asset: Asset) -> bytes:

@@ -3,7 +3,8 @@
 ``sign_asset`` turns an unsigned asset into a signed one:
 
 1. digest each assertion and compute the hard binding over the asset bytes,
-   excluding the manifest-to-be plus any labelled segments;
+   excluding the manifest-to-be plus any labelled segments.  An asset of
+   ``CONCURRENT_BINDING_BYTES`` or more is hashed later, in step 3;
 2. settle the manifest's length.  The claim's binding records the
    manifest's own byte range among its exclusions, so the binding's encoding
    depends on that length.  Everything else in the manifest has a size known
@@ -15,13 +16,23 @@
    writes one binding; the claim is built once, around the settled binding,
    so a signing builds two claims: the probe's and the signed one.  The
    binding digest is unaffected (the manifest region is excluded either
-   way); integer heads only grow, so the length settles within a few rounds;
-3. sign the settled claim once (``credentials.claim_payload``).  An
+   way) and its size is fixed, so a large asset settles the length on a
+   zeroed stand-in digest.  Integer heads only grow, so the length settles
+   within a few rounds;
+3. for a large asset only: one worker thread computes the hard binding
+   while this thread writes the signed wire, with a zeroed manifest of the
+   settled length in its slot, into one buffer
+   (``container.reserve_manifest``).  The worker is joined whatever happens,
+   and the settled binding takes its digest.  Both passes read every content
+   byte and share nothing else, and ``hashlib`` hashes without the GIL;
+4. sign the settled claim once (``credentials.claim_payload``).  An
    ``UNBOUND`` token is fetched afterwards over the signature digest and
    merely attached.  A ``BOUND`` token is fetched first over the claim digest
    and the signature covers ``claim || token-digest``, pinning the token;
-4. encode the manifest, check that it has the settled length, and embed it
-   immediately after the header segment.
+5. encode the manifest, check that it has the settled length, and embed it
+   immediately after the header segment: a small asset by the zero-copy
+   layout (``container.embed_manifest``), a large one by filling the slot
+   of the wire written in step 3.  Both give the same bytes.
 
 Fixture scenarios live here too: deterministic signed assets exercising each
 configuration the validator and attack toolkit care about.
@@ -30,7 +41,9 @@ configuration the validator and attack toolkit care about.
 from __future__ import annotations
 
 import random
+import threading
 from dataclasses import dataclass
+from typing import Callable
 
 from .container import (
     Asset,
@@ -41,6 +54,7 @@ from .container import (
     compute_hard_binding,
     embed_manifest,
     manifest_insert_offset,
+    reserve_manifest,
 )
 from .credentials import (
     Assertion,
@@ -64,6 +78,12 @@ CLAIM_SPEC_VERSION = "1.0"
 
 CREATED_LABEL = "std.created"
 
+# From this logical size on, the signed wire is written while a worker thread
+# hashes the asset.  Below it, a thread's start and join and a zeroing pass
+# over the buffer cost more than the copy the overlap hides (README, "Signing
+# cost", gives the measured crossover).
+CONCURRENT_BINDING_BYTES = 2 << 20
+
 
 @dataclass(frozen=True)
 class SignerConfig:
@@ -77,7 +97,7 @@ class SignerConfig:
 
 
 def _build_claim_signature(claim_bytes: bytes, config: SignerConfig) -> ClaimSignature:
-    """Sign the encoded claim once, as step 3 above describes."""
+    """Sign the encoded claim once, as step 4 above describes."""
     mode = config.binding_mode
     bound = mode == BindingMode.BOUND
     token = config.tsa.issue(digest(claim_bytes)) if bound else None
@@ -85,6 +105,32 @@ def _build_claim_signature(claim_bytes: bytes, config: SignerConfig) -> ClaimSig
     if not bound:
         token = config.tsa.issue(digest(signature))
     return ClaimSignature(config.chain, signature, token, mode)
+
+
+def _lay_out_while_hashing(
+    asset: Asset, exclusions: list[ByteRange], manifest_length: int
+) -> tuple[Callable[[bytes], Asset], bytes]:
+    """Step 3: the ``fill`` of the wire this thread writes for ``asset``
+    (``container.reserve_manifest``) and the hard binding digest, which one
+    worker thread computes meanwhile.  The worker is joined before this
+    returns or raises, and what it raises is raised here."""
+    outcome: list = []
+
+    def hash_asset() -> None:
+        try:
+            outcome.append(compute_hard_binding(asset, exclusions).digest)
+        except BaseException as exc:  # handed to the signing thread
+            outcome.append(exc)
+
+    worker = threading.Thread(target=hash_asset, name="provlab-hard-binding")
+    worker.start()
+    try:
+        fill = reserve_manifest(asset, manifest_length)
+    finally:
+        worker.join()
+    if isinstance(outcome[0], BaseException):
+        raise outcome[0]
+    return fill, outcome[0]
 
 
 def sign_asset(
@@ -121,8 +167,13 @@ def sign_asset(
 
     # The binding digest covers every byte outside the labelled exclusions;
     # the embedded manifest occupies exactly its own exclusion, so the digest
-    # is independent of the manifest length.
-    binding_digest = compute_hard_binding(asset, label_ranges).digest
+    # is independent of the manifest length.  A large asset settles the
+    # length on a stand-in digest of the same size and is hashed later.
+    concurrent = asset.size >= CONCURRENT_BINDING_BYTES
+    if concurrent:
+        binding_digest = bytes(DIGEST_SIZE)
+    else:
+        binding_digest = compute_hard_binding(asset, label_ranges).digest
     assertion_digests = tuple((a.label, digest_assertion(a)) for a in ordered)
     manifest_start = manifest_insert_offset(asset)
 
@@ -162,6 +213,9 @@ def sign_asset(
         binding = binding_for(manifest_length)
     else:
         raise RuntimeError("manifest size did not converge")
+    if concurrent:
+        fill, binding_digest = _lay_out_while_hashing(asset, label_ranges, manifest_length)
+        binding = binding_for(manifest_length)
     claim = claim_around(binding)
     manifest = Manifest(claim, ordered, _build_claim_signature(encode_record(claim), config))
     manifest_bytes = encode_manifest(manifest)
@@ -169,7 +223,7 @@ def sign_asset(
         raise RuntimeError(
             f"manifest is {len(manifest_bytes)} bytes, not the settled {manifest_length}"
         )
-    return embed_manifest(asset, manifest_bytes)
+    return fill(manifest_bytes) if concurrent else embed_manifest(asset, manifest_bytes)
 
 
 # ---------------------------------------------------------------------------

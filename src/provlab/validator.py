@@ -544,7 +544,8 @@ def _check_timestamp(run: _Run) -> _Result:
 
 def _check_redaction_audit(run: _Run) -> _Result:
     tombstones = run.tombstones
-    if run.policy.file_integrity == FileIntegrity.STRONG:
+    strong = run.policy.file_integrity == FileIntegrity.STRONG
+    if strong:
         vouched = {(r.target, r.original_digest) for r in run.vouched_records}
         claim = run.manifest.claim
         missing = [label for label in tombstones if (label, claim.digest_for(label)) not in vouched]
@@ -558,6 +559,9 @@ def _check_redaction_audit(run: _Run) -> _Result:
         if unvouched:
             return CheckOutcome.FAIL, f"{unvouched} redaction(s) without a valid countersignature"
     if not tombstones:
+        if strong and run.vouched_records:
+            targets = ", ".join(redaction.target for redaction in run.vouched_records)
+            return CheckOutcome.PASS, f"no tombstones; countersigned redaction record(s): {targets}"
         return CheckOutcome.PASS, "no redactions"
     if run.policy.file_integrity == FileIntegrity.WEAK:
         return (

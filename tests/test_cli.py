@@ -619,7 +619,8 @@ def test_empty_and_truncated_files_are_malformed(cliws, tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def large_asset(cliws, tmp_path_factory):
-    """An 8 MiB signed asset, and its manifest's length."""
+    """An 8 MiB signed asset, and its manifest's length; past
+    ``CONCURRENT_BINDING_BYTES``, so its binding is hashed on a worker thread."""
     import random
 
     from provlab.container import SegmentKind, build_asset, extract_manifest, serialize_asset

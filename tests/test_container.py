@@ -155,7 +155,9 @@ def test_write_asset_writes_the_serialized_bytes_of_every_corpus_entry(
         asset = parse_asset(wire)
         write_asset(asset, path)
         assert path.read_bytes() == serialize_asset(asset) == wire
+        assert serialize_asset(asset) is asset.wire is wire  # a parsed `bytes` wire is kept
         rebuilt = build_asset([(s.kind, s.label, asset.payload(s)) for s in asset.segments])
+        assert rebuilt.wire is None
         write_asset(rebuilt, path)
         assert path.read_bytes() == serialize_asset(rebuilt) == wire
 

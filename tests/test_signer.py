@@ -1,5 +1,9 @@
 """Signing: fixpoint embedding, binding correctness, scenario determinism."""
 
+import hashlib
+import random
+import threading
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -7,13 +11,20 @@ import pytest
 
 from provlab import credentials, signer, timestamp
 from provlab.container import (
-    SegmentKind, build_asset, compute_hard_binding, extract_manifest, serialize_asset,
+    SegmentKind,
+    build_asset,
+    compute_hard_binding,
+    embed_manifest,
+    extract_manifest,
+    serialize_asset,
+    strip_manifest,
 )
 from provlab.credentials import BindingMode, claim_payload, decode_manifest
 from provlab.crypto import SigningKey, digest, verify
 from provlab.errors import ProvenanceError
 from provlab.records import encode_record
 from provlab.signer import (
+    CONCURRENT_BINDING_BYTES,
     SCENARIOS,
     SignerConfig,
     build_scenario_content,
@@ -303,3 +314,96 @@ def test_every_scenario_signs(lab):
         manifest = decode_manifest(extract_manifest(make_fixture(lab, name)))
         assert manifest.claim.generator == f"labcam-{name}"
         assert manifest.claim_signature.binding_mode == SCENARIOS[name].binding_mode
+
+
+# ---------------------------------------------------------------------------
+# large signings: the wire is written while a worker thread hashes
+# ---------------------------------------------------------------------------
+
+# sha256 of each scenario's seed-1 content, its image grown to 2 MiB, signed
+# in the seed-11 workspace; the bytes the one-thread signing wrote
+GROWN_WIRE_SHA256 = {
+    "honest": "a6d4e3ad53da5c9f6f93e3c90909e66501c6b775f32ab99f8cc3f4481da77c7d",
+    "gps-excluded": "f4bea2210440585eac8d4a769d337df4e74054ec8867ee4c6f78bd8e3d651d85",
+    "revocable": "e4d705c36842d453c5f097458438854707b3154d4d036d23d202f73bdd2574f5",
+    "short-lived-cert": "7b32106c2ff319bb60645285bce0dab691e6204727497bce267ec3f293aa27c2",
+    "unbound-timestamp": "87026c2492c90f2b3f544a2bd85f669dff0fe1f5afee18133db827cdea6be416",
+    "bound-timestamp": "98e3068fec68080b84b3c8e2217a6dabffa3b8e5b87c7d92c7854dfa87709cf6",
+}
+
+
+def grown_content(name: str, image_bytes: int):
+    """``name``'s seed-1 content with its image replaced by seeded bytes."""
+    asset, assertions, generator = build_scenario_content(SCENARIOS[name], seed=1)
+    image = random.Random(f"grown/{name}").randbytes(image_bytes)
+    parts = [
+        (s.kind, s.label, image if s.kind == SegmentKind.IMAGE_DATA else asset.payload(s))
+        for s in asset.segments
+    ]
+    return build_asset(parts), assertions, generator
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_a_large_signing_writes_the_bytes_of_the_one_thread_layout(lab, name):
+    """Past the threshold the wire is laid out beside the hashing; its bytes
+    are the pinned ones and those of the zero-copy embed of the same
+    manifest (``gps-excluded`` carries a labelled exclusion)."""
+    asset, assertions, generator = grown_content(name, 2 << 20)
+    assert asset.size >= CONCURRENT_BINDING_BYTES
+    signed = sign_asset(asset, assertions, scenario_signer(lab, SCENARIOS[name], generator))
+    wire = serialize_asset(signed)
+    assert wire is signed.wire
+    assert hashlib.sha256(wire).hexdigest() == GROWN_WIRE_SHA256[name]
+    rebuilt = embed_manifest(strip_manifest(signed), extract_manifest(signed))
+    assert rebuilt.wire is None and serialize_asset(rebuilt) == wire
+
+
+def test_a_large_signing_holds_one_wire_and_leaves_no_thread(lab, monkeypatch):
+    """A 16 MiB signing allocates one wire, no more than a join of it would;
+    its binding is hashed on a worker thread that is gone when the signing
+    returns or raises, and a refusal after the hashing is the one-thread
+    signing's refusal."""
+    asset, assertions, generator = grown_content("bound-timestamp", 16 << 20)
+    config = scenario_signer(lab, SCENARIOS["bound-timestamp"], generator)
+    hashed_on = []
+    raw_binding = signer.compute_hard_binding
+
+    def binding(*args):
+        hashed_on.append(threading.current_thread())
+        return raw_binding(*args)
+
+    monkeypatch.setattr(signer, "compute_hard_binding", binding)
+    threads = threading.active_count()
+    sign_asset(asset, assertions, config)  # warm caches outside the traced call
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        wire = serialize_asset(sign_asset(asset, assertions, config))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= len(wire) + 2**20
+    assert threading.active_count() == threads
+
+    tsa = config.tsa
+    late = replace(config, tsa=timestamp.TimestampAuthority(tsa.key, tsa.chain, T0 + 50 * YEAR))
+    with pytest.raises(ProvenanceError) as refused:
+        sign_asset(asset, assertions, late)
+    assert str(refused.value) == f"TSA certificate outside validity window at {T0 + 50 * YEAR}"
+    assert threading.active_count() == threads
+    assert len(hashed_on) == 3
+    assert not any(t is threading.main_thread() or t.is_alive() for t in hashed_on)
+
+
+def test_a_large_signing_raises_what_its_worker_raised(lab, monkeypatch):
+    asset, assertions, generator = grown_content("honest", 2 << 20)
+    config = scenario_signer(lab, SCENARIOS["honest"], generator)
+
+    def binding(*args):
+        raise ProvenanceError("hashing failed")
+
+    monkeypatch.setattr(signer, "compute_hard_binding", binding)
+    threads = threading.active_count()
+    with pytest.raises(ProvenanceError, match="hashing failed"):
+        sign_asset(asset, assertions, config)
+    assert threading.active_count() == threads

@@ -1030,11 +1030,21 @@ def test_exclusion_audit_reads_the_countersigned_record_for_the_segment(
 ):
     """A countersigned redaction naming ``meta.gps`` accounts for its
     exclusion, though it binds neither the claim nor the GPS bytes: this PASS
-    is the countersigned-exclusion fail-open that ROADMAP item 10 closes."""
+    is the countersigned-exclusion fail-open that ROADMAP item 10 closes.
+    The redaction audit of the same report names the record too, rather than
+    saying there are no redactions."""
     redaction = _countersign(lab.redactor, target, None)
     data = _with_records(bound_gps, redactions=(redaction,))
-    audit = validate(data, hardened_at(lab)).check("exclusion-audit")
+    report = validate(data, hardened_at(lab))
+    audit = report.check("exclusion-audit")
     assert (audit.outcome, audit.detail) == (outcome, detail)
+    if target == "meta.gps":
+        assert report.verdict == Verdict.ACCEPTED
+        redactions = report.check("redaction-audit")
+        assert (redactions.outcome, redactions.detail) == (
+            CheckOutcome.PASS,
+            "no tombstones; countersigned redaction record(s): meta.gps",
+        )
 
 
 def test_exclusion_audit_names_a_range_that_matches_no_segment(lab, fixtures):
