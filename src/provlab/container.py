@@ -333,49 +333,53 @@ def _checked_exclusions(
 ) -> tuple[ByteRange, ...]:
     """``exclusions`` sorted; each inside the asset, none overlapping another."""
     ordered = tuple(sorted(exclusions))
+    size = asset.size
     for rng in ordered:
-        if rng.end > asset.size:
-            raise ProvenanceError(
-                f"range [{rng.start}, {rng.length}) exceeds asset of {asset.size} bytes"
-            )
+        if rng.start + rng.length > size:
+            raise ProvenanceError(f"range [{rng.start}, {rng.length}) exceeds asset of {size} bytes")
     for prev, nxt in zip(ordered, ordered[1:]):
-        if prev.end > nxt.start:
+        if prev.start + prev.length > nxt.start:
             raise ProvenanceError(f"ranges at {prev.start} and {nxt.start} overlap")
     return ordered
 
 
 def compute_hard_binding(
     asset: Asset, exclusions: tuple[ByteRange, ...] | list[ByteRange]
-) -> HardBinding:
-    """SHA-256 over every logical byte outside ``exclusions``, in offset order.
+) -> bytes:
+    """The SHA-256 digest of every logical byte outside ``exclusions``, in
+    offset order: the digest a :class:`HardBinding` over them records.
 
     No kept byte may fall inside a manifest segment: the manifest cannot hash
-    itself.  The kept spans are hashed straight from the segment table: a span
-    of ``bytes`` up to 4 KiB from a slice, which costs less than a view, and
-    any other span in place, so a large one is never copied.
+    itself.  One walk over the segment table beside the sorted exclusions
+    hashes each kept span, or each segment's part of it, once and straight
+    from the buffer that holds it: a span of ``bytes`` up to 4 KiB from a
+    slice, which costs less than a view, and any other span in place, so a
+    large one is never copied.
     """
     ordered = _checked_exclusions(asset, exclusions)
-    edges = [0]  # kept span i is [edges[2i], edges[2i + 1]); some are empty
-    for rng in ordered:
-        edges += rng.start, rng.start + rng.length
-    edges.append(asset.size)
-    hasher = hashlib.sha256()
-    at, manifest = 0, SegmentKind.MANIFEST
+    hasher, manifest, size = hashlib.sha256(), SegmentKind.MANIFEST, asset.size
+    cuts = iter(ordered)
+    cut = next(cuts, None)  # the next exclusion: its bounds, (size, size) past the last
+    cut_start, cut_end = (cut.start, cut.start + cut.length) if cut else (size, size)
+    kept = 0  # where the kept bytes before it start
     for segment in asset.segments:
-        start, end = segment.range.start, segment.range.end
+        start = segment.range.start
+        end = start + segment.range.length
         buffer, base = segment.buffer, segment.offset - start
-        while at < len(edges) and edges[at] < end:  # each kept span this segment holds
-            hi = edges[at + 1]
-            lo, stop = base + max(edges[at], start), base + min(hi, end)
-            if lo < stop:
+        while True:
+            stop = cut_start if cut_start < end else end
+            if kept < stop:
                 if segment.kind is manifest:
                     raise ProvenanceError("manifest segment not fully covered by exclusions")
-                small = type(buffer) is bytes and stop - lo <= 4096
-                hasher.update(buffer[lo:stop] if small else memoryview(buffer)[lo:stop])
-            if hi > end:
-                break  # the span goes on into the next segment
-            at += 2
-    return HardBinding("sha-256", ordered, hasher.digest())
+                lo, hi = base + kept, base + stop
+                small = type(buffer) is bytes and hi - lo <= 4096
+                hasher.update(buffer[lo:hi] if small else memoryview(buffer)[lo:hi])
+                kept = stop
+            if cut_start >= end:
+                break  # the next exclusion starts in a later segment
+            kept, cut = cut_end, next(cuts, None)
+            cut_start, cut_end = (cut.start, cut.start + cut.length) if cut else (size, size)
+    return hasher.digest()
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 ``sign_asset`` turns an unsigned asset into a signed one:
 
 1. digest each assertion and compute the hard binding over the asset bytes,
-   excluding the manifest-to-be plus any labelled segments.  An asset of
+   excluding the manifest-to-be plus any labelled segments; a label that is
+   missing or excluded twice is refused before any hashing.  An asset of
    ``CONCURRENT_BINDING_BYTES`` or more is hashed later, in step 3;
 2. settle the manifest's length.  The claim's binding records the
    manifest's own byte range among its exclusions, so the binding's encoding
@@ -12,13 +13,17 @@
    the TSA's clock), so one probe manifest with zeroed signatures and
    digests measures the bytes outside the binding, and the length is
    iterated to a fixed point on the binding's encoding alone (a nested
-   record writes the same bytes wherever it sits).  Each round builds and
-   writes one binding; the claim is built once, around the settled binding,
-   so a signing builds two claims: the probe's and the signed one.  The
-   binding digest is unaffected (the manifest region is excluded either
-   way) and its size is fixed, so a large asset settles the length on a
-   zeroed stand-in digest.  Integer heads only grow, so the length settles
-   within a few rounds;
+   record writes the same bytes wherever it sits).  The iteration starts
+   from the kept bytes of the assertions and both chains, which the
+   manifest holds whole: below the fixed point, so it climbs to the least
+   one, and as a rule in the same integer-head band, so a small signing's
+   loop builds two bindings (the probe's and the settled one), not three.
+   Each round builds and writes one binding; the claim is built once,
+   around the settled binding, so a signing builds two claims: the probe's
+   and the signed one.  The binding digest is unaffected (the manifest
+   region is excluded either way) and its size is fixed, so a large asset
+   settles the length on a zeroed stand-in digest.  Integer heads only
+   grow, so the length settles within a few rounds;
 3. for a large asset only: one worker thread computes the hard binding
    while this thread writes the signed wire, with a zeroed manifest of the
    settled length in its slot, into one buffer
@@ -118,7 +123,7 @@ def _lay_out_while_hashing(
 
     def hash_asset() -> None:
         try:
-            outcome.append(compute_hard_binding(asset, exclusions).digest)
+            outcome.append(compute_hard_binding(asset, exclusions))
         except BaseException as exc:  # handed to the signing thread
             outcome.append(exc)
 
@@ -163,6 +168,8 @@ def sign_asset(
     for label in config.exclude_labels:
         if label not in first_ranges:
             raise ProvenanceError(f"no segment labelled {label!r}")
+        if config.exclude_labels.count(label) > 1:
+            raise ProvenanceError(f"segment label {label!r} excluded more than once")
         label_ranges.append(first_ranges[label])
 
     # The binding digest covers every byte outside the labelled exclusions;
@@ -173,7 +180,7 @@ def sign_asset(
     if concurrent:
         binding_digest = bytes(DIGEST_SIZE)
     else:
-        binding_digest = compute_hard_binding(asset, label_ranges).digest
+        binding_digest = compute_hard_binding(asset, label_ranges)
     assertion_digests = tuple((a.label, digest_assertion(a)) for a in ordered)
     manifest_start = manifest_insert_offset(asset)
 
@@ -193,10 +200,15 @@ def sign_asset(
 
     # Every manifest byte outside the binding has a size fixed before
     # signing, so a probe with zeroed signatures and digests measures them.
+    # The length starts from the kept bytes of the records the manifest
+    # holds whole, the assertions and both chains: below ``rest``, so the
+    # rounds still climb to the least fixed point.
     token = TimestampToken(
         bytes(DIGEST_SIZE), config.tsa.clock, config.tsa.chain, bytes(SIGNATURE_SIZE)
     )
-    binding = binding_for(1)
+    held = (*ordered, *config.chain, *config.tsa.chain)
+    manifest_length = sum(len(encode_record(record)) for record in held)
+    binding = binding_for(manifest_length)
     probe = Manifest(
         claim_around(binding),
         ordered,
@@ -204,7 +216,6 @@ def sign_asset(
     )
     rest = len(encode_manifest(probe)) - len(encode_record(binding))
 
-    manifest_length = 1
     for _ in range(10):
         settled = rest + len(encode_record(binding))
         if settled == manifest_length:

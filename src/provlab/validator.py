@@ -270,14 +270,17 @@ def _effective_exclusions(
     Archival extension legitimately grows the manifest segment after the
     claim was signed; the declared manifest exclusion keeps its start but
     stretches to the current manifest length, and every exclusion beyond it
-    shifts by the same delta.  Returns None when no declared exclusion lines
-    up with the manifest segment at all.
+    shifts by the same delta.  A manifest that has not grown (delta 0) keeps
+    the declared exclusions as they are, sorted.  Returns None when no
+    declared exclusion lines up with the manifest segment at all.
     """
     current = manifest_segment.range
     anchor = next((rng for rng in declared if rng.start == current.start), None)
     if anchor is None:
         return None
     delta = current.length - anchor.length
+    if delta == 0:
+        return tuple(sorted(declared))
     return tuple(
         sorted(current if rng == anchor else rng.moved(anchor.end, delta) for rng in declared)
     )
@@ -380,7 +383,7 @@ def _check_hard_binding(run: _Run) -> _Result:
         recomputed = compute_hard_binding(run.asset, effective)
     except ProvenanceError as exc:
         return CheckOutcome.FAIL, f"exclusions unusable: {exc}"
-    if recomputed.digest != binding.digest:
+    if recomputed != binding.digest:
         return CheckOutcome.FAIL, "recomputed digest differs from the declared digest"
     return CheckOutcome.PASS, f"digest match over {len(effective)} exclusion(s)"
 

@@ -198,8 +198,8 @@ def test_criterion_3_excluded_region_forgery(workspace, corpus):
         )
         assert declared_exclusions(outcome.mutated) == exclusions
         assert (
-            compute_hard_binding(asset, exclusions).digest
-            == compute_hard_binding(outcome.mutated, exclusions).digest
+            compute_hard_binding(asset, exclusions)
+            == compute_hard_binding(outcome.mutated, exclusions)
         )
 
         wire = serialize_asset(outcome.mutated)
@@ -375,13 +375,12 @@ VERDICT_RANK = {
 }
 
 
-def test_a_stricter_knob_never_accepts_more(corpus, tmp_path_factory):
-    """Each offline knob on which the presets differ, turned alone from its
-    spec to its hardened setting, never raises the verdict (except along
-    the knobs in ``LATTICE_TRADES``), never shows a SIGNED time the looser
-    setting does not, and never marks more metadata protected.  Inputs:
-    every corpus entry for seeds 1-3, then a fixed slice of criterion 7's
-    (its first 300 blobs and its first 250 changed entries)."""
+@pytest.fixture(scope="module")
+def lattice_inputs(corpus, tmp_path_factory):
+    """The lattice walk's inputs, each ``(label, data, spec policy, signing
+    authority of its workspace)``: every corpus entry for seeds 1-3, then a
+    fixed slice of criterion 7's (its first 300 blobs and its first 250
+    changed entries)."""
     inputs = []
     for seed in (1, 2, 3):
         workspace, entries = corpus["workspace"], corpus["entries"]
@@ -392,34 +391,37 @@ def test_a_stricter_knob_never_accepts_more(corpus, tmp_path_factory):
         for entry in entries:
             data = (workspace.root / entry.path).read_bytes()
             policy = spec_policy(workspace.trust, entry.validation_time, crl=crl)
-            inputs.append((f"{seed}:{entry.path}", data, policy))
+            inputs.append((f"{seed}:{entry.path}", data, policy, workspace.signing))
     fuzzed = criterion_7_inputs(corpus["workspace"], corpus)
     for index, (data, policy) in enumerate(
         itertools.chain(itertools.islice(fuzzed, 300), itertools.islice(fuzzed, 71_700, 71_950))
     ):
-        inputs.append((f"criterion-7:{index}", data, replace(policy, crl=corpus["crl"])))
+        policy = replace(policy, crl=corpus["crl"])
+        inputs.append((f"criterion-7:{index}", data, policy, corpus["workspace"].signing))
     assert len(inputs) == 3 * 21 + 550
-    spec = inputs[0][2]
-    hardened = hardened_policy(spec.trust, spec.validation_time, crl=spec.crl)
-    knobs = [
-        field.name for field in dataclasses.fields(ValidationPolicy)
-        if field.name != "name" and getattr(spec, field.name) != getattr(hardened, field.name)
-    ]
-    assert knobs == ["revocation_mode", "timestamp_rule", "file_integrity", "expiry_rule"]
+    return inputs
+
+
+def walk_lattice(inputs, steps):
+    """Validate each ``(label, data, policy)`` under every combination of
+    the settings in ``steps``, which maps a knob to its ``(looser,
+    stricter)`` pairs, and return two sets: ``(knob, label)`` for each step
+    that raised the verdict, and each step that showed a SIGNED time the
+    looser setting does not or marked more metadata protected."""
+    knobs = list(steps)
+    settings = [list(dict.fromkeys(s for pair in steps[knob] for s in pair)) for knob in knobs]
     rises, views = set(), set()
-    with Budget(2.0):
-        for label, data, base in inputs:
-            reports = {}
-            for strict in itertools.product((False, True), repeat=len(knobs)):
-                settings = {
-                    knob: getattr(hardened if on else spec, knob) for knob, on in zip(knobs, strict)
-                }
-                reports[strict] = validate(data, replace(base, **settings))
-            for strict, loose in reports.items():
-                for at, knob in enumerate(knobs):
-                    if strict[at]:
+    for label, data, base in inputs:
+        reports = {
+            combination: validate(data, replace(base, **dict(zip(knobs, combination))))
+            for combination in itertools.product(*settings)
+        }
+        for combination, loose in reports.items():
+            for at, knob in enumerate(knobs):
+                for looser, strict in steps[knob]:
+                    if combination[at] != looser:
                         continue
-                    stricter = reports[strict[:at] + (True,) + strict[at + 1 :]]
+                    stricter = reports[combination[:at] + (strict,) + combination[at + 1 :]]
                     if VERDICT_RANK[stricter.verdict] > VERDICT_RANK[loose.verdict]:
                         rises.add((knob, label))
                     shown = stricter.displayed_time
@@ -427,12 +429,112 @@ def test_a_stricter_knob_never_accepts_more(corpus, tmp_path_factory):
                         views.add(("signed time", knob, label))
                     if protected_labels(stricter) - protected_labels(loose):
                         views.add(("protected metadata", knob, label))
+    return rises, views
+
+
+def offline_steps(policy):
+    """Each knob on which the presets differ, with its one step from the
+    spec to the hardened setting."""
+    hardened = hardened_policy(
+        policy.trust, policy.validation_time, crl=policy.crl, status_endpoint=policy.status_endpoint
+    )
+    return {
+        field.name: [(getattr(policy, field.name), getattr(hardened, field.name))]
+        for field in dataclasses.fields(ValidationPolicy)
+        if field.name != "name" and getattr(policy, field.name) != getattr(hardened, field.name)
+    }
+
+
+# the three entries along whose expiry step the verdict may rise
+EXPIRY_TIMEWARP_RISES = {
+    ("expiry_rule", f"{seed}:corpus/short-lived-cert--expiry-timewarp/asset.pvl")
+    for seed in (1, 2, 3)
+}
+
+
+def test_a_stricter_knob_never_accepts_more(lattice_inputs):
+    """Each offline knob on which the presets differ, turned alone from its
+    spec to its hardened setting, never raises the verdict (except along
+    the knobs in ``LATTICE_TRADES``), never shows a SIGNED time the looser
+    setting does not, and never marks more metadata protected."""
+    inputs = [(label, data, policy) for label, data, policy, _ in lattice_inputs]
+    steps = offline_steps(inputs[0][2])
+    assert list(steps) == ["revocation_mode", "timestamp_rule", "file_integrity", "expiry_rule"]
+    assert steps["revocation_mode"] == [(RevocationMode.NONE, RevocationMode.CRL_REQUIRED)]
+    with Budget(2.0):
+        rises, views = walk_lattice(inputs, steps)
     assert {knob for knob, _ in rises} <= set(LATTICE_TRADES)
     # the one trade today: the expiry-timewarp entry of each seed
-    assert rises == {
-        ("expiry_rule", f"{seed}:corpus/short-lived-cert--expiry-timewarp/asset.pvl")
-        for seed in (1, 2, 3)
-    }
+    assert rises == EXPIRY_TIMEWARP_RISES
+    assert views == set()
+
+
+STATUS_STEPS = [
+    (RevocationMode.NONE, RevocationMode.STATUS_SERVICE_SOFT_FAIL),
+    (RevocationMode.STATUS_SERVICE_SOFT_FAIL, RevocationMode.STATUS_SERVICE_HARD_FAIL),
+]
+
+
+def status_walk(inputs, steps):
+    """:func:`walk_lattice` over the lattice inputs ``inputs``, with the
+    offline knobs' steps and the revocation steps ``steps``; each input's
+    policy queries one status service holding its authority's live state.
+    Returns the two sets and the number of queries the services answered."""
+    services = {}
+    try:
+        walked = []
+        for label, data, policy, authority in inputs:
+            if id(authority) not in services:
+                services[id(authority)] = run_status_service(authority)
+            endpoint = services[id(authority)].endpoint
+            walked.append((label, data, replace(policy, status_endpoint=endpoint)))
+        with Budget(2.0):
+            rises, views = walk_lattice(
+                walked, {**offline_steps(walked[0][2]), "revocation_mode": steps}
+            )
+        return rises, views, sum(len(service.query_log) for service in services.values())
+    finally:
+        for service in services.values():
+            service.stop()
+
+
+# the lattice inputs in three parts, each walked inside its own budget
+LATTICE_PARTS = {"corpus": slice(0, 63), "blobs": slice(63, 363), "changed": slice(363, 613)}
+
+
+@pytest.mark.parametrize("part", list(LATTICE_PARTS))
+def test_a_stricter_status_mode_never_accepts_more(lattice_inputs, part):
+    """The status-service modes join the lattice, NONE < SOFT_FAIL <
+    HARD_FAIL (NONE < CRL_REQUIRED is walked above), each input's service
+    holding its authority's live state; the offline knobs step at every
+    mode.  The corpus entries, criterion 7's blobs and its changed entries
+    are walked apart."""
+    rises, views, queries = status_walk(lattice_inputs[LATTICE_PARTS[part]], STATUS_STEPS)
+    # random blobs carry no manifest to ask about
+    assert (queries > 0) == (part != "blobs")
+    assert {knob for knob, _ in rises} <= set(LATTICE_TRADES)
+    assert rises == (EXPIRY_TIMEWARP_RISES if part == "corpus" else set())
+    assert views == set()
+
+
+def test_hard_fail_never_accepts_what_soft_fail_refuses_when_the_service_is_down(
+    lattice_inputs,
+):
+    """With the status service stopped, soft fail skips the revocation check
+    and hard fail fails it, so the step from soft to hard fail never raises
+    the verdict, at any setting of the offline knobs."""
+    service = run_status_service(lattice_inputs[0][3])
+    service.stop()
+    inputs = [
+        (label, data, replace(policy, status_endpoint=service.endpoint))
+        for label, data, policy, _ in lattice_inputs
+    ]
+    with Budget(2.0):
+        rises, views = walk_lattice(inputs, {
+            **offline_steps(inputs[0][2]), "revocation_mode": STATUS_STEPS[1:],
+        })
+    assert {knob for knob, _ in rises} <= set(LATTICE_TRADES)
+    assert rises == EXPIRY_TIMEWARP_RISES
     assert views == set()
 
 

@@ -6,6 +6,8 @@ import dataclasses
 import hashlib
 import mmap
 import pickle
+import random
+import tempfile
 import tracemalloc
 
 import pytest
@@ -525,7 +527,7 @@ def test_long_and_mapped_spans_hash_as_short_ones_do(tmp_path):
                 manifest = asset.find_manifest().range
                 for cut in (ByteRange(manifest.end + 10, 3000), ByteRange(manifest.end, 9000)):
                     exclusions = [manifest, cut]
-                    digest = compute_hard_binding(asset, exclusions).digest
+                    digest = compute_hard_binding(asset, exclusions)
                     assert digest == oracle_digest(asset.data, exclusions)
                 del asset  # the mapping cannot close while an asset reads it
 
@@ -550,10 +552,7 @@ def test_hard_binding_matches_oracle():
     manifest_segment = asset.find_manifest()
     gps = asset.find_label("meta.gps")
     exclusions = [manifest_segment.range, gps.range]
-    binding = compute_hard_binding(asset, exclusions)
-    assert binding.digest == oracle_digest(asset.data, exclusions)
-    assert binding.algorithm == "sha-256"
-    assert binding.exclusions == tuple(sorted(exclusions))
+    assert compute_hard_binding(asset, exclusions) == oracle_digest(asset.data, exclusions)
 
 
 @given(st.data())
@@ -572,37 +571,54 @@ def test_hard_binding_matches_oracle_random(data):
     for segment in asset.segments:
         if segment.kind != SegmentKind.MANIFEST and data.draw(st.booleans()):
             exclusions.append(segment.range)
-    binding = compute_hard_binding(asset, exclusions)
-    assert binding.digest == oracle_digest(asset.data, exclusions)
+    assert compute_hard_binding(asset, exclusions) == oracle_digest(asset.data, exclusions)
 
 
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_parsed_hard_binding_matches_oracle_across_segments(data):
     """Exclusions that start and end anywhere, straddling segment
-    boundaries, hash the same in place as the oracle over the content."""
+    boundaries or meeting one another, hash the same in place as the oracle
+    over the content, whether the wire is ``bytes`` or a mapping.  One
+    payload may be longer than a span hashed from a slice."""
     payloads = data.draw(
         st.lists(st.binary(min_size=1, max_size=40), min_size=2, max_size=6)
     )
+    if data.draw(st.booleans()):
+        seeded = random.Random(data.draw(st.integers(0, 2**32)))
+        at = data.draw(st.integers(0, len(payloads) - 1))
+        payloads[at] = seeded.randbytes(data.draw(st.integers(4097, 9000)))
     parts = [(SegmentKind.HEADER, "header", payloads[0])]
     parts.append((SegmentKind.MANIFEST, "manifest", payloads[1]))
     for index, payload in enumerate(payloads[2:]):
         parts.append((SegmentKind.METADATA, f"m{index}", payload))
-    asset = parse_asset(serialize_asset(build_asset(parts)))
+    wire = serialize_asset(build_asset(parts))
+    manifest = parse_asset(wire).find_manifest().range
     size = sum(len(p) for p in payloads)
-    cuts = sorted(data.draw(st.sets(st.integers(0, size), max_size=8)))
+    # pairs of sorted cuts, which meet where a cut repeats
+    cuts = sorted(data.draw(st.lists(st.integers(0, size), max_size=8)))
     drawn = [(a, b) for a, b in zip(cuts[::2], cuts[1::2]) if a < b]
-    manifest = asset.find_manifest().range
-    # merge the manifest range into the drawn ranges, so it is covered
+    # the manifest range, whole or in two halves that meet
+    split = data.draw(st.integers(manifest.start, manifest.end))
+    halves = [(manifest.start, split), (split, manifest.end)]
+    # merge ranges that overlap, so the manifest is covered; ranges that
+    # only meet stay apart
     merged: list[list[int]] = []
-    for start, end in sorted(drawn + [(manifest.start, manifest.end)]):
-        if merged and start <= merged[-1][1]:
+    for start, end in sorted(drawn + [(a, b) for a, b in halves if a < b]):
+        if merged and start < merged[-1][1]:
             merged[-1][1] = max(merged[-1][1], end)
         else:
             merged.append([start, end])
     exclusions = [ByteRange(start, end - start) for start, end in merged]
-    binding = compute_hard_binding(asset, exclusions)
-    assert binding.digest == oracle_digest(asset.data, exclusions)
+    expected = oracle_digest(parse_asset(wire).data, exclusions)
+    with tempfile.TemporaryFile() as handle:
+        handle.write(wire)
+        handle.flush()
+        with mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
+            for source in (wire, mapped):
+                asset = parse_asset(source)
+                assert compute_hard_binding(asset, exclusions) == expected
+            del asset  # the mapping cannot close while an asset reads it
 
 
 def test_hard_binding_requires_manifest_coverage():
@@ -613,9 +629,9 @@ def test_hard_binding_requires_manifest_coverage():
     # the 8-byte manifest cut in two: halves that meet inside it cover it as
     # one exclusion does, and a one-byte gap between them leaves it uncovered
     manifest = asset.find_manifest().range
-    whole = compute_hard_binding(asset, [manifest, gps.range]).digest
+    whole = compute_hard_binding(asset, [manifest, gps.range])
     meeting = [ByteRange(manifest.start, 4), ByteRange(manifest.start + 4, 4), gps.range]
-    assert compute_hard_binding(asset, meeting).digest == whole
+    assert compute_hard_binding(asset, meeting) == whole
     gapped = [ByteRange(manifest.start, 4), ByteRange(manifest.start + 5, 3), gps.range]
     with pytest.raises(ProvenanceError, match="manifest segment not fully covered by exclusions"):
         compute_hard_binding(asset, gapped)
@@ -660,19 +676,19 @@ def test_hard_binding_insensitive_to_excluded_bytes():
     mutated = splice_bytes(
         asset, asset.find_label("meta.gps").range, b"-80.000000,-170.000000"
     )
-    assert compute_hard_binding(mutated, exclusions).digest == before.digest
+    assert compute_hard_binding(mutated, exclusions) == before
 
 
 def test_hard_binding_sensitive_to_any_covered_byte():
     asset = build_asset(simple_parts())
     exclusions = [asset.find_manifest().range]
-    before = compute_hard_binding(asset, exclusions).digest
+    before = compute_hard_binding(asset, exclusions)
     image = asset.find_label("image")
     for offset in range(image.range.length):
         target = ByteRange(image.range.start + offset, 1)
         flipped = bytes([asset.data[target.start] ^ 0x01])
         mutated = splice_bytes(asset, target, flipped)
-        assert compute_hard_binding(mutated, exclusions).digest != before
+        assert compute_hard_binding(mutated, exclusions) != before
 
 
 # ---------------------------------------------------------------------------

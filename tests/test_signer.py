@@ -11,6 +11,7 @@ import pytest
 
 from provlab import credentials, signer, timestamp
 from provlab.container import (
+    HardBinding,
     SegmentKind,
     build_asset,
     compute_hard_binding,
@@ -86,10 +87,10 @@ def test_binding_digest_covers_everything_but_the_manifest(lab, honest_content):
     signed = sign_asset(asset, assertions, unbound_config(lab))
     manifest = decode_manifest(extract_manifest(signed))
     recomputed = compute_hard_binding(signed, manifest.claim.binding.exclusions)
-    assert recomputed.digest == manifest.claim.binding.digest
+    assert recomputed == manifest.claim.binding.digest
     # and it equals the digest over the unsigned asset with no exclusions at
     # all, because the manifest region is the only thing skipped
-    assert manifest.claim.binding.digest == compute_hard_binding(asset, []).digest
+    assert manifest.claim.binding.digest == compute_hard_binding(asset, [])
 
 
 def test_label_exclusions_recorded_and_shifted(lab):
@@ -146,8 +147,8 @@ def test_each_bound_fixture_token_imprints_its_claim(lab):
 
 def test_each_signing_signs_the_claim_once(lab, monkeypatch):
     """Two signatures (claim, token), bound or unbound, both embedded; one
-    token, two manifest encodes (probe, result) and two claims (probe,
-    signed) per signing."""
+    token, two manifest encodes (probe, result), two claims (probe, signed)
+    and two hard bindings (probe, settled) per signing."""
     configs = {}
     for name, scenario in SCENARIOS.items():
         asset, assertions, generator = build_scenario_content(scenario, seed=11)
@@ -175,6 +176,7 @@ def test_each_signing_signs_the_claim_once(lab, monkeypatch):
         raw_post_init(claim)
 
     encode = counted("encode_manifest", credentials.encode_manifest)
+    monkeypatch.setattr(HardBinding, "__init__", counted("HardBinding", HardBinding.__init__))
     monkeypatch.setattr(credentials.Claim, "__post_init__", post_init)
     monkeypatch.setattr(SigningKey, "sign", sign)
     monkeypatch.setattr(timestamp, "issue_token", counted("issue_token", timestamp.issue_token))
@@ -186,11 +188,15 @@ def test_each_signing_signs_the_claim_once(lab, monkeypatch):
         counts.clear()
         claims.clear()
         signed = sign_asset(asset, assertions, config)
-        assert counts == {"issue_token": 1, "encode_manifest": 2}, name
+        assert counts == {"issue_token": 1, "encode_manifest": 2, "HardBinding": 2}, name
         assert len(claims) == 2, name
         claim_signature = decode_manifest(extract_manifest(signed)).claim_signature
         embedded = {claim_signature.signature, claim_signature.timestamp.tsa_signature}
         assert len(signatures) == 2 and set(signatures) == embedded, name
+
+
+# sha256 over the 44 wires the integer-head test below signs, in its order
+HEAD_BOUNDARY_WIRES_SHA256 = "9acf63f6d1cd4ade3b1630a011c608577cb3b6650fd5eff642895cd5e5a5c0b0"
 
 
 def test_manifest_length_settles_across_integer_heads(lab):
@@ -210,10 +216,13 @@ def test_manifest_length_settles_across_integer_heads(lab):
     overhead = len(extract_manifest(sign_asset(asset, assertions, named))) - 256
     near = 65_520 - overhead - 8
     ranges, gps_starts = [], []
+    wires = hashlib.sha256()
     for name_length in [*range(250, 262), *range(near, near + 32)]:
         named = replace(config, generator_name="g" * name_length)
         signed = sign_asset(asset, assertions, named)
-        assert serialize_asset(sign_asset(asset, assertions, named)) == serialize_asset(signed)
+        wire = serialize_asset(signed)
+        assert serialize_asset(sign_asset(asset, assertions, named)) == wire
+        wires.update(wire)
         manifest_segment = signed.find_manifest()
         gps_segment = signed.find_label("meta.gps")
         claim = decode_manifest(extract_manifest(signed)).claim
@@ -223,6 +232,22 @@ def test_manifest_length_settles_across_integer_heads(lab):
         gps_starts.append(gps_segment.range.start)
     assert {length >= 65_536 for length in ranges} == {False, True}
     assert {start >= 65_536 for start in gps_starts} == {False, True}
+    assert wires.hexdigest() == HEAD_BOUNDARY_WIRES_SHA256
+
+
+# sha256 over the wire of each scenario's content for seeds 0-39 (seed-major,
+# scenarios in ``SCENARIOS`` order), signed in the seed-11 workspace
+SCENARIO_WIRES_SHA256 = "22f8172b7bc6cb73d15b1910c4b2878d94fd779cc40b4bec1a888a5afacc2ce5"
+
+
+def test_small_signings_keep_their_bytes(lab):
+    wires = hashlib.sha256()
+    for seed in range(40):
+        for scenario in SCENARIOS.values():
+            asset, assertions, generator = build_scenario_content(scenario, seed)
+            signed = sign_asset(asset, assertions, scenario_signer(lab, scenario, generator))
+            wires.update(serialize_asset(signed))
+    assert wires.hexdigest() == SCENARIO_WIRES_SHA256
 
 
 def test_bound_mode_adds_created_assertion(lab, honest_content):
@@ -407,3 +432,24 @@ def test_a_large_signing_raises_what_its_worker_raised(lab, monkeypatch):
     with pytest.raises(ProvenanceError, match="hashing failed"):
         sign_asset(asset, assertions, config)
     assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("image_bytes", [512, 2 << 20])
+def test_a_repeated_exclude_label_is_refused_by_name_before_any_hashing(
+    lab, monkeypatch, image_bytes
+):
+    """A label excluded twice is refused as such, a small signing and a
+    large one alike, before the asset is hashed or a worker started."""
+    asset, assertions, generator = grown_content("gps-excluded", image_bytes)
+    config = replace(
+        scenario_signer(lab, SCENARIOS["gps-excluded"], generator),
+        exclude_labels=("meta.gps", "meta.gps"),
+    )
+    hashed = []
+    monkeypatch.setattr(signer, "compute_hard_binding", lambda *args: hashed.append(args))
+    threads = threading.active_count()
+    with pytest.raises(ProvenanceError) as refused:
+        sign_asset(asset, assertions, config)
+    assert type(refused.value) is ProvenanceError
+    assert str(refused.value) == "segment label 'meta.gps' excluded more than once"
+    assert hashed == [] and threading.active_count() == threads
