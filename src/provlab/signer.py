@@ -24,12 +24,12 @@
    region is excluded either way) and its size is fixed, so a large asset
    settles the length on a zeroed stand-in digest.  Integer heads only
    grow, so the length settles within a few rounds;
-3. for a large asset only: one worker thread computes the hard binding
-   while this thread writes the signed wire, with a zeroed manifest of the
-   settled length in its slot, into one buffer
-   (``container.reserve_manifest``).  The worker is joined whatever happens,
-   and the settled binding takes its digest.  Both passes read every content
-   byte and share nothing else, and ``hashlib`` hashes without the GIL;
+3. for a large asset only: a one-worker ``ThreadPoolExecutor`` hashes the
+   binding while this thread writes the signed wire, with a zeroed manifest
+   of the settled length in its slot, into one buffer
+   (``container.reserve_manifest``); the settled binding takes its digest.
+   Leaving the executor joins the worker whatever happens.  Both passes read
+   every content byte and share nothing else, and ``hashlib`` drops the GIL;
 4. sign the settled claim once (``credentials.claim_payload``).  An
    ``UNBOUND`` token is fetched afterwards over the signature digest and
    merely attached.  A ``BOUND`` token is fetched first over the claim digest
@@ -46,9 +46,7 @@ configuration the validator and attack toolkit care about.
 from __future__ import annotations
 
 import random
-import threading
 from dataclasses import dataclass
-from typing import Callable
 
 from .container import (
     Asset,
@@ -84,9 +82,9 @@ CLAIM_SPEC_VERSION = "1.0"
 CREATED_LABEL = "std.created"
 
 # From this logical size on, the signed wire is written while a worker thread
-# hashes the asset.  Below it, a thread's start and join and a zeroing pass
-# over the buffer cost more than the copy the overlap hides (README, "Signing
-# cost", gives the measured crossover).
+# hashes the asset.  Below it, the executor's start, submit and shutdown and a
+# zeroing pass over the buffer cost more than the copy the overlap hides
+# (README, "Signing cost", gives the measured crossover).
 CONCURRENT_BINDING_BYTES = 2 << 20
 
 
@@ -110,32 +108,6 @@ def _build_claim_signature(claim_bytes: bytes, config: SignerConfig) -> ClaimSig
     if not bound:
         token = config.tsa.issue(digest(signature))
     return ClaimSignature(config.chain, signature, token, mode)
-
-
-def _lay_out_while_hashing(
-    asset: Asset, exclusions: list[ByteRange], manifest_length: int
-) -> tuple[Callable[[bytes], Asset], bytes]:
-    """Step 3: the ``fill`` of the wire this thread writes for ``asset``
-    (``container.reserve_manifest``) and the hard binding digest, which one
-    worker thread computes meanwhile.  The worker is joined before this
-    returns or raises, and what it raises is raised here."""
-    outcome: list = []
-
-    def hash_asset() -> None:
-        try:
-            outcome.append(compute_hard_binding(asset, exclusions))
-        except BaseException as exc:  # handed to the signing thread
-            outcome.append(exc)
-
-    worker = threading.Thread(target=hash_asset, name="provlab-hard-binding")
-    worker.start()
-    try:
-        fill = reserve_manifest(asset, manifest_length)
-    finally:
-        worker.join()
-    if isinstance(outcome[0], BaseException):
-        raise outcome[0]
-    return fill, outcome[0]
 
 
 def sign_asset(
@@ -225,7 +197,13 @@ def sign_asset(
     else:
         raise RuntimeError("manifest size did not converge")
     if concurrent:
-        fill, binding_digest = _lay_out_while_hashing(asset, label_ranges, manifest_length)
+        from concurrent.futures import ThreadPoolExecutor
+
+        # the block joins the worker even if ``reserve_manifest`` raises
+        with ThreadPoolExecutor(1, "provlab-hard-binding") as worker:
+            hashing = worker.submit(compute_hard_binding, asset, label_ranges)
+            fill = reserve_manifest(asset, manifest_length)
+        binding_digest = hashing.result()
         binding = binding_for(manifest_length)
     claim = claim_around(binding)
     manifest = Manifest(claim, ordered, _build_claim_signature(encode_record(claim), config))

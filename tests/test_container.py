@@ -27,6 +27,7 @@ from provlab.container import (
     manifest_insert_offset,
     parse_asset,
     replace_manifest,
+    reserve_manifest,
     serialize_asset,
     splice_bytes,
     strip_manifest,
@@ -720,6 +721,16 @@ def test_manifest_inserted_after_header():
     kinds = [segment.kind for segment in embedded.segments]
     assert kinds[0] == SegmentKind.HEADER
     assert kinds[1] == SegmentKind.MANIFEST
+
+
+def test_a_reserved_slot_takes_a_manifest_of_its_length_only():
+    bare = build_asset(simple_parts(manifest=None))
+    fill = reserve_manifest(bare, 10)
+    with pytest.raises(ValueError) as refused:
+        fill(bytes(11))
+    assert str(refused.value) == "manifest is 11 bytes, not 10"
+    manifest = b"0123456789"
+    assert serialize_asset(fill(manifest)) == serialize_asset(embed_manifest(bare, manifest))
 
 
 def test_replace_manifest_shifts_following_segments():

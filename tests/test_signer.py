@@ -26,6 +26,7 @@ from provlab.errors import ProvenanceError
 from provlab.records import encode_record
 from provlab.signer import (
     CONCURRENT_BINDING_BYTES,
+    DEFAULT_VALIDATION_TIME,
     SCENARIOS,
     SignerConfig,
     build_scenario_content,
@@ -34,7 +35,7 @@ from provlab.signer import (
     scenario_signer,
     sign_asset,
 )
-from provlab.validator import Verdict, spec_policy, validate
+from provlab.validator import Verdict, hardened_policy, spec_policy, validate
 from provlab.workspace import DAY, T0, YEAR, Workspace
 
 
@@ -383,6 +384,33 @@ def test_a_large_signing_writes_the_bytes_of_the_one_thread_layout(lab, name):
     assert rebuilt.wire is None and serialize_asset(rebuilt) == wire
 
 
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_a_headerless_asset_signs_with_its_manifest_first(lab, name):
+    """Without a leading header the manifest goes first, in the zero-copy
+    layout and in the one written beside the hashing alike, and the signed
+    asset gets its scenario's verdicts."""
+    scenario = SCENARIOS[name]
+    policies = {
+        "spec": spec_policy(lab.trust, DEFAULT_VALIDATION_TIME),
+        "hardened": hardened_policy(
+            lab.trust, DEFAULT_VALIDATION_TIME, crl=lab.signing.generate_crl()
+        ),
+    }
+    small, large = build_scenario_content(scenario, seed=1), grown_content(name, 3 << 20)
+    for asset, assertions, generator in (small, large):
+        headerless = build_asset(
+            [(s.kind, s.label, asset.payload(s)) for s in asset.segments[1:]]
+        )
+        signed = sign_asset(headerless, assertions, scenario_signer(lab, scenario, generator))
+        assert signed.segments[0].kind == SegmentKind.MANIFEST
+        wire = serialize_asset(signed)
+        assert (wire is signed.wire) == (asset.size >= CONCURRENT_BINDING_BYTES)
+        rebuilt = embed_manifest(strip_manifest(signed), extract_manifest(signed))
+        assert serialize_asset(rebuilt) == wire
+        verdicts = {preset: validate(wire, policy).verdict for preset, policy in policies.items()}
+        assert verdicts == scenario.expected
+
+
 def test_a_large_signing_holds_one_wire_and_leaves_no_thread(lab, monkeypatch):
     """A 16 MiB signing allocates one wire, no more than a join of it would;
     its binding is hashed on a worker thread that is gone when the signing
@@ -432,6 +460,30 @@ def test_a_large_signing_raises_what_its_worker_raised(lab, monkeypatch):
     with pytest.raises(ProvenanceError, match="hashing failed"):
         sign_asset(asset, assertions, config)
     assert threading.active_count() == threads
+
+
+def test_a_signing_below_the_threshold_hashes_on_the_calling_thread(lab, monkeypatch):
+    """One logical byte short of the threshold, the binding is hashed on
+    the calling thread, no worker starts, and the zero-copy layout is used."""
+    around_image = grown_content("gps-excluded", 1)[0].size - 1
+    asset, assertions, generator = grown_content(
+        "gps-excluded", CONCURRENT_BINDING_BYTES - 1 - around_image
+    )
+    assert asset.size == CONCURRENT_BINDING_BYTES - 1
+    hashed_on = []
+    raw_binding = signer.compute_hard_binding
+
+    def binding(*args):
+        hashed_on.append(threading.current_thread())
+        return raw_binding(*args)
+
+    monkeypatch.setattr(signer, "compute_hard_binding", binding)
+    threads = threading.active_count()
+    config = scenario_signer(lab, SCENARIOS["gps-excluded"], generator)
+    signed = sign_asset(asset, assertions, config)
+    assert hashed_on == [threading.current_thread()]
+    assert threading.active_count() == threads
+    assert signed.wire is None
 
 
 @pytest.mark.parametrize("image_bytes", [512, 2 << 20])

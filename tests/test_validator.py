@@ -176,6 +176,33 @@ def test_a_zero_length_segment_fails_the_parse_check(lab):
     assert (parse.outcome, parse.detail) == (CheckOutcome.FAIL, "empty segment payload")
 
 
+def test_a_check_that_crashes_fails_by_the_catch_all(
+    corpus, corpus_entry, entry_bytes, monkeypatch
+):
+    """An exception inside a check fails that check alone: the report keeps
+    all eleven checks, every other one with its usual outcome, and renders."""
+    entry = corpus_entry("bound-timestamp")
+    data = entry_bytes(entry)
+    policy = entry_policies(corpus["workspace"], entry, corpus["crl"])["hardened"]
+    usual = validate(data, policy)
+
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(validator, "compute_hard_binding", boom)
+    report = validate(data, policy)
+    assert tuple(r.name for r in report.checks) == REPORTED_CHECKS
+    crashed = CheckResult("hard-binding", CheckOutcome.FAIL, "unexpected failure: boom")
+    for result, before in zip(report.checks, usual.checks):
+        assert result == (crashed if result.name == "hard-binding" else before)
+    assert usual.verdict == Verdict.ACCEPTED
+    assert report.verdict == Verdict.REJECTED and exit_code_for(report) == 2
+    assert not report.malformed
+    assert report.goals["G2"] == report.goals["G5"] == GoalStatus.VIOLATED
+    assert "hard-binding       FAIL     unexpected failure: boom" in render_report(report)
+    assert report_from_json(report_to_json(report)) == report
+
+
 def test_an_unknown_report_format_is_refused(lab, fixtures):
     report = validate(b(fixtures["honest"]), spec_at(lab))
     with pytest.raises(ValueError) as refused:

@@ -9,10 +9,11 @@ end-to-end metrics) and once traced (the per-layer metrics), one run at a
 time, from the checkout given (by default the one holding this script).  The
 checkout must be a git commit with no uncommitted change to a tracked file,
 so the commit the file names is the code it measured.  The file records
-every run's last output line, the medians over seeds of each metric, the
-commit, the line count of its ``src/provlab`` files, and the Python,
-``cryptography`` and machine it ran on.  A perf claim compares two such
-files.
+every run's last output line, the median over seeds of each metric and its
+minimum and maximum, the commit, the line count of its ``src/provlab``
+files, and the Python, ``cryptography`` and machine it ran on.  A perf claim
+compares two such files; a metric whose medians differ by less than either
+file's spread (maximum minus minimum) is unresolved between them.
 """
 
 from __future__ import annotations
@@ -41,17 +42,23 @@ def run_perfbench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def medians(runs: list[dict]) -> dict:
-    """Per workload and trace setting, the median over seeds of each metric."""
+def summarize(runs: list[dict]) -> tuple[dict, dict]:
+    """Per workload and trace setting, the median over seeds of each metric,
+    and its ``[minimum, maximum]`` over seeds."""
     values: dict[str, dict[str, list[float]]] = {}
     for run in runs:
         key = f"{run['workload']}/trace{run['trace']}"
         for name, metric in run["result"]["metrics"].items():
             values.setdefault(key, {}).setdefault(name, []).append(metric["value"])
-    return {
+    medians = {
         key: {name: statistics.median(series) for name, series in metrics.items()}
         for key, metrics in values.items()
     }
+    ranges = {
+        key: {name: [min(series), max(series)] for name, series in metrics.items()}
+        for key, metrics in values.items()
+    }
+    return medians, ranges
 
 
 def commit_of(checkout: Path) -> str | None:
@@ -105,6 +112,7 @@ def main(argv=None) -> int:
                     f"failed {result['failed']} of {result['attempted']}",
                     file=sys.stderr,
                 )
+    medians, ranges = summarize(runs)
     snapshot = {
         "commit": commit,
         "src_lines": src_lines(checkout),
@@ -117,7 +125,8 @@ def main(argv=None) -> int:
             "cpu": cpu_model(),
             "cpu_count": os.cpu_count(),
         },
-        "medians": medians(runs),
+        "medians": medians,
+        "ranges": ranges,
         "runs": runs,
     }
     args.output.write_text(json.dumps(snapshot, indent=1, sort_keys=True) + "\n")
