@@ -2,7 +2,7 @@
 
 ``validate`` accepts arbitrary bytes and always returns a report, never an
 exception.  The checks are the rows of one ordered table, ``_CHECKS``, of
-``(name, gate, check)``: a gate returns a SKIPPED detail when its check
+``(name, gate, check, kept)``: a gate returns a SKIPPED detail when its check
 cannot or need not run, a check returns ``(outcome, detail)``, and a check
 that raises becomes FAIL "unexpected failure: ...".  The walk over the table
 records each result, outcome and failure as its check runs.  Every report lists
@@ -11,6 +11,14 @@ all eleven checks in this order, so two reports compare check-by-check:
     parse, manifest-decode, spec-version, assertion-digests, hard-binding,
     exclusion-audit, chain, signature, revocation, timestamp,
     redaction-audit
+
+A ``kept`` row reads only the decoded manifest and the policy.  The record
+tables hand back one ``Manifest`` for the same bytes, so a walk that decoded
+one keeps its judgement on it: the policy, the results and what the kept
+rows found.  A later walk over that manifest under the same policy (``is``
+or ``==``) replays the kept rows' results and runs only the rest: the parse,
+the decode and the two checks that read the asset, and revocation, which
+may ask a live status service.
 
 The policy decides severity, not the evidence: the same asset can be
 ACCEPTED under one knob setting and REJECTED under another.  Expiry is the
@@ -227,6 +235,8 @@ def exit_code_for(report: ValidationReport) -> int:
 # ---------------------------------------------------------------------------
 
 _UNVERIFIABLE_CHECKS = frozenset({"parse", "manifest-decode"})
+# the attribute that holds a decoded manifest's last judgement (see ``validate``)
+_JUDGED = "_judged"
 
 
 class _Run:
@@ -245,6 +255,7 @@ class _Run:
         self.chain_expired = False
         self.malformed = False
         self.displayed = DisplayedTime(None, TimeProvenance.ABSENT)
+        self.replay: tuple[CheckResult, ...] | None = None  # a kept judgement's results
 
     @cached_property
     def vouched_records(self) -> list[Redaction]:
@@ -335,7 +346,17 @@ def _check_manifest_decode(run: _Run) -> _Result:
         run.malformed = True
         return CheckOutcome.FAIL, f"undecodable manifest: {exc}"
     run.claim_bytes = encode_record(run.manifest.claim)
+    judged = getattr(run.manifest, _JUDGED, None)
+    if judged is not None and _same_policy(judged[0], run.policy):
+        _, run.replay, run.tombstones, run.chain_expired, run.displayed = judged
     return CheckOutcome.PASS, ""
+
+
+def _same_policy(kept: ValidationPolicy, policy: ValidationPolicy) -> bool:
+    # equal times of two types (1 and 1.0) read the same but print differently
+    return kept is policy or (
+        kept == policy and type(kept.validation_time) is type(policy.validation_time)
+    )
 
 
 def _check_spec_version(run: _Run) -> _Result:
@@ -574,20 +595,23 @@ def _check_redaction_audit(run: _Run) -> _Result:
     return CheckOutcome.PASS, f"{len(tombstones)} countersigned redaction(s)"
 
 
-# The one ordered table of checks: (name, gate, check).  A report lists every
-# row in this order; a gate that returns a detail marks its check SKIPPED.
+# The one ordered table of checks: (name, gate, check, kept).  A report lists
+# every row in this order; a gate that returns a detail marks its check
+# SKIPPED.  A kept row's gate and check read only the decoded manifest, the
+# policy and what earlier kept rows found, so its result is kept with the
+# manifest and replayed under the same policy.
 _CHECKS = (
-    ("parse", None, _check_parse),
-    ("manifest-decode", _needs_asset, _check_manifest_decode),
-    ("spec-version", _needs_manifest, _check_spec_version),
-    ("assertion-digests", _needs_manifest, _check_assertion_digests),
-    ("hard-binding", _needs_manifest, _check_hard_binding),
-    ("exclusion-audit", _exclusion_audit_gate, _check_exclusion_audit),
-    ("chain", _needs_manifest, _check_chain),
-    ("signature", _needs_manifest, _check_signature),
-    ("revocation", _revocation_gate, _check_revocation),
-    ("timestamp", _needs_manifest, _check_timestamp),
-    ("redaction-audit", _needs_manifest, _check_redaction_audit),
+    ("parse", None, _check_parse, False),
+    ("manifest-decode", _needs_asset, _check_manifest_decode, False),
+    ("spec-version", _needs_manifest, _check_spec_version, True),
+    ("assertion-digests", _needs_manifest, _check_assertion_digests, True),
+    ("hard-binding", _needs_manifest, _check_hard_binding, False),
+    ("exclusion-audit", _exclusion_audit_gate, _check_exclusion_audit, False),
+    ("chain", _needs_manifest, _check_chain, True),
+    ("signature", _needs_manifest, _check_signature, True),
+    ("revocation", _revocation_gate, _check_revocation, False),
+    ("timestamp", _needs_manifest, _check_timestamp, True),
+    ("redaction-audit", _needs_manifest, _check_redaction_audit, True),
 )
 
 def _collect_metadata(run: _Run) -> tuple[MetadataItem, ...]:
@@ -654,27 +678,42 @@ def _derive_goals(
 def validate(data: Buffer, policy: ValidationPolicy) -> ValidationReport:
     """Validate raw asset bytes, or a read-only mapping of them, under
     ``policy``; total, never raises.  The report keeps no reference to
-    ``data``, so a mapping may close once this returns."""
+    ``data``, so a mapping may close once this returns.
+
+    A walk that decoded a manifest and replayed nothing keeps its judgement
+    on it unless a check crashed (the fault may not recur): one store of an
+    immutable tuple, so concurrent callers each see one whole judgement.  It
+    lives as long as the record does, so the Manifest table's bound bounds it too."""
     run = _Run(data, policy)
     results, failures = [], set()
     fail, skipped = CheckOutcome.FAIL, CheckOutcome.SKIPPED
-    for name, gate, check in _CHECKS:
-        detail = gate(run) if gate is not None else None
-        if detail is not None:
-            outcome = skipped
+    crashed = False
+    for name, gate, check, kept in _CHECKS:
+        if kept and run.replay is not None:
+            result = run.replay[len(results)]  # this row's kept result
+            outcome = result.outcome
         else:
-            try:
-                outcome, detail = check(run)
-            except Exception as exc:  # a check may never crash the report
-                outcome, detail = fail, f"unexpected failure: {exc}"
-            if outcome is fail:
-                failures.add(name)
-        # stored as the frozen constructor stores them, without its three setattr calls
-        result = object.__new__(CheckResult)
-        fields = result.__dict__
-        fields["name"], fields["outcome"], fields["detail"] = name, outcome, detail
+            detail = gate(run) if gate is not None else None
+            if detail is not None:
+                outcome = skipped
+            else:
+                try:
+                    outcome, detail = check(run)
+                except Exception as exc:  # a check may never crash the report
+                    outcome, detail = fail, f"unexpected failure: {exc}"
+                    crashed = True
+            # stored as the frozen constructor stores them, without its three setattr calls
+            result = object.__new__(CheckResult)
+            fields = result.__dict__
+            fields["name"], fields["outcome"], fields["detail"] = name, outcome, detail
+        if outcome is fail:
+            failures.add(name)
         results.append(result)
         run.outcomes[name] = outcome
+    checks = tuple(results)
+    if run.manifest is not None and run.replay is None and not crashed:
+        judged = policy, checks, run.tombstones, run.chain_expired, run.displayed
+        object.__setattr__(run.manifest, _JUDGED, judged)
 
     rejecting = failures - _UNVERIFIABLE_CHECKS - ({"chain"} if run.chain_expired else set())
     if rejecting:
@@ -691,7 +730,7 @@ def validate(data: Buffer, policy: ValidationPolicy) -> ValidationReport:
         policy=policy.name,
         validation_time=policy.validation_time,
         verdict=verdict,
-        checks=tuple(results),
+        checks=checks,
         goals=_derive_goals(run.outcomes, run.displayed, policy.file_integrity),
         displayed_time=run.displayed,
         generator=claim.generator if claim else None,
