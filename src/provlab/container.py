@@ -121,15 +121,6 @@ def _payload_view(segment: Segment) -> memoryview:
     return memoryview(segment.buffer)[segment.offset : segment.offset + segment.range.length]
 
 
-@dataclass(frozen=True)
-class HardBinding:
-    """Digest over the logical bytes outside ``exclusions``."""
-
-    algorithm: str
-    exclusions: tuple[ByteRange, ...]
-    digest: bytes
-
-
 @dataclass(frozen=True, eq=False)
 class Asset:
     """Segments over backing buffers; equal assets have equal segments and
@@ -347,7 +338,7 @@ def compute_hard_binding(
     asset: Asset, exclusions: tuple[ByteRange, ...] | list[ByteRange]
 ) -> bytes:
     """The SHA-256 digest of every logical byte outside ``exclusions``, in
-    offset order: the digest a :class:`HardBinding` over them records.
+    offset order: the digest a :class:`~.credentials.HardBinding` over them records.
 
     No kept byte may fall inside a manifest segment: the manifest cannot hash
     itself.  One walk over the segment table beside the sorted exclusions

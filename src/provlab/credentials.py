@@ -28,10 +28,10 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 
-from .container import HardBinding
+from .container import ByteRange
 from .crypto import digest
 from .errors import ProvenanceError
-from .records import decode_record, encode_record, signed_bytes
+from .records import decode_record, encode_record, sign_record
 from .timestamp import TimestampToken
 from .trust import Certificate, Identity
 
@@ -66,6 +66,15 @@ class Assertion:
                 raise ValueError(
                     f"assertion payload value for {key!r} must be a scalar"
                 )
+
+
+@dataclass(frozen=True)
+class HardBinding:
+    """Digest over the logical bytes outside ``exclusions``."""
+
+    algorithm: str
+    exclusions: tuple[ByteRange, ...]
+    digest: bytes
 
 
 @dataclass(frozen=True)
@@ -176,7 +185,7 @@ def redact_assertion(
     if redactor is None:
         return replace(manifest, assertions=remaining)
     unsigned = Redaction(label, manifest.claim.digest_for(label), redactor.chain, b"")
-    redaction = replace(unsigned, signature=redactor.key.sign(signed_bytes(unsigned)))
+    redaction = sign_record(unsigned, redactor.key)
     return replace(
         manifest,
         assertions=remaining,

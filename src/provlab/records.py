@@ -78,11 +78,11 @@ Each signed record class names the fields its signature leaves out in a
 class constant ``UNSIGNED`` (a plain attribute, not a field, so no byte
 moves): a certificate its issuer signature, a revocation list its
 signature, a status response its responder signature, a timestamp token or
-a redaction its chain and signature.  ``signed_bytes`` writes a record
-without those fields.  It stores no whole bytes; on a record that holds
-them it keeps its signed bytes, under one attribute, written once.
-``signed_bytes_for`` writes the same bytes from the signed fields' values,
-so a signer builds the signed record once, with its signature.
+a redaction its chain and signature.  The last of them is the signature.
+``signed_bytes`` writes a record without those fields.  It stores no whole
+bytes; on a record that holds them it keeps its signed bytes, under one
+attribute, written once.  ``sign_record`` signs such a record and
+``verify_record`` checks its signature.
 """
 
 from __future__ import annotations
@@ -96,6 +96,7 @@ from enum import Enum
 from typing import Any, Callable
 
 from .container import ByteRange
+from .crypto import SigningKey, verify_once
 from .encoding import (
     Value, array_head, decode_value, encode_value, map_head, read_array_head,
     read_value, write_value,
@@ -159,10 +160,17 @@ def signed_bytes(record: Any) -> bytes:
     return signed
 
 
-def signed_bytes_for(cls: type, **fields: Any) -> bytes:
-    """``signed_bytes`` of the ``cls`` record that holds ``fields``, before it
-    is built: ``fields`` name each field its class does not list in ``UNSIGNED``."""
-    return _written(cls, types.SimpleNamespace(**fields), cls.UNSIGNED)
+def sign_record(unsigned: Any, key: SigningKey) -> Any:
+    """``unsigned`` with its signature, the last field its class names in
+    ``UNSIGNED``, set to ``key``'s signature over its ``signed_bytes``."""
+    field = type(unsigned).UNSIGNED[-1]
+    return dataclasses.replace(unsigned, **{field: key.sign(signed_bytes(unsigned))})
+
+
+def verify_record(record: Any, public_key: bytes) -> bool:
+    """Whether ``record``'s signature verifies under ``public_key`` over its ``signed_bytes``."""
+    signature = getattr(record, type(record).UNSIGNED[-1])
+    return verify_once(public_key, signed_bytes(record), signature)
 
 
 def _written(cls: type, record: Any, omit: tuple[str, ...]) -> bytes:

@@ -51,7 +51,6 @@ from dataclasses import dataclass
 from .container import (
     Asset,
     ByteRange,
-    HardBinding,
     SegmentKind,
     build_asset,
     compute_hard_binding,
@@ -64,6 +63,7 @@ from .credentials import (
     BindingMode,
     Claim,
     ClaimSignature,
+    HardBinding,
     Manifest,
     claim_payload,
     digest_assertion,

@@ -9,7 +9,7 @@ of request/response exchanges:
   :class:`~.trust.StatusResponse`, serial included.
 
 The responder signs the record minus its signature (see
-:func:`.trust.verify_status_response`), so a response names the serial it
+:func:`.records.verify_record`), so a response names the serial it
 answers and cannot be replayed for another.  The server answers every whole
 frame a connection sends, in order.  Any other request payload, a bad
 length or an EOF mid-frame counts in ``refused`` and closes the connection
@@ -53,8 +53,8 @@ import time
 
 from .encoding import decode_value, encode_value
 from .errors import DecodeError, ProvenanceError, ServiceUnreachable
-from .records import decode_record, encode_record
-from .trust import Authority, Certificate, StatusResponse, verify_status_response
+from .records import decode_record, encode_record, verify_record
+from .trust import Authority, Certificate, StatusResponse
 
 _MAX_FRAME = 4096
 
@@ -276,7 +276,7 @@ def query_status(
         except OSError as exc:
             raise ServiceUnreachable(f"status service unreachable: {exc}") from exc
         response = decode_response(payload, serial)
-        if not verify_status_response(response, responder_cert):
+        if not verify_record(response, responder_cert.public_key):
             raise ServiceUnreachable("status response signature does not verify")
     except BaseException:
         if sock is not None:

@@ -18,9 +18,9 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .container import Asset, extract_manifest, replace_manifest
-from .crypto import DIGEST_SIZE, SigningKey, digest, verify_once
+from .crypto import DIGEST_SIZE, SigningKey, digest
 from .errors import ProvenanceError
-from .records import signed_bytes, signed_bytes_for
+from .records import sign_record, verify_record
 from .trust import Certificate, ChainStatus, TrustList, Usage, verify_chain
 
 
@@ -57,8 +57,7 @@ def issue_token(
         raise ProvenanceError("TSA key does not match the leaf certificate")
     if not leaf.in_window(clock):
         raise ProvenanceError(f"TSA certificate outside validity window at {clock}")
-    payload = signed_bytes_for(TimestampToken, message_digest=message_digest, gen_time=clock)
-    return TimestampToken(message_digest, clock, tuple(tsa_chain), tsa_key.sign(payload))
+    return sign_record(TimestampToken(message_digest, clock, tuple(tsa_chain), b""), tsa_key)
 
 
 class TokenStatus(str, Enum):
@@ -92,7 +91,7 @@ def verify_token(
     if not token.tsa_chain:
         return TokenVerdict(TokenStatus.UNTRUSTED_TSA, "empty TSA chain")
     leaf = token.tsa_chain[0]
-    if not verify_once(leaf.public_key, signed_bytes(token), token.tsa_signature):
+    if not verify_record(token, leaf.public_key):
         return TokenVerdict(TokenStatus.BAD_TOKEN_SIGNATURE, "TSA signature invalid")
     if token.message_digest != expected_digest:
         return TokenVerdict(TokenStatus.DIGEST_MISMATCH, "token covers a different digest")

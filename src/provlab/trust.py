@@ -14,12 +14,12 @@ Both channels must always agree; the validator chooses which one to consult.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .crypto import SigningKey, verify_once
 from .errors import ProvenanceError
-from .records import decode_record, signed_bytes
+from .records import decode_record, sign_record, signed_bytes, verify_record
 
 
 class Usage(str, Enum):
@@ -95,8 +95,7 @@ def issue_certificate(
             raise ProvenanceError(
                 "template validity window escapes the issuer's window"
             )
-    signature = issuer_key.sign(certificate_template_bytes(template))
-    return replace(template, issuer_signature=signature)
+    return sign_record(template, issuer_key)
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +186,7 @@ class RevocationList:
 
 
 def verify_crl(crl: RevocationList, issuer_cert: Certificate) -> bool:
-    if issuer_cert.subject != crl.issuer:
-        return False
-    return verify_once(issuer_cert.public_key, signed_bytes(crl), crl.signature)
+    return issuer_cert.subject == crl.issuer and verify_record(crl, issuer_cert.public_key)
 
 
 def decode_revocation_list(data: bytes) -> RevocationList:
@@ -207,12 +204,6 @@ class StatusResponse:
     revoked_at: int | None
     produced_at: int
     responder_signature: bytes
-
-
-def verify_status_response(response: StatusResponse, responder_cert: Certificate) -> bool:
-    return verify_once(
-        responder_cert.public_key, signed_bytes(response), response.responder_signature
-    )
 
 
 class Authority:
@@ -248,8 +239,8 @@ class Authority:
         self.revoked[serial] = revoked_at
 
     def generate_crl(self) -> RevocationList:
-        unsigned = RevocationList(self.name, self.clock, tuple(sorted(self.revoked.items())), b"")
-        return replace(unsigned, signature=self.key.sign(signed_bytes(unsigned)))
+        entries = tuple(sorted(self.revoked.items()))
+        return sign_record(RevocationList(self.name, self.clock, entries, b""), self.key)
 
     def status_for(self, serial: int) -> StatusResponse:
         """Sign each distinct status once (Ed25519 is deterministic) and serve
@@ -266,8 +257,7 @@ class Authority:
         live = (status, revoked_at, self.clock)
         if stored is not None and (stored.status, stored.revoked_at, stored.produced_at) == live:
             return stored
-        unsigned = StatusResponse(serial, *live, b"")
-        signed = replace(unsigned, responder_signature=self.key.sign(signed_bytes(unsigned)))
+        signed = sign_record(StatusResponse(serial, *live, b""), self.key)
         if status is not CertStatus.UNKNOWN:
             self._signed[serial] = signed
         return signed

@@ -58,7 +58,7 @@ from .credentials import (
 )
 from .crypto import digest, verify_once
 from .errors import ProvenanceError, ServiceUnreachable
-from .records import encode_record, record_from_value, record_value, signed_bytes
+from .records import encode_record, record_from_value, record_value, verify_record
 from .statusservice import query_status
 from .timestamp import verify_token
 from .trust import (
@@ -260,16 +260,16 @@ class _Run:
     @cached_property
     def vouched_records(self) -> list[Redaction]:
         """The redactions their own countersignatures vouch for: the leaf may
-        sign, the chain is valid at the validation time and the signature
-        verifies over its :func:`~.records.signed_bytes`.  Both audits read this one
-        list, so each countersignature is judged once."""
+        sign, the chain is valid at the validation time and
+        :func:`~.records.verify_record` holds.  Both audits read this one list,
+        so each countersignature is judged once."""
         return [
             redaction
             for redaction in self.manifest.redaction_signatures
             if (chain := redaction.signer_chain)
             and chain[0].usage == Usage.LEAF_SIGNING
             and verify_chain(chain, self.policy.trust, self.policy.validation_time).valid
-            and verify_once(chain[0].public_key, signed_bytes(redaction), redaction.signature)
+            and verify_record(redaction, chain[0].public_key)
         ]
 
 

@@ -4,12 +4,13 @@ from dataclasses import replace
 
 import pytest
 
-from provlab.container import HardBinding, ByteRange
+from provlab.container import ByteRange
 from provlab.credentials import (
     Assertion,
     BindingMode,
     Claim,
     ClaimSignature,
+    HardBinding,
     Manifest,
     claim_payload,
     decode_manifest,

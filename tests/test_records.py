@@ -13,6 +13,7 @@ import json
 import sys
 import typing
 from dataclasses import dataclass, replace
+from enum import Enum
 
 import pytest
 from reference_records import record_value as reference_record_value
@@ -21,13 +22,16 @@ from provlab import encoding
 from provlab import records as record_codec
 from provlab.container import ByteRange, extract_manifest, parse_asset, serialize_asset
 from provlab.corpus import CorpusEntry, entry_policies
-from provlab.credentials import Claim, Manifest, decode_manifest, redact_assertion
+from provlab.credentials import Claim, Manifest, Redaction, decode_manifest, redact_assertion
+from provlab.crypto import derive_signing_key
 from provlab.encoding import encode_value
 from provlab.errors import DecodeError, EncodeError
-from provlab.records import decode_record, encode_record, record_value, signed_bytes
+from provlab.records import (
+    decode_record, encode_record, record_value, sign_record, signed_bytes, verify_record,
+)
 from provlab.signer import SCENARIOS, build_scenario_content, scenario_signer, sign_asset
-from provlab.timestamp import TimestampAuthority
-from provlab.trust import CertStatus, Certificate, RevocationList, StatusResponse
+from provlab.timestamp import TimestampAuthority, TimestampToken
+from provlab.trust import CertStatus, Certificate, RevocationList, StatusResponse, Usage
 from provlab.validator import (
     REPORT_SCHEMA, ValidationReport, Verdict, report_to_json, validate,
 )
@@ -138,11 +142,39 @@ def _record_classes(*roots) -> list[type]:
     return list(found)
 
 
+def _unsigned_samples(public_key: bytes) -> list:
+    """One record of each signed class, with an empty signature."""
+    cert = Certificate(7, "root", "root", public_key, 0, 1, Usage.ROOT, b"")
+    return [
+        cert,
+        RevocationList("root", 0, ((3, 0), (5, 1)), b""),
+        TimestampToken(b"\x11" * 32, 0, (cert,), b""),
+        StatusResponse(3, CertStatus.REVOKED, 0, 1, b""),
+        Redaction("label", b"\x22" * 32, (cert,), b""),
+    ]
+
+
+def _changed(value):
+    """``value`` with one byte, digit or member changed."""
+    if isinstance(value, Enum):
+        return next(member for member in type(value) if member is not value)
+    if type(value) is bytes:
+        return bytes([value[0] ^ 1]) + value[1:]
+    if type(value) is str:
+        return value + "x"
+    if type(value) is tuple:
+        return value[1:]
+    return value + 1
+
+
 def test_each_signed_record_declares_what_its_signature_leaves_out():
     """``UNSIGNED`` is the one statement of what a signature covers: each
     signed class declares it as a plain class constant naming its own
-    fields, exactly as ``SIGNED_PAYLOAD_OMITS`` says, and no other record
-    class declares one."""
+    fields, exactly as ``SIGNED_PAYLOAD_OMITS`` says, with the signature
+    last, and no other record class declares one.  ``verify_record`` accepts
+    what ``sign_record`` signed, refuses it with one signature byte or one
+    signed field changed, and ignores a change to any other field it leaves
+    out (a chain)."""
     roots = (Manifest, StatusResponse, RevocationList, ValidationReport, CorpusEntry)
     classes = _record_classes(*roots)
     assert {cls.__name__ for cls in classes} >= set(SIGNED_PAYLOAD_OMITS) | {"Claim", "ByteRange"}
@@ -150,6 +182,24 @@ def test_each_signed_record_declares_what_its_signature_leaves_out():
         assert getattr(cls, "UNSIGNED", None) == SIGNED_PAYLOAD_OMITS.get(cls.__name__), cls
         fields = {field.name for field in dataclasses.fields(cls)}
         assert "UNSIGNED" not in fields and set(getattr(cls, "UNSIGNED", ())) < fields
+    key = derive_signing_key(5, "records")
+    samples = _unsigned_samples(key.public_bytes)
+    assert sorted(type(sample).__name__ for sample in samples) == sorted(SIGNED_PAYLOAD_OMITS)
+    for unsigned in samples:
+        *left_out, signature = type(unsigned).UNSIGNED
+        assert signature.endswith("signature") and not getattr(unsigned, signature)
+        signed = sign_record(unsigned, key)
+        assert signed == replace(unsigned, **{signature: getattr(signed, signature)})
+        assert verify_record(signed, key.public_bytes), signed
+        forged = replace(signed, **{signature: _changed(getattr(signed, signature))})
+        assert not verify_record(forged, key.public_bytes), forged
+        for field in dataclasses.fields(signed):
+            value = getattr(signed, field.name)
+            if field.name in left_out:
+                assert verify_record(replace(signed, **{field.name: ()}), key.public_bytes)
+            elif field.name != signature and value is not None:
+                changed = replace(signed, **{field.name: _changed(value)})
+                assert not verify_record(changed, key.public_bytes), (field.name, changed)
 
 
 def test_json_forms_match_value_path(seeded_records):

@@ -11,7 +11,6 @@ import pytest
 
 from provlab import credentials, signer, timestamp
 from provlab.container import (
-    HardBinding,
     SegmentKind,
     build_asset,
     compute_hard_binding,
@@ -20,7 +19,7 @@ from provlab.container import (
     serialize_asset,
     strip_manifest,
 )
-from provlab.credentials import BindingMode, claim_payload, decode_manifest
+from provlab.credentials import BindingMode, HardBinding, claim_payload, decode_manifest
 from provlab.crypto import SigningKey, digest, verify
 from provlab.errors import ProvenanceError
 from provlab.records import encode_record

@@ -9,7 +9,7 @@ from provlab import records
 from provlab.crypto import derive_signing_key
 from provlab.encoding import decode_value, encode_value
 from provlab.errors import DecodeError, ProvenanceError, ServiceUnreachable
-from provlab.records import decode_record, encode_record, signed_bytes
+from provlab.records import decode_record, encode_record, signed_bytes, verify_record
 from provlab.statusservice import (
     StatusService,
     _frame,
@@ -29,7 +29,6 @@ from provlab.trust import (
     issue_certificate,
     verify_chain,
     verify_crl,
-    verify_status_response,
 )
 
 T0 = 1_735_689_600
@@ -300,15 +299,15 @@ def test_status_response_signature(pki):
     authority.issued[leaf_cert.serial] = leaf_cert.subject
     response = authority.status_for(leaf_cert.serial)
     assert response.status == CertStatus.GOOD
-    assert verify_status_response(response, root_cert)
+    assert verify_record(response, root_cert.public_key)
     authority.revoke(leaf_cert.serial, T0 + 5)
     revoked = authority.status_for(leaf_cert.serial)
     assert revoked.status == CertStatus.REVOKED
     assert revoked.revoked_at == T0 + 5
-    assert verify_status_response(revoked, root_cert)
+    assert verify_record(revoked, root_cert.public_key)
     unknown = authority.status_for(424242)
     assert unknown.status == CertStatus.UNKNOWN
-    assert verify_status_response(unknown, root_cert)
+    assert verify_record(unknown, root_cert.public_key)
     # every field but the signature is signed, the serial included
     for changed in (
         replace(response, serial=424242),
@@ -321,7 +320,7 @@ def test_status_response_signature(pki):
         replace(revoked, revoked_at=None),
         replace(revoked, produced_at=T0 - 1),
     ):
-        assert not verify_status_response(changed, root_cert), changed
+        assert not verify_record(changed, root_cert.public_key), changed
 
 
 @pytest.fixture()
@@ -491,7 +490,7 @@ def test_served_reply_is_the_status_record(service):
 def test_response_for_another_serial_is_unreachable(service):
     svc, authority, root_cert, leaf_cert = service
     other = authority.status_for(leaf_cert.serial + 1)
-    assert verify_status_response(other, root_cert)
+    assert verify_record(other, root_cert.public_key)
     with pytest.raises(ServiceUnreachable, match="serial"):
         decode_response(encode_record(other), leaf_cert.serial)
     with pytest.raises(ServiceUnreachable, match="malformed"):
@@ -559,7 +558,7 @@ def test_request_sent_one_byte_at_a_time(service):
     response = decode_response(reply[2:], leaf_cert.serial)
     assert int.from_bytes(reply[:2], "big") == len(reply) - 2
     assert response.status == CertStatus.GOOD
-    assert verify_status_response(response, root_cert)
+    assert verify_record(response, root_cert.public_key)
     assert (svc.query_log, svc.refused) == ([leaf_cert.serial], 0)
 
 

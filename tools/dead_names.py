@@ -10,8 +10,15 @@ string counts, because the benchmark tracer names the functions it hooks in
 strings.  Dunder names are called implicitly and are not checked.  Every
 name a ``src/provlab`` module imports must be read in that module, unless
 the import's first line is marked ``# noqa: F401`` (a re-export).  The
-modules are parsed with the stdlib ``ast``; exits 1 and lists the dead
-names, and any ``RESERVED`` name that is no longer reached only by tests.
+modules are parsed with the stdlib ``ast``.
+
+Every backticked Python identifier in README's "Package layout" table must
+name something that exists: each dotted part, a call's arguments aside, is
+a ``provlab`` module, a builtin, or a name some ``src/provlab`` module
+defines (a top-level name, a class member or field, a parameter) or
+imports, unless ``NOT_PYTHON`` lists it.  Exits 1 and lists the dead names,
+any ``RESERVED`` name that is no longer reached only by tests, and any
+table identifier that names nothing.
 
     python3 tools/dead_names.py
 """
@@ -19,6 +26,7 @@ names, and any ``RESERVED`` name that is no longer reached only by tests.
 from __future__ import annotations
 
 import ast
+import builtins
 import re
 import sys
 from collections import Counter
@@ -28,6 +36,10 @@ ROOT = Path(__file__).resolve().parents[1]
 SEARCHED = ("src", "tests", "perfbench", "tools")
 # src names that only tests reach for now, each with the ROADMAP item that gives it a src user
 RESERVED = {"redact_assertion": "item 3", "report_from_json": "item 23"}
+# backticked identifiers in README's package table that are not Python names, each with what it is
+NOT_PYTHON = {"revocation": "the validator check that catches ServiceUnreachable"}
+# a backticked span that reads as a Python identifier: dotted names, optionally called
+IDENTIFIER = re.compile(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\(.*\))?")
 
 
 def defined_names(tree: ast.Module):
@@ -64,6 +76,32 @@ def unused_imports(tree: ast.Module, lines: list[str]):
                 yield name, node.lineno
 
 
+def known_names(tree: ast.Module):
+    """Each name the module defines at top level, in a class body or as a
+    parameter, and each name it imports."""
+    yield from (name for name, _ in defined_names(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, (ast.Assign, ast.AnnAssign)):
+                    targets = member.targets if isinstance(member, ast.Assign) else [member.target]
+                    yield from (t.id for t in targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.arg):
+            yield node.arg
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from ((alias.asname or alias.name).split(".")[0] for alias in node.names)
+
+
+def unknown_table_names(known: set[str]):
+    """Each backticked identifier in README's package table with a part that names nothing."""
+    table = (ROOT / "README.md").read_text().split("## Package layout", 1)[1].split("\n## ", 1)[0]
+    for row in table.splitlines():
+        for span in re.findall(r"`([^`]+)`", row) if row.startswith("|") else ():
+            match = IDENTIFIER.fullmatch(span)
+            if match and span not in NOT_PYTHON and not known.issuperset(match[1].split(".")):
+                yield span
+
+
 def main() -> int:
     words, untested = Counter(), Counter()  # every mention; mentions outside tests/
     for directory in SEARCHED:
@@ -79,9 +117,11 @@ def main() -> int:
         for name, item in RESERVED.items()
         if untested[name] != 1 or words[name] == untested[name]
     ]
+    known = {"provlab", *dir(builtins)}
     for path in sorted((ROOT / "src" / "provlab").glob("*.py")):
         source = path.read_text()
         tree = ast.parse(source)
+        known |= {path.stem, *known_names(tree)}
         where = path.relative_to(ROOT)
         for name, line in defined_names(tree):
             if name.startswith("__"):
@@ -94,6 +134,10 @@ def main() -> int:
             f"{where}:{line}: {name} is imported and never read"
             for name, line in unused_imports(tree, source.splitlines())
         ]
+    dead += [
+        f"README.md: package table names `{span}`, which src/provlab does not define"
+        for span in dict.fromkeys(unknown_table_names(known))
+    ]
     print("\n".join(dead) or "no dead names")
     return 1 if dead else 0
 
