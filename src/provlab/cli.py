@@ -33,6 +33,7 @@ from .statusservice import run_status_service
 from .timestamp import archival_extend
 from .trust import decode_revocation_list
 from .validator import (
+    LIVE_REVOCATION_MODES,
     RevocationMode,
     ValidationPolicy,
     exit_code_for,
@@ -58,9 +59,6 @@ def _workspace(args: argparse.Namespace, seed: int | None = None) -> Workspace:
     if not root:
         raise ProvenanceError("no workspace: pass --workspace or set PROVLAB_WORKSPACE")
     return Workspace.load(root) if seed is None else Workspace.initialize(root, seed)
-
-
-_STATUS_MODES = (RevocationMode.STATUS_SERVICE_SOFT_FAIL, RevocationMode.STATUS_SERVICE_HARD_FAIL)
 
 
 def _resolve_policy(
@@ -95,7 +93,7 @@ def _resolve_policy(
         if crl is None and name == "hardened":
             crl = workspace.signing.generate_crl()  # the authority's live revocation state
         policy = replace(policy, crl=crl)
-    if policy.revocation_mode in _STATUS_MODES and policy.status_endpoint is None:
+    if policy.revocation_mode in LIVE_REVOCATION_MODES and policy.status_endpoint is None:
         reads.add("--status-endpoint")
         policy = replace(policy, status_endpoint=given["--status-endpoint"])
     return policy, reads

@@ -17,8 +17,9 @@ tables hand back one ``Manifest`` for the same bytes, so a walk that decoded
 one keeps its judgement on it: the policy, the results and what the kept
 rows found.  A later walk over that manifest under the same policy (``is``
 or ``==``) replays the kept rows' results and runs only the rest: the parse,
-the decode and the two checks that read the asset, and revocation, which
-may ask a live status service.
+the decode and the two checks that read the asset.  Revocation is kept
+unless the policy's mode is one of ``LIVE_REVOCATION_MODES``: a revocation
+list is part of the policy, but a status service is asked afresh each time.
 
 The policy decides severity, not the evidence: the same asset can be
 ACCEPTED under one knob setting and REJECTED under another.  Expiry is the
@@ -82,6 +83,7 @@ GOAL_TITLES = {
 }
 
 GOAL_NAMES = tuple(GOAL_TITLES)
+_GOAL_SET = frozenset(GOAL_NAMES)
 
 
 class RevocationMode(str, Enum):
@@ -89,6 +91,12 @@ class RevocationMode(str, Enum):
     STATUS_SERVICE_SOFT_FAIL = "STATUS_SERVICE_SOFT_FAIL"
     STATUS_SERVICE_HARD_FAIL = "STATUS_SERVICE_HARD_FAIL"
     CRL_REQUIRED = "CRL_REQUIRED"
+
+
+# the modes whose revocation check asks a status service, so its answer is never kept
+LIVE_REVOCATION_MODES = frozenset(
+    {RevocationMode.STATUS_SERVICE_SOFT_FAIL, RevocationMode.STATUS_SERVICE_HARD_FAIL}
+)
 
 
 class TimestampRule(str, Enum):
@@ -204,7 +212,7 @@ class ValidationReport:
     malformed: bool = False
 
     def __post_init__(self) -> None:
-        if self.goals.keys() != set(GOAL_NAMES):
+        if self.goals.keys() != _GOAL_SET:
             raise ValueError(f"goals must be exactly {', '.join(GOAL_NAMES)}")
 
     def check(self, name: str) -> CheckResult:
@@ -505,7 +513,7 @@ def _check_revocation(run: _Run) -> _Result:
     serial = chain[0].serial
     # each channel yields a verified (status, revoked_at) for the leaf and its
     # own words for GOOD and REVOKED; one judgement below maps the status
-    if policy.revocation_mode == RevocationMode.CRL_REQUIRED:
+    if policy.revocation_mode not in LIVE_REVOCATION_MODES:  # CRL_REQUIRED; the gate skips NONE
         crl = policy.crl
         if crl is None:
             return CheckOutcome.FAIL, "no revocation list available"
@@ -595,11 +603,17 @@ def _check_redaction_audit(run: _Run) -> _Result:
     return CheckOutcome.PASS, f"{len(tombstones)} countersigned redaction(s)"
 
 
+def _revocation_kept(policy: ValidationPolicy) -> bool:
+    return policy.revocation_mode not in LIVE_REVOCATION_MODES
+
+
 # The one ordered table of checks: (name, gate, check, kept).  A report lists
 # every row in this order; a gate that returns a detail marks its check
 # SKIPPED.  A kept row's gate and check read only the decoded manifest, the
 # policy and what earlier kept rows found, so its result is kept with the
-# manifest and replayed under the same policy.
+# manifest and replayed under the same policy.  ``kept`` is True, False, or
+# for revocation a test of the policy: its row is kept unless it asks a
+# live status service.
 _CHECKS = (
     ("parse", None, _check_parse, False),
     ("manifest-decode", _needs_asset, _check_manifest_decode, False),
@@ -609,7 +623,7 @@ _CHECKS = (
     ("exclusion-audit", _exclusion_audit_gate, _check_exclusion_audit, False),
     ("chain", _needs_manifest, _check_chain, True),
     ("signature", _needs_manifest, _check_signature, True),
-    ("revocation", _revocation_gate, _check_revocation, False),
+    ("revocation", _revocation_gate, _check_revocation, _revocation_kept),
     ("timestamp", _needs_manifest, _check_timestamp, True),
     ("redaction-audit", _needs_manifest, _check_redaction_audit, True),
 )
@@ -654,24 +668,28 @@ _GOAL_CHECKS = {
 def _derive_goals(
     outcome: dict[str, CheckOutcome], displayed: DisplayedTime, integrity: FileIntegrity
 ) -> dict[str, GoalStatus]:
-    goals = dict.fromkeys(GOAL_NAMES, GoalStatus.NOT_EVALUATED)
+    # each enum member is read once: a member lookup costs more than the test
+    fail, passed = CheckOutcome.FAIL, CheckOutcome.PASS
+    held, violated, unevaluated = GoalStatus.HELD, GoalStatus.VIOLATED, GoalStatus.NOT_EVALUATED
+    goals = dict.fromkeys(GOAL_NAMES, unevaluated)
     for goal, checks in _GOAL_CHECKS.items():
-        found = {outcome[name] for name in checks}
-        if CheckOutcome.FAIL in found:
-            goals[goal] = GoalStatus.VIOLATED
-        elif found == {CheckOutcome.PASS}:
-            goals[goal] = GoalStatus.HELD
+        status = held
+        for name in checks:
+            found = outcome[name]
+            if found is fail:
+                status = violated
+                break
+            if found is not passed:
+                status = unevaluated
+        goals[goal] = status
     if displayed.provenance == TimeProvenance.SIGNED:
-        goals["G3"] = GoalStatus.HELD
-    elif (
-        displayed.provenance == TimeProvenance.UNBOUND_TOKEN
-        or outcome["timestamp"] == CheckOutcome.FAIL
-    ):
-        goals["G3"] = GoalStatus.VIOLATED
+        goals["G3"] = held
+    elif displayed.provenance == TimeProvenance.UNBOUND_TOKEN or outcome["timestamp"] is fail:
+        goals["G3"] = violated
     # G4 compares two reports, so one report never grades it; weak integrity
     # honours declared exclusions and so never claims G5
     if integrity == FileIntegrity.WEAK:
-        goals["G5"] = GoalStatus.NOT_EVALUATED
+        goals["G5"] = unevaluated
     return goals
 
 
@@ -689,7 +707,7 @@ def validate(data: Buffer, policy: ValidationPolicy) -> ValidationReport:
     fail, skipped = CheckOutcome.FAIL, CheckOutcome.SKIPPED
     crashed = False
     for name, gate, check, kept in _CHECKS:
-        if kept and run.replay is not None:
+        if kept and run.replay is not None and (kept is True or kept(policy)):
             result = run.replay[len(results)]  # this row's kept result
             outcome = result.outcome
         else:

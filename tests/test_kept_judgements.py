@@ -1,12 +1,14 @@
 """A manifest's judgement is kept on its shared record and replayed.
 
-Six rows of the check table are marked kept: they read only the decoded
-manifest and the policy.  A validation over a manifest already judged under
-the same policy (``is`` or ``==``) replays those rows' results, and must
-give the report a validation with nothing kept gives.  The other five rows
-(parse, manifest-decode, hard-binding, exclusion-audit, revocation) run on
-every validation, so a tampered asset and a live status service are always
-read afresh.
+Seven rows of the check table are marked kept: they read only the decoded
+manifest and the policy.  Six are kept always, and revocation whenever its
+mode asks no live status service (``NONE``, ``CRL_REQUIRED``).  A validation
+over a manifest already judged under the same policy (``is`` or ``==``)
+replays those rows' results, and must give the report a validation with
+nothing kept gives.  The other four rows (parse, manifest-decode,
+hard-binding, exclusion-audit) run on every validation, and so does
+revocation under a status mode, so a tampered asset and a live status
+service are always read afresh.
 """
 
 import itertools
@@ -23,10 +25,12 @@ from provlab.statusservice import run_status_service
 from provlab.validator import (
     _CHECKS,
     _JUDGED,
+    LIVE_REVOCATION_MODES,
     CheckOutcome,
     RevocationMode,
     Verdict,
     _Run,
+    hardened_policy,
     render_report,
     report_to_json,
     spec_policy,
@@ -36,8 +40,17 @@ from provlab.workspace import DAY, T0, Workspace
 from test_acceptance import criterion_7_inputs
 
 KEPT_ROWS = (
-    "spec-version", "assertion-digests", "chain", "signature", "timestamp", "redaction-audit",
+    "spec-version", "assertion-digests", "chain", "signature", "revocation", "timestamp",
+    "redaction-audit",
 )
+OFFLINE_MODES = (RevocationMode.NONE, RevocationMode.CRL_REQUIRED)
+
+
+def kept_under(policy) -> tuple[str, ...]:
+    """The rows a walk under ``policy`` replays when it finds a judgement kept."""
+    return tuple(
+        name for name, _, _, kept in _CHECKS if kept is True or (kept and kept(policy))
+    )
 
 
 class Untouchable:
@@ -104,19 +117,33 @@ def corpora(corpus, tmp_path_factory):
     return out
 
 
-def test_the_kept_rows_are_the_six_that_read_only_the_manifest_and_the_policy():
+def test_the_seven_kept_rows_read_only_the_manifest_and_the_policy(workspace):
+    """Revocation is kept under the two modes that ask no status service,
+    and only under them."""
     assert tuple(name for name, _, _, kept in _CHECKS if kept) == KEPT_ROWS
+    assert set(RevocationMode) - LIVE_REVOCATION_MODES == set(OFFLINE_MODES)
+    for mode in RevocationMode:
+        policy = spec_policy(workspace.trust, DEFAULT_VALIDATION_TIME, revocation_mode=mode)
+        expected = KEPT_ROWS if mode in OFFLINE_MODES else tuple(
+            name for name in KEPT_ROWS if name != "revocation"
+        )
+        assert kept_under(policy) == expected, mode
 
 
 def test_a_kept_row_never_reads_the_asset(corpus):
     """Every seed-1 entry under both presets: the kept rows, run on a run
     whose data, asset, manifest segment and exclusions raise on any use and
-    whose outcomes hold only the kept rows', find what a normal run finds."""
+    whose outcomes hold only the kept rows', find what a normal run finds.
+    Spec asks no revocation and hardened reads the policy's CRL, so the
+    revocation row runs purely under ``NONE`` and ``CRL_REQUIRED``."""
     workspace = corpus["workspace"]
-    kept_rows = [row for row in _CHECKS if row[3]]
+    modes = set()
     for entry in corpus["entries"]:
         data = (workspace.root / entry.path).read_bytes()
         for preset, policy in entry_policies(workspace, entry, corpus["crl"]).items():
+            kept_rows = [row for row in _CHECKS if row[0] in kept_under(policy)]
+            assert [name for name, *_ in kept_rows] == list(KEPT_ROWS)
+            modes.add(policy.revocation_mode)
             # a name no kept judgement was made under, so the decode restores nothing
             unkept = replace(policy, name=f"purity {preset}")
             normal = _Run(data, unkept)
@@ -130,6 +157,7 @@ def test_a_kept_row_never_reads_the_asset(corpus):
             assert (pure.tombstones, pure.chain_expired, pure.displayed) == (
                 normal.tombstones, normal.chain_expired, normal.displayed
             ), entry.path
+    assert modes == set(OFFLINE_MODES)
 
 
 def judged_inputs(corpora, corpus):
@@ -213,32 +241,98 @@ def test_a_manifest_judged_under_one_preset_and_then_another(corpus, same_policy
     assert same_policy_hits == [presets["spec"]]
 
 
-def test_the_status_channel_is_asked_on_every_validation(tmp_path, same_policy_hits):
-    """One manifest validated twice under one hard-fail policy: each
-    validation asks the status service once, and a revocation between the
-    two turns the second REJECTED although its other checks are replayed."""
+def test_no_revocation_list_answers_under_another(tmp_path, same_policy_hits):
+    """One manifest validated twice under hardened, so its revocation is
+    replayed, then twice under an otherwise equal policy whose CRL lists the
+    leaf: the first validation under the second list finds the judgement
+    kept under the first and replays nothing, so it reads REJECTED with the
+    second list's detail."""
     workspace = Workspace.initialize(tmp_path, seed=1)
-    data = serialize_asset(make_fixture(workspace, "honest"))
-    with run_status_service(workspace.signing) as service:
-        policy = spec_policy(
-            workspace.trust,
-            DEFAULT_VALIDATION_TIME,
-            name="status hard fail",
-            revocation_mode=RevocationMode.STATUS_SERVICE_HARD_FAIL,
-            status_endpoint=service.endpoint,
-        )
-        first = validate(data, policy)
-        assert len(service.query_log) == 1
-        workspace.signing.revoke(SCENARIOS["honest"].leaf_serial, T0 + DAY)
-        second = validate(data, policy)
-        assert len(service.query_log) == 2
-    assert same_policy_hits == [policy]
-    assert first.verdict is Verdict.ACCEPTED
-    assert first.check("revocation").detail == "serial 101 status GOOD"
+    data = serialize_asset(make_fixture(workspace, "bound-timestamp"))
+    clean = hardened_policy(
+        workspace.trust, DEFAULT_VALIDATION_TIME, crl=workspace.signing.generate_crl()
+    )
+    serial = SCENARIOS["bound-timestamp"].leaf_serial
+    workspace.signing.revoke(serial, T0 + DAY)
+    listing = replace(clean, crl=workspace.signing.generate_crl())
+    assert listing != clean
+    first, again, second, replayed = (
+        validate(data, policy) for policy in (clean, clean, listing, listing)
+    )
+    assert same_policy_hits == [clean, listing]
+    assert first == again and first.verdict is Verdict.ACCEPTED
+    assert second == replayed
+    assert first.check("revocation").detail == (
+        f"serial {serial} not in revocation list of {len(clean.crl.entries)} entries"
+    )
     assert second.verdict is Verdict.REJECTED
     assert second.check("revocation").outcome is CheckOutcome.FAIL
-    assert second.check("revocation").detail.startswith("serial 101 REVOKED at")
-    assert second.checks[:8] == first.checks[:8] and second.checks[9:] == first.checks[9:]
+    assert second.check("revocation").detail == f"serial {serial} revoked at {T0 + DAY}"
+    fresh = validate(data, replace(listing, name="nothing kept"))
+    assert second == replace(fresh, policy=listing.name)
+
+
+def status_policy(workspace, mode, endpoint):
+    return spec_policy(
+        workspace.trust,
+        DEFAULT_VALIDATION_TIME,
+        name=f"status {mode.value}",
+        revocation_mode=mode,
+        status_endpoint=endpoint,
+    )
+
+
+def test_the_status_channel_is_asked_on_every_validation(tmp_path, same_policy_hits):
+    """One manifest validated twice under one policy of each status mode:
+    each validation asks the status service once, and a revocation between
+    the two turns the second REJECTED although its other checks are
+    replayed."""
+    for mode in sorted(LIVE_REVOCATION_MODES):
+        workspace = Workspace.initialize(tmp_path / mode.value, seed=1)
+        data = serialize_asset(make_fixture(workspace, "honest"))
+        del same_policy_hits[:]
+        with run_status_service(workspace.signing) as service:
+            policy = status_policy(workspace, mode, service.endpoint)
+            first = validate(data, policy)
+            assert len(service.query_log) == 1
+            workspace.signing.revoke(SCENARIOS["honest"].leaf_serial, T0 + DAY)
+            second = validate(data, policy)
+            assert len(service.query_log) == 2
+        assert same_policy_hits == [policy]
+        assert first.verdict is Verdict.ACCEPTED
+        assert first.check("revocation").detail == "serial 101 status GOOD"
+        assert second.verdict is Verdict.REJECTED
+        assert second.check("revocation").outcome is CheckOutcome.FAIL
+        assert second.check("revocation").detail.startswith("serial 101 REVOKED at")
+        assert second.checks[:8] == first.checks[:8] and second.checks[9:] == first.checks[9:]
+
+
+def test_a_stopped_status_service_is_not_answered_for(tmp_path, same_policy_hits):
+    """The service stops between two validations under one policy of each
+    status mode: the second asks it, finds it unreachable and reads SKIPPED
+    under soft fail and FAIL under hard fail, although its other checks are
+    replayed."""
+    expected = {
+        RevocationMode.STATUS_SERVICE_SOFT_FAIL: (CheckOutcome.SKIPPED, "soft fail", Verdict.ACCEPTED),
+        RevocationMode.STATUS_SERVICE_HARD_FAIL: (CheckOutcome.FAIL, "fail closed", Verdict.REJECTED),
+    }
+    assert expected.keys() == LIVE_REVOCATION_MODES
+    for mode, (outcome, stance, verdict) in expected.items():
+        workspace = Workspace.initialize(tmp_path / mode.value, seed=1)
+        data = serialize_asset(make_fixture(workspace, "honest"))
+        del same_policy_hits[:]
+        with run_status_service(workspace.signing) as service:
+            policy = status_policy(workspace, mode, service.endpoint)
+            first = validate(data, policy)
+        second = validate(data, policy)
+        assert same_policy_hits == [policy]
+        assert first.verdict is Verdict.ACCEPTED
+        assert first.check("revocation").detail == "serial 101 status GOOD"
+        revocation = second.check("revocation")
+        assert revocation.outcome is outcome, mode
+        assert revocation.detail.startswith(f"status service unreachable ({stance}): "), mode
+        assert second.verdict is verdict, mode
+        assert second.checks[:8] == first.checks[:8] and second.checks[9:] == first.checks[9:]
 
 
 def test_an_equal_policy_whose_time_prints_differently_replays_nothing(corpus, same_policy_hits):
