@@ -80,6 +80,9 @@ class SegmentKind(IntEnum):
     TRAILER = 5
 
 
+_MANIFEST = SegmentKind.MANIFEST  # read once: a member read costs several times a name's
+
+
 @dataclass(frozen=True, order=True)
 class ByteRange:
     """A half-open range ``[start, start + length)``; length is positive."""
@@ -146,7 +149,7 @@ class Asset:
 
     def find_manifest(self) -> Segment | None:
         for segment in self.segments:
-            if segment.kind is SegmentKind.MANIFEST:
+            if segment.kind is _MANIFEST:
                 return segment
         return None
 

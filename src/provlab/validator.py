@@ -16,10 +16,13 @@ A ``kept`` row reads only the decoded manifest and the policy.  The record
 tables hand back one ``Manifest`` for the same bytes, so a walk that decoded
 one keeps its judgement on it: the policy, the results and what the kept
 rows found.  A later walk over that manifest under the same policy (``is``
-or ``==``) replays the kept rows' results and runs only the rest: the parse,
-the decode and the two checks that read the asset.  Revocation is kept
-unless the policy's mode is one of ``LIVE_REVOCATION_MODES``: a revocation
-list is part of the policy, but a status service is asked afresh each time.
+or ``==``) takes each kept row's result by its index in the table, running
+neither its gate nor its check, and runs only the rest: the parse, the
+decode and the two checks that read the asset.  Of those, the exclusion
+audit judges countersignatures only for an exclusion outside the manifest
+range.  Revocation is kept unless the policy's mode is one of
+``LIVE_REVOCATION_MODES``: a revocation list is part of the policy, but a
+status service is asked afresh each time.
 
 The policy decides severity, not the evidence: the same asset can be
 ACCEPTED under one knob setting and REJECTED under another.  Expiry is the
@@ -243,27 +246,38 @@ def exit_code_for(report: ValidationReport) -> int:
 # ---------------------------------------------------------------------------
 
 _UNVERIFIABLE_CHECKS = frozenset({"parse", "manifest-decode"})
+# every enum member the validation path reads, read once: a member read costs more than a name's
+_PASS, _FAIL, _SKIPPED = CheckOutcome.PASS, CheckOutcome.FAIL, CheckOutcome.SKIPPED
+_HELD, _VIOLATED, _UNEVALUATED = GoalStatus.HELD, GoalStatus.VIOLATED, GoalStatus.NOT_EVALUATED
+_ACCEPTED, _REDACTED = Verdict.ACCEPTED, Verdict.ACCEPTED_WITH_REDACTION
+_REJECTED, _UNVERIFIABLE = Verdict.REJECTED, Verdict.UNVERIFIABLE
+_SIGNED, _UNBOUND = TimeProvenance.SIGNED, TimeProvenance.UNBOUND_TOKEN
+_NO_TIME = DisplayedTime(None, TimeProvenance.ABSENT)
+_WEAK, _STRONG = FileIntegrity.WEAK, FileIntegrity.STRONG
+_NO_REVOCATION, _METADATA = RevocationMode.NONE, SegmentKind.METADATA
 # the attribute that holds a decoded manifest's last judgement (see ``validate``)
 _JUDGED = "_judged"
 
 
 class _Run:
-    """Mutable state threaded through one validation pass."""
+    """Mutable state threaded through one validation pass; a field that no
+    row has set reads its default on the class."""
+
+    asset: Asset | None = None
+    manifest: Manifest | None = None
+    claim_bytes = b""  # the manifest's claim, encoded: what is signed and stamped
+    manifest_segment: Segment | None = None
+    effective_exclusions: tuple[ByteRange, ...] | None = None
+    tombstones: tuple[str, ...] = ()
+    chain_expired = False
+    malformed = False
+    replay: tuple[CheckResult, ...] | None = None  # a kept judgement's results
 
     def __init__(self, data: Buffer, policy: ValidationPolicy):
         self.data = data
         self.policy = policy
         self.outcomes: dict[str, CheckOutcome] = {}  # each check's, as it is recorded
-        self.asset: Asset | None = None
-        self.manifest: Manifest | None = None
-        self.claim_bytes = b""  # the manifest's claim, encoded: what is signed and stamped
-        self.manifest_segment: Segment | None = None
-        self.effective_exclusions: tuple[ByteRange, ...] | None = None
-        self.tombstones: tuple[str, ...] = ()
-        self.chain_expired = False
-        self.malformed = False
-        self.displayed = DisplayedTime(None, TimeProvenance.ABSENT)
-        self.replay: tuple[CheckResult, ...] | None = None  # a kept judgement's results
+        self.displayed = _NO_TIME
 
     @cached_property
     def vouched_records(self) -> list[Redaction]:
@@ -316,13 +330,13 @@ def _needs_manifest(run: _Run) -> str | None:
 
 
 def _exclusion_audit_gate(run: _Run) -> str | None:
-    if run.policy.file_integrity == FileIntegrity.WEAK:
+    if run.policy.file_integrity == _WEAK:
         return "weak integrity honours declared exclusions"
     return _needs_manifest(run)
 
 
 def _revocation_gate(run: _Run) -> str | None:
-    if run.policy.revocation_mode == RevocationMode.NONE:
+    if run.policy.revocation_mode == _NO_REVOCATION:
         return "revocation not checked"
     if run.manifest is None or not run.manifest.claim_signature.signer_chain:
         return "no manifest"
@@ -339,25 +353,25 @@ def _check_parse(run: _Run) -> _Result:
     try:
         run.asset = parse_asset(run.data)
     except ProvenanceError as exc:
-        return CheckOutcome.FAIL, str(exc)
-    return CheckOutcome.PASS, f"{len(run.asset.segments)} segments"
+        return _FAIL, str(exc)
+    return _PASS, f"{len(run.asset.segments)} segments"
 
 
 def _check_manifest_decode(run: _Run) -> _Result:
     segment = run.asset.find_manifest()
     if segment is None:
-        return CheckOutcome.FAIL, "no manifest segment"
+        return _FAIL, "no manifest segment"
     run.manifest_segment = segment
     try:
         run.manifest = decode_manifest(run.asset.payload(segment))
     except ProvenanceError as exc:
         run.malformed = True
-        return CheckOutcome.FAIL, f"undecodable manifest: {exc}"
+        return _FAIL, f"undecodable manifest: {exc}"
     run.claim_bytes = encode_record(run.manifest.claim)
     judged = getattr(run.manifest, _JUDGED, None)
     if judged is not None and _same_policy(judged[0], run.policy):
         _, run.replay, run.tombstones, run.chain_expired, run.displayed = judged
-    return CheckOutcome.PASS, ""
+    return _PASS, ""
 
 
 def _same_policy(kept: ValidationPolicy, policy: ValidationPolicy) -> bool:
@@ -371,10 +385,10 @@ def _check_spec_version(run: _Run) -> _Result:
     required = run.policy.spec_version_required
     found = run.manifest.claim.spec_version
     if required is None:
-        return CheckOutcome.PASS, f"claim format {found} (not constrained)"
+        return _PASS, f"claim format {found} (not constrained)"
     if found == required:
-        return CheckOutcome.PASS, f"claim format {found}"
-    return CheckOutcome.FAIL, f"claim format {found}, policy requires {required}"
+        return _PASS, f"claim format {found}"
+    return _FAIL, f"claim format {found}, policy requires {required}"
 
 
 def _check_assertion_digests(run: _Run) -> _Result:
@@ -393,42 +407,44 @@ def _check_assertion_digests(run: _Run) -> _Result:
     )
     run.tombstones = tombstones
     if problems:
-        return CheckOutcome.FAIL, "; ".join(problems)
+        return _FAIL, "; ".join(problems)
     detail = f"{len(manifest.assertions)} assertions verified"
     if tombstones:
         detail += f", {len(tombstones)} REDACTED ({', '.join(tombstones)})"
-    return CheckOutcome.PASS, detail
+    return _PASS, detail
 
 
 def _check_hard_binding(run: _Run) -> _Result:
     binding = run.manifest.claim.binding
     if binding.algorithm != "sha-256":
-        return CheckOutcome.FAIL, f"unsupported algorithm {binding.algorithm!r}"
+        return _FAIL, f"unsupported algorithm {binding.algorithm!r}"
     effective = _effective_exclusions(binding.exclusions, run.manifest_segment)
     if effective is None:
-        return CheckOutcome.FAIL, "manifest range not excluded by the claim"
+        return _FAIL, "manifest range not excluded by the claim"
     run.effective_exclusions = effective
     try:
         recomputed = compute_hard_binding(run.asset, effective)
     except ProvenanceError as exc:
-        return CheckOutcome.FAIL, f"exclusions unusable: {exc}"
+        return _FAIL, f"exclusions unusable: {exc}"
     if recomputed != binding.digest:
-        return CheckOutcome.FAIL, "recomputed digest differs from the declared digest"
-    return CheckOutcome.PASS, f"digest match over {len(effective)} exclusion(s)"
+        return _FAIL, "recomputed digest differs from the declared digest"
+    return _PASS, f"digest match over {len(effective)} exclusion(s)"
 
 
 def _check_exclusion_audit(run: _Run) -> _Result:
     if run.effective_exclusions is None:
-        return CheckOutcome.FAIL, "exclusions could not be resolved"
-    vouched = {redaction.target for redaction in run.vouched_records}
+        return _FAIL, "exclusions could not be resolved"
     # segments and exclusions both run by start, so one walk finds the
     # segment, if any, that starts where each exclusion starts
     segments, at = run.asset.segments, 0
     unaccounted: list[str] = []
     admitted: list[str] = []
+    vouched = None  # the countersigned targets, judged at the first exclusion that needs them
     for rng in run.effective_exclusions:
         if run.manifest_segment.range.contains(rng):
             continue
+        if vouched is None:
+            vouched = {redaction.target for redaction in run.vouched_records}
         while at < len(segments) and segments[at].range.start < rng.start:
             at += 1
         segment = segments[at] if at < len(segments) else None
@@ -438,12 +454,12 @@ def _check_exclusion_audit(run: _Run) -> _Result:
             (admitted if segment.label in vouched else unaccounted).append(segment.label)
     if unaccounted:
         return (
-            CheckOutcome.FAIL,
+            _FAIL,
             "non-manifest exclusions without countersigned redaction: "
             + ", ".join(unaccounted),
         )
     detail = "manifest range and countersigned exclusion(s): " + ", ".join(admitted)
-    return CheckOutcome.PASS, detail if admitted else "only the manifest range is excluded"
+    return _PASS, detail if admitted else "only the manifest range is excluded"
 
 
 def _archival_bridge(run: _Run) -> str | None:
@@ -482,29 +498,29 @@ def _check_chain(run: _Run) -> _Result:
     chain = run.manifest.claim_signature.signer_chain
     verdict = verify_chain(chain, policy.trust, policy.validation_time)
     if verdict.valid:
-        return CheckOutcome.PASS, f"valid at {policy.validation_time}"
+        return _PASS, f"valid at {policy.validation_time}"
     if verdict.status == ChainStatus.EXPIRED:
         if policy.expiry_rule == ExpiryRule.AT_TIMESTAMP_TIME_WITH_ARCHIVAL_CHAIN:
             bridged = _archival_bridge(run)
             if bridged is not None:
-                return CheckOutcome.PASS, bridged
+                return _PASS, bridged
         run.chain_expired = True
-        return CheckOutcome.FAIL, verdict.detail
-    return CheckOutcome.FAIL, f"{verdict.status.value}: {verdict.detail}"
+        return _FAIL, verdict.detail
+    return _FAIL, f"{verdict.status.value}: {verdict.detail}"
 
 
 def _check_signature(run: _Run) -> _Result:
     claim_signature = run.manifest.claim_signature
     if not claim_signature.signer_chain:
-        return CheckOutcome.FAIL, "empty signer chain"
+        return _FAIL, "empty signer chain"
     leaf = claim_signature.signer_chain[0]
     if leaf.usage != Usage.LEAF_SIGNING:
-        return CheckOutcome.FAIL, f"leaf usage {leaf.usage.value} cannot sign claims"
+        return _FAIL, f"leaf usage {leaf.usage.value} cannot sign claims"
     mode, token = claim_signature.binding_mode, claim_signature.timestamp
     payload = claim_payload(run.claim_bytes, mode, token)
     if verify_once(leaf.public_key, payload, claim_signature.signature):
-        return CheckOutcome.PASS, f"{mode.value} payload"
-    return CheckOutcome.FAIL, "claim signature does not verify"
+        return _PASS, f"{mode.value} payload"
+    return _FAIL, "claim signature does not verify"
 
 
 def _check_revocation(run: _Run) -> _Result:
@@ -516,19 +532,19 @@ def _check_revocation(run: _Run) -> _Result:
     if policy.revocation_mode not in LIVE_REVOCATION_MODES:  # CRL_REQUIRED; the gate skips NONE
         crl = policy.crl
         if crl is None:
-            return CheckOutcome.FAIL, "no revocation list available"
+            return _FAIL, "no revocation list available"
         issuer_cert = next(
             (c for c in chain[1:] + policy.trust.anchors if c.subject == crl.issuer), None
         )
         if issuer_cert is None or not verify_crl(crl, issuer_cert):
-            return CheckOutcome.FAIL, "revocation list signature does not verify"
+            return _FAIL, "revocation list signature does not verify"
         # first match: a list that names a serial twice is read as it is ordered
         revoked_at = next((at for listed, at in crl.entries if listed == serial), None)
         status = CertStatus.GOOD if revoked_at is None else CertStatus.REVOKED
         good, revoked = f"not in revocation list of {len(crl.entries)} entries", "revoked"
     else:
         soft = policy.revocation_mode == RevocationMode.STATUS_SERVICE_SOFT_FAIL
-        outage, stance = (CheckOutcome.SKIPPED, "soft fail") if soft else (CheckOutcome.FAIL, "fail closed")
+        outage, stance = (_SKIPPED, "soft fail") if soft else (_FAIL, "fail closed")
         if policy.status_endpoint is None:
             return outage, f"no status endpoint ({stance})"
         responder = chain[1] if len(chain) > 1 else chain[0]
@@ -539,10 +555,10 @@ def _check_revocation(run: _Run) -> _Result:
         status, revoked_at = response.status, response.revoked_at
         good, revoked = "status GOOD", "REVOKED"
     if status == CertStatus.GOOD:
-        return CheckOutcome.PASS, f"serial {serial} {good}"
+        return _PASS, f"serial {serial} {good}"
     if status == CertStatus.REVOKED:
-        return CheckOutcome.FAIL, f"serial {serial} {revoked} at {revoked_at}"
-    return CheckOutcome.FAIL, f"serial {serial} UNKNOWN to the responder"
+        return _FAIL, f"serial {serial} {revoked} at {revoked_at}"
+    return _FAIL, f"serial {serial} UNKNOWN to the responder"
 
 
 _NO_TOKEN = "no timestamp token"
@@ -554,53 +570,53 @@ def _check_timestamp(run: _Run) -> _Result:
     token = claim_signature.timestamp
     if token is None:
         if policy.timestamp_rule == TimestampRule.REQUIRE_BOUND:
-            return CheckOutcome.FAIL, _NO_TOKEN
-        return CheckOutcome.SKIPPED, _NO_TOKEN
+            return _FAIL, _NO_TOKEN
+        return _SKIPPED, _NO_TOKEN
     bound = claim_signature.binding_mode == BindingMode.BOUND
     if not bound and policy.timestamp_rule == TimestampRule.REQUIRE_BOUND:
-        return CheckOutcome.FAIL, "token is not bound to the claim signature"
+        return _FAIL, "token is not bound to the claim signature"
     # a bound token imprints the claim, an unbound one the signature
     imprint = digest(run.claim_bytes if bound else claim_signature.signature)
     verdict = verify_token(token, imprint, policy.trust)
     if not verdict.valid:
-        return CheckOutcome.FAIL, f"{verdict.status.value}: {verdict.detail}"
-    if bound and run.outcomes["signature"] != CheckOutcome.PASS:
+        return _FAIL, f"{verdict.status.value}: {verdict.detail}"
+    if bound and run.outcomes["signature"] != _PASS:
         return (
-            CheckOutcome.FAIL,
+            _FAIL,
             "bound token cannot be trusted without a verifying claim signature",
         )
-    provenance = TimeProvenance.SIGNED if bound else TimeProvenance.UNBOUND_TOKEN
+    provenance = _SIGNED if bound else _UNBOUND
     run.displayed = DisplayedTime(token.gen_time, provenance)
-    return CheckOutcome.PASS, f"{'bound' if bound else 'unbound'} token at {token.gen_time}"
+    return _PASS, f"{'bound' if bound else 'unbound'} token at {token.gen_time}"
 
 
 def _check_redaction_audit(run: _Run) -> _Result:
     tombstones = run.tombstones
-    strong = run.policy.file_integrity == FileIntegrity.STRONG
+    strong = run.policy.file_integrity == _STRONG
     if strong:
         vouched = {(r.target, r.original_digest) for r in run.vouched_records}
         claim = run.manifest.claim
         missing = [label for label in tombstones if (label, claim.digest_for(label)) not in vouched]
         if missing:
             return (
-                CheckOutcome.FAIL,
+                _FAIL,
                 "tombstones without countersigned redaction records: " + ", ".join(missing),
             )
         # each redaction answers for itself, whether or not a tombstone needs it
         unvouched = len(run.manifest.redaction_signatures) - len(run.vouched_records)
         if unvouched:
-            return CheckOutcome.FAIL, f"{unvouched} redaction(s) without a valid countersignature"
+            return _FAIL, f"{unvouched} redaction(s) without a valid countersignature"
     if not tombstones:
         if strong and run.vouched_records:
             targets = ", ".join(redaction.target for redaction in run.vouched_records)
-            return CheckOutcome.PASS, f"no tombstones; countersigned redaction record(s): {targets}"
-        return CheckOutcome.PASS, "no redactions"
-    if run.policy.file_integrity == FileIntegrity.WEAK:
+            return _PASS, f"no tombstones; countersigned redaction record(s): {targets}"
+        return _PASS, "no redactions"
+    if run.policy.file_integrity == _WEAK:
         return (
-            CheckOutcome.PASS,
+            _PASS,
             f"{len(tombstones)} tombstone(s) accepted without countersignature",
         )
-    return CheckOutcome.PASS, f"{len(tombstones)} countersigned redaction(s)"
+    return _PASS, f"{len(tombstones)} countersigned redaction(s)"
 
 
 def _revocation_kept(policy: ValidationPolicy) -> bool:
@@ -611,9 +627,9 @@ def _revocation_kept(policy: ValidationPolicy) -> bool:
 # every row in this order; a gate that returns a detail marks its check
 # SKIPPED.  A kept row's gate and check read only the decoded manifest, the
 # policy and what earlier kept rows found, so its result is kept with the
-# manifest and replayed under the same policy.  ``kept`` is True, False, or
-# for revocation a test of the policy: its row is kept unless it asks a
-# live status service.
+# manifest and replayed, by its index here, under the same policy.  ``kept``
+# is True, False, or for revocation a test of the policy: its row is kept
+# unless it asks a live status service.
 _CHECKS = (
     ("parse", None, _check_parse, False),
     ("manifest-decode", _needs_asset, _check_manifest_decode, False),
@@ -632,7 +648,7 @@ def _collect_metadata(run: _Run) -> tuple[MetadataItem, ...]:
     if run.asset is None:
         return ()
     # a segment is protected only by a verified binding that covers it
-    bound = run.outcomes["hard-binding"] == CheckOutcome.PASS
+    bound = run.outcomes["hard-binding"] == _PASS
     items = []
     # segments and exclusions both run by start, so one walk meets every
     # exclusion that starts before a segment ends; of those, the one that
@@ -640,7 +656,7 @@ def _collect_metadata(run: _Run) -> tuple[MetadataItem, ...]:
     exclusions = run.effective_exclusions or ()
     at, widest = 0, None
     for segment in run.asset.segments:
-        if segment.kind != SegmentKind.METADATA:
+        if segment.kind is not _METADATA:
             continue
         while at < len(exclusions) and exclusions[at].start < segment.range.end:
             if widest is None or exclusions[at].end > widest.end:
@@ -668,28 +684,25 @@ _GOAL_CHECKS = {
 def _derive_goals(
     outcome: dict[str, CheckOutcome], displayed: DisplayedTime, integrity: FileIntegrity
 ) -> dict[str, GoalStatus]:
-    # each enum member is read once: a member lookup costs more than the test
-    fail, passed = CheckOutcome.FAIL, CheckOutcome.PASS
-    held, violated, unevaluated = GoalStatus.HELD, GoalStatus.VIOLATED, GoalStatus.NOT_EVALUATED
-    goals = dict.fromkeys(GOAL_NAMES, unevaluated)
+    goals = dict.fromkeys(GOAL_NAMES, _UNEVALUATED)
     for goal, checks in _GOAL_CHECKS.items():
-        status = held
+        status = _HELD
         for name in checks:
             found = outcome[name]
-            if found is fail:
-                status = violated
+            if found is _FAIL:
+                status = _VIOLATED
                 break
-            if found is not passed:
-                status = unevaluated
+            if found is not _PASS:
+                status = _UNEVALUATED
         goals[goal] = status
-    if displayed.provenance == TimeProvenance.SIGNED:
-        goals["G3"] = held
-    elif displayed.provenance == TimeProvenance.UNBOUND_TOKEN or outcome["timestamp"] is fail:
-        goals["G3"] = violated
+    if displayed.provenance == _SIGNED:
+        goals["G3"] = _HELD
+    elif displayed.provenance == _UNBOUND or outcome["timestamp"] is _FAIL:
+        goals["G3"] = _VIOLATED
     # G4 compares two reports, so one report never grades it; weak integrity
     # honours declared exclusions and so never claims G5
-    if integrity == FileIntegrity.WEAK:
-        goals["G5"] = unevaluated
+    if integrity == _WEAK:
+        goals["G5"] = _UNEVALUATED
     return goals
 
 
@@ -703,31 +716,30 @@ def validate(data: Buffer, policy: ValidationPolicy) -> ValidationReport:
     immutable tuple, so concurrent callers each see one whole judgement.  It
     lives as long as the record does, so the Manifest table's bound bounds it too."""
     run = _Run(data, policy)
-    results, failures = [], set()
-    fail, skipped = CheckOutcome.FAIL, CheckOutcome.SKIPPED
+    outcomes, results, failures = run.outcomes, [], set()
     crashed = False
-    for name, gate, check, kept in _CHECKS:
+    for index, (name, gate, check, kept) in enumerate(_CHECKS):
         if kept and run.replay is not None and (kept is True or kept(policy)):
-            result = run.replay[len(results)]  # this row's kept result
+            result = run.replay[index]  # this row's kept result
             outcome = result.outcome
         else:
             detail = gate(run) if gate is not None else None
             if detail is not None:
-                outcome = skipped
+                outcome = _SKIPPED
             else:
                 try:
                     outcome, detail = check(run)
                 except Exception as exc:  # a check may never crash the report
-                    outcome, detail = fail, f"unexpected failure: {exc}"
+                    outcome, detail = _FAIL, f"unexpected failure: {exc}"
                     crashed = True
             # stored as the frozen constructor stores them, without its three setattr calls
             result = object.__new__(CheckResult)
             fields = result.__dict__
             fields["name"], fields["outcome"], fields["detail"] = name, outcome, detail
-        if outcome is fail:
+        if outcome is _FAIL:
             failures.add(name)
         results.append(result)
-        run.outcomes[name] = outcome
+        outcomes[name] = outcome
     checks = tuple(results)
     if run.manifest is not None and run.replay is None and not crashed:
         judged = policy, checks, run.tombstones, run.chain_expired, run.displayed
@@ -735,16 +747,18 @@ def validate(data: Buffer, policy: ValidationPolicy) -> ValidationReport:
 
     rejecting = failures - _UNVERIFIABLE_CHECKS - ({"chain"} if run.chain_expired else set())
     if rejecting:
-        verdict = Verdict.REJECTED
+        verdict = _REJECTED
     elif failures:
-        verdict = Verdict.UNVERIFIABLE
+        verdict = _UNVERIFIABLE
     elif run.tombstones:
-        verdict = Verdict.ACCEPTED_WITH_REDACTION
+        verdict = _REDACTED
     else:
-        verdict = Verdict.ACCEPTED
+        verdict = _ACCEPTED
 
     claim = run.manifest.claim if run.manifest is not None else None
-    return ValidationReport(
+    # stored as the frozen constructor stores them, without its twelve setattr calls
+    report = object.__new__(ValidationReport)
+    report.__dict__.update(
         policy=policy.name,
         validation_time=policy.validation_time,
         verdict=verdict,
@@ -759,6 +773,8 @@ def validate(data: Buffer, policy: ValidationPolicy) -> ValidationReport:
         # an asset that does not parse is malformed, however the parse failed
         malformed=run.malformed or run.asset is None,
     )
+    report.__post_init__()  # the goal-key check
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ revocation under a status mode, so a tampered asset and a live status
 service are always read afresh.
 """
 
+import collections
 import itertools
 from dataclasses import replace
 
@@ -377,3 +378,56 @@ def test_a_crashed_walk_keeps_no_judgement(corpus, monkeypatch, same_policy_hits
     assert again.verdict is Verdict.ACCEPTED
     assert renders(validate(data, policy)) == renders(again)
     assert same_policy_hits == [policy]
+
+
+def test_a_replay_runs_only_the_rows_that_read_the_asset(corpus, monkeypatch, same_policy_hits):
+    """Each row's gate and check wrapped in a counter: a replayed hardened
+    validation of ``bound-timestamp`` with one image byte flipped runs
+    parse, manifest-decode, hard-binding and exclusion-audit once each and
+    no kept row; under ``STATUS_SERVICE_HARD_FAIL`` it runs revocation too."""
+    workspace = corpus["workspace"]
+    entry = next(
+        e for e in corpus["entries"] if (e.scenario, e.attack) == ("bound-timestamp", "none")
+    )
+    data = (workspace.root / entry.path).read_bytes()
+    flipped = bytearray(data)
+    flipped[parse_asset(data).find_label("image").offset] ^= 0x01
+    flipped = bytes(flipped)
+    ran = collections.Counter()
+
+    def counted(part, name, fn):
+        def counting(run):
+            ran[name, part] += 1
+            return fn(run)
+
+        return None if fn is None else counting
+
+    monkeypatch.setattr(validator, "_CHECKS", tuple(
+        (name, counted("gate", name, gate), counted("check", name, check), kept)
+        for name, gate, check, kept in _CHECKS
+    ))
+    live = ("parse", "manifest-decode", "hard-binding", "exclusion-audit")
+    hardened = entry_policies(workspace, entry, corpus["crl"])["hardened"]
+    with run_status_service(workspace.signing) as service:
+        hard_fail = replace(
+            hardened,
+            name="hardened, hard fail",
+            revocation_mode=RevocationMode.STATUS_SERVICE_HARD_FAIL,
+            status_endpoint=service.endpoint,
+        )
+        for policy, rows in ((hardened, live), (hard_fail, live + ("revocation",))):
+            validate(data, policy)
+            ran.clear()
+            del same_policy_hits[:]
+            report = validate(flipped, policy)
+            assert same_policy_hits == [policy]
+            assert report.verdict is Verdict.REJECTED
+            assert report.check("hard-binding").detail == (
+                "recomputed digest differs from the declared digest"
+            )
+            assert ran == {
+                (name, part): 1
+                for name, gate, check, _ in _CHECKS if name in rows
+                for part, fn in (("gate", gate), ("check", check)) if fn is not None
+            }, policy.name
+        assert len(service.query_log) == 2

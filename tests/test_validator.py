@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -1094,6 +1095,51 @@ def test_exclusion_audit_names_a_range_that_matches_no_segment(lab, fixtures):
     audit = validate(data, hardened_at(lab)).check("exclusion-audit")
     assert audit.outcome == CheckOutcome.FAIL
     assert audit.detail == f"non-manifest exclusions without countersigned redaction: [{start},4)"
+
+
+@pytest.fixture()
+def vouched_judgements(monkeypatch):
+    """Each run whose countersignatures were judged (``_Run.vouched_records``)."""
+    judged = []
+    vouched_records = validator._Run.vouched_records.func
+
+    def counting(run):
+        judged.append(run)
+        return vouched_records(run)
+
+    counted = functools.cached_property(counting)
+    counted.__set_name__(validator._Run, "vouched_records")
+    monkeypatch.setattr(validator._Run, "vouched_records", counted)
+    return judged
+
+
+@pytest.mark.parametrize(
+    "case, detail, judged",
+    [
+        ("bound-timestamp", "only the manifest range is excluded", 0),
+        ("vouched meta.gps", "manifest range and countersigned exclusion(s): meta.gps", 1),
+    ],
+)
+def test_the_exclusion_audit_judges_countersignatures_only_when_an_exclusion_needs_them(
+    lab, fixtures, bound_gps, vouched_judgements, case, detail, judged
+):
+    """A replayed hardened walk, its redaction audit kept, judges the
+    countersignatures only at an exclusion outside the manifest range: never
+    for ``bound-timestamp``, whose one exclusion is the manifest's, and once
+    for the vouched ``meta.gps`` redaction, which the audit still admits."""
+    if case == "bound-timestamp":
+        data = b(fixtures["bound-timestamp"])
+    else:
+        data = _with_records(bound_gps, redactions=(_countersign(lab.redactor, "meta.gps", None),))
+    policy = hardened_at(lab)
+    first = validate(data, policy)
+    del vouched_judgements[:]
+    replayed = validate(data, policy)
+    assert len(vouched_judgements) == judged
+    assert replayed == first and replayed.verdict is Verdict.ACCEPTED
+    assert replayed.check("exclusion-audit") == CheckResult(
+        "exclusion-audit", CheckOutcome.PASS, detail
+    )
 
 
 # ---------------------------------------------------------------------------
